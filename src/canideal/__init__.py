@@ -28,7 +28,6 @@ from .fibrealg import (
     FibreRelation,
     FunctionFieldElement,
     fibre_context,
-    fibre_relation,
     phi_image,
     reduce_normal_form,
     relation_consistency,

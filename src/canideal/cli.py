@@ -193,6 +193,7 @@ def cmd_sweep(args) -> int:
     try:
         p_set = _parse_int_set(args.p_set)
         q_set = _parse_int_set(args.q_set)
+        l_set = None if args.l_set == "all" else _parse_int_set(args.l_set)
     except ValueError as exc:
         print(f"error: bad range: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -200,8 +201,7 @@ def cmd_sweep(args) -> int:
     all_pass = True
     for p in p_set:
         for q in q_set:
-            ells = range(1, p) if args.l_set == "all" else _parse_int_set(args.l_set)
-            for ell in ells:
+            for ell in range(1, p) if l_set is None else l_set:
                 params = validate_params(p, q, ell)
                 report = check_counts(params)
                 all_pass = all_pass and report.all_pass

@@ -37,6 +37,10 @@ class ZeroPolynomial(CanidealError):
     """The zero polynomial has no leading term."""
 
 
+class MinkowskiClosedFormMismatch(CanidealError):
+    """The closed-form Minkowski description disagrees with the enumeration."""
+
+
 class PointNotInMinkowskiSum(CanidealError):
     """Requested point lies outside the Minkowski sum."""
 
@@ -59,6 +63,10 @@ class NonHomogeneous(CanidealError):
 
 class NonIntegralCoefficient(CanidealError):
     """A relative-generator coefficient failed to be integral."""
+
+
+class ReductionMismatch(CanidealError):
+    """The lam-reduced relative family differs from the special-fibre family."""
 
 
 class DegenerateSpecialization(CanidealError):

@@ -176,9 +176,6 @@ class CycloElement:
 
     @classmethod
     def lam(cls, p: int) -> "CycloElement":
-        if p == 2:
-            # minimal polynomial lam + 2, so lam = -2 in the length-1 basis
-            return cls(2, (-2,))
         return cls(p, (0, 1) + (0,) * (p - 3))
 
     def _coerce(self, other):
@@ -550,9 +547,6 @@ class SparsePoly:
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def degree_in(self, name: str) -> int:
         i = self.vars.index(name)
         return max((e[i] for e in self.terms), default=0)
@@ -597,8 +591,7 @@ class SparsePoly:
         self._check(divisor)
         d = divisor.degree_in(name)
         lead = divisor.coefficient_of(name, d)
-        one = SparsePoly.constant(self.vars, 1)
-        if lead.terms != one.terms and not _is_one_poly(lead):
+        if not _is_one_poly(lead):
             raise ValueError(f"divisor is not monic in {name}")
         quo = SparsePoly(self.vars)
         rem = self
@@ -665,24 +658,6 @@ class SparsePoly:
                 del out[ne]
         poly.terms = out
         return poly
-
-    def substitute(self, name: str, replacement: "SparsePoly") -> "SparsePoly":
-        """Substitute a polynomial (over the same variables) for one variable."""
-        self._check(replacement)
-        i = self.vars.index(name)
-        result = SparsePoly(self.vars)
-        powers: dict[int, SparsePoly] = {}
-
-        def rep_pow(k: int) -> SparsePoly:
-            if k not in powers:
-                powers[k] = replacement**k
-            return powers[k]
-
-        for e, c in self.terms.items():
-            k = e[i]
-            base = SparsePoly.monomial(self.vars, e[:i] + (0,) + e[i + 1 :], c)
-            result = result + (base * rep_pow(k) if k else base)
-        return result
 
     def constant_value(self):
         """Coefficient of the empty exponent; 0 for anything missing."""

@@ -7,6 +7,7 @@ tables of its powers a(x)^(p-i).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +32,25 @@ class FamilyParams:
     hyperelliptic_risk: bool
     trigonal_risk: bool
     plane_quintic_risk: bool
+
+    @functools.cached_property
+    def memo(self) -> dict:
+        """Data derived from this triple, freed with it; not a field, so not in == or hash."""
+        return {}
+
+
+def per_triple(fn):
+    """Memoise fn(params, *args) in params.memo.  Threads sharing one params
+    may build an entry twice; the results are equal and either is kept."""
+
+    @functools.wraps(fn)
+    def wrapper(params: FamilyParams, *args):
+        key = (fn, *args)
+        if key not in params.memo:
+            params.memo[key] = fn(params, *args)
+        return params.memo[key]
+
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -110,20 +130,15 @@ def a_power_min_exponent(params: FamilyParams, i: int) -> int:
     return 0 if params.ell == 1 else params.p - i
 
 
-_A_POWER_CACHE: dict[FamilyParams, list[SparsePoly]] = {}
-
-
-def _a_powers(params: FamilyParams) -> list[SparsePoly]:
+@per_triple
+def _a_powers(params: FamilyParams) -> tuple[SparsePoly, ...]:
     """a(x)^k for k = 1..p over ("x", symbols) with integer coefficients."""
-    powers = _A_POWER_CACHE.get(params)
-    if powers is None:
-        variables = ("x",) + deformation_symbols(params)
-        a = a_polynomial(params).as_poly(variables)
-        powers = [a]
-        for _ in range(params.p - 1):
-            powers.append(powers[-1] * a)
-        _A_POWER_CACHE[params] = powers
-    return powers
+    variables = ("x",) + deformation_symbols(params)
+    a = a_polynomial(params).as_poly(variables)
+    powers = [a]
+    for _ in range(params.p - 1):
+        powers.append(powers[-1] * a)
+    return tuple(powers)
 
 
 def a_power_coefficients(params: FamilyParams, i: int) -> dict[int, SparsePoly]:

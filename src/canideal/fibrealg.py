@@ -111,15 +111,16 @@ class FibreContext:
 
     With specialization=None the deformation symbols stay symbolic (the
     strongest form of the membership check); otherwise they are replaced by
-    base-field values.
+    base-field values.  It holds no reference to params: params.memo holds
+    the context, so a back reference would keep the triple alive until the
+    cyclic garbage collector runs.
     """
 
     def __init__(self, params: FamilyParams, fibre: str, specialization: dict | None = None):
         if fibre not in (GENERIC, SPECIAL, RELATIVE):
             raise ValueError(f"unknown fibre {fibre!r}")
-        self.params = params
         self.fibre = fibre
-        p = params.p
+        self.p = p = params.p
         syms = deformation_symbols(params)
         if specialization is not None:
             if set(specialization) != set(syms):
@@ -146,7 +147,7 @@ class FibreContext:
         self._a_powers = {1: a}
         self._images: dict[tuple[int, int], FunctionFieldElement] = {}
         self._index_set = frozenset(build_index_set(params))
-        self.relation = self._build_relation()
+        self.relation = self._build_relation(params)
 
     def a_power(self, k: int) -> SparsePoly:
         if k == 0:
@@ -172,9 +173,9 @@ class FibreContext:
             return SparsePoly.constant(self.vars, mapped.constant_value())
         return mapped.embed(self.vars)
 
-    def _build_relation(self) -> FibreRelation:
-        p = self.params.p
-        ell = self.params.ell
+    def _build_relation(self, params: FamilyParams) -> FibreRelation:
+        p = self.p
+        ell = params.ell
         x_ell = SparsePoly.variable(self.vars, "x", ell, self.from_int(1))
         if self.fibre == GENERIC:
             lam_p = CycloElement.lam(p) ** p
@@ -188,7 +189,7 @@ class FibreContext:
         else:
             entries = [(0, self.loc.element(x_ell, p))]
             for i in range(1, p):
-                c = -relative_lambda_coefficient(self.params, i)
+                c = -relative_lambda_coefficient(params, i)
                 entries.append((i, self.loc.element(self.constant(c))))
             rhs = tuple(entries)
         return FibreRelation(fibre=self.fibre, p=p, rhs=rhs, loc=self.loc)
@@ -198,7 +199,7 @@ class FibreContext:
         got = self._images.get((rho, T))
         if got is not None:
             return got
-        p = self.params.p
+        p = self.p
         x_rho = SparsePoly.variable(self.vars, "x", rho, self.from_int(1))
         if self.fibre == GENERIC:
             start = {3 * p - T: self.loc.element(x_rho)}
@@ -219,24 +220,17 @@ class FibreContext:
         return self.image_for_multidegree(md.sum_n, md.sum_mu)
 
 
-_CONTEXTS: dict = {}
-
-
 def fibre_context(params: FamilyParams, fibre: str, specialization: dict | None = None) -> FibreContext:
+    """The context of one fibre, built once per triple and specialization."""
     key = (
-        params,
+        FibreContext,
         fibre,
         None if specialization is None else tuple(sorted(specialization.items())),
     )
-    ctx = _CONTEXTS.get(key)
+    ctx = params.memo.get(key)
     if ctx is None:
-        ctx = FibreContext(params, fibre, specialization)
-        _CONTEXTS[key] = ctx
+        ctx = params.memo[key] = FibreContext(params, fibre, specialization)
     return ctx
-
-
-def fibre_relation(params: FamilyParams, fibre: str) -> FibreRelation:
-    return fibre_context(params, fibre).relation
 
 
 def phi_image(params: FamilyParams, fibre: str, m: Monomial) -> FunctionFieldElement:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonIntegralCoefficient, NotDivisible
+from .errors import NonIntegralCoefficient, NotDivisible, ReductionMismatch
 from .exactalg import (
     CycloElement,
     PrimeFieldElement,
@@ -24,13 +24,12 @@ from .exactalg import (
     reduce_mod_lambda,
     ring_one_like,
 )
-from .family import FamilyParams, a_power_coefficients, deformation_symbols
+from .family import FamilyParams, a_power_coefficients, deformation_symbols, per_triple
 from .indexsets import (
     MinkowskiPoint,
     anchor_set,
-    build_index_set,
     minimal_monomial,
-    minkowski_sum_brute,
+    minkowski_sum,
     monomials_at,
 )
 from .termorder import TIE_BREAK_DEFAULT, Monomial, compare, format_monomial
@@ -60,14 +59,8 @@ class GeneratorPoly:
     terms: tuple[tuple[SparsePoly, Monomial], ...]
     tie_break: str
 
-    def degree(self) -> int:
-        return self.terms[0][1].degree if self.terms else 0
-
     def is_homogeneous_degree2(self) -> bool:
         return bool(self.terms) and all(m.degree == 2 for _, m in self.terms)
-
-    def monomials(self) -> list[Monomial]:
-        return [m for _, m in self.terms]
 
     def __repr__(self):
         head = f"{self.provenance}/{self.fibre}"
@@ -98,7 +91,7 @@ def binomial_generators(
     syms = deformation_symbols(params)
     one = SparsePoly.constant(syms, 1)
     out = []
-    for pt in minkowski_sum_brute(build_index_set(params)):
+    for pt in minkowski_sum(params):
         group = monomials_at(params, pt, tie_break)
         if all_pairs:
             pairs = [
@@ -119,7 +112,8 @@ def binomial_generators(
     return out
 
 
-def _trinomial_slots(params: FamilyParams, fibre: str) -> list[tuple[int, int, SparsePoly]]:
+@per_triple
+def _trinomial_slots(params: FamilyParams, fibre: str) -> tuple[tuple[int, int, SparsePoly], ...]:
     """Per-anchor slot layout of one trinomial-type generator.
 
     Each slot is (rho-shift, T-shift, coefficient polynomial); the implicit
@@ -133,14 +127,14 @@ def _trinomial_slots(params: FamilyParams, fibre: str) -> list[tuple[int, int, S
         slots = [(ell, p, -lam_p)]
         for j, poly in sorted(a_power_coefficients(params, 0).items()):
             slots.append((j, p, -poly.map_coefficients(ring_int)))
-        return slots
+        return tuple(slots)
     if fibre == SPECIAL:
         ring_int = lambda n: PrimeFieldElement(n, p)
         one = SparsePoly.constant(syms, ring_int(1))
         slots = [(ell, p, -one)]
         for j, poly in sorted(a_power_coefficients(params, 1).items()):
             slots.append((j, p - 1, -poly.map_coefficients(ring_int)))
-        return slots
+        return tuple(slots)
     if fibre == RELATIVE:
         ring_int = lambda n: CycloElement.from_int(p, n)
         one = SparsePoly.constant(syms, ring_int(1))
@@ -149,7 +143,7 @@ def _trinomial_slots(params: FamilyParams, fibre: str) -> list[tuple[int, int, S
             lam_coeff = relative_lambda_coefficient(params, i)
             for j, poly in sorted(a_power_coefficients(params, i).items()):
                 slots.append((j, p - i, poly.map_coefficients(ring_int).scale(lam_coeff)))
-        return slots
+        return tuple(slots)
     raise ValueError(f"unknown fibre {fibre!r}")
 
 
@@ -157,14 +151,15 @@ def _anchored_generator(
     params: FamilyParams, fibre: str, pt: MinkowskiPoint, tie_break: str
 ) -> GeneratorPoly:
     syms = deformation_symbols(params)
-    sample = next(iter(_trinomial_slots(params, fibre)[0][2].terms.values()))
+    slots = _trinomial_slots(params, fibre)
+    sample = next(iter(slots[0][2].terms.values()))
     one = SparsePoly.constant(syms, ring_one_like(sample))
 
     def sigma(rho: int, T: int) -> Monomial:
         return minimal_monomial(params, MinkowskiPoint(rho, T), tie_break)
 
     terms: dict[Monomial, SparsePoly] = {sigma(pt.rho, pt.T): one}
-    for dr, dt, coeff in _trinomial_slots(params, fibre):
+    for dr, dt, coeff in slots:
         _accumulate(terms, sigma(pt.rho + dr, pt.T + dt), coeff)
     gen = GeneratorPoly(
         fibre=fibre,
@@ -254,8 +249,8 @@ def reduce_relative_to_special(params: FamilyParams, gens) -> list[GeneratorPoly
     """Reduce every cyclotomic coefficient into the prime field.
 
     Only the i = 1 block survives; the output must coincide term-for-term
-    with the special-fibre family built on the same anchors, and this is
-    asserted.
+    with the special-fibre family built on the same anchors, else
+    ReductionMismatch is raised.
     """
     reduced = []
     for gen in gens:
@@ -279,7 +274,7 @@ def reduce_relative_to_special(params: FamilyParams, gens) -> list[GeneratorPoly
     anchors = [g.anchor for g in gens]
     expected = special_generators(params, anchors=anchors, tie_break=gens[0].tie_break if gens else TIE_BREAK_DEFAULT)
     if [g.terms for g in reduced] != [g.terms for g in expected]:
-        raise AssertionError("reduction of the relative family does not match the special family")
+        raise ReductionMismatch("reduction of the relative family does not match the special family")
     return reduced
 
 

@@ -8,10 +8,9 @@ deterministic reports: index pairs by (mu, N), Minkowski points by (T, rho).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .errors import IOutOfRange, PointNotInMinkowskiSum, TOutOfRange
-from .family import FamilyParams, a_power_min_exponent
+from .errors import IOutOfRange, MinkowskiClosedFormMismatch, PointNotInMinkowskiSum, TOutOfRange
+from .family import FamilyParams, a_power_min_exponent, per_triple
 from .termorder import TIE_BREAK_DEFAULT, IndexPair, Monomial, sort_monomials
 
 
@@ -23,7 +22,7 @@ class MinkowskiPoint:
     T: int
 
 
-@lru_cache(maxsize=None)
+@per_triple
 def build_index_set(params: FamilyParams) -> tuple[IndexPair, ...]:
     """All (N, mu) with 1 <= mu <= p-1 and floor(mu*ell/p) <= N <= mu*q - 2."""
     points = []
@@ -35,7 +34,6 @@ def build_index_set(params: FamilyParams) -> tuple[IndexPair, ...]:
     return tuple(sorted(points, key=lambda f: (f.mu, f.N)))
 
 
-@lru_cache(maxsize=None)
 def minkowski_sum_brute(index_set) -> tuple[MinkowskiPoint, ...]:
     """Pairwise sums (unordered pairs, repetition allowed), sorted by (T, rho)."""
     points = set()
@@ -44,6 +42,12 @@ def minkowski_sum_brute(index_set) -> tuple[MinkowskiPoint, ...]:
         for b in pts[i:]:
             points.add(MinkowskiPoint(rho=a.N + b.N, T=a.mu + b.mu))
     return tuple(sorted(points, key=lambda m: (m.T, m.rho)))
+
+
+@per_triple
+def minkowski_sum(params: FamilyParams) -> tuple[MinkowskiPoint, ...]:
+    """minkowski_sum_brute of the triple's index set."""
+    return minkowski_sum_brute(build_index_set(params))
 
 
 def rho_lower_bound(params: FamilyParams, T: int) -> int:
@@ -76,9 +80,8 @@ def minkowski_sum_closed(params: FamilyParams) -> tuple[MinkowskiPoint, ...]:
         for rho in range(lo, T * params.q - 4 + 1):
             points.append(MinkowskiPoint(rho=rho, T=T))
     closed = tuple(sorted(points, key=lambda m: (m.T, m.rho)))
-    brute = minkowski_sum_brute(build_index_set(params))
-    if closed != brute:
-        raise AssertionError(
+    if closed != minkowski_sum(params):
+        raise MinkowskiClosedFormMismatch(
             f"closed-form Minkowski description disagrees with enumeration for "
             f"(p,q,ell)=({params.p},{params.q},{params.ell})"
         )
@@ -94,8 +97,13 @@ def anchor_set(params: FamilyParams, i: int) -> tuple[MinkowskiPoint, ...]:
     """
     if i < 0 or i > params.p:
         raise IOutOfRange(f"i must lie in [0, {params.p}], got {i}")
-    mink = minkowski_sum_brute(build_index_set(params))
-    have = set(mink)
+    return _anchor_set(params, i)
+
+
+@per_triple
+def _anchor_set(params: FamilyParams, i: int) -> tuple[MinkowskiPoint, ...]:
+    mink = minkowski_sum(params)
+    have = frozenset(mink)
     jlo = a_power_min_exponent(params, i)
     jhi = (params.p - i) * params.q
     out = []
@@ -143,32 +151,32 @@ def anchor_set_zero_closed_repaired(params: FamilyParams) -> tuple[MinkowskiPoin
     return tuple(sorted(points, key=lambda m: (m.T, m.rho)))
 
 
-@lru_cache(maxsize=None)
-def _monomials_at(params: FamilyParams, point: MinkowskiPoint, tie_break: str) -> tuple[Monomial, ...]:
+@per_triple
+def _monomial_classes(params: FamilyParams, tie_break: str) -> dict[MinkowskiPoint, tuple[Monomial, ...]]:
+    """Every degree-2 monomial, grouped by multidegree, each class sorted ascending."""
     index_set = build_index_set(params)
-    have = set(index_set)
-    if point not in set(minkowski_sum_brute(index_set)):
-        raise PointNotInMinkowskiSum(f"{point} is not in the Minkowski sum")
-    out = []
-    for a in index_set:
-        b = IndexPair(N=point.rho - a.N, mu=point.T - a.mu)
-        if b in have and (a.mu, a.N) <= (b.mu, b.N):
-            out.append(Monomial((a, b)))
-    return tuple(sort_monomials(out, tie_break))
+    classes: dict[MinkowskiPoint, list[Monomial]] = {}
+    for i, a in enumerate(index_set):
+        for b in index_set[i:]:
+            classes.setdefault(MinkowskiPoint(rho=a.N + b.N, T=a.mu + b.mu), []).append(Monomial((a, b)))
+    return {pt: tuple(sort_monomials(monos, tie_break)) for pt, monos in classes.items()}
 
 
 def monomials_at(
     params: FamilyParams, point: MinkowskiPoint, tie_break: str = TIE_BREAK_DEFAULT
 ) -> list[Monomial]:
     """All degree-2 monomials of multidegree (2, rho, T), sorted ascending."""
-    return list(_monomials_at(params, point, tie_break))
+    got = _monomial_classes(params, tie_break).get(point)
+    if got is None:
+        raise PointNotInMinkowskiSum(f"{point} is not in the Minkowski sum")
+    return list(got)
 
 
 def minimal_monomial(
     params: FamilyParams, point: MinkowskiPoint, tie_break: str = TIE_BREAK_DEFAULT
 ) -> Monomial:
     """The order-minimal degree-2 monomial of multidegree (2, rho, T)."""
-    return _monomials_at(params, point, tie_break)[0]
+    return monomials_at(params, point, tie_break)[0]
 
 
 @dataclass(frozen=True)
@@ -243,10 +251,10 @@ def check_counts(params: FamilyParams) -> CountReport:
     Failures become report entries, never exceptions.
     """
     index_set = build_index_set(params)
-    brute = minkowski_sum_brute(index_set)
+    brute = minkowski_sum(params)
     try:
         closed_ok = minkowski_sum_closed(params) == brute
-    except AssertionError:
+    except MinkowskiClosedFormMismatch:
         closed_ok = False
 
     anchors = [anchor_set(params, i) for i in range(params.p + 1)]

@@ -18,6 +18,7 @@ from .errors import (
     DegenerateSpecialization,
     NonHomogeneous,
     NonIntegralCoefficient,
+    ReductionMismatch,
     WrongFibre,
 )
 from .exactalg import CycloElement, PrimeFieldElement
@@ -291,9 +292,9 @@ def kernel_oracle(
     its kernel by fraction-free elimination, and compares both the kernel
     dimension and the span of the supplied generators against it.
 
-    The relative fibre runs through the generic model rewritten by the
-    substitution y = a(x)(lam*X + 1), i.e. the stored relative relation; the
-    coefficient field is the same cyclotomic field as for the generic fibre.
+    Each fibre runs through its own context: the relative fibre uses the
+    stored relative relation, over the same cyclotomic field as the generic
+    fibre, so the report's model_fibre always equals its fibre.
     """
     if fibre not in _FIBRES:
         raise WrongFibre(f"unknown fibre {fibre!r}")
@@ -503,7 +504,7 @@ def certify(
     try:
         reduced = reduce_relative_to_special(params, rel)
         reduction_ok = True
-    except (AssertionError, NonIntegralCoefficient):
+    except (ReductionMismatch, NonIntegralCoefficient):
         reduction_ok = False
         reduced = special_generators(params, anchors=anchor_set(params, 0), tie_break=tie_break)
     crit_special = dimension_criterion(

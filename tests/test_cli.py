@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import canideal
 from canideal.cli import main
 
 
@@ -136,6 +143,37 @@ def test_sweep_empty(capsys):
     code, out, _ = run(capsys, "sweep", "--p-set", "", "--q-set", "1")
     assert code == 0
     assert len(out.strip().splitlines()) == 1  # header only
+
+
+def test_sweep_bad_l_set(capsys):
+    code, out, err = run(capsys, "sweep", "--p-set", "3", "--q-set", "2", "--l-set", "x")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["certify", "-p", "5", "-q", "1", "-l", "2", "--corrupt-one"], 1),
+        (["sweep", "--p-set", "3", "--q-set", "2", "--format", "structured"], 0),
+    ],
+)
+def test_optimized_mode_parity(argv, expected):
+    # python -O strips assert statements; no verdict may depend on them
+    env = {**os.environ, "PYTHONPATH": str(Path(canideal.__file__).resolve().parents[1])}
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "canideal.cli", *argv],
+            capture_output=True,
+            env=env,
+            timeout=300,
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert [r.returncode for r in runs] == [expected, expected]
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout
 
 
 def test_usage_error(capsys):

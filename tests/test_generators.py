@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from canideal.errors import ReductionMismatch
 from canideal.exactalg import (
     CycloElement,
     PrimeFieldElement,
@@ -154,6 +155,13 @@ def test_reduction_matches_special_family(triple):
     reduced = reduce_relative_to_special(params, rel)
     expected = special_generators(params, anchors=anchor_set(params, 0))
     assert [g.terms for g in reduced] == [g.terms for g in expected]
+
+
+def test_reduction_mismatch_is_a_typed_error():
+    params = validate_params(5, 2, 1)
+    rel = relative_generators(params)
+    with pytest.raises(ReductionMismatch):
+        reduce_relative_to_special(params, [corrupt_generator(rel[0])] + rel[1:])
 
 
 def test_special_anchor_sets_agree_on_desk_instances():

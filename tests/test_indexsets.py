@@ -1,6 +1,7 @@
 import pytest
 
-from canideal.errors import PointNotInMinkowskiSum, TOutOfRange
+import canideal.indexsets as indexsets
+from canideal.errors import MinkowskiClosedFormMismatch, PointNotInMinkowskiSum, TOutOfRange
 from canideal.family import validate_params
 from canideal.indexsets import (
     MinkowskiPoint,
@@ -90,6 +91,17 @@ def test_rho_lower_bound_range():
         rho_lower_bound(params, 1)
     with pytest.raises(TOutOfRange):
         rho_lower_bound(params, 9)
+
+
+def test_minkowski_closed_mismatch_is_reported(monkeypatch):
+    real = indexsets.rho_lower_bound
+    monkeypatch.setattr(indexsets, "rho_lower_bound", lambda params, T: real(params, T) + 1)
+    params = validate_params(5, 2, 3)
+    with pytest.raises(MinkowskiClosedFormMismatch):
+        minkowski_sum_closed(params)
+    report = check_counts(params)
+    assert not report.minkowski_closed_matches
+    assert not report.all_pass
 
 
 @pytest.mark.parametrize("triple", SWEEP)

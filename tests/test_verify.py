@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,7 @@ from canideal.generators import (
     relative_generators,
     special_generators,
 )
-from canideal.indexsets import anchor_set, build_index_set, minkowski_sum_brute
+from canideal.indexsets import anchor_set, build_index_set, check_counts, minkowski_sum_brute
 from canideal.termorder import IndexPair, Monomial
 from canideal.verify import (
     certify,
@@ -262,6 +264,19 @@ def test_certify_corrupt_fails():
     assert not cert.verdicts["membership_relative"]
     assert not cert.verdicts["reduction_compatibility"]
     assert not cert.passed
+
+
+def test_derived_data_is_freed_with_its_params():
+    params = validate_params(3, 2, 1)
+    check_counts(params)
+    assert certify(params, oracle=True).passed
+    # the memo is not a field: equality and hash are those of a fresh triple
+    fresh = validate_params(3, 2, 1)
+    assert params == fresh and hash(params) == hash(fresh)
+    ref = weakref.ref(params)
+    del params
+    gc.collect()
+    assert ref() is None
 
 
 def test_certify_serialization_shape():
