@@ -85,8 +85,11 @@ def _parse_spec(text: str | None) -> dict | None:
         if not chunk:
             continue
         name, _, value = chunk.partition("=")
+        name = name.strip()
+        if name in out:
+            raise CanidealError(f"bad specialization: {name!r} is assigned twice")
         try:
-            out[name.strip()] = int(value)
+            out[name] = int(value)
         except ValueError:
             raise CanidealError(f"bad specialization entry {chunk!r}")
     return out

@@ -75,3 +75,11 @@ class DegenerateSpecialization(CanidealError):
 
 class BadSpecialization(CanidealError):
     """Specialization does not cover the deformation symbols or is malformed."""
+
+
+class InvariantViolation(CanidealError):
+    """A derived table or reduction broke an invariant the construction guarantees."""
+
+
+class UnluckyPrime(CanidealError):
+    """A coefficient has no image in F_r: its denominator is divisible by r."""

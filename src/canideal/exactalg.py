@@ -15,18 +15,36 @@ from fractions import Fraction
 from .errors import NonIntegralInput, NonPrimeP, NotDivisible
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
+    """Miller-Rabin to the prime bases 2..41.
+
+    Exact for n < 3.3 * 10^24: the least strong pseudoprime to all thirteen
+    bases is 3317044064679887385961981 (to 2..37 alone it is
+    318665857834031151167461).  Above that bound a composite passes with
+    probability below 4^-13.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

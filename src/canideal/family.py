@@ -11,7 +11,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import EllOutOfRange, IOutOfRange, NonPositiveQ, NonPrimeP
+from .errors import EllOutOfRange, InvariantViolation, IOutOfRange, NonPositiveQ, NonPrimeP
 from .exactalg import SparsePoly, is_prime
 
 
@@ -95,7 +95,8 @@ def validate_params(p: int, q: int, ell: int) -> FamilyParams:
     if not isinstance(ell, int) or ell < 1 or ell >= p:
         raise EllOutOfRange(f"ell must satisfy 1 <= ell <= p - 1, got {ell}")
     m = p * q - ell
-    assert m >= 1 and math.gcd(p, m) == 1
+    if m < 1 or math.gcd(p, m) != 1:
+        raise EllOutOfRange(f"m = p*q - ell = {m} must be positive and prime to p")
     g = _genus_formula(p, q, ell)
     return FamilyParams(
         p=p,
@@ -155,11 +156,17 @@ def a_power_coefficients(params: FamilyParams, i: int) -> dict[int, SparsePoly]:
     syms = deformation_symbols(params)
     for j, poly in power.strata("x").items():
         table[j] = poly.drop_vars(("x",))
-        assert table[j].vars == syms
+        if table[j].vars != syms:
+            raise InvariantViolation(
+                f"a(x)^{params.p - i} coefficient of x^{j} is not a polynomial in {syms}"
+            )
     # the support is the full contiguous range: every exponent between the
     # minimum and (p-i)*q is realized by some coefficient pattern
     lo, hi = a_power_min_exponent(params, i), (params.p - i) * params.q
-    assert set(table) == set(range(lo, hi + 1))
+    if set(table) != set(range(lo, hi + 1)):
+        raise InvariantViolation(
+            f"a(x)^{params.p - i} has x-exponents {sorted(table)}, not {lo}..{hi}"
+        )
     return table
 
 

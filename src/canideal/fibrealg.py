@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadSpecialization, VariableOutsideIndexSet, WrongDegree
+from .errors import BadSpecialization, InvariantViolation, VariableOutsideIndexSet, WrongDegree
 from .exactalg import (
     CycloElement,
     Localization,
@@ -101,9 +101,21 @@ def reduce_normal_form(e: dict, rel: FibreRelation) -> FunctionFieldElement:
             elif k in work:
                 del work[k]
         rounds_allowed -= 1
-        assert rounds_allowed >= 0
+        if rounds_allowed < 0:
+            raise InvariantViolation("normal-form reduction did not lower the top V-degree")
     zero = rel.loc.zero()
     return FunctionFieldElement(work.get(i, zero) for i in range(rel.p))
+
+
+def check_specialization(params: FamilyParams, specialization: dict) -> None:
+    """Raise BadSpecialization unless it assigns integers to exactly the deformation symbols."""
+    syms = deformation_symbols(params)
+    if set(specialization) != set(syms):
+        raise BadSpecialization(
+            f"specialization must assign exactly {list(syms)}, got {sorted(specialization)}"
+        )
+    if not all(isinstance(v, int) for v in specialization.values()):
+        raise BadSpecialization("specialization values must be integers")
 
 
 class FibreContext:
@@ -123,12 +135,7 @@ class FibreContext:
         self.p = p = params.p
         syms = deformation_symbols(params)
         if specialization is not None:
-            if set(specialization) != set(syms):
-                raise BadSpecialization(
-                    f"specialization must assign exactly {list(syms)}, got {sorted(specialization)}"
-                )
-            if not all(isinstance(v, int) for v in specialization.values()):
-                raise BadSpecialization("specialization values must be integers")
+            check_specialization(params, specialization)
         self.specialization = dict(specialization) if specialization is not None else None
 
         if fibre == SPECIAL:

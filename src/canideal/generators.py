@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonIntegralCoefficient, NotDivisible, ReductionMismatch
+from .errors import InvariantViolation, NonIntegralCoefficient, NotDivisible, ReductionMismatch
 from .exactalg import (
     CycloElement,
     PrimeFieldElement,
@@ -168,7 +168,10 @@ def _anchored_generator(
         terms=_sorted_terms(terms, tie_break),
         tie_break=tie_break,
     )
-    assert gen.terms[0][1] == sigma(pt.rho, pt.T)
+    if gen.terms[0][1] != sigma(pt.rho, pt.T):
+        raise InvariantViolation(
+            f"the {fibre} generator at anchor {pt} does not lead with its class minimum"
+        )
     return gen
 
 

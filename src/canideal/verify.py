@@ -1,10 +1,13 @@
 """Certification engine.
 
 Symbolic ideal-membership of generators, the degree-2 counting criterion, the
-two-fibre compatibility certificate, and an independent exact linear-algebra
-kernel oracle.  The elimination used by the oracle is fraction-free
-(Bareiss); the pivot rule is: sweep columns in canonical order and take the
-first remaining row with a nonzero entry in the current column.
+two-fibre compatibility certificate, and an independent kernel oracle.  The
+oracle builds its matrix exactly, checks the generators against it exactly,
+and finds ranks by Gaussian elimination over a prime field F_r: r = p on the
+special fibre, and on the generic and relative fibres the largest prime
+r < 2^61 with r = 1 (mod p).  The pivot rule is: take the smallest column
+occurring in any remaining row, from the first remaining row that has it.
+`kernel_oracle` states why every passing report is exact.
 """
 
 from __future__ import annotations
@@ -12,18 +15,18 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (
     DegenerateSpecialization,
     NonHomogeneous,
     NonIntegralCoefficient,
     ReductionMismatch,
+    UnluckyPrime,
     WrongFibre,
 )
-from .exactalg import CycloElement, PrimeFieldElement
+from .exactalg import CycloElement, PrimeFieldElement, is_prime
 from .family import FamilyParams, deformation_symbols
-from .fibrealg import fibre_context, relation_consistency
+from .fibrealg import check_specialization, fibre_context, relation_consistency
 from .generators import (
     ANY_FIBRE,
     GENERIC,
@@ -44,63 +47,97 @@ _FIBRES = (GENERIC, SPECIAL, RELATIVE)
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra (fraction-free)
+# Linear algebra over a prime field F_r (entries are ints in [0, r))
 
 
-def _field_div(a, b):
-    if isinstance(b, (PrimeFieldElement, CycloElement)):
-        return a * b.inverse()
-    return Fraction(a) / Fraction(b)
+def oracle_field(p: int) -> tuple[int, int]:
+    """(r, phi(lam)): the prime and the image of lam used off the special fibre.
 
-
-def fraction_free_echelon(rows):
-    """Bareiss row echelon on sparse rows (dicts column -> value).
-
-    Returns the echelon as a list of (pivot_column, row) in elimination
-    order.  Divisions are exact; entries stay minor-sized.
+    r is the largest prime below 2^61 with r = 1 (mod p), so F_r contains
+    the p-th roots of unity.  z is the first a^((r-1)/p) != 1 for
+    a = 2, 3, ..., a primitive p-th root of unity, and lam = zeta_p - 1 maps
+    to z - 1; this defines a ring homomorphism phi: Z[zeta_p] -> F_r.  Both
+    depend on p only.
     """
-    live = [dict(r) for r in rows if r]
+    r = ((1 << 61) - 2) // p * p + 1
+    while not is_prime(r):
+        r -= p
+    a = 2
+    while (z := pow(a, (r - 1) // p, r)) == 1:
+        a += 1
+    return r, z - 1
+
+
+def residue(value, r: int, lam: int) -> int:
+    """phi(value) in F_r, where phi sends lam to `lam`.
+
+    Takes an int, a Fraction, a CycloElement or an element of F_r itself.
+    A denominator divisible by r has no image and raises UnluckyPrime.
+    """
+    if isinstance(value, int):
+        return value % r
+    if isinstance(value, CycloElement):
+        acc = 0
+        for c in reversed(value.coeffs):
+            acc = (acc * lam + residue(c, r, lam)) % r
+        return acc
+    if isinstance(value, PrimeFieldElement):
+        if value.p != r:
+            raise ValueError(f"element of F_{value.p} reduced into F_{r}")
+        return value.value
+    if value.denominator % r == 0:
+        raise UnluckyPrime(f"the denominator of {value} is divisible by r = {r}")
+    return value.numerator * pow(value.denominator, -1, r) % r
+
+
+def _residue_row(row: dict, r: int, lam: int) -> dict:
+    out = {}
+    for c, v in row.items():
+        x = residue(v, r, lam)
+        if x:
+            out[c] = x
+    return out
+
+
+def fraction_free_echelon(rows, r: int):
+    """Row echelon over F_r of sparse rows (dicts column -> nonzero residue).
+
+    Each pivot row is scaled to a leading 1 and subtracted from the remaining
+    rows that hold its column; rows that become zero are dropped.  Returns the
+    echelon as a list of (pivot_column, row) in elimination order.
+    """
+    live = [dict(row) for row in rows if row]
     echelon = []
-    prev = None
     while live:
-        pivcol = min(min(r) for r in live)
-        pidx = next(i for i, r in enumerate(live) if pivcol in r)
+        pivcol = min(map(min, live))
+        pidx = next(i for i, row in enumerate(live) if pivcol in row)
         pivrow = live.pop(pidx)
-        pv = pivrow[pivcol]
+        inv = pow(pivrow.pop(pivcol), -1, r)
+        pivrow = {c: v * inv % r for c, v in pivrow.items()}
         nxt = []
-        for r in live:
-            rv = r.pop(pivcol, None)
-            out = {}
-            for c, v in r.items():
-                out[c] = pv * v
-            if rv:
+        for row in live:
+            f = row.pop(pivcol, None)
+            if f is not None:
                 for c, v in pivrow.items():
-                    if c == pivcol:
-                        continue
-                    cur = out.get(c)
-                    delta = rv * v
-                    cur = -delta if cur is None else cur - delta
+                    cur = (row.get(c, 0) - f * v) % r
                     if cur:
-                        out[c] = cur
-                    elif c in out:
-                        del out[c]
-            if prev is not None:
-                out = {c: _field_div(v, prev) for c, v in out.items()}
-                out = {c: v for c, v in out.items() if v}
-            if out:
-                nxt.append(out)
+                        row[c] = cur
+                    else:
+                        row.pop(c, None)
+            if row:
+                nxt.append(row)
+        pivrow[pivcol] = 1
         echelon.append((pivcol, pivrow))
-        prev = pv
         live = nxt
     return echelon
 
 
-def matrix_rank(rows) -> int:
-    return len(fraction_free_echelon(rows))
+def matrix_rank(rows, r: int) -> int:
+    return len(fraction_free_echelon(rows, r))
 
 
-def kernel_basis(rows, ncols: int, one):
-    """Basis of {v : v * M = 0} for M given by `rows` of length ncols each.
+def kernel_basis(rows, ncols: int, r: int):
+    """Basis over F_r of {v : v * M = 0} for M given by `rows` of length ncols each.
 
     Works on the transpose internally; kernel vectors come out as dicts
     indexed by row position, one per free column, in canonical order.
@@ -110,26 +147,17 @@ def kernel_basis(rows, ncols: int, one):
         for cidx, val in row.items():
             transpose[cidx][ridx] = val
     # here "columns" of the transposed system are the original row positions
-    nrows = len(rows)
-    ech = fraction_free_echelon(transpose)
+    ech = fraction_free_echelon(transpose, r)
     pivcols = {pc for pc, _ in ech}
     basis = []
-    for f in range(nrows):
+    for f in range(len(rows)):
         if f in pivcols:
             continue
-        v = {f: one}
+        v = {f: 1}
         for pc, row in reversed(ech):
-            s = None
-            for c, val in row.items():
-                if c == pc:
-                    continue
-                vc = v.get(c)
-                if vc is None:
-                    continue
-                t = val * vc
-                s = t if s is None else s + t
-            if s is not None and s:
-                v[pc] = _field_div(-s, row[pc])
+            s = sum(val * v[c] for c, val in row.items() if c != pc and c in v) % r
+            if s:
+                v[pc] = r - s  # the pivot entry is 1
         basis.append(v)
     return basis
 
@@ -287,10 +315,25 @@ def kernel_oracle(
 ) -> OracleReport:
     """Independently compute the degree-2 ideal at a specialization.
 
-    Builds the matrix of all degree-2 monomial images expanded in the basis
-    {x^k * V^i} after clearing denominators by one shared factor, computes
-    its kernel by fraction-free elimination, and compares both the kernel
-    dimension and the span of the supplied generators against it.
+    Builds, exactly, the matrix M of all degree-2 monomial images expanded in
+    the basis {x^k * V^i} after clearing denominators by one shared factor,
+    and the vectors G of the generators in the monomial basis.  It checks
+    G * M = 0 exactly (a multiply-only product over the exact entries:
+    generators_in_kernel), then reduces M and G through a ring homomorphism
+    phi into F_r (`oracle_field`; on the special fibre r = p and phi is the
+    identity of F_p) and computes the kernel of phi(M) and the ranks there.
+
+    Soundness.  phi maps minors to minors, so rank_r phi(M) <= rank M and the
+    reported kernel_dim (over F_r) is at least the exact kernel dimension.
+    A report passes only if G * M = 0 exactly and
+    rank_r phi(G) = kernel_dim = expected.  Then rank G >= rank_r phi(G) =
+    expected and G lies in ker M, so dim ker M >= expected; and
+    dim ker M <= kernel_dim = expected.  Hence dim ker M = expected, the
+    rank is n - expected and span G = ker M, all exactly: every field of a
+    passing report equals its exact value.  If kernel_dim != expected,
+    DegenerateSpecialization is raised; when kernel_dim < expected the exact
+    dimension is smaller too.  A prime dividing a nonzero minor of M or G can
+    therefore cause a retry or a failure, never a false pass.
 
     Each fibre runs through its own context: the relative fibre uses the
     stored relative relation, over the same cyclotomic field as the generic
@@ -306,7 +349,6 @@ def kernel_oracle(
     images = [ctx.phi_image(m) for m in monos]
 
     shared = max((c.power for img in images for c in img.coeffs), default=0)
-    matrix_rows: list[dict] = []
     col_ids: set = set()
     raw_rows = []
     for img in images:
@@ -321,11 +363,11 @@ def kernel_oracle(
                 col_ids.add(key)
         raw_rows.append(entries)
     col_index = {key: idx for idx, key in enumerate(sorted(col_ids))}
-    for entries in raw_rows:
-        matrix_rows.append({col_index[k]: v for k, v in entries.items()})
+    exact_rows = [{col_index[k]: v for k, v in entries.items()} for entries in raw_rows]
+    r, lam = (params.p, 0) if fibre == SPECIAL else oracle_field(params.p)
+    matrix_rows = [_residue_row(row, r, lam) for row in exact_rows]
 
-    one = ctx.from_int(1)
-    basis = kernel_basis(matrix_rows, len(col_index), one)
+    basis = kernel_basis(matrix_rows, len(col_index), r)
     kernel_dim = len(basis)
     rank = len(monos) - kernel_dim
     g = params.genus
@@ -355,7 +397,7 @@ def kernel_oracle(
     for vec in gvecs:
         acc: dict = {}
         for midx, val in vec.items():
-            for cidx, mval in matrix_rows[midx].items():
+            for cidx, mval in exact_rows[midx].items():
                 t = val * mval
                 cur = acc.get(cidx)
                 cur = t if cur is None else cur + t
@@ -367,8 +409,9 @@ def kernel_oracle(
             gens_in_kernel = False
             break
 
-    rank_g = matrix_rank(gvecs)
-    kernel_in_span = rank_g == kernel_dim and matrix_rank(gvecs + basis) == rank_g
+    gen_rows = [_residue_row(vec, r, lam) for vec in gvecs]
+    rank_g = matrix_rank(gen_rows, r)
+    kernel_in_span = rank_g == kernel_dim and matrix_rank(gen_rows + basis, r) == rank_g
 
     return OracleReport(
         fibre=fibre,
@@ -477,8 +520,12 @@ def certify(
     fibre; the counting criterion on the reduced set over the special fibre
     and on the relative set over the generic fibre; optionally the kernel
     oracles on both fibres.  Mathematical failures produce a failed
-    certificate, never an exception.
+    certificate, never an exception; a specialization that does not assign
+    integers to exactly the deformation symbols raises BadSpecialization,
+    whether or not the oracles run.
     """
+    if specialization is not None:
+        check_specialization(params, specialization)
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     count_report = check_counts(params)

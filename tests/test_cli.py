@@ -119,6 +119,21 @@ def test_certify_bad_spec(capsys):
     assert "bad specialization" in err
 
 
+@pytest.mark.parametrize(
+    "triple, spec",
+    [
+        (("5", "1", "2"), "x1=1"),  # (5,1,2) has no deformation symbols
+        (("5", "2", "1"), "x1=1,x1=2"),
+    ],
+)
+def test_certify_spec_must_name_the_symbols_once(capsys, triple, spec):
+    p, q, ell = triple
+    code, out, err = run(capsys, "certify", "-p", p, "-q", q, "-l", ell, "--spec", spec)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_sweep_table(capsys):
     code, out, _ = run(capsys, "sweep", "--p-set", "3,5", "--q-set", "2")
     assert code == 0

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from canideal.errors import NonIntegralInput, NonPrimeP, NotDivisible
 from canideal.exactalg import (
@@ -12,6 +13,7 @@ from canideal.exactalg import (
     SparsePoly,
     cyclotomic_min_poly,
     divide_by_lambda_power,
+    is_prime,
     lambda_valuation,
     reduce_mod_lambda,
 )
@@ -30,6 +32,18 @@ def test_min_poly_p5():
 def test_min_poly_p2():
     poly = cyclotomic_min_poly(2)
     assert poly.terms == {(1,): 1, (0,): 2}
+
+
+def test_is_prime_matches_sympy():
+    assert [n for n in range(-3, 5000) if is_prime(n)] == list(sympy.primerange(0, 5000))
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randrange(2**40, 2**62)
+        assert is_prime(n) == sympy.isprime(n)
+    # strong pseudoprimes to the bases 2..7, 2..31 and 2..37, and a Carmichael number
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461, 561):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
 
 
 def test_min_poly_rejects_composite():

@@ -4,15 +4,19 @@ import weakref
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import canideal.verify as verify
 from canideal.errors import (
     BadSpecialization,
     DegenerateSpecialization,
     NonHomogeneous,
+    UnluckyPrime,
     WrongFibre,
 )
-from canideal.exactalg import PrimeFieldElement
+from canideal.exactalg import CycloElement, cyclotomic_min_poly
 from canideal.family import validate_params
 from canideal.generators import (
     binomial_generators,
@@ -31,6 +35,8 @@ from canideal.verify import (
     kernel_oracle,
     kernel_oracle_with_retry,
     matrix_rank,
+    oracle_field,
+    residue,
 )
 
 
@@ -42,33 +48,37 @@ def _rows_from_dense(mat):
     return [{j: v for j, v in enumerate(row) if v} for row in mat]
 
 
+# a small prime keeps the worked examples readable; the oracle uses r ~ 2^61
+R = 101
+
+
 def test_echelon_rank_known_matrix():
     mat = _rows_from_dense(
         [
-            [Fraction(1), Fraction(2), Fraction(3)],
-            [Fraction(2), Fraction(4), Fraction(6)],
-            [Fraction(0), Fraction(1), Fraction(1)],
+            [1, 2, 3],
+            [2, 4, 6],
+            [0, 1, 1],
         ]
     )
-    assert matrix_rank(mat) == 2
+    assert matrix_rank(mat, R) == 2
 
 
 def test_kernel_known_matrix():
     # rows of M: kernel of v |-> v * M
     mat = _rows_from_dense(
         [
-            [Fraction(1), Fraction(0)],
-            [Fraction(0), Fraction(1)],
-            [Fraction(1), Fraction(1)],
+            [1, 0],
+            [0, 1],
+            [1, 1],
         ]
     )
-    basis = kernel_basis(mat, 2, Fraction(1))
+    basis = kernel_basis(mat, 2, R)
     assert len(basis) == 1
     (v,) = basis
     # v[0]*row0 + v[1]*row1 + v[2]*row2 == 0
     for col in range(2):
-        total = sum(v.get(r, Fraction(0)) * mat[r].get(col, Fraction(0)) for r in range(3))
-        assert total == 0
+        total = sum(v.get(r, 0) * mat[r].get(col, 0) for r in range(3))
+        assert total % R == 0
 
 
 def test_kernel_random_consistency():
@@ -77,19 +87,41 @@ def test_kernel_random_consistency():
     for _ in range(10):
         nrows, ncols = rng.randint(2, 6), rng.randint(2, 6)
         mat = [
-            {j: PrimeFieldElement(rng.randint(0, 4), p) for j in range(ncols) if rng.random() < 0.6}
+            {j: rng.randint(0, 4) for j in range(ncols) if rng.random() < 0.6}
             for _ in range(nrows)
         ]
         mat = [{j: v for j, v in row.items() if v} for row in mat]
-        basis = kernel_basis(mat, ncols, PrimeFieldElement(1, p))
-        rank = matrix_rank([dict(r) for r in mat])
+        basis = kernel_basis(mat, ncols, p)
+        rank = matrix_rank([dict(r) for r in mat], p)
         assert len(basis) == nrows - rank
         for v in basis:
             acc = {}
             for ridx, val in v.items():
                 for cidx, mval in mat[ridx].items():
-                    acc[cidx] = acc.get(cidx, PrimeFieldElement(0, p)) + val * mval
+                    acc[cidx] = (acc.get(cidx, 0) + val * mval) % p
             assert all(not x for x in acc.values())
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_oracle_field_is_a_ring_map(p, data):
+    r, lam = oracle_field(p)
+    assert sympy.isprime(r) and r % p == 1 and r < 2**61
+    min_poly = cyclotomic_min_poly(p)
+    assert sum(c * pow(lam, e[0], r) for e, c in min_poly.terms.items()) % r == 0
+    ints = st.lists(st.integers(-(10**30), 10**30), min_size=p - 1, max_size=p - 1)
+    a = CycloElement(p, data.draw(ints))
+    b = CycloElement(p, data.draw(ints))
+    assert residue(a * b, r, lam) == residue(a, r, lam) * residue(b, r, lam) % r
+    assert residue(a + b, r, lam) == (residue(a, r, lam) + residue(b, r, lam)) % r
+
+
+def test_residue_rejects_denominator_divisible_by_r():
+    r, lam = oracle_field(5)
+    assert residue(Fraction(3, 2), r, lam) * 2 % r == 3
+    with pytest.raises(UnluckyPrime):
+        residue(CycloElement(5, (Fraction(1, r), 0, 0, 0)), r, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +230,19 @@ def test_oracle_special_521():
     assert rep.rank == 45
     assert rep.generators_in_kernel and rep.kernel_in_span
     assert rep.passes
+
+
+@pytest.mark.parametrize(
+    "fibre, make_family", [("generic", generic_generators), ("special", special_generators)]
+)
+def test_oracle_negative_control(fibre, make_family):
+    params = validate_params(5, 2, 1)
+    gens = binomial_generators(params) + make_family(params)
+    gens[-1] = corrupt_generator(gens[-1])
+    rep = kernel_oracle(params, fibre, gens=gens)
+    assert rep.kernel_dim == rep.expected_kernel_dim == 91
+    assert not rep.generators_in_kernel
+    assert not rep.passes
 
 
 def test_oracle_bad_specialization():
