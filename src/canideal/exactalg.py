@@ -5,11 +5,16 @@ of size p, the cyclotomic ring generated by ``lam = zeta_p - 1`` with its
 lam-adic valuation, sparse multivariate polynomials over any of these
 coefficient rings, and localization of polynomials at a fixed monic
 denominator.  No floating point is used anywhere.
+
+Cyclotomic arithmetic stays in Z[lam] with int coordinates: exact division
+by lam is a divisibility test by p (p = -lam * S, see `_divide_by_lambda`),
+and only the field inverse `CycloElement.inverse` produces Fractions.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import NonIntegralInput, NonPrimeP, NotDivisible
@@ -135,7 +140,6 @@ class PrimeFieldElement:
 
 
 _REDUCTION_ROWS: dict[int, list[tuple[int, ...]]] = {}
-_LAMBDA_INVERSE: dict[int, "CycloElement"] = {}
 
 
 def _reduction_rows(p: int) -> list[tuple[int, ...]]:
@@ -169,16 +173,38 @@ class CycloElement:
     root of sum_{i=1}^{p} binom(p, i) lam^{i-1}, i.e. lam = zeta_p - 1 for a
     primitive p-th root of unity zeta_p.  Coefficients are exact ints or
     Fractions.
+
+    ``integral`` records, once per element, whether every coefficient is an
+    int.  The public constructor computes it after normalizing a Fraction
+    with denominator 1 to an int.  Sums, differences, negations and products
+    of two integral elements have int coefficients by construction (the
+    reduction rows are integral), so they skip that check through `_integral`;
+    any Fraction operand, which only `inverse()` and callers building
+    elements by hand produce, takes the checking path.
     """
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ("p", "coeffs", "integral")
 
     def __init__(self, p: int, coeffs):
-        coeffs = tuple(_as_exact(c) for c in coeffs)
+        coeffs = tuple(coeffs)
+        integral = all(type(c) is int for c in coeffs)
+        if not integral:
+            coeffs = tuple(_as_exact(c) for c in coeffs)
+            integral = all(isinstance(c, int) for c in coeffs)
         if len(coeffs) != p - 1:
             raise ValueError(f"need {p - 1} coefficients, got {len(coeffs)}")
         self.p = p
         self.coeffs = coeffs
+        self.integral = integral
+
+    @classmethod
+    def _integral(cls, p: int, coeffs: tuple) -> "CycloElement":
+        """An element from p-1 int coefficients, with no checks."""
+        out = cls.__new__(cls)
+        out.p = p
+        out.coeffs = coeffs
+        out.integral = True
+        return out
 
     @classmethod
     def zero(cls, p: int) -> "CycloElement":
@@ -205,11 +231,16 @@ class CycloElement:
             return CycloElement.from_int(self.p, other)
         return None
 
+    def _result(self, other, coeffs: tuple) -> "CycloElement":
+        if self.integral and other.integral:
+            return CycloElement._integral(self.p, coeffs)
+        return CycloElement(self.p, coeffs)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycloElement(self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._result(other, tuple(map(operator.add, self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
@@ -217,7 +248,7 @@ class CycloElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycloElement(self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._result(other, tuple(map(operator.sub, self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -226,33 +257,29 @@ class CycloElement:
         return other - self
 
     def __neg__(self):
+        if self.integral:
+            return CycloElement._integral(self.p, tuple(-a for a in self.coeffs))
         return CycloElement(self.p, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        a, b = self.coeffs, other.coeffs
         n = self.p - 1
         conv = [0] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    conv[i + j] += a * b
-        if n > 1:
-            rows = _reduction_rows(self.p)
-            out = conv[:n]
-            for k in range(n, 2 * n - 1):
-                c = conv[k]
-                if c:
-                    row = rows[k - n]
-                    for idx in range(n):
-                        if row[idx]:
-                            out[idx] += c * row[idx]
-        else:
-            out = conv[:1]
-        return CycloElement(self.p, tuple(out))
+        nonzero_b = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                for j, y in nonzero_b:
+                    conv[i + j] += x * y
+        rows = _reduction_rows(self.p)
+        out = conv[:n]
+        for k in range(n, 2 * n - 1):
+            c = conv[k]
+            if c:
+                out = [o + c * r for o, r in zip(out, rows[k - n])]
+        return self._result(other, tuple(out))
 
     __rmul__ = __mul__
 
@@ -281,7 +308,7 @@ class CycloElement:
         return CycloElement(p, tuple(inv + [Fraction(0)] * (n - len(inv))))
 
     def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.coeffs)
+        return self.integral
 
     def __bool__(self):
         return any(self.coeffs)
@@ -379,12 +406,19 @@ def cyclotomic_min_poly(p: int) -> "SparsePoly":
     return SparsePoly(("lam",), terms)
 
 
-def _lambda_inverse(p: int) -> CycloElement:
-    inv = _LAMBDA_INVERSE.get(p)
-    if inv is None:
-        inv = CycloElement.lam(p).inverse()
-        _LAMBDA_INVERSE[p] = inv
-    return inv
+def _divide_by_lambda(e: CycloElement) -> CycloElement | None:
+    """e / lam for integral e, or None when the quotient is not integral.
+
+    The minimal polynomial gives p = -lam * S with
+    S = sum_{i=2}^{p} binom(p, i) lam^(i-2), so e / lam = -(e * S) / p:
+    the quotient is integral exactly when p divides every coordinate of
+    e * S (Washington, Introduction to Cyclotomic Fields, ch. 1).
+    """
+    p = e.p
+    es = e * CycloElement._integral(p, tuple(math.comb(p, i) for i in range(2, p + 1)))
+    if any(c % p for c in es.coeffs):
+        return None
+    return CycloElement._integral(p, tuple(-(c // p) for c in es.coeffs))
 
 
 def lambda_valuation(e: CycloElement):
@@ -393,15 +427,10 @@ def lambda_valuation(e: CycloElement):
         raise NonIntegralInput("lambda_valuation requires integer coefficients")
     if not e:
         return math.inf
-    inv = _lambda_inverse(e.p)
     v = 0
-    cur = e
-    while True:
-        nxt = cur * inv
-        if not nxt.is_integral():
-            return v
+    while (e := _divide_by_lambda(e)) is not None:
         v += 1
-        cur = nxt
+    return v
 
 
 def divide_by_lambda_power(e: CycloElement, v: int) -> CycloElement:
@@ -410,13 +439,41 @@ def divide_by_lambda_power(e: CycloElement, v: int) -> CycloElement:
         raise ValueError("v must be nonnegative")
     if not e:
         return e
-    cur = e
-    inv = _lambda_inverse(e.p)
+    # e / lam^v lies in Z[lam] only if e does, since lam^v is integral
+    cur = e if e.is_integral() else None
     for _ in range(v):
-        cur = cur * inv
-    if not cur.is_integral():
+        if cur is None:
+            break
+        cur = _divide_by_lambda(cur)
+    if cur is None:
         raise NotDivisible(f"lambda^{v} does not divide {e!r}")
     return cur
+
+
+def split_content(poly: "SparsePoly"):
+    """(gamma, d) with poly = gamma * d, d over the ints; (None, poly) otherwise.
+
+    gamma is the first coefficient divided by the gcd of its coordinates.
+    Its coordinates are then coprime, so an integral coefficient that is a
+    rational multiple of gamma is an integer multiple of it: the split is
+    found whenever every coefficient is an integer multiple of one
+    cyclotomic element, and each multiple is checked coordinate by
+    coordinate.
+    """
+    values = list(poly.terms.values())
+    if not values or not all(isinstance(c, CycloElement) and c.integral for c in values):
+        return None, poly
+    first = values[0].coeffs
+    g = math.gcd(*first)
+    gamma = tuple(x // g for x in first)
+    pivot = next(i for i, x in enumerate(gamma) if x)
+    multiples = {}
+    for e, c in poly.terms.items():
+        k = c.coeffs[pivot] // gamma[pivot]
+        if any(a != k * b for a, b in zip(c.coeffs, gamma)):
+            return None, poly
+        multiples[e] = k
+    return CycloElement._integral(values[0].p, gamma), SparsePoly(poly.vars, multiples)
 
 
 def reduce_mod_lambda(e: CycloElement) -> PrimeFieldElement:
@@ -511,7 +568,7 @@ class SparsePoly:
                 c = c1 * c2
                 if not c:
                     continue
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 s = out.get(e)
                 s = c if s is None else s + c
                 if s:
@@ -520,6 +577,32 @@ class SparsePoly:
                     del out[e]
         res = SparsePoly(self.vars)
         res.terms = out
+        return res
+
+    def mul_ints(self, ints: "SparsePoly") -> "SparsePoly":
+        """self * ints, for CycloElement coefficients times int coefficients.
+
+        The partial products accumulate in coordinate lists, so only the
+        result terms become CycloElements (through the checked constructor);
+        the product is the same as `self * ints`.
+        """
+        self._check(ints)
+        others = list(ints.terms.items())
+        acc: dict = {}
+        for e1, c1 in self.terms.items():
+            coords = c1.coeffs
+            for e2, k in others:
+                e = tuple(map(operator.add, e1, e2))
+                row = acc.get(e)
+                if row is None:
+                    acc[e] = [k * c for c in coords]
+                else:
+                    for i, c in enumerate(coords):
+                        row[i] += k * c
+        res = SparsePoly(self.vars)
+        if acc:
+            p = next(iter(self.terms.values())).p
+            res.terms = {e: CycloElement(p, tuple(row)) for e, row in acc.items() if any(row)}
         return res
 
     def __pow__(self, n: int):
@@ -785,9 +868,6 @@ class LocalizedElement:
             return NotImplemented
         self._check(other)
         return LocalizedElement(self.loc, self.num * other.num, self.power + other.power)
-
-    def scale_poly(self, poly: SparsePoly) -> "LocalizedElement":
-        return LocalizedElement(self.loc, self.num * poly, self.power)
 
     def scale(self, c) -> "LocalizedElement":
         out = LocalizedElement.__new__(LocalizedElement)

@@ -7,6 +7,17 @@ convention: every degree-2 image is multiplied by one shared factor (y^(3p)
 on the generic fibre; (a(x)*X)^p on the special and relative fibres, after
 cancelling the shared (a(x)(lam*X+1))^(2(p-1)) denominator), so membership
 checking is pure polynomial arithmetic.
+
+Two exact identities keep the number of normal forms small.  The cleared
+image of a degree-2 monomial depends only on its multidegree (2, rho, T),
+and its start is x^rho times a start that depends only on the weight T
+(y^(3p-T) on the generic fibre, (a(x)*X)^e with e = 3p-2-T otherwise).
+Reduction modulo the fibre relation is linear over the polynomials in x
+localized at a(x), so image(rho, T) = x^rho * image(0, T): one normal form
+per weight T, and every other image is a shift of its numerators,
+renormalized so that the reduced form u / a(x)^k (a(x) does not divide u
+when k > 0) stays canonical.  By the same linearity the weight image off the
+generic fibre is a(x)^e times the normal form of X^e.
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ from .exactalg import (
     PrimeFieldElement,
     SparsePoly,
     reduce_mod_lambda,
+    split_content,
 )
 from .family import FamilyParams, a_polynomial, deformation_symbols
 from .generators import GENERIC, RELATIVE, SPECIAL, relative_lambda_coefficient
@@ -59,9 +71,6 @@ class FunctionFieldElement:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale_poly(self, poly: SparsePoly) -> "FunctionFieldElement":
-        return FunctionFieldElement(c.scale_poly(poly) for c in self.coeffs)
 
     @property
     def is_zero(self) -> bool:
@@ -152,7 +161,7 @@ class FibreContext:
         self.a_poly = a
         self.loc = Localization(a, "x")
         self._a_powers = {1: a}
-        self._images: dict[tuple[int, int], FunctionFieldElement] = {}
+        self._weight_images: dict[int, FunctionFieldElement] = {}
         self._index_set = frozenset(build_index_set(params))
         self.relation = self._build_relation(params)
 
@@ -201,30 +210,100 @@ class FibreContext:
             rhs = tuple(entries)
         return FibreRelation(fibre=self.fibre, p=p, rhs=rhs, loc=self.loc)
 
-    def image_for_multidegree(self, rho: int, T: int) -> FunctionFieldElement:
-        """Cleared image of any degree-2 monomial with multidegree (2, rho, T)."""
-        got = self._images.get((rho, T))
+    def weight_image(self, T: int) -> FunctionFieldElement:
+        """Cleared image of the multidegree (2, 0, T); one normal form per weight."""
+        got = self._weight_images.get(T)
         if got is not None:
             return got
         p = self.p
-        x_rho = SparsePoly.variable(self.vars, "x", rho, self.from_int(1))
+        one = self.loc.element(self.constant(self.from_int(1)))
         if self.fibre == GENERIC:
-            start = {3 * p - T: self.loc.element(x_rho)}
+            nf = reduce_normal_form({3 * p - T: one}, self.relation)
         else:
+            # (a X)^e = a^e * X^e: reduce the small X^e, then multiply each
+            # reduced u / a^k by a^e without any division
             e = 3 * p - 2 - T
-            start = {e: self.loc.element(x_rho * self.a_power(e))}
-        nf = reduce_normal_form(start, self.relation)
-        self._images[(rho, T)] = nf
+            nf = FunctionFieldElement(
+                self._times_a_power(c, e) for c in reduce_normal_form({e: one}, self.relation).coeffs
+            )
+        self._weight_images[T] = nf
         return nf
 
-    def phi_image(self, m: Monomial) -> FunctionFieldElement:
+    def _times_a_power(self, c: LocalizedElement, e: int) -> LocalizedElement:
+        """a^e * u / a^k in reduced form, given u / a^k reduced."""
+        if e >= c.power:
+            return LocalizedElement(self.loc, c.num * self.a_power(e - c.power), 0)
+        return LocalizedElement(self.loc, c.num, c.power - e)
+
+    def image_for_multidegree(self, rho: int, T: int) -> FunctionFieldElement:
+        """Cleared image of any degree-2 monomial with multidegree (2, rho, T).
+
+        x^rho times the weight image.  When ell != 1, x divides a(x), so a
+        shifted numerator could become divisible by a(x); LocalizedElement
+        renormalizes it, which keeps the reduced form (and the oracle's
+        columns) equal to a direct reduction of x^rho times the start.  The
+        clearing factor makes every image met so far a polynomial
+        (a(x)-power 0), where this costs nothing.
+        """
+        base = self.weight_image(T)
+        if not rho:
+            return base
+        return FunctionFieldElement(
+            LocalizedElement(self.loc, c.num.mul_var_power("x", rho), c.power) for c in base.coeffs
+        )
+
+    def combination_vanishes(self, coeffs: dict[tuple[int, int], SparsePoly]) -> bool:
+        """Is sum_(rho,T) c_(rho,T) * image(rho, T) zero?
+
+        `coeffs` maps multidegrees (rho, T) to coefficient polynomials in the
+        deformation symbols.  Since image(rho, T) = x^rho * image(0, T), the
+        coefficients of one weight T combine into
+        C_T = sum_rho x^rho * c_(rho,T), which multiplies the weight image
+        once.  When C_T is one cyclotomic element gamma times a polynomial
+        with int coefficients (`split_content`), gamma scales the weight
+        image and the rest is `SparsePoly.mul_ints`; in `certify` this holds
+        for every weight sum of every relative trinomial, since all slots of
+        one weight carry the same lam-coefficient.  Each V-slot is tested at
+        its largest a(x)-power k: u / a(x)^k = 0 iff u = 0.
+        """
+        by_weight: dict[int, SparsePoly] = {}
+        for (rho, T), coeff in coeffs.items():
+            c = self.embed_symbol_poly(coeff).mul_var_power("x", rho)
+            cur = by_weight.get(T)
+            by_weight[T] = c if cur is None else cur + c
+        # per V-slot: a(x)-power k -> sum of the numerators over a(x)^k
+        slots: list[dict[int, SparsePoly]] = [{} for _ in range(self.p)]
+        for T, c in by_weight.items():
+            if not c:
+                continue
+            gamma, c = split_content(c)
+            for slot, elt in zip(slots, self.weight_image(T).coeffs):
+                if elt:
+                    term = elt.num * c if gamma is None else elt.num.scale(gamma).mul_ints(c)
+                    cur = slot.get(elt.power)
+                    slot[elt.power] = term if cur is None else cur + term
+        for slot in slots:
+            if slot:
+                top = max(slot)
+                total = SparsePoly.zero(self.vars)
+                for k, num in slot.items():
+                    total = total + (num if k == top else num * self.a_power(top - k))
+                if total:
+                    return False
+        return True
+
+    def multidegree_of(self, m: Monomial) -> tuple[int, int]:
+        """(rho, T) of a degree-2 monomial in the basis variables."""
         if m.degree != 2:
             raise WrongDegree(f"need a degree-2 monomial, got degree {m.degree}")
         for f in m.factors:
             if f not in self._index_set:
                 raise VariableOutsideIndexSet(f"{f} is not in the basis index set")
         md = multidegree(m)
-        return self.image_for_multidegree(md.sum_n, md.sum_mu)
+        return md.sum_n, md.sum_mu
+
+    def phi_image(self, m: Monomial) -> FunctionFieldElement:
+        return self.image_for_multidegree(*self.multidegree_of(m))
 
 
 def fibre_context(params: FamilyParams, fibre: str, specialization: dict | None = None) -> FibreContext:

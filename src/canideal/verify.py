@@ -1,13 +1,22 @@
 """Certification engine.
 
 Symbolic ideal-membership of generators, the degree-2 counting criterion, the
-two-fibre compatibility certificate, and an independent kernel oracle.  The
-oracle builds its matrix exactly, checks the generators against it exactly,
-and finds ranks by Gaussian elimination over a prime field F_r: r = p on the
-special fibre, and on the generic and relative fibres the largest prime
-r < 2^61 with r = 1 (mod p).  The pivot rule is: take the smallest column
-occurring in any remaining row, from the first remaining row that has it.
-`kernel_oracle` states why every passing report is exact.
+two-fibre compatibility certificate, and an independent kernel oracle.
+
+Membership is collapsed by multidegree: an image depends only on (rho, T),
+so sum_m c_m phi(m) = sum_(rho,T) phi(rho, T) * sum_(m in (rho,T)) c_m, and
+phi(rho, T) = x^rho * phi(0, T) with one normal form per weight T
+(`fibrealg`).  Coefficients are summed per multidegree before any
+function-field work, which cancels every binomial outright, and then per
+weight (`FibreContext.combination_vanishes`), so each weight image is
+multiplied once per generator.
+
+The oracle builds its matrix exactly, checks the generators against it
+exactly, and finds ranks by Gaussian elimination over a prime field F_r:
+r = p on the special fibre, and on the generic and relative fibres the
+largest prime r < 2^61 with r = 1 (mod p).  The pivot rule is: take the
+smallest column occurring in any remaining row, from the first remaining
+row that has it.  `kernel_oracle` states why every passing report is exact.
 """
 
 from __future__ import annotations
@@ -167,7 +176,14 @@ def kernel_basis(rows, ncols: int, r: int):
 
 
 def check_membership(params: FamilyParams, fibre: str, gen: GeneratorPoly) -> bool:
-    """Does the generator map to zero on the fibre, with symbols kept symbolic?"""
+    """Does the generator map to zero on the fibre, with symbols kept symbolic?
+
+    Images depend only on the multidegree (rho, T), so
+    sum_m c_m phi(m) = sum_(rho,T) phi(rho, T) * sum_(m in (rho,T)) c_m.  The
+    coefficients are summed per multidegree first and zero sums are dropped,
+    so a binomial never touches the function field; the rest is
+    `FibreContext.combination_vanishes`.
+    """
     if fibre not in _FIBRES:
         raise WrongFibre(f"unknown fibre {fibre!r}")
     if gen.fibre not in (fibre, ANY_FIBRE):
@@ -175,11 +191,12 @@ def check_membership(params: FamilyParams, fibre: str, gen: GeneratorPoly) -> bo
     if not gen.is_homogeneous_degree2():
         raise NonHomogeneous("membership requires homogeneous degree-2 generators")
     ctx = fibre_context(params, fibre)
-    total = None
+    sums: dict = {}
     for coeff, mono in gen.terms:
-        img = ctx.phi_image(mono).scale_poly(ctx.embed_symbol_poly(coeff))
-        total = img if total is None else total + img
-    return total is None or total.is_zero
+        md = ctx.multidegree_of(mono)
+        cur = sums.get(md)
+        sums[md] = coeff if cur is None else cur + coeff
+    return ctx.combination_vanishes({md: c for md, c in sums.items() if c})
 
 
 @dataclass(frozen=True)
@@ -223,6 +240,7 @@ def dimension_criterion(
     ideal is exactly the set of distinct leading monomials and no Groebner
     computation is needed.
     """
+    gens = list(gens)
     leads = set()
     for gen in gens:
         if not gen.is_homogeneous_degree2():
@@ -235,7 +253,7 @@ def dimension_criterion(
     return CriterionReport(
         label=label,
         genus=g,
-        generator_count=len(list(gens)),
+        generator_count=len(gens),
         leading_count=len(leads),
         standard_monomial_count=s,
         bound=bound,

@@ -16,6 +16,7 @@ from canideal.exactalg import (
     is_prime,
     lambda_valuation,
     reduce_mod_lambda,
+    split_content,
 )
 
 
@@ -71,6 +72,10 @@ def test_cyclo_ring_laws(p):
         assert a * (b * c) == (a * b) * c
         assert a * b == b * a
         assert a + b == b + a
+        # an int factor, as an int or as an element, scales the coordinates
+        k = rng.randint(-9, 9)
+        scaled = CycloElement(p, tuple(k * x for x in a.coeffs))
+        assert a * k == k * a == a * CycloElement.from_int(p, k) == CycloElement.from_int(p, k) * a == scaled
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -136,6 +141,110 @@ def test_divide_examples():
     assert divide_by_lambda_power(CycloElement.zero(p), 2) == CycloElement.zero(p)
     with pytest.raises(NotDivisible):
         divide_by_lambda_power(CycloElement.one(p), 1)
+
+
+def _valuation_by_inverse(e):
+    """lam-adic valuation and quotients by multiplying with the field inverse of lam."""
+    inv = CycloElement.lam(e.p).inverse()
+    quotients = [e]
+    while True:
+        nxt = quotients[-1] * inv
+        if any(Fraction(c).denominator != 1 for c in nxt.coeffs):
+            break
+        quotients.append(nxt)
+    return len(quotients) - 1, quotients
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_integer_lambda_division_matches_inverse(p):
+    rng = random.Random(50_000 + p)
+    lam = CycloElement.lam(p)
+    for _ in range(25):
+        unit = CycloElement(p, tuple(rng.randint(-6, 6) for _ in range(p - 1)))
+        if not unit:
+            continue
+        e = unit * lam ** rng.randint(0, 2 * p)
+        v, quotients = _valuation_by_inverse(e)
+        assert lambda_valuation(e) == v
+        for k in range(v + 1):
+            assert divide_by_lambda_power(e, k) == quotients[k]
+        with pytest.raises(NotDivisible):
+            divide_by_lambda_power(e, v + 1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_lambda_division_rejects_non_integral_input(p):
+    half = CycloElement(p, (Fraction(1, 2),) + (0,) * (p - 2))
+    with pytest.raises(NonIntegralInput):
+        lambda_valuation(half)
+    with pytest.raises(NotDivisible):
+        divide_by_lambda_power(half, 0)
+    with pytest.raises(NotDivisible):
+        divide_by_lambda_power(half * CycloElement.lam(p), 1)
+
+
+def test_integral_flag_follows_the_coefficients():
+    p = 5
+    # a Fraction with denominator 1 is an int once constructed
+    assert CycloElement(p, (Fraction(4, 1), 0, 0, 0)).is_integral()
+    half = CycloElement(p, (Fraction(1, 2), 0, 0, 0))
+    assert not half.is_integral()
+    # results that leave the fast path are checked again
+    for e in (half * 2, half + half, -(half - CycloElement.one(p) - half)):
+        assert e.is_integral()
+        assert all(type(c) is int for c in e.coeffs)
+    # integral operands give integral results with int coefficients
+    a = CycloElement(p, (1, -2, 3, 4))
+    for e in (a + a, a - a, -a, a * a, a * 3):
+        assert e.is_integral() and all(type(c) is int for c in e.coeffs)
+    assert not (a * half).is_integral() and not (half * a).is_integral()
+
+
+def test_split_content():
+    p = 5
+    base = CycloElement(p, (2, -4, 0, 6))
+    poly = SparsePoly(("x", "y"), {(1, 0): base * 3, (0, 2): base * -5, (0, 0): base * -1 * Fraction(1, 2)})
+    gamma, d = split_content(poly)
+    # the first coefficient is divided by the gcd of its coordinates
+    assert gamma.coeffs == (1, -2, 0, 3) and gamma.is_integral()
+    assert d.terms == {(1, 0): 6, (0, 2): -10, (0, 0): -1}
+    assert all(type(k) is int for k in d.terms.values())
+    assert d.map_coefficients(lambda k: gamma * k) == poly
+    lam = CycloElement.lam(p)
+    for bad in (
+        {(1, 0): base, (0, 1): base + lam},  # not proportional
+        {(1, 0): base, (0, 1): CycloElement(p, (Fraction(1, 2), -1, 0, Fraction(3, 2)))},
+        {(1, 0): PrimeFieldElement(2, p)},
+        {(1, 0): 3},
+        {},
+    ):
+        poly = SparsePoly(("x", "y"), bad)
+        assert split_content(poly) == (None, poly)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_mul_ints_matches_product(p):
+    rng = random.Random(60_000 + p)
+    variables = ("x", "y", "z")
+
+    def rand_exps():
+        return tuple(rng.randint(0, 3) for _ in variables)
+
+    for _ in range(10):
+        cyc = SparsePoly(
+            variables,
+            {rand_exps(): CycloElement(p, tuple(rng.randint(-9, 9) for _ in range(p - 1))) for _ in range(12)},
+        )
+        ints = SparsePoly(variables, {rand_exps(): rng.randint(-5, 5) for _ in range(8)})
+        got = cyc.mul_ints(ints)
+        assert got == cyc * ints
+        assert all(c.is_integral() and all(type(x) is int for x in c.coeffs) for c in got.terms.values())
+    # results go through the checked constructor: a Fraction(n, 1) becomes an int
+    half = SparsePoly(variables, {(1, 0, 0): CycloElement(p, (Fraction(1, 2),) + (0,) * (p - 2))})
+    ints = SparsePoly(variables, {(0, 1, 0): 2, (0, 0, 1): 3})
+    twice = half.mul_ints(ints)
+    assert twice == half * ints
+    assert twice.terms[(1, 1, 0)].is_integral() and not twice.terms[(1, 0, 1)].is_integral()
 
 
 def test_reduce_mod_lambda_examples():

@@ -6,13 +6,16 @@ from canideal.errors import BadSpecialization, VariableOutsideIndexSet, WrongDeg
 from canideal.exactalg import CycloElement, SparsePoly
 from canideal.family import validate_params
 from canideal.fibrealg import (
+    FibreContext,
     FunctionFieldElement,
     fibre_context,
     phi_image,
     reduce_normal_form,
     relation_consistency,
 )
+from canideal.indexsets import minkowski_sum
 from canideal.termorder import IndexPair, Monomial
+from canideal.verify import default_specialization
 
 
 def test_generic_relation_rhs():
@@ -157,3 +160,46 @@ def test_function_field_element_algebra():
     assert (e - e).is_zero
     doubled = e + e
     assert doubled.coeffs[0] == ctx.loc.element(ctx.constant(ctx.from_int(2)))
+
+
+def _direct_image(ctx, rho, T):
+    """Reduce the full start x^rho * (y^(3p-T) or (a X)^(3p-2-T)) in one go."""
+    p = ctx.p
+    x_rho = SparsePoly.variable(ctx.vars, "x", rho, ctx.from_int(1))
+    if ctx.fibre == "generic":
+        start = {3 * p - T: ctx.loc.element(x_rho)}
+    else:
+        e = 3 * p - 2 - T
+        start = {e: ctx.loc.element(x_rho * ctx.a_power(e))}
+    return reduce_normal_form(start, ctx.relation)
+
+
+@pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (3, 4, 2)])
+@pytest.mark.parametrize("specialized", [False, True])
+def test_shifted_weight_image_equals_direct_reduction(triple, specialized):
+    # image(rho, T) = x^rho * image(0, T), renormalized: the reduced forms
+    # (numerator and a(x)-power of every V-slot) equal a direct reduction
+    params = validate_params(*triple)
+    spec = default_specialization(params) if specialized else None
+    for fibre in ("generic", "special", "relative"):
+        ctx = fibre_context(params, fibre, spec)
+        for pt in minkowski_sum(params):
+            got = ctx.image_for_multidegree(pt.rho, pt.T)
+            want = _direct_image(ctx, pt.rho, pt.T)
+            assert [(c.num, c.power) for c in got.coeffs] == [
+                (c.num, c.power) for c in want.coeffs
+            ], (triple, fibre, pt)
+
+
+def test_shifted_image_is_renormalized():
+    # with q = 1 and ell != 1, a(x) = x: a weight image holding 1/x shifted
+    # by x must come out as 1/x^0, the reduced form a direct reduction gives
+    params = validate_params(5, 1, 2)
+    ctx = FibreContext(params, "special")
+    assert ctx.a_poly == SparsePoly.variable(ctx.vars, "x", 1, ctx.from_int(1))
+    one = ctx.constant(ctx.from_int(1))
+    ctx._weight_images[7] = FunctionFieldElement(
+        [ctx.loc.element(one, 1)] + [ctx.loc.zero()] * (ctx.p - 1)
+    )
+    shifted = ctx.image_for_multidegree(1, 7).coeffs[0]
+    assert (shifted.num, shifted.power) == (one, 0)

@@ -14,11 +14,14 @@ from canideal.errors import (
     DegenerateSpecialization,
     NonHomogeneous,
     UnluckyPrime,
+    VariableOutsideIndexSet,
     WrongFibre,
 )
-from canideal.exactalg import CycloElement, cyclotomic_min_poly
-from canideal.family import validate_params
+from canideal.exactalg import CycloElement, LocalizedElement, SparsePoly, cyclotomic_min_poly
+from canideal.family import deformation_symbols, validate_params
+from canideal.fibrealg import FunctionFieldElement
 from canideal.generators import (
+    GeneratorPoly,
     binomial_generators,
     corrupt_generator,
     generic_generators,
@@ -153,6 +156,90 @@ def test_membership_negative_control():
         assert not check_membership(params, fibre, bad)
 
 
+def _per_term_membership(params, fibre, gen):
+    """The uncollapsed sum: every term's image times its coefficient."""
+    ctx = verify.fibre_context(params, fibre)
+    total = None
+    for coeff, mono in gen.terms:
+        c = ctx.embed_symbol_poly(coeff)
+        img = FunctionFieldElement(
+            LocalizedElement(ctx.loc, e.num * c, e.power) for e in ctx.phi_image(mono).coeffs
+        )
+        total = img if total is None else total + img
+    return total.is_zero
+
+
+@pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (7, 1, 3)])
+def test_collapsed_membership_matches_per_term_sum(triple):
+    params = validate_params(*triple)
+    families = [("relative", binomial_generators(params))]
+    for fibre, builder in [
+        ("generic", generic_generators),
+        ("special", special_generators),
+        ("relative", relative_generators),
+    ]:
+        families.append((fibre, builder(params)))
+    for fibre, gens in families:
+        for gen in gens:
+            for g in (gen, corrupt_generator(gen)):
+                assert check_membership(params, fibre, g) == _per_term_membership(params, fibre, g)
+
+
+def test_corrupted_binomial_and_trinomial_fail():
+    params = validate_params(5, 2, 3)
+    binomial = binomial_generators(params)[0]
+    trinomial = relative_generators(params)[0]
+    for gen in (binomial, trinomial):
+        assert check_membership(params, "relative", gen)
+        assert not check_membership(params, "relative", corrupt_generator(gen))
+
+
+def test_membership_aligns_a_powers_within_a_slot():
+    # (x + x1 + 1)/a - 1/a - 1 = 0 with a = x + x1: the first two images sum
+    # to a/a, so the test is exact only at a common a(x)-power.  A fresh
+    # triple keeps the planted weight images out of every other test.
+    params = validate_params(5, 1, 1)
+    ctx = verify.fibre_context(params, "special")
+    assert ctx.a_poly == SparsePoly(ctx.vars, {(1, 0): ctx.from_int(1), (0, 1): ctx.from_int(1)})
+    # three degree-2 monomials of distinct weights T, all with rho = 0
+    pts = build_index_set(params)
+    by_weight = {}
+    for i, a in enumerate(pts):
+        for b in pts[i:]:
+            m = Monomial((a, b))
+            rho, T = ctx.multidegree_of(m)
+            if rho == 0:
+                by_weight.setdefault(T, m)
+    (t1, m1), (t2, m2), (t3, m3) = list(by_weight.items())[:3]
+    zero = ctx.loc.zero()
+
+    def slot0(num, power):
+        return FunctionFieldElement([ctx.loc.element(num, power)] + [zero] * (ctx.p - 1))
+
+    one = SparsePoly.constant(ctx.vars, ctx.from_int(1))
+    ctx._weight_images.update({t1: slot0(ctx.a_poly + one, 1), t2: slot0(-one, 1), t3: slot0(-one, 0)})
+    coeff = SparsePoly.constant(deformation_symbols(params), 1)
+    gen = GeneratorPoly("special", "test", None, ((coeff, m1), (coeff, m2), (coeff, m3)), "default")
+    assert check_membership(params, "special", gen)
+    bumped = GeneratorPoly("special", "test", None, ((coeff, m1), (coeff, m2), (coeff + coeff, m3)), "default")
+    assert not check_membership(params, "special", bumped)
+
+
+def test_membership_rejects_variable_outside_index_set():
+    params = validate_params(5, 2, 1)
+    gen = binomial_generators(params)[0]
+    outside = Monomial((IndexPair(0, 1), IndexPair(9, 1)))
+    broken = gen.__class__(
+        fibre=gen.fibre,
+        provenance=gen.provenance,
+        anchor=gen.anchor,
+        terms=gen.terms + ((gen.terms[0][0], outside),),
+        tie_break=gen.tie_break,
+    )
+    with pytest.raises(VariableOutsideIndexSet):
+        check_membership(params, "relative", broken)
+
+
 def test_membership_fibre_guards():
     params = validate_params(5, 2, 1)
     gen = generic_generators(params)[0]
@@ -200,6 +287,13 @@ def test_criterion_drop_one_fails():
         sub = dimension_criterion(params, g1 + g2[:k] + g2[k + 1 :])
         assert sub.standard_monomial_count == 46
         assert not sub.passes
+
+
+def test_criterion_reads_an_iterator_once():
+    params = validate_params(5, 2, 1)
+    gens = binomial_generators(params) + relative_generators(params)
+    assert dimension_criterion(params, iter(gens)) == dimension_criterion(params, gens)
+    assert dimension_criterion(params, iter(gens)).generator_count == len(gens)
 
 
 def test_criterion_321():
