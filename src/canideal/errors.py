@@ -33,6 +33,10 @@ class NotDivisible(CanidealError):
     """Exact division failed."""
 
 
+class UnknownTieBreak(CanidealError):
+    """The term-order tie-break is not one of termorder.TIE_BREAKS."""
+
+
 class ZeroPolynomial(CanidealError):
     """The zero polynomial has no leading term."""
 

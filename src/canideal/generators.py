@@ -9,7 +9,6 @@ division and a reduction map back onto the special-fibre family is provided.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from .indexsets import (
     minkowski_sum,
     monomials_at,
 )
-from .termorder import TIE_BREAK_DEFAULT, Monomial, compare, format_monomial
+from .termorder import TIE_BREAK_DEFAULT, Monomial, format_monomial, term_key
 
 GENERIC = "generic"
 SPECIAL = "special"
@@ -71,7 +70,7 @@ class GeneratorPoly:
 def _sorted_terms(term_map: dict[Monomial, SparsePoly], tie_break: str):
     """Order-descending tuple of (coefficient, monomial), zero coefficients dropped."""
     monos = [m for m, c in term_map.items() if c]
-    monos.sort(key=functools.cmp_to_key(lambda a, b: compare(a, b, tie_break)), reverse=True)
+    monos.sort(key=term_key(tie_break), reverse=True)
     return tuple((term_map[m], m) for m in monos)
 
 
@@ -88,6 +87,7 @@ def binomial_generators(
     g(g+1)/2 - |Minkowski sum|.  With all_pairs=True the full family of all
     unordered pairs within each class is emitted instead.
     """
+    term_key(tie_break)  # raises UnknownTieBreak
     syms = deformation_symbols(params)
     one = SparsePoly.constant(syms, 1)
     out = []
@@ -178,6 +178,7 @@ def _anchored_generator(
 def generic_generators(params: FamilyParams, tie_break: str = TIE_BREAK_DEFAULT) -> list[GeneratorPoly]:
     """One generator per i = 0 anchor: class minimum minus lam^p times the
     (ell, p)-shifted minimum minus the a(x)^p-weighted (j, p)-shifted minima."""
+    term_key(tie_break)  # raises UnknownTieBreak
     return [_anchored_generator(params, GENERIC, pt, tie_break) for pt in anchor_set(params, 0)]
 
 
@@ -188,6 +189,7 @@ def special_generators(
 ) -> list[GeneratorPoly]:
     """One generator per i = 1 anchor (or per supplied anchor), with the
     a(x)^(p-1) coefficient table reduced into the prime field."""
+    term_key(tie_break)  # raises UnknownTieBreak
     if anchors is None:
         anchors = anchor_set(params, 1)
     return [_anchored_generator(params, SPECIAL, pt, tie_break) for pt in anchors]
@@ -213,6 +215,7 @@ def relative_generators(params: FamilyParams, tie_break: str = TIE_BREAK_DEFAULT
     lam^(i-p)*binom(p,i)*c_{j,p-i} times the (j, p-i)-shifted minima for
     1 <= i <= p-1.
     """
+    term_key(tie_break)  # raises UnknownTieBreak
     return [_anchored_generator(params, RELATIVE, pt, tie_break) for pt in anchor_set(params, 0)]
 
 

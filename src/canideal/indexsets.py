@@ -3,6 +3,14 @@
 Everything here is brute-force enumeration plus closed-form descriptions that
 are checked against the enumeration.  Sets are returned sorted for
 deterministic reports: index pairs by (mu, N), Minkowski points by (T, rho).
+
+The enumeration works on plain tuples.  One per-triple table groups the
+unordered index pairs by their sum (rho, T); the counting identities read its
+class sizes, and sorted monomials are built from it only when the generators
+ask for them.  The anchor test reads a second table of runs: for each point
+(rho, T) of the enumerated sum, the largest rho' with every (r, T),
+rho <= r <= rho', in the sum.  "(rho + j, T') in the sum for every j in
+[jlo, jhi]" is then one lookup, end(rho + jlo, T') >= rho + jhi.
 """
 
 from __future__ import annotations
@@ -36,12 +44,9 @@ def build_index_set(params: FamilyParams) -> tuple[IndexPair, ...]:
 
 def minkowski_sum_brute(index_set) -> tuple[MinkowskiPoint, ...]:
     """Pairwise sums (unordered pairs, repetition allowed), sorted by (T, rho)."""
-    points = set()
-    pts = list(index_set)
-    for i, a in enumerate(pts):
-        for b in pts[i:]:
-            points.add(MinkowskiPoint(rho=a.N + b.N, T=a.mu + b.mu))
-    return tuple(sorted(points, key=lambda m: (m.T, m.rho)))
+    pts = [(f.mu, f.N) for f in index_set]
+    sums = {(mu + mu2, N + N2) for i, (mu, N) in enumerate(pts) for mu2, N2 in pts[i:]}
+    return tuple(MinkowskiPoint(rho=rho, T=T) for T, rho in sorted(sums))
 
 
 @per_triple
@@ -101,19 +106,27 @@ def anchor_set(params: FamilyParams, i: int) -> tuple[MinkowskiPoint, ...]:
 
 
 @per_triple
+def _run_ends(params: FamilyParams) -> dict[tuple[int, int], int]:
+    """(rho, T) of the Minkowski sum -> largest rho' with [rho, rho'] in the sum at weight T."""
+    ends: dict[tuple[int, int], int] = {}
+    for pt in reversed(minkowski_sum(params)):
+        ends[(pt.rho, pt.T)] = ends.get((pt.rho + 1, pt.T), pt.rho)
+    return ends
+
+
+@per_triple
 def _anchor_set(params: FamilyParams, i: int) -> tuple[MinkowskiPoint, ...]:
-    mink = minkowski_sum(params)
-    have = frozenset(mink)
+    ends = _run_ends(params)
+    p, ell = params.p, params.ell
     jlo = a_power_min_exponent(params, i)
-    jhi = (params.p - i) * params.q
+    jhi = (p - i) * params.q
     out = []
-    for pt in mink:
-        if MinkowskiPoint(pt.rho + params.ell, pt.T + params.p) not in have:
+    for pt in minkowski_sum(params):
+        if (pt.rho + ell, pt.T + p) not in ends:
             continue
-        if all(
-            MinkowskiPoint(pt.rho + j, pt.T + params.p - i) in have
-            for j in range(jlo, jhi + 1)
-        ):
+        # every j in [jlo, jhi] at once: one run covers [rho + jlo, rho + jhi]
+        start = (pt.rho + jlo, pt.T + p - i)
+        if jlo > jhi or (start in ends and ends[start] >= pt.rho + jhi):
             out.append(pt)
     return tuple(out)
 
@@ -152,21 +165,30 @@ def anchor_set_zero_closed_repaired(params: FamilyParams) -> tuple[MinkowskiPoin
 
 
 @per_triple
-def _monomial_classes(params: FamilyParams, tie_break: str) -> dict[MinkowskiPoint, tuple[Monomial, ...]]:
-    """Every degree-2 monomial, grouped by multidegree, each class sorted ascending."""
+def _pair_classes(params: FamilyParams) -> dict[tuple[int, int], list[tuple[IndexPair, IndexPair]]]:
+    """Every unordered pair of index pairs (repetition allowed), grouped by (rho, T)."""
     index_set = build_index_set(params)
-    classes: dict[MinkowskiPoint, list[Monomial]] = {}
+    classes: dict[tuple[int, int], list[tuple[IndexPair, IndexPair]]] = {}
     for i, a in enumerate(index_set):
         for b in index_set[i:]:
-            classes.setdefault(MinkowskiPoint(rho=a.N + b.N, T=a.mu + b.mu), []).append(Monomial((a, b)))
-    return {pt: tuple(sort_monomials(monos, tie_break)) for pt, monos in classes.items()}
+            classes.setdefault((a.N + b.N, a.mu + b.mu), []).append((a, b))
+    return classes
+
+
+@per_triple
+def _monomial_classes(params: FamilyParams, tie_break: str) -> dict[tuple[int, int], tuple[Monomial, ...]]:
+    """Every degree-2 monomial, grouped by (rho, T), each class sorted ascending."""
+    return {
+        point: tuple(sort_monomials([Monomial(pair) for pair in pairs], tie_break))
+        for point, pairs in _pair_classes(params).items()
+    }
 
 
 def monomials_at(
     params: FamilyParams, point: MinkowskiPoint, tie_break: str = TIE_BREAK_DEFAULT
 ) -> list[Monomial]:
     """All degree-2 monomials of multidegree (2, rho, T), sorted ascending."""
-    got = _monomial_classes(params, tie_break).get(point)
+    got = _monomial_classes(params, tie_break).get((point.rho, point.T))
     if got is None:
         raise PointNotInMinkowskiSum(f"{point} is not in the Minkowski sum")
     return list(got)
@@ -248,7 +270,9 @@ class CountReport:
 def check_counts(params: FamilyParams) -> CountReport:
     """Run every counting identity for one parameter triple.
 
-    Failures become report entries, never exceptions.
+    Failed identities become report entries, never exceptions.  A point of
+    the enumerated Minkowski sum with no index-pair class means the two
+    enumerations disagree and raises PointNotInMinkowskiSum.
     """
     index_set = build_index_set(params)
     brute = minkowski_sum(params)
@@ -275,7 +299,13 @@ def check_counts(params: FamilyParams) -> CountReport:
 
     contained = all(zero <= set(a) for a in anchors)
 
-    pair_total = sum(len(monomials_at(params, pt)) for pt in brute)
+    classes = _pair_classes(params)
+    pair_total = 0
+    for pt in brute:
+        pairs = classes.get((pt.rho, pt.T))
+        if pairs is None:
+            raise PointNotInMinkowskiSum(f"{pt} is not in the Minkowski sum")
+        pair_total += len(pairs)
 
     return CountReport(
         p=params.p,

@@ -2,19 +2,23 @@
 
 The order compares (i) standard degree ascending, (ii) total mu-weight
 DESCENDING (a larger mu-sum makes a monomial smaller), (iii) total N-sum
-ascending, and (iv) a lexicographic tie-break on the variables.  The
-tie-break enumeration of the variables is a free choice; both variants used
-here are exposed and every downstream count is invariant under the switch.
+ascending, and (iv) a lexicographic tie-break on the variables: at the
+enumeration-smallest variable whose multiplicities differ, the monomial with
+more copies is the larger.  The tie-break enumeration of the variables is a
+free choice; both variants used here are exposed and every downstream count
+is invariant under the switch.
+
+The order is one sort key (`term_key`): (degree, -sum mu, sum N, the variable
+keys sorted ascending with every component negated), so sorting, comparing
+and taking a maximum are plain tuple comparisons.
 """
 
 from __future__ import annotations
 
-import functools
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ZeroPolynomial
+from .errors import UnknownTieBreak, ZeroPolynomial
 
 TIE_BREAK_DEFAULT = "default"
 TIE_BREAK_ALT = "alt"
@@ -27,15 +31,6 @@ class IndexPair:
 
     N: int
     mu: int
-
-
-def variable_key(pair: IndexPair, tie_break: str = TIE_BREAK_DEFAULT):
-    """Enumeration key of the variable z[N,mu] used by the lex tie-break."""
-    if tie_break == TIE_BREAK_DEFAULT:
-        return (pair.mu, pair.N)
-    if tie_break == TIE_BREAK_ALT:
-        return (pair.N, pair.mu)
-    raise ValueError(f"unknown tie-break {tie_break!r}")
 
 
 class MultiDegree(NamedTuple):
@@ -79,36 +74,52 @@ def multidegree(m: Monomial) -> MultiDegree:
     )
 
 
+def term_key(tie_break: str = TIE_BREAK_DEFAULT):
+    """Sort key of the term order: key(m1) < key(m2) exactly when m1 < m2.
+
+    The key of m is (degree, -sum mu, sum N, v), where v lists the variable
+    keys of m's factors in ascending enumeration order with every component
+    negated.  The first three entries are rules (i)-(iii).  For rule (iv), take
+    the ascending key sequences of two monomials of equal degree; at the first
+    position where they differ, the side with the smaller entry holds more
+    copies of that variable and every smaller variable is tied, so that side
+    is the larger monomial under (iv).  Negating the components reverses lex
+    order, which turns "smaller entry" into "larger key".  Keys are equal only
+    for equal monomials.
+
+    Raises UnknownTieBreak for a tie-break other than those in TIE_BREAKS.
+    """
+    if tie_break == TIE_BREAK_DEFAULT:
+        def neg_var(f):
+            return (-f.mu, -f.N)
+    elif tie_break == TIE_BREAK_ALT:
+        def neg_var(f):
+            return (-f.N, -f.mu)
+    else:
+        raise UnknownTieBreak(f"unknown tie-break {tie_break!r}; expected one of {TIE_BREAKS}")
+
+    def key(m: Monomial):
+        factors = m.factors
+        return (
+            len(factors),
+            -sum(f.mu for f in factors),
+            sum(f.N for f in factors),
+            tuple(sorted(map(neg_var, factors), reverse=True)),
+        )
+
+    return key
+
+
 def compare(m1: Monomial, m2: Monomial, tie_break: str = TIE_BREAK_DEFAULT) -> int:
     """Total order; returns -1, 0 or 1.  Zero only for identical monomials."""
-    d1, d2 = len(m1.factors), len(m2.factors)
-    if d1 != d2:
-        return -1 if d1 < d2 else 1
-    md1, md2 = multidegree(m1), multidegree(m2)
-    if md1.sum_mu != md2.sum_mu:
-        # the larger total mu-weight sorts LOWER
-        return -1 if md1.sum_mu > md2.sum_mu else 1
-    if md1.sum_n != md2.sum_n:
-        return -1 if md1.sum_n < md2.sum_n else 1
-    return _compare_tie(m1, m2, tie_break)
-
-
-def _compare_tie(m1: Monomial, m2: Monomial, tie_break: str) -> int:
-    c1 = Counter(variable_key(f, tie_break) for f in m1.factors)
-    c2 = Counter(variable_key(f, tie_break) for f in m2.factors)
-    for key in sorted(set(c1) | set(c2)):
-        a, b = c1.get(key, 0), c2.get(key, 0)
-        if a != b:
-            # more copies of the enumeration-smaller variable => larger monomial
-            return 1 if a > b else -1
-    return 0
+    key = term_key(tie_break)
+    k1, k2 = key(m1), key(m2)
+    return (k1 > k2) - (k1 < k2)
 
 
 def sort_monomials(monomials, tie_break: str = TIE_BREAK_DEFAULT) -> list[Monomial]:
     """Ascending under the term order."""
-    return sorted(
-        monomials, key=functools.cmp_to_key(lambda a, b: compare(a, b, tie_break))
-    )
+    return sorted(monomials, key=term_key(tie_break))
 
 
 def leading_term(poly, tie_break: str = TIE_BREAK_DEFAULT):
@@ -116,11 +127,9 @@ def leading_term(poly, tie_break: str = TIE_BREAK_DEFAULT):
 
     Accepts a GeneratorPoly or any iterable of (coefficient, Monomial) pairs.
     """
+    key = term_key(tie_break)
     terms = getattr(poly, "terms", poly)
-    best = None
-    for coeff, mono in terms:
-        if best is None or compare(mono, best[1], tie_break) > 0:
-            best = (coeff, mono)
+    best = max(terms, key=lambda term: key(term[1]), default=None)
     if best is None:
         raise ZeroPolynomial("the zero polynomial has no leading term")
     return best

@@ -50,7 +50,7 @@ from .generators import (
     special_generators,
 )
 from .indexsets import anchor_set, build_index_set, check_counts
-from .termorder import TIE_BREAK_DEFAULT, Monomial, leading_term
+from .termorder import TIE_BREAK_DEFAULT, Monomial, leading_term, term_key
 
 _FIBRES = (GENERIC, SPECIAL, RELATIVE)
 
@@ -540,8 +540,10 @@ def certify(
     oracles on both fibres.  Mathematical failures produce a failed
     certificate, never an exception; a specialization that does not assign
     integers to exactly the deformation symbols raises BadSpecialization,
-    whether or not the oracles run.
+    whether or not the oracles run; an unknown tie-break raises
+    UnknownTieBreak.
     """
+    term_key(tie_break)  # raises UnknownTieBreak
     if specialization is not None:
         check_specialization(params, specialization)
     timings: dict[str, float] = {}

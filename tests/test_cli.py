@@ -160,6 +160,17 @@ def test_sweep_empty(capsys):
     assert len(out.strip().splitlines()) == 1  # header only
 
 
+def test_sweep_matches_recorded_benchmark_output(capsys):
+    # the benchmark's recorded sweep (88 triples), read and left unmodified
+    recorded = Path(__file__).resolve().parent.parent / "perfbench" / "expected" / "counting.json"
+    ops = json.loads(recorded.read_text(encoding="utf-8"))["ops"]
+    assert ops
+    for op in ops:
+        code, out, _ = run(capsys, *op["argv"])
+        assert code == op["code"], op["argv"]
+        assert out == op["stdout"], op["argv"]
+
+
 def test_sweep_bad_l_set(capsys):
     code, out, err = run(capsys, "sweep", "--p-set", "3", "--q-set", "2", "--l-set", "x")
     assert code == 2

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import canideal.indexsets as indexsets
@@ -11,6 +13,7 @@ from canideal.indexsets import (
     build_index_set,
     check_counts,
     minimal_monomial,
+    minkowski_sum,
     minkowski_sum_brute,
     minkowski_sum_closed,
     monomials_at,
@@ -19,6 +22,8 @@ from canideal.indexsets import (
 from canideal.termorder import TIE_BREAK_ALT, IndexPair, Monomial
 
 SWEEP = [(p, q, ell) for p in (3, 5, 7) for q in (1, 2, 3) for ell in range(1, p)]
+# every ell < p gives m = p*q - ell prime to p, so each of these triples is valid
+WIDE_SWEEP = [(p, q, ell) for p in (3, 5, 7, 11, 13) for q in range(1, 5) for ell in range(1, p)]
 
 
 def pt(rho, T):
@@ -116,6 +121,25 @@ def test_minkowski_per_weight_sizes_523():
     assert len(got) == 36
     sizes = {T: sum(1 for m in got if m.T == T) for T in range(2, 9)}
     assert [sizes[T] for T in range(2, 9)] == [1, 2, 4, 5, 7, 8, 9]
+
+
+@pytest.mark.parametrize("triple", WIDE_SWEEP)
+def test_minkowski_sum_and_anchor_sets_match_definitions(triple):
+    params = validate_params(*triple)
+    p, q, ell = triple
+    index_set = build_index_set(params)
+    literal = {pt(a.N + b.N, a.mu + b.mu) for a, b in itertools.combinations_with_replacement(index_set, 2)}
+    mink = minkowski_sum(params)
+    assert mink == tuple(sorted(literal, key=lambda m: (m.T, m.rho)))
+    for i in range(p + 1):
+        jlo = 0 if ell == 1 else p - i
+        want = tuple(
+            m
+            for m in mink
+            if pt(m.rho + ell, m.T + p) in literal
+            and all(pt(m.rho + j, m.T + p - i) in literal for j in range(jlo, (p - i) * q + 1))
+        )
+        assert anchor_set(params, i) == want, i
 
 
 def test_anchor_sets_examples():

@@ -1,8 +1,12 @@
+import functools
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from canideal.errors import ZeroPolynomial
+from canideal.errors import UnknownTieBreak, ZeroPolynomial
+from canideal.generators import _sorted_terms
 from canideal.termorder import (
     TIE_BREAK_ALT,
     TIE_BREAK_DEFAULT,
@@ -14,6 +18,7 @@ from canideal.termorder import (
     leading_term,
     multidegree,
     sort_monomials,
+    term_key,
 )
 
 
@@ -111,3 +116,68 @@ def test_format_monomial_stable():
     m = mono((2, 3), (0, 1))
     assert format_monomial(m) == "z[0,1]*z[2,3]"
     assert format_monomial(mono()) == ""
+
+
+def _reference_compare(m1, m2, tie_break):
+    """The documented order (i)-(iv), written out rule by rule."""
+    if m1.degree != m2.degree:
+        return -1 if m1.degree < m2.degree else 1
+    mu1, mu2 = sum(f.mu for f in m1.factors), sum(f.mu for f in m2.factors)
+    if mu1 != mu2:
+        return -1 if mu1 > mu2 else 1
+    n1, n2 = sum(f.N for f in m1.factors), sum(f.N for f in m2.factors)
+    if n1 != n2:
+        return -1 if n1 < n2 else 1
+
+    def enum(f):
+        return (f.mu, f.N) if tie_break == TIE_BREAK_DEFAULT else (f.N, f.mu)
+
+    c1, c2 = Counter(map(enum, m1.factors)), Counter(map(enum, m2.factors))
+    for var in sorted(set(c1) | set(c2)):
+        if c1[var] != c2[var]:
+            # more copies of the enumeration-smaller variable: larger monomial
+            return 1 if c1[var] > c2[var] else -1
+    return 0
+
+
+GRID = [z(N, mu) for N in range(3) for mu in range(1, 4)]
+SMALL_MONOMIALS = [
+    Monomial(factors) for d in range(4) for factors in itertools.combinations_with_replacement(GRID, d)
+]
+
+
+@pytest.mark.parametrize("tie_break", [TIE_BREAK_DEFAULT, TIE_BREAK_ALT])
+def test_key_matches_reference_order(tie_break):
+    # every pair of monomials of degree <= 3 over a 3x3 grid of variables
+    assert len(SMALL_MONOMIALS) == 1 + 9 + 45 + 165
+    key = term_key(tie_break)
+    keys = [key(m) for m in SMALL_MONOMIALS]
+    for a, ka in zip(SMALL_MONOMIALS, keys):
+        for b, kb in zip(SMALL_MONOMIALS, keys):
+            want = _reference_compare(a, b, tie_break)
+            assert ((ka > kb) - (ka < kb), compare(a, b, tie_break)) == (want, want), (a, b)
+
+    ref_key = functools.cmp_to_key(lambda a, b: _reference_compare(a, b, tie_break))
+    rng = random.Random(7)
+    shuffled = SMALL_MONOMIALS[:]
+    rng.shuffle(shuffled)
+    ascending = sorted(shuffled, key=ref_key)
+    assert sort_monomials(shuffled, tie_break) == ascending
+    terms = _sorted_terms({m: 1 for m in shuffled}, tie_break)
+    assert [m for _, m in terms] == ascending[::-1]
+    for _ in range(200):
+        sample = rng.sample(shuffled, rng.randint(1, 12))
+        coeffs = [(rng.randint(1, 9), m) for m in sample]
+        assert leading_term(coeffs, tie_break) == max(coeffs, key=lambda t: ref_key(t[1]))
+
+
+def test_unknown_tie_break_raises():
+    m = mono((0, 1))
+    with pytest.raises(UnknownTieBreak):
+        term_key("bogus")
+    with pytest.raises(UnknownTieBreak):
+        compare(m, m, "bogus")
+    with pytest.raises(UnknownTieBreak):
+        sort_monomials([], "bogus")
+    with pytest.raises(UnknownTieBreak):
+        leading_term([(1, m)], "bogus")

@@ -13,6 +13,7 @@ from canideal.errors import (
     BadSpecialization,
     DegenerateSpecialization,
     NonHomogeneous,
+    UnknownTieBreak,
     UnluckyPrime,
     VariableOutsideIndexSet,
     WrongFibre,
@@ -403,6 +404,20 @@ def test_certify_corrupt_fails():
     assert not cert.verdicts["membership_relative"]
     assert not cert.verdicts["reduction_compatibility"]
     assert not cert.passed
+
+
+@pytest.mark.parametrize("triple", [(3, 2, 2), (3, 1, 1), (5, 1, 4), (3, 2, 1)])
+def test_unknown_tie_break_is_rejected(triple):
+    # (3,1,1) and (5,1,4) have no class of two monomials and (5,1,4) has
+    # genus 0, so nothing would be compared without the entry checks
+    params = validate_params(*triple)
+    with pytest.raises(UnknownTieBreak):
+        certify(params, tie_break="bogus")
+    with pytest.raises(UnknownTieBreak):
+        certify(params, oracle=True, tie_break="bogus")
+    for build in (binomial_generators, generic_generators, special_generators, relative_generators):
+        with pytest.raises(UnknownTieBreak):
+            build(params, tie_break="bogus")
 
 
 def test_derived_data_is_freed_with_its_params():
