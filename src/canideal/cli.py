@@ -183,20 +183,22 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def _parse_int_set(text: str) -> list[int]:
-    out = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if chunk:
-            out.append(int(chunk))
+def _parse_int_set(text: str, option: str) -> list[int]:
+    """A comma list of distinct ints; an empty or repeating list is a usage
+    error, so a sweep never passes vacuously or emits a row twice."""
+    out = [int(chunk) for chunk in map(str.strip, text.split(",")) if chunk]
+    if not out:
+        raise ValueError(f"{option} is empty")
+    if len(set(out)) != len(out):
+        raise ValueError(f"{option} repeats a value")
     return out
 
 
 def cmd_sweep(args) -> int:
     try:
-        p_set = _parse_int_set(args.p_set)
-        q_set = _parse_int_set(args.q_set)
-        l_set = None if args.l_set == "all" else _parse_int_set(args.l_set)
+        p_set = _parse_int_set(args.p_set, "--p-set")
+        q_set = _parse_int_set(args.q_set, "--q-set")
+        l_set = None if args.l_set == "all" else _parse_int_set(args.l_set, "--l-set")
     except ValueError as exc:
         print(f"error: bad range: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -487,6 +487,47 @@ def reduce_mod_lambda(e: CycloElement) -> PrimeFieldElement:
 # Sparse multivariate polynomials
 
 
+def _pack(digits, width: int) -> int:
+    """sum_i digits[i] * 2^(width*i).  The map is Z-linear and injective on
+    digit vectors with every entry in [0, 2^width), and on those with every
+    entry below 2^(width-1) in absolute value."""
+    packed = 0
+    for d in reversed(digits):
+        packed = (packed << width) + d
+    return packed
+
+
+def _digits(packed: int, width: int, n: int) -> list[int]:
+    """The n digits of a packed vector whose digits lie in [0, 2^width)."""
+    mask = (1 << width) - 1
+    return [(packed >> (width * i)) & mask for i in range(n)]
+
+
+def _cyclo_unpacker(p: int, width: int):
+    """Reads packed coordinates, each below 2^(width-1) in absolute value,
+    back into an integral CycloElement: adding 2^(width-1) to every digit
+    makes them all nonnegative."""
+    half = 1 << (width - 1)
+    offset = _pack((half,) * (p - 1), width)
+
+    def unpack(packed: int) -> "CycloElement":
+        return CycloElement._integral(p, tuple(d - half for d in _digits(packed + offset, width, p - 1)))
+
+    return unpack
+
+
+def _all_ints(poly: "SparsePoly") -> bool:
+    return all(type(c) is int for c in poly.terms.values())
+
+
+def _all_integral_cyclo(poly: "SparsePoly") -> bool:
+    return all(type(c) is CycloElement and c.integral for c in poly.terms.values())
+
+
+def _max_exponent(poly: "SparsePoly") -> int:
+    return max((x for e in poly.terms for x in e), default=0)
+
+
 class SparsePoly:
     """Sparse polynomial over a declared variable tuple.
 
@@ -562,6 +603,11 @@ class SparsePoly:
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._check(other)
+        # integral CycloElement times int coefficients: the packed product
+        if _all_ints(other) and _all_integral_cyclo(self):
+            return self.mul_ints(other)
+        if _all_ints(self) and _all_integral_cyclo(other):
+            return other.mul_ints(self)
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -579,30 +625,23 @@ class SparsePoly:
         res.terms = out
         return res
 
-    def mul_ints(self, ints: "SparsePoly") -> "SparsePoly":
-        """self * ints, for CycloElement coefficients times int coefficients.
+    def mul_ints(self, ints: "SparsePoly", gamma: "CycloElement | None" = None) -> "SparsePoly":
+        """self * ints, times gamma when given: CycloElement coefficients
+        times int coefficients, gamma an integral CycloElement.
 
-        The partial products accumulate in coordinate lists, so only the
-        result terms become CycloElements (through the checked constructor);
-        the product is the same as `self * ints`.
+        The product is computed on packed ints (`_packed_sum`) and unpacked
+        exactly; a Fraction coordinate takes the plain product.
         """
         self._check(ints)
-        others = list(ints.terms.items())
-        acc: dict = {}
-        for e1, c1 in self.terms.items():
-            coords = c1.coeffs
-            for e2, k in others:
-                e = tuple(map(operator.add, e1, e2))
-                row = acc.get(e)
-                if row is None:
-                    acc[e] = [k * c for c in coords]
-                else:
-                    for i, c in enumerate(coords):
-                        row[i] += k * c
         res = SparsePoly(self.vars)
-        if acc:
-            p = next(iter(self.terms.values())).p
-            res.terms = {e: CycloElement(p, tuple(row)) for e, row in acc.items() if any(row)}
+        if not self.terms or not ints.terms:
+            return res
+        if not _all_integral_cyclo(self):
+            return (self if gamma is None else self.scale(gamma)) * ints
+        acc, shift, width, p = _packed_sum([(self, ints, gamma)])
+        unpack = _cyclo_unpacker(p, shift)
+        nvars = len(self.vars)
+        res.terms = {tuple(_digits(key, width, nvars)): unpack(v) for key, v in acc.items() if v}
         return res
 
     def __pow__(self, n: int):
@@ -694,6 +733,8 @@ class SparsePoly:
         lead = divisor.coefficient_of(name, d)
         if not _is_one_poly(lead):
             raise ValueError(f"divisor is not monic in {name}")
+        if self.terms and _all_ints(divisor) and _all_integral_cyclo(self):
+            return self._packed_divmod(divisor, name, d)
         quo = SparsePoly(self.vars)
         rem = self
         while rem and rem.degree_in(name) >= d:
@@ -702,6 +743,69 @@ class SparsePoly:
             quo = quo + top
             rem = rem - top * divisor
         return quo, rem
+
+    def _packed_divmod(self, divisor: "SparsePoly", name: str, d: int):
+        """`divmod_monic` of integral CycloElement coefficients by an int
+        divisor, on packed coordinates (see `_packed_sum`).
+
+        Long division is Z-linear in the coordinates with int multipliers.
+        It runs stratum by stratum in `name`, from the top degree down to d:
+        each step subtracts top * c_j from lower strata, where the c_j are the
+        divisor's lower strata.  A coordinate then grows by at most m * S_j,
+        m the largest coordinate so far and S_j the sum of the |c_j|
+        coefficients, and each stratum receives from one c_j per step.  So
+        after t steps every coordinate of the remainder and of the quotient is
+        at most M * (1 + S)^t, M the largest coordinate of self and S the sum
+        of the |coefficients| of the divisor below its leading term; the
+        digit width holds that bound for t = number of steps.
+        """
+        i = self.vars.index(name)
+
+        def split(e):
+            return e[i], e[:i] + (0,) + e[i + 1 :]
+
+        lower: dict[int, list] = {}
+        for e, c in divisor.terms.items():
+            k, rest = split(e)
+            if k < d:
+                lower.setdefault(k, []).append((rest, c))
+        values = self.terms.values()
+        p = next(iter(values)).p
+        top_degree = self.degree_in(name)
+        steps = max(top_degree - d + 1, 0)
+        growth = 1 + sum(abs(c) for cs in lower.values() for _, c in cs)
+        bound = max(abs(x) for c in values for x in c.coeffs) * growth**steps
+        shift = bound.bit_length() + 1
+        rem: dict[int, dict] = {}
+        for e, c in self.terms.items():
+            k, rest = split(e)
+            rem.setdefault(k, {})[rest] = _pack(c.coeffs, shift)
+        quo: dict[int, dict] = {}
+        for k in range(top_degree, d - 1, -1):
+            top = {rest: v for rest, v in rem.pop(k, {}).items() if v}
+            if not top:
+                continue
+            quo[k - d] = top
+            for j, cs in lower.items():
+                target = rem.setdefault(k - d + j, {})
+                get = target.get
+                for rest_t, v in top.items():
+                    for rest_c, c in cs:
+                        e = tuple(map(operator.add, rest_t, rest_c))
+                        target[e] = get(e, 0) - c * v
+        unpack = _cyclo_unpacker(p, shift)
+
+        def from_strata(strata):
+            poly = SparsePoly(self.vars)
+            poly.terms = {
+                rest[:i] + (k,) + rest[i + 1 :]: unpack(v)
+                for k, part in strata.items()
+                for rest, v in part.items()
+                if v
+            }
+            return poly
+
+        return from_strata(quo), from_strata(rem)
 
     def map_coefficients(self, fn) -> "SparsePoly":
         res = SparsePoly(self.vars)
@@ -780,6 +884,73 @@ class SparsePoly:
         return " + ".join(bits)
 
 
+def _packed_sum(products) -> tuple[dict, int, int, int]:
+    """sum gamma * f * d over (f, d, gamma), on packed ints.
+
+    f has integral CycloElement coefficients, d int coefficients, and gamma
+    is an integral CycloElement or None (read as 1).  Kronecker substitution
+    in lam: a coordinate vector c_0..c_(n-1) packs into the single int
+    sum_i c_i * 2^(B*i).  Packing is Z-linear, so gamma * c packs to
+    sum_j c_j * pack(gamma * lam^j), and the packed terms of the sum are
+    exact sums of int products.  Each product contributes at most K * C * G
+    to any coordinate in absolute value (K the sum of the |d| coefficients,
+    C the largest coordinate sum |c_0| + ... + |c_(n-1)| of f, G the largest
+    coordinate of any gamma * lam^j); B is chosen with 2^(B-1) above the sum
+    of these bounds, so every coordinate of the sum is a signed digit that
+    packing keeps apart, and a packed term is 0 exactly when all its
+    coordinates are.  Exponent vectors are packed with nonnegative digits
+    wide enough that no sum carries.
+
+    Returns ({packed exponent: packed coordinates}, B, exponent width, p).
+    """
+    p = next(iter(products[0][0].terms.values())).p
+    n = p - 1
+    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    prepared = []
+    bound = top = 0
+    for f, d, gamma in products:
+        images = unit if gamma is None else [(gamma * CycloElement._integral(p, u)).coeffs for u in unit]
+        bound += (
+            sum(map(abs, d.terms.values()))
+            * max(sum(map(abs, c.coeffs)) for c in f.terms.values())
+            * max(abs(x) for row in images for x in row)
+        )
+        top = max(top, _max_exponent(f) + _max_exponent(d))
+        prepared.append((f, d, images))
+    shift = bound.bit_length() + 1
+    width = top.bit_length()
+    acc: dict = {}
+    get = acc.get
+    for f, d, images in prepared:
+        packed_images = [_pack(row, shift) for row in images]
+        others = [(_pack(e2, width), k) for e2, k in d.terms.items()]
+        for e1, c1 in f.terms.items():
+            key1 = _pack(e1, width)
+            packed = sum(map(operator.mul, c1.coeffs, packed_images))
+            for key2, k in others:
+                key = key1 + key2
+                acc[key] = get(key, 0) + k * packed
+    return acc, shift, width, p
+
+
+def products_vanish(products) -> bool:
+    """Is sum gamma * f * d zero, over (f, d, gamma) as in `_packed_sum`?
+
+    The sum is never unpacked: a packed term is zero exactly when all its
+    coordinates are.  Terms with a Fraction coordinate take the plain sum.
+    """
+    products = [(f, d, gamma) for f, d, gamma in products if f and d]
+    if not products:
+        return True
+    if not all(_all_integral_cyclo(f) for f, _, _ in products):
+        total = SparsePoly.zero(products[0][0].vars)
+        for f, d, gamma in products:
+            total = total + (f if gamma is None else f.scale(gamma)) * d
+        return not total
+    acc, _, _, _ = _packed_sum(products)
+    return not any(acc.values())
+
+
 def _is_one_poly(poly: SparsePoly) -> bool:
     if len(poly.terms) != 1:
         return False
@@ -803,6 +974,15 @@ class Localization:
         self.denominator = denominator
         self.var = var
         self.vars = denominator.vars
+        one = ring_one_like(next(iter(denominator.terms.values())))
+        self._powers = [SparsePoly.constant(self.vars, one), denominator]
+
+    def power(self, k: int) -> SparsePoly:
+        """denominator^k, kept for every k asked so far."""
+        powers = self._powers
+        while len(powers) <= k:
+            powers.append(powers[-1] * self.denominator)
+        return powers[k]
 
     def element(self, num: SparsePoly, power: int = 0) -> "LocalizedElement":
         return LocalizedElement(self, num, power)
@@ -851,8 +1031,8 @@ class LocalizedElement:
         self._check(other)
         s, t = self.power, other.power
         m = max(s, t)
-        a = self.num if s == m else self.num * self.loc.denominator ** (m - s)
-        b = other.num if t == m else other.num * self.loc.denominator ** (m - t)
+        a = self.num if s == m else self.num * self.loc.power(m - s)
+        b = other.num if t == m else other.num * self.loc.power(m - t)
         return LocalizedElement(self.loc, a + b, m)
 
     def __sub__(self, other):
@@ -892,8 +1072,8 @@ class LocalizedElement:
             return self.num == other.num
         s, t = self.power, other.power
         m = max(s, t)
-        a = self.num * self.loc.denominator ** (m - s) if m > s else self.num
-        b = other.num * self.loc.denominator ** (m - t) if m > t else other.num
+        a = self.num * self.loc.power(m - s) if m > s else self.num
+        b = other.num * self.loc.power(m - t) if m > t else other.num
         return a == b
 
     def __hash__(self):

@@ -18,6 +18,19 @@ per weight T, and every other image is a shift of its numerators,
 renormalized so that the reduced form u / a(x)^k (a(x) does not divide u
 when k > 0) stays canonical.  By the same linearity the weight image off the
 generic fibre is a(x)^e times the normal form of X^e.
+
+The normal forms themselves form one chain per context: NF(V^(e+1)) is the
+reduction of V * NF(V^e), whose V-degree is at most p, so each step is one
+substitution; linearity makes it the reduced form of V^(e+1), and reduced
+forms are canonical.  Over Z[lam] the powers of a(x) that clear and align
+the slots are taken with int coefficients (`SparsePoly.mul_ints`).
+
+Membership verdicts are kept per shift class.  A combination
+sum c_(rho,T) * image(rho, T) equals x^s times the same combination over
+(rho - s, T), and x^s is not a zero divisor on the V-slots (polynomials in
+x and the symbols over the domain Z[lam] or F_p, localized at a(x)), so the
+two vanish together; the verdict is keyed by the class shifted to
+min rho = 0 together with its exact coefficient polynomials.
 """
 
 from __future__ import annotations
@@ -32,6 +45,7 @@ from .exactalg import (
     LocalizedElement,
     PrimeFieldElement,
     SparsePoly,
+    products_vanish,
     reduce_mod_lambda,
     split_content,
 )
@@ -153,26 +167,26 @@ class FibreContext:
             self.from_int = lambda n: CycloElement.from_int(p, n)
 
         self.vars = ("x",) if specialization is not None else ("x",) + syms
-        a = a_polynomial(params).as_poly(("x",) + syms, self.from_int)
+        a_ints = a_polynomial(params).as_poly(("x",) + syms)
         if specialization is not None:
-            a = a.specialize({s: self.from_int(v) for s, v in specialization.items()})
-            if not a:
-                raise BadSpecialization("a(x) specialized to zero")
+            a_ints = a_ints.specialize(specialization)
+        a = a_ints.map_coefficients(self.from_int)
+        if not a:
+            raise BadSpecialization("a(x) specialized to zero")
         self.a_poly = a
-        self.loc = Localization(a, "x")
-        self._a_powers = {1: a}
+        # over Z[lam] the denominator keeps a(x) with int coefficients, so its
+        # powers multiply numerators through `SparsePoly.mul_ints`
+        self.loc = Localization(a if fibre == SPECIAL else a_ints, "x")
         self._weight_images: dict[int, FunctionFieldElement] = {}
+        self._chain: list[FunctionFieldElement] = []
+        self._verdicts: dict[frozenset, bool] = {}
         self._index_set = frozenset(build_index_set(params))
         self.relation = self._build_relation(params)
 
     def a_power(self, k: int) -> SparsePoly:
-        if k == 0:
-            return SparsePoly.constant(self.vars, self.from_int(1))
-        got = self._a_powers.get(k)
-        if got is None:
-            got = self.a_power(k - 1) * self.a_poly
-            self._a_powers[k] = got
-        return got
+        """a(x)^k with coefficients in the context's ring."""
+        power = self.loc.power(k)
+        return power if self.fibre == SPECIAL else power.map_coefficients(self.from_int)
 
     def constant(self, c) -> SparsePoly:
         return SparsePoly.constant(self.vars, c)
@@ -216,23 +230,40 @@ class FibreContext:
         if got is not None:
             return got
         p = self.p
-        one = self.loc.element(self.constant(self.from_int(1)))
         if self.fibre == GENERIC:
-            nf = reduce_normal_form({3 * p - T: one}, self.relation)
+            nf = self.power_normal_form(3 * p - T)
         else:
-            # (a X)^e = a^e * X^e: reduce the small X^e, then multiply each
-            # reduced u / a^k by a^e without any division
+            # (a X)^e = a^e * X^e: multiply each reduced u / a^k of NF(X^e)
+            # by a^e without any division
             e = 3 * p - 2 - T
-            nf = FunctionFieldElement(
-                self._times_a_power(c, e) for c in reduce_normal_form({e: one}, self.relation).coeffs
-            )
+            nf = FunctionFieldElement(self._times_a_power(c, e) for c in self.power_normal_form(e).coeffs)
         self._weight_images[T] = nf
         return nf
 
+    def power_normal_form(self, e: int) -> FunctionFieldElement:
+        """NF(V^e), from the chain NF(V^(k+1)) = NF(V * NF(V^k)).
+
+        V * NF(V^k) has V-degree at most p, so each step is one substitution
+        round of `reduce_normal_form`; by linearity of the normal form the
+        step gives the same reduced form as reducing V^(k+1) from scratch.
+        """
+        chain = self._chain
+        if not chain:
+            zero = self.loc.zero()
+            one = self.loc.element(self.constant(self.from_int(1)))
+            chain.extend(
+                FunctionFieldElement(one if i == k else zero for i in range(self.p)) for k in range(self.p)
+            )
+        while len(chain) <= e:
+            shifted = {i + 1: c for i, c in enumerate(chain[-1].coeffs) if c}
+            chain.append(reduce_normal_form(shifted, self.relation))
+        return chain[e]
+
     def _times_a_power(self, c: LocalizedElement, e: int) -> LocalizedElement:
-        """a^e * u / a^k in reduced form, given u / a^k reduced."""
+        """a^e * u / a^k in reduced form, given u / a^k reduced.  Over Z[lam]
+        the power has int coefficients, so the product is `mul_ints`."""
         if e >= c.power:
-            return LocalizedElement(self.loc, c.num * self.a_power(e - c.power), 0)
+            return LocalizedElement(self.loc, c.num * self.loc.power(e - c.power), 0)
         return LocalizedElement(self.loc, c.num, c.power - e)
 
     def image_for_multidegree(self, rho: int, T: int) -> FunctionFieldElement:
@@ -256,41 +287,66 @@ class FibreContext:
         """Is sum_(rho,T) c_(rho,T) * image(rho, T) zero?
 
         `coeffs` maps multidegrees (rho, T) to coefficient polynomials in the
-        deformation symbols.  Since image(rho, T) = x^rho * image(0, T), the
-        coefficients of one weight T combine into
+        deformation symbols.  The verdict is kept per shift class: with
+        s = min rho, the sum equals x^s times the sum over (rho - s, T),
+        because image(rho, T) = x^rho * image(0, T).  Every V-slot of a
+        normal form lies in a domain (polynomials in x and the symbols over
+        Z[lam] or F_p, localized at a(x)), where x^s is not a zero divisor,
+        so one sum vanishes exactly when the other does.  The key holds the
+        exact coefficient polynomials, so sums that differ in any
+        coefficient never share a verdict.
+        """
+        if not coeffs:
+            return True
+        s = min(rho for rho, _ in coeffs)
+        key = frozenset(((rho - s, T), c) for (rho, T), c in coeffs.items())
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._verdicts[key] = self._sum_vanishes(key)
+        return verdict
+
+    def _sum_vanishes(self, items) -> bool:
+        """Evaluate sum c_(rho,T) * image(rho, T) over ((rho, T), c) items.
+
+        The coefficients of one weight T combine into
         C_T = sum_rho x^rho * c_(rho,T), which multiplies the weight image
-        once.  When C_T is one cyclotomic element gamma times a polynomial
-        with int coefficients (`split_content`), gamma scales the weight
-        image and the rest is `SparsePoly.mul_ints`; in `certify` this holds
-        for every weight sum of every relative trinomial, since all slots of
-        one weight carry the same lam-coefficient.  Each V-slot is tested at
-        its largest a(x)-power k: u / a(x)^k = 0 iff u = 0.
+        once.  When C_T is one cyclotomic element gamma times a polynomial d
+        with int coefficients (`split_content`), gamma and d multiply the
+        weight image on packed ints (`products_vanish`, `mul_ints`); in
+        `certify` this holds for every weight sum of every relative
+        trinomial, since all slots of one weight carry the same
+        lam-coefficient.  Each V-slot is tested at its largest a(x)-power k:
+        u / a(x)^k = 0 iff u = 0.
         """
         by_weight: dict[int, SparsePoly] = {}
-        for (rho, T), coeff in coeffs.items():
+        for (rho, T), coeff in items:
             c = self.embed_symbol_poly(coeff).mul_var_power("x", rho)
             cur = by_weight.get(T)
             by_weight[T] = c if cur is None else cur + c
-        # per V-slot: a(x)-power k -> sum of the numerators over a(x)^k
-        slots: list[dict[int, SparsePoly]] = [{} for _ in range(self.p)]
+        # per V-slot: (a(x)-power k, numerator u, gamma, d) for u / a(x)^k * gamma * d
+        slots: list[list] = [[] for _ in range(self.p)]
         for T, c in by_weight.items():
             if not c:
                 continue
-            gamma, c = split_content(c)
+            gamma, d = split_content(c)
             for slot, elt in zip(slots, self.weight_image(T).coeffs):
                 if elt:
-                    term = elt.num * c if gamma is None else elt.num.scale(gamma).mul_ints(c)
-                    cur = slot.get(elt.power)
-                    slot[elt.power] = term if cur is None else cur + term
-        for slot in slots:
-            if slot:
-                top = max(slot)
-                total = SparsePoly.zero(self.vars)
-                for k, num in slot.items():
-                    total = total + (num if k == top else num * self.a_power(top - k))
-                if total:
-                    return False
-        return True
+                    slot.append((elt.power, elt.num, gamma, d))
+        return all(self._slot_vanishes(slot) for slot in slots if slot)
+
+    def _slot_vanishes(self, slot) -> bool:
+        """Is sum gamma * d * u / a(x)^k zero?  Tested at the largest power
+        `top`, where the sum is (sum gamma * d * a(x)^(top-k) * u) / a(x)^top."""
+        top = max(k for k, _, _, _ in slot)
+        if all(gamma is not None for _, _, gamma, _ in slot):  # never on F_p
+            return products_vanish(
+                [(u, d if k == top else d * self.loc.power(top - k), gamma) for k, u, gamma, d in slot]
+            )
+        total = SparsePoly.zero(self.vars)
+        for k, u, gamma, d in slot:
+            term = u * d if gamma is None else u.mul_ints(d, gamma)
+            total = total + term * self.loc.power(top - k)
+        return not total
 
     def multidegree_of(self, m: Monomial) -> tuple[int, int]:
         """(rho, T) of a degree-2 monomial in the basis variables."""

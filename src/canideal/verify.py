@@ -9,7 +9,8 @@ phi(rho, T) = x^rho * phi(0, T) with one normal form per weight T
 (`fibrealg`).  Coefficients are summed per multidegree before any
 function-field work, which cancels every binomial outright, and then per
 weight (`FibreContext.combination_vanishes`), so each weight image is
-multiplied once per generator.
+multiplied once per shift class of those sums: generators whose sums differ
+only by a power of x share one verdict.
 
 The oracle builds its matrix exactly, checks the generators against it
 exactly, and finds ranks by Gaussian elimination over a prime field F_r:

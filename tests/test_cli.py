@@ -96,6 +96,19 @@ def test_certify_corrupt_one(capsys):
     assert json.loads(out)["overall"] == "FAIL"
 
 
+def test_corrupt_one_fails_through_the_class_memo(capsys):
+    # the relative trinomials of (5,3,2) share two shift classes; the
+    # corrupted copy has its own key, so its verdict is computed, not reused
+    code, out, _ = run(capsys, "certify", "-p", "5", "-q", "3", "-l", "2")
+    assert code == 0
+    assert json.loads(out)["verdicts"]["membership_relative"]
+    code, out, _ = run(capsys, "certify", "-p", "5", "-q", "3", "-l", "2", "--corrupt-one")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["overall"] == "FAIL"
+    assert not doc["verdicts"]["membership_relative"]
+
+
 def test_certify_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["certify", "-p", "5", "-q", "2", "-l", "3"]
@@ -155,9 +168,32 @@ def test_sweep_structured_single_cell_matches_info(capsys):
 
 
 def test_sweep_empty(capsys):
-    code, out, _ = run(capsys, "sweep", "--p-set", "", "--q-set", "1")
-    assert code == 0
-    assert len(out.strip().splitlines()) == 1  # header only
+    # zero rows would make "all_pass": true vacuous
+    code, out, err = run(capsys, "sweep", "--p-set", "", "--q-set", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--p-set is empty" in err
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--p-set", ""),
+        ("--p-set", " , "),
+        ("--q-set", ""),
+        ("--l-set", ""),
+        ("--p-set", "3,3"),
+        ("--q-set", "1,1"),
+        ("--l-set", "1,2,1"),
+    ],
+)
+def test_sweep_rejects_empty_or_repeated_sets(capsys, option, value):
+    argv = {"--p-set": "3", "--q-set": "2", "--l-set": "all", "--format": "structured"}
+    argv[option] = value
+    code, out, err = run(capsys, "sweep", *[x for kv in argv.items() for x in kv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and option in err
 
 
 def test_sweep_matches_recorded_benchmark_output(capsys):

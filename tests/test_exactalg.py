@@ -15,6 +15,7 @@ from canideal.exactalg import (
     divide_by_lambda_power,
     is_prime,
     lambda_valuation,
+    products_vanish,
     reduce_mod_lambda,
     split_content,
 )
@@ -239,12 +240,97 @@ def test_mul_ints_matches_product(p):
         got = cyc.mul_ints(ints)
         assert got == cyc * ints
         assert all(c.is_integral() and all(type(x) is int for x in c.coeffs) for c in got.terms.values())
+        gamma = CycloElement(p, tuple(rng.randint(-9, 9) for _ in range(p - 1)))
+        assert cyc.mul_ints(ints, gamma) == (cyc * ints).scale(gamma)
+    # coordinates far beyond one machine word pack and unpack exactly
+    big = SparsePoly(variables, {(2, 0, 1): CycloElement(p, (-(3**90),) + (7**80,) * (p - 2))})
+    gamma = CycloElement(p, (5**70,) * (p - 1))
+    ints = SparsePoly(variables, {(0, 0, 0): -(2**100), (1, 1, 0): 1})
+    assert big.mul_ints(ints, gamma) == (big * ints).scale(gamma)
     # results go through the checked constructor: a Fraction(n, 1) becomes an int
     half = SparsePoly(variables, {(1, 0, 0): CycloElement(p, (Fraction(1, 2),) + (0,) * (p - 2))})
     ints = SparsePoly(variables, {(0, 1, 0): 2, (0, 0, 1): 3})
     twice = half.mul_ints(ints)
     assert twice == half * ints
     assert twice.terms[(1, 1, 0)].is_integral() and not twice.terms[(1, 0, 1)].is_integral()
+    assert half.mul_ints(ints, gamma) == (half * ints).scale(gamma)
+
+
+def _rand_cyclo_poly(rng, p, variables, terms, size=9):
+    return SparsePoly(
+        variables,
+        {
+            tuple(rng.randint(0, 3) for _ in variables): CycloElement(
+                p, tuple(rng.randint(-size, size) for _ in range(p - 1))
+            )
+            for _ in range(terms)
+        },
+    )
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_packed_coordinates_at_a_tight_bound(p):
+    # a coordinate equal to the bound K * C * G, a power of two: the digit
+    # width must leave room for its sign
+    variables = ("x", "y")
+    f = SparsePoly(variables, {(1, 0): CycloElement(p, (4,) + (0,) * (p - 2))})
+    d = SparsePoly(variables, {(0, 1): 4})
+    assert f.mul_ints(d) == f * d
+    assert f.mul_ints(-d) == f * -d
+    assert not products_vanish([(f, d, None)])
+    assert products_vanish([(f, d, None), (-f, d, None)])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_products_vanish_matches_plain_sum(p):
+    rng = random.Random(70_000 + p)
+    variables = ("x", "y", "z")
+    for _ in range(12):
+        products = []
+        for _ in range(rng.randint(1, 3)):
+            f = _rand_cyclo_poly(rng, p, variables, rng.randint(1, 8))
+            d = SparsePoly(variables, {(rng.randint(0, 2), 0, rng.randint(0, 2)): rng.randint(-4, 4) for _ in range(3)})
+            gamma = rng.choice([None, CycloElement(p, tuple(rng.randint(-5, 5) for _ in range(p - 1)))])
+            products.append((f, d, gamma))
+        plain = SparsePoly.zero(variables)
+        for f, d, gamma in products:
+            plain = plain + (f * d if gamma is None else (f * d).scale(gamma))
+        assert products_vanish(products) == (not plain)
+        # the same products minus themselves, with gamma folded into f
+        cancelled = products + [(-(f if g is None else f.scale(g)), d, None) for f, d, g in products]
+        assert products_vanish(cancelled)
+    assert products_vanish([])
+    # a Fraction coordinate takes the plain sum
+    half = SparsePoly(variables, {(1, 0, 0): CycloElement(p, (Fraction(1, 2),) + (0,) * (p - 2))})
+    d = SparsePoly(variables, {(0, 1, 0): 2})
+    assert not products_vanish([(half, d, None)])
+    assert products_vanish([(half, d, None), (-half, d, None)])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_packed_divmod_matches_long_division(p):
+    # an int divisor takes the packed path; the same divisor with
+    # CycloElement coefficients takes the plain long division
+    rng = random.Random(80_000 + p)
+    variables = ("x", "s", "t")
+    divisors = [
+        {(2, 0, 0): 1},  # x^2: nothing below the leading term
+        {(1, 0, 0): 1, (0, 1, 0): 2},  # x + 2s
+        {(3, 0, 0): 1, (2, 1, 0): -3, (1, 0, 1): 1, (0, 0, 0): 5},
+        {(2, 0, 0): 1, (1, 0, 0): -1, (0, 0, 0): -1},
+    ]
+    for terms in divisors:
+        ints = SparsePoly(variables, terms)
+        ring = ints.map_coefficients(lambda n: CycloElement.from_int(p, n))
+        for _ in range(8):
+            f = _rand_cyclo_poly(rng, p, variables, rng.randint(1, 10), size=rng.choice([2, 10**30]))
+            f = f * SparsePoly(variables, {(rng.randint(0, 6), 0, 0): CycloElement.one(p)})
+            packed = f.divmod_monic(ints, "x")
+            assert packed == f.divmod_monic(ring, "x")
+            quo, rem = packed
+            assert quo * ints + rem == f
+            # an exact multiple divides with remainder zero
+            assert (f * ints).divmod_monic(ints, "x") == (f, SparsePoly.zero(variables))
 
 
 def test_reduce_mod_lambda_examples():

@@ -203,3 +203,55 @@ def test_shifted_image_is_renormalized():
     )
     shifted = ctx.image_for_multidegree(1, 7).coeffs[0]
     assert (shifted.num, shifted.power) == (one, 0)
+
+
+def _largest_power(ctx, params):
+    """Largest V-exponent a weight image starts from: 3p - T or 3p - 2 - T."""
+    low = min(pt.T for pt in minkowski_sum(params))
+    return 3 * ctx.p - low - (0 if ctx.fibre == "generic" else 2)
+
+
+@pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (3, 4, 2)])
+@pytest.mark.parametrize("specialized", [False, True])
+def test_normal_form_chain_equals_reduction_from_scratch(triple, specialized):
+    # NF(V^(e+1)) = NF(V * NF(V^e)) gives the reduced form of V^e itself
+    params = validate_params(*triple)
+    spec = default_specialization(params) if specialized else None
+    for fibre in ("generic", "special", "relative"):
+        ctx = FibreContext(params, fibre, spec)
+        one = ctx.loc.element(ctx.constant(ctx.from_int(1)))
+        top = _largest_power(ctx, params)
+        ctx.power_normal_form(top)
+        assert len(ctx._chain) == top + 1
+        for e in range(top + 1):
+            got = ctx.power_normal_form(e)
+            want = reduce_normal_form({e: one}, ctx.relation)
+            assert [(c.num, c.power) for c in got.coeffs] == [
+                (c.num, c.power) for c in want.coeffs
+            ], (triple, fibre, e)
+
+
+@pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (7, 1, 3)])
+@pytest.mark.parametrize("specialized", [False, True])
+def test_int_a_power_product_equals_ring_product(triple, specialized):
+    # over Z[lam] the localization keeps a(x) with int coefficients, so
+    # numerators meet its powers through mul_ints; the result equals the
+    # product with a(x)^k over the ring
+    params = validate_params(*triple)
+    spec = default_specialization(params) if specialized else None
+    for fibre in ("generic", "special", "relative"):
+        ctx = FibreContext(params, fibre, spec)
+        power_is_int = all(type(c) is int for c in ctx.loc.power(ctx.p).terms.values())
+        assert power_is_int == (fibre != "special")
+        nums = [
+            c.num
+            for T in sorted({pt.T for pt in minkowski_sum(params)})
+            for c in ctx.weight_image(T).coeffs
+            if c
+        ]
+        assert nums
+        for num in nums[:6]:
+            for k in range(ctx.p + 2):
+                ring = ctx.a_power(k)
+                assert all(type(c) is not int for c in ring.terms.values())
+                assert num * ctx.loc.power(k) == num * ring, (fibre, k)

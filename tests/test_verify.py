@@ -186,6 +186,53 @@ def test_collapsed_membership_matches_per_term_sum(triple):
                 assert check_membership(params, fibre, g) == _per_term_membership(params, fibre, g)
 
 
+def _multidegree_sums(ctx, gen):
+    sums = {}
+    for coeff, mono in gen.terms:
+        md = ctx.multidegree_of(mono)
+        sums[md] = sums[md] + coeff if md in sums else coeff
+    return {md: c for md, c in sums.items() if c}
+
+
+@pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (7, 1, 3)])
+def test_class_memo_matches_unmemoised_verdicts(triple):
+    # the memoised verdict of every shift class equals a direct evaluation
+    # of the unshifted sum, for every generator and its corrupted copy
+    params = validate_params(*triple)
+    checks = 0
+    for fibre, builder in [
+        ("generic", generic_generators),
+        ("special", special_generators),
+        ("relative", relative_generators),
+        ("relative", binomial_generators),
+    ]:
+        ctx = verify.fibre_context(params, fibre)
+        for gen in builder(params):
+            for g in (gen, corrupt_generator(gen)):
+                sums = _multidegree_sums(ctx, g)
+                assert check_membership(params, fibre, g) == ctx._sum_vanishes(sums.items())
+                checks += bool(sums)
+    classes = sum(len(verify.fibre_context(params, fb)._verdicts) for fb in ("generic", "special", "relative"))
+    assert 0 < classes < checks  # some verdicts were served by the memo
+
+
+def test_planted_classes_differing_in_one_coefficient():
+    params = validate_params(5, 2, 1)
+    ctx = verify.fibre_context(params, "relative")
+    sums = _multidegree_sums(ctx, relative_generators(params)[0])
+    assert len(sums) > 1
+    assert ctx.combination_vanishes(sums)
+    # the same class shifted by x^3 shares the key and the verdict
+    shifted = {(rho + 3, T): c for (rho, T), c in sums.items()}
+    assert ctx.combination_vanishes(shifted) and len(ctx._verdicts) == 1
+    md = next(iter(sums))
+    bumped = dict(sums)
+    bumped[md] = sums[md] + SparsePoly.constant(sums[md].vars, 1)
+    assert not ctx.combination_vanishes(bumped)
+    assert len(ctx._verdicts) == 2
+    assert ctx.combination_vanishes(sums) and not ctx.combination_vanishes(bumped)
+
+
 def test_corrupted_binomial_and_trinomial_fail():
     params = validate_params(5, 2, 3)
     binomial = binomial_generators(params)[0]
@@ -196,11 +243,21 @@ def test_corrupted_binomial_and_trinomial_fail():
 
 
 def test_membership_aligns_a_powers_within_a_slot():
+    _check_planted_alignment("special")
+
+
+@pytest.mark.parametrize("fibre", ["relative", "generic"])
+def test_membership_aligns_a_powers_on_packed_ints(fibre):
+    _check_planted_alignment(fibre)
+
+
+def _check_planted_alignment(fibre):
     # (x + x1 + 1)/a - 1/a - 1 = 0 with a = x + x1: the first two images sum
-    # to a/a, so the test is exact only at a common a(x)-power.  A fresh
-    # triple keeps the planted weight images out of every other test.
+    # to a/a, so the test is exact only at a common a(x)-power (over Z[lam]
+    # on packed ints, over F_p by the plain sum).  A fresh triple keeps the
+    # planted weight images out of every other test.
     params = validate_params(5, 1, 1)
-    ctx = verify.fibre_context(params, "special")
+    ctx = verify.fibre_context(params, fibre)
     assert ctx.a_poly == SparsePoly(ctx.vars, {(1, 0): ctx.from_int(1), (0, 1): ctx.from_int(1)})
     # three degree-2 monomials of distinct weights T, all with rho = 0
     pts = build_index_set(params)
@@ -220,10 +277,10 @@ def test_membership_aligns_a_powers_within_a_slot():
     one = SparsePoly.constant(ctx.vars, ctx.from_int(1))
     ctx._weight_images.update({t1: slot0(ctx.a_poly + one, 1), t2: slot0(-one, 1), t3: slot0(-one, 0)})
     coeff = SparsePoly.constant(deformation_symbols(params), 1)
-    gen = GeneratorPoly("special", "test", None, ((coeff, m1), (coeff, m2), (coeff, m3)), "default")
-    assert check_membership(params, "special", gen)
-    bumped = GeneratorPoly("special", "test", None, ((coeff, m1), (coeff, m2), (coeff + coeff, m3)), "default")
-    assert not check_membership(params, "special", bumped)
+    gen = GeneratorPoly(fibre, "test", None, ((coeff, m1), (coeff, m2), (coeff, m3)), "default")
+    assert check_membership(params, fibre, gen)
+    bumped = GeneratorPoly(fibre, "test", None, ((coeff, m1), (coeff, m2), (coeff + coeff, m3)), "default")
+    assert not check_membership(params, fibre, bumped)
 
 
 def test_membership_rejects_variable_outside_index_set():
