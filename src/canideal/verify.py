@@ -15,9 +15,11 @@ only by a power of x share one verdict.
 The oracle builds its matrix exactly, checks the generators against it
 exactly, and finds ranks by Gaussian elimination over a prime field F_r:
 r = p on the special fibre, and on the generic and relative fibres the
-largest prime r < 2^61 with r = 1 (mod p).  The pivot rule is: take the
-smallest column occurring in any remaining row, from the first remaining
-row that has it.  `kernel_oracle` states why every passing report is exact.
+largest prime r < 2^61 with r = 1 (mod p).  Elimination takes one row at a
+time: the row is reduced by the pivot row of its smallest column until that
+column has none, and then becomes the pivot row of that column.  Monomials
+of one multidegree have equal rows, so the matrix has one row per
+multidegree class.  `kernel_oracle` states why every passing report is exact.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import (
     WrongFibre,
 )
 from .exactalg import CycloElement, PrimeFieldElement, is_prime
-from .family import FamilyParams, deformation_symbols
+from .family import FamilyParams, deformation_symbols, per_triple
 from .fibrealg import check_specialization, fibre_context, relation_consistency
 from .generators import (
     ANY_FIBRE,
@@ -78,6 +80,11 @@ def oracle_field(p: int) -> tuple[int, int]:
     return r, z - 1
 
 
+@per_triple
+def _oracle_field_of(params: FamilyParams) -> tuple[int, int]:
+    return oracle_field(params.p)
+
+
 def residue(value, r: int, lam: int) -> int:
     """phi(value) in F_r, where phi sends lam to `lam`.
 
@@ -112,34 +119,32 @@ def _residue_row(row: dict, r: int, lam: int) -> dict:
 def fraction_free_echelon(rows, r: int):
     """Row echelon over F_r of sparse rows (dicts column -> nonzero residue).
 
-    Each pivot row is scaled to a leading 1 and subtracted from the remaining
-    rows that hold its column; rows that become zero are dropped.  Returns the
-    echelon as a list of (pivot_column, row) in elimination order.
+    Rows are taken one at a time and never modified in place.  A row is
+    reduced by the stored pivot row of its smallest column until that column
+    has no pivot row; scaled to a leading 1, it is then stored as the pivot
+    row of that column.  Rows that become zero are dropped.  Every stored row
+    is zero left of its pivot column, so the pivots, returned as a list of
+    (pivot_column, row) sorted by column, form a row echelon of the input
+    with the same row space and the same pivot columns as any other echelon.
     """
-    live = [dict(row) for row in rows if row]
-    echelon = []
-    while live:
-        pivcol = min(map(min, live))
-        pidx = next(i for i, row in enumerate(live) if pivcol in row)
-        pivrow = live.pop(pidx)
-        inv = pow(pivrow.pop(pivcol), -1, r)
-        pivrow = {c: v * inv % r for c, v in pivrow.items()}
-        nxt = []
-        for row in live:
-            f = row.pop(pivcol, None)
-            if f is not None:
-                for c, v in pivrow.items():
-                    cur = (row.get(c, 0) - f * v) % r
-                    if cur:
-                        row[c] = cur
-                    else:
-                        row.pop(c, None)
-            if row:
-                nxt.append(row)
-        pivrow[pivcol] = 1
-        echelon.append((pivcol, pivrow))
-        live = nxt
-    return echelon
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            col = min(row)
+            pivrow = pivots.get(col)
+            if pivrow is None:
+                inv = pow(row[col], -1, r)
+                pivots[col] = {c: v * inv % r for c, v in row.items()}
+                break
+            f = row[col]
+            for c, v in pivrow.items():
+                cur = (row.get(c, 0) - f * v) % r
+                if cur:
+                    row[c] = cur
+                else:
+                    row.pop(c, None)
+    return sorted(pivots.items())
 
 
 def matrix_rank(rows, r: int) -> int:
@@ -340,7 +345,16 @@ def kernel_oracle(
     G * M = 0 exactly (a multiply-only product over the exact entries:
     generators_in_kernel), then reduces M and G through a ring homomorphism
     phi into F_r (`oracle_field`; on the special fibre r = p and phi is the
-    identity of F_p) and computes the kernel of phi(M) and the ranks there.
+    identity of F_p) and computes the ranks there.
+
+    Class rows.  The image of a monomial depends only on its multidegree
+    (`FibreContext.phi_image`), so monomials of one class have equal rows:
+    M = P * C, where C holds one row per class and P maps each monomial to
+    its class.  M and C, and phi(M) and phi(C), have the same row space, so
+    rank M = rank C and kernel_dim = n - rank_r phi(C) for n monomials.
+    G * M = (G * P) * C, where G * P sums each generator's coefficients per
+    class, so the exact check multiplies class sums by class rows and never
+    builds a row per monomial.
 
     Soundness.  phi maps minors to minors, so rank_r phi(M) <= rank M and the
     reported kernel_dim (over F_r) is at least the exact kernel dimension.
@@ -354,6 +368,13 @@ def kernel_oracle(
     dimension is smaller too.  A prime dividing a nonzero minor of M or G can
     therefore cause a retry or a failure, never a false pass.
 
+    Ranks only.  When G * M = 0 exactly, phi(G) * phi(M) = 0, so span phi(G)
+    lies in ker phi(M) and equals it exactly when rank_r phi(G) = kernel_dim:
+    that is kernel_in_span, with no kernel basis.  Only when G * M != 0 does
+    the oracle build a basis of ker phi(M) (`kernel_basis`, on the rows of
+    all n monomials) and test span phi(G) against it by the rank of their
+    union; a failing report is thus the same as with the basis always built.
+
     Each fibre runs through its own context: the relative fibre uses the
     stored relative relation, over the same cyclotomic field as the generic
     fibre, so the report's model_fibre always equals its fibre.
@@ -365,7 +386,9 @@ def kernel_oracle(
     model_fibre = fibre
     ctx = fibre_context(params, model_fibre, specialization)
     monos = _degree2_monomials(params)
-    images = [ctx.phi_image(m) for m in monos]
+    classes: dict = {}
+    class_of = [classes.setdefault(ctx.multidegree_of(m), len(classes)) for m in monos]
+    images = [ctx.image_for_multidegree(*md) for md in classes]
 
     shared = max((c.power for img in images for c in img.coeffs), default=0)
     col_ids: set = set()
@@ -383,12 +406,11 @@ def kernel_oracle(
         raw_rows.append(entries)
     col_index = {key: idx for idx, key in enumerate(sorted(col_ids))}
     exact_rows = [{col_index[k]: v for k, v in entries.items()} for entries in raw_rows]
-    r, lam = (params.p, 0) if fibre == SPECIAL else oracle_field(params.p)
-    matrix_rows = [_residue_row(row, r, lam) for row in exact_rows]
+    r, lam = (params.p, 0) if fibre == SPECIAL else _oracle_field_of(params)
+    class_rows = [_residue_row(row, r, lam) for row in exact_rows]
 
-    basis = kernel_basis(matrix_rows, len(col_index), r)
-    kernel_dim = len(basis)
-    rank = len(monos) - kernel_dim
+    rank = matrix_rank(class_rows, r)
+    kernel_dim = len(monos) - rank
     g = params.genus
     expected = g * (g + 1) // 2 - 3 * (g - 1)
     if kernel_dim != expected:
@@ -414,9 +436,16 @@ def kernel_oracle(
 
     gens_in_kernel = True
     for vec in gvecs:
-        acc: dict = {}
+        sums: dict = {}
         for midx, val in vec.items():
-            for cidx, mval in exact_rows[midx].items():
+            cls = class_of[midx]
+            cur = sums.get(cls)
+            sums[cls] = val if cur is None else cur + val
+        acc: dict = {}
+        for cls, val in sums.items():
+            if not val:
+                continue
+            for cidx, mval in exact_rows[cls].items():
                 t = val * mval
                 cur = acc.get(cidx)
                 cur = t if cur is None else cur + t
@@ -430,7 +459,10 @@ def kernel_oracle(
 
     gen_rows = [_residue_row(vec, r, lam) for vec in gvecs]
     rank_g = matrix_rank(gen_rows, r)
-    kernel_in_span = rank_g == kernel_dim and matrix_rank(gen_rows + basis, r) == rank_g
+    kernel_in_span = rank_g == kernel_dim
+    if kernel_in_span and not gens_in_kernel:
+        basis = kernel_basis([class_rows[cls] for cls in class_of], len(col_index), r)
+        kernel_in_span = matrix_rank(gen_rows + basis, r) == rank_g
 
     return OracleReport(
         fibre=fibre,

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,25 +87,52 @@ def test_kernel_known_matrix():
         assert total % R == 0
 
 
-def test_kernel_random_consistency():
-    rng = random.Random(31337)
-    p = 5
-    for _ in range(10):
-        nrows, ncols = rng.randint(2, 6), rng.randint(2, 6)
-        mat = [
-            {j: rng.randint(0, 4) for j in range(ncols) if rng.random() < 0.6}
-            for _ in range(nrows)
-        ]
-        mat = [{j: v for j, v in row.items() if v} for row in mat]
-        basis = kernel_basis(mat, ncols, p)
-        rank = matrix_rank([dict(r) for r in mat], p)
-        assert len(basis) == nrows - rank
-        for v in basis:
-            acc = {}
-            for ridx, val in v.items():
-                for cidx, mval in mat[ridx].items():
-                    acc[cidx] = (acc.get(cidx, 0) + val * mval) % p
-            assert all(not x for x in acc.values())
+@st.composite
+def sparse_matrices(draw):
+    """(rows, ncols, r): random sparse rows over F_r, optionally with an arrow
+    pattern that fills in, plus repeated and scaled copies of earlier rows."""
+    r = draw(st.sampled_from([2, 3, 7, 101, (1 << 61) - 1]))
+    ncols = draw(st.integers(1, 9))
+    nonzero = st.integers(1, r - 1)
+    cell = st.one_of(st.none(), nonzero)
+    rows = [
+        {j: v for j, v in enumerate(draw(st.lists(cell, min_size=ncols, max_size=ncols))) if v is not None}
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    if draw(st.booleans()):
+        # first column shared by every row, as in an arrowhead: each
+        # elimination step fills in the other rows' columns
+        rows += [{0: draw(nonzero), j: draw(nonzero)} for j in range(1, ncols)]
+        rows.append({j: draw(nonzero) for j in range(ncols)})
+    for _ in range(draw(st.integers(0, 4))):
+        if rows:
+            src = rows[draw(st.integers(0, len(rows) - 1))]
+            f = draw(nonzero)
+            rows.append({c: v * f % r for c, v in src.items()})
+    if not rows:
+        rows = [{}]
+    draw(st.randoms()).shuffle(rows)
+    return rows, ncols, r
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+def test_kernel_random_consistency(case):
+    # rank against sympy's GF(r) rank, echelon shape, and the kernel basis
+    rows, ncols, r = case
+    before = [dict(row) for row in rows]
+    dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+    assert matrix_rank(rows, r) == DomainMatrix.from_list(dense, GF(r)).rank()
+    echelon = verify.fraction_free_echelon(rows, r)
+    assert [pc for pc, _ in echelon] == sorted({pc for pc, _ in echelon})
+    assert all(min(row) == pc and row[pc] == 1 for pc, row in echelon)
+    basis = kernel_basis(rows, ncols, r)
+    assert rows == before
+    assert len(basis) == len(rows) - len(echelon)
+    for v in basis:
+        for col in range(ncols):
+            assert sum(val * rows[ridx].get(col, 0) for ridx, val in v.items()) % r == 0
+    assert matrix_rank(basis, r) == len(basis)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -397,6 +426,55 @@ def test_oracle_negative_control(fibre, make_family):
     assert not rep.passes
 
 
+def _oracle_dict(fibre, spec, monos, cols, rank, in_kernel, in_span):
+    kernel_dim = monos - rank
+    return {
+        "fibre": fibre,
+        "model_fibre": fibre,
+        "specialization": spec,
+        "monomial_count": monos,
+        "column_count": cols,
+        "rank": rank,
+        "kernel_dim": kernel_dim,
+        "expected_kernel_dim": kernel_dim,
+        "generators_in_kernel": in_kernel,
+        "kernel_in_span": in_span,
+        "span_matches_kernel": in_kernel and in_span,
+        "passes": in_kernel and in_span,
+    }
+
+
+SPEC_2 = {"x1": 1, "x2": 2}
+SPEC_4 = {"x1": 1, "x2": 2, "x3": 3, "x4": 4}
+
+
+@pytest.mark.parametrize(
+    "fibre, make_family, cols", [("generic", generic_generators, 115), ("special", special_generators, 105)]
+)
+@pytest.mark.parametrize("damage", ["corrupted", "dropped"])
+def test_oracle_failing_reports_pinned(fibre, make_family, cols, damage):
+    # a failing report goes through the kernel-basis path; its bytes are pinned
+    params = validate_params(5, 2, 1)
+    gens = binomial_generators(params) + make_family(params)
+    gens = gens[:-1] + ([corrupt_generator(gens[-1])] if damage == "corrupted" else [])
+    rep = kernel_oracle(params, fibre, gens=gens)
+    assert rep.to_dict() == _oracle_dict(fibre, SPEC_2, 136, cols, 45, damage == "dropped", False)
+
+
+@pytest.mark.parametrize(
+    "triple, fibre, spec, cols",
+    [
+        ((7, 2, 1), "generic", SPEC_2, 231),
+        ((7, 2, 1), "special", SPEC_2, 231),
+        ((5, 4, 1), "generic", SPEC_4, 245),
+        ((5, 4, 1), "special", SPEC_4, 225),
+    ],
+)
+def test_oracle_genus36_reports_pinned(triple, fibre, spec, cols):
+    rep = kernel_oracle(validate_params(*triple), fibre)
+    assert rep.to_dict() == _oracle_dict(fibre, spec, 666, cols, 105, True, True)
+
+
 def test_oracle_bad_specialization():
     params = validate_params(5, 2, 1)
     with pytest.raises(BadSpecialization):
@@ -404,15 +482,13 @@ def test_oracle_bad_specialization():
 
 
 def test_oracle_degenerate_guard(monkeypatch):
+    # a rank of M off by one puts the kernel dimension off by one
     params = validate_params(5, 2, 1)
-    real = verify.kernel_basis
-
-    def short_basis(rows, ncols, one):
-        return real(rows, ncols, one)[:-1]
-
-    monkeypatch.setattr(verify, "kernel_basis", short_basis)
-    with pytest.raises(DegenerateSpecialization):
-        kernel_oracle(params, "special")
+    real = verify.matrix_rank
+    for shift in (-1, 1):
+        monkeypatch.setattr(verify, "matrix_rank", lambda rows, r, s=shift: real(rows, r) + s)
+        with pytest.raises(DegenerateSpecialization):
+            kernel_oracle(params, "special")
 
 
 def test_oracle_retry(monkeypatch):
