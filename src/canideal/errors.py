@@ -84,6 +84,3 @@ class BadSpecialization(CanidealError):
 class InvariantViolation(CanidealError):
     """A derived table or reduction broke an invariant the construction guarantees."""
 
-
-class UnluckyPrime(CanidealError):
-    """A coefficient has no image in F_r: its denominator is divisible by r."""

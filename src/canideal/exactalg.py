@@ -1,21 +1,20 @@
 """Exact arithmetic substrate.
 
-Provides arbitrary-precision rationals (stdlib ``Fraction``), the prime field
-of size p, the cyclotomic ring generated by ``lam = zeta_p - 1`` with its
-lam-adic valuation, sparse multivariate polynomials over any of these
-coefficient rings, and localization of polynomials at a fixed monic
-denominator.  No floating point is used anywhere.
+Provides the prime field of size p, the cyclotomic ring
+Z[zeta_p] = Z[lam] with ``lam = zeta_p - 1`` and its lam-adic valuation,
+sparse multivariate polynomials over the ints and these two rings, and
+localization of polynomials at a fixed monic denominator.  No floating point
+is used anywhere.
 
-Cyclotomic arithmetic stays in Z[lam] with int coordinates: exact division
-by lam is a divisibility test by p (p = -lam * S, see `_divide_by_lambda`),
-and only the field inverse `CycloElement.inverse` produces Fractions.
+Cyclotomic elements have int coordinates only, and every operation stays in
+Z[lam]: exact division by lam is a divisibility test by p (p = -lam * S, see
+`_divide_by_lambda`), and `CycloElement.inverse` inverts units only.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 
 from .errors import NonIntegralInput, NonPrimeP, NotDivisible
 
@@ -51,15 +50,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _as_exact(value):
-    # keep integral values on the fast int path
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else value
-    if isinstance(value, int):
-        return value
-    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
 class PrimeFieldElement:
@@ -167,35 +157,27 @@ def _reduction_rows(p: int) -> list[tuple[int, ...]]:
 
 
 class CycloElement:
-    """Element of the p-th cyclotomic field in the power basis of lam.
+    """Element of Z[lam] = Z[zeta_p] in the power basis of lam.
 
     ``coeffs`` has length p-1 and represents sum c_i * lam^i where lam is a
     root of sum_{i=1}^{p} binom(p, i) lam^{i-1}, i.e. lam = zeta_p - 1 for a
-    primitive p-th root of unity zeta_p.  Coefficients are exact ints or
-    Fractions.
-
-    ``integral`` records, once per element, whether every coefficient is an
-    int.  The public constructor computes it after normalizing a Fraction
-    with denominator 1 to an int.  Sums, differences, negations and products
-    of two integral elements have int coefficients by construction (the
-    reduction rows are integral), so they skip that check through `_integral`;
-    any Fraction operand, which only `inverse()` and callers building
-    elements by hand produce, takes the checking path.
+    primitive p-th root of unity zeta_p.  Coefficients are ints: the
+    constructor raises NonIntegralInput on any coordinate whose type is not
+    exactly int (a Fraction, a float or a bool included).  Sums, differences,
+    negations and products have int coefficients by construction (the
+    reduction rows are integral), so they skip that check through `_integral`.
     """
 
-    __slots__ = ("p", "coeffs", "integral")
+    __slots__ = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs):
         coeffs = tuple(coeffs)
-        integral = all(type(c) is int for c in coeffs)
-        if not integral:
-            coeffs = tuple(_as_exact(c) for c in coeffs)
-            integral = all(isinstance(c, int) for c in coeffs)
+        if not all(type(c) is int for c in coeffs):
+            raise NonIntegralInput(f"cyclotomic coordinates must be ints, got {coeffs!r}")
         if len(coeffs) != p - 1:
             raise ValueError(f"need {p - 1} coefficients, got {len(coeffs)}")
         self.p = p
         self.coeffs = coeffs
-        self.integral = integral
 
     @classmethod
     def _integral(cls, p: int, coeffs: tuple) -> "CycloElement":
@@ -203,7 +185,6 @@ class CycloElement:
         out = cls.__new__(cls)
         out.p = p
         out.coeffs = coeffs
-        out.integral = True
         return out
 
     @classmethod
@@ -227,20 +208,15 @@ class CycloElement:
             if other.p != self.p:
                 raise ValueError("mixed cyclotomic rings")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return CycloElement.from_int(self.p, other)
         return None
-
-    def _result(self, other, coeffs: tuple) -> "CycloElement":
-        if self.integral and other.integral:
-            return CycloElement._integral(self.p, coeffs)
-        return CycloElement(self.p, coeffs)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._result(other, tuple(map(operator.add, self.coeffs, other.coeffs)))
+        return CycloElement._integral(self.p, tuple(map(operator.add, self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
@@ -248,7 +224,7 @@ class CycloElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._result(other, tuple(map(operator.sub, self.coeffs, other.coeffs)))
+        return CycloElement._integral(self.p, tuple(map(operator.sub, self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -257,9 +233,7 @@ class CycloElement:
         return other - self
 
     def __neg__(self):
-        if self.integral:
-            return CycloElement._integral(self.p, tuple(-a for a in self.coeffs))
-        return CycloElement(self.p, tuple(-a for a in self.coeffs))
+        return CycloElement._integral(self.p, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -279,13 +253,13 @@ class CycloElement:
             c = conv[k]
             if c:
                 out = [o + c * r for o, r in zip(out, rows[k - n])]
-        return self._result(other, tuple(out))
+        return CycloElement._integral(self.p, tuple(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative powers are not defined on the ring; use inverse()")
+            raise ValueError("negative powers are not defined on the ring; use inverse() on a unit")
         result = CycloElement.one(self.p)
         base = self
         while n:
@@ -296,19 +270,26 @@ class CycloElement:
         return result
 
     def inverse(self) -> "CycloElement":
-        """Field inverse via the extended Euclidean algorithm mod the minimal polynomial."""
-        if not self:
-            raise ZeroDivisionError("inverse of zero cyclotomic element")
-        p = self.p
-        n = p - 1
-        # minimal polynomial, degree n, dense low-to-high
-        modulus = [Fraction(math.comb(p, i)) for i in range(1, p + 1)]
-        a = [Fraction(c) for c in self.coeffs]
-        inv = _poly_inverse_mod(a, modulus)
-        return CycloElement(p, tuple(inv + [Fraction(0)] * (n - len(inv))))
+        """Ring inverse of a unit of Z[lam]; NotDivisible for any other element.
 
-    def is_integral(self) -> bool:
-        return self.integral
+        c is the product of the conjugates sigma_a(self), a = 2..p-1, where
+        sigma_a(lam) = (1+lam)^a - 1, so self * c is the norm N(self), an
+        int.  self is a unit exactly when N(self) = +-1.  Q(zeta_p) has no
+        real embedding for odd p, so N(self) is a product of squared absolute
+        values and never -1: a unit has N(self) = 1, and c is its inverse.
+        """
+        p = self.p
+        zeta = CycloElement.lam(p) + 1
+        c = CycloElement.one(p)
+        for a in range(2, p):
+            sigma_lam = zeta**a - 1
+            conjugate = CycloElement.zero(p)
+            for x in reversed(self.coeffs):
+                conjugate = conjugate * sigma_lam + x
+            c = c * conjugate
+        if self * c != 1:
+            raise NotDivisible(f"{self!r} is not a unit of Z[lam]")
+        return c
 
     def __bool__(self):
         return any(self.coeffs)
@@ -336,56 +317,6 @@ class CycloElement:
         return " + ".join(parts) if parts else "0"
 
 
-def _poly_divmod(num, den):
-    """Dense divmod over Fraction lists (low-to-high), den nonzero."""
-    num = list(num)
-    while num and not num[-1]:
-        num.pop()
-    dd = len(den) - 1
-    while len(den) > 1 and not den[-1]:
-        den = den[:-1]
-        dd -= 1
-    quo = [Fraction(0)] * max(0, len(num) - dd)
-    lead = den[-1]
-    while len(num) - 1 >= dd and num:
-        k = len(num) - 1 - dd
-        f = num[-1] / lead
-        quo[k] = f
-        for i, c in enumerate(den):
-            num[k + i] -= f * c
-        while num and not num[-1]:
-            num.pop()
-    return quo, num
-
-
-def _poly_inverse_mod(a, modulus):
-    """Inverse of polynomial a modulo `modulus` over Fractions (extended Euclid)."""
-    r0, r1 = list(modulus), list(a)
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while any(r1):
-        q, r = _poly_divmod(r0, r1)
-        # s_next = s0 - q * s1
-        prod = [Fraction(0)] * (len(q) + len(s1) - 1 if q and s1 else 0)
-        for i, qc in enumerate(q):
-            if qc:
-                for j, sc in enumerate(s1):
-                    prod[i + j] += qc * sc
-        s_next = [Fraction(0)] * max(len(s0), len(prod))
-        for i, c in enumerate(s0):
-            s_next[i] += c
-        for i, c in enumerate(prod):
-            s_next[i] -= c
-        r0, r1 = r1, r
-        s0, s1 = s1, s_next
-    # r0 is the gcd; it must be a nonzero constant since the modulus is irreducible
-    while r0 and not r0[-1]:
-        r0.pop()
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is not invertible")
-    c = r0[0]
-    return [x / c for x in s0]
-
-
 def ring_one_like(sample):
     """Multiplicative identity of the coefficient ring a sample value lives in."""
     if isinstance(sample, CycloElement):
@@ -407,7 +338,7 @@ def cyclotomic_min_poly(p: int) -> "SparsePoly":
 
 
 def _divide_by_lambda(e: CycloElement) -> CycloElement | None:
-    """e / lam for integral e, or None when the quotient is not integral.
+    """e / lam, or None when the quotient is not in Z[lam].
 
     The minimal polynomial gives p = -lam * S with
     S = sum_{i=2}^{p} binom(p, i) lam^(i-2), so e / lam = -(e * S) / p:
@@ -423,8 +354,6 @@ def _divide_by_lambda(e: CycloElement) -> CycloElement | None:
 
 def lambda_valuation(e: CycloElement):
     """Largest v with e = lam^v * e' and e' integral; math.inf for e = 0."""
-    if not e.is_integral():
-        raise NonIntegralInput("lambda_valuation requires integer coefficients")
     if not e:
         return math.inf
     v = 0
@@ -437,16 +366,11 @@ def divide_by_lambda_power(e: CycloElement, v: int) -> CycloElement:
     """Exact quotient e / lam^v; raises NotDivisible if the quotient is not integral."""
     if v < 0:
         raise ValueError("v must be nonnegative")
-    if not e:
-        return e
-    # e / lam^v lies in Z[lam] only if e does, since lam^v is integral
-    cur = e if e.is_integral() else None
+    cur = e
     for _ in range(v):
-        if cur is None:
-            break
         cur = _divide_by_lambda(cur)
-    if cur is None:
-        raise NotDivisible(f"lambda^{v} does not divide {e!r}")
+        if cur is None:
+            raise NotDivisible(f"lambda^{v} does not divide {e!r}")
     return cur
 
 
@@ -461,7 +385,7 @@ def split_content(poly: "SparsePoly"):
     coordinate.
     """
     values = list(poly.terms.values())
-    if not values or not all(isinstance(c, CycloElement) and c.integral for c in values):
+    if not values or not _all_cyclo(poly):
         return None, poly
     first = values[0].coeffs
     g = math.gcd(*first)
@@ -478,9 +402,7 @@ def split_content(poly: "SparsePoly"):
 
 def reduce_mod_lambda(e: CycloElement) -> PrimeFieldElement:
     """Image in the residue field of size p (constant coefficient mod p)."""
-    if not e.is_integral():
-        raise NonIntegralInput("reduction requires integer coefficients")
-    return PrimeFieldElement(int(e.coeffs[0]), e.p)
+    return PrimeFieldElement(e.coeffs[0], e.p)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +427,7 @@ def _digits(packed: int, width: int, n: int) -> list[int]:
 
 def _cyclo_unpacker(p: int, width: int):
     """Reads packed coordinates, each below 2^(width-1) in absolute value,
-    back into an integral CycloElement: adding 2^(width-1) to every digit
+    back into a CycloElement: adding 2^(width-1) to every digit
     makes them all nonnegative."""
     half = 1 << (width - 1)
     offset = _pack((half,) * (p - 1), width)
@@ -520,8 +442,8 @@ def _all_ints(poly: "SparsePoly") -> bool:
     return all(type(c) is int for c in poly.terms.values())
 
 
-def _all_integral_cyclo(poly: "SparsePoly") -> bool:
-    return all(type(c) is CycloElement and c.integral for c in poly.terms.values())
+def _all_cyclo(poly: "SparsePoly") -> bool:
+    return all(type(c) is CycloElement for c in poly.terms.values())
 
 
 def _max_exponent(poly: "SparsePoly") -> int:
@@ -532,8 +454,8 @@ class SparsePoly:
     """Sparse polynomial over a declared variable tuple.
 
     Terms map exponent tuples to nonzero coefficients.  Coefficients may be
-    ints, Fractions, PrimeFieldElements or CycloElements; they only need to
-    support +, -, *, == and truthiness.
+    ints, PrimeFieldElements or CycloElements; they only need to support
+    +, -, *, == and truthiness.
     """
 
     __slots__ = ("vars", "terms")
@@ -603,10 +525,10 @@ class SparsePoly:
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._check(other)
-        # integral CycloElement times int coefficients: the packed product
-        if _all_ints(other) and _all_integral_cyclo(self):
+        # CycloElement times int coefficients: the packed product
+        if _all_ints(other) and _all_cyclo(self):
             return self.mul_ints(other)
-        if _all_ints(self) and _all_integral_cyclo(other):
+        if _all_ints(self) and _all_cyclo(other):
             return other.mul_ints(self)
         out: dict = {}
         for e1, c1 in self.terms.items():
@@ -627,17 +549,15 @@ class SparsePoly:
 
     def mul_ints(self, ints: "SparsePoly", gamma: "CycloElement | None" = None) -> "SparsePoly":
         """self * ints, times gamma when given: CycloElement coefficients
-        times int coefficients, gamma an integral CycloElement.
+        times int coefficients, gamma a CycloElement.
 
         The product is computed on packed ints (`_packed_sum`) and unpacked
-        exactly; a Fraction coordinate takes the plain product.
+        exactly.
         """
         self._check(ints)
         res = SparsePoly(self.vars)
         if not self.terms or not ints.terms:
             return res
-        if not _all_integral_cyclo(self):
-            return (self if gamma is None else self.scale(gamma)) * ints
         acc, shift, width, p = _packed_sum([(self, ints, gamma)])
         unpack = _cyclo_unpacker(p, shift)
         nvars = len(self.vars)
@@ -733,7 +653,7 @@ class SparsePoly:
         lead = divisor.coefficient_of(name, d)
         if not _is_one_poly(lead):
             raise ValueError(f"divisor is not monic in {name}")
-        if self.terms and _all_ints(divisor) and _all_integral_cyclo(self):
+        if self.terms and _all_ints(divisor) and _all_cyclo(self):
             return self._packed_divmod(divisor, name, d)
         quo = SparsePoly(self.vars)
         rem = self
@@ -745,7 +665,7 @@ class SparsePoly:
         return quo, rem
 
     def _packed_divmod(self, divisor: "SparsePoly", name: str, d: int):
-        """`divmod_monic` of integral CycloElement coefficients by an int
+        """`divmod_monic` of CycloElement coefficients by an int
         divisor, on packed coordinates (see `_packed_sum`).
 
         Long division is Z-linear in the coordinates with int multipliers.
@@ -887,8 +807,8 @@ class SparsePoly:
 def _packed_sum(products) -> tuple[dict, int, int, int]:
     """sum gamma * f * d over (f, d, gamma), on packed ints.
 
-    f has integral CycloElement coefficients, d int coefficients, and gamma
-    is an integral CycloElement or None (read as 1).  Kronecker substitution
+    f has CycloElement coefficients, d int coefficients, and gamma is a
+    CycloElement or None (read as 1).  Kronecker substitution
     in lam: a coordinate vector c_0..c_(n-1) packs into the single int
     sum_i c_i * 2^(B*i).  Packing is Z-linear, so gamma * c packs to
     sum_j c_j * pack(gamma * lam^j), and the packed terms of the sum are
@@ -937,16 +857,11 @@ def products_vanish(products) -> bool:
     """Is sum gamma * f * d zero, over (f, d, gamma) as in `_packed_sum`?
 
     The sum is never unpacked: a packed term is zero exactly when all its
-    coordinates are.  Terms with a Fraction coordinate take the plain sum.
+    coordinates are.
     """
     products = [(f, d, gamma) for f, d, gamma in products if f and d]
     if not products:
         return True
-    if not all(_all_integral_cyclo(f) for f, _, _ in products):
-        total = SparsePoly.zero(products[0][0].vars)
-        for f, d, gamma in products:
-            total = total + (f if gamma is None else f.scale(gamma)) * d
-        return not total
     acc, _, _, _ = _packed_sum(products)
     return not any(acc.values())
 

@@ -137,7 +137,8 @@ def check_specialization(params: FamilyParams, specialization: dict) -> None:
         raise BadSpecialization(
             f"specialization must assign exactly {list(syms)}, got {sorted(specialization)}"
         )
-    if not all(isinstance(v, int) for v in specialization.values()):
+    # bool is a subclass of int, but no coordinate of Z[lam] or F_p is a bool
+    if not all(type(v) is int for v in specialization.values()):
         raise BadSpecialization("specialization values must be integers")
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvariantViolation, NonIntegralCoefficient, NotDivisible, ReductionMismatch
 from .exactalg import (
@@ -264,9 +263,6 @@ def reduce_relative_to_special(params: FamilyParams, gens) -> list[GeneratorPoly
             raise ValueError("reduction applies to relative generators")
         term_map: dict[Monomial, SparsePoly] = {}
         for coeff, mono in gen.terms:
-            for c in coeff.terms.values():
-                if not c.is_integral():
-                    raise NonIntegralCoefficient(f"non-integral coefficient in {gen!r}")
             term_map[mono] = coeff.map_coefficients(reduce_mod_lambda)
         reduced.append(
             GeneratorPoly(
@@ -307,17 +303,10 @@ def corrupt_generator(gen: GeneratorPoly, bump: int = 1) -> GeneratorPoly:
 
 def _coefficient_jsonable(c) -> dict:
     if isinstance(c, CycloElement):
-        return {"lambda_coeffs": [_rational_str(v) for v in c.coeffs]}
+        return {"lambda_coeffs": [str(v) for v in c.coeffs]}
     if isinstance(c, PrimeFieldElement):
         return {"mod_p": c.value}
-    if isinstance(c, Fraction):
-        return {"rational": _rational_str(c)}
     return {"int": c}
-
-
-def _rational_str(v) -> str:
-    f = Fraction(v)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def generator_to_jsonable(gen: GeneratorPoly) -> dict:

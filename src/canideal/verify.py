@@ -33,7 +33,6 @@ from .errors import (
     NonHomogeneous,
     NonIntegralCoefficient,
     ReductionMismatch,
-    UnluckyPrime,
     WrongFibre,
 )
 from .exactalg import CycloElement, PrimeFieldElement, is_prime
@@ -88,23 +87,21 @@ def _oracle_field_of(params: FamilyParams) -> tuple[int, int]:
 def residue(value, r: int, lam: int) -> int:
     """phi(value) in F_r, where phi sends lam to `lam`.
 
-    Takes an int, a Fraction, a CycloElement or an element of F_r itself.
-    A denominator divisible by r has no image and raises UnluckyPrime.
+    Takes an int, a CycloElement (int coordinates, read by Horner's rule in
+    lam) or an element of F_r itself.
     """
     if isinstance(value, int):
         return value % r
     if isinstance(value, CycloElement):
         acc = 0
         for c in reversed(value.coeffs):
-            acc = (acc * lam + residue(c, r, lam)) % r
+            acc = (acc * lam + c) % r
         return acc
     if isinstance(value, PrimeFieldElement):
         if value.p != r:
             raise ValueError(f"element of F_{value.p} reduced into F_{r}")
         return value.value
-    if value.denominator % r == 0:
-        raise UnluckyPrime(f"the denominator of {value} is divisible by r = {r}")
-    return value.numerator * pow(value.denominator, -1, r) % r
+    raise TypeError(f"no image in F_{r} for a {type(value).__name__}")
 
 
 def _residue_row(row: dict, r: int, lam: int) -> dict:

@@ -81,15 +81,22 @@ def test_cyclo_ring_laws(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_cyclo_inverse(p):
+    # products of the cyclotomic units -1, zeta and 1 + zeta + ... + zeta^(a-1)
     rng = random.Random(30_000 + p)
     one = CycloElement.one(p)
-    found = 0
-    while found < 10:
-        a = CycloElement(p, tuple(rng.randint(-5, 5) for _ in range(p - 1)))
-        if not a:
-            continue
-        assert a * a.inverse() == one
-        found += 1
+    zeta = CycloElement.lam(p) + 1
+    units = [CycloElement.from_int(p, -1), zeta]
+    units += [sum((zeta**i for i in range(1, a)), one) for a in range(2, p)]
+    for _ in range(10):
+        u = one
+        for _ in range(rng.randint(1, 4)):
+            u = u * rng.choice(units)
+        inv = u.inverse()
+        assert u * inv == one
+        assert all(type(c) is int for c in inv.coeffs)
+    for non_unit in (CycloElement.zero(p), CycloElement.lam(p), CycloElement.from_int(p, 2), CycloElement.from_int(p, p)):
+        with pytest.raises(NotDivisible):
+            non_unit.inverse()
 
 
 def test_prime_field_laws():
@@ -122,8 +129,6 @@ def test_valuation_basics():
     assert lambda_valuation(CycloElement.lam(p)) == 1
     assert lambda_valuation(CycloElement.one(p)) == 0
     assert lambda_valuation(CycloElement.zero(p)) == math.inf
-    with pytest.raises(NonIntegralInput):
-        lambda_valuation(CycloElement(p, (Fraction(1, 2), 0, 0, 0)))
 
 
 def test_valuation_of_binomial_coefficient():
@@ -144,83 +149,76 @@ def test_divide_examples():
         divide_by_lambda_power(CycloElement.one(p), 1)
 
 
-def _valuation_by_inverse(e):
-    """lam-adic valuation and quotients by multiplying with the field inverse of lam."""
-    inv = CycloElement.lam(e.p).inverse()
-    quotients = [e]
-    while True:
-        nxt = quotients[-1] * inv
-        if any(Fraction(c).denominator != 1 for c in nxt.coeffs):
-            break
-        quotients.append(nxt)
-    return len(quotients) - 1, quotients
-
-
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_integer_lambda_division_matches_inverse(p):
+def test_integer_lambda_division_is_exact_and_maximal(p):
     rng = random.Random(50_000 + p)
     lam = CycloElement.lam(p)
     for _ in range(25):
-        unit = CycloElement(p, tuple(rng.randint(-6, 6) for _ in range(p - 1)))
-        if not unit:
+        base = CycloElement(p, tuple(rng.randint(-6, 6) for _ in range(p - 1)))
+        if not base:
             continue
-        e = unit * lam ** rng.randint(0, 2 * p)
-        v, quotients = _valuation_by_inverse(e)
-        assert lambda_valuation(e) == v
+        e = base * lam ** rng.randint(0, 2 * p)
+        v = lambda_valuation(e)
         for k in range(v + 1):
-            assert divide_by_lambda_power(e, k) == quotients[k]
+            assert divide_by_lambda_power(e, k) * lam**k == e
+        # Z[lam]/(lam) = F_p: lam divides an element exactly when its residue is 0
+        assert reduce_mod_lambda(divide_by_lambda_power(e, v)) != 0
         with pytest.raises(NotDivisible):
             divide_by_lambda_power(e, v + 1)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_lambda_division_rejects_non_integral_input(p):
-    half = CycloElement(p, (Fraction(1, 2),) + (0,) * (p - 2))
+    # an element outside Z[lam] cannot be built, and a quotient outside it raises
     with pytest.raises(NonIntegralInput):
-        lambda_valuation(half)
-    with pytest.raises(NotDivisible):
-        divide_by_lambda_power(half, 0)
-    with pytest.raises(NotDivisible):
-        divide_by_lambda_power(half * CycloElement.lam(p), 1)
+        CycloElement(p, (Fraction(1, 2),) + (0,) * (p - 2))
+    for k in range(1, p):
+        e = CycloElement.from_int(p, k) * CycloElement.lam(p)
+        assert lambda_valuation(e) == 1
+        with pytest.raises(NotDivisible):
+            divide_by_lambda_power(e, 2)
 
 
-def test_integral_flag_follows_the_coefficients():
+def test_constructor_accepts_only_int_coordinates():
     p = 5
-    # a Fraction with denominator 1 is an int once constructed
-    assert CycloElement(p, (Fraction(4, 1), 0, 0, 0)).is_integral()
-    half = CycloElement(p, (Fraction(1, 2), 0, 0, 0))
-    assert not half.is_integral()
-    # results that leave the fast path are checked again
-    for e in (half * 2, half + half, -(half - CycloElement.one(p) - half)):
-        assert e.is_integral()
-        assert all(type(c) is int for c in e.coeffs)
-    # integral operands give integral results with int coefficients
+    for bad in (Fraction(4, 1), Fraction(1, 2), 4.0, True, False, "4", None):
+        with pytest.raises(NonIntegralInput):
+            CycloElement(p, (bad, 0, 0, 0))
+    with pytest.raises(NonIntegralInput):
+        CycloElement.one(p) * True
+    # ring operations keep int coordinates
     a = CycloElement(p, (1, -2, 3, 4))
-    for e in (a + a, a - a, -a, a * a, a * 3):
-        assert e.is_integral() and all(type(c) is int for c in e.coeffs)
-    assert not (a * half).is_integral() and not (half * a).is_integral()
+    b = CycloElement(p, (-3, 0, 5, 2**70))
+    zeta = CycloElement.lam(p) + 1
+    for e in (a + b, a - b, 3 - a, -a, a * b, a * 3, a**3, zeta.inverse(), divide_by_lambda_power(a * b * 5, 4)):
+        assert all(type(c) is int for c in e.coeffs)
 
 
 def test_split_content():
     p = 5
     base = CycloElement(p, (2, -4, 0, 6))
-    poly = SparsePoly(("x", "y"), {(1, 0): base * 3, (0, 2): base * -5, (0, 0): base * -1 * Fraction(1, 2)})
+    poly = SparsePoly(("x", "y"), {(1, 0): base * 3, (0, 2): base * -5, (0, 0): CycloElement(p, (-1, 2, 0, -3))})
     gamma, d = split_content(poly)
     # the first coefficient is divided by the gcd of its coordinates
-    assert gamma.coeffs == (1, -2, 0, 3) and gamma.is_integral()
+    assert gamma.coeffs == (1, -2, 0, 3) and all(type(c) is int for c in gamma.coeffs)
     assert d.terms == {(1, 0): 6, (0, 2): -10, (0, 0): -1}
     assert all(type(k) is int for k in d.terms.values())
     assert d.map_coefficients(lambda k: gamma * k) == poly
     lam = CycloElement.lam(p)
     for bad in (
         {(1, 0): base, (0, 1): base + lam},  # not proportional
-        {(1, 0): base, (0, 1): CycloElement(p, (Fraction(1, 2), -1, 0, Fraction(3, 2)))},
         {(1, 0): PrimeFieldElement(2, p)},
         {(1, 0): 3},
         {},
     ):
         poly = SparsePoly(("x", "y"), bad)
         assert split_content(poly) == (None, poly)
+
+
+def _lift(ints, p):
+    """Int coefficients as CycloElements, so that a product takes the
+    schoolbook loop of SparsePoly.__mul__ and not the packed one."""
+    return ints.map_coefficients(lambda k: CycloElement.from_int(p, k))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -238,22 +236,15 @@ def test_mul_ints_matches_product(p):
         )
         ints = SparsePoly(variables, {rand_exps(): rng.randint(-5, 5) for _ in range(8)})
         got = cyc.mul_ints(ints)
-        assert got == cyc * ints
-        assert all(c.is_integral() and all(type(x) is int for x in c.coeffs) for c in got.terms.values())
+        assert got == cyc * _lift(ints, p)
+        assert all(type(x) is int for c in got.terms.values() for x in c.coeffs)
         gamma = CycloElement(p, tuple(rng.randint(-9, 9) for _ in range(p - 1)))
-        assert cyc.mul_ints(ints, gamma) == (cyc * ints).scale(gamma)
+        assert cyc.mul_ints(ints, gamma) == (cyc * _lift(ints, p)).scale(gamma)
     # coordinates far beyond one machine word pack and unpack exactly
     big = SparsePoly(variables, {(2, 0, 1): CycloElement(p, (-(3**90),) + (7**80,) * (p - 2))})
     gamma = CycloElement(p, (5**70,) * (p - 1))
     ints = SparsePoly(variables, {(0, 0, 0): -(2**100), (1, 1, 0): 1})
-    assert big.mul_ints(ints, gamma) == (big * ints).scale(gamma)
-    # results go through the checked constructor: a Fraction(n, 1) becomes an int
-    half = SparsePoly(variables, {(1, 0, 0): CycloElement(p, (Fraction(1, 2),) + (0,) * (p - 2))})
-    ints = SparsePoly(variables, {(0, 1, 0): 2, (0, 0, 1): 3})
-    twice = half.mul_ints(ints)
-    assert twice == half * ints
-    assert twice.terms[(1, 1, 0)].is_integral() and not twice.terms[(1, 0, 1)].is_integral()
-    assert half.mul_ints(ints, gamma) == (half * ints).scale(gamma)
+    assert big.mul_ints(ints, gamma) == (big * _lift(ints, p)).scale(gamma)
 
 
 def _rand_cyclo_poly(rng, p, variables, terms, size=9):
@@ -275,8 +266,8 @@ def test_packed_coordinates_at_a_tight_bound(p):
     variables = ("x", "y")
     f = SparsePoly(variables, {(1, 0): CycloElement(p, (4,) + (0,) * (p - 2))})
     d = SparsePoly(variables, {(0, 1): 4})
-    assert f.mul_ints(d) == f * d
-    assert f.mul_ints(-d) == f * -d
+    assert f.mul_ints(d) == f * _lift(d, p)
+    assert f.mul_ints(-d) == f * _lift(-d, p)
     assert not products_vanish([(f, d, None)])
     assert products_vanish([(f, d, None), (-f, d, None)])
 
@@ -294,17 +285,12 @@ def test_products_vanish_matches_plain_sum(p):
             products.append((f, d, gamma))
         plain = SparsePoly.zero(variables)
         for f, d, gamma in products:
-            plain = plain + (f * d if gamma is None else (f * d).scale(gamma))
+            plain = plain + (f * _lift(d, p) if gamma is None else (f * _lift(d, p)).scale(gamma))
         assert products_vanish(products) == (not plain)
         # the same products minus themselves, with gamma folded into f
         cancelled = products + [(-(f if g is None else f.scale(g)), d, None) for f, d, g in products]
         assert products_vanish(cancelled)
     assert products_vanish([])
-    # a Fraction coordinate takes the plain sum
-    half = SparsePoly(variables, {(1, 0, 0): CycloElement(p, (Fraction(1, 2),) + (0,) * (p - 2))})
-    d = SparsePoly(variables, {(0, 1, 0): 2})
-    assert not products_vanish([(half, d, None)])
-    assert products_vanish([(half, d, None), (-half, d, None)])
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
