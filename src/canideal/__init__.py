@@ -4,8 +4,6 @@ for cyclic-cover curve families."""
 from .errors import CanidealError
 from .exactalg import (
     CycloElement,
-    Localization,
-    LocalizedElement,
     PrimeFieldElement,
     SparsePoly,
     cyclotomic_min_poly,
@@ -28,7 +26,6 @@ from .fibrealg import (
     FibreRelation,
     FunctionFieldElement,
     fibre_context,
-    phi_image,
     reduce_normal_form,
     relation_consistency,
 )

@@ -2,9 +2,8 @@
 
 Provides the prime field of size p, the cyclotomic ring
 Z[zeta_p] = Z[lam] with ``lam = zeta_p - 1`` and its lam-adic valuation,
-sparse multivariate polynomials over the ints and these two rings, and
-localization of polynomials at a fixed monic denominator.  No floating point
-is used anywhere.
+and sparse multivariate polynomials over the ints and these two rings.  No
+floating point is used anywhere.
 
 Cyclotomic elements have int coordinates only, and every operation stays in
 Z[lam]: exact division by lam is a divisibility test by p (p = -lam * S, see
@@ -653,8 +652,6 @@ class SparsePoly:
         lead = divisor.coefficient_of(name, d)
         if not _is_one_poly(lead):
             raise ValueError(f"divisor is not monic in {name}")
-        if self.terms and _all_ints(divisor) and _all_cyclo(self):
-            return self._packed_divmod(divisor, name, d)
         quo = SparsePoly(self.vars)
         rem = self
         while rem and rem.degree_in(name) >= d:
@@ -663,69 +660,6 @@ class SparsePoly:
             quo = quo + top
             rem = rem - top * divisor
         return quo, rem
-
-    def _packed_divmod(self, divisor: "SparsePoly", name: str, d: int):
-        """`divmod_monic` of CycloElement coefficients by an int
-        divisor, on packed coordinates (see `_packed_sum`).
-
-        Long division is Z-linear in the coordinates with int multipliers.
-        It runs stratum by stratum in `name`, from the top degree down to d:
-        each step subtracts top * c_j from lower strata, where the c_j are the
-        divisor's lower strata.  A coordinate then grows by at most m * S_j,
-        m the largest coordinate so far and S_j the sum of the |c_j|
-        coefficients, and each stratum receives from one c_j per step.  So
-        after t steps every coordinate of the remainder and of the quotient is
-        at most M * (1 + S)^t, M the largest coordinate of self and S the sum
-        of the |coefficients| of the divisor below its leading term; the
-        digit width holds that bound for t = number of steps.
-        """
-        i = self.vars.index(name)
-
-        def split(e):
-            return e[i], e[:i] + (0,) + e[i + 1 :]
-
-        lower: dict[int, list] = {}
-        for e, c in divisor.terms.items():
-            k, rest = split(e)
-            if k < d:
-                lower.setdefault(k, []).append((rest, c))
-        values = self.terms.values()
-        p = next(iter(values)).p
-        top_degree = self.degree_in(name)
-        steps = max(top_degree - d + 1, 0)
-        growth = 1 + sum(abs(c) for cs in lower.values() for _, c in cs)
-        bound = max(abs(x) for c in values for x in c.coeffs) * growth**steps
-        shift = bound.bit_length() + 1
-        rem: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            k, rest = split(e)
-            rem.setdefault(k, {})[rest] = _pack(c.coeffs, shift)
-        quo: dict[int, dict] = {}
-        for k in range(top_degree, d - 1, -1):
-            top = {rest: v for rest, v in rem.pop(k, {}).items() if v}
-            if not top:
-                continue
-            quo[k - d] = top
-            for j, cs in lower.items():
-                target = rem.setdefault(k - d + j, {})
-                get = target.get
-                for rest_t, v in top.items():
-                    for rest_c, c in cs:
-                        e = tuple(map(operator.add, rest_t, rest_c))
-                        target[e] = get(e, 0) - c * v
-        unpack = _cyclo_unpacker(p, shift)
-
-        def from_strata(strata):
-            poly = SparsePoly(self.vars)
-            poly.terms = {
-                rest[:i] + (k,) + rest[i + 1 :]: unpack(v)
-                for k, part in strata.items()
-                for rest, v in part.items()
-                if v
-            }
-            return poly
-
-        return from_strata(quo), from_strata(rem)
 
     def map_coefficients(self, fn) -> "SparsePoly":
         res = SparsePoly(self.vars)
@@ -871,130 +805,3 @@ def _is_one_poly(poly: SparsePoly) -> bool:
         return False
     (e, c), = poly.terms.items()
     return not any(e) and c == 1
-
-
-# ---------------------------------------------------------------------------
-# Localization at a fixed monic polynomial
-
-
-class Localization:
-    """Fractions u / d^k where d is one fixed polynomial, monic in `var`."""
-
-    def __init__(self, denominator: SparsePoly, var: str):
-        d = denominator.degree_in(var)
-        if d < 1:
-            raise ValueError("denominator must have positive degree in the division variable")
-        if not _is_one_poly(denominator.coefficient_of(var, d)):
-            raise ValueError("denominator must be monic in the division variable")
-        self.denominator = denominator
-        self.var = var
-        self.vars = denominator.vars
-        one = ring_one_like(next(iter(denominator.terms.values())))
-        self._powers = [SparsePoly.constant(self.vars, one), denominator]
-
-    def power(self, k: int) -> SparsePoly:
-        """denominator^k, kept for every k asked so far."""
-        powers = self._powers
-        while len(powers) <= k:
-            powers.append(powers[-1] * self.denominator)
-        return powers[k]
-
-    def element(self, num: SparsePoly, power: int = 0) -> "LocalizedElement":
-        return LocalizedElement(self, num, power)
-
-    def zero(self) -> "LocalizedElement":
-        return LocalizedElement(self, SparsePoly(self.vars), 0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Localization)
-            and self.var == other.var
-            and self.denominator == other.denominator
-        )
-
-    def __hash__(self):
-        return hash((self.var, self.denominator))
-
-
-class LocalizedElement:
-    """u / d^power in reduced form: d does not divide u whenever power > 0."""
-
-    __slots__ = ("loc", "num", "power")
-
-    def __init__(self, loc: Localization, num: SparsePoly, power: int = 0):
-        if power < 0:
-            raise ValueError("denominator power must be nonnegative")
-        while power > 0 and num:
-            quo, rem = num.divmod_monic(loc.denominator, loc.var)
-            if rem:
-                break
-            num = quo
-            power -= 1
-        if not num:
-            power = 0
-        self.loc = loc
-        self.num = num
-        self.power = power
-
-    def _check(self, other: "LocalizedElement"):
-        if self.loc != other.loc:
-            raise ValueError("localized elements over different denominators")
-
-    def __add__(self, other):
-        if not isinstance(other, LocalizedElement):
-            return NotImplemented
-        self._check(other)
-        s, t = self.power, other.power
-        m = max(s, t)
-        a = self.num if s == m else self.num * self.loc.power(m - s)
-        b = other.num if t == m else other.num * self.loc.power(m - t)
-        return LocalizedElement(self.loc, a + b, m)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        out = LocalizedElement.__new__(LocalizedElement)
-        out.loc, out.num, out.power = self.loc, -self.num, self.power
-        return out
-
-    def __mul__(self, other):
-        if not isinstance(other, LocalizedElement):
-            return NotImplemented
-        self._check(other)
-        return LocalizedElement(self.loc, self.num * other.num, self.power + other.power)
-
-    def scale(self, c) -> "LocalizedElement":
-        out = LocalizedElement.__new__(LocalizedElement)
-        out.loc, out.num, out.power = self.loc, self.num.scale(c), self.power
-        if not out.num:
-            out.power = 0
-        return out
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        if not isinstance(other, LocalizedElement):
-            return NotImplemented
-        self._check(other)
-        # reduced forms are unique, but cross-multiplication is the definition
-        if self.power == other.power:
-            return self.num == other.num
-        s, t = self.power, other.power
-        m = max(s, t)
-        a = self.num * self.loc.power(m - s) if m > s else self.num
-        b = other.num * self.loc.power(m - t) if m > t else other.num
-        return a == b
-
-    def __hash__(self):
-        return hash((self.num, self.power))
-
-    def __repr__(self):
-        if self.power == 0:
-            return repr(self.num)
-        return f"({self.num!r}) / d^{self.power}"

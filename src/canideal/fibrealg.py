@@ -1,36 +1,49 @@
 """Function-field normal forms for the three fibres.
 
 Images of degree-2 monomials under the canonical maps are represented as
-polynomials of degree < p in the fibre variable with coefficients localized
-at a(x).  Negative powers are avoided by a fixed per-fibre clearing
-convention: every degree-2 image is multiplied by one shared factor (y^(3p)
-on the generic fibre; (a(x)*X)^p on the special and relative fibres, after
-cancelling the shared (a(x)(lam*X+1))^(2(p-1)) denominator), so membership
-checking is pure polynomial arithmetic.
+polynomials of degree < p in the fibre variable V whose coefficients are
+polynomials in x and the deformation symbols, over Z[lam] or F_p.  V is y on
+the generic fibre, where y^p = lam^p * x^ell + a(x)^p.  On the special and
+relative fibres the model's variable X has the denominator a(x)^p in X^p, so
+V is W = a(x) * X instead, in which both relations are monic with
+polynomial coefficients:
+
+    special:  W^p = x^ell + a(x)^(p-1) * W,
+    relative: W^p = x^ell - sum_(i=1..p-1) c_i * a(x)^(p-i) * W^i,
+
+with c_i = lam^(i-p) * binom(p, i) (`relative_lambda_coefficient`).  Negative
+powers are avoided by a fixed per-fibre clearing convention: every degree-2
+image is multiplied by one shared factor (y^(3p) on the generic fibre;
+(a(x)*X)^p = W^p on the special and relative fibres, after cancelling the
+shared (a(x)(lam*X+1))^(2(p-1)) denominator), so membership checking is
+pure polynomial arithmetic, with no division anywhere.
 
 Two exact identities keep the number of normal forms small.  The cleared
 image of a degree-2 monomial depends only on its multidegree (2, rho, T),
 and its start is x^rho times a start that depends only on the weight T
-(y^(3p-T) on the generic fibre, (a(x)*X)^e with e = 3p-2-T otherwise).
-Reduction modulo the fibre relation is linear over the polynomials in x
-localized at a(x), so image(rho, T) = x^rho * image(0, T): one normal form
-per weight T, and every other image is a shift of its numerators,
-renormalized so that the reduced form u / a(x)^k (a(x) does not divide u
-when k > 0) stays canonical.  By the same linearity the weight image off the
-generic fibre is a(x)^e times the normal form of X^e.
+(y^(3p-T) on the generic fibre, (a(x)*X)^e = W^e with e = 3p-2-T
+otherwise).  Reduction modulo a monic relation is linear over the
+polynomials in x, so image(rho, T) = x^rho * image(0, T): one normal form
+per weight T, and every other image is a shift of its coefficients.
 
 The normal forms themselves form one chain per context: NF(V^(e+1)) is the
 reduction of V * NF(V^e), whose V-degree is at most p, so each step is one
-substitution; linearity makes it the reduced form of V^(e+1), and reduced
-forms are canonical.  Over Z[lam] the powers of a(x) that clear and align
-the slots are taken with int coefficients (`SparsePoly.mul_ints`).
+substitution; linearity makes it the normal form of V^(e+1), and normal
+forms are unique.  Over Z[lam] each right-hand-side term is a cyclotomic
+scalar times a polynomial with int coefficients, so every substitution
+multiplies through `SparsePoly.mul_ints`.
+
+W^i = a(x)^i * X^i, so the W-slot s_i of a normal form is the X-slot
+a(x)^i * s_i (`FibreContext.x_coordinates`).  As a(x) != 0 this is an
+invertible diagonal change of basis over the function field: a combination
+of images vanishes in one basis exactly when it vanishes in the other.
 
 Membership verdicts are kept per shift class.  A combination
 sum c_(rho,T) * image(rho, T) equals x^s times the same combination over
 (rho - s, T), and x^s is not a zero divisor on the V-slots (polynomials in
-x and the symbols over the domain Z[lam] or F_p, localized at a(x)), so the
-two vanish together; the verdict is keyed by the class shifted to
-min rho = 0 together with its exact coefficient polynomials.
+x and the symbols over the domain Z[lam] or F_p), so the two vanish
+together; the verdict is keyed by the class shifted to min rho = 0 together
+with its exact coefficient polynomials.
 """
 
 from __future__ import annotations
@@ -41,15 +54,13 @@ from dataclasses import dataclass
 from .errors import BadSpecialization, InvariantViolation, VariableOutsideIndexSet, WrongDegree
 from .exactalg import (
     CycloElement,
-    Localization,
-    LocalizedElement,
     PrimeFieldElement,
     SparsePoly,
     products_vanish,
     reduce_mod_lambda,
     split_content,
 )
-from .family import FamilyParams, a_polynomial, deformation_symbols
+from .family import FamilyParams, _a_powers, a_polynomial, deformation_symbols
 from .generators import GENERIC, RELATIVE, SPECIAL, relative_lambda_coefficient
 from .indexsets import build_index_set
 from .termorder import Monomial, multidegree
@@ -57,20 +68,23 @@ from .termorder import Monomial, multidegree
 
 @dataclass(frozen=True)
 class FibreRelation:
-    """The defining relation V^p = sum_i rhs[i] * V^i of one fibre.
+    """The defining relation V^p = sum gamma * d * V^i of one fibre.
 
-    V is y on the generic fibre and X on the special and relative fibres;
-    rhs coefficients are localized at a(x).
+    V is y on the generic fibre and W = a(x) * X on the special and relative
+    fibres.  Each rhs entry (i, gamma, d) is one term of slot i: d is a
+    polynomial over `vars` with int coefficients (F_p coefficients on the
+    special fibre), and gamma is a CycloElement or None, read as 1 (always
+    None on F_p).
     """
 
     fibre: str
     p: int
-    rhs: tuple[tuple[int, LocalizedElement], ...]
-    loc: Localization
+    vars: tuple[str, ...]
+    rhs: tuple[tuple[int, CycloElement | None, SparsePoly], ...]
 
 
 class FunctionFieldElement:
-    """Normal form sum_{i<p} r_i * V^i with localized coefficients."""
+    """Normal form sum_{i<p} r_i * V^i with polynomial coefficients."""
 
     __slots__ = ("coeffs",)
 
@@ -101,10 +115,13 @@ class FunctionFieldElement:
 
 
 def reduce_normal_form(e: dict, rel: FibreRelation) -> FunctionFieldElement:
-    """Reduce a V-polynomial (exp -> localized coefficient) below degree p.
+    """Reduce a V-polynomial (exp -> coefficient polynomial) below degree p.
 
-    Each substitution strictly lowers the top V-degree, so the loop runs at
-    most (initial degree - p + 1) times.
+    The top coefficient r meets each relation term as r * gamma * d: on
+    packed ints (`mul_ints`) when gamma is given, and otherwise through the
+    product, which packs int d against Z[lam] coefficients as well.  Each
+    substitution strictly lowers the top V-degree, so the loop runs at most
+    (initial degree - p + 1) times.
     """
     work = {k: v for k, v in e.items() if v}
     if work:
@@ -112,9 +129,9 @@ def reduce_normal_form(e: dict, rel: FibreRelation) -> FunctionFieldElement:
     while work and max(work) >= rel.p:
         top = max(work)
         r = work.pop(top)
-        for i, c in rel.rhs:
+        for i, gamma, d in rel.rhs:
             k = top - rel.p + i
-            add = r * c
+            add = r * d if gamma is None else r.mul_ints(d, gamma)
             if not add:
                 continue
             cur = work.get(k)
@@ -126,7 +143,7 @@ def reduce_normal_form(e: dict, rel: FibreRelation) -> FunctionFieldElement:
         rounds_allowed -= 1
         if rounds_allowed < 0:
             raise InvariantViolation("normal-form reduction did not lower the top V-degree")
-    zero = rel.loc.zero()
+    zero = SparsePoly.zero(rel.vars)
     return FunctionFieldElement(work.get(i, zero) for i in range(rel.p))
 
 
@@ -168,90 +185,75 @@ class FibreContext:
             self.from_int = lambda n: CycloElement.from_int(p, n)
 
         self.vars = ("x",) if specialization is not None else ("x",) + syms
-        a_ints = a_polynomial(params).as_poly(("x",) + syms)
+        # a(x)^k for k = 0..p as multipliers: int coefficients over Z[lam], so
+        # that products with them go through `SparsePoly.mul_ints`
+        powers = (SparsePoly.constant(("x",) + syms, 1),) + _a_powers(params)
         if specialization is not None:
-            a_ints = a_ints.specialize(specialization)
-        a = a_ints.map_coefficients(self.from_int)
-        if not a:
-            raise BadSpecialization("a(x) specialized to zero")
-        self.a_poly = a
-        # over Z[lam] the denominator keeps a(x) with int coefficients, so its
-        # powers multiply numerators through `SparsePoly.mul_ints`
-        self.loc = Localization(a if fibre == SPECIAL else a_ints, "x")
+            powers = tuple(power.specialize(specialization) for power in powers)
+        if fibre == SPECIAL:
+            powers = tuple(power.map_coefficients(self.from_int) for power in powers)
+        self.a_powers = powers
         self._weight_images: dict[int, FunctionFieldElement] = {}
         self._chain: list[FunctionFieldElement] = []
         self._verdicts: dict[frozenset, bool] = {}
         self._index_set = frozenset(build_index_set(params))
         self.relation = self._build_relation(params)
 
-    def a_power(self, k: int) -> SparsePoly:
-        """a(x)^k with coefficients in the context's ring."""
-        power = self.loc.power(k)
-        return power if self.fibre == SPECIAL else power.map_coefficients(self.from_int)
-
     def constant(self, c) -> SparsePoly:
         return SparsePoly.constant(self.vars, c)
 
     def embed_symbol_poly(self, poly: SparsePoly) -> SparsePoly:
         """Lift a coefficient polynomial in the deformation symbols into the
-        context variables, mapping plain-integer coefficients into the ring."""
+        context variables, mapping plain-integer coefficients into the ring.
+
+        A specialized context substitutes the integer values first and maps
+        the result once: the map from the integers into the ring is a ring
+        homomorphism, so both orders give the same constant.
+        """
+        if self.specialization is not None:
+            value = poly.specialize(self.specialization).constant_value()
+            return SparsePoly.constant(self.vars, self.from_int(value) if isinstance(value, int) else value)
         mapped = poly.map_coefficients(
             lambda c: self.from_int(c) if isinstance(c, int) else c
         )
-        if self.specialization is not None:
-            values = {s: self.from_int(v) for s, v in self.specialization.items()}
-            mapped = mapped.specialize({s: values[s] for s in mapped.vars})
-            return SparsePoly.constant(self.vars, mapped.constant_value())
         return mapped.embed(self.vars)
 
     def _build_relation(self, params: FamilyParams) -> FibreRelation:
         p = self.p
-        ell = params.ell
-        x_ell = SparsePoly.variable(self.vars, "x", ell, self.from_int(1))
+        x_ell = self.a_powers[0].mul_var_power("x", params.ell)
         if self.fibre == GENERIC:
-            lam_p = CycloElement.lam(p) ** p
-            rhs_poly = x_ell.scale(lam_p) + self.a_power(p)
-            rhs = ((0, self.loc.element(rhs_poly)),)
+            rhs = ((0, CycloElement.lam(p) ** p, x_ell), (0, None, self.a_powers[p]))
         elif self.fibre == SPECIAL:
-            rhs = (
-                (0, self.loc.element(x_ell, p)),
-                (1, self.loc.element(self.constant(self.from_int(1)))),
-            )
+            rhs = ((0, None, x_ell), (1, None, self.a_powers[p - 1]))
         else:
-            entries = [(0, self.loc.element(x_ell, p))]
-            for i in range(1, p):
-                c = -relative_lambda_coefficient(params, i)
-                entries.append((i, self.loc.element(self.constant(c))))
-            rhs = tuple(entries)
-        return FibreRelation(fibre=self.fibre, p=p, rhs=rhs, loc=self.loc)
+            rhs = ((0, None, x_ell),) + tuple(
+                (i, -relative_lambda_coefficient(params, i), self.a_powers[p - i]) for i in range(1, p)
+            )
+        return FibreRelation(fibre=self.fibre, p=p, vars=self.vars, rhs=rhs)
 
     def weight_image(self, T: int) -> FunctionFieldElement:
-        """Cleared image of the multidegree (2, 0, T); one normal form per weight."""
+        """Cleared image of the multidegree (2, 0, T); one normal form per weight.
+
+        The start is y^(3p-T) on the generic fibre and (a X)^e = W^e with
+        e = 3p-2-T otherwise.
+        """
         got = self._weight_images.get(T)
-        if got is not None:
-            return got
-        p = self.p
-        if self.fibre == GENERIC:
-            nf = self.power_normal_form(3 * p - T)
-        else:
-            # (a X)^e = a^e * X^e: multiply each reduced u / a^k of NF(X^e)
-            # by a^e without any division
-            e = 3 * p - 2 - T
-            nf = FunctionFieldElement(self._times_a_power(c, e) for c in self.power_normal_form(e).coeffs)
-        self._weight_images[T] = nf
-        return nf
+        if got is None:
+            e = 3 * self.p - T if self.fibre == GENERIC else 3 * self.p - 2 - T
+            got = self._weight_images[T] = self.power_normal_form(e)
+        return got
 
     def power_normal_form(self, e: int) -> FunctionFieldElement:
         """NF(V^e), from the chain NF(V^(k+1)) = NF(V * NF(V^k)).
 
         V * NF(V^k) has V-degree at most p, so each step is one substitution
         round of `reduce_normal_form`; by linearity of the normal form the
-        step gives the same reduced form as reducing V^(k+1) from scratch.
+        step gives the same normal form as reducing V^(k+1) from scratch.
         """
         chain = self._chain
         if not chain:
-            zero = self.loc.zero()
-            one = self.loc.element(self.constant(self.from_int(1)))
+            zero = SparsePoly.zero(self.vars)
+            one = self.constant(self.from_int(1))
             chain.extend(
                 FunctionFieldElement(one if i == k else zero for i in range(self.p)) for k in range(self.p)
             )
@@ -260,29 +262,21 @@ class FibreContext:
             chain.append(reduce_normal_form(shifted, self.relation))
         return chain[e]
 
-    def _times_a_power(self, c: LocalizedElement, e: int) -> LocalizedElement:
-        """a^e * u / a^k in reduced form, given u / a^k reduced.  Over Z[lam]
-        the power has int coefficients, so the product is `mul_ints`."""
-        if e >= c.power:
-            return LocalizedElement(self.loc, c.num * self.loc.power(e - c.power), 0)
-        return LocalizedElement(self.loc, c.num, c.power - e)
-
     def image_for_multidegree(self, rho: int, T: int) -> FunctionFieldElement:
-        """Cleared image of any degree-2 monomial with multidegree (2, rho, T).
-
-        x^rho times the weight image.  When ell != 1, x divides a(x), so a
-        shifted numerator could become divisible by a(x); LocalizedElement
-        renormalizes it, which keeps the reduced form (and the oracle's
-        columns) equal to a direct reduction of x^rho times the start.  The
-        clearing factor makes every image met so far a polynomial
-        (a(x)-power 0), where this costs nothing.
-        """
+        """Cleared image of any degree-2 monomial with multidegree (2, rho, T):
+        x^rho times the weight image."""
         base = self.weight_image(T)
         if not rho:
             return base
-        return FunctionFieldElement(
-            LocalizedElement(self.loc, c.num.mul_var_power("x", rho), c.power) for c in base.coeffs
-        )
+        return FunctionFieldElement(c.mul_var_power("x", rho) for c in base.coeffs)
+
+    def x_coordinates(self, img: FunctionFieldElement) -> tuple[SparsePoly, ...]:
+        """The slots of a normal form in the model's basis: y^i on the generic
+        fibre, X^i on the others, where W^i = a(x)^i * X^i makes a(x)^i * s_i
+        the X-slot of the W-slot s_i."""
+        if self.fibre == GENERIC:
+            return img.coeffs
+        return tuple(s * self.a_powers[i] if i else s for i, s in enumerate(img.coeffs))
 
     def combination_vanishes(self, coeffs: dict[tuple[int, int], SparsePoly]) -> bool:
         """Is sum_(rho,T) c_(rho,T) * image(rho, T) zero?
@@ -292,10 +286,10 @@ class FibreContext:
         s = min rho, the sum equals x^s times the sum over (rho - s, T),
         because image(rho, T) = x^rho * image(0, T).  Every V-slot of a
         normal form lies in a domain (polynomials in x and the symbols over
-        Z[lam] or F_p, localized at a(x)), where x^s is not a zero divisor,
-        so one sum vanishes exactly when the other does.  The key holds the
-        exact coefficient polynomials, so sums that differ in any
-        coefficient never share a verdict.
+        Z[lam] or F_p), where x^s is not a zero divisor, so one sum vanishes
+        exactly when the other does.  The key holds the exact coefficient
+        polynomials, so sums that differ in any coefficient never share a
+        verdict.
         """
         if not coeffs:
             return True
@@ -316,37 +310,31 @@ class FibreContext:
         weight image on packed ints (`products_vanish`, `mul_ints`); in
         `certify` this holds for every weight sum of every relative
         trinomial, since all slots of one weight carry the same
-        lam-coefficient.  Each V-slot is tested at its largest a(x)-power k:
-        u / a(x)^k = 0 iff u = 0.
+        lam-coefficient.  The sum vanishes when every V-slot does.
         """
         by_weight: dict[int, SparsePoly] = {}
         for (rho, T), coeff in items:
             c = self.embed_symbol_poly(coeff).mul_var_power("x", rho)
             cur = by_weight.get(T)
             by_weight[T] = c if cur is None else cur + c
-        # per V-slot: (a(x)-power k, numerator u, gamma, d) for u / a(x)^k * gamma * d
+        # per V-slot: (u, d, gamma) for the term u * d * gamma
         slots: list[list] = [[] for _ in range(self.p)]
         for T, c in by_weight.items():
             if not c:
                 continue
             gamma, d = split_content(c)
-            for slot, elt in zip(slots, self.weight_image(T).coeffs):
-                if elt:
-                    slot.append((elt.power, elt.num, gamma, d))
+            for slot, u in zip(slots, self.weight_image(T).coeffs):
+                if u:
+                    slot.append((u, d, gamma))
         return all(self._slot_vanishes(slot) for slot in slots if slot)
 
     def _slot_vanishes(self, slot) -> bool:
-        """Is sum gamma * d * u / a(x)^k zero?  Tested at the largest power
-        `top`, where the sum is (sum gamma * d * a(x)^(top-k) * u) / a(x)^top."""
-        top = max(k for k, _, _, _ in slot)
-        if all(gamma is not None for _, _, gamma, _ in slot):  # never on F_p
-            return products_vanish(
-                [(u, d if k == top else d * self.loc.power(top - k), gamma) for k, u, gamma, d in slot]
-            )
+        """Is sum u * d * gamma zero, over the (u, d, gamma) of one V-slot?"""
+        if all(gamma is not None for _, _, gamma in slot):  # never on F_p
+            return products_vanish(slot)
         total = SparsePoly.zero(self.vars)
-        for k, u, gamma, d in slot:
-            term = u * d if gamma is None else u.mul_ints(d, gamma)
-            total = total + term * self.loc.power(top - k)
+        for u, d, gamma in slot:
+            total = total + (u * d if gamma is None else u.mul_ints(d, gamma))
         return not total
 
     def multidegree_of(self, m: Monomial) -> tuple[int, int]:
@@ -374,11 +362,6 @@ def fibre_context(params: FamilyParams, fibre: str, specialization: dict | None 
     if ctx is None:
         ctx = params.memo[key] = FibreContext(params, fibre, specialization)
     return ctx
-
-
-def phi_image(params: FamilyParams, fibre: str, m: Monomial) -> FunctionFieldElement:
-    """Cleared, fully reduced image of a degree-2 monomial on the given fibre."""
-    return fibre_context(params, fibre).phi_image(m)
 
 
 @dataclass(frozen=True)
@@ -409,9 +392,12 @@ class RelationReport:
 def relation_consistency(params: FamilyParams) -> RelationReport:
     """Verify the algebraic compatibility of the stored fibre relations.
 
+    Each relation term (i, gamma, d) stands for gamma * d * V^i, which is
+    gamma * d * a^i * X^i off the generic fibre (V = W = a*X).
+
     (a) expanding a^p*(lam*X+1)^p - lam^p*x^ell - a^p by the binomial theorem
-        equals lam^p * a^p * (X^p - rhs) built from the stored relative
-        relation;
+        equals lam^p * (W^p - rhs) built from the stored relative
+        W-relation;
     (b) coefficientwise lam-reduction of the relative relation gives the
         special relation;
     (c) substituting y = a*(lam*X+1) into the stored generic relation and
@@ -427,44 +413,56 @@ def relation_consistency(params: FamilyParams) -> RelationReport:
     def cy(n) -> CycloElement:
         return CycloElement.from_int(p, n)
 
+    def term(gamma, d: SparsePoly) -> SparsePoly:
+        """gamma * d over Z[lam] in `variables`."""
+        poly = d.embed(variables).map_coefficients(cy)
+        return poly if gamma is None else poly.scale(gamma)
+
     a = a_polynomial(params).as_poly(variables, cy)
     a_p = a**p
     lam = CycloElement.lam(p)
     x_ell = SparsePoly.variable(variables, "x", ell, cy(1))
     X = SparsePoly.variable(variables, "X", 1, cy(1))
+    # W = a*X with int coefficients, so products with it go through `mul_ints`
+    W = a_polynomial(params).as_poly(variables) * SparsePoly.variable(variables, "X", 1, 1)
 
     # (a): hand-built binomial-theorem expansion
     lhs_a = SparsePoly.zero(variables)
     for i in range(0, p + 1):
         coeff = lam**i * math.comb(p, i)
-        term = a_p.scale(coeff) if i == 0 else (a_p * X**i).scale(coeff)
-        lhs_a = lhs_a + term
+        term_i = a_p.scale(coeff) if i == 0 else (a_p * X**i).scale(coeff)
+        lhs_a = lhs_a + term_i
     lhs_a = lhs_a - x_ell.scale(lam**p) - a_p
 
+    # W^p - sum gamma * d * W^i by Horner's rule in W
     relative = fibre_context(params, RELATIVE)
-    rhs_a = (a_p * X**p).scale(lam**p)
-    for i, c in relative.relation.rhs:
-        num = c.num.embed(variables)
-        cleared = num * relative.a_poly.embed(variables) ** (p - c.power) if p > c.power else num
-        term = cleared if i == 0 else cleared * X**i
-        rhs_a = rhs_a - term.scale(lam**p)
+    slots = [SparsePoly.zero(variables) for _ in range(p)]
+    for i, gamma, d in relative.relation.rhs:
+        slots[i] = slots[i] + term(gamma, d)
+    rhs_a = SparsePoly.constant(variables, cy(1))
+    for slot in reversed(slots):
+        rhs_a = rhs_a * W - slot
+    rhs_a = rhs_a.scale(lam**p)
     check_a = lhs_a == rhs_a
 
     # (b): coefficientwise reduction of the relative relation
     special = fibre_context(params, SPECIAL)
     reduced = {}
-    for i, c in relative.relation.rhs:
-        num = c.num.map_coefficients(reduce_mod_lambda)
-        if num:
-            reduced[i] = special.loc.element(num, c.power)
-    expected = {i: c for i, c in special.relation.rhs}
+    for i, gamma, d in relative.relation.rhs:
+        poly = d.map_coefficients(lambda n: PrimeFieldElement(n, p))
+        if gamma is not None:
+            poly = poly.scale(reduce_mod_lambda(gamma))
+        if poly:
+            reduced[i] = poly
+    expected = {i: d for i, _, d in special.relation.rhs}
     check_b = reduced == expected
 
     # (c): generic-relation substitution y = a*(lam*X + 1)
     generic = fibre_context(params, GENERIC)
-    ((_, gen_rhs),) = generic.relation.rhs
     y = a * (X.scale(lam) + SparsePoly.constant(variables, cy(1)))
-    lhs_c = y**p - gen_rhs.num.embed(variables)
+    lhs_c = y**p
+    for _, gamma, d in generic.relation.rhs:
+        lhs_c = lhs_c - term(gamma, d)
     check_c = lhs_c == rhs_a
 
     return RelationReport(

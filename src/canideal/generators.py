@@ -87,6 +87,13 @@ def binomial_generators(
     unordered pairs within each class is emitted instead.
     """
     term_key(tie_break)  # raises UnknownTieBreak
+    # a fresh list each call, so a caller that replaces an entry (as
+    # `certify --corrupt-one` does) leaves the memo intact
+    return list(_binomials(params, fibre, all_pairs, tie_break))
+
+
+@per_triple
+def _binomials(params: FamilyParams, fibre: str, all_pairs: bool, tie_break: str) -> tuple[GeneratorPoly, ...]:
     syms = deformation_symbols(params)
     one = SparsePoly.constant(syms, 1)
     out = []
@@ -108,7 +115,7 @@ def binomial_generators(
                     tie_break=tie_break,
                 )
             )
-    return out
+    return tuple(out)
 
 
 @per_triple

@@ -337,12 +337,20 @@ def kernel_oracle(
     """Independently compute the degree-2 ideal at a specialization.
 
     Builds, exactly, the matrix M of all degree-2 monomial images expanded in
-    the basis {x^k * V^i} after clearing denominators by one shared factor,
-    and the vectors G of the generators in the monomial basis.  It checks
-    G * M = 0 exactly (a multiply-only product over the exact entries:
-    generators_in_kernel), then reduces M and G through a ring homomorphism
-    phi into F_r (`oracle_field`; on the special fibre r = p and phi is the
-    identity of F_p) and computes the ranks there.
+    the basis {x^k * y^i} on the generic fibre and {x^k * X^i} on the others,
+    after clearing denominators by one shared factor, and the vectors G of
+    the generators in the monomial basis.  It checks G * M = 0 exactly (a
+    multiply-only product over the exact entries: generators_in_kernel),
+    then reduces M and G through a ring homomorphism phi into F_r
+    (`oracle_field`; on the special fibre r = p and phi is the identity of
+    F_p) and computes the ranks there.
+
+    Basis.  Off the generic fibre the normal forms live in the basis W^i,
+    W = a(x) * X (`fibrealg`); row entries are read from W-slot i times
+    a(x)^i (`FibreContext.x_coordinates`).  W^i = a^i * X^i with a != 0 is an
+    invertible diagonal change of basis over K(x), so by uniqueness of
+    coordinates the X-slot r_i equals a^i * s_i exactly, and a combination
+    of images vanishes in one basis exactly when it vanishes in the other.
 
     Class rows.  The image of a monomial depends only on its multidegree
     (`FibreContext.phi_image`), so monomials of one class have equal rows:
@@ -385,19 +393,17 @@ def kernel_oracle(
     monos = _degree2_monomials(params)
     classes: dict = {}
     class_of = [classes.setdefault(ctx.multidegree_of(m), len(classes)) for m in monos]
-    images = [ctx.image_for_multidegree(*md) for md in classes]
-
-    shared = max((c.power for img in images for c in img.coeffs), default=0)
     col_ids: set = set()
     raw_rows = []
-    for img in images:
+    weight_coords: dict = {}
+    for rho, T in classes:
+        coords = weight_coords.get(T)
+        if coords is None:
+            coords = weight_coords[T] = ctx.x_coordinates(ctx.weight_image(T))
         entries = {}
-        for i, c in enumerate(img.coeffs):
-            if c.is_zero:
-                continue
-            num = c.num if c.power == shared else c.num * ctx.a_power(shared - c.power)
-            for e, val in num.terms.items():
-                key = (i, e[0])
+        for i, c in enumerate(coords):
+            for e, val in c.terms.items():
+                key = (i, e[0] + rho)  # image(rho, T) = x^rho * image(0, T)
                 entries[key] = val
                 col_ids.add(key)
         raw_rows.append(entries)
@@ -419,13 +425,11 @@ def kernel_oracle(
     if gens is None:
         gens = _default_oracle_generators(params, fibre, tie_break)
     mono_index = {m: idx for idx, m in enumerate(monos)}
-    values = {s: ctx.from_int(v) for s, v in specialization.items()}
     gvecs = []
     for gen in gens:
         vec = {}
         for coeff, mono in gen.terms:
-            mapped = coeff.map_coefficients(lambda c: ctx.from_int(c) if isinstance(c, int) else c)
-            scalar = mapped.specialize({s: values[s] for s in mapped.vars}).constant_value()
+            scalar = ctx.embed_symbol_poly(coeff).constant_value()
             if scalar:
                 vec[mono_index[mono]] = scalar
         if vec:

@@ -8,7 +8,6 @@ import sympy
 from canideal.errors import NonIntegralInput, NonPrimeP, NotDivisible
 from canideal.exactalg import (
     CycloElement,
-    Localization,
     PrimeFieldElement,
     SparsePoly,
     cyclotomic_min_poly,
@@ -295,8 +294,9 @@ def test_products_vanish_matches_plain_sum(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_packed_divmod_matches_long_division(p):
-    # an int divisor takes the packed path; the same divisor with
-    # CycloElement coefficients takes the plain long division
+    # long division by an int divisor multiplies through the packed product
+    # (`mul_ints`); the same divisor with CycloElement coefficients through
+    # the schoolbook loop
     rng = random.Random(80_000 + p)
     variables = ("x", "s", "t")
     divisors = [
@@ -406,53 +406,3 @@ def test_embed_and_drop():
     big = small.embed(("x", "a", "b"))
     assert big.terms == {(0, 2, 0): 5}
     assert big.drop_vars(("x", "b")) == small
-
-
-# ---------------------------------------------------------------------------
-# Localization
-
-
-def _loc():
-    variables = ("x", "t")
-    a = SparsePoly(variables, {(2, 0): 1, (1, 1): 1})  # x^2 + x t, monic in x
-    return Localization(a, "x"), variables
-
-
-def test_localized_normalization_reduces():
-    loc, variables = _loc()
-    num = loc.denominator * SparsePoly(variables, {(1, 0): 3})
-    e = loc.element(num, 2)
-    assert e.power == 1
-    assert e.num == SparsePoly(variables, {(1, 0): 3})
-    # normalization is idempotent
-    again = loc.element(e.num, e.power)
-    assert again.num == e.num and again.power == e.power
-
-
-def test_localized_product_and_equality():
-    loc, variables = _loc()
-    rng = random.Random(555)
-    for _ in range(25):
-        u = SparsePoly(
-            variables,
-            {(rng.randint(0, 3), rng.randint(0, 2)): rng.randint(-4, 4) for _ in range(3)},
-        )
-        v = SparsePoly(
-            variables,
-            {(rng.randint(0, 3), rng.randint(0, 2)): rng.randint(-4, 4) for _ in range(3)},
-        )
-        s, t = rng.randint(0, 2), rng.randint(0, 2)
-        prod = loc.element(u, s) * loc.element(v, t)
-        # cross-multiplied comparison against the unreduced fraction
-        assert prod.num * loc.denominator ** (s + t) == u * v * loc.denominator**prod.power
-    # equality across different stored powers via cross-multiplication
-    u = SparsePoly(variables, {(1, 0): 1})
-    lhs = loc.element(u * loc.denominator, 1)
-    rhs = loc.element(u, 0)
-    assert lhs == rhs
-
-
-def test_localized_zero():
-    loc, variables = _loc()
-    z = loc.element(SparsePoly(variables), 3)
-    assert z.is_zero and z.power == 0

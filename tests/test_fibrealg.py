@@ -4,47 +4,55 @@ import pytest
 
 from canideal.errors import BadSpecialization, VariableOutsideIndexSet, WrongDegree
 from canideal.exactalg import CycloElement, SparsePoly
-from canideal.family import validate_params
+from canideal.family import a_polynomial, deformation_symbols, validate_params
 from canideal.fibrealg import (
     FibreContext,
     FunctionFieldElement,
     fibre_context,
-    phi_image,
     reduce_normal_form,
     relation_consistency,
 )
+from canideal.generators import relative_lambda_coefficient
 from canideal.indexsets import minkowski_sum
 from canideal.termorder import IndexPair, Monomial
 from canideal.verify import default_specialization
+
+
+def _a_power(params, ctx, k):
+    """a(x)^k over the context's ring, built from a(x) itself."""
+    a = a_polynomial(params).as_poly(("x",) + deformation_symbols(params), ctx.from_int)
+    if ctx.specialization is not None:
+        a = a.specialize({s: ctx.from_int(v) for s, v in ctx.specialization.items()})
+    return a**k
 
 
 def test_generic_relation_rhs():
     params = validate_params(5, 2, 1)
     ctx = fibre_context(params, "generic")
     # V^p reduces to lam^p * x^ell + a(x)^p, a constant in the fibre variable
-    one = ctx.loc.element(ctx.constant(ctx.from_int(1)))
+    one = ctx.constant(ctx.from_int(1))
     nf = reduce_normal_form({5: one}, ctx.relation)
     lam5 = CycloElement.lam(5) ** 5
-    expected = SparsePoly.variable(ctx.vars, "x", 1, lam5) + ctx.a_power(5)
-    assert nf.coeffs[0] == ctx.loc.element(expected)
+    expected = SparsePoly.variable(ctx.vars, "x", 1, lam5) + _a_power(params, ctx, 5)
+    assert nf.coeffs[0] == expected
     assert all(c.is_zero for c in nf.coeffs[1:])
 
 
 def test_special_relation_rhs():
     params = validate_params(5, 2, 1)
     ctx = fibre_context(params, "special")
-    one = ctx.loc.element(ctx.constant(ctx.from_int(1)))
+    one = ctx.constant(ctx.from_int(1))
     nf = reduce_normal_form({5: one}, ctx.relation)
-    # X^p -> X + x^ell / a^p
-    assert nf.coeffs[1] == one
-    assert nf.coeffs[0] == ctx.loc.element(SparsePoly.variable(ctx.vars, "x", 1, ctx.from_int(1)), 5)
+    # X^p = X + x^ell / a^p, so W = a X gives W^p -> a^(p-1) W + x^ell
+    assert nf.coeffs[1] == _a_power(params, ctx, 4)
+    assert nf.coeffs[0] == SparsePoly.variable(ctx.vars, "x", 1, ctx.from_int(1))
     assert all(c.is_zero for c in nf.coeffs[2:])
 
 
 def test_low_degree_unchanged():
     params = validate_params(5, 2, 1)
     ctx = fibre_context(params, "relative")
-    e = {4: ctx.loc.element(ctx.constant(ctx.from_int(3)))}
+    e = {4: ctx.constant(ctx.from_int(3))}
     nf = reduce_normal_form(e, ctx.relation)
     assert nf.coeffs[4] == e[4]
     assert all(nf.coeffs[i].is_zero for i in range(4))
@@ -55,38 +63,41 @@ def test_phi_image_generic_example():
     params = validate_params(5, 2, 1)
     ctx = fibre_context(params, "generic")
     m = Monomial((IndexPair(0, 1), IndexPair(0, 1)))
-    nf = phi_image(params, "generic", m)
+    nf = ctx.phi_image(m)
     lam5 = CycloElement.lam(5) ** 5
-    f = SparsePoly.variable(ctx.vars, "x", 1, lam5) + ctx.a_power(5)
-    assert nf.coeffs[3] == ctx.loc.element(f * f)
+    f = SparsePoly.variable(ctx.vars, "x", 1, lam5) + _a_power(params, ctx, 5)
+    assert nf.coeffs[3] == f * f
     assert all(nf.coeffs[i].is_zero for i in (0, 1, 2, 4))
 
 
 def test_phi_image_special_top_weight():
     # at total weight T = 2(p-1) the uncleared image has fibre-exponent zero,
-    # so the cleared image is exactly x^rho * (a X)^p reduced
+    # so the cleared image is exactly x^rho * (a X)^p = x^rho * W^p reduced
     params = validate_params(5, 2, 1)
     ctx = fibre_context(params, "special")
     m = Monomial((IndexPair(6, 4), IndexPair(6, 4)))
     nf = ctx.phi_image(m)
-    start = {5: ctx.loc.element(SparsePoly.variable(ctx.vars, "x", 12, ctx.from_int(1)) * ctx.a_power(5))}
+    start = {5: SparsePoly.variable(ctx.vars, "x", 12, ctx.from_int(1))}
     assert nf == reduce_normal_form(start, ctx.relation)
+    # W^p = x^ell + a^(p-1) * W with ell = 1
+    assert nf.coeffs[0] == SparsePoly.variable(ctx.vars, "x", 13, ctx.from_int(1))
 
 
 def test_equal_multidegree_images_identical():
     params = validate_params(5, 2, 1)
     for fibre in ("generic", "special", "relative"):
-        a = phi_image(params, fibre, Monomial((IndexPair(0, 3), IndexPair(1, 4))))
-        b = phi_image(params, fibre, Monomial((IndexPair(1, 3), IndexPair(0, 4))))
+        ctx = fibre_context(params, fibre)
+        a = ctx.phi_image(Monomial((IndexPair(0, 3), IndexPair(1, 4))))
+        b = ctx.phi_image(Monomial((IndexPair(1, 3), IndexPair(0, 4))))
         assert a == b
 
 
 def test_phi_image_errors():
-    params = validate_params(5, 2, 1)
+    ctx = fibre_context(validate_params(5, 2, 1), "generic")
     with pytest.raises(WrongDegree):
-        phi_image(params, "generic", Monomial((IndexPair(0, 1),)))
+        ctx.phi_image(Monomial((IndexPair(0, 1),)))
     with pytest.raises(VariableOutsideIndexSet):
-        phi_image(params, "generic", Monomial((IndexPair(0, 1), IndexPair(9, 1))))
+        ctx.phi_image(Monomial((IndexPair(0, 1), IndexPair(9, 1))))
 
 
 def test_bad_specialization():
@@ -137,8 +148,8 @@ def test_normal_form_is_multiplicative(fibre):
                 },
             )
             if num:
-                out[exp] = ctx.loc.element(num, rng.randint(0, 1))
-        return out or {0: ctx.loc.element(ctx.constant(ctx.from_int(1)))}
+                out[exp] = num
+        return out or {0: ctx.constant(ctx.from_int(1))}
 
     for _ in range(6):
         e1, e2 = rand_elem(), rand_elem()
@@ -154,31 +165,27 @@ def test_normal_form_is_multiplicative(fibre):
 def test_function_field_element_algebra():
     params = validate_params(3, 2, 1)
     ctx = fibre_context(params, "special")
-    one = ctx.loc.element(ctx.constant(ctx.from_int(1)))
-    zero = ctx.loc.zero()
+    one = ctx.constant(ctx.from_int(1))
+    zero = SparsePoly.zero(ctx.vars)
     e = FunctionFieldElement([one, zero, one])
     assert (e - e).is_zero
     doubled = e + e
-    assert doubled.coeffs[0] == ctx.loc.element(ctx.constant(ctx.from_int(2)))
+    assert doubled.coeffs[0] == ctx.constant(ctx.from_int(2))
 
 
 def _direct_image(ctx, rho, T):
-    """Reduce the full start x^rho * (y^(3p-T) or (a X)^(3p-2-T)) in one go."""
+    """Reduce the full start x^rho * (y^(3p-T) or (a X)^(3p-2-T) = W^(3p-2-T)) in one go."""
     p = ctx.p
     x_rho = SparsePoly.variable(ctx.vars, "x", rho, ctx.from_int(1))
-    if ctx.fibre == "generic":
-        start = {3 * p - T: ctx.loc.element(x_rho)}
-    else:
-        e = 3 * p - 2 - T
-        start = {e: ctx.loc.element(x_rho * ctx.a_power(e))}
-    return reduce_normal_form(start, ctx.relation)
+    e = 3 * p - T if ctx.fibre == "generic" else 3 * p - 2 - T
+    return reduce_normal_form({e: x_rho}, ctx.relation)
 
 
 @pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (3, 4, 2)])
 @pytest.mark.parametrize("specialized", [False, True])
 def test_shifted_weight_image_equals_direct_reduction(triple, specialized):
-    # image(rho, T) = x^rho * image(0, T), renormalized: the reduced forms
-    # (numerator and a(x)-power of every V-slot) equal a direct reduction
+    # image(rho, T) = x^rho * image(0, T): every V-slot equals that of a
+    # direct reduction of x^rho times the start
     params = validate_params(*triple)
     spec = default_specialization(params) if specialized else None
     for fibre in ("generic", "special", "relative"):
@@ -186,23 +193,7 @@ def test_shifted_weight_image_equals_direct_reduction(triple, specialized):
         for pt in minkowski_sum(params):
             got = ctx.image_for_multidegree(pt.rho, pt.T)
             want = _direct_image(ctx, pt.rho, pt.T)
-            assert [(c.num, c.power) for c in got.coeffs] == [
-                (c.num, c.power) for c in want.coeffs
-            ], (triple, fibre, pt)
-
-
-def test_shifted_image_is_renormalized():
-    # with q = 1 and ell != 1, a(x) = x: a weight image holding 1/x shifted
-    # by x must come out as 1/x^0, the reduced form a direct reduction gives
-    params = validate_params(5, 1, 2)
-    ctx = FibreContext(params, "special")
-    assert ctx.a_poly == SparsePoly.variable(ctx.vars, "x", 1, ctx.from_int(1))
-    one = ctx.constant(ctx.from_int(1))
-    ctx._weight_images[7] = FunctionFieldElement(
-        [ctx.loc.element(one, 1)] + [ctx.loc.zero()] * (ctx.p - 1)
-    )
-    shifted = ctx.image_for_multidegree(1, 7).coeffs[0]
-    assert (shifted.num, shifted.power) == (one, 0)
+            assert got.coeffs == want.coeffs, (triple, fibre, pt)
 
 
 def _largest_power(ctx, params):
@@ -214,44 +205,99 @@ def _largest_power(ctx, params):
 @pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (3, 4, 2)])
 @pytest.mark.parametrize("specialized", [False, True])
 def test_normal_form_chain_equals_reduction_from_scratch(triple, specialized):
-    # NF(V^(e+1)) = NF(V * NF(V^e)) gives the reduced form of V^e itself
+    # NF(V^(e+1)) = NF(V * NF(V^e)) gives the normal form of V^e itself
     params = validate_params(*triple)
     spec = default_specialization(params) if specialized else None
     for fibre in ("generic", "special", "relative"):
         ctx = FibreContext(params, fibre, spec)
-        one = ctx.loc.element(ctx.constant(ctx.from_int(1)))
+        one = ctx.constant(ctx.from_int(1))
         top = _largest_power(ctx, params)
         ctx.power_normal_form(top)
         assert len(ctx._chain) == top + 1
         for e in range(top + 1):
             got = ctx.power_normal_form(e)
             want = reduce_normal_form({e: one}, ctx.relation)
-            assert [(c.num, c.power) for c in got.coeffs] == [
-                (c.num, c.power) for c in want.coeffs
-            ], (triple, fibre, e)
+            assert got.coeffs == want.coeffs, (triple, fibre, e)
+
+
+def _relation_polynomial(ctx, params):
+    """V^p minus the right-hand side of the fibre's relation, over
+    ("V",) + ctx.vars, built from a(x) and the closed forms of the relations
+    rather than from the stored relation."""
+    p, ell = params.p, params.ell
+    variables = ("V",) + ctx.vars
+    a = _a_power(params, ctx, 1).embed(variables)
+    V = SparsePoly.variable(variables, "V", 1, ctx.from_int(1))
+    x_ell = SparsePoly.variable(variables, "x", ell, ctx.from_int(1))
+    if ctx.fibre == "generic":
+        return V**p - x_ell.scale(CycloElement.lam(p) ** p) - a**p
+    if ctx.fibre == "special":
+        # X^p - X = x^ell / a^p, times a^p, with W = a X
+        return V**p - x_ell - a ** (p - 1) * V
+    # X^p = x^ell / a^p - sum c_i X^i, times a^p
+    rel = V**p - x_ell
+    for i in range(1, p):
+        rel = rel + (a ** (p - i) * V**i).scale(relative_lambda_coefficient(params, i))
+    return rel
+
+
+@pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (3, 4, 2)])
+@pytest.mark.parametrize("specialized", [False, True])
+def test_weight_images_are_congruent_to_their_starts(triple, specialized):
+    # W^e - sum_i s_i W^i (y on the generic fibre) is a multiple of the
+    # relation polynomial: long division leaves remainder 0
+    params = validate_params(*triple)
+    spec = default_specialization(params) if specialized else None
+    for fibre in ("generic", "special", "relative"):
+        ctx = FibreContext(params, fibre, spec)
+        relation = _relation_polynomial(ctx, params)
+        variables = relation.vars
+        for T in sorted({pt.T for pt in minkowski_sum(params)}):
+            e = 3 * ctx.p - T if fibre == "generic" else 3 * ctx.p - 2 - T
+            diff = SparsePoly.variable(variables, "V", e, ctx.from_int(1))
+            for i, s in enumerate(ctx.weight_image(T).coeffs):
+                diff = diff - s.embed(variables).mul_var_power("V", i)
+            quo, rem = diff.divmod_monic(relation, "V")
+            assert rem.is_zero, (triple, fibre, T)
+            assert quo * relation == diff
 
 
 @pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (7, 1, 3)])
 @pytest.mark.parametrize("specialized", [False, True])
 def test_int_a_power_product_equals_ring_product(triple, specialized):
-    # over Z[lam] the localization keeps a(x) with int coefficients, so
-    # numerators meet its powers through mul_ints; the result equals the
-    # product with a(x)^k over the ring
+    # over Z[lam] the context keeps a(x)^k with int coefficients, so W-slots
+    # meet them through mul_ints (the X-coordinates); the product equals the
+    # one with a(x)^k over the ring
     params = validate_params(*triple)
     spec = default_specialization(params) if specialized else None
     for fibre in ("generic", "special", "relative"):
         ctx = FibreContext(params, fibre, spec)
-        power_is_int = all(type(c) is int for c in ctx.loc.power(ctx.p).terms.values())
+        assert len(ctx.a_powers) == ctx.p + 1
+        power_is_int = all(type(c) is int for c in ctx.a_powers[ctx.p].terms.values())
         assert power_is_int == (fibre != "special")
         nums = [
-            c.num
+            c
             for T in sorted({pt.T for pt in minkowski_sum(params)})
             for c in ctx.weight_image(T).coeffs
             if c
         ]
         assert nums
         for num in nums[:6]:
-            for k in range(ctx.p + 2):
-                ring = ctx.a_power(k)
+            for k in range(ctx.p + 1):
+                ring = _a_power(params, ctx, k)
                 assert all(type(c) is not int for c in ring.terms.values())
-                assert num * ctx.loc.power(k) == num * ring, (fibre, k)
+                assert num * ctx.a_powers[k] == num * ring, (fibre, k)
+
+
+@pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (7, 1, 3)])
+def test_x_coordinates_are_w_slots_times_a_powers(triple):
+    # the oracle's X-slot i is a(x)^i times the W-slot i; y-slots stay as they are
+    params = validate_params(*triple)
+    spec = default_specialization(params)
+    for fibre in ("generic", "special", "relative"):
+        ctx = FibreContext(params, fibre, spec)
+        for T in sorted({pt.T for pt in minkowski_sum(params)}):
+            img = ctx.weight_image(T)
+            coords = ctx.x_coordinates(img)
+            for i, (s, r) in enumerate(zip(img.coeffs, coords)):
+                assert r == (s if fibre == "generic" else s * _a_power(params, ctx, i)), (fibre, T, i)

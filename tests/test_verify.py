@@ -18,7 +18,7 @@ from canideal.errors import (
     VariableOutsideIndexSet,
     WrongFibre,
 )
-from canideal.exactalg import CycloElement, LocalizedElement, SparsePoly, cyclotomic_min_poly
+from canideal.exactalg import CycloElement, SparsePoly, cyclotomic_min_poly
 from canideal.family import deformation_symbols, validate_params
 from canideal.fibrealg import FunctionFieldElement
 from canideal.generators import (
@@ -29,7 +29,7 @@ from canideal.generators import (
     relative_generators,
     special_generators,
 )
-from canideal.indexsets import anchor_set, build_index_set, check_counts, minkowski_sum_brute
+from canideal.indexsets import anchor_set, build_index_set, check_counts, minkowski_sum, minkowski_sum_brute
 from canideal.termorder import IndexPair, Monomial
 from canideal.verify import (
     certify,
@@ -183,9 +183,7 @@ def _per_term_membership(params, fibre, gen):
     total = None
     for coeff, mono in gen.terms:
         c = ctx.embed_symbol_poly(coeff)
-        img = FunctionFieldElement(
-            LocalizedElement(ctx.loc, e.num * c, e.power) for e in ctx.phi_image(mono).coeffs
-        )
+        img = FunctionFieldElement(e * c for e in ctx.phi_image(mono).coeffs)
         total = img if total is None else total + img
     return total.is_zero
 
@@ -262,43 +260,47 @@ def test_corrupted_binomial_and_trinomial_fail():
         assert not check_membership(params, "relative", corrupt_generator(gen))
 
 
-def test_membership_aligns_a_powers_within_a_slot():
-    _check_planted_alignment("special")
+def test_membership_cancels_planted_images_plain():
+    _check_planted_cancellation("special")
 
 
 @pytest.mark.parametrize("fibre", ["relative", "generic"])
-def test_membership_aligns_a_powers_on_packed_ints(fibre):
-    _check_planted_alignment(fibre)
+def test_membership_cancels_planted_images_packed(fibre):
+    _check_planted_cancellation(fibre)
 
 
-def _check_planted_alignment(fibre):
-    # (x + x1 + 1)/a - 1/a - 1 = 0 with a = x + x1: the first two images sum
-    # to a/a, so the test is exact only at a common a(x)-power (over Z[lam]
-    # on packed ints, over F_p by the plain sum).  A fresh triple keeps the
-    # planted weight images out of every other test.
+def _check_planted_cancellation(fibre):
+    # (a + 1) - a - 1 = 0 in V-slot 0 and x*a - x*a = 0 in V-slot 1, spread
+    # over three weights: only the sum over all three weights vanishes (over
+    # Z[lam] on packed ints, over F_p by the plain sum).  A fresh triple keeps
+    # the planted weight images out of every other test.
     params = validate_params(5, 1, 1)
     ctx = verify.fibre_context(params, fibre)
-    assert ctx.a_poly == SparsePoly(ctx.vars, {(1, 0): ctx.from_int(1), (0, 1): ctx.from_int(1)})
+    a = SparsePoly(ctx.vars, {(1, 0): ctx.from_int(1), (0, 1): ctx.from_int(1)})  # x + x1
     # three degree-2 monomials of distinct weights T, all with rho = 0
     pts = build_index_set(params)
     by_weight = {}
-    for i, a in enumerate(pts):
-        for b in pts[i:]:
-            m = Monomial((a, b))
+    for i, u in enumerate(pts):
+        for v in pts[i:]:
+            m = Monomial((u, v))
             rho, T = ctx.multidegree_of(m)
             if rho == 0:
                 by_weight.setdefault(T, m)
     (t1, m1), (t2, m2), (t3, m3) = list(by_weight.items())[:3]
-    zero = ctx.loc.zero()
-
-    def slot0(num, power):
-        return FunctionFieldElement([ctx.loc.element(num, power)] + [zero] * (ctx.p - 1))
-
+    zero = SparsePoly.zero(ctx.vars)
     one = SparsePoly.constant(ctx.vars, ctx.from_int(1))
-    ctx._weight_images.update({t1: slot0(ctx.a_poly + one, 1), t2: slot0(-one, 1), t3: slot0(-one, 0)})
+    xa = a.mul_var_power("x", 1)
+
+    def image(s0, s1):
+        return FunctionFieldElement([s0, s1] + [zero] * (ctx.p - 2))
+
+    ctx._weight_images.update({t1: image(a + one, xa), t2: image(-a, zero), t3: image(-one, -xa)})
     coeff = SparsePoly.constant(deformation_symbols(params), 1)
     gen = GeneratorPoly(fibre, "test", None, ((coeff, m1), (coeff, m2), (coeff, m3)), "default")
     assert check_membership(params, fibre, gen)
+    for k in range(3):
+        dropped = GeneratorPoly(fibre, "test", None, tuple(t for i, t in enumerate(gen.terms) if i != k), "default")
+        assert not check_membership(params, fibre, dropped)
     bumped = GeneratorPoly(fibre, "test", None, ((coeff, m1), (coeff, m2), (coeff + coeff, m3)), "default")
     assert not check_membership(params, fibre, bumped)
 
@@ -478,6 +480,25 @@ def test_certify_rejects_bool_specialization():
     spec = {s: True for s in deformation_symbols(params)}
     with pytest.raises(BadSpecialization):
         certify(params, spec, oracle=True)
+
+
+def test_binomials_built_once_per_triple(monkeypatch):
+    # certify --oracle asks for the binomials three times (certify and both
+    # oracle fibres); the build runs once, one class group per Minkowski point
+    import canideal.generators as generators
+
+    params = validate_params(5, 2, 1)
+    groups = []
+    real = generators.monomials_at
+    monkeypatch.setattr(generators, "monomials_at", lambda *args: groups.append(args) or real(*args))
+    assert certify(params, oracle=True).overall == "PASS"
+    assert len(groups) == len(minkowski_sum(params))
+    # callers get fresh lists: neither --corrupt-one nor a caller replacing
+    # an entry reaches the memo
+    assert certify(params, corrupt_one=True).overall == "FAIL"
+    binomial_generators(params)[0] = corrupt_generator(binomial_generators(params)[0])
+    assert certify(params).overall == "PASS"
+    assert len(groups) == len(minkowski_sum(params))
 
 
 def test_oracle_degenerate_guard(monkeypatch):
