@@ -35,6 +35,7 @@ from .generators import (
     SPECIAL,
     GeneratorPoly,
     binomial_generators,
+    fibre_generators,
     generators_document,
     generic_generators,
     reduce_relative_to_special,
@@ -60,7 +61,6 @@ from .termorder import (
     IndexPair,
     Monomial,
     MultiDegree,
-    compare,
     format_monomial,
     leading_term,
     multidegree,

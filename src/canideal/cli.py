@@ -12,16 +12,7 @@ import sys
 
 from .errors import CanidealError
 from .family import validate_params
-from .generators import (
-    GENERIC,
-    RELATIVE,
-    SPECIAL,
-    binomial_generators,
-    generators_document,
-    generic_generators,
-    relative_generators,
-    special_generators,
-)
+from .generators import GENERIC, RELATIVE, SPECIAL, fibre_generators, generators_document
 from .indexsets import check_counts
 from .termorder import TIE_BREAK_DEFAULT, TIE_BREAKS
 from .verify import certify
@@ -141,13 +132,7 @@ def cmd_info(args) -> int:
 
 def cmd_generators(args) -> int:
     params = validate_params(args.p, args.q, args.ell)
-    gens = binomial_generators(params, all_pairs=args.all_pairs, tie_break=args.tie_break)
-    if args.fibre == GENERIC:
-        gens = gens + generic_generators(params, tie_break=args.tie_break)
-    elif args.fibre == SPECIAL:
-        gens = gens + special_generators(params, tie_break=args.tie_break)
-    else:
-        gens = gens + relative_generators(params, tie_break=args.tie_break)
+    gens = fibre_generators(params, args.fibre, all_pairs=args.all_pairs, tie_break=args.tie_break)
     doc = generators_document(params, gens, args.fibre, args.tie_break)
     if args.format == "table":
         lines = [f"{g.provenance} anchor={g.anchor} terms={len(g.terms)}" for g in gens]

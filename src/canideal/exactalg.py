@@ -8,6 +8,12 @@ floating point is used anywhere.
 Cyclotomic elements have int coordinates only, and every operation stays in
 Z[lam]: exact division by lam is a divisibility test by p (p = -lam * S, see
 `_divide_by_lambda`), and `CycloElement.inverse` inverts units only.
+
+There is one product of polynomials over Z[lam], `SparsePoly.__mul__`: when
+either factor has a CycloElement coefficient it runs on packed ints
+(`_packed_sum`, Kronecker substitution in lam).  The packed path splits the
+other factor into content groups gamma_k * d_k with int d_k itself
+(`_content_groups`), once per polynomial; no caller sees the split.
 """
 
 from __future__ import annotations
@@ -373,32 +379,6 @@ def divide_by_lambda_power(e: CycloElement, v: int) -> CycloElement:
     return cur
 
 
-def split_content(poly: "SparsePoly"):
-    """(gamma, d) with poly = gamma * d, d over the ints; (None, poly) otherwise.
-
-    gamma is the first coefficient divided by the gcd of its coordinates.
-    Its coordinates are then coprime, so an integral coefficient that is a
-    rational multiple of gamma is an integer multiple of it: the split is
-    found whenever every coefficient is an integer multiple of one
-    cyclotomic element, and each multiple is checked coordinate by
-    coordinate.
-    """
-    values = list(poly.terms.values())
-    if not values or not _all_cyclo(poly):
-        return None, poly
-    first = values[0].coeffs
-    g = math.gcd(*first)
-    gamma = tuple(x // g for x in first)
-    pivot = next(i for i, x in enumerate(gamma) if x)
-    multiples = {}
-    for e, c in poly.terms.items():
-        k = c.coeffs[pivot] // gamma[pivot]
-        if any(a != k * b for a, b in zip(c.coeffs, gamma)):
-            return None, poly
-        multiples[e] = k
-    return CycloElement._integral(values[0].p, gamma), SparsePoly(poly.vars, multiples)
-
-
 def reduce_mod_lambda(e: CycloElement) -> PrimeFieldElement:
     """Image in the residue field of size p (constant coefficient mod p)."""
     return PrimeFieldElement(e.coeffs[0], e.p)
@@ -437,12 +417,17 @@ def _cyclo_unpacker(p: int, width: int):
     return unpack
 
 
-def _all_ints(poly: "SparsePoly") -> bool:
-    return all(type(c) is int for c in poly.terms.values())
-
-
-def _all_cyclo(poly: "SparsePoly") -> bool:
-    return all(type(c) is CycloElement for c in poly.terms.values())
+def _packed_pair(f: "SparsePoly", g: "SparsePoly"):
+    """(f, g) reordered so that the first factor has a CycloElement
+    coefficient, or None unless both are over Z[lam] (int and CycloElement
+    coefficients only) with a CycloElement coefficient on some side."""
+    kf = {type(c) for c in f.terms.values()}
+    kg = {type(c) for c in g.terms.values()}
+    if not kf | kg <= {int, CycloElement}:
+        return None
+    if CycloElement in kf:
+        return f, g
+    return (g, f) if CycloElement in kg else None
 
 
 def _max_exponent(poly: "SparsePoly") -> int:
@@ -455,9 +440,13 @@ class SparsePoly:
     Terms map exponent tuples to nonzero coefficients.  Coefficients may be
     ints, PrimeFieldElements or CycloElements; they only need to support
     +, -, *, == and truthiness.
+
+    No method changes `terms` of a polynomial it has returned, so the
+    content split of the packed product (`_content_groups`) is computed once
+    per polynomial and kept in `_groups`.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_groups")
 
     def __init__(self, variables, terms=None):
         self.vars = tuple(variables)
@@ -467,6 +456,7 @@ class SparsePoly:
                 if c:
                     clean[tuple(e)] = c
         self.terms = clean
+        self._groups = None
 
     # -- constructors ------------------------------------------------------
 
@@ -524,11 +514,17 @@ class SparsePoly:
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._check(other)
-        # CycloElement times int coefficients: the packed product
-        if _all_ints(other) and _all_cyclo(self):
-            return self.mul_ints(other)
-        if _all_ints(self) and _all_cyclo(other):
-            return other.mul_ints(self)
+        res = SparsePoly(self.vars)
+        if not self.terms or not other.terms:
+            return res
+        pair = _packed_pair(self, other)
+        if pair is not None:
+            # over Z[lam]: on packed ints, unpacked exactly
+            acc, shift, width, p = _packed_sum([pair])
+            unpack = _cyclo_unpacker(p, shift)
+            nvars = len(self.vars)
+            res.terms = {tuple(_digits(key, width, nvars)): unpack(v) for key, v in acc.items() if v}
+            return res
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -542,25 +538,7 @@ class SparsePoly:
                     out[e] = s
                 elif e in out:
                     del out[e]
-        res = SparsePoly(self.vars)
         res.terms = out
-        return res
-
-    def mul_ints(self, ints: "SparsePoly", gamma: "CycloElement | None" = None) -> "SparsePoly":
-        """self * ints, times gamma when given: CycloElement coefficients
-        times int coefficients, gamma a CycloElement.
-
-        The product is computed on packed ints (`_packed_sum`) and unpacked
-        exactly.
-        """
-        self._check(ints)
-        res = SparsePoly(self.vars)
-        if not self.terms or not ints.terms:
-            return res
-        acc, shift, width, p = _packed_sum([(self, ints, gamma)])
-        unpack = _cyclo_unpacker(p, shift)
-        nvars = len(self.vars)
-        res.terms = {tuple(_digits(key, width, nvars)): unpack(v) for key, v in acc.items() if v}
         return res
 
     def __pow__(self, n: int):
@@ -738,66 +716,116 @@ class SparsePoly:
         return " + ".join(bits)
 
 
-def _packed_sum(products) -> tuple[dict, int, int, int]:
-    """sum gamma * f * d over (f, d, gamma), on packed ints.
+def _content_groups(poly: SparsePoly):
+    """(largest exponent, groups) of a polynomial over Z[lam], kept on it.
 
-    f has CycloElement coefficients, d int coefficients, and gamma is a
-    CycloElement or None (read as 1).  Kronecker substitution
-    in lam: a coordinate vector c_0..c_(n-1) packs into the single int
-    sum_i c_i * 2^(B*i).  Packing is Z-linear, so gamma * c packs to
-    sum_j c_j * pack(gamma * lam^j), and the packed terms of the sum are
-    exact sums of int products.  Each product contributes at most K * C * G
-    to any coordinate in absolute value (K the sum of the |d| coefficients,
-    C the largest coordinate sum |c_0| + ... + |c_(n-1)| of f, G the largest
-    coordinate of any gamma * lam^j); B is chosen with 2^(B-1) above the sum
-    of these bounds, so every coordinate of the sum is a signed digit that
-    packing keeps apart, and a packed term is 0 exactly when all its
-    coordinates are.  Exponent vectors are packed with nonnegative digits
-    wide enough that no sum carries.
+    The groups split poly as sum_k gamma_k * d_k with d_k over the ints;
+    each group is (rows, d_k terms, weight).  A CycloElement coefficient c
+    is k * gamma with k the gcd of its coordinates, sign-normalized so that
+    the first nonzero coordinate of gamma is positive: c and -c, and every
+    int multiple of one primitive element, share a group.  An int
+    coefficient, and a CycloElement one with gamma = 1, go to the group of
+    gamma = 1, whose rows are None (the unit vectors).  Otherwise rows[j] are
+    the coordinates of gamma * lam^j, j = 0..p-2.  The weight is the sum of
+    the |d_k| coefficients times the largest |coordinate| in rows (1 for
+    None), the factor of the digit bound in `_packed_sum`.
+    """
+    if poly._groups is None:
+        split: dict = {}
+        for e, c in poly.terms.items():
+            gamma, k = None, c
+            if type(c) is CycloElement:
+                k = math.gcd(*c.coeffs)
+                if next(x for x in c.coeffs if x) < 0:
+                    k = -k
+                gamma = tuple(x // k for x in c.coeffs)
+                if gamma[0] == 1 and not any(gamma[1:]):
+                    gamma = None
+            split.setdefault(gamma, {})[e] = k
+        groups = []
+        for gamma, multiples in split.items():
+            rows = None
+            if gamma is not None:
+                # gamma * lam^(j+1) from gamma * lam^j: shift up one, and
+                # expand the lam^(p-1) that leaves the basis
+                top_row = _reduction_rows(len(gamma) + 1)[0]
+                rows = [gamma]
+                while len(rows) < len(gamma):
+                    cur = rows[-1]
+                    rows.append(tuple(a + cur[-1] * b for a, b in zip((0,) + cur[:-1], top_row)))
+            size = 1 if rows is None else max(abs(x) for row in rows for x in row)
+            groups.append((rows, multiples, sum(map(abs, multiples.values())) * size))
+        poly._groups = (_max_exponent(poly), tuple(groups))
+    return poly._groups
+
+
+def _packed_sum(products) -> tuple[dict, int, int, int]:
+    """sum f * g over (f, g) pairs, on packed ints.
+
+    f has int and CycloElement coefficients, at least one of these, and g
+    int and CycloElement coefficients; g is split into content groups
+    gamma_k * d_k (`_content_groups`).  Kronecker substitution in lam: a
+    coordinate vector c_0..c_(n-1) packs into the single int
+    sum_i c_i * 2^(B*i).  Packing is Z-linear, so gamma_k * c packs to
+    sum_j c_j * pack(gamma_k * lam^j), and the packed terms of the sum are
+    exact sums of int products.  Each pair contributes at most
+    C * sum_k K_k * G_k to any coordinate in absolute value (C the largest
+    coordinate sum |c_0| + ... + |c_(n-1)| of f, K_k the sum of the |d_k|
+    coefficients, G_k the largest coordinate of any gamma_k * lam^j); B is
+    chosen with 2^(B-1) above the sum of these bounds, so every coordinate
+    of the sum is a signed digit that packing keeps apart, and a packed term
+    is 0 exactly when all its coordinates are.  Exponent vectors are packed
+    with nonnegative digits wide enough that no sum carries.
 
     Returns ({packed exponent: packed coordinates}, B, exponent width, p).
     """
-    p = next(iter(products[0][0].terms.values())).p
+    f0 = products[0][0]
+    p = next(c.p for c in f0.terms.values() if type(c) is CycloElement)
     n = p - 1
-    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     prepared = []
     bound = top = 0
-    for f, d, gamma in products:
-        images = unit if gamma is None else [(gamma * CycloElement._integral(p, u)).coeffs for u in unit]
-        bound += (
-            sum(map(abs, d.terms.values()))
-            * max(sum(map(abs, c.coeffs)) for c in f.terms.values())
-            * max(abs(x) for row in images for x in row)
-        )
-        top = max(top, _max_exponent(f) + _max_exponent(d))
-        prepared.append((f, d, images))
+    for f, g in products:
+        coords = [(e, c.coeffs if type(c) is CycloElement else (c,)) for e, c in f.terms.items()]
+        g_top, groups = _content_groups(g)
+        bound += max(sum(map(abs, cs)) for _, cs in coords) * sum(w for _, _, w in groups)
+        top = max(top, _max_exponent(f) + g_top)
+        prepared.append((coords, groups))
     shift = bound.bit_length() + 1
     width = top.bit_length()
+    units = [1 << (shift * j) for j in range(n)]
     acc: dict = {}
     get = acc.get
-    for f, d, images in prepared:
-        packed_images = [_pack(row, shift) for row in images]
-        others = [(_pack(e2, width), k) for e2, k in d.terms.items()]
-        for e1, c1 in f.terms.items():
-            key1 = _pack(e1, width)
-            packed = sum(map(operator.mul, c1.coeffs, packed_images))
-            for key2, k in others:
-                key = key1 + key2
-                acc[key] = get(key, 0) + k * packed
+    for coords, groups in prepared:
+        packed_f = [(_pack(e1, width), cs) for e1, cs in coords]
+        for rows, multiples, _ in groups:
+            if rows is not None and len(rows) != n:
+                raise ValueError("mixed cyclotomic rings")
+            packed_rows = units if rows is None else [_pack(row, shift) for row in rows]
+            others = [(_pack(e2, width), k) for e2, k in multiples.items()]
+            for key1, cs in packed_f:
+                packed = sum(map(operator.mul, cs, packed_rows))
+                for key2, k in others:
+                    key = key1 + key2
+                    acc[key] = get(key, 0) + k * packed
     return acc, shift, width, p
 
 
 def products_vanish(products) -> bool:
-    """Is sum gamma * f * d zero, over (f, d, gamma) as in `_packed_sum`?
+    """Is sum f * g zero, over the (f, g) pairs?
 
-    The sum is never unpacked: a packed term is zero exactly when all its
-    coordinates are.
+    Over Z[lam] the sum runs on packed ints (`_packed_sum`) and is never
+    unpacked: a packed term is zero exactly when all its coordinates are.
+    Otherwise (over F_p, say) it is the plain sum of the products.
     """
-    products = [(f, d, gamma) for f, d, gamma in products if f and d]
-    if not products:
-        return True
-    acc, _, _, _ = _packed_sum(products)
-    return not any(acc.values())
+    products = [(f, g) for f, g in products if f and g]
+    pairs = [_packed_pair(f, g) for f, g in products]
+    if products and None not in pairs:
+        acc, _, _, _ = _packed_sum(pairs)
+        return not any(acc.values())
+    total = None
+    for f, g in products:
+        total = f * g if total is None else total + f * g
+    return not total
 
 
 def _is_one_poly(poly: SparsePoly) -> bool:

@@ -29,9 +29,11 @@ per weight T, and every other image is a shift of its coefficients.
 The normal forms themselves form one chain per context: NF(V^(e+1)) is the
 reduction of V * NF(V^e), whose V-degree is at most p, so each step is one
 substitution; linearity makes it the normal form of V^(e+1), and normal
-forms are unique.  Over Z[lam] each right-hand-side term is a cyclotomic
-scalar times a polynomial with int coefficients, so every substitution
-multiplies through `SparsePoly.mul_ints`.
+forms are unique.  The relation holds one polynomial per V-slot, and each
+substitution multiplies the top coefficient by them through
+`SparsePoly.__mul__`, which over Z[lam] is the one packed product; the
+split of a factor that the packing needs happens inside `exactalg`, once
+per polynomial.
 
 W^i = a(x)^i * X^i, so the W-slot s_i of a normal form is the X-slot
 a(x)^i * s_i (`FibreContext.x_coordinates`).  As a(x) != 0 this is an
@@ -58,7 +60,6 @@ from .exactalg import (
     SparsePoly,
     products_vanish,
     reduce_mod_lambda,
-    split_content,
 )
 from .family import FamilyParams, _a_powers, a_polynomial, deformation_symbols
 from .generators import GENERIC, RELATIVE, SPECIAL, relative_lambda_coefficient
@@ -68,19 +69,18 @@ from .termorder import Monomial, multidegree
 
 @dataclass(frozen=True)
 class FibreRelation:
-    """The defining relation V^p = sum gamma * d * V^i of one fibre.
+    """The defining relation V^p = sum_(i<p) rhs[i] * V^i of one fibre.
 
     V is y on the generic fibre and W = a(x) * X on the special and relative
-    fibres.  Each rhs entry (i, gamma, d) is one term of slot i: d is a
-    polynomial over `vars` with int coefficients (F_p coefficients on the
-    special fibre), and gamma is a CycloElement or None, read as 1 (always
-    None on F_p).
+    fibres.  rhs holds one polynomial over `vars` per V-slot i = 0..p-1, with
+    coefficients in the fibre's ring (Z[lam], or F_p on the special fibre);
+    a slot the relation does not use is the zero polynomial.
     """
 
     fibre: str
     p: int
     vars: tuple[str, ...]
-    rhs: tuple[tuple[int, CycloElement | None, SparsePoly], ...]
+    rhs: tuple[SparsePoly, ...]
 
 
 class FunctionFieldElement:
@@ -117,11 +117,11 @@ class FunctionFieldElement:
 def reduce_normal_form(e: dict, rel: FibreRelation) -> FunctionFieldElement:
     """Reduce a V-polynomial (exp -> coefficient polynomial) below degree p.
 
-    The top coefficient r meets each relation term as r * gamma * d: on
-    packed ints (`mul_ints`) when gamma is given, and otherwise through the
-    product, which packs int d against Z[lam] coefficients as well.  Each
-    substitution strictly lowers the top V-degree, so the loop runs at most
-    (initial degree - p + 1) times.
+    The top coefficient r meets each relation slot s_i as the product
+    r * s_i, which over Z[lam] runs on packed ints (`SparsePoly.__mul__`);
+    `exactalg` splits each slot for the packing once and keeps the split on
+    it.  Each round walks `rel.rhs` once.  Each substitution strictly lowers the
+    top V-degree, so the loop runs at most (initial degree - p + 1) times.
     """
     work = {k: v for k, v in e.items() if v}
     if work:
@@ -129,11 +129,11 @@ def reduce_normal_form(e: dict, rel: FibreRelation) -> FunctionFieldElement:
     while work and max(work) >= rel.p:
         top = max(work)
         r = work.pop(top)
-        for i, gamma, d in rel.rhs:
-            k = top - rel.p + i
-            add = r * d if gamma is None else r.mul_ints(d, gamma)
-            if not add:
+        for i, s in enumerate(rel.rhs):
+            if not s:
                 continue
+            k = top - rel.p + i
+            add = r * s
             cur = work.get(k)
             cur = add if cur is None else cur + add
             if cur:
@@ -185,8 +185,9 @@ class FibreContext:
             self.from_int = lambda n: CycloElement.from_int(p, n)
 
         self.vars = ("x",) if specialization is not None else ("x",) + syms
-        # a(x)^k for k = 0..p as multipliers: int coefficients over Z[lam], so
-        # that products with them go through `SparsePoly.mul_ints`
+        # a(x)^k for k = 0..p as multipliers: int coefficients over Z[lam],
+        # which the packed product of `SparsePoly.__mul__` takes with no
+        # cyclotomic factor to split off; F_p coefficients on the special fibre
         powers = (SparsePoly.constant(("x",) + syms, 1),) + _a_powers(params)
         if specialization is not None:
             powers = tuple(power.specialize(specialization) for power in powers)
@@ -220,14 +221,16 @@ class FibreContext:
 
     def _build_relation(self, params: FamilyParams) -> FibreRelation:
         p = self.p
-        x_ell = self.a_powers[0].mul_var_power("x", params.ell)
+        x_ell = SparsePoly.variable(self.vars, "x", params.ell, self.from_int(1))
+        zero = SparsePoly.zero(self.vars)
         if self.fibre == GENERIC:
-            rhs = ((0, CycloElement.lam(p) ** p, x_ell), (0, None, self.a_powers[p]))
+            a_p = self.a_powers[p].map_coefficients(self.from_int)
+            rhs = (x_ell.scale(CycloElement.lam(p) ** p) + a_p,) + (zero,) * (p - 1)
         elif self.fibre == SPECIAL:
-            rhs = ((0, None, x_ell), (1, None, self.a_powers[p - 1]))
+            rhs = (x_ell, self.a_powers[p - 1]) + (zero,) * (p - 2)
         else:
-            rhs = ((0, None, x_ell),) + tuple(
-                (i, -relative_lambda_coefficient(params, i), self.a_powers[p - i]) for i in range(1, p)
+            rhs = (x_ell,) + tuple(
+                self.a_powers[p - i].scale(-relative_lambda_coefficient(params, i)) for i in range(1, p)
             )
         return FibreRelation(fibre=self.fibre, p=p, vars=self.vars, rhs=rhs)
 
@@ -305,37 +308,18 @@ class FibreContext:
 
         The coefficients of one weight T combine into
         C_T = sum_rho x^rho * c_(rho,T), which multiplies the weight image
-        once.  When C_T is one cyclotomic element gamma times a polynomial d
-        with int coefficients (`split_content`), gamma and d multiply the
-        weight image on packed ints (`products_vanish`, `mul_ints`); in
-        `certify` this holds for every weight sum of every relative
-        trinomial, since all slots of one weight carry the same
-        lam-coefficient.  The sum vanishes when every V-slot does.
+        once.  The sum vanishes when every V-slot does; each slot sum
+        sum_T C_T * u_T is tested by `products_vanish`, which over Z[lam]
+        never unpacks it.  The same C_T object meets every slot, so the
+        packed product prepares it once.
         """
         by_weight: dict[int, SparsePoly] = {}
         for (rho, T), coeff in items:
             c = self.embed_symbol_poly(coeff).mul_var_power("x", rho)
             cur = by_weight.get(T)
             by_weight[T] = c if cur is None else cur + c
-        # per V-slot: (u, d, gamma) for the term u * d * gamma
-        slots: list[list] = [[] for _ in range(self.p)]
-        for T, c in by_weight.items():
-            if not c:
-                continue
-            gamma, d = split_content(c)
-            for slot, u in zip(slots, self.weight_image(T).coeffs):
-                if u:
-                    slot.append((u, d, gamma))
-        return all(self._slot_vanishes(slot) for slot in slots if slot)
-
-    def _slot_vanishes(self, slot) -> bool:
-        """Is sum u * d * gamma zero, over the (u, d, gamma) of one V-slot?"""
-        if all(gamma is not None for _, _, gamma in slot):  # never on F_p
-            return products_vanish(slot)
-        total = SparsePoly.zero(self.vars)
-        for u, d, gamma in slot:
-            total = total + (u * d if gamma is None else u.mul_ints(d, gamma))
-        return not total
+        images = [(self.weight_image(T).coeffs, c) for T, c in by_weight.items() if c]
+        return all(products_vanish([(u[i], c) for u, c in images]) for i in range(self.p))
 
     def multidegree_of(self, m: Monomial) -> tuple[int, int]:
         """(rho, T) of a degree-2 monomial in the basis variables."""
@@ -392,14 +376,14 @@ class RelationReport:
 def relation_consistency(params: FamilyParams) -> RelationReport:
     """Verify the algebraic compatibility of the stored fibre relations.
 
-    Each relation term (i, gamma, d) stands for gamma * d * V^i, which is
-    gamma * d * a^i * X^i off the generic fibre (V = W = a*X).
+    Slot i of a relation stands for rhs[i] * V^i, which is
+    rhs[i] * a^i * X^i off the generic fibre (V = W = a*X).
 
     (a) expanding a^p*(lam*X+1)^p - lam^p*x^ell - a^p by the binomial theorem
         equals lam^p * (W^p - rhs) built from the stored relative
         W-relation;
     (b) coefficientwise lam-reduction of the relative relation gives the
-        special relation;
+        special relation, slot by slot;
     (c) substituting y = a*(lam*X+1) into the stored generic relation and
         expanding recovers the same identity as (a) along an independent
         code path (generic polynomial composition instead of a hand-built
@@ -413,57 +397,42 @@ def relation_consistency(params: FamilyParams) -> RelationReport:
     def cy(n) -> CycloElement:
         return CycloElement.from_int(p, n)
 
-    def term(gamma, d: SparsePoly) -> SparsePoly:
-        """gamma * d over Z[lam] in `variables`."""
-        poly = d.embed(variables).map_coefficients(cy)
-        return poly if gamma is None else poly.scale(gamma)
+    def horner(rhs, v: SparsePoly) -> SparsePoly:
+        """v^p - sum_i rhs[i] * v^i in `variables`, by Horner's rule in v."""
+        acc = SparsePoly.constant(variables, cy(1))
+        for slot in reversed(rhs):
+            acc = acc * v - slot.embed(variables)
+        return acc
 
-    a = a_polynomial(params).as_poly(variables, cy)
-    a_p = a**p
+    # a and W = a*X with int coefficients, the cheapest factors of the
+    # packed product
+    a = a_polynomial(params).as_poly(variables)
+    a_p = (a**p).map_coefficients(cy)
     lam = CycloElement.lam(p)
     x_ell = SparsePoly.variable(variables, "x", ell, cy(1))
     X = SparsePoly.variable(variables, "X", 1, cy(1))
-    # W = a*X with int coefficients, so products with it go through `mul_ints`
-    W = a_polynomial(params).as_poly(variables) * SparsePoly.variable(variables, "X", 1, 1)
+    W = a.mul_var_power("X", 1)
 
     # (a): hand-built binomial-theorem expansion
     lhs_a = SparsePoly.zero(variables)
     for i in range(0, p + 1):
-        coeff = lam**i * math.comb(p, i)
-        term_i = a_p.scale(coeff) if i == 0 else (a_p * X**i).scale(coeff)
-        lhs_a = lhs_a + term_i
+        lhs_a = lhs_a + a_p.mul_var_power("X", i).scale(lam**i * math.comb(p, i))
     lhs_a = lhs_a - x_ell.scale(lam**p) - a_p
 
-    # W^p - sum gamma * d * W^i by Horner's rule in W
+    # W^p - sum_i rhs[i] * W^i
     relative = fibre_context(params, RELATIVE)
-    slots = [SparsePoly.zero(variables) for _ in range(p)]
-    for i, gamma, d in relative.relation.rhs:
-        slots[i] = slots[i] + term(gamma, d)
-    rhs_a = SparsePoly.constant(variables, cy(1))
-    for slot in reversed(slots):
-        rhs_a = rhs_a * W - slot
-    rhs_a = rhs_a.scale(lam**p)
+    rhs_a = horner(relative.relation.rhs, W).scale(lam**p)
     check_a = lhs_a == rhs_a
 
-    # (b): coefficientwise reduction of the relative relation
+    # (b): coefficientwise reduction of the relative relation, slot by slot
     special = fibre_context(params, SPECIAL)
-    reduced = {}
-    for i, gamma, d in relative.relation.rhs:
-        poly = d.map_coefficients(lambda n: PrimeFieldElement(n, p))
-        if gamma is not None:
-            poly = poly.scale(reduce_mod_lambda(gamma))
-        if poly:
-            reduced[i] = poly
-    expected = {i: d for i, _, d in special.relation.rhs}
-    check_b = reduced == expected
+    reduced = tuple(s.map_coefficients(reduce_mod_lambda) for s in relative.relation.rhs)
+    check_b = reduced == special.relation.rhs
 
     # (c): generic-relation substitution y = a*(lam*X + 1)
     generic = fibre_context(params, GENERIC)
     y = a * (X.scale(lam) + SparsePoly.constant(variables, cy(1)))
-    lhs_c = y**p
-    for _, gamma, d in generic.relation.rhs:
-        lhs_c = lhs_c - term(gamma, d)
-    check_c = lhs_c == rhs_a
+    check_c = horner(generic.relation.rhs, y) == rhs_a
 
     return RelationReport(
         kummer_form_matches_relative=check_a,

@@ -225,6 +225,21 @@ def relative_generators(params: FamilyParams, tie_break: str = TIE_BREAK_DEFAULT
     return [_anchored_generator(params, RELATIVE, pt, tie_break) for pt in anchor_set(params, 0)]
 
 
+def fibre_generators(
+    params: FamilyParams,
+    fibre: str,
+    all_pairs: bool = False,
+    tie_break: str = TIE_BREAK_DEFAULT,
+) -> list[GeneratorPoly]:
+    """The binomials followed by the fibre's trinomial-type family: the
+    family `canideal generators` emits and the kernel oracle checks."""
+    families = {GENERIC: generic_generators, SPECIAL: special_generators, RELATIVE: relative_generators}
+    if fibre not in families:
+        raise ValueError(f"unknown fibre {fibre!r}")
+    binomials = binomial_generators(params, all_pairs=all_pairs, tie_break=tie_break)
+    return binomials + families[fibre](params, tie_break=tie_break)
+
+
 def trinomial_variants(params: FamilyParams, fibre: str, pt: MinkowskiPoint, tie_break: str = TIE_BREAK_DEFAULT):
     """Iterate over ALL admissible representatives of the generator at one anchor.
 

@@ -110,13 +110,6 @@ def term_key(tie_break: str = TIE_BREAK_DEFAULT):
     return key
 
 
-def compare(m1: Monomial, m2: Monomial, tie_break: str = TIE_BREAK_DEFAULT) -> int:
-    """Total order; returns -1, 0 or 1.  Zero only for identical monomials."""
-    key = term_key(tie_break)
-    k1, k2 = key(m1), key(m2)
-    return (k1 > k2) - (k1 < k2)
-
-
 def sort_monomials(monomials, tie_break: str = TIE_BREAK_DEFAULT) -> list[Monomial]:
     """Ascending under the term order."""
     return sorted(monomials, key=term_key(tie_break))

@@ -46,7 +46,7 @@ from .generators import (
     GeneratorPoly,
     binomial_generators,
     corrupt_generator,
-    generic_generators,
+    fibre_generators,
     reduce_relative_to_special,
     relative_generators,
     special_generators,
@@ -318,15 +318,6 @@ def _degree2_monomials(params: FamilyParams) -> list[Monomial]:
     return [Monomial((pts[i], pts[j])) for i in range(len(pts)) for j in range(i, len(pts))]
 
 
-def _default_oracle_generators(params: FamilyParams, fibre: str, tie_break: str):
-    g1 = binomial_generators(params, tie_break=tie_break)
-    if fibre == GENERIC:
-        return g1 + generic_generators(params, tie_break=tie_break)
-    if fibre == SPECIAL:
-        return g1 + special_generators(params, tie_break=tie_break)
-    return g1 + relative_generators(params, tie_break=tie_break)
-
-
 def kernel_oracle(
     params: FamilyParams,
     fibre: str,
@@ -423,7 +414,7 @@ def kernel_oracle(
         )
 
     if gens is None:
-        gens = _default_oracle_generators(params, fibre, tie_break)
+        gens = fibre_generators(params, fibre, tie_break=tie_break)
     mono_index = {m: idx for idx, m in enumerate(monos)}
     gvecs = []
     for gen in gens:

@@ -8,6 +8,14 @@ import pytest
 
 import canideal
 from canideal.cli import main
+from canideal.family import validate_params
+from canideal.generators import (
+    binomial_generators,
+    generators_document,
+    generic_generators,
+    relative_generators,
+    special_generators,
+)
 
 
 def run(capsys, *argv):
@@ -55,6 +63,22 @@ def test_generators_p3_generic(capsys):
     assert doc["count"] == 1
     provs = [g["provenance"] for g in doc["generators"]]
     assert provs == ["binomial"]
+
+
+@pytest.mark.parametrize("fibre", ["generic", "special", "relative"])
+@pytest.mark.parametrize("all_pairs", [False, True])
+@pytest.mark.parametrize("tie_break", ["default", "alt"])
+def test_generators_bytes_are_binomials_then_family(capsys, fibre, all_pairs, tie_break):
+    # the CLI's single family builder gives the bytes of the explicit
+    # concatenation of the binomials and the fibre's trinomial family
+    params = validate_params(5, 2, 1)
+    argv = ["generators", "-p", "5", "-q", "2", "-l", "1", "--fibre", fibre, "--tie-break", tie_break]
+    code, out, _ = run(capsys, *(argv + (["--all-pairs"] if all_pairs else [])))
+    assert code == 0
+    family = {"generic": generic_generators, "special": special_generators, "relative": relative_generators}[fibre]
+    gens = binomial_generators(params, all_pairs=all_pairs, tie_break=tie_break) + family(params, tie_break=tie_break)
+    doc = generators_document(params, gens, fibre, tie_break)
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_generators_io_failure(tmp_path):

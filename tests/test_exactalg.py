@@ -13,10 +13,10 @@ from canideal.exactalg import (
     cyclotomic_min_poly,
     divide_by_lambda_power,
     is_prime,
+    _content_groups,
     lambda_valuation,
     products_vanish,
     reduce_mod_lambda,
-    split_content,
 )
 
 
@@ -193,57 +193,65 @@ def test_constructor_accepts_only_int_coordinates():
         assert all(type(c) is int for c in e.coeffs)
 
 
+def _schoolbook(f, g, p):
+    """f * g by a double loop over CycloElement.__mul__, int coefficients
+    read as CycloElements: the reference for the packed product, which every
+    SparsePoly product over Z[lam] now takes."""
+    def cy(c):
+        return c if isinstance(c, CycloElement) else CycloElement.from_int(p, c)
+
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, CycloElement.zero(p)) + cy(c1) * cy(c2)
+    return SparsePoly(f.vars, out)
+
+
+def _group_gamma(rows, p):
+    return CycloElement.one(p) if rows is None else CycloElement(p, rows[0])
+
+
 def test_split_content():
     p = 5
-    base = CycloElement(p, (2, -4, 0, 6))
-    poly = SparsePoly(("x", "y"), {(1, 0): base * 3, (0, 2): base * -5, (0, 0): CycloElement(p, (-1, 2, 0, -3))})
-    gamma, d = split_content(poly)
-    # the first coefficient is divided by the gcd of its coordinates
-    assert gamma.coeffs == (1, -2, 0, 3) and all(type(c) is int for c in gamma.coeffs)
-    assert d.terms == {(1, 0): 6, (0, 2): -10, (0, 0): -1}
-    assert all(type(k) is int for k in d.terms.values())
-    assert d.map_coefficients(lambda k: gamma * k) == poly
     lam = CycloElement.lam(p)
-    for bad in (
-        {(1, 0): base, (0, 1): base + lam},  # not proportional
-        {(1, 0): PrimeFieldElement(2, p)},
-        {(1, 0): 3},
-        {},
-    ):
-        poly = SparsePoly(("x", "y"), bad)
-        assert split_content(poly) == (None, poly)
-
-
-def _lift(ints, p):
-    """Int coefficients as CycloElements, so that a product takes the
-    schoolbook loop of SparsePoly.__mul__ and not the packed one."""
-    return ints.map_coefficients(lambda k: CycloElement.from_int(p, k))
-
-
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_mul_ints_matches_product(p):
-    rng = random.Random(60_000 + p)
-    variables = ("x", "y", "z")
-
-    def rand_exps():
-        return tuple(rng.randint(0, 3) for _ in variables)
-
-    for _ in range(10):
-        cyc = SparsePoly(
-            variables,
-            {rand_exps(): CycloElement(p, tuple(rng.randint(-9, 9) for _ in range(p - 1))) for _ in range(12)},
-        )
-        ints = SparsePoly(variables, {rand_exps(): rng.randint(-5, 5) for _ in range(8)})
-        got = cyc.mul_ints(ints)
-        assert got == cyc * _lift(ints, p)
-        assert all(type(x) is int for c in got.terms.values() for x in c.coeffs)
-        gamma = CycloElement(p, tuple(rng.randint(-9, 9) for _ in range(p - 1)))
-        assert cyc.mul_ints(ints, gamma) == (cyc * _lift(ints, p)).scale(gamma)
-    # coordinates far beyond one machine word pack and unpack exactly
-    big = SparsePoly(variables, {(2, 0, 1): CycloElement(p, (-(3**90),) + (7**80,) * (p - 2))})
-    gamma = CycloElement(p, (5**70,) * (p - 1))
-    ints = SparsePoly(variables, {(0, 0, 0): -(2**100), (1, 1, 0): 1})
-    assert big.mul_ints(ints, gamma) == (big * _lift(ints, p)).scale(gamma)
+    base = CycloElement(p, (2, -4, 0, 6))
+    poly = SparsePoly(
+        ("x", "y"),
+        {
+            (1, 0): base * 3,
+            (0, 2): base * -5,
+            (0, 0): CycloElement(p, (-1, 2, 0, -3)),  # base / -2
+            (2, 0): base + lam,  # no content in common with base
+            (0, 1): 7,
+            (1, 1): CycloElement.from_int(p, -4),
+        },
+    )
+    top, groups = _content_groups(poly)
+    assert top == 2
+    by_gamma = {_group_gamma(rows, p): (rows, d, weight) for rows, d, weight in groups}
+    assert len(by_gamma) == len(groups) == 3
+    # gamma is primitive with its first nonzero coordinate positive, so
+    # negative multiples share the group of the positive ones
+    gamma = CycloElement(p, (1, -2, 0, 3))
+    assert by_gamma[gamma][1] == {(1, 0): 6, (0, 2): -10, (0, 0): -1}
+    assert by_gamma[base + lam][1] == {(2, 0): 1}
+    # int coefficients and integer CycloElements form the group of gamma = 1
+    rows, d, weight = by_gamma[CycloElement.one(p)]
+    assert rows is None and d == {(0, 1): 7, (1, 1): -4} and weight == 11
+    for g, (rows, d, weight) in by_gamma.items():
+        assert all(type(k) is int for k in d.values())
+        if rows is not None:
+            assert [CycloElement(p, row) for row in rows] == [g * lam**j for j in range(p - 1)]
+            assert weight == sum(map(abs, d.values())) * max(abs(x) for row in rows for x in row)
+    # the groups rebuild the polynomial
+    rebuilt = SparsePoly.zero(poly.vars)
+    for g, (_, d, _) in by_gamma.items():
+        rebuilt = rebuilt + SparsePoly(poly.vars, d).map_coefficients(lambda k: g * k)
+    assert rebuilt == poly
+    # the split is kept on the polynomial
+    assert _content_groups(poly) is _content_groups(poly)
+    assert _content_groups(SparsePoly(("x", "y"))) == (0, ())
 
 
 def _rand_cyclo_poly(rng, p, variables, terms, size=9):
@@ -259,16 +267,48 @@ def _rand_cyclo_poly(rng, p, variables, terms, size=9):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
+def test_packed_product_matches_schoolbook(p):
+    rng = random.Random(60_000 + p)
+    variables = ("x", "y", "z")
+
+    def rand_exps():
+        return tuple(rng.randint(0, 3) for _ in variables)
+
+    for _ in range(10):
+        cyc = _rand_cyclo_poly(rng, p, variables, 12)
+        ints = SparsePoly(variables, {rand_exps(): rng.randint(-5, 5) for _ in range(8)})
+        got = cyc * ints
+        assert got == _schoolbook(cyc, ints, p) == ints * cyc
+        assert all(type(x) is int for c in got.terms.values() for x in c.coeffs)
+        # Z[lam] x Z[lam], with no content in common between coefficients
+        other = _rand_cyclo_poly(rng, p, variables, 6)
+        assert cyc * other == _schoolbook(cyc, other, p)
+        # one content group: gamma times ints, with negative multiples
+        gamma = CycloElement(p, tuple(rng.randint(-9, 9) for _ in range(p - 1)))
+        scaled = ints.map_coefficients(lambda k: gamma * k)
+        assert cyc * scaled == _schoolbook(cyc, ints, p).scale(gamma)
+        # two groups of different gammas and the group of gamma = 1, in one factor
+        mixed = scaled + other.scale(CycloElement.lam(p) + 2) + ints.mul_var_power("x", 4)
+        assert cyc * mixed == _schoolbook(cyc, mixed, p)
+    # coordinates far beyond one machine word pack and unpack exactly
+    big = SparsePoly(variables, {(2, 0, 1): CycloElement(p, (-(3**90),) + (7**80,) * (p - 2))})
+    gamma = CycloElement(p, (5**70,) * (p - 1))
+    ints = SparsePoly(variables, {(0, 0, 0): -(2**100), (1, 1, 0): 1})
+    scaled = ints.map_coefficients(lambda k: gamma * k)
+    assert big * scaled == _schoolbook(big, scaled, p) == _schoolbook(big, ints, p).scale(gamma)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
 def test_packed_coordinates_at_a_tight_bound(p):
-    # a coordinate equal to the bound K * C * G, a power of two: the digit
+    # a coordinate equal to the bound C * K * G, a power of two: the digit
     # width must leave room for its sign
     variables = ("x", "y")
     f = SparsePoly(variables, {(1, 0): CycloElement(p, (4,) + (0,) * (p - 2))})
     d = SparsePoly(variables, {(0, 1): 4})
-    assert f.mul_ints(d) == f * _lift(d, p)
-    assert f.mul_ints(-d) == f * _lift(-d, p)
-    assert not products_vanish([(f, d, None)])
-    assert products_vanish([(f, d, None), (-f, d, None)])
+    assert f * d == _schoolbook(f, d, p)
+    assert f * -d == _schoolbook(f, -d, p)
+    assert not products_vanish([(f, d)])
+    assert products_vanish([(f, d), (-f, d)])
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -281,22 +321,39 @@ def test_products_vanish_matches_plain_sum(p):
             f = _rand_cyclo_poly(rng, p, variables, rng.randint(1, 8))
             d = SparsePoly(variables, {(rng.randint(0, 2), 0, rng.randint(0, 2)): rng.randint(-4, 4) for _ in range(3)})
             gamma = rng.choice([None, CycloElement(p, tuple(rng.randint(-5, 5) for _ in range(p - 1)))])
-            products.append((f, d, gamma))
+            g = d if gamma is None else d.map_coefficients(lambda k: gamma * k)
+            products.append(rng.choice([(f, g), (g, f)]))
         plain = SparsePoly.zero(variables)
-        for f, d, gamma in products:
-            plain = plain + (f * _lift(d, p) if gamma is None else (f * _lift(d, p)).scale(gamma))
+        for f, g in products:
+            plain = plain + _schoolbook(f, g, p)
         assert products_vanish(products) == (not plain)
-        # the same products minus themselves, with gamma folded into f
-        cancelled = products + [(-(f if g is None else f.scale(g)), d, None) for f, d, g in products]
-        assert products_vanish(cancelled)
+        # the same products minus themselves
+        assert products_vanish(products + [(-f, g) for f, g in products])
     assert products_vanish([])
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_products_vanish_on_prime_field(p):
+    # over F_p the answer is the plain sum of the products
+    variables = ("x", "y")
+
+    def fp(terms):
+        return SparsePoly(variables, {e: PrimeFieldElement(v, p) for e, v in terms.items()})
+
+    f, g = fp({(1, 0): 1, (0, 1): 2}), fp({(0, 0): 3, (1, 1): 1})
+    assert not products_vanish([(f, g)])
+    assert products_vanish([(f, g), (f.scale(PrimeFieldElement(p - 1, p)), g)])
+    # p copies of f * g cancel on F_p, though not over the ints
+    assert products_vanish([(f, g)] * p)
+    assert not products_vanish([(f, g)] * (p + 1))
+    assert products_vanish([(f, SparsePoly.zero(variables))])
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_packed_divmod_matches_long_division(p):
-    # long division by an int divisor multiplies through the packed product
-    # (`mul_ints`); the same divisor with CycloElement coefficients through
-    # the schoolbook loop
+    # long division multiplies through the packed product; the result is
+    # checked against the schoolbook product: f = quo * divisor + rem with
+    # rem of lower x-degree, which determines quo and rem
     rng = random.Random(80_000 + p)
     variables = ("x", "s", "t")
     divisors = [
@@ -310,13 +367,13 @@ def test_packed_divmod_matches_long_division(p):
         ring = ints.map_coefficients(lambda n: CycloElement.from_int(p, n))
         for _ in range(8):
             f = _rand_cyclo_poly(rng, p, variables, rng.randint(1, 10), size=rng.choice([2, 10**30]))
-            f = f * SparsePoly(variables, {(rng.randint(0, 6), 0, 0): CycloElement.one(p)})
-            packed = f.divmod_monic(ints, "x")
-            assert packed == f.divmod_monic(ring, "x")
-            quo, rem = packed
-            assert quo * ints + rem == f
+            f = f.mul_var_power("x", rng.randint(0, 6))
+            quo, rem = f.divmod_monic(ints, "x")
+            assert (quo, rem) == f.divmod_monic(ring, "x")
+            assert _schoolbook(quo, ints, p) + rem == f
+            assert not rem or rem.degree_in("x") < ints.degree_in("x")
             # an exact multiple divides with remainder zero
-            assert (f * ints).divmod_monic(ints, "x") == (f, SparsePoly.zero(variables))
+            assert _schoolbook(f, ints, p).divmod_monic(ints, "x") == (f, SparsePoly.zero(variables))
 
 
 def test_reduce_mod_lambda_examples():

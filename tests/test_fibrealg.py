@@ -3,7 +3,7 @@ import random
 import pytest
 
 from canideal.errors import BadSpecialization, VariableOutsideIndexSet, WrongDegree
-from canideal.exactalg import CycloElement, SparsePoly
+from canideal.exactalg import CycloElement, PrimeFieldElement, SparsePoly
 from canideal.family import a_polynomial, deformation_symbols, validate_params
 from canideal.fibrealg import (
     FibreContext,
@@ -24,6 +24,16 @@ def _a_power(params, ctx, k):
     if ctx.specialization is not None:
         a = a.specialize({s: ctx.from_int(v) for s, v in ctx.specialization.items()})
     return a**k
+
+
+def _termwise_product(f, g):
+    """f * g by a double loop over the coefficient ring's own product."""
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return SparsePoly(f.vars, out)
 
 
 def test_generic_relation_rhs():
@@ -47,6 +57,31 @@ def test_special_relation_rhs():
     assert nf.coeffs[1] == _a_power(params, ctx, 4)
     assert nf.coeffs[0] == SparsePoly.variable(ctx.vars, "x", 1, ctx.from_int(1))
     assert all(c.is_zero for c in nf.coeffs[2:])
+
+
+@pytest.mark.parametrize("triple", [(5, 2, 1), (3, 4, 2), (7, 1, 3)])
+def test_relation_holds_one_polynomial_per_slot(triple):
+    # rhs[i] is the whole V^i-coefficient over the fibre's ring, built here
+    # from a(x) and the closed forms
+    params = validate_params(*triple)
+    p, ell = params.p, params.ell
+    for fibre in ("generic", "special", "relative"):
+        ctx = FibreContext(params, fibre)
+        rhs = ctx.relation.rhs
+        assert len(rhs) == p and all(s.vars == ctx.vars for s in rhs)
+        x_ell = SparsePoly.variable(ctx.vars, "x", ell, ctx.from_int(1))
+        zero = SparsePoly.zero(ctx.vars)
+        if fibre == "generic":
+            want = [x_ell.scale(CycloElement.lam(p) ** p) + _a_power(params, ctx, p)] + [zero] * (p - 1)
+        elif fibre == "special":
+            want = [x_ell, _a_power(params, ctx, p - 1)] + [zero] * (p - 2)
+        else:
+            want = [x_ell] + [
+                _a_power(params, ctx, p - i).scale(-relative_lambda_coefficient(params, i)) for i in range(1, p)
+            ]
+        assert list(rhs) == want, fibre
+        ring = PrimeFieldElement if fibre == "special" else CycloElement
+        assert all(type(c) is ring for s in rhs for c in s.terms.values()), fibre
 
 
 def test_low_degree_unchanged():
@@ -265,9 +300,11 @@ def test_weight_images_are_congruent_to_their_starts(triple, specialized):
 @pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (7, 1, 3)])
 @pytest.mark.parametrize("specialized", [False, True])
 def test_int_a_power_product_equals_ring_product(triple, specialized):
-    # over Z[lam] the context keeps a(x)^k with int coefficients, so W-slots
-    # meet them through mul_ints (the X-coordinates); the product equals the
-    # one with a(x)^k over the ring
+    # over Z[lam] the context keeps a(x)^k with int coefficients; W-slots
+    # meet them (the X-coordinates) in the packed product of
+    # SparsePoly.__mul__, which splits a factor into cyclotomic content
+    # groups inside exactalg.  The product equals a term-by-term product
+    # with a(x)^k over the ring
     params = validate_params(*triple)
     spec = default_specialization(params) if specialized else None
     for fibre in ("generic", "special", "relative"):
@@ -286,7 +323,7 @@ def test_int_a_power_product_equals_ring_product(triple, specialized):
             for k in range(ctx.p + 1):
                 ring = _a_power(params, ctx, k)
                 assert all(type(c) is not int for c in ring.terms.values())
-                assert num * ctx.a_powers[k] == num * ring, (fibre, k)
+                assert num * ctx.a_powers[k] == _termwise_product(num, ring), (fibre, k)
 
 
 @pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (7, 1, 3)])

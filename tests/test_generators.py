@@ -15,6 +15,7 @@ from canideal.family import a_power_coefficients, validate_params
 from canideal.generators import (
     binomial_generators,
     corrupt_generator,
+    fibre_generators,
     generators_document,
     generic_generators,
     reduce_relative_to_special,
@@ -204,3 +205,8 @@ def test_trinomial_variants_are_members():
     for gen in variants:
         assert leading_term(gen.terms)[1] in monomials_at(params, anchor)
         assert check_membership(params, "generic", gen)
+
+
+def test_fibre_generators_rejects_unknown_fibre():
+    with pytest.raises(ValueError):
+        fibre_generators(validate_params(5, 2, 1), "any")
