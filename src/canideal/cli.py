@@ -11,7 +11,7 @@ import json
 import sys
 
 from .errors import CanidealError
-from .family import validate_params
+from .family import validate_p_q, validate_params
 from .generators import GENERIC, RELATIVE, SPECIAL, fibre_generators, generators_document
 from .indexsets import check_counts
 from .termorder import TIE_BREAK_DEFAULT, TIE_BREAKS
@@ -187,6 +187,11 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"error: bad range: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # every (p, q) is checked before ell is enumerated: with p < 2 the range
+    # of ell is empty, and no row would reach validate_params
+    for p in p_set:
+        for q in q_set:
+            validate_p_q(p, q)
     rows = []
     all_pass = True
     for p in p_set:
@@ -198,16 +203,18 @@ def cmd_sweep(args) -> int:
                 rows.append(report)
     if args.format == "structured":
         doc = {"schema": "canideal.sweep/1", "rows": [r.to_dict() for r in rows], "all_pass": all_pass}
-        return _emit(_json(doc), args.out)
-    header = f"{'p':>3} {'q':>3} {'ell':>4} {'g':>5} {'|A+A|':>6} {'|C0|':>5} {'diff':>5} {'bound':>6} {'eq':>3} {'ok':>3}"
-    lines = [header]
-    for r in rows:
-        lines.append(
-            f"{r.p:>3} {r.q:>3} {r.ell:>4} {r.genus:>5} {r.minkowski_size:>6} "
-            f"{r.anchor_sizes[0]:>5} {r.outside_zero:>5} {r.bound:>6} "
-            f"{'y' if r.counting_bound_equality else 'n':>3} {'y' if r.all_pass else 'N':>3}"
-        )
-    code = _emit("\n".join(lines) + "\n", args.out)
+        text = _json(doc)
+    else:
+        header = f"{'p':>3} {'q':>3} {'ell':>4} {'g':>5} {'|A+A|':>6} {'|C0|':>5} {'diff':>5} {'bound':>6} {'eq':>3} {'ok':>3}"
+        lines = [header]
+        for r in rows:
+            lines.append(
+                f"{r.p:>3} {r.q:>3} {r.ell:>4} {r.genus:>5} {r.minkowski_size:>6} "
+                f"{r.anchor_sizes[0]:>5} {r.outside_zero:>5} {r.bound:>6} "
+                f"{'y' if r.counting_bound_equality else 'n':>3} {'y' if r.all_pass else 'N':>3}"
+            )
+        text = "\n".join(lines) + "\n"
+    code = _emit(text, args.out)
     if code != EXIT_OK:
         return code
     return EXIT_OK if all_pass else EXIT_MATH_FAIL

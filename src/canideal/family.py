@@ -82,16 +82,21 @@ def _genus_formula(p: int, q: int, ell: int) -> int:
     return sum(mu * q - (mu * ell) // p - 1 for mu in range(1, p))
 
 
+def validate_p_q(p: int, q: int) -> None:
+    """Raise the family's error unless p is an odd prime and q a positive integer."""
+    if not isinstance(p, int) or not is_prime(p) or p < 3:
+        raise NonPrimeP(f"p must be an odd prime >= 3, got {p}")
+    if not isinstance(q, int) or q < 1:
+        raise NonPositiveQ(f"q must be a positive integer, got {q}")
+
+
 def validate_params(p: int, q: int, ell: int) -> FamilyParams:
     """Validate (p, q, ell) and derive m, genus and the applicability flags.
 
     The flags warn but never block: the counting machinery is meaningful for
     every valid triple.
     """
-    if not isinstance(p, int) or not is_prime(p) or p < 3:
-        raise NonPrimeP(f"p must be an odd prime >= 3, got {p}")
-    if not isinstance(q, int) or q < 1:
-        raise NonPositiveQ(f"q must be a positive integer, got {q}")
+    validate_p_q(p, q)
     if not isinstance(ell, int) or ell < 1 or ell >= p:
         raise EllOutOfRange(f"ell must satisfy 1 <= ell <= p - 1, got {ell}")
     m = p * q - ell

@@ -4,26 +4,31 @@ Everything here is brute-force enumeration plus closed-form descriptions that
 are checked against the enumeration.  Sets are returned sorted for
 deterministic reports: index pairs by (mu, N), Minkowski points by (T, rho).
 
-The enumeration works on plain tuples.  One per-triple table groups the
-unordered index pairs by their sum (rho, T); the counting identities read its
-class sizes, and sorted monomials are built from it only when the generators
-ask for them.  The anchor test reads a second table of runs: for each point
-(rho, T) of the enumerated sum, the largest rho' with every (r, T),
-rho <= r <= rho', in the sum.  "(rho + j, T') in the sum for every j in
-[jlo, jhi]" is then one lookup, end(rho + jlo, T') >= rho + jhi.
+One enumeration counts pairs: every unordered pair of index pairs
+(repetition allowed) is visited once, at C speed, and the pairs with sum
+(rho, T) are counted, not stored.  The Minkowski sum is the sorted key set of
+that count table and the counting identities read its class sizes.  The
+pairs themselves are materialised, as sorted monomial classes, only when the
+generators ask for monomials.  The anchor test reads a second table of runs:
+for each point (rho, T) of the enumerated sum, the largest rho' with every
+(r, T), rho <= r <= rho', in the sum.  "(rho + j, T') in the sum for every j
+in [jlo, jhi]" is then one lookup, end(rho + jlo, T') >= rho + jhi.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, product, starmap
+from operator import add
+from typing import NamedTuple
 
 from .errors import IOutOfRange, MinkowskiClosedFormMismatch, PointNotInMinkowskiSum, TOutOfRange
 from .family import FamilyParams, a_power_min_exponent, per_triple
 from .termorder import TIE_BREAK_DEFAULT, IndexPair, Monomial, sort_monomials
 
 
-@dataclass(frozen=True)
-class MinkowskiPoint:
+class MinkowskiPoint(NamedTuple):
     """A point (rho, T) of the Minkowski sum of the index set with itself."""
 
     rho: int
@@ -42,17 +47,45 @@ def build_index_set(params: FamilyParams) -> tuple[IndexPair, ...]:
     return tuple(sorted(points, key=lambda f: (f.mu, f.N)))
 
 
+def count_pairs(index_set) -> dict[tuple[int, int], int]:
+    """(T, rho) -> number of unordered pairs of index_set (repetition allowed) with that sum.
+
+    The pairs are those of the rows mu <= mu' of the index set grouped by mu:
+    combinations with replacement within a row, the full product across two
+    rows.  Each row pair adds N + N' for all its pairs in one C-level
+    Counter update; the counts sum to n(n+1)/2 for n index pairs.
+    """
+    rows: dict[int, list[int]] = {}
+    for f in index_set:
+        rows.setdefault(f.mu, []).append(f.N)
+    mus = sorted(rows)
+    by_weight: dict[int, Counter] = {}
+    for k, mu in enumerate(mus):
+        for mu2 in mus[k:]:
+            pairs = combinations_with_replacement(rows[mu], 2) if mu == mu2 else product(rows[mu], rows[mu2])
+            by_weight.setdefault(mu + mu2, Counter()).update(starmap(add, pairs))
+    return {(T, rho): n for T, counts in by_weight.items() for rho, n in counts.items()}
+
+
+@per_triple
+def pair_counts(params: FamilyParams) -> dict[tuple[int, int], int]:
+    """count_pairs of the triple's index set."""
+    return count_pairs(build_index_set(params))
+
+
+def _points(counts: dict[tuple[int, int], int]) -> tuple[MinkowskiPoint, ...]:
+    return tuple(MinkowskiPoint(rho, T) for T, rho in sorted(counts))
+
+
 def minkowski_sum_brute(index_set) -> tuple[MinkowskiPoint, ...]:
     """Pairwise sums (unordered pairs, repetition allowed), sorted by (T, rho)."""
-    pts = [(f.mu, f.N) for f in index_set]
-    sums = {(mu + mu2, N + N2) for i, (mu, N) in enumerate(pts) for mu2, N2 in pts[i:]}
-    return tuple(MinkowskiPoint(rho=rho, T=T) for T, rho in sorted(sums))
+    return _points(count_pairs(index_set))
 
 
 @per_triple
 def minkowski_sum(params: FamilyParams) -> tuple[MinkowskiPoint, ...]:
     """minkowski_sum_brute of the triple's index set."""
-    return minkowski_sum_brute(build_index_set(params))
+    return _points(pair_counts(params))
 
 
 def rho_lower_bound(params: FamilyParams, T: int) -> int:
@@ -115,18 +148,24 @@ def _run_ends(params: FamilyParams) -> dict[tuple[int, int], int]:
 
 
 @per_triple
-def _anchor_set(params: FamilyParams, i: int) -> tuple[MinkowskiPoint, ...]:
+def _shift_anchored(params: FamilyParams) -> tuple[MinkowskiPoint, ...]:
+    """Points (rho, T) of the Minkowski sum with (rho + ell, T + p) in the sum; the same for every i."""
     ends = _run_ends(params)
     p, ell = params.p, params.ell
-    jlo = a_power_min_exponent(params, i)
-    jhi = (p - i) * params.q
+    return tuple(pt for pt in minkowski_sum(params) if (pt.rho + ell, pt.T + p) in ends)
+
+
+@per_triple
+def _anchor_set(params: FamilyParams, i: int) -> tuple[MinkowskiPoint, ...]:
+    ends = _run_ends(params)
+    shift = params.p - i
+    jlo = a_power_min_exponent(params, i)  # 0 or p - i, never above jhi since q >= 1
+    jhi = shift * params.q
     out = []
-    for pt in minkowski_sum(params):
-        if (pt.rho + ell, pt.T + p) not in ends:
-            continue
+    for pt in _shift_anchored(params):
         # every j in [jlo, jhi] at once: one run covers [rho + jlo, rho + jhi]
-        start = (pt.rho + jlo, pt.T + p - i)
-        if jlo > jhi or (start in ends and ends[start] >= pt.rho + jhi):
+        end = ends.get((pt.rho + jlo, pt.T + shift))
+        if end is not None and end >= pt.rho + jhi:
             out.append(pt)
     return tuple(out)
 
@@ -165,23 +204,14 @@ def anchor_set_zero_closed_repaired(params: FamilyParams) -> tuple[MinkowskiPoin
 
 
 @per_triple
-def _pair_classes(params: FamilyParams) -> dict[tuple[int, int], list[tuple[IndexPair, IndexPair]]]:
-    """Every unordered pair of index pairs (repetition allowed), grouped by (rho, T)."""
-    index_set = build_index_set(params)
-    classes: dict[tuple[int, int], list[tuple[IndexPair, IndexPair]]] = {}
-    for i, a in enumerate(index_set):
-        for b in index_set[i:]:
-            classes.setdefault((a.N + b.N, a.mu + b.mu), []).append((a, b))
-    return classes
-
-
-@per_triple
 def _monomial_classes(params: FamilyParams, tie_break: str) -> dict[tuple[int, int], tuple[Monomial, ...]]:
     """Every degree-2 monomial, grouped by (rho, T), each class sorted ascending."""
-    return {
-        point: tuple(sort_monomials([Monomial(pair) for pair in pairs], tie_break))
-        for point, pairs in _pair_classes(params).items()
-    }
+    index_set = build_index_set(params)
+    classes: dict[tuple[int, int], list[Monomial]] = {}
+    for i, a in enumerate(index_set):
+        for b in index_set[i:]:
+            classes.setdefault((a.N + b.N, a.mu + b.mu), []).append(Monomial((a, b)))
+    return {point: tuple(sort_monomials(monos, tie_break)) for point, monos in classes.items()}
 
 
 def monomials_at(
@@ -271,8 +301,8 @@ def check_counts(params: FamilyParams) -> CountReport:
     """Run every counting identity for one parameter triple.
 
     Failed identities become report entries, never exceptions.  A point of
-    the enumerated Minkowski sum with no index-pair class means the two
-    enumerations disagree and raises PointNotInMinkowskiSum.
+    the Minkowski sum with no entry in the pair-count table means the sum and
+    the table disagree and raises PointNotInMinkowskiSum.
     """
     index_set = build_index_set(params)
     brute = minkowski_sum(params)
@@ -291,21 +321,18 @@ def check_counts(params: FamilyParams) -> CountReport:
     bound = 3 * (g - 1)
 
     tmax = 2 * (params.p - 1)
-    subadd = all(
-        rho_lower_bound(params, T + alpha) <= rho_lower_bound(params, T) + alpha
-        for T in range(2, tmax + 1)
-        for alpha in range(0, tmax - T + 1)
-    )
+    b = {T: rho_lower_bound(params, T) for T in range(2, tmax + 1)}
+    subadd = all(b[T + alpha] <= b[T] + alpha for T in range(2, tmax + 1) for alpha in range(0, tmax - T + 1))
 
     contained = all(zero <= set(a) for a in anchors)
 
-    classes = _pair_classes(params)
+    counts = pair_counts(params)
     pair_total = 0
     for pt in brute:
-        pairs = classes.get((pt.rho, pt.T))
-        if pairs is None:
+        n = counts.get((pt.T, pt.rho))
+        if n is None:
             raise PointNotInMinkowskiSum(f"{pt} is not in the Minkowski sum")
-        pair_total += len(pairs)
+        pair_total += n
 
     return CountReport(
         p=params.p,

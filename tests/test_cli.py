@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import canideal
+import canideal.indexsets as indexsets
 from canideal.cli import main
 from canideal.family import validate_params
 from canideal.generators import (
@@ -218,6 +219,41 @@ def test_sweep_rejects_empty_or_repeated_sets(capsys, option, value):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and option in err
+
+
+@pytest.mark.parametrize(
+    "p_set, q_set, message",
+    [
+        ("1", "1", "p must be an odd prime"),
+        ("0", "1", "p must be an odd prime"),
+        ("-3", "1", "p must be an odd prime"),
+        ("1", "0", "p must be an odd prime"),
+        ("3,1", "2", "p must be an odd prime"),
+        ("3", "0", "q must be a positive integer"),
+        ("3", "2,-1", "q must be a positive integer"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+def test_sweep_rejects_invalid_p_or_q_before_any_row(capsys, p_set, q_set, message, fmt):
+    # with p < 2 the range of ell is empty; the sweep must not pass with no rows
+    code, out, err = run(capsys, "sweep", f"--p-set={p_set}", f"--q-set={q_set}", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+def test_sweep_exits_1_on_a_failing_row_in_every_format(capsys, monkeypatch, fmt):
+    real = indexsets.rho_lower_bound
+    monkeypatch.setattr(indexsets, "rho_lower_bound", lambda params, T: real(params, T) + 1)
+    code, out, _ = run(capsys, "sweep", "--p-set", "5", "--q-set", "2", "--l-set", "3", "--format", fmt)
+    assert code == 1
+    if fmt == "structured":
+        doc = json.loads(out)
+        assert doc["all_pass"] is False
+        assert not doc["rows"][0]["checks"]["minkowski_closed_matches"]
+    else:
+        assert out.splitlines()[-1].endswith("N")
 
 
 def test_sweep_matches_recorded_benchmark_output(capsys):

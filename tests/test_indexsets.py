@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import canideal.indexsets as indexsets
 from canideal.errors import MinkowskiClosedFormMismatch, PointNotInMinkowskiSum, TOutOfRange
@@ -12,11 +14,13 @@ from canideal.indexsets import (
     anchor_set_zero_closed_repaired,
     build_index_set,
     check_counts,
+    count_pairs,
     minimal_monomial,
     minkowski_sum,
     minkowski_sum_brute,
     minkowski_sum_closed,
     monomials_at,
+    pair_counts,
     rho_lower_bound,
 )
 from canideal.termorder import TIE_BREAK_ALT, IndexPair, Monomial
@@ -234,6 +238,55 @@ def test_pair_total_is_triangular(triple):
     total = sum(len(monomials_at(params, m)) for m in mink)
     g = params.genus
     assert total == g * (g + 1) // 2
+
+
+def _naive_pair_counts(index_set):
+    """(T, rho) -> number of unordered pairs (repetition allowed), by a double loop."""
+    pts = list(index_set)
+    counts = {}
+    for i in range(len(pts)):
+        for j in range(i, len(pts)):
+            key = (pts[i].mu + pts[j].mu, pts[i].N + pts[j].N)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+index_sets = st.lists(
+    st.builds(IndexPair, N=st.integers(-3, 12), mu=st.integers(1, 6)), unique=True, max_size=25
+)
+
+
+@given(index_set=index_sets)
+@example(index_set=[])
+@example(index_set=[IndexPair(2, 3)])
+@example(index_set=[IndexPair(0, 1), IndexPair(4, 1), IndexPair(9, 1)])  # gaps in N, a single mu
+@example(index_set=[IndexPair(5, 4), IndexPair(0, 1), IndexPair(2, 4), IndexPair(1, 1), IndexPair(3, 2)])
+def test_pair_counts_match_a_double_loop(index_set):
+    naive = _naive_pair_counts(index_set)
+    assert count_pairs(index_set) == naive
+    n = len(index_set)
+    assert sum(count_pairs(index_set).values()) == n * (n + 1) // 2
+    want = tuple(sorted((pt(rho, T) for T, rho in naive), key=lambda m: (m.T, m.rho)))
+    assert minkowski_sum_brute(index_set) == want
+    assert minkowski_sum_brute(tuple(index_set)) == want
+
+
+@pytest.mark.parametrize("triple", [(p, q, ell) for p in (3, 5, 7) for q in range(1, 5) for ell in range(1, p)])
+def test_class_sizes_are_monomial_class_sizes(triple):
+    # ties the counting path (check_counts) to the certify path (monomials_at)
+    params = validate_params(*triple)
+    counts = pair_counts(params)
+    mink = minkowski_sum(params)
+    assert sorted(counts) == [(m.T, m.rho) for m in mink]
+    for m in mink:
+        assert counts[(m.T, m.rho)] == len(monomials_at(params, m))
+
+
+def test_minkowski_point_is_a_named_pair():
+    m = pt(3, 5)
+    assert (m.rho, m.T) == (3, 5)
+    assert repr(m) == "MinkowskiPoint(rho=3, T=5)"
+    assert m == MinkowskiPoint(rho=3, T=5) and hash(m) == hash(MinkowskiPoint(3, 5))
 
 
 def test_check_counts_key_instances():
