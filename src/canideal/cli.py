@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 mathematical failure, 2 usage or invalid parameters,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -32,6 +33,7 @@ def _add_param_args(sub):
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="canideal",

@@ -1,31 +1,31 @@
 """Enumeration of the basis index set, its Minkowski sum, and the anchor sets.
 
-Everything here is brute-force enumeration plus closed-form descriptions that
-are checked against the enumeration.  Sets are returned sorted for
-deterministic reports: index pairs by (mu, N), Minkowski points by (T, rho).
+Everything is computed from the index set; the closed forms are only checked
+against it.  Sets are returned sorted: index pairs by (mu, N), Minkowski
+points by (T, rho).
 
-One enumeration counts pairs: every unordered pair of index pairs
-(repetition allowed) is visited once, at C speed, and the pairs with sum
-(rho, T) are counted, not stored.  The Minkowski sum is the sorted key set of
-that count table and the counting identities read its class sizes.  The
-pairs themselves are materialised, as sorted monomial classes, only when the
-generators ask for monomials.  The anchor test reads a second table of runs:
-for each point (rho, T) of the enumerated sum, the largest rho' with every
-(r, T), rho <= r <= rho', in the sum.  "(rho + j, T') in the sum for every j
-in [jlo, jhi]" is then one lookup, end(rho + jlo, T') >= rho + jhi.
+The counting layer works on run tables: weight T -> the sorted, disjoint,
+non-adjacent rho-intervals [lo, hi] at T.  The Minkowski sum's table cuts each
+row mu of the index set into runs of N, adds each run pair of rows mu <= mu'
+as [a + c, b + d] at T = mu + mu' and merges the intervals at each T.  This is
+exact because [a, b] + [c, d] = [a + c, b + d] over the integers and A + B is
+the union of the sums of its runs.  Closed forms, anchor sets and the counts
+of `check_counts` are interval arithmetic on these runs.  Points are
+materialised only for the point API, monomial classes only for the generators.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-from itertools import combinations_with_replacement, product, starmap
-from operator import add
+from dataclasses import dataclass, fields
+from itertools import combinations
 from typing import NamedTuple
 
 from .errors import IOutOfRange, MinkowskiClosedFormMismatch, PointNotInMinkowskiSum, TOutOfRange
 from .family import FamilyParams, a_power_min_exponent, per_triple
 from .termorder import TIE_BREAK_DEFAULT, IndexPair, Monomial, sort_monomials
+
+Run = tuple[int, int]
+RunTable = dict[int, tuple[Run, ...]]
 
 
 class MinkowskiPoint(NamedTuple):
@@ -47,45 +47,79 @@ def build_index_set(params: FamilyParams) -> tuple[IndexPair, ...]:
     return tuple(sorted(points, key=lambda f: (f.mu, f.N)))
 
 
-def count_pairs(index_set) -> dict[tuple[int, int], int]:
-    """(T, rho) -> number of unordered pairs of index_set (repetition allowed) with that sum.
+def _merge(intervals) -> tuple[Run, ...]:
+    """The union of integer intervals [lo, hi] (lo <= hi) as sorted, disjoint, non-adjacent runs."""
+    out: list[Run] = []
+    for lo, hi in sorted(intervals):
+        if out and lo <= out[-1][1] + 1:
+            out[-1] = (out[-1][0], max(hi, out[-1][1]))
+        else:
+            out.append((lo, hi))
+    return tuple(out)
 
-    The pairs are those of the rows mu <= mu' of the index set grouped by mu:
-    combinations with replacement within a row, the full product across two
-    rows.  Each row pair adds N + N' for all its pairs in one C-level
-    Counter update; the counts sum to n(n+1)/2 for n index pairs.
-    """
-    rows: dict[int, list[int]] = {}
+
+def _intersect(xs: tuple[Run, ...], ys: tuple[Run, ...]) -> tuple[Run, ...]:
+    """The intersection of two run lists, again sorted, disjoint and non-adjacent."""
+    out = []
+    for a, b in xs:
+        for c, d in ys:
+            lo, hi = (a if a > c else c), (b if b < d else d)
+            if lo <= hi:
+                out.append((lo, hi))
+    return tuple(out)
+
+
+def _size(runs: tuple[Run, ...]) -> int:
+    return sum(hi - lo + 1 for lo, hi in runs)
+
+
+def _total(table: RunTable) -> int:
+    return sum(map(_size, table.values()))
+
+
+def _row_runs(index_set) -> RunTable:
+    """mu -> the runs of the N values of row mu, rows by ascending mu."""
+    rows: dict[int, list[Run]] = {}
     for f in index_set:
-        rows.setdefault(f.mu, []).append(f.N)
-    mus = sorted(rows)
-    by_weight: dict[int, Counter] = {}
-    for k, mu in enumerate(mus):
-        for mu2 in mus[k:]:
-            pairs = combinations_with_replacement(rows[mu], 2) if mu == mu2 else product(rows[mu], rows[mu2])
-            by_weight.setdefault(mu + mu2, Counter()).update(starmap(add, pairs))
-    return {(T, rho): n for T, counts in by_weight.items() for rho, n in counts.items()}
+        rows.setdefault(f.mu, []).append((f.N, f.N))
+    return {mu: _merge(rows[mu]) for mu in sorted(rows)}
+
+
+def minkowski_runs(index_set) -> RunTable:
+    """Run table of the sum of index_set with itself (unordered pairs, repetition allowed).
+
+    T -> the runs of {N + N' : (N, mu), (N', mu') in index_set, mu + mu' = T},
+    weights ascending: every run pair of the rows mu <= mu' adds its interval
+    sum at T = mu + mu', and the intervals at each T are merged.
+    """
+    rows = list(_row_runs(index_set).items())
+    sums: dict[int, list[Run]] = {}
+    for k, (mu, runs) in enumerate(rows):
+        for mu2, runs2 in rows[k:]:
+            sums.setdefault(mu + mu2, []).extend((a + c, b + d) for a, b in runs for c, d in runs2)
+    return {T: _merge(sums[T]) for T in sorted(sums)}
+
+
+def _expand(table: RunTable) -> tuple[MinkowskiPoint, ...]:
+    """The points of a run table with ascending weights, sorted by (T, rho)."""
+    return tuple(MinkowskiPoint(rho, T) for T, runs in table.items() for lo, hi in runs for rho in range(lo, hi + 1))
 
 
 @per_triple
-def pair_counts(params: FamilyParams) -> dict[tuple[int, int], int]:
-    """count_pairs of the triple's index set."""
-    return count_pairs(build_index_set(params))
-
-
-def _points(counts: dict[tuple[int, int], int]) -> tuple[MinkowskiPoint, ...]:
-    return tuple(MinkowskiPoint(rho, T) for T, rho in sorted(counts))
+def _runs(params: FamilyParams) -> RunTable:
+    """minkowski_runs of the triple's index set."""
+    return minkowski_runs(build_index_set(params))
 
 
 def minkowski_sum_brute(index_set) -> tuple[MinkowskiPoint, ...]:
     """Pairwise sums (unordered pairs, repetition allowed), sorted by (T, rho)."""
-    return _points(count_pairs(index_set))
+    return _expand(minkowski_runs(index_set))
 
 
 @per_triple
 def minkowski_sum(params: FamilyParams) -> tuple[MinkowskiPoint, ...]:
     """minkowski_sum_brute of the triple's index set."""
-    return _points(pair_counts(params))
+    return _expand(_runs(params))
 
 
 def rho_lower_bound(params: FamilyParams, T: int) -> int:
@@ -107,23 +141,30 @@ def rho_lower_bound(params: FamilyParams, T: int) -> int:
     return full
 
 
+def _closed_forms(params: FamilyParams) -> tuple[dict[int, int], RunTable, RunTable, RunTable]:
+    """b(T) for 2 <= T <= 2(p-1), and the run tables of the closed forms of the
+    Minkowski sum and of anchor set 0, literal and repaired."""
+    p, q, ell, jmin = params.p, params.q, params.ell, a_power_min_exponent(params, 0)
+    b = {T: rho_lower_bound(params, T) for T in range(2, 2 * (p - 1) + 1)}
+
+    def bands(weights, lower) -> RunTable:  # {T: lower(T) <= rho <= T*q - 4}, empty weights left out
+        return {T: ((lower(T), T * q - 4),) for T in weights if lower(T) <= T * q - 4}
+
+    zero, lower = range(2, p - 1), b.__getitem__
+    return b, bands(b, lower), bands(zero, lower), bands(zero, lambda T: max(b[T], b[T + p] - ell, b[T + p] - jmin))
+
+
 def minkowski_sum_closed(params: FamilyParams) -> tuple[MinkowskiPoint, ...]:
     """Closed form {2 <= T <= 2(p-1), b(T) <= rho <= T*q - 4}.
 
-    Always checked against the brute-force enumeration before returning.
+    Always checked against the enumerated sum before returning.
     """
-    points = []
-    for T in range(2, 2 * (params.p - 1) + 1):
-        lo = rho_lower_bound(params, T)
-        for rho in range(lo, T * params.q - 4 + 1):
-            points.append(MinkowskiPoint(rho=rho, T=T))
-    closed = tuple(sorted(points, key=lambda m: (m.T, m.rho)))
-    if closed != minkowski_sum(params):
+    if _closed_forms(params)[1] != _runs(params):
         raise MinkowskiClosedFormMismatch(
             f"closed-form Minkowski description disagrees with enumeration for "
             f"(p,q,ell)=({params.p},{params.q},{params.ell})"
         )
-    return closed
+    return minkowski_sum(params)
 
 
 def anchor_set(params: FamilyParams, i: int) -> tuple[MinkowskiPoint, ...]:
@@ -131,7 +172,7 @@ def anchor_set(params: FamilyParams, i: int) -> tuple[MinkowskiPoint, ...]:
 
     Requires (rho + ell, T + p) in the sum and (rho + j, T + p - i) in the sum
     for every j in [a_power_min_exponent(i), (p - i) * q].  Membership is
-    tested against the brute-force sum, never the closed form.
+    tested against the enumerated sum, never the closed form.
     """
     if i < 0 or i > params.p:
         raise IOutOfRange(f"i must lie in [0, {params.p}], got {i}")
@@ -139,35 +180,34 @@ def anchor_set(params: FamilyParams, i: int) -> tuple[MinkowskiPoint, ...]:
 
 
 @per_triple
-def _run_ends(params: FamilyParams) -> dict[tuple[int, int], int]:
-    """(rho, T) of the Minkowski sum -> largest rho' with [rho, rho'] in the sum at weight T."""
-    ends: dict[tuple[int, int], int] = {}
-    for pt in reversed(minkowski_sum(params)):
-        ends[(pt.rho, pt.T)] = ends.get((pt.rho + 1, pt.T), pt.rho)
-    return ends
-
-
-@per_triple
-def _shift_anchored(params: FamilyParams) -> tuple[MinkowskiPoint, ...]:
-    """Points (rho, T) of the Minkowski sum with (rho + ell, T + p) in the sum; the same for every i."""
-    ends = _run_ends(params)
-    p, ell = params.p, params.ell
-    return tuple(pt for pt in minkowski_sum(params) if (pt.rho + ell, pt.T + p) in ends)
-
-
-@per_triple
 def _anchor_set(params: FamilyParams, i: int) -> tuple[MinkowskiPoint, ...]:
-    ends = _run_ends(params)
-    shift = params.p - i
-    jlo = a_power_min_exponent(params, i)  # 0 or p - i, never above jhi since q >= 1
-    jhi = shift * params.q
-    out = []
-    for pt in _shift_anchored(params):
-        # every j in [jlo, jhi] at once: one run covers [rho + jlo, rho + jhi]
-        end = ends.get((pt.rho + jlo, pt.T + shift))
-        if end is not None and end >= pt.rho + jhi:
-            out.append(pt)
-    return tuple(out)
+    return _expand(_anchor_runs(params)[i])
+
+
+def _meet(table: RunTable, others: RunTable) -> RunTable:
+    """At each weight of table, its runs intersected with those of others; empty weights left out."""
+    out = {}
+    for T, runs in table.items():
+        got = _intersect(runs, others.get(T, ()))
+        if got:
+            out[T] = got
+    return out
+
+
+@per_triple
+def _anchor_runs(params: FamilyParams) -> tuple[RunTable, ...]:
+    """Run tables of the anchor sets i = 0..p: at each T the runs at T, those at
+    T + p shifted by -ell (the same for every i) and those at T + p - i shrunk
+    to [a - jlo, c - jhi] (the rho with [rho + jlo, rho + jhi] inside [a, c]), intersected."""
+    runs = _runs(params)
+    p, ell = params.p, params.ell
+    anchored = _meet(runs, {T - p: tuple((a - ell, c - ell) for a, c in rs) for T, rs in runs.items()})
+    tables = []
+    for i in range(p + 1):
+        jlo, jhi = a_power_min_exponent(params, i), (p - i) * params.q  # jlo <= jhi since q >= 1
+        covering = {T: tuple((a - jlo, c - jhi) for a, c in runs.get(T + p - i, ()) if c - a >= jhi - jlo) for T in anchored}
+        tables.append(_meet(anchored, covering))
+    return tuple(tables)
 
 
 def anchor_set_zero_closed(params: FamilyParams) -> tuple[MinkowskiPoint, ...]:
@@ -178,12 +218,7 @@ def anchor_set_zero_closed(params: FamilyParams) -> tuple[MinkowskiPoint, ...]:
     set is {(2, 3)} but this form also lists (0, 2) and (1, 3)).  Use
     anchor_set_zero_closed_repaired for the form that is exact everywhere.
     """
-    points = []
-    for T in range(2, params.p - 1):
-        lo = rho_lower_bound(params, T)
-        for rho in range(lo, T * params.q - 4 + 1):
-            points.append(MinkowskiPoint(rho=rho, T=T))
-    return tuple(sorted(points, key=lambda m: (m.T, m.rho)))
+    return _expand(_closed_forms(params)[2])
 
 
 def anchor_set_zero_closed_repaired(params: FamilyParams) -> tuple[MinkowskiPoint, ...]:
@@ -193,14 +228,7 @@ def anchor_set_zero_closed_repaired(params: FamilyParams) -> tuple[MinkowskiPoin
     companions (rho + ell, T + p) and (rho + j, T + p) must clear the
     Minkowski lower bound at weight T + p, which cannot be simplified away.
     """
-    points = []
-    jmin = a_power_min_exponent(params, 0)
-    for T in range(2, params.p - 1):
-        bTp = rho_lower_bound(params, T + params.p)
-        lo = max(rho_lower_bound(params, T), bTp - params.ell, bTp - jmin)
-        for rho in range(lo, T * params.q - 4 + 1):
-            points.append(MinkowskiPoint(rho=rho, T=T))
-    return tuple(sorted(points, key=lambda m: (m.T, m.rho)))
+    return _expand(_closed_forms(params)[3])
 
 
 @per_triple
@@ -271,68 +299,38 @@ class CountReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "ell": self.ell,
-            "genus": self.genus,
-            "index_set_size": self.index_set_size,
-            "minkowski_size": self.minkowski_size,
-            "anchor_sizes": list(self.anchor_sizes),
-            "outside_zero": self.outside_zero,
-            "bound": self.bound,
-            "checks": {
-                "minkowski_closed_matches": self.minkowski_closed_matches,
-                "anchor_zero_closed_matches": self.anchor_zero_closed_matches,
-                "anchor_zero_closed_repaired_matches": self.anchor_zero_closed_repaired_matches,
-                "counting_bound_holds": self.counting_bound_holds,
-                "counting_bound_applicable": self.counting_bound_applicable,
-                "counting_bound_equality": self.counting_bound_equality,
-                "rho_bound_subadditive": self.rho_bound_subadditive,
-                "anchor_zero_contained": self.anchor_zero_contained,
-                "index_set_size_equals_genus": self.index_set_size_equals_genus,
-                "degree2_total_matches": self.degree2_total_matches,
-            },
-            "all_pass": self.all_pass,
-        }
+        """The int fields, anchor_sizes as a list, the bool fields under "checks", and all_pass."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc = {name: value for name, value in values.items() if not isinstance(value, bool)}
+        doc["anchor_sizes"] = list(self.anchor_sizes)
+        doc["checks"] = {name: value for name, value in values.items() if isinstance(value, bool)}
+        doc["all_pass"] = self.all_pass
+        return doc
 
 
 def check_counts(params: FamilyParams) -> CountReport:
-    """Run every counting identity for one parameter triple.
-
-    Failed identities become report entries, never exceptions.  A point of
-    the Minkowski sum with no entry in the pair-count table means the sum and
-    the table disagree and raises PointNotInMinkowskiSum.
-    """
+    """Run every counting identity for one parameter triple on its run tables;
+    failed identities become report entries, never exceptions."""
     index_set = build_index_set(params)
-    brute = minkowski_sum(params)
-    try:
-        closed_ok = minkowski_sum_closed(params) == brute
-    except MinkowskiClosedFormMismatch:
-        closed_ok = False
-
-    anchors = [anchor_set(params, i) for i in range(params.p + 1)]
-    zero = set(anchors[0])
-    zero_closed_ok = anchor_set_zero_closed(params) == anchors[0]
-    zero_repaired_ok = anchor_set_zero_closed_repaired(params) == anchors[0]
+    runs = _runs(params)
+    b, closed, zero_closed, zero_repaired = _closed_forms(params)
+    anchors = _anchor_runs(params)
+    zero = anchors[0]
 
     g = params.genus
-    outside = len(brute) - len(anchors[0])
+    size = _total(runs)
+    outside = size - _total(zero)
     bound = 3 * (g - 1)
 
     tmax = 2 * (params.p - 1)
-    b = {T: rho_lower_bound(params, T) for T in range(2, tmax + 1)}
     subadd = all(b[T + alpha] <= b[T] + alpha for T in range(2, tmax + 1) for alpha in range(0, tmax - T + 1))
 
-    contained = all(zero <= set(a) for a in anchors)
+    # runs are canonical, so zero lies inside a exactly when it meets a in itself
+    contained = all(_meet(zero, a) == zero for a in anchors)
 
-    counts = pair_counts(params)
-    pair_total = 0
-    for pt in brute:
-        n = counts.get((pt.T, pt.rho))
-        if n is None:
-            raise PointNotInMinkowskiSum(f"{pt} is not in the Minkowski sum")
-        pair_total += n
+    # unordered pairs: |row|(|row|+1)/2 within a row, |row|*|row'| across two rows
+    rows = list(map(_size, _row_runs(index_set).values()))
+    pair_total = sum(n * (n + 1) // 2 for n in rows) + sum(m * n for m, n in combinations(rows, 2))
 
     return CountReport(
         p=params.p,
@@ -340,13 +338,13 @@ def check_counts(params: FamilyParams) -> CountReport:
         ell=params.ell,
         genus=g,
         index_set_size=len(index_set),
-        minkowski_size=len(brute),
-        anchor_sizes=tuple(len(a) for a in anchors),
+        minkowski_size=size,
+        anchor_sizes=tuple(map(_total, anchors)),
         outside_zero=outside,
         bound=bound,
-        minkowski_closed_matches=closed_ok,
-        anchor_zero_closed_matches=zero_closed_ok,
-        anchor_zero_closed_repaired_matches=zero_repaired_ok,
+        minkowski_closed_matches=closed == runs,
+        anchor_zero_closed_matches=zero_closed == zero,
+        anchor_zero_closed_repaired_matches=zero_repaired == zero,
         counting_bound_holds=outside <= bound,
         counting_bound_applicable=g >= 3,
         counting_bound_equality=outside == bound,

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import canideal
+import canideal.cli as cli
 import canideal.indexsets as indexsets
 from canideal.cli import main
 from canideal.family import validate_params
@@ -296,6 +297,22 @@ def test_optimized_mode_parity(argv, expected):
     assert [r.returncode for r in runs] == [expected, expected]
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
+    # the parser is built once per process; a usage error or --help must not
+    # leave it changed for the next call
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.build_parser() is cli.build_parser()
+    argvs = [["sweep", "--p-set", "3", "--bogus"], ["--help"], ["sweep", "--p-set", "3,5", "--q-set", "1,2"]]
+    got = [run(capsys, *argv)[:2] for argv in argvs]
+    assert [code for code, _ in got] == [2, 0, 0]
+    env = {**os.environ, "PYTHONPATH": str(Path(canideal.__file__).resolve().parents[1])}
+    for argv, (code, out) in zip(argvs, got):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "canideal.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (fresh.returncode, fresh.stdout) == (code, out)
 
 
 def test_usage_error(capsys):

@@ -8,19 +8,18 @@ import canideal.indexsets as indexsets
 from canideal.errors import MinkowskiClosedFormMismatch, PointNotInMinkowskiSum, TOutOfRange
 from canideal.family import validate_params
 from canideal.indexsets import (
+    CountReport,
     MinkowskiPoint,
     anchor_set,
     anchor_set_zero_closed,
     anchor_set_zero_closed_repaired,
     build_index_set,
     check_counts,
-    count_pairs,
     minimal_monomial,
     minkowski_sum,
     minkowski_sum_brute,
     minkowski_sum_closed,
     monomials_at,
-    pair_counts,
     rho_lower_bound,
 )
 from canideal.termorder import TIE_BREAK_ALT, IndexPair, Monomial
@@ -256,6 +255,15 @@ index_sets = st.lists(
 )
 
 
+def _canonical(runs):
+    """Sorted, disjoint, non-adjacent, each run nonempty."""
+    return all(lo <= hi for lo, hi in runs) and all(hi + 1 < lo2 for (_, hi), (lo2, _) in zip(runs, runs[1:]))
+
+
+def _covered(runs):
+    return {x for lo, hi in runs for x in range(lo, hi + 1)}
+
+
 @given(index_set=index_sets)
 @example(index_set=[])
 @example(index_set=[IndexPair(2, 3)])
@@ -263,23 +271,134 @@ index_sets = st.lists(
 @example(index_set=[IndexPair(5, 4), IndexPair(0, 1), IndexPair(2, 4), IndexPair(1, 1), IndexPair(3, 2)])
 def test_pair_counts_match_a_double_loop(index_set):
     naive = _naive_pair_counts(index_set)
-    assert count_pairs(index_set) == naive
-    n = len(index_set)
-    assert sum(count_pairs(index_set).values()) == n * (n + 1) // 2
+    table = indexsets.minkowski_runs(index_set)
+    assert list(table) == sorted({T for T, _ in naive})
+    for T, runs in table.items():
+        assert _canonical(runs)
+        assert _covered(runs) == {rho for T2, rho in naive if T2 == T}
     want = tuple(sorted((pt(rho, T) for T, rho in naive), key=lambda m: (m.T, m.rho)))
     assert minkowski_sum_brute(index_set) == want
     assert minkowski_sum_brute(tuple(index_set)) == want
+
+
+intervals = st.lists(
+    st.tuples(st.integers(-20, 20), st.integers(0, 6)).map(lambda t: (t[0], t[0] + t[1])), max_size=8
+)
+
+
+@given(xs=intervals, ys=intervals)
+@example(xs=[(0, 2), (4, 5), (3, 3), (9, 9)], ys=[(1, 4), (8, 12)])  # adjacent runs merge, gaps stay
+def test_run_merge_and_intersection_are_set_operations(xs, ys):
+    # real triples give one run per weight; this is the multi-run path
+    mx, my = indexsets._merge(xs), indexsets._merge(ys)
+    assert _canonical(mx) and _covered(mx) == _covered(xs)
+    assert _canonical(my) and _covered(my) == _covered(ys)
+    both = indexsets._intersect(mx, my)
+    assert _canonical(both) and _covered(both) == _covered(mx) & _covered(my)
+
+
+run_tables = st.dictionaries(
+    st.integers(2, 8),
+    st.lists(st.tuples(st.integers(-5, 25), st.integers(0, 12)).map(lambda t: (t[0], t[0] + t[1])), min_size=1, max_size=4)
+    .map(indexsets._merge),
+)
+
+
+@given(table=run_tables, triple=st.sampled_from([(5, 1, 1), (5, 1, 3), (5, 2, 1), (5, 2, 3)]))
+@example(table={2: ((0, 9),), 6: ((0, 3),), 7: ((0, 9),)}, triple=(5, 1, 1))  # zero anchor not inside anchor 1
+def test_anchor_runs_follow_the_definition_on_multi_run_tables(table, triple):
+    # the anchor path and the containment check on sums with several runs per weight
+    p, q, ell = triple
+    points = {(rho, T) for T, runs in table.items() for rho in _covered(runs)}
+    want = [
+        {
+            (rho, T)
+            for rho, T in points
+            if (rho + ell, T + p) in points
+            and all((rho + j, T + p - i) in points for j in range(0 if ell == 1 else p - i, (p - i) * q + 1))
+        }
+        for i in range(p + 1)
+    ]
+    params = validate_params(*triple)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(indexsets, "_runs", lambda params: table)
+        report = check_counts(params)
+        got = indexsets._anchor_runs(params)
+    for runs, expected in zip(got, want):
+        assert all(_canonical(r) for r in runs.values())
+        assert {(rho, T) for T, r in runs.items() for rho in _covered(r)} == expected
+    assert report.minkowski_size == len(points)
+    assert report.anchor_sizes == tuple(map(len, want))
+    assert report.anchor_zero_contained == all(want[0] <= a for a in want)
 
 
 @pytest.mark.parametrize("triple", [(p, q, ell) for p in (3, 5, 7) for q in range(1, 5) for ell in range(1, p)])
 def test_class_sizes_are_monomial_class_sizes(triple):
     # ties the counting path (check_counts) to the certify path (monomials_at)
     params = validate_params(*triple)
-    counts = pair_counts(params)
+    counts = _naive_pair_counts(build_index_set(params))
     mink = minkowski_sum(params)
     assert sorted(counts) == [(m.T, m.rho) for m in mink]
     for m in mink:
         assert counts[(m.T, m.rho)] == len(monomials_at(params, m))
+
+
+def _reference_count_report(params):
+    """CountReport from literal point sets: every pair, and anchor sets as the anchor_set docstring defines them."""
+    p, q, ell, g = params.p, params.q, params.ell, params.genus
+    index_set = build_index_set(params)
+    pairs = [(a.N + b.N, a.mu + b.mu) for a, b in itertools.combinations_with_replacement(index_set, 2)]
+    literal = set(pairs)
+    anchors = []
+    for i in range(p + 1):
+        jlo, jhi = (0 if ell == 1 else p - i), (p - i) * q
+        anchors.append(
+            {
+                (rho, T)
+                for rho, T in literal
+                if (rho + ell, T + p) in literal
+                and all((rho + j, T + p - i) in literal for j in range(jlo, jhi + 1))
+            }
+        )
+    tmax = 2 * (p - 1)
+    b = {T: rho_lower_bound(params, T) for T in range(2, tmax + 1)}
+
+    def band(weights, lower):
+        return {(rho, T) for T in weights for rho in range(lower(T), T * q - 4 + 1)}
+
+    outside = len(literal) - len(anchors[0])
+    return CountReport(
+        p=p,
+        q=q,
+        ell=ell,
+        genus=g,
+        index_set_size=len(index_set),
+        minkowski_size=len(literal),
+        anchor_sizes=tuple(map(len, anchors)),
+        outside_zero=outside,
+        bound=3 * (g - 1),
+        minkowski_closed_matches=band(range(2, tmax + 1), b.get) == literal,
+        anchor_zero_closed_matches=band(range(2, p - 1), b.get) == anchors[0],
+        anchor_zero_closed_repaired_matches=band(
+            range(2, p - 1), lambda T: max(b[T], b[T + p] - ell, b[T + p] - (0 if ell == 1 else p))
+        )
+        == anchors[0],
+        counting_bound_holds=outside <= 3 * (g - 1),
+        counting_bound_applicable=g >= 3,
+        counting_bound_equality=outside == 3 * (g - 1),
+        rho_bound_subadditive=all(
+            b[T + alpha] <= b[T] + alpha for T in range(2, tmax + 1) for alpha in range(tmax - T + 1)
+        ),
+        anchor_zero_contained=all(anchors[0] <= a for a in anchors),
+        index_set_size_equals_genus=len(index_set) == g,
+        degree2_total_matches=len(pairs) == g * (g + 1) // 2,
+    )
+
+
+@pytest.mark.parametrize("triple", [(p, q, ell) for p in (3, 5, 7, 11, 13) for q in range(1, 7) for ell in range(1, p)])
+def test_check_counts_matches_a_point_set_reference(triple):
+    params = validate_params(*triple)
+    assert check_counts(params) == _reference_count_report(params)
 
 
 def test_minkowski_point_is_a_named_pair():
