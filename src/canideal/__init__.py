@@ -24,7 +24,6 @@ from .family import (
 )
 from .fibrealg import (
     FibreRelation,
-    FunctionFieldElement,
     fibre_context,
     reduce_normal_form,
     relation_consistency,

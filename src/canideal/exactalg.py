@@ -241,6 +241,8 @@ class CycloElement:
         return CycloElement._integral(self.p, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
+        if type(other) is int:
+            return CycloElement._integral(self.p, tuple(a * other for a in self.coeffs))
         other = self._coerce(other)
         if other is None:
             return NotImplemented

@@ -1,22 +1,35 @@
 """Function-field normal forms for the three fibres.
 
-Images of degree-2 monomials under the canonical maps are represented as
-polynomials of degree < p in the fibre variable V whose coefficients are
-polynomials in x and the deformation symbols, over Z[lam] or F_p.  V is y on
-the generic fibre, where y^p = lam^p * x^ell + a(x)^p.  On the special and
-relative fibres the model's variable X has the denominator a(x)^p in X^p, so
-V is W = a(x) * X instead, in which both relations are monic with
-polynomial coefficients:
+Images of degree-2 monomials under the canonical maps are normal forms:
+tuples of p slot polynomials, slot i the coefficient of V^i, in x and the
+deformation symbols over Z[lam] or F_p.  V is y on the generic fibre, where
+y^p = lam^p * x^ell + a(x)^p.  On the special and relative fibres the
+model's variable X has the denominator a(x)^p in X^p, so V is W = a(x) * X
+instead, in which both relations are monic with polynomial coefficients:
 
     special:  W^p = x^ell + a(x)^(p-1) * W,
     relative: W^p = x^ell - sum_(i=1..p-1) c_i * a(x)^(p-i) * W^i,
 
-with c_i = lam^(i-p) * binom(p, i) (`relative_lambda_coefficient`).  Negative
-powers are avoided by a fixed per-fibre clearing convention: every degree-2
-image is multiplied by one shared factor (y^(3p) on the generic fibre;
-(a(x)*X)^p = W^p on the special and relative fibres, after cancelling the
-shared (a(x)(lam*X+1))^(2(p-1)) denominator), so membership checking is
-pure polynomial arithmetic, with no division anywhere.
+with c_i = lam^(i-p) * binom(p, i).  Negative powers are avoided by a fixed
+per-fibre clearing convention: every degree-2 image is multiplied by one
+shared factor (y^(3p) on the generic fibre; (a(x)*X)^p = W^p on the special
+and relative fibres, after cancelling the shared (a(x)(lam*X+1))^(2(p-1))
+denominator), so membership checking is pure polynomial arithmetic, with no
+division anywhere.
+
+Each relation is read off the fibre's trinomial slot table
+(`generators.trinomial_slots`), the table the generators are built from: a
+slot (dr, dt, c) is the term -c * x^dr * V^(p-dt) of the right-hand side
+(`_relation_rhs`).  The generic slots (ell, p, -lam^p) and
+(j, p, -[a^p]_j) give rhs_0 = lam^p * x^ell + a^p; the special slots
+(ell, p, -1) and (j, p-1, -[a^(p-1)]_j) give rhs = (x^ell, a^(p-1)); the
+relative slots (ell, p, -1) and (j, p-i, c_i * [a^(p-i)]_j) give
+rhs_i = -c_i * a^(p-i) next to rhs_0 = x^ell.  The cleared image of the
+generator at an anchor (rho, T) is x^rho * V^(E-T-p) * (V^p - rhs), with
+E = 3p on the generic fibre and 3p - 2 otherwise, which vanishes modulo the
+read-off relation whatever the table says: membership cannot see a wrong
+slot.  `relation_consistency` checks the read-off relations against the
+model and against each other, so a wrong slot fails the certificate.
 
 Two exact identities keep the number of normal forms small.  The cleared
 image of a degree-2 monomial depends only on its multidegree (2, rho, T),
@@ -61,8 +74,8 @@ from .exactalg import (
     products_vanish,
     reduce_mod_lambda,
 )
-from .family import FamilyParams, _a_powers, a_polynomial, deformation_symbols
-from .generators import GENERIC, RELATIVE, SPECIAL, relative_lambda_coefficient
+from .family import FamilyParams, _a_powers, a_polynomial, deformation_symbols, per_triple
+from .generators import GENERIC, RELATIVE, SPECIAL, trinomial_slots
 from .indexsets import build_index_set
 from .termorder import Monomial, multidegree
 
@@ -83,39 +96,25 @@ class FibreRelation:
     rhs: tuple[SparsePoly, ...]
 
 
-class FunctionFieldElement:
-    """Normal form sum_{i<p} r_i * V^i with polynomial coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(coeffs)
-
-    def __add__(self, other: "FunctionFieldElement") -> "FunctionFieldElement":
-        return FunctionFieldElement(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return FunctionFieldElement(-a for a in self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, FunctionFieldElement):
-            return NotImplemented
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __repr__(self):
-        bits = [f"({c!r})*V^{i}" for i, c in enumerate(self.coeffs) if c]
-        return " + ".join(bits) if bits else "0"
+@per_triple
+def _relation_rhs(params: FamilyParams, fibre: str) -> tuple[SparsePoly, ...]:
+    """The fibre relation's rhs over ("x",) + symbols, read off the slot table:
+    the slot (dr, dt, c) adds -c * x^dr to rhs[p - dt]."""
+    p = params.p
+    slots: list[dict] = [{} for _ in range(p)]
+    for dr, dt, coeff in trinomial_slots(params, fibre):
+        slot = slots[p - dt]
+        for e, c in coeff.terms.items():
+            key = (dr,) + e
+            cur = slot.get(key)
+            slot[key] = -c if cur is None else cur - c
+    variables = ("x",) + deformation_symbols(params)
+    return tuple(SparsePoly(variables, slot) for slot in slots)
 
 
-def reduce_normal_form(e: dict, rel: FibreRelation) -> FunctionFieldElement:
-    """Reduce a V-polynomial (exp -> coefficient polynomial) below degree p.
+def reduce_normal_form(e: dict, rel: FibreRelation) -> tuple[SparsePoly, ...]:
+    """Reduce a V-polynomial (exp -> coefficient polynomial) below degree p:
+    its normal form, the slots 0..p-1.
 
     The top coefficient r meets each relation slot s_i as the product
     r * s_i, which over Z[lam] runs on packed ints (`SparsePoly.__mul__`);
@@ -144,7 +143,7 @@ def reduce_normal_form(e: dict, rel: FibreRelation) -> FunctionFieldElement:
         if rounds_allowed < 0:
             raise InvariantViolation("normal-form reduction did not lower the top V-degree")
     zero = SparsePoly.zero(rel.vars)
-    return FunctionFieldElement(work.get(i, zero) for i in range(rel.p))
+    return tuple(work.get(i, zero) for i in range(rel.p))
 
 
 def check_specialization(params: FamilyParams, specialization: dict) -> None:
@@ -170,8 +169,6 @@ class FibreContext:
     """
 
     def __init__(self, params: FamilyParams, fibre: str, specialization: dict | None = None):
-        if fibre not in (GENERIC, SPECIAL, RELATIVE):
-            raise ValueError(f"unknown fibre {fibre!r}")
         self.fibre = fibre
         self.p = p = params.p
         syms = deformation_symbols(params)
@@ -194,11 +191,13 @@ class FibreContext:
         if fibre == SPECIAL:
             powers = tuple(power.map_coefficients(self.from_int) for power in powers)
         self.a_powers = powers
-        self._weight_images: dict[int, FunctionFieldElement] = {}
-        self._chain: list[FunctionFieldElement] = []
+        self._chain: list[tuple[SparsePoly, ...]] = []
         self._verdicts: dict[frozenset, bool] = {}
         self._index_set = frozenset(build_index_set(params))
-        self.relation = self._build_relation(params)
+        rhs = _relation_rhs(params, fibre)
+        if specialization is not None:
+            rhs = tuple(slot.specialize(specialization) for slot in rhs)
+        self.relation = FibreRelation(fibre=fibre, p=p, vars=self.vars, rhs=rhs)
 
     def constant(self, c) -> SparsePoly:
         return SparsePoly.constant(self.vars, c)
@@ -219,34 +218,15 @@ class FibreContext:
         )
         return mapped.embed(self.vars)
 
-    def _build_relation(self, params: FamilyParams) -> FibreRelation:
-        p = self.p
-        x_ell = SparsePoly.variable(self.vars, "x", params.ell, self.from_int(1))
-        zero = SparsePoly.zero(self.vars)
-        if self.fibre == GENERIC:
-            a_p = self.a_powers[p].map_coefficients(self.from_int)
-            rhs = (x_ell.scale(CycloElement.lam(p) ** p) + a_p,) + (zero,) * (p - 1)
-        elif self.fibre == SPECIAL:
-            rhs = (x_ell, self.a_powers[p - 1]) + (zero,) * (p - 2)
-        else:
-            rhs = (x_ell,) + tuple(
-                self.a_powers[p - i].scale(-relative_lambda_coefficient(params, i)) for i in range(1, p)
-            )
-        return FibreRelation(fibre=self.fibre, p=p, vars=self.vars, rhs=rhs)
-
-    def weight_image(self, T: int) -> FunctionFieldElement:
+    def weight_image(self, T: int) -> tuple[SparsePoly, ...]:
         """Cleared image of the multidegree (2, 0, T); one normal form per weight.
 
         The start is y^(3p-T) on the generic fibre and (a X)^e = W^e with
         e = 3p-2-T otherwise.
         """
-        got = self._weight_images.get(T)
-        if got is None:
-            e = 3 * self.p - T if self.fibre == GENERIC else 3 * self.p - 2 - T
-            got = self._weight_images[T] = self.power_normal_form(e)
-        return got
+        return self.power_normal_form(3 * self.p - T if self.fibre == GENERIC else 3 * self.p - 2 - T)
 
-    def power_normal_form(self, e: int) -> FunctionFieldElement:
+    def power_normal_form(self, e: int) -> tuple[SparsePoly, ...]:
         """NF(V^e), from the chain NF(V^(k+1)) = NF(V * NF(V^k)).
 
         V * NF(V^k) has V-degree at most p, so each step is one substitution
@@ -257,29 +237,19 @@ class FibreContext:
         if not chain:
             zero = SparsePoly.zero(self.vars)
             one = self.constant(self.from_int(1))
-            chain.extend(
-                FunctionFieldElement(one if i == k else zero for i in range(self.p)) for k in range(self.p)
-            )
+            chain.extend(tuple(one if i == k else zero for i in range(self.p)) for k in range(self.p))
         while len(chain) <= e:
-            shifted = {i + 1: c for i, c in enumerate(chain[-1].coeffs) if c}
+            shifted = {i + 1: c for i, c in enumerate(chain[-1]) if c}
             chain.append(reduce_normal_form(shifted, self.relation))
         return chain[e]
 
-    def image_for_multidegree(self, rho: int, T: int) -> FunctionFieldElement:
-        """Cleared image of any degree-2 monomial with multidegree (2, rho, T):
-        x^rho times the weight image."""
-        base = self.weight_image(T)
-        if not rho:
-            return base
-        return FunctionFieldElement(c.mul_var_power("x", rho) for c in base.coeffs)
-
-    def x_coordinates(self, img: FunctionFieldElement) -> tuple[SparsePoly, ...]:
+    def x_coordinates(self, img: tuple[SparsePoly, ...]) -> tuple[SparsePoly, ...]:
         """The slots of a normal form in the model's basis: y^i on the generic
         fibre, X^i on the others, where W^i = a(x)^i * X^i makes a(x)^i * s_i
         the X-slot of the W-slot s_i."""
         if self.fibre == GENERIC:
-            return img.coeffs
-        return tuple(s * self.a_powers[i] if i else s for i, s in enumerate(img.coeffs))
+            return img
+        return tuple(s * self.a_powers[i] if i else s for i, s in enumerate(img))
 
     def combination_vanishes(self, coeffs: dict[tuple[int, int], SparsePoly]) -> bool:
         """Is sum_(rho,T) c_(rho,T) * image(rho, T) zero?
@@ -318,7 +288,7 @@ class FibreContext:
             c = self.embed_symbol_poly(coeff).mul_var_power("x", rho)
             cur = by_weight.get(T)
             by_weight[T] = c if cur is None else cur + c
-        images = [(self.weight_image(T).coeffs, c) for T, c in by_weight.items() if c]
+        images = [(self.weight_image(T), c) for T, c in by_weight.items() if c]
         return all(products_vanish([(u[i], c) for u, c in images]) for i in range(self.p))
 
     def multidegree_of(self, m: Monomial) -> tuple[int, int]:
@@ -331,8 +301,11 @@ class FibreContext:
         md = multidegree(m)
         return md.sum_n, md.sum_mu
 
-    def phi_image(self, m: Monomial) -> FunctionFieldElement:
-        return self.image_for_multidegree(*self.multidegree_of(m))
+    def phi_image(self, m: Monomial) -> tuple[SparsePoly, ...]:
+        """Cleared image of a degree-2 monomial of multidegree (2, rho, T):
+        x^rho times the weight image."""
+        rho, T = self.multidegree_of(m)
+        return tuple(c.mul_var_power("x", rho) for c in self.weight_image(T))
 
 
 def fibre_context(params: FamilyParams, fibre: str, specialization: dict | None = None) -> FibreContext:
@@ -374,17 +347,17 @@ class RelationReport:
 
 
 def relation_consistency(params: FamilyParams) -> RelationReport:
-    """Verify the algebraic compatibility of the stored fibre relations.
+    """Verify the fibre relations read off the generators' slot tables
+    (`_relation_rhs`) against the model and against each other.
 
     Slot i of a relation stands for rhs[i] * V^i, which is
     rhs[i] * a^i * X^i off the generic fibre (V = W = a*X).
 
     (a) expanding a^p*(lam*X+1)^p - lam^p*x^ell - a^p by the binomial theorem
-        equals lam^p * (W^p - rhs) built from the stored relative
-        W-relation;
+        equals lam^p * (W^p - rhs) built from the relative W-relation;
     (b) coefficientwise lam-reduction of the relative relation gives the
         special relation, slot by slot;
-    (c) substituting y = a*(lam*X+1) into the stored generic relation and
+    (c) substituting y = a*(lam*X+1) into the generic relation and
         expanding recovers the same identity as (a) along an independent
         code path (generic polynomial composition instead of a hand-built
         binomial sum).
@@ -420,19 +393,17 @@ def relation_consistency(params: FamilyParams) -> RelationReport:
     lhs_a = lhs_a - x_ell.scale(lam**p) - a_p
 
     # W^p - sum_i rhs[i] * W^i
-    relative = fibre_context(params, RELATIVE)
-    rhs_a = horner(relative.relation.rhs, W).scale(lam**p)
+    relative = _relation_rhs(params, RELATIVE)
+    rhs_a = horner(relative, W).scale(lam**p)
     check_a = lhs_a == rhs_a
 
     # (b): coefficientwise reduction of the relative relation, slot by slot
-    special = fibre_context(params, SPECIAL)
-    reduced = tuple(s.map_coefficients(reduce_mod_lambda) for s in relative.relation.rhs)
-    check_b = reduced == special.relation.rhs
+    reduced = tuple(s.map_coefficients(reduce_mod_lambda) for s in relative)
+    check_b = reduced == _relation_rhs(params, SPECIAL)
 
     # (c): generic-relation substitution y = a*(lam*X + 1)
-    generic = fibre_context(params, GENERIC)
     y = a * (X.scale(lam) + SparsePoly.constant(variables, cy(1)))
-    check_c = horner(generic.relation.rhs, y) == rhs_a
+    check_c = horner(_relation_rhs(params, GENERIC), y) == rhs_a
 
     return RelationReport(
         kummer_form_matches_relative=check_a,

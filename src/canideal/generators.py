@@ -119,62 +119,43 @@ def _binomials(params: FamilyParams, fibre: str, all_pairs: bool, tie_break: str
 
 
 @per_triple
-def _trinomial_slots(params: FamilyParams, fibre: str) -> tuple[tuple[int, int, SparsePoly], ...]:
-    """Per-anchor slot layout of one trinomial-type generator.
+def trinomial_slots(params: FamilyParams, fibre: str) -> tuple[tuple[int, int, SparsePoly], ...]:
+    """The fibre's equation, as the slot layout of one trinomial-type generator.
 
-    Each slot is (rho-shift, T-shift, coefficient polynomial); the implicit
-    leading slot (0, 0, 1) is not listed.
+    Each slot (dr, dt, c) places the coefficient polynomial c on the class
+    minimum at (rho + dr, T + dt); the implicit leading slot (0, 0, 1) is
+    not listed.  Read as an equation in V (y on the generic fibre,
+    W = a(x) * X on the others), the slot is the term -c * x^dr * V^(p-dt)
+    of V^p = rhs: the generators and the fibre relation of `fibrealg`
+    are both read off this one table.
     """
-    p, q, ell = params.p, params.q, params.ell
-    syms = deformation_symbols(params)
-    if fibre == GENERIC:
-        ring_int = lambda n: CycloElement.from_int(p, n)
-        lam_p = SparsePoly.constant(syms, CycloElement.lam(p) ** p)
-        slots = [(ell, p, -lam_p)]
-        for j, poly in sorted(a_power_coefficients(params, 0).items()):
-            slots.append((j, p, -poly.map_coefficients(ring_int)))
-        return tuple(slots)
+    p, ell = params.p, params.ell
     if fibre == SPECIAL:
-        ring_int = lambda n: PrimeFieldElement(n, p)
-        one = SparsePoly.constant(syms, ring_int(1))
-        slots = [(ell, p, -one)]
-        for j, poly in sorted(a_power_coefficients(params, 1).items()):
-            slots.append((j, p - 1, -poly.map_coefficients(ring_int)))
-        return tuple(slots)
+        one = PrimeFieldElement(1, p)
+    elif fibre in (GENERIC, RELATIVE):
+        one = CycloElement.one(p)
+    else:
+        raise ValueError(f"unknown fibre {fibre!r}")
+    # (i, w): the coefficient table of a(x)^(p-i), times w, at T-shift p - i
     if fibre == RELATIVE:
-        ring_int = lambda n: CycloElement.from_int(p, n)
-        one = SparsePoly.constant(syms, ring_int(1))
-        slots = [(ell, p, -one)]
-        for i in range(1, p):
-            lam_coeff = relative_lambda_coefficient(params, i)
-            for j, poly in sorted(a_power_coefficients(params, i).items()):
-                slots.append((j, p - i, poly.map_coefficients(ring_int).scale(lam_coeff)))
-        return tuple(slots)
-    raise ValueError(f"unknown fibre {fibre!r}")
+        blocks = [(i, relative_lambda_coefficient(params, i)) for i in range(1, p)]
+    else:
+        blocks = [(0 if fibre == GENERIC else 1, -one)]
+    lead = CycloElement.lam(p) ** p if fibre == GENERIC else one
+    slots = [(ell, p, SparsePoly.constant(deformation_symbols(params), -lead))]
+    for i, weight in blocks:
+        for j, poly in sorted(a_power_coefficients(params, i).items()):
+            slots.append((j, p - i, poly.scale(weight)))
+    return tuple(slots)
 
 
 def _anchored_generator(
     params: FamilyParams, fibre: str, pt: MinkowskiPoint, tie_break: str
 ) -> GeneratorPoly:
-    syms = deformation_symbols(params)
-    slots = _trinomial_slots(params, fibre)
-    sample = next(iter(slots[0][2].terms.values()))
-    one = SparsePoly.constant(syms, ring_one_like(sample))
-
-    def sigma(rho: int, T: int) -> Monomial:
-        return minimal_monomial(params, MinkowskiPoint(rho, T), tie_break)
-
-    terms: dict[Monomial, SparsePoly] = {sigma(pt.rho, pt.T): one}
-    for dr, dt, coeff in slots:
-        _accumulate(terms, sigma(pt.rho + dr, pt.T + dt), coeff)
-    gen = GeneratorPoly(
-        fibre=fibre,
-        provenance=TRINOMIAL,
-        anchor=pt,
-        terms=_sorted_terms(terms, tie_break),
-        tie_break=tie_break,
-    )
-    if gen.terms[0][1] != sigma(pt.rho, pt.T):
+    """The emitted generator at one anchor: the first of `trinomial_variants`,
+    the class minimum in every slot."""
+    gen = next(trinomial_variants(params, fibre, pt, tie_break))
+    if gen.terms[0][1] != minimal_monomial(params, pt, tie_break):
         raise InvariantViolation(
             f"the {fibre} generator at anchor {pt} does not lead with its class minimum"
         )
@@ -243,11 +224,11 @@ def fibre_generators(
 def trinomial_variants(params: FamilyParams, fibre: str, pt: MinkowskiPoint, tie_break: str = TIE_BREAK_DEFAULT):
     """Iterate over ALL admissible representatives of the generator at one anchor.
 
-    The emitted families pick the class minimum in every slot; any other
-    choice of a monomial with the same multidegree gives an equally valid
-    generator.  Lazily yields every combination (testing hook).
+    The first picks the class minimum in every slot and is the one the
+    families emit; any other choice of a monomial with the same multidegree
+    gives an equally valid generator.  Lazily yields every combination.
     """
-    slots = _trinomial_slots(params, fibre)
+    slots = trinomial_slots(params, fibre)
     choice_lists = [monomials_at(params, pt, tie_break)]
     for dr, dt, _ in slots:
         choice_lists.append(monomials_at(params, MinkowskiPoint(pt.rho + dr, pt.T + dt), tie_break))
@@ -257,7 +238,8 @@ def trinomial_variants(params: FamilyParams, fibre: str, pt: MinkowskiPoint, tie
     for picks in itertools.product(*choice_lists):
         terms: dict[Monomial, SparsePoly] = {picks[0]: one}
         for (_, _, coeff), mono in zip(slots, picks[1:]):
-            _accumulate(terms, mono, coeff)
+            cur = terms.get(mono)
+            terms[mono] = coeff if cur is None else cur + coeff
         yield GeneratorPoly(
             fibre=fibre,
             provenance=TRINOMIAL,
@@ -265,11 +247,6 @@ def trinomial_variants(params: FamilyParams, fibre: str, pt: MinkowskiPoint, tie
             terms=_sorted_terms(terms, tie_break),
             tie_break=tie_break,
         )
-
-
-def _accumulate(terms: dict, mono: Monomial, coeff: SparsePoly):
-    cur = terms.get(mono)
-    terms[mono] = coeff if cur is None else cur + coeff
 
 
 def reduce_relative_to_special(params: FamilyParams, gens) -> list[GeneratorPoly]:

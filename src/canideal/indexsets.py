@@ -261,7 +261,12 @@ def minimal_monomial(
 
 @dataclass(frozen=True)
 class CountReport:
-    """All cardinalities and closed-form checks for one parameter triple."""
+    """All cardinalities and closed-form checks for one parameter triple.
+
+    `degree2_total_matches` restates `index_set_size_equals_genus`: an
+    n-point set has n(n+1)/2 unordered pairs (repetition allowed) however it
+    splits into rows, and n(n+1)/2 = g(g+1)/2 exactly when n = g.
+    """
 
     p: int
     q: int

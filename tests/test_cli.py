@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -81,6 +82,34 @@ def test_generators_bytes_are_binomials_then_family(capsys, fibre, all_pairs, ti
     gens = binomial_generators(params, all_pairs=all_pairs, tie_break=tie_break) + family(params, tie_break=tie_break)
     doc = generators_document(params, gens, fibre, tie_break)
     assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# sha256 of `canideal generators` stdout: the export bytes are fixed, however
+# the generators and the fibre relations are derived from the slot tables
+GENERATOR_DIGESTS = [
+    ((3, 2, 1), "generic", (), "58592075956894b96d9277c9c8a05d1593481e53bcc5e658a8c5c84e39d03811"),
+    ((3, 2, 1), "special", (), "aec8550c78bba7a6f9519805ab9f636da1a1c5d763c255c67df21d1cfa9c27df"),
+    ((3, 2, 1), "relative", (), "acb94c08dc1a63bba34643fdf193c19f23b25409df935a37a45300ef9fd2acf9"),
+    ((5, 2, 1), "generic", (), "e5c5be36b91dfd3118973561c11da2a809283a85ef12a7b1cfc6c193da9c2172"),
+    ((5, 2, 1), "special", (), "72ece0bf0f0dd2f6eb0c2ba8c74470bd3c2321b29d4ef5aba1da57af23896555"),
+    ((5, 2, 1), "relative", (), "7db7a0a1581d380f754c405a11cff85ad179979eb7779a39ff010377b49b4a32"),
+    ((5, 2, 4), "generic", (), "a4d61856c09bfb59270f72d606dedafc492b1dccf8de32d57dd97b78618cc345"),
+    ((5, 2, 4), "special", (), "2a7128ec908e96833581ce05ce10630602cc90bc4398b7392b9cb96e56c1b7dd"),
+    ((5, 2, 4), "relative", (), "4199bf52248fb754a277933ffc0bb87384134de440eaf51ef4619453b28484b1"),
+    ((7, 2, 5), "generic", (), "2bd8acd0042ab357e86eac1ccac9756a14319b8a12d7545649b18663e7f74ee9"),
+    ((7, 2, 5), "special", (), "d9aca1ba56789cbf9bf1875e4cee6bfa9b988ccc7bcf45af84e782d2a8b8347a"),
+    ((7, 2, 5), "relative", (), "5090ba5c4054bfb8fbdbf48611321eeae3f40da5075a084b68abb287870a911e"),
+    ((5, 2, 1), "relative", ("--all-pairs",), "4abc7f0da422786c2c14e96f1b03435d58673b69ebea14d1972fd3f48e84ad12"),
+    ((5, 2, 4), "generic", ("--tie-break", "alt"), "2e4f5daf8251c0b472a6e9b76e3e7cca9b926bf78118c289c9f218b142b87eaf"),
+]
+
+
+@pytest.mark.parametrize("triple,fibre,extra,digest", GENERATOR_DIGESTS)
+def test_generators_export_bytes_are_pinned(capsys, triple, fibre, extra, digest):
+    p, q, ell = map(str, triple)
+    code, out, _ = run(capsys, "generators", "-p", p, "-q", q, "-l", ell, "--fibre", fibre, *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_generators_io_failure(tmp_path):

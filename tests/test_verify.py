@@ -20,7 +20,6 @@ from canideal.errors import (
 )
 from canideal.exactalg import CycloElement, SparsePoly, cyclotomic_min_poly
 from canideal.family import deformation_symbols, validate_params
-from canideal.fibrealg import FunctionFieldElement
 from canideal.generators import (
     GeneratorPoly,
     binomial_generators,
@@ -28,8 +27,9 @@ from canideal.generators import (
     generic_generators,
     relative_generators,
     special_generators,
+    trinomial_slots,
 )
-from canideal.indexsets import anchor_set, build_index_set, check_counts, minkowski_sum, minkowski_sum_brute
+from canideal.indexsets import anchor_set, build_index_set, check_counts, minkowski_sum_brute
 from canideal.termorder import IndexPair, Monomial
 from canideal.verify import (
     certify,
@@ -183,9 +183,9 @@ def _per_term_membership(params, fibre, gen):
     total = None
     for coeff, mono in gen.terms:
         c = ctx.embed_symbol_poly(coeff)
-        img = FunctionFieldElement(e * c for e in ctx.phi_image(mono).coeffs)
-        total = img if total is None else total + img
-    return total.is_zero
+        img = tuple(e * c for e in ctx.phi_image(mono))
+        total = img if total is None else tuple(a + b for a, b in zip(total, img))
+    return not any(total)
 
 
 @pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (7, 1, 3)])
@@ -251,6 +251,20 @@ def test_planted_classes_differing_in_one_coefficient():
     assert ctx.combination_vanishes(sums) and not ctx.combination_vanishes(bumped)
 
 
+@pytest.mark.parametrize("fibre", ["generic", "special", "relative"])
+def test_a_wrong_slot_fails_relation_consistency(fibre):
+    # generators and fibre relation are read off one slot table, so a wrong
+    # slot moves both and membership still holds; the certificate fails on
+    # the relations checked against the model, without the oracle
+    params = validate_params(5, 2, 1)
+    slots = trinomial_slots(params, fibre)
+    dr, dt, c = slots[-1]
+    params.memo[(trinomial_slots.__wrapped__, fibre)] = slots[:-1] + ((dr, dt, c + c),)
+    cert = certify(params)
+    assert cert.overall == "FAIL"
+    assert cert.verdicts["relation_consistency"] is False
+
+
 def test_corrupted_binomial_and_trinomial_fail():
     params = validate_params(5, 2, 3)
     binomial = binomial_generators(params)[0]
@@ -272,8 +286,9 @@ def test_membership_cancels_planted_images_packed(fibre):
 def _check_planted_cancellation(fibre):
     # (a + 1) - a - 1 = 0 in V-slot 0 and x*a - x*a = 0 in V-slot 1, spread
     # over three weights: only the sum over all three weights vanishes (over
-    # Z[lam] on packed ints, over F_p by the plain sum).  A fresh triple keeps
-    # the planted weight images out of every other test.
+    # Z[lam] on packed ints, over F_p by the plain sum).  The weight images
+    # are planted in the normal-form chain at their start exponents; a fresh
+    # triple keeps them out of every other test.
     params = validate_params(5, 1, 1)
     ctx = verify.fibre_context(params, fibre)
     a = SparsePoly(ctx.vars, {(1, 0): ctx.from_int(1), (0, 1): ctx.from_int(1)})  # x + x1
@@ -291,10 +306,12 @@ def _check_planted_cancellation(fibre):
     one = SparsePoly.constant(ctx.vars, ctx.from_int(1))
     xa = a.mul_var_power("x", 1)
 
-    def image(s0, s1):
-        return FunctionFieldElement([s0, s1] + [zero] * (ctx.p - 2))
+    def start(T):
+        return 3 * ctx.p - T if fibre == "generic" else 3 * ctx.p - 2 - T
 
-    ctx._weight_images.update({t1: image(a + one, xa), t2: image(-a, zero), t3: image(-one, -xa)})
+    ctx.power_normal_form(max(start(t) for t in (t1, t2, t3)))
+    for T, s0, s1 in ((t1, a + one, xa), (t2, -a, zero), (t3, -one, -xa)):
+        ctx._chain[start(T)] = (s0, s1) + (zero,) * (ctx.p - 2)
     coeff = SparsePoly.constant(deformation_symbols(params), 1)
     gen = GeneratorPoly(fibre, "test", None, ((coeff, m1), (coeff, m2), (coeff, m3)), "default")
     assert check_membership(params, fibre, gen)
@@ -484,21 +501,21 @@ def test_certify_rejects_bool_specialization():
 
 def test_binomials_built_once_per_triple(monkeypatch):
     # certify --oracle asks for the binomials three times (certify and both
-    # oracle fibres); the build runs once, one class group per Minkowski point
+    # oracle fibres); the build, one walk over the Minkowski sum, runs once
     import canideal.generators as generators
 
     params = validate_params(5, 2, 1)
-    groups = []
-    real = generators.monomials_at
-    monkeypatch.setattr(generators, "monomials_at", lambda *args: groups.append(args) or real(*args))
+    builds = []
+    real = generators.minkowski_sum
+    monkeypatch.setattr(generators, "minkowski_sum", lambda *args: builds.append(args) or real(*args))
     assert certify(params, oracle=True).overall == "PASS"
-    assert len(groups) == len(minkowski_sum(params))
+    assert len(builds) == 1
     # callers get fresh lists: neither --corrupt-one nor a caller replacing
     # an entry reaches the memo
     assert certify(params, corrupt_one=True).overall == "FAIL"
     binomial_generators(params)[0] = corrupt_generator(binomial_generators(params)[0])
     assert certify(params).overall == "PASS"
-    assert len(groups) == len(minkowski_sum(params))
+    assert len(builds) == 1
 
 
 def test_oracle_degenerate_guard(monkeypatch):
