@@ -18,7 +18,6 @@ from .family import (
     a_power_coefficients,
     a_power_min_exponent,
     deformation_symbols,
-    genus,
     multinomial_coefficient_table,
     validate_params,
 )

@@ -571,10 +571,6 @@ class SparsePoly:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 

@@ -78,10 +78,6 @@ class APolynomial:
         return poly
 
 
-def _genus_formula(p: int, q: int, ell: int) -> int:
-    return sum(mu * q - (mu * ell) // p - 1 for mu in range(1, p))
-
-
 def validate_p_q(p: int, q: int) -> None:
     """Raise the family's error unless p is an odd prime and q a positive integer."""
     if not isinstance(p, int) or not is_prime(p) or p < 3:
@@ -91,7 +87,8 @@ def validate_p_q(p: int, q: int) -> None:
 
 
 def validate_params(p: int, q: int, ell: int) -> FamilyParams:
-    """Validate (p, q, ell) and derive m, genus and the applicability flags.
+    """Validate (p, q, ell) and derive m, the genus
+    sum_(mu=1..p-1) (mu*q - floor(mu*ell/p) - 1) and the applicability flags.
 
     The flags warn but never block: the counting machinery is meaningful for
     every valid triple.
@@ -102,7 +99,7 @@ def validate_params(p: int, q: int, ell: int) -> FamilyParams:
     m = p * q - ell
     if m < 1 or math.gcd(p, m) != 1:
         raise EllOutOfRange(f"m = p*q - ell = {m} must be positive and prime to p")
-    g = _genus_formula(p, q, ell)
+    g = sum(mu * q - (mu * ell) // p - 1 for mu in range(1, p))
     return FamilyParams(
         p=p,
         q=q,
@@ -113,11 +110,6 @@ def validate_params(p: int, q: int, ell: int) -> FamilyParams:
         trigonal_risk=p == 3,
         plane_quintic_risk=(g == 6 and p == 5 and q == 1),
     )
-
-
-def genus(params: FamilyParams) -> int:
-    """sum_{mu=1}^{p-1} (mu*q - floor(mu*ell/p) - 1); never negative."""
-    return _genus_formula(params.p, params.q, params.ell)
 
 
 def deformation_symbols(params: FamilyParams) -> tuple[str, ...]:

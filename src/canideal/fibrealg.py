@@ -66,7 +66,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadSpecialization, InvariantViolation, VariableOutsideIndexSet, WrongDegree
+from .errors import (
+    BadSpecialization,
+    InvariantViolation,
+    NonHomogeneous,
+    VariableOutsideIndexSet,
+    WrongDegree,
+    WrongFibre,
+)
 from .exactalg import (
     CycloElement,
     PrimeFieldElement,
@@ -75,7 +82,7 @@ from .exactalg import (
     reduce_mod_lambda,
 )
 from .family import FamilyParams, _a_powers, a_polynomial, deformation_symbols, per_triple
-from .generators import GENERIC, RELATIVE, SPECIAL, trinomial_slots
+from .generators import ANY_FIBRE, GENERIC, RELATIVE, SPECIAL, GeneratorPoly, trinomial_slots
 from .indexsets import build_index_set
 from .termorder import Monomial, multidegree
 
@@ -250,6 +257,27 @@ class FibreContext:
         if self.fibre == GENERIC:
             return img
         return tuple(s * self.a_powers[i] if i else s for i, s in enumerate(img))
+
+    def generator_vanishes(self, gen: GeneratorPoly) -> bool:
+        """Does the generator map to zero on this fibre?
+
+        Images depend only on the multidegree (rho, T), so the coefficients
+        are summed per multidegree and zero sums dropped (a binomial never
+        touches the function field); the rest is `combination_vanishes`.
+        Raises WrongFibre, NonHomogeneous or VariableOutsideIndexSet for a
+        generator tagged with another fibre, not homogeneous of degree 2, or
+        with a variable outside the index set.
+        """
+        if gen.fibre not in (self.fibre, ANY_FIBRE):
+            raise WrongFibre(f"generator tagged {gen.fibre!r} checked on {self.fibre!r}")
+        if not gen.is_homogeneous_degree2():
+            raise NonHomogeneous("membership requires homogeneous degree-2 generators")
+        sums: dict = {}
+        for coeff, mono in gen.terms:
+            md = self.multidegree_of(mono)
+            cur = sums.get(md)
+            sums[md] = coeff if cur is None else cur + coeff
+        return self.combination_vanishes({md: c for md, c in sums.items() if c})
 
     def combination_vanishes(self, coeffs: dict[tuple[int, int], SparsePoly]) -> bool:
         """Is sum_(rho,T) c_(rho,T) * image(rho, T) zero?

@@ -75,11 +75,11 @@ def _sorted_terms(term_map: dict[Monomial, SparsePoly], tie_break: str):
 
 def binomial_generators(
     params: FamilyParams,
-    fibre: str = ANY_FIBRE,
     all_pairs: bool = False,
     tie_break: str = TIE_BREAK_DEFAULT,
 ) -> list[GeneratorPoly]:
-    """Binomials m1 - m2 for monomials of equal multidegree.
+    """Binomials m1 - m2 for monomials of equal multidegree, tagged ANY_FIBRE:
+    their images cancel on every fibre.
 
     Default is the spanning subset pairing every non-minimal monomial of a
     class with the class minimum, so the count over all classes is
@@ -89,11 +89,11 @@ def binomial_generators(
     term_key(tie_break)  # raises UnknownTieBreak
     # a fresh list each call, so a caller that replaces an entry (as
     # `certify --corrupt-one` does) leaves the memo intact
-    return list(_binomials(params, fibre, all_pairs, tie_break))
+    return list(_binomials(params, all_pairs, tie_break))
 
 
 @per_triple
-def _binomials(params: FamilyParams, fibre: str, all_pairs: bool, tie_break: str) -> tuple[GeneratorPoly, ...]:
+def _binomials(params: FamilyParams, all_pairs: bool, tie_break: str) -> tuple[GeneratorPoly, ...]:
     syms = deformation_symbols(params)
     one = SparsePoly.constant(syms, 1)
     out = []
@@ -108,7 +108,7 @@ def _binomials(params: FamilyParams, fibre: str, all_pairs: bool, tie_break: str
         for big, small in pairs:
             out.append(
                 GeneratorPoly(
-                    fibre=fibre,
+                    fibre=ANY_FIBRE,
                     provenance=BINOMIAL,
                     anchor=pt,
                     terms=_sorted_terms({big: one, small: -one}, tie_break),

@@ -11,7 +11,8 @@ as [a + c, b + d] at T = mu + mu' and merges the intervals at each T.  This is
 exact because [a, b] + [c, d] = [a + c, b + d] over the integers and A + B is
 the union of the sums of its runs.  Closed forms, anchor sets and the counts
 of `check_counts` are interval arithmetic on these runs.  Points are
-materialised only for the point API, monomial classes only for the generators.
+materialised only for the point API, monomial classes only for the generators
+and the kernel oracle.
 """
 
 from __future__ import annotations
@@ -232,8 +233,13 @@ def anchor_set_zero_closed_repaired(params: FamilyParams) -> tuple[MinkowskiPoin
 
 
 @per_triple
-def _monomial_classes(params: FamilyParams, tie_break: str) -> dict[tuple[int, int], tuple[Monomial, ...]]:
-    """Every degree-2 monomial, grouped by (rho, T), each class sorted ascending."""
+def monomial_classes(params: FamilyParams, tie_break: str) -> dict[tuple[int, int], tuple[Monomial, ...]]:
+    """Every degree-2 monomial, grouped by (rho, T), each class sorted ascending.
+
+    Classes appear in the order of their first index pair i <= j, walking
+    the index set in order; `monomials_at` and `verify.kernel_oracle` read
+    this one table.
+    """
     index_set = build_index_set(params)
     classes: dict[tuple[int, int], list[Monomial]] = {}
     for i, a in enumerate(index_set):
@@ -246,7 +252,7 @@ def monomials_at(
     params: FamilyParams, point: MinkowskiPoint, tie_break: str = TIE_BREAK_DEFAULT
 ) -> list[Monomial]:
     """All degree-2 monomials of multidegree (2, rho, T), sorted ascending."""
-    got = _monomial_classes(params, tie_break).get((point.rho, point.T))
+    got = monomial_classes(params, tie_break).get((point.rho, point.T))
     if got is None:
         raise PointNotInMinkowskiSum(f"{point} is not in the Minkowski sum")
     return list(got)

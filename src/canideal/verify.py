@@ -12,14 +12,18 @@ weight (`FibreContext.combination_vanishes`), so each weight image is
 multiplied once per shift class of those sums: generators whose sums differ
 only by a power of x share one verdict.
 
-The oracle builds its matrix exactly, checks the generators against it
-exactly, and finds ranks by Gaussian elimination over a prime field F_r:
-r = p on the special fibre, and on the generic and relative fibres the
-largest prime r < 2^61 with r = 1 (mod p).  Elimination takes one row at a
-time: the row is reduced by the pivot row of its smallest column until that
-column has none, and then becomes the pivot row of that column.  Monomials
-of one multidegree have equal rows, so the matrix has one row per
-multidegree class.  `kernel_oracle` states why every passing report is exact.
+The oracle builds its matrix exactly, with one row per multidegree class of
+`indexsets.monomial_classes` (monomials of one class have equal rows), and
+checks the generators G against it by the membership test itself, on the
+specialized context: G * M = 0 in the X-basis exactly when each generator's
+combination of W-slot images vanishes, because W^i = a(x)^i * X^i is an
+invertible diagonal change of basis over a domain.  It finds ranks by
+Gaussian elimination over a prime field F_r: r = p on the special fibre,
+and on the generic and relative fibres the largest prime r < 2^61 with
+r = 1 (mod p).  Elimination takes one row at a time: the row is reduced by
+the pivot row of its smallest column until that column has none, and then
+becomes the pivot row of that column.  `kernel_oracle` states why every
+passing report is exact.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from .exactalg import CycloElement, PrimeFieldElement, is_prime
 from .family import FamilyParams, deformation_symbols, per_triple
 from .fibrealg import check_specialization, fibre_context, relation_consistency
 from .generators import (
-    ANY_FIBRE,
     GENERIC,
     RELATIVE,
     SPECIAL,
@@ -51,8 +54,8 @@ from .generators import (
     relative_generators,
     special_generators,
 )
-from .indexsets import anchor_set, build_index_set, check_counts
-from .termorder import TIE_BREAK_DEFAULT, Monomial, leading_term, term_key
+from .indexsets import anchor_set, check_counts, monomial_classes
+from .termorder import TIE_BREAK_DEFAULT, leading_term, term_key
 
 _FIBRES = (GENERIC, SPECIAL, RELATIVE)
 
@@ -102,15 +105,6 @@ def residue(value, r: int, lam: int) -> int:
             raise ValueError(f"element of F_{value.p} reduced into F_{r}")
         return value.value
     raise TypeError(f"no image in F_{r} for a {type(value).__name__}")
-
-
-def _residue_row(row: dict, r: int, lam: int) -> dict:
-    out = {}
-    for c, v in row.items():
-        x = residue(v, r, lam)
-        if x:
-            out[c] = x
-    return out
 
 
 def fraction_free_echelon(rows, r: int):
@@ -180,26 +174,10 @@ def kernel_basis(rows, ncols: int, r: int):
 
 def check_membership(params: FamilyParams, fibre: str, gen: GeneratorPoly) -> bool:
     """Does the generator map to zero on the fibre, with symbols kept symbolic?
-
-    Images depend only on the multidegree (rho, T), so
-    sum_m c_m phi(m) = sum_(rho,T) phi(rho, T) * sum_(m in (rho,T)) c_m.  The
-    coefficients are summed per multidegree first and zero sums are dropped,
-    so a binomial never touches the function field; the rest is
-    `FibreContext.combination_vanishes`.
-    """
+    (`FibreContext.generator_vanishes` on the fibre's symbolic context.)"""
     if fibre not in _FIBRES:
         raise WrongFibre(f"unknown fibre {fibre!r}")
-    if gen.fibre not in (fibre, ANY_FIBRE):
-        raise WrongFibre(f"generator tagged {gen.fibre!r} checked on {fibre!r}")
-    if not gen.is_homogeneous_degree2():
-        raise NonHomogeneous("membership requires homogeneous degree-2 generators")
-    ctx = fibre_context(params, fibre)
-    sums: dict = {}
-    for coeff, mono in gen.terms:
-        md = ctx.multidegree_of(mono)
-        cur = sums.get(md)
-        sums[md] = coeff if cur is None else cur + coeff
-    return ctx.combination_vanishes({md: c for md, c in sums.items() if c})
+    return fibre_context(params, fibre).generator_vanishes(gen)
 
 
 @dataclass(frozen=True)
@@ -313,11 +291,6 @@ def default_specialization(params: FamilyParams) -> dict:
     return {s: idx + 1 for idx, s in enumerate(deformation_symbols(params))}
 
 
-def _degree2_monomials(params: FamilyParams) -> list[Monomial]:
-    pts = build_index_set(params)
-    return [Monomial((pts[i], pts[j])) for i in range(len(pts)) for j in range(i, len(pts))]
-
-
 def kernel_oracle(
     params: FamilyParams,
     fibre: str,
@@ -327,42 +300,51 @@ def kernel_oracle(
 ) -> OracleReport:
     """Independently compute the degree-2 ideal at a specialization.
 
-    Builds, exactly, the matrix M of all degree-2 monomial images expanded in
-    the basis {x^k * y^i} on the generic fibre and {x^k * X^i} on the others,
-    after clearing denominators by one shared factor, and the vectors G of
-    the generators in the monomial basis.  It checks G * M = 0 exactly (a
-    multiply-only product over the exact entries: generators_in_kernel),
-    then reduces M and G through a ring homomorphism phi into F_r
-    (`oracle_field`; on the special fibre r = p and phi is the identity of
-    F_p) and computes the ranks there.
+    M is the matrix of all degree-2 monomial images expanded in the basis
+    {x^k * y^i} on the generic fibre and {x^k * X^i} on the others, after
+    clearing denominators by one shared factor; G holds the generators'
+    vectors in the monomial basis.  The oracle checks G * M = 0 exactly
+    (generators_in_kernel) by the membership test on the specialized
+    context (`FibreContext.generator_vanishes`, whose typed errors a
+    malformed generator raises before any vector is built), then reduces M
+    and G through a ring homomorphism phi into F_r (`oracle_field`; on the
+    special fibre r = p and phi is the identity of F_p) and computes the
+    ranks there.
 
     Basis.  Off the generic fibre the normal forms live in the basis W^i,
     W = a(x) * X (`fibrealg`); row entries are read from W-slot i times
     a(x)^i (`FibreContext.x_coordinates`).  W^i = a^i * X^i with a != 0 is an
-    invertible diagonal change of basis over K(x), so by uniqueness of
-    coordinates the X-slot r_i equals a^i * s_i exactly, and a combination
-    of images vanishes in one basis exactly when it vanishes in the other.
+    invertible diagonal change of basis over a domain (polynomials in x over
+    Z[lam] or F_p), so by uniqueness of coordinates the X-slot r_i equals
+    a^i * s_i exactly, and a combination of images vanishes in one basis
+    exactly when it vanishes in the other.
 
-    Class rows.  The image of a monomial depends only on its multidegree
-    (`FibreContext.phi_image`), so monomials of one class have equal rows:
-    M = P * C, where C holds one row per class and P maps each monomial to
-    its class.  M and C, and phi(M) and phi(C), have the same row space, so
-    rank M = rank C and kernel_dim = n - rank_r phi(C) for n monomials.
-    G * M = (G * P) * C, where G * P sums each generator's coefficients per
-    class, so the exact check multiplies class sums by class rows and never
-    builds a row per monomial.
+    Class rows.  The monomials and their multidegree classes are read from
+    `indexsets.monomial_classes`, the table `monomials_at` reads.  The image
+    of a monomial depends only on its multidegree (`FibreContext.phi_image`),
+    so monomials of one class have equal rows: M = P * C, where C holds one
+    row per class and P maps each monomial to its class.  M and C, and phi(M)
+    and phi(C), have the same row space, so rank M = rank C and
+    kernel_dim = n - rank_r phi(C) for n monomials; each class row goes to
+    F_r straight from its exact entries.  No rank and no count depends on
+    the order of the monomials.
 
-    Soundness.  phi maps minors to minors, so rank_r phi(M) <= rank M and the
-    reported kernel_dim (over F_r) is at least the exact kernel dimension.
-    A report passes only if G * M = 0 exactly and
-    rank_r phi(G) = kernel_dim = expected.  Then rank G >= rank_r phi(G) =
-    expected and G lies in ker M, so dim ker M >= expected; and
-    dim ker M <= kernel_dim = expected.  Hence dim ker M = expected, the
-    rank is n - expected and span G = ker M, all exactly: every field of a
-    passing report equals its exact value.  If kernel_dim != expected,
-    DegenerateSpecialization is raised; when kernel_dim < expected the exact
-    dimension is smaller too.  A prime dividing a nonzero minor of M or G can
-    therefore cause a retry or a failure, never a false pass.
+    Soundness.  Row g of G * M holds the X-coordinates of
+    sum_m g_m * image(m).  By the change of basis above it is zero exactly
+    when the same combination of W-slot images is, which is what
+    `generator_vanishes` decides, exactly and with no Z[lam] arithmetic of
+    the oracle's own: generators_in_kernel is G * M = 0.  phi maps minors to
+    minors, so rank_r phi(M) <= rank M and the reported kernel_dim (over
+    F_r) is at least the exact kernel dimension.  A report passes only if
+    G * M = 0 exactly and rank_r phi(G) = kernel_dim = expected.  Then
+    rank G >= rank_r phi(G) = expected and G lies in ker M, so
+    dim ker M >= expected; and dim ker M <= kernel_dim = expected.  Hence
+    dim ker M = expected, the rank is n - expected and span G = ker M, all
+    exactly: every field of a passing report equals its exact value.  If
+    kernel_dim != expected, DegenerateSpecialization is raised; when
+    kernel_dim < expected the exact dimension is smaller too.  A prime
+    dividing a nonzero minor of M or G can therefore cause a retry or a
+    failure, never a false pass.
 
     Ranks only.  When G * M = 0 exactly, phi(G) * phi(M) = 0, so span phi(G)
     lies in ker phi(M) and equals it exactly when rank_r phi(G) = kernel_dim:
@@ -379,11 +361,9 @@ def kernel_oracle(
         raise WrongFibre(f"unknown fibre {fibre!r}")
     if specialization is None:
         specialization = default_specialization(params)
-    model_fibre = fibre
-    ctx = fibre_context(params, model_fibre, specialization)
-    monos = _degree2_monomials(params)
-    classes: dict = {}
-    class_of = [classes.setdefault(ctx.multidegree_of(m), len(classes)) for m in monos]
+    ctx = fibre_context(params, fibre, specialization)
+    classes = monomial_classes(params, tie_break)
+    r, lam = (params.p, 0) if fibre == SPECIAL else _oracle_field_of(params)
     col_ids: set = set()
     raw_rows = []
     weight_coords: dict = {}
@@ -395,14 +375,13 @@ def kernel_oracle(
         for i, c in enumerate(coords):
             for e, val in c.terms.items():
                 key = (i, e[0] + rho)  # image(rho, T) = x^rho * image(0, T)
-                entries[key] = val
+                entries[key] = residue(val, r, lam)
                 col_ids.add(key)
         raw_rows.append(entries)
     col_index = {key: idx for idx, key in enumerate(sorted(col_ids))}
-    exact_rows = [{col_index[k]: v for k, v in entries.items()} for entries in raw_rows]
-    r, lam = (params.p, 0) if fibre == SPECIAL else _oracle_field_of(params)
-    class_rows = [_residue_row(row, r, lam) for row in exact_rows]
+    class_rows = [{col_index[k]: v for k, v in entries.items() if v} for entries in raw_rows]
 
+    monos = [m for group in classes.values() for m in group]
     rank = matrix_rank(class_rows, r)
     kernel_dim = len(monos) - rank
     g = params.genus
@@ -416,49 +395,29 @@ def kernel_oracle(
     if gens is None:
         gens = fibre_generators(params, fibre, tie_break=tie_break)
     mono_index = {m: idx for idx, m in enumerate(monos)}
-    gvecs = []
-    for gen in gens:
-        vec = {}
-        for coeff, mono in gen.terms:
-            scalar = ctx.embed_symbol_poly(coeff).constant_value()
-            if scalar:
-                vec[mono_index[mono]] = scalar
-        if vec:
-            gvecs.append(vec)
-
     gens_in_kernel = True
-    for vec in gvecs:
-        sums: dict = {}
-        for midx, val in vec.items():
-            cls = class_of[midx]
-            cur = sums.get(cls)
-            sums[cls] = val if cur is None else cur + val
-        acc: dict = {}
-        for cls, val in sums.items():
-            if not val:
-                continue
-            for cidx, mval in exact_rows[cls].items():
-                t = val * mval
-                cur = acc.get(cidx)
-                cur = t if cur is None else cur + t
-                if cur:
-                    acc[cidx] = cur
-                elif cidx in acc:
-                    del acc[cidx]
-        if acc:
-            gens_in_kernel = False
-            break
+    gen_rows = []
+    for gen in gens:
+        # every generator is checked, so a malformed one raises before its vector is built
+        gens_in_kernel = ctx.generator_vanishes(gen) and gens_in_kernel
+        row = {}
+        for coeff, mono in gen.terms:
+            val = residue(ctx.embed_symbol_poly(coeff).constant_value(), r, lam)
+            if val:
+                row[mono_index[mono]] = val
+        if row:
+            gen_rows.append(row)
 
-    gen_rows = [_residue_row(vec, r, lam) for vec in gvecs]
     rank_g = matrix_rank(gen_rows, r)
     kernel_in_span = rank_g == kernel_dim
     if kernel_in_span and not gens_in_kernel:
-        basis = kernel_basis([class_rows[cls] for cls in class_of], len(col_index), r)
+        rows = [row for row, group in zip(class_rows, classes.values()) for _ in group]
+        basis = kernel_basis(rows, len(col_index), r)
         kernel_in_span = matrix_rank(gen_rows + basis, r) == rank_g
 
     return OracleReport(
         fibre=fibre,
-        model_fibre=model_fibre,
+        model_fibre=fibre,
         specialization=dict(specialization),
         monomial_count=len(monos),
         column_count=len(col_index),
@@ -470,22 +429,25 @@ def kernel_oracle(
     )
 
 
+ORACLE_ATTEMPTS = 3
+
+
 def kernel_oracle_with_retry(
     params: FamilyParams,
     fibre: str,
     specialization: dict | None,
     rng: random.Random,
-    attempts: int = 3,
     tie_break: str = TIE_BREAK_DEFAULT,
 ):
-    """Retry the oracle at randomized small integers on degeneracy.
+    """Try the oracle at up to ORACLE_ATTEMPTS specializations, the given one
+    first, then randomized small integers after each degeneracy.
 
     Returns (report_or_None, list of attempted specializations).
     """
     syms = deformation_symbols(params)
     tried = []
     spec = dict(specialization) if specialization is not None else default_specialization(params)
-    for _ in range(attempts):
+    for _ in range(ORACLE_ATTEMPTS):
         tried.append(dict(spec))
         try:
             return kernel_oracle(params, fibre, spec, tie_break=tie_break), tried

@@ -408,7 +408,7 @@ def test_sparse_poly_arithmetic():
     a = _px({(1, 0): 2, (0, 1): 1})  # 2x + y
     b = _px({(1, 0): -2, (0, 0): 3})  # -2x + 3
     assert (a + b).terms == {(0, 1): 1, (0, 0): 3}
-    assert (a - a).is_zero
+    assert not (a - a)
     prod = a * b
     assert prod.terms == {(2, 0): -4, (1, 1): -2, (1, 0): 6, (0, 1): 3}
     assert a**3 == a * a * a
@@ -416,7 +416,7 @@ def test_sparse_poly_arithmetic():
 
 def test_sparse_poly_zero_coefficients_dropped():
     assert _px({(1, 0): 0}).terms == {}
-    assert (_px({(1, 0): 1}) + _px({(1, 0): -1})).is_zero
+    assert not (_px({(1, 0): 1}) + _px({(1, 0): -1}))
 
 
 def test_sparse_poly_ring_laws_random():
@@ -448,7 +448,7 @@ def test_divmod_monic_roundtrip():
         )
         quo, rem = f.divmod_monic(d, "x")
         assert quo * d + rem == f
-        assert rem.degree_in("x") < 2 or rem.is_zero
+        assert rem.degree_in("x") < 2 or not rem
 
 
 def test_specialize():

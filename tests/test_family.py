@@ -8,7 +8,6 @@ from canideal.family import (
     a_power_min_exponent,
     a_polynomial,
     deformation_symbols,
-    genus,
     multinomial_coefficient_table,
     validate_params,
 )
@@ -61,7 +60,7 @@ def test_flags():
 def test_genus_examples_double_oracle(triple, expected):
     p, q, ell = triple
     params = validate_params(p, q, ell)
-    assert genus(params) == expected
+    assert params.genus == expected
     assert sum(mu * q - (mu * ell) // p - 1 for mu in range(1, p)) == expected
     assert _genus_by_enumeration(p, q, ell) == expected
 
@@ -69,7 +68,7 @@ def test_genus_examples_double_oracle(triple, expected):
 def test_genus_equals_index_set_size_on_sweep():
     for p, q, ell in SWEEP:
         params = validate_params(p, q, ell)
-        assert genus(params) == len(build_index_set(params)) == _genus_by_enumeration(p, q, ell)
+        assert params.genus == len(build_index_set(params)) == _genus_by_enumeration(p, q, ell)
 
 
 def test_min_exponent():

@@ -44,7 +44,7 @@ def test_generic_relation_rhs():
     lam5 = CycloElement.lam(5) ** 5
     expected = SparsePoly.variable(ctx.vars, "x", 1, lam5) + _a_power(params, ctx, 5)
     assert nf[0] == expected
-    assert all(c.is_zero for c in nf[1:])
+    assert not any(nf[1:])
 
 
 def test_special_relation_rhs():
@@ -55,7 +55,7 @@ def test_special_relation_rhs():
     # X^p = X + x^ell / a^p, so W = a X gives W^p -> a^(p-1) W + x^ell
     assert nf[1] == _a_power(params, ctx, 4)
     assert nf[0] == SparsePoly.variable(ctx.vars, "x", 1, ctx.from_int(1))
-    assert all(c.is_zero for c in nf[2:])
+    assert not any(nf[2:])
 
 
 @pytest.mark.parametrize("triple", [(5, 2, 1), (3, 4, 2), (7, 1, 3)])
@@ -89,7 +89,7 @@ def test_low_degree_unchanged():
     e = {4: ctx.constant(ctx.from_int(3))}
     nf = reduce_normal_form(e, ctx.relation)
     assert nf[4] == e[4]
-    assert all(nf[i].is_zero for i in range(4))
+    assert not any(nf[i] for i in range(4))
 
 
 def test_phi_image_generic_example():
@@ -101,7 +101,7 @@ def test_phi_image_generic_example():
     lam5 = CycloElement.lam(5) ** 5
     f = SparsePoly.variable(ctx.vars, "x", 1, lam5) + _a_power(params, ctx, 5)
     assert nf[3] == f * f
-    assert all(nf[i].is_zero for i in (0, 1, 2, 4))
+    assert not any(nf[i] for i in (0, 1, 2, 4))
 
 
 def test_phi_image_special_top_weight():
@@ -281,7 +281,7 @@ def test_weight_images_are_congruent_to_their_starts(triple, specialized):
             for i, s in enumerate(ctx.weight_image(T)):
                 diff = diff - s.embed(variables).mul_var_power("V", i)
             quo, rem = diff.divmod_monic(relation, "V")
-            assert rem.is_zero, (triple, fibre, T)
+            assert not rem, (triple, fibre, T)
             assert quo * relation == diff
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import weakref
@@ -21,15 +22,17 @@ from canideal.errors import (
 from canideal.exactalg import CycloElement, SparsePoly, cyclotomic_min_poly
 from canideal.family import deformation_symbols, validate_params
 from canideal.generators import (
+    TRINOMIAL,
     GeneratorPoly,
     binomial_generators,
     corrupt_generator,
+    fibre_generators,
     generic_generators,
     relative_generators,
     special_generators,
     trinomial_slots,
 )
-from canideal.indexsets import anchor_set, build_index_set, check_counts, minkowski_sum_brute
+from canideal.indexsets import anchor_set, build_index_set, check_counts, minkowski_sum_brute, monomial_classes
 from canideal.termorder import IndexPair, Monomial
 from canideal.verify import (
     certify,
@@ -434,6 +437,45 @@ def test_oracle_negative_control(fibre, make_family):
     assert rep.kernel_dim == rep.expected_kernel_dim == 91
     assert not rep.generators_in_kernel
     assert not rep.passes
+
+
+@pytest.mark.parametrize("fibre", ["generic", "special"])
+@pytest.mark.parametrize(
+    "family, extra, error",
+    [
+        ("other", None, WrongFibre),
+        ("own", Monomial((IndexPair(0, 1), IndexPair(9, 1))), VariableOutsideIndexSet),
+        ("own", Monomial((IndexPair(0, 1),)), NonHomogeneous),
+    ],
+    ids=["other-fibre", "outside-index-set", "degree-one"],
+)
+def test_oracle_rejects_malformed_generators(fibre, family, extra, error):
+    # the oracle raises what check_membership raises, before any generator
+    # vector is built
+    params = validate_params(5, 2, 1)
+    other = {"generic": "special", "special": "generic"}[fibre]
+    gens = fibre_generators(params, fibre if family == "own" else other)
+    if extra is not None:
+        gens[-1] = dataclasses.replace(gens[-1], terms=gens[-1].terms + ((gens[-1].terms[0][0], extra),))
+    with pytest.raises(error):
+        kernel_oracle(params, fibre, gens=gens)
+
+
+@pytest.mark.parametrize("triple", [(3, 4, 1), (5, 2, 4), (7, 1, 1), (5, 2, 1), (7, 2, 1)])
+@pytest.mark.parametrize("fibre", ["generic", "special"])
+def test_oracle_exact_check_is_not_vacuous(triple, fibre):
+    # the exact check passes the emitted family and fails it with the first,
+    # a middle or the last trinomial corrupted (with no trinomial at p = 3,
+    # the first, a middle or the last binomial)
+    params = validate_params(*triple)
+    gens = fibre_generators(params, fibre)
+    rep = kernel_oracle(params, fibre, gens=gens)
+    assert rep.generators_in_kernel and rep.passes
+    assert rep.monomial_count == sum(map(len, monomial_classes(params, "default").values()))
+    targets = [i for i, g in enumerate(gens) if g.provenance == TRINOMIAL] or list(range(len(gens)))
+    for i in {targets[0], targets[len(targets) // 2], targets[-1]}:
+        bad = gens[:i] + [corrupt_generator(gens[i])] + gens[i + 1 :]
+        assert not kernel_oracle(params, fibre, gens=bad).generators_in_kernel, (i, gens[i])
 
 
 def _oracle_dict(fibre, spec, monos, cols, rank, in_kernel, in_span):
