@@ -12,7 +12,6 @@ from .exactalg import (
     reduce_mod_lambda,
 )
 from .family import (
-    APolynomial,
     FamilyParams,
     a_polynomial,
     a_power_coefficients,

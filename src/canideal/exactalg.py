@@ -324,15 +324,6 @@ class CycloElement:
         return " + ".join(parts) if parts else "0"
 
 
-def ring_one_like(sample):
-    """Multiplicative identity of the coefficient ring a sample value lives in."""
-    if isinstance(sample, CycloElement):
-        return CycloElement.one(sample.p)
-    if isinstance(sample, PrimeFieldElement):
-        return PrimeFieldElement(1, sample.p)
-    return 1
-
-
 def cyclotomic_min_poly(p: int) -> "SparsePoly":
     """Minimal polynomial of lam = zeta_p - 1: sum_{i=1}^{p} binom(p, i) lam^{i-1}.
 
@@ -441,7 +432,11 @@ class SparsePoly:
 
     Terms map exponent tuples to nonzero coefficients.  Coefficients may be
     ints, PrimeFieldElements or CycloElements; they only need to support
-    +, -, *, == and truthiness.
+    +, -, *, == and truthiness.  Ints may be mixed with the elements of one
+    ring, in one polynomial or across the factors of a product: an int is
+    the image of Z in that ring, the only ring map from Z, and every mixed
+    operation dispatches to the ring (`_coerce`; the packed product takes
+    int coefficients as they are).
 
     No method changes `terms` of a polynomial it has returned, so the
     content split of the packed product (`_content_groups`) is computed once
@@ -547,11 +542,7 @@ class SparsePoly:
         if n < 0:
             raise ValueError("negative powers are not defined")
         if n == 0:
-            # the ring one is inferred from a sample coefficient
-            if not self.terms:
-                raise ValueError("cannot raise the zero polynomial to the power 0")
-            sample = next(iter(self.terms.values()))
-            return SparsePoly.constant(self.vars, ring_one_like(sample))
+            return SparsePoly.constant(self.vars, 1)
         result = None
         base = self
         while n:

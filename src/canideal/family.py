@@ -53,36 +53,12 @@ def per_triple(fn):
     return wrapper
 
 
-@dataclass(frozen=True)
-class APolynomial:
-    """The monic degree-q polynomial a(x).
-
-    The coefficient of x^(q-s) is the named symbol x_s for s >= 1 and the
-    leading coefficient is the literal 1.  The constant symbol x_q is present
-    exactly when ell == 1; otherwise a(x) is divisible by x.
-    """
-
-    q: int
-    ell: int
-    symbols: tuple[str, ...]
-
-    def as_poly(self, variables, from_int=lambda n: n) -> SparsePoly:
-        """Materialize over a variable tuple containing "x" and the symbols."""
-        variables = tuple(variables)
-        poly = SparsePoly.variable(variables, "x", self.q, from_int(1))
-        top = self.q if self.ell == 1 else self.q - 1
-        for s in range(1, top + 1):
-            poly = poly + SparsePoly.variable(variables, "x", self.q - s, from_int(1)) * SparsePoly.variable(
-                variables, f"x{s}", 1, from_int(1)
-            )
-        return poly
-
-
 def validate_p_q(p: int, q: int) -> None:
     """Raise the family's error unless p is an odd prime and q a positive integer."""
-    if not isinstance(p, int) or not is_prime(p) or p < 3:
+    # bool is a subclass of int, but True is no parameter
+    if type(p) is not int or not is_prime(p) or p < 3:
         raise NonPrimeP(f"p must be an odd prime >= 3, got {p}")
-    if not isinstance(q, int) or q < 1:
+    if type(q) is not int or q < 1:
         raise NonPositiveQ(f"q must be a positive integer, got {q}")
 
 
@@ -94,7 +70,7 @@ def validate_params(p: int, q: int, ell: int) -> FamilyParams:
     every valid triple.
     """
     validate_p_q(p, q)
-    if not isinstance(ell, int) or ell < 1 or ell >= p:
+    if type(ell) is not int or ell < 1 or ell >= p:
         raise EllOutOfRange(f"ell must satisfy 1 <= ell <= p - 1, got {ell}")
     m = p * q - ell
     if m < 1 or math.gcd(p, m) != 1:
@@ -117,8 +93,9 @@ def deformation_symbols(params: FamilyParams) -> tuple[str, ...]:
     return tuple(f"x{s}" for s in range(1, top + 1))
 
 
-def a_polynomial(params: FamilyParams) -> APolynomial:
-    return APolynomial(q=params.q, ell=params.ell, symbols=deformation_symbols(params))
+def a_polynomial(params: FamilyParams) -> SparsePoly:
+    """a(x) over ("x",) + symbols with int coefficients (`_a_powers`)."""
+    return _a_powers(params)[0]
 
 
 def a_power_min_exponent(params: FamilyParams, i: int) -> int:
@@ -130,9 +107,16 @@ def a_power_min_exponent(params: FamilyParams, i: int) -> int:
 
 @per_triple
 def _a_powers(params: FamilyParams) -> tuple[SparsePoly, ...]:
-    """a(x)^k for k = 1..p over ("x", symbols) with integer coefficients."""
-    variables = ("x",) + deformation_symbols(params)
-    a = a_polynomial(params).as_poly(variables)
+    """a(x)^k for k = 1..p over ("x",) + symbols with int coefficients.
+
+    a(x) is monic of degree q: the coefficient of x^(q-s) is the symbol x_s
+    for s >= 1.  The constant symbol x_q is present exactly when ell == 1;
+    otherwise a(x) is divisible by x.
+    """
+    syms = deformation_symbols(params)
+    # x^q (s = 0), then x^(q-s) * x_s: the x_s-exponents are a unit vector
+    exps = [(params.q - s,) + tuple(int(k == s) for k in range(1, len(syms) + 1)) for s in range(len(syms) + 1)]
+    a = SparsePoly(("x",) + syms, dict.fromkeys(exps, 1))
     powers = [a]
     for _ in range(params.p - 1):
         powers.append(powers[-1] * a)

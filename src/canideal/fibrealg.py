@@ -18,10 +18,11 @@ denominator), so membership checking is pure polynomial arithmetic, with no
 division anywhere.
 
 Each relation is read off the fibre's trinomial slot table
-(`generators.trinomial_slots`), the table the generators are built from: a
-slot (dr, dt, c) is the term -c * x^dr * V^(p-dt) of the right-hand side
-(`_relation_rhs`).  The generic slots (ell, p, -lam^p) and
-(j, p, -[a^p]_j) give rhs_0 = lam^p * x^ell + a^p; the special slots
+(`generators.trinomial_slots`), the table the generators are built from:
+after the lead (0, 0, 1), which is V^p, a slot (dr, dt, c) is the term
+-c * x^dr * V^(p-dt) of the right-hand side (`_relation_rhs`).  The generic
+slots (ell, p, -lam^p) and (j, p, -[a^p]_j) give
+rhs_0 = lam^p * x^ell + a^p; the special slots
 (ell, p, -1) and (j, p-1, -[a^(p-1)]_j) give rhs = (x^ell, a^(p-1)); the
 relative slots (ell, p, -1) and (j, p-i, c_i * [a^(p-i)]_j) give
 rhs_i = -c_i * a^(p-i) next to rhs_0 = x^ell.  The cleared image of the
@@ -30,6 +31,27 @@ E = 3p on the generic fibre and 3p - 2 otherwise, which vanishes modulo the
 read-off relation whatever the table says: membership cannot see a wrong
 slot.  `relation_consistency` checks the read-off relations against the
 model and against each other, so a wrong slot fails the certificate.
+
+Each fibre's ring is named once, by the monic lead (0, 0, 1) of its slot
+table: its 1 lies in F_p on the special fibre and in Z[lam] on the others.
+`_relation_rhs` raises InvariantViolation for any other lead, and the
+normal-form chain starts from that 1 (`FibreContext.one`).  Everywhere else
+a plain int is the image of Z in whichever ring it meets (a(x) and its
+powers, the binomials' coefficients, the specialized values, the Horner
+steps of `relation_consistency`).  This is exact:
+
+- Z -> R has exactly one ring map, and every mixed int/R operation
+  dispatches to R (`CycloElement._coerce`, `PrimeFieldElement._coerce`, and
+  the packed product of `SparsePoly.__mul__`, which takes int factors).
+- A value is read as an element of R in three places only: the zero test
+  of `products_vanish` and the oracle's residue entries and column keys.
+  Each reads a product with a normal-form slot.
+- Normal-form slots lie in R: the chain starts from the table's 1, and
+  each step multiplies by relation slots read off the same table.
+- residue(n) == residue(R(n)), because both maps are ring maps.
+
+So every verdict and every output byte is the one the same computation gives
+with each int first mapped into R.
 
 Two exact identities keep the number of normal forms small.  The cleared
 image of a degree-2 monomial depends only on its multidegree (2, rho, T),
@@ -74,13 +96,7 @@ from .errors import (
     WrongDegree,
     WrongFibre,
 )
-from .exactalg import (
-    CycloElement,
-    PrimeFieldElement,
-    SparsePoly,
-    products_vanish,
-    reduce_mod_lambda,
-)
+from .exactalg import CycloElement, SparsePoly, products_vanish, reduce_mod_lambda
 from .family import FamilyParams, _a_powers, a_polynomial, deformation_symbols, per_triple
 from .generators import ANY_FIBRE, GENERIC, RELATIVE, SPECIAL, GeneratorPoly, trinomial_slots
 from .indexsets import build_index_set
@@ -105,18 +121,25 @@ class FibreRelation:
 
 @per_triple
 def _relation_rhs(params: FamilyParams, fibre: str) -> tuple[SparsePoly, ...]:
-    """The fibre relation's rhs over ("x",) + symbols, read off the slot table:
-    the slot (dr, dt, c) adds -c * x^dr to rhs[p - dt]."""
+    """The fibre relation's rhs over ("x",) + symbols, read off the slot table.
+
+    The lead slot must be (0, 0, 1), the V^p term, so that the relation is
+    monic in V; any other lead raises InvariantViolation.  Every other slot
+    (dr, dt, c) adds -c * x^dr to rhs[p - dt].
+    """
     p = params.p
-    slots: list[dict] = [{} for _ in range(p)]
-    for dr, dt, coeff in trinomial_slots(params, fibre):
-        slot = slots[p - dt]
+    (dr, dt, lead), *slots = trinomial_slots(params, fibre)
+    if (dr, dt) != (0, 0) or lead != SparsePoly.constant(lead.vars, 1):
+        raise InvariantViolation(f"the {fibre} slot table leads with ({dr}, {dt}, {lead!r}), not (0, 0, 1)")
+    rhs: list[dict] = [{} for _ in range(p)]
+    for dr, dt, coeff in slots:
+        slot = rhs[p - dt]
         for e, c in coeff.terms.items():
             key = (dr,) + e
             cur = slot.get(key)
             slot[key] = -c if cur is None else cur - c
     variables = ("x",) + deformation_symbols(params)
-    return tuple(SparsePoly(variables, slot) for slot in slots)
+    return tuple(SparsePoly(variables, slot) for slot in rhs)
 
 
 def reduce_normal_form(e: dict, rel: FibreRelation) -> tuple[SparsePoly, ...]:
@@ -183,47 +206,30 @@ class FibreContext:
             check_specialization(params, specialization)
         self.specialization = dict(specialization) if specialization is not None else None
 
-        if fibre == SPECIAL:
-            self.from_int = lambda n: PrimeFieldElement(n, p)
-        else:
-            self.from_int = lambda n: CycloElement.from_int(p, n)
-
         self.vars = ("x",) if specialization is not None else ("x",) + syms
-        # a(x)^k for k = 0..p as multipliers: int coefficients over Z[lam],
-        # which the packed product of `SparsePoly.__mul__` takes with no
-        # cyclotomic factor to split off; F_p coefficients on the special fibre
-        powers = (SparsePoly.constant(("x",) + syms, 1),) + _a_powers(params)
-        if specialization is not None:
-            powers = tuple(power.specialize(specialization) for power in powers)
-        if fibre == SPECIAL:
-            powers = tuple(power.map_coefficients(self.from_int) for power in powers)
-        self.a_powers = powers
-        self._chain: list[tuple[SparsePoly, ...]] = []
-        self._verdicts: dict[frozenset, bool] = {}
-        self._index_set = frozenset(build_index_set(params))
         rhs = _relation_rhs(params, fibre)
         if specialization is not None:
             rhs = tuple(slot.specialize(specialization) for slot in rhs)
         self.relation = FibreRelation(fibre=fibre, p=p, vars=self.vars, rhs=rhs)
-
-    def constant(self, c) -> SparsePoly:
-        return SparsePoly.constant(self.vars, c)
+        # the ring's 1, the lead `_relation_rhs` has checked
+        self.one = trinomial_slots(params, fibre)[0][2].constant_value()
+        # a(x)^k for k = 0..p as multipliers, with int coefficients on every
+        # fibre, which the packed product of `SparsePoly.__mul__` takes with
+        # no cyclotomic factor to split off
+        powers = (SparsePoly.constant(("x",) + syms, 1),) + _a_powers(params)
+        if specialization is not None:
+            powers = tuple(power.specialize(specialization) for power in powers)
+        self.a_powers = powers
+        self._chain: list[tuple[SparsePoly, ...]] = []
+        self._verdicts: dict[frozenset, bool] = {}
+        self._index_set = frozenset(build_index_set(params))
 
     def embed_symbol_poly(self, poly: SparsePoly) -> SparsePoly:
         """Lift a coefficient polynomial in the deformation symbols into the
-        context variables, mapping plain-integer coefficients into the ring.
-
-        A specialized context substitutes the integer values first and maps
-        the result once: the map from the integers into the ring is a ring
-        homomorphism, so both orders give the same constant.
-        """
+        context variables; a specialized context substitutes the values."""
         if self.specialization is not None:
-            value = poly.specialize(self.specialization).constant_value()
-            return SparsePoly.constant(self.vars, self.from_int(value) if isinstance(value, int) else value)
-        mapped = poly.map_coefficients(
-            lambda c: self.from_int(c) if isinstance(c, int) else c
-        )
-        return mapped.embed(self.vars)
+            return SparsePoly.constant(self.vars, poly.specialize(self.specialization).constant_value())
+        return poly.embed(self.vars)
 
     def weight_image(self, T: int) -> tuple[SparsePoly, ...]:
         """Cleared image of the multidegree (2, 0, T); one normal form per weight.
@@ -243,7 +249,7 @@ class FibreContext:
         chain = self._chain
         if not chain:
             zero = SparsePoly.zero(self.vars)
-            one = self.constant(self.from_int(1))
+            one = SparsePoly.constant(self.vars, self.one)
             chain.extend(tuple(one if i == k else zero for i in range(self.p)) for k in range(self.p))
         while len(chain) <= e:
             shifted = {i + 1: c for i, c in enumerate(chain[-1]) if c}
@@ -395,23 +401,20 @@ def relation_consistency(params: FamilyParams) -> RelationReport:
     syms = deformation_symbols(params)
     variables = ("x", "X") + syms
 
-    def cy(n) -> CycloElement:
-        return CycloElement.from_int(p, n)
-
     def horner(rhs, v: SparsePoly) -> SparsePoly:
         """v^p - sum_i rhs[i] * v^i in `variables`, by Horner's rule in v."""
-        acc = SparsePoly.constant(variables, cy(1))
+        acc = SparsePoly.constant(variables, 1)
         for slot in reversed(rhs):
             acc = acc * v - slot.embed(variables)
         return acc
 
     # a and W = a*X with int coefficients, the cheapest factors of the
     # packed product
-    a = a_polynomial(params).as_poly(variables)
-    a_p = (a**p).map_coefficients(cy)
+    a = a_polynomial(params).embed(variables)
+    a_p = a**p
     lam = CycloElement.lam(p)
-    x_ell = SparsePoly.variable(variables, "x", ell, cy(1))
-    X = SparsePoly.variable(variables, "X", 1, cy(1))
+    x_ell = SparsePoly.variable(variables, "x", ell)
+    X = SparsePoly.variable(variables, "X")
     W = a.mul_var_power("X", 1)
 
     # (a): hand-built binomial-theorem expansion
@@ -430,7 +433,7 @@ def relation_consistency(params: FamilyParams) -> RelationReport:
     check_b = reduced == _relation_rhs(params, SPECIAL)
 
     # (c): generic-relation substitution y = a*(lam*X + 1)
-    y = a * (X.scale(lam) + SparsePoly.constant(variables, cy(1)))
+    y = a * (X.scale(lam) + SparsePoly.constant(variables, 1))
     check_c = horner(_relation_rhs(params, GENERIC), y) == rhs_a
 
     return RelationReport(

@@ -20,7 +20,6 @@ from .exactalg import (
     SparsePoly,
     divide_by_lambda_power,
     reduce_mod_lambda,
-    ring_one_like,
 )
 from .family import FamilyParams, a_power_coefficients, deformation_symbols, per_triple
 from .indexsets import (
@@ -47,8 +46,8 @@ class GeneratorPoly:
 
     ``terms`` maps monomials to coefficient polynomials in the deformation
     symbols; the coefficient ring depends on the fibre (cyclotomic for the
-    generic and relative fibres, prime field for the special fibre, plain
-    integers for the fibre-agnostic binomials).
+    generic and relative fibres, prime field for the special fibre), and a
+    plain int, as in the fibre-agnostic binomials, is the image of Z in it.
     """
 
     fibre: str
@@ -123,11 +122,15 @@ def trinomial_slots(params: FamilyParams, fibre: str) -> tuple[tuple[int, int, S
     """The fibre's equation, as the slot layout of one trinomial-type generator.
 
     Each slot (dr, dt, c) places the coefficient polynomial c on the class
-    minimum at (rho + dr, T + dt); the implicit leading slot (0, 0, 1) is
-    not listed.  Read as an equation in V (y on the generic fibre,
-    W = a(x) * X on the others), the slot is the term -c * x^dr * V^(p-dt)
-    of V^p = rhs: the generators and the fibre relation of `fibrealg`
-    are both read off this one table.
+    minimum at (rho + dr, T + dt).  Read as an equation in V (y on the
+    generic fibre, W = a(x) * X on the others), the slot is the term
+    c * x^dr * V^(p-dt) of V^p - rhs: the generators and the fibre relation
+    of `fibrealg` are both read off this one table.
+
+    The first slot is the monic lead (0, 0, 1), the V^p term, with its 1
+    taken in the fibre's ring: F_p on the special fibre, Z[lam] on the
+    others.  This is where a fibre's ring is named; a plain int anywhere
+    else stands for its image in whichever ring it meets.
     """
     p, ell = params.p, params.ell
     if fibre == SPECIAL:
@@ -141,8 +144,9 @@ def trinomial_slots(params: FamilyParams, fibre: str) -> tuple[tuple[int, int, S
         blocks = [(i, relative_lambda_coefficient(params, i)) for i in range(1, p)]
     else:
         blocks = [(0 if fibre == GENERIC else 1, -one)]
-    lead = CycloElement.lam(p) ** p if fibre == GENERIC else one
-    slots = [(ell, p, SparsePoly.constant(deformation_symbols(params), -lead))]
+    syms = deformation_symbols(params)
+    ell_coeff = CycloElement.lam(p) ** p if fibre == GENERIC else one
+    slots = [(0, 0, SparsePoly.constant(syms, one)), (ell, p, SparsePoly.constant(syms, -ell_coeff))]
     for i, weight in blocks:
         for j, poly in sorted(a_power_coefficients(params, i).items()):
             slots.append((j, p - i, poly.scale(weight)))
@@ -229,15 +233,12 @@ def trinomial_variants(params: FamilyParams, fibre: str, pt: MinkowskiPoint, tie
     gives an equally valid generator.  Lazily yields every combination.
     """
     slots = trinomial_slots(params, fibre)
-    choice_lists = [monomials_at(params, pt, tie_break)]
-    for dr, dt, _ in slots:
-        choice_lists.append(monomials_at(params, MinkowskiPoint(pt.rho + dr, pt.T + dt), tie_break))
-    syms = deformation_symbols(params)
-    sample = next(iter(slots[0][2].terms.values()))
-    one = SparsePoly.constant(syms, ring_one_like(sample))
+    choice_lists = [
+        monomials_at(params, MinkowskiPoint(pt.rho + dr, pt.T + dt), tie_break) for dr, dt, _ in slots
+    ]
     for picks in itertools.product(*choice_lists):
-        terms: dict[Monomial, SparsePoly] = {picks[0]: one}
-        for (_, _, coeff), mono in zip(slots, picks[1:]):
+        terms: dict[Monomial, SparsePoly] = {}
+        for (_, _, coeff), mono in zip(slots, picks):
             cur = terms.get(mono)
             terms[mono] = coeff if cur is None else cur + coeff
         yield GeneratorPoly(
@@ -282,8 +283,7 @@ def reduce_relative_to_special(params: FamilyParams, gens) -> list[GeneratorPoly
 def corrupt_generator(gen: GeneratorPoly, bump: int = 1) -> GeneratorPoly:
     """Negative-control hook: add a constant to one non-leading coefficient."""
     coeff, mono = gen.terms[-1]
-    one = ring_one_like(next(iter(coeff.terms.values()))) if coeff.terms else 1
-    bumped = coeff + SparsePoly.constant(coeff.vars, one * bump)
+    bumped = coeff + SparsePoly.constant(coeff.vars, bump)
     terms = tuple(
         (bumped if m == mono and c is coeff else c, m) for c, m in gen.terms
     )

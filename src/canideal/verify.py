@@ -402,7 +402,7 @@ def kernel_oracle(
         gens_in_kernel = ctx.generator_vanishes(gen) and gens_in_kernel
         row = {}
         for coeff, mono in gen.terms:
-            val = residue(ctx.embed_symbol_poly(coeff).constant_value(), r, lam)
+            val = residue(coeff.specialize(specialization).constant_value(), r, lam)
             if val:
                 row[mono_index[mono]] = val
         if row:

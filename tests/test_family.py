@@ -9,6 +9,7 @@ from canideal.family import (
     a_polynomial,
     deformation_symbols,
     multinomial_coefficient_table,
+    validate_p_q,
     validate_params,
 )
 from canideal.indexsets import build_index_set
@@ -47,6 +48,22 @@ def test_validate_errors():
         validate_params(5, 2, 0)
     with pytest.raises(EllOutOfRange):
         validate_params(5, 2, 5)
+
+
+@pytest.mark.parametrize(
+    "validate,args,error",
+    [
+        (validate_params, (3, True, 1), NonPositiveQ),
+        (validate_params, (5, 2, True), EllOutOfRange),
+        (validate_params, (3, 1, True), EllOutOfRange),
+        (validate_params, (True, 2, 1), NonPrimeP),
+        (validate_p_q, (3, True), NonPositiveQ),
+    ],
+)
+def test_bools_are_not_parameters(validate, args, error):
+    # bool is a subclass of int, but a certificate must never print "q": true
+    with pytest.raises(error):
+        validate(*args)
 
 
 def test_flags():
@@ -173,7 +190,7 @@ def test_multinomial_formula_matches_expansion(triple):
 def test_power_tables_satisfy_recurrence(triple):
     params = validate_params(*triple)
     variables = ("x",) + deformation_symbols(params)
-    a = a_polynomial(params).as_poly(variables)
+    a = a_polynomial(params)
 
     def full(i):
         poly = SparsePoly.zero(variables)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from canideal.errors import BadSpecialization, VariableOutsideIndexSet, WrongDegree
+from canideal.errors import BadSpecialization, InvariantViolation, VariableOutsideIndexSet, WrongDegree
 from canideal.exactalg import CycloElement, PrimeFieldElement, SparsePoly
 from canideal.family import a_polynomial, deformation_symbols, validate_params
 from canideal.fibrealg import (
@@ -11,7 +11,7 @@ from canideal.fibrealg import (
     reduce_normal_form,
     relation_consistency,
 )
-from canideal.generators import relative_lambda_coefficient
+from canideal.generators import relative_lambda_coefficient, trinomial_slots
 from canideal.indexsets import minimal_monomial, minkowski_sum
 from canideal.termorder import IndexPair, Monomial
 from canideal.verify import default_specialization
@@ -19,10 +19,10 @@ from canideal.verify import default_specialization
 
 def _a_power(params, ctx, k):
     """a(x)^k over the context's ring, built from a(x) itself."""
-    a = a_polynomial(params).as_poly(("x",) + deformation_symbols(params), ctx.from_int)
+    a = a_polynomial(params)
     if ctx.specialization is not None:
-        a = a.specialize({s: ctx.from_int(v) for s, v in ctx.specialization.items()})
-    return a**k
+        a = a.specialize(ctx.specialization)
+    return (a**k).map_coefficients(lambda n: n * ctx.one)
 
 
 def _termwise_product(f, g):
@@ -39,7 +39,7 @@ def test_generic_relation_rhs():
     params = validate_params(5, 2, 1)
     ctx = fibre_context(params, "generic")
     # V^p reduces to lam^p * x^ell + a(x)^p, a constant in the fibre variable
-    one = ctx.constant(ctx.from_int(1))
+    one = SparsePoly.constant(ctx.vars, ctx.one)
     nf = reduce_normal_form({5: one}, ctx.relation)
     lam5 = CycloElement.lam(5) ** 5
     expected = SparsePoly.variable(ctx.vars, "x", 1, lam5) + _a_power(params, ctx, 5)
@@ -50,11 +50,11 @@ def test_generic_relation_rhs():
 def test_special_relation_rhs():
     params = validate_params(5, 2, 1)
     ctx = fibre_context(params, "special")
-    one = ctx.constant(ctx.from_int(1))
+    one = SparsePoly.constant(ctx.vars, ctx.one)
     nf = reduce_normal_form({5: one}, ctx.relation)
     # X^p = X + x^ell / a^p, so W = a X gives W^p -> a^(p-1) W + x^ell
     assert nf[1] == _a_power(params, ctx, 4)
-    assert nf[0] == SparsePoly.variable(ctx.vars, "x", 1, ctx.from_int(1))
+    assert nf[0] == SparsePoly.variable(ctx.vars, "x", 1, ctx.one)
     assert not any(nf[2:])
 
 
@@ -68,7 +68,7 @@ def test_relation_holds_one_polynomial_per_slot(triple):
         ctx = FibreContext(params, fibre)
         rhs = ctx.relation.rhs
         assert len(rhs) == p and all(s.vars == ctx.vars for s in rhs)
-        x_ell = SparsePoly.variable(ctx.vars, "x", ell, ctx.from_int(1))
+        x_ell = SparsePoly.variable(ctx.vars, "x", ell, ctx.one)
         zero = SparsePoly.zero(ctx.vars)
         if fibre == "generic":
             want = [x_ell.scale(CycloElement.lam(p) ** p) + _a_power(params, ctx, p)] + [zero] * (p - 1)
@@ -83,10 +83,46 @@ def test_relation_holds_one_polynomial_per_slot(triple):
         assert all(type(c) is ring for s in rhs for c in s.terms.values()), fibre
 
 
+@pytest.mark.parametrize("triple", [(5, 2, 1), (3, 4, 2), (7, 1, 3)])
+def test_the_lead_slot_names_the_fibre_ring(triple):
+    # each slot table starts with the monic lead (0, 0, 1), its 1 in the
+    # fibre's ring, and every context of the fibre starts its chain there
+    params = validate_params(*triple)
+    for fibre, ring in (("generic", CycloElement), ("special", PrimeFieldElement), ("relative", CycloElement)):
+        dr, dt, lead = trinomial_slots(params, fibre)[0]
+        assert (dr, dt) == (0, 0) and lead.vars == deformation_symbols(params)
+        assert list(lead.terms) == [(0,) * len(lead.vars)]
+        one = lead.constant_value()
+        assert type(one) is ring and one == 1, fibre
+        for spec in (None, default_specialization(params)):
+            ctx = fibre_context(params, fibre, spec)
+            assert type(ctx.one) is ring and ctx.one == one, (fibre, spec)
+            assert ctx.power_normal_form(0)[0] == SparsePoly.constant(ctx.vars, one)
+
+
+@pytest.mark.parametrize("fibre", ["generic", "special", "relative"])
+@pytest.mark.parametrize("how", ["doubled", "symbolic", "shifted"])
+def test_a_non_monic_lead_raises(fibre, how):
+    # the relation is read off the table only when it is monic in V
+    params = validate_params(5, 2, 1)
+    slots = trinomial_slots(params, fibre)
+    dr, dt, lead = slots[0]
+    bad = {
+        "doubled": (dr, dt, lead + lead),
+        "symbolic": (dr, dt, lead.mul_var_power("x1", 1)),
+        "shifted": (dr, 1, lead),
+    }[how]
+    params.memo[(trinomial_slots.__wrapped__, fibre)] = (bad,) + slots[1:]
+    with pytest.raises(InvariantViolation):
+        FibreContext(params, fibre)
+    with pytest.raises(InvariantViolation):
+        relation_consistency(params)
+
+
 def test_low_degree_unchanged():
     params = validate_params(5, 2, 1)
     ctx = fibre_context(params, "relative")
-    e = {4: ctx.constant(ctx.from_int(3))}
+    e = {4: SparsePoly.constant(ctx.vars, 3 * ctx.one)}
     nf = reduce_normal_form(e, ctx.relation)
     assert nf[4] == e[4]
     assert not any(nf[i] for i in range(4))
@@ -111,10 +147,10 @@ def test_phi_image_special_top_weight():
     ctx = fibre_context(params, "special")
     m = Monomial((IndexPair(6, 4), IndexPair(6, 4)))
     nf = ctx.phi_image(m)
-    start = {5: SparsePoly.variable(ctx.vars, "x", 12, ctx.from_int(1))}
+    start = {5: SparsePoly.variable(ctx.vars, "x", 12, ctx.one)}
     assert nf == reduce_normal_form(start, ctx.relation)
     # W^p = x^ell + a^(p-1) * W with ell = 1
-    assert nf[0] == SparsePoly.variable(ctx.vars, "x", 13, ctx.from_int(1))
+    assert nf[0] == SparsePoly.variable(ctx.vars, "x", 13, ctx.one)
 
 
 def test_equal_multidegree_images_identical():
@@ -177,13 +213,13 @@ def test_normal_form_is_multiplicative(fibre):
                     tuple(
                         rng.randint(0, 2) if k == 0 else rng.randint(0, 1)
                         for k in range(len(ctx.vars))
-                    ): ctx.from_int(rng.randint(-3, 3))
+                    ): rng.randint(-3, 3) * ctx.one
                     for _ in range(2)
                 },
             )
             if num:
                 out[exp] = num
-        return out or {0: ctx.constant(ctx.from_int(1))}
+        return out or {0: SparsePoly.constant(ctx.vars, ctx.one)}
 
     for _ in range(6):
         e1, e2 = rand_elem(), rand_elem()
@@ -199,7 +235,7 @@ def test_normal_form_is_multiplicative(fibre):
 def _direct_image(ctx, rho, T):
     """Reduce the full start x^rho * (y^(3p-T) or (a X)^(3p-2-T) = W^(3p-2-T)) in one go."""
     p = ctx.p
-    x_rho = SparsePoly.variable(ctx.vars, "x", rho, ctx.from_int(1))
+    x_rho = SparsePoly.variable(ctx.vars, "x", rho, ctx.one)
     e = 3 * p - T if ctx.fibre == "generic" else 3 * p - 2 - T
     return reduce_normal_form({e: x_rho}, ctx.relation)
 
@@ -233,7 +269,7 @@ def test_normal_form_chain_equals_reduction_from_scratch(triple, specialized):
     spec = default_specialization(params) if specialized else None
     for fibre in ("generic", "special", "relative"):
         ctx = FibreContext(params, fibre, spec)
-        one = ctx.constant(ctx.from_int(1))
+        one = SparsePoly.constant(ctx.vars, ctx.one)
         top = _largest_power(ctx, params)
         ctx.power_normal_form(top)
         assert len(ctx._chain) == top + 1
@@ -250,8 +286,8 @@ def _relation_polynomial(ctx, params):
     p, ell = params.p, params.ell
     variables = ("V",) + ctx.vars
     a = _a_power(params, ctx, 1).embed(variables)
-    V = SparsePoly.variable(variables, "V", 1, ctx.from_int(1))
-    x_ell = SparsePoly.variable(variables, "x", ell, ctx.from_int(1))
+    V = SparsePoly.variable(variables, "V", 1, ctx.one)
+    x_ell = SparsePoly.variable(variables, "x", ell, ctx.one)
     if ctx.fibre == "generic":
         return V**p - x_ell.scale(CycloElement.lam(p) ** p) - a**p
     if ctx.fibre == "special":
@@ -277,7 +313,7 @@ def test_weight_images_are_congruent_to_their_starts(triple, specialized):
         variables = relation.vars
         for T in sorted({pt.T for pt in minkowski_sum(params)}):
             e = 3 * ctx.p - T if fibre == "generic" else 3 * ctx.p - 2 - T
-            diff = SparsePoly.variable(variables, "V", e, ctx.from_int(1))
+            diff = SparsePoly.variable(variables, "V", e, ctx.one)
             for i, s in enumerate(ctx.weight_image(T)):
                 diff = diff - s.embed(variables).mul_var_power("V", i)
             quo, rem = diff.divmod_monic(relation, "V")
@@ -288,18 +324,18 @@ def test_weight_images_are_congruent_to_their_starts(triple, specialized):
 @pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (7, 1, 3)])
 @pytest.mark.parametrize("specialized", [False, True])
 def test_int_a_power_product_equals_ring_product(triple, specialized):
-    # over Z[lam] the context keeps a(x)^k with int coefficients; W-slots
-    # meet them (the X-coordinates) in the packed product of
-    # SparsePoly.__mul__, which splits a factor into cyclotomic content
-    # groups inside exactalg.  The product equals a term-by-term product
-    # with a(x)^k over the ring
+    # every context keeps a(x)^k with int coefficients; W-slots meet them
+    # (the X-coordinates) in SparsePoly.__mul__, over Z[lam] in the packed
+    # product, which splits a factor into cyclotomic content groups inside
+    # exactalg.  The product equals a term-by-term product with a(x)^k over
+    # the ring
     params = validate_params(*triple)
     spec = default_specialization(params) if specialized else None
     for fibre in ("generic", "special", "relative"):
         ctx = FibreContext(params, fibre, spec)
         assert len(ctx.a_powers) == ctx.p + 1
         power_is_int = all(type(c) is int for c in ctx.a_powers[ctx.p].terms.values())
-        assert power_is_int == (fibre != "special")
+        assert power_is_int
         nums = [
             c
             for T in sorted({pt.T for pt in minkowski_sum(params)})

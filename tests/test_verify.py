@@ -19,8 +19,9 @@ from canideal.errors import (
     VariableOutsideIndexSet,
     WrongFibre,
 )
-from canideal.exactalg import CycloElement, SparsePoly, cyclotomic_min_poly
+from canideal.exactalg import CycloElement, PrimeFieldElement, SparsePoly, cyclotomic_min_poly
 from canideal.family import deformation_symbols, validate_params
+from canideal.fibrealg import FibreContext, fibre_context
 from canideal.generators import (
     TRINOMIAL,
     GeneratorPoly,
@@ -37,6 +38,7 @@ from canideal.termorder import IndexPair, Monomial
 from canideal.verify import (
     certify,
     check_membership,
+    default_specialization,
     dimension_criterion,
     kernel_basis,
     kernel_oracle,
@@ -294,7 +296,7 @@ def _check_planted_cancellation(fibre):
     # triple keeps them out of every other test.
     params = validate_params(5, 1, 1)
     ctx = verify.fibre_context(params, fibre)
-    a = SparsePoly(ctx.vars, {(1, 0): ctx.from_int(1), (0, 1): ctx.from_int(1)})  # x + x1
+    a = SparsePoly(ctx.vars, {(1, 0): ctx.one, (0, 1): ctx.one})  # x + x1
     # three degree-2 monomials of distinct weights T, all with rho = 0
     pts = build_index_set(params)
     by_weight = {}
@@ -306,7 +308,7 @@ def _check_planted_cancellation(fibre):
                 by_weight.setdefault(T, m)
     (t1, m1), (t2, m2), (t3, m3) = list(by_weight.items())[:3]
     zero = SparsePoly.zero(ctx.vars)
-    one = SparsePoly.constant(ctx.vars, ctx.from_int(1))
+    one = SparsePoly.constant(ctx.vars, ctx.one)
     xa = a.mul_var_power("x", 1)
 
     def start(T):
@@ -476,6 +478,65 @@ def test_oracle_exact_check_is_not_vacuous(triple, fibre):
     for i in {targets[0], targets[len(targets) // 2], targets[-1]}:
         bad = gens[:i] + [corrupt_generator(gens[i])] + gens[i + 1 :]
         assert not kernel_oracle(params, fibre, gens=bad).generators_in_kernel, (i, gens[i])
+
+
+def _map_coefficients(gen, fn):
+    return dataclasses.replace(gen, terms=tuple((c.map_coefficients(fn), m) for c, m in gen.terms))
+
+
+def _int_lift(v):
+    """The int whose image v is, for v in F_p or in Z inside Z[lam]; v otherwise."""
+    if isinstance(v, PrimeFieldElement):
+        return v.value
+    if isinstance(v, CycloElement) and not any(v.coeffs[1:]):
+        return v.coeffs[0]
+    return v
+
+
+@pytest.mark.parametrize("triple", [(5, 2, 1), (7, 1, 3)])
+@pytest.mark.parametrize("fibre", ["generic", "special", "relative"])
+def test_int_coefficients_act_as_their_ring_images(triple, fibre):
+    # a plain int is the image of Z in the fibre's ring: a generator with int
+    # coefficients and the same generator mapped into the ring get the same
+    # verdict, symbolic and specialized, and the same oracle rows and report
+    params = validate_params(*triple)
+    p = params.p
+    spec = default_specialization(params)
+    one = fibre_context(params, fibre).one
+    gens = fibre_generators(params, fibre)
+    binomial, trinomial = gens[0], gens[-1]
+    assert trinomial.provenance == TRINOMIAL
+    (_, big), (_, small) = binomial.terms
+    syms = deformation_symbols(params)
+    # (p - 1) * big + small: p times a class image, zero exactly over F_p
+    p_times = dataclasses.replace(
+        binomial, terms=((SparsePoly.constant(syms, p - 1), big), (SparsePoly.constant(syms, 1), small))
+    )
+
+    def as_ints(family):
+        return [_map_coefficients(g, _int_lift) for g in family]
+
+    def in_ring(family):
+        return [_map_coefficients(g, lambda v: v * one) for g in family]
+
+    picks = [binomial, trinomial, corrupt_generator(binomial), corrupt_generator(trinomial), p_times]
+    ints, rings = as_ints(picks), in_ring(picks)
+    assert all(type(c) is not int for g in rings for coeff, _ in g.terms for c in coeff.terms.values())
+    assert all(type(c) is int for coeff, _ in ints[0].terms for c in coeff.terms.values())
+    assert any(type(c) is int for coeff, _ in ints[1].terms for c in coeff.terms.values())
+    for s in (None, spec):
+        int_ctx, ring_ctx = FibreContext(params, fibre, s), FibreContext(params, fibre, s)
+        verdicts = [int_ctx.generator_vanishes(g) for g in ints]
+        assert verdicts == [ring_ctx.generator_vanishes(g) for g in rings], s
+        assert verdicts == [True, True, False, False, fibre == "special"], s
+    r, lam = (p, 0) if fibre == "special" else oracle_field(p)
+    for a, b in zip(ints, rings):
+        row_a = [residue(c.specialize(spec).constant_value(), r, lam) for c, _ in a.terms]
+        assert row_a == [residue(c.specialize(spec).constant_value(), r, lam) for c, _ in b.terms]
+    for family in (gens, gens[:-1] + [corrupt_generator(trinomial)]):
+        assert kernel_oracle(params, fibre, spec, gens=as_ints(family)) == kernel_oracle(
+            params, fibre, spec, gens=in_ring(family)
+        )
 
 
 def _oracle_dict(fibre, spec, monos, cols, rank, in_kernel, in_span):
