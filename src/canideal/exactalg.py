@@ -308,6 +308,9 @@ class CycloElement:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # an element of Z equals its int, so it hashes as that int
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash(("cyclo", self.p, self.coeffs))
 
     def __repr__(self):
@@ -797,24 +800,6 @@ def _packed_sum(products) -> tuple[dict, int, int, int]:
                     key = key1 + key2
                     acc[key] = get(key, 0) + k * packed
     return acc, shift, width, p
-
-
-def products_vanish(products) -> bool:
-    """Is sum f * g zero, over the (f, g) pairs?
-
-    Over Z[lam] the sum runs on packed ints (`_packed_sum`) and is never
-    unpacked: a packed term is zero exactly when all its coordinates are.
-    Otherwise (over F_p, say) it is the plain sum of the products.
-    """
-    products = [(f, g) for f, g in products if f and g]
-    pairs = [_packed_pair(f, g) for f, g in products]
-    if products and None not in pairs:
-        acc, _, _, _ = _packed_sum(pairs)
-        return not any(acc.values())
-    total = None
-    for f, g in products:
-        total = f * g if total is None else total + f * g
-    return not total
 
 
 def _is_one_poly(poly: SparsePoly) -> bool:

@@ -44,27 +44,30 @@ steps of `relation_consistency`).  This is exact:
   dispatches to R (`CycloElement._coerce`, `PrimeFieldElement._coerce`, and
   the packed product of `SparsePoly.__mul__`, which takes int factors).
 - A value is read as an element of R in three places only: the zero test
-  of `products_vanish` and the oracle's residue entries and column keys.
-  Each reads a product with a normal-form slot.
-- Normal-form slots lie in R: the chain starts from the table's 1, and
-  each step multiplies by relation slots read off the same table.
+  of a generator's reduced combination and the oracle's residue entries
+  and column keys, each a normal form or a product with one.
+- Normal-form slots lie in R: each substitution multiplies by relation
+  slots read off the same table, the chain starts from the table's 1, and
+  a combination starts at V-degrees E - T >= p, so each of its
+  coefficients meets a relation slot.
 - residue(n) == residue(R(n)), because both maps are ring maps.
 
 So every verdict and every output byte is the one the same computation gives
 with each int first mapped into R.
 
-Two exact identities keep the number of normal forms small.  The cleared
-image of a degree-2 monomial depends only on its multidegree (2, rho, T),
-and its start is x^rho times a start that depends only on the weight T
-(y^(3p-T) on the generic fibre, (a(x)*X)^e = W^e with e = 3p-2-T
-otherwise).  Reduction modulo a monic relation is linear over the
-polynomials in x, so image(rho, T) = x^rho * image(0, T): one normal form
-per weight T, and every other image is a shift of its coefficients.
+The cleared image of a degree-2 monomial depends only on its multidegree
+(2, rho, T): its start is x^rho * V^(E-T), with E = 3p on the generic fibre
+(y^(3p-T)) and E = 3p - 2 otherwise ((a(x)*X)^e = W^e, e = 3p-2-T).
+Reduction modulo a monic relation is unique and linear over the polynomials
+in x and the symbols, so a generator's image sum_T C_T * NF(V^(E-T)) is the
+normal form of the one V-polynomial sum_T C_T * V^(E-T), which membership
+reduces (`FibreContext._sum_vanishes`).
 
-The normal forms themselves form one chain per context: NF(V^(e+1)) is the
-reduction of V * NF(V^e), whose V-degree is at most p, so each step is one
-substitution; linearity makes it the normal form of V^(e+1), and normal
-forms are unique.  The relation holds one polynomial per V-slot, and each
+The oracle's rows need the weight images NF(V^(E-T)) themselves.  They form
+one chain per context, which in `certify` only the oracle's specialized
+contexts fill: NF(V^(e+1)) is the reduction of V * NF(V^e), of V-degree at
+most p, so each step is one substitution, and by linearity and uniqueness
+it is NF(V^(e+1)).  The relation holds one polynomial per V-slot, and each
 substitution multiplies the top coefficient by them through
 `SparsePoly.__mul__`, which over Z[lam] is the one packed product; the
 split of a factor that the packing needs happens inside `exactalg`, once
@@ -92,11 +95,12 @@ from .errors import (
     BadSpecialization,
     InvariantViolation,
     NonHomogeneous,
+    TOutOfRange,
     VariableOutsideIndexSet,
     WrongDegree,
     WrongFibre,
 )
-from .exactalg import CycloElement, SparsePoly, products_vanish, reduce_mod_lambda
+from .exactalg import CycloElement, SparsePoly, reduce_mod_lambda
 from .family import FamilyParams, _a_powers, a_polynomial, deformation_symbols, per_triple
 from .generators import ANY_FIBRE, GENERIC, RELATIVE, SPECIAL, GeneratorPoly, trinomial_slots
 from .indexsets import build_index_set
@@ -205,6 +209,8 @@ class FibreContext:
         if specialization is not None:
             check_specialization(params, specialization)
         self.specialization = dict(specialization) if specialization is not None else None
+        # E: the cleared image of weight T starts at V^(E - T)
+        self.clearing = 3 * p if fibre == GENERIC else 3 * p - 2
 
         self.vars = ("x",) if specialization is not None else ("x",) + syms
         rhs = _relation_rhs(params, fibre)
@@ -232,12 +238,8 @@ class FibreContext:
         return poly.embed(self.vars)
 
     def weight_image(self, T: int) -> tuple[SparsePoly, ...]:
-        """Cleared image of the multidegree (2, 0, T); one normal form per weight.
-
-        The start is y^(3p-T) on the generic fibre and (a X)^e = W^e with
-        e = 3p-2-T otherwise.
-        """
-        return self.power_normal_form(3 * self.p - T if self.fibre == GENERIC else 3 * self.p - 2 - T)
+        """Cleared image of the multidegree (2, 0, T): NF(V^(E-T)), one per weight."""
+        return self.power_normal_form(self.clearing - T)
 
     def power_normal_form(self, e: int) -> tuple[SparsePoly, ...]:
         """NF(V^e), from the chain NF(V^(k+1)) = NF(V * NF(V^k)).
@@ -310,20 +312,32 @@ class FibreContext:
     def _sum_vanishes(self, items) -> bool:
         """Evaluate sum c_(rho,T) * image(rho, T) over ((rho, T), c) items.
 
-        The coefficients of one weight T combine into
-        C_T = sum_rho x^rho * c_(rho,T), which multiplies the weight image
-        once.  The sum vanishes when every V-slot does; each slot sum
-        sum_T C_T * u_T is tested by `products_vanish`, which over Z[lam]
-        never unpacks it.  The same C_T object meets every slot, so the
-        packed product prepares it once.
+        With C_T = sum_rho x^rho * c_(rho,T), the V-polynomial
+        sum_T C_T * V^(E-T) is reduced once (`reduce_normal_form`), and the
+        sum vanishes when every slot of that normal form is zero:
+
+        - the normal form modulo a monic relation is unique and linear over
+          the polynomials in x and the symbols, so
+          NF(sum_T C_T * V^(E-T)) = sum_T C_T * NF(V^(E-T)), and one side is
+          zero exactly when the other is;
+        - a trinomial's combination is x^rho * V^k * (V^p - rhs), so one
+          substitution round empties it; no weight image is reduced;
+        - each start degree E - T is at least p (a weight T is at most
+          2p - 2, and a start below p raises TOutOfRange), so every
+          coefficient meets a relation slot and the zero test reads values
+          of the fibre's ring;
+        - a binomial's per-multidegree sums are already zero, so a binomial
+          never reaches this method.
         """
-        by_weight: dict[int, SparsePoly] = {}
+        combination: dict[int, SparsePoly] = {}
         for (rho, T), coeff in items:
             c = self.embed_symbol_poly(coeff).mul_var_power("x", rho)
-            cur = by_weight.get(T)
-            by_weight[T] = c if cur is None else cur + c
-        images = [(self.weight_image(T), c) for T, c in by_weight.items() if c]
-        return all(products_vanish([(u[i], c) for u, c in images]) for i in range(self.p))
+            e = self.clearing - T
+            if e < self.p:
+                raise TOutOfRange(f"weight {T} starts below V^p on the {self.fibre} fibre")
+            cur = combination.get(e)
+            combination[e] = c if cur is None else cur + c
+        return not any(reduce_normal_form(combination, self.relation))
 
     def multidegree_of(self, m: Monomial) -> tuple[int, int]:
         """(rho, T) of a degree-2 monomial in the basis variables."""

@@ -5,11 +5,11 @@ two-fibre compatibility certificate, and an independent kernel oracle.
 
 Membership is collapsed by multidegree: an image depends only on (rho, T),
 so sum_m c_m phi(m) = sum_(rho,T) phi(rho, T) * sum_(m in (rho,T)) c_m, and
-phi(rho, T) = x^rho * phi(0, T) with one normal form per weight T
-(`fibrealg`).  Coefficients are summed per multidegree before any
-function-field work, which cancels every binomial outright, and then per
-weight (`FibreContext.combination_vanishes`), so each weight image is
-multiplied once per shift class of those sums: generators whose sums differ
+phi(rho, T) = x^rho * phi(0, T) with phi(0, T) = NF(V^(E-T)) (`fibrealg`).
+Coefficients are summed per multidegree before any function-field work,
+which cancels every binomial outright, and then per weight
+(`FibreContext.combination_vanishes`) into one V-polynomial, which is
+reduced once per shift class of those sums: generators whose sums differ
 only by a power of x share one verdict.
 
 The oracle builds its matrix exactly, with one row per multidegree class of

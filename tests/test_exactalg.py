@@ -15,7 +15,6 @@ from canideal.exactalg import (
     is_prime,
     _content_groups,
     lambda_valuation,
-    products_vanish,
     reduce_mod_lambda,
 )
 
@@ -76,6 +75,21 @@ def test_cyclo_ring_laws(p):
         k = rng.randint(-9, 9)
         scaled = CycloElement(p, tuple(k * x for x in a.coeffs))
         assert a * k == k * a == a * CycloElement.from_int(p, k) == CycloElement.from_int(p, k) * a == scaled
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_integer_elements_hash_as_their_ints(p):
+    # equal values hash alike, so a set or a memo key holds an int and the
+    # equal element of Z[lam] once
+    for n in (0, 1, -1, 7, 2**70):
+        c = CycloElement.from_int(p, n)
+        assert c == n and hash(c) == hash(n)
+    int_one = SparsePoly.constant(("x1",), 1)
+    ring_one = SparsePoly.constant(("x1",), CycloElement.one(p))
+    assert int_one == ring_one and hash(int_one) == hash(ring_one)
+    assert len({int_one, ring_one}) == 1
+    lam = CycloElement.lam(p)
+    assert len({lam, lam + 0, CycloElement(p, lam.coeffs), 1, lam + 1}) == 3
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -307,46 +321,8 @@ def test_packed_coordinates_at_a_tight_bound(p):
     d = SparsePoly(variables, {(0, 1): 4})
     assert f * d == _schoolbook(f, d, p)
     assert f * -d == _schoolbook(f, -d, p)
-    assert not products_vanish([(f, d)])
-    assert products_vanish([(f, d), (-f, d)])
-
-
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_products_vanish_matches_plain_sum(p):
-    rng = random.Random(70_000 + p)
-    variables = ("x", "y", "z")
-    for _ in range(12):
-        products = []
-        for _ in range(rng.randint(1, 3)):
-            f = _rand_cyclo_poly(rng, p, variables, rng.randint(1, 8))
-            d = SparsePoly(variables, {(rng.randint(0, 2), 0, rng.randint(0, 2)): rng.randint(-4, 4) for _ in range(3)})
-            gamma = rng.choice([None, CycloElement(p, tuple(rng.randint(-5, 5) for _ in range(p - 1)))])
-            g = d if gamma is None else d.map_coefficients(lambda k: gamma * k)
-            products.append(rng.choice([(f, g), (g, f)]))
-        plain = SparsePoly.zero(variables)
-        for f, g in products:
-            plain = plain + _schoolbook(f, g, p)
-        assert products_vanish(products) == (not plain)
-        # the same products minus themselves
-        assert products_vanish(products + [(-f, g) for f, g in products])
-    assert products_vanish([])
-
-
-@pytest.mark.parametrize("p", [3, 5])
-def test_products_vanish_on_prime_field(p):
-    # over F_p the answer is the plain sum of the products
-    variables = ("x", "y")
-
-    def fp(terms):
-        return SparsePoly(variables, {e: PrimeFieldElement(v, p) for e, v in terms.items()})
-
-    f, g = fp({(1, 0): 1, (0, 1): 2}), fp({(0, 0): 3, (1, 1): 1})
-    assert not products_vanish([(f, g)])
-    assert products_vanish([(f, g), (f.scale(PrimeFieldElement(p - 1, p)), g)])
-    # p copies of f * g cancel on F_p, though not over the ints
-    assert products_vanish([(f, g)] * p)
-    assert not products_vanish([(f, g)] * (p + 1))
-    assert products_vanish([(f, SparsePoly.zero(variables))])
+    assert f * d
+    assert not f * d + -f * d
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

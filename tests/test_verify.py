@@ -15,6 +15,7 @@ from canideal.errors import (
     BadSpecialization,
     DegenerateSpecialization,
     NonHomogeneous,
+    TOutOfRange,
     UnknownTieBreak,
     VariableOutsideIndexSet,
     WrongFibre,
@@ -24,7 +25,6 @@ from canideal.family import deformation_symbols, validate_params
 from canideal.fibrealg import FibreContext, fibre_context
 from canideal.generators import (
     TRINOMIAL,
-    GeneratorPoly,
     binomial_generators,
     corrupt_generator,
     fibre_generators,
@@ -256,6 +256,21 @@ def test_planted_classes_differing_in_one_coefficient():
     assert ctx.combination_vanishes(sums) and not ctx.combination_vanishes(bumped)
 
 
+def test_int_and_ring_coefficients_share_a_verdict():
+    # equal coefficient sums hash alike whether their 1 is an int or lies in
+    # Z[lam], so the shift-class memo keeps one verdict for both
+    params = validate_params(5, 2, 1)
+    ctx = verify.fibre_context(params, "relative")
+    syms = deformation_symbols(params)
+    int_sums = {(0, 4): SparsePoly.constant(syms, 1), (1, 8): SparsePoly.variable(syms, "x1")}
+    ring_sums = {md: c.map_coefficients(lambda v: v * CycloElement.one(5)) for md, c in int_sums.items()}
+    assert ring_sums == int_sums
+    assert all(type(v) is CycloElement for c in ring_sums.values() for v in c.terms.values())
+    assert not ctx.combination_vanishes(int_sums)
+    assert not ctx.combination_vanishes(ring_sums)
+    assert len(ctx._verdicts) == 1
+
+
 @pytest.mark.parametrize("fibre", ["generic", "special", "relative"])
 def test_a_wrong_slot_fails_relation_consistency(fibre):
     # generators and fibre relation are read off one slot table, so a wrong
@@ -289,42 +304,88 @@ def test_membership_cancels_planted_images_packed(fibre):
 
 
 def _check_planted_cancellation(fibre):
-    # (a + 1) - a - 1 = 0 in V-slot 0 and x*a - x*a = 0 in V-slot 1, spread
-    # over three weights: only the sum over all three weights vanishes (over
-    # Z[lam] on packed ints, over F_p by the plain sum).  The weight images
-    # are planted in the normal-form chain at their start exponents; a fresh
-    # triple keeps them out of every other test.
+    # x * V^k * (V^p - rhs) * Q is zero modulo the fibre relation, and its
+    # weights cancel only after the substitution V^p -> rhs (over Z[lam] on
+    # packed ints, over F_p by the plain product).  Q = 1 + V^p on the
+    # generic fibre, whose rhs has one slot, so that the combination spans
+    # three weights there as on the special fibre; the relative relation has
+    # p + 1 terms, and so has its combination.  (5,1,1) has the weights 4..8
+    # only, a span shorter than p, so no combination of its own monomials
+    # vanishes across weights: the combination is stated over multidegrees
+    # (rho, T), whose image is x^rho * V^(E - T).
     params = validate_params(5, 1, 1)
     ctx = verify.fibre_context(params, fibre)
-    a = SparsePoly(ctx.vars, {(1, 0): ctx.one, (0, 1): ctx.one})  # x + x1
-    # three degree-2 monomials of distinct weights T, all with rho = 0
-    pts = build_index_set(params)
+    p = k = ctx.p  # every start degree is at least p
+    syms = deformation_symbols(params)
+    combination = {k + p: SparsePoly.constant(ctx.vars, ctx.one)}
+    for i, s in enumerate(ctx.relation.rhs):
+        if s:
+            combination[k + i] = -s
+    if fibre == "generic":
+        # V^k * (V^p - rhs) * (1 + V^p) = V^(k+2p) + (1 - rhs) * V^(k+p) - rhs * V^k
+        combination[k + 2 * p] = combination[k + p]
+        combination[k + p] = combination[k + p] + combination[k]
+    coeffs = {}
+    for e, c in combination.items():
+        for (rho, *sym), v in c.terms.items():
+            md = (rho + 1, ctx.clearing - e)
+            coeffs[md] = coeffs.get(md, SparsePoly.zero(syms)) + SparsePoly(syms, {tuple(sym): v})
+    weights = sorted({T for _, T in coeffs})
+    assert len(weights) == (p + 1 if fibre == "relative" else 3)
+    assert ctx.combination_vanishes(coeffs)
+    for T in weights:
+        dropped = {md: c for md, c in coeffs.items() if md[1] != T}
+        assert not ctx.combination_vanishes(dropped)
+        md = min(md for md in coeffs if md[1] == T)
+        bumped = {**coeffs, md: coeffs[md] + coeffs[md]}
+        assert not ctx.combination_vanishes(bumped)
+    assert not ctx._chain
+    # a start below V^p would leave its coefficient unread by the relation
+    with pytest.raises(TOutOfRange):
+        ctx.combination_vanishes({**coeffs, (0, ctx.clearing - p + 1): SparsePoly.constant(syms, p)})
+
+
+def _slotwise_verdict(ctx, gen):
+    """The weight-image test: sum_T C_T * NF(V^(E-T)), slot by slot."""
     by_weight = {}
-    for i, u in enumerate(pts):
-        for v in pts[i:]:
-            m = Monomial((u, v))
-            rho, T = ctx.multidegree_of(m)
-            if rho == 0:
-                by_weight.setdefault(T, m)
-    (t1, m1), (t2, m2), (t3, m3) = list(by_weight.items())[:3]
-    zero = SparsePoly.zero(ctx.vars)
-    one = SparsePoly.constant(ctx.vars, ctx.one)
-    xa = a.mul_var_power("x", 1)
+    for (rho, T), c in _multidegree_sums(ctx, gen).items():
+        term = ctx.embed_symbol_poly(c).mul_var_power("x", rho)
+        by_weight[T] = by_weight[T] + term if T in by_weight else term
+    total = [SparsePoly.zero(ctx.vars)] * ctx.p
+    for T, c in by_weight.items():
+        total = [t + u * c for t, u in zip(total, ctx.weight_image(T))]
+    return not any(total)
 
-    def start(T):
-        return 3 * ctx.p - T if fibre == "generic" else 3 * ctx.p - 2 - T
 
-    ctx.power_normal_form(max(start(t) for t in (t1, t2, t3)))
-    for T, s0, s1 in ((t1, a + one, xa), (t2, -a, zero), (t3, -one, -xa)):
-        ctx._chain[start(T)] = (s0, s1) + (zero,) * (ctx.p - 2)
-    coeff = SparsePoly.constant(deformation_symbols(params), 1)
-    gen = GeneratorPoly(fibre, "test", None, ((coeff, m1), (coeff, m2), (coeff, m3)), "default")
-    assert check_membership(params, fibre, gen)
-    for k in range(3):
-        dropped = GeneratorPoly(fibre, "test", None, tuple(t for i, t in enumerate(gen.terms) if i != k), "default")
-        assert not check_membership(params, fibre, dropped)
-    bumped = GeneratorPoly(fibre, "test", None, ((coeff, m1), (coeff, m2), (coeff + coeff, m3)), "default")
-    assert not check_membership(params, fibre, bumped)
+@pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (7, 1, 3), (3, 6, 1)])
+def test_reduced_combination_matches_weight_images(triple):
+    # reducing each generator's combination once gives the verdict of the
+    # weight images, for every generator and its corrupted copy, on the
+    # symbolic and on the oracle's specialized contexts
+    params = validate_params(*triple)
+    for spec in (None, default_specialization(params)):
+        for fibre in ("generic", "special", "relative"):
+            ctx = verify.fibre_context(params, fibre, spec)
+            verdicts = set()
+            for gen in fibre_generators(params, fibre):
+                for g in (gen, corrupt_generator(gen)):
+                    verdict = ctx.generator_vanishes(g)
+                    assert verdict == _slotwise_verdict(ctx, g)
+                    verdicts.add(verdict)
+            assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("triple", [(5, 2, 1), (5, 3, 2)])
+def test_membership_reduces_no_weight_image(triple):
+    # certify without the oracle decides membership on the symbolic relative
+    # context and leaves every normal-form chain empty
+    params = validate_params(*triple)
+    cert = certify(params)
+    assert cert.verdicts["membership_binomials"] and cert.verdicts["membership_relative"]
+    contexts = [v for v in params.memo.values() if isinstance(v, FibreContext)]
+    assert [(ctx.fibre, ctx.specialization) for ctx in contexts] == [("relative", None)]
+    assert contexts[0]._verdicts
+    assert not any(ctx._chain for ctx in contexts)
 
 
 def test_membership_rejects_variable_outside_index_set():
