@@ -49,7 +49,6 @@ from .indexsets import (
     build_index_set,
     check_counts,
     minimal_monomial,
-    minkowski_sum_brute,
     minkowski_sum_closed,
     monomials_at,
     rho_lower_bound,

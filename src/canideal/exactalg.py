@@ -302,6 +302,10 @@ class CycloElement:
         return any(self.coeffs)
 
     def __eq__(self, other):
+        # elements of two cyclotomic rings are unequal, not an error: the
+        # integral ones hash alike, so one set or dict may hold both
+        if isinstance(other, CycloElement) and other.p != self.p:
+            return False
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -520,7 +524,7 @@ class SparsePoly:
         pair = _packed_pair(self, other)
         if pair is not None:
             # over Z[lam]: on packed ints, unpacked exactly
-            acc, shift, width, p = _packed_sum([pair])
+            acc, shift, width, p = _packed_sum(*pair)
             unpack = _cyclo_unpacker(p, shift)
             nvars = len(self.vars)
             res.terms = {tuple(_digits(key, width, nvars)): unpack(v) for key, v in acc.items() if v}
@@ -751,54 +755,47 @@ def _content_groups(poly: SparsePoly):
     return poly._groups
 
 
-def _packed_sum(products) -> tuple[dict, int, int, int]:
-    """sum f * g over (f, g) pairs, on packed ints.
+def _packed_sum(f: SparsePoly, g: SparsePoly) -> tuple[dict, int, int, int]:
+    """f * g on packed ints.
 
     f has int and CycloElement coefficients, at least one of these, and g
     int and CycloElement coefficients; g is split into content groups
     gamma_k * d_k (`_content_groups`).  Kronecker substitution in lam: a
     coordinate vector c_0..c_(n-1) packs into the single int
     sum_i c_i * 2^(B*i).  Packing is Z-linear, so gamma_k * c packs to
-    sum_j c_j * pack(gamma_k * lam^j), and the packed terms of the sum are
-    exact sums of int products.  Each pair contributes at most
-    C * sum_k K_k * G_k to any coordinate in absolute value (C the largest
-    coordinate sum |c_0| + ... + |c_(n-1)| of f, K_k the sum of the |d_k|
-    coefficients, G_k the largest coordinate of any gamma_k * lam^j); B is
-    chosen with 2^(B-1) above the sum of these bounds, so every coordinate
-    of the sum is a signed digit that packing keeps apart, and a packed term
-    is 0 exactly when all its coordinates are.  Exponent vectors are packed
-    with nonnegative digits wide enough that no sum carries.
+    sum_j c_j * pack(gamma_k * lam^j), and the packed terms of the product
+    are exact sums of int products.  Any coordinate of the product is at
+    most C * sum_k K_k * G_k in absolute value (C the largest coordinate sum
+    |c_0| + ... + |c_(n-1)| of f, K_k the sum of the |d_k| coefficients,
+    G_k the largest coordinate of any gamma_k * lam^j); B is chosen with
+    2^(B-1) above this bound, so every coordinate of the product is a
+    signed digit that packing keeps apart, and a packed term is 0 exactly
+    when all its coordinates are.  Exponent vectors are packed with
+    nonnegative digits wide enough that no sum carries.
 
     Returns ({packed exponent: packed coordinates}, B, exponent width, p).
     """
-    f0 = products[0][0]
-    p = next(c.p for c in f0.terms.values() if type(c) is CycloElement)
+    p = next(c.p for c in f.terms.values() if type(c) is CycloElement)
     n = p - 1
-    prepared = []
-    bound = top = 0
-    for f, g in products:
-        coords = [(e, c.coeffs if type(c) is CycloElement else (c,)) for e, c in f.terms.items()]
-        g_top, groups = _content_groups(g)
-        bound += max(sum(map(abs, cs)) for _, cs in coords) * sum(w for _, _, w in groups)
-        top = max(top, _max_exponent(f) + g_top)
-        prepared.append((coords, groups))
+    coords = [(e, c.coeffs if type(c) is CycloElement else (c,)) for e, c in f.terms.items()]
+    g_top, groups = _content_groups(g)
+    bound = max(sum(map(abs, cs)) for _, cs in coords) * sum(w for _, _, w in groups)
     shift = bound.bit_length() + 1
-    width = top.bit_length()
+    width = (_max_exponent(f) + g_top).bit_length()
     units = [1 << (shift * j) for j in range(n)]
+    packed_f = [(_pack(e1, width), cs) for e1, cs in coords]
     acc: dict = {}
     get = acc.get
-    for coords, groups in prepared:
-        packed_f = [(_pack(e1, width), cs) for e1, cs in coords]
-        for rows, multiples, _ in groups:
-            if rows is not None and len(rows) != n:
-                raise ValueError("mixed cyclotomic rings")
-            packed_rows = units if rows is None else [_pack(row, shift) for row in rows]
-            others = [(_pack(e2, width), k) for e2, k in multiples.items()]
-            for key1, cs in packed_f:
-                packed = sum(map(operator.mul, cs, packed_rows))
-                for key2, k in others:
-                    key = key1 + key2
-                    acc[key] = get(key, 0) + k * packed
+    for rows, multiples, _ in groups:
+        if rows is not None and len(rows) != n:
+            raise ValueError("mixed cyclotomic rings")
+        packed_rows = units if rows is None else [_pack(row, shift) for row in rows]
+        others = [(_pack(e2, width), k) for e2, k in multiples.items()]
+        for key1, cs in packed_f:
+            packed = sum(map(operator.mul, cs, packed_rows))
+            for key2, k in others:
+                key = key1 + key2
+                acc[key] = get(key, 0) + k * packed
     return acc, shift, width, p
 
 

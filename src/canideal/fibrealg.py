@@ -37,8 +37,8 @@ table: its 1 lies in F_p on the special fibre and in Z[lam] on the others.
 `_relation_rhs` raises InvariantViolation for any other lead, and the
 normal-form chain starts from that 1 (`FibreContext.one`).  Everywhere else
 a plain int is the image of Z in whichever ring it meets (a(x) and its
-powers, the binomials' coefficients, the specialized values, the Horner
-steps of `relation_consistency`).  This is exact:
+powers, the binomials' coefficients, the specialized values).  This is
+exact:
 
 - Z -> R has exactly one ring map, and every mixed int/R operation
   dispatches to R (`CycloElement._coerce`, `PrimeFieldElement._coerce`, and
@@ -101,7 +101,7 @@ from .errors import (
     WrongFibre,
 )
 from .exactalg import CycloElement, SparsePoly, reduce_mod_lambda
-from .family import FamilyParams, _a_powers, a_polynomial, deformation_symbols, per_triple
+from .family import FamilyParams, _a_powers, deformation_symbols, per_triple
 from .generators import ANY_FIBRE, GENERIC, RELATIVE, SPECIAL, GeneratorPoly, trinomial_slots
 from .indexsets import build_index_set
 from .termorder import Monomial, multidegree
@@ -385,70 +385,64 @@ class RelationReport:
             and self.substitution_recovers_identity
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "kummer_form_matches_relative": self.kummer_form_matches_relative,
-            "relative_reduces_to_special": self.relative_reduces_to_special,
-            "substitution_recovers_identity": self.substitution_recovers_identity,
-            "all_hold": self.all_hold,
-        }
-
 
 def relation_consistency(params: FamilyParams) -> RelationReport:
     """Verify the fibre relations read off the generators' slot tables
     (`_relation_rhs`) against the model and against each other.
 
-    Slot i of a relation stands for rhs[i] * V^i, which is
-    rhs[i] * a^i * X^i off the generic fibre (V = W = a*X).
+    Two checks are identities of degree p in X over R = Z[lam][x, symbols],
+    each compared one X^k coefficient at a time.  Their common right side is
+    lam^p * (W^p - sum_(k<p) rel_k * W^k), built from the relative relation
+    with W = a*X; its X^k coefficient is a^k * R_k, with R_k = -lam^p * rel_k
+    for k < p and R_p = lam^p.
 
-    (a) expanding a^p*(lam*X+1)^p - lam^p*x^ell - a^p by the binomial theorem
-        equals lam^p * (W^p - rhs) built from the relative W-relation;
+    (a) a^p*(lam*X+1)^p - lam^p*x^ell - a^p, expanded by the binomial
+        theorem, has the X^k coefficient a^k times -lam^p * x^ell at k = 0
+        and binom(p, k) * lam^k * a^(p-k) for k >= 1;
     (b) coefficientwise lam-reduction of the relative relation gives the
         special relation, slot by slot;
-    (c) substituting y = a*(lam*X+1) into the generic relation and
-        expanding recovers the same identity as (a) along an independent
-        code path (generic polynomial composition instead of a hand-built
-        binomial sum).
+    (c) the generic relation y^p = sum_(i<p) g_i * y^i, substituted as
+        y = a*(lam*X + 1): with G_p = 1 and G_i = -g_i, sum_i G_i * y^i has
+        the X^k coefficient a^k times sum_(i>=k) binom(i, k) * lam^k * G_i *
+        a^(i-k).
+
+    This is exact.  An identity in X holds exactly when it holds at every
+    X^k.  At X^k both sides are a^k times the compared quotients, so the
+    division by a^k is exact, and as R is a domain and a != 0,
+    a^k * L = a^k * R exactly when L = R.  (a) reads the relative table
+    only; (c) still reads the generic table, so a wrong generic slot fails
+    (c), and a wrong relative slot fails (a) and (c).
     """
     p = params.p
-    ell = params.ell
-    syms = deformation_symbols(params)
-    variables = ("x", "X") + syms
+    # lam^0..lam^p, lam^0 the int 1, which scales on the int fast path
+    lam = [1] + [CycloElement.lam(p) ** k for k in range(1, p + 1)]
+    # a^0..a^p with int coefficients, the powers the fibre contexts use
+    variables = ("x",) + deformation_symbols(params)
+    a = (SparsePoly.constant(variables, 1),) + _a_powers(params)
 
-    def horner(rhs, v: SparsePoly) -> SparsePoly:
-        """v^p - sum_i rhs[i] * v^i in `variables`, by Horner's rule in v."""
-        acc = SparsePoly.constant(variables, 1)
-        for slot in reversed(rhs):
-            acc = acc * v - slot.embed(variables)
-        return acc
-
-    # a and W = a*X with int coefficients, the cheapest factors of the
-    # packed product
-    a = a_polynomial(params).embed(variables)
-    a_p = a**p
-    lam = CycloElement.lam(p)
-    x_ell = SparsePoly.variable(variables, "x", ell)
-    X = SparsePoly.variable(variables, "X")
-    W = a.mul_var_power("X", 1)
-
-    # (a): hand-built binomial-theorem expansion
-    lhs_a = SparsePoly.zero(variables)
-    for i in range(0, p + 1):
-        lhs_a = lhs_a + a_p.mul_var_power("X", i).scale(lam**i * math.comb(p, i))
-    lhs_a = lhs_a - x_ell.scale(lam**p) - a_p
-
-    # W^p - sum_i rhs[i] * W^i
+    # R_0..R_p from the relative relation
     relative = _relation_rhs(params, RELATIVE)
-    rhs_a = horner(relative, W).scale(lam**p)
-    check_a = lhs_a == rhs_a
+    target = [s.scale(-lam[p]) for s in relative] + [a[0].scale(lam[p])]
+
+    # (a): the binomial theorem, coefficient by coefficient
+    model = [SparsePoly.variable(variables, "x", params.ell, -lam[p])]
+    model += [a[p - k].scale(lam[k] * math.comb(p, k)) for k in range(1, p + 1)]
+    check_a = model == target
 
     # (b): coefficientwise reduction of the relative relation, slot by slot
     reduced = tuple(s.map_coefficients(reduce_mod_lambda) for s in relative)
     check_b = reduced == _relation_rhs(params, SPECIAL)
 
-    # (c): generic-relation substitution y = a*(lam*X + 1)
-    y = a * (X.scale(lam) + SparsePoly.constant(variables, 1))
-    check_c = horner(_relation_rhs(params, GENERIC), y) == rhs_a
+    # (c): the generic table under y = a*(lam*X + 1)
+    G = [-g for g in _relation_rhs(params, GENERIC)] + [a[0]]
+    substituted = []
+    for k in range(p + 1):
+        acc = SparsePoly.zero(variables)
+        for i in range(k, p + 1):
+            if G[i]:
+                acc = acc + (G[i] * a[i - k]).scale(lam[k] * math.comb(i, k))
+        substituted.append(acc)
+    check_c = substituted == target
 
     return RelationReport(
         kummer_form_matches_relative=check_a,

@@ -112,14 +112,10 @@ def _runs(params: FamilyParams) -> RunTable:
     return minkowski_runs(build_index_set(params))
 
 
-def minkowski_sum_brute(index_set) -> tuple[MinkowskiPoint, ...]:
-    """Pairwise sums (unordered pairs, repetition allowed), sorted by (T, rho)."""
-    return _expand(minkowski_runs(index_set))
-
-
 @per_triple
 def minkowski_sum(params: FamilyParams) -> tuple[MinkowskiPoint, ...]:
-    """minkowski_sum_brute of the triple's index set."""
+    """The pairwise sums of the triple's index set (unordered pairs,
+    repetition allowed), sorted by (T, rho)."""
     return _expand(_runs(params))
 
 

@@ -29,7 +29,6 @@ from canideal.indexsets import (
     anchor_set_zero_closed_repaired,
     build_index_set,
     check_counts,
-    minkowski_sum_brute,
     minkowski_sum_closed,
     rho_lower_bound,
 )
@@ -75,11 +74,11 @@ def test_criterion_1_genus_identity():
     _report(1, time.perf_counter() - t0, 1.0, f"genus = |index set| on {len(SWEEP)} triples")
 
 
-def test_criterion_2_minkowski_closed_form():
+def test_criterion_2_minkowski_closed_form(pairwise_sum):
     t0 = time.perf_counter()
     for triple in SWEEP:
         params = validate_params(*triple)
-        assert minkowski_sum_closed(params) == minkowski_sum_brute(build_index_set(params))
+        assert minkowski_sum_closed(params) == pairwise_sum(build_index_set(params))
     _report(2, time.perf_counter() - t0, 5.0, "closed form = enumeration on the full sweep")
 
 
@@ -110,19 +109,19 @@ def test_criterion_3_anchor_closed_form_and_inclusions():
     )
 
 
-def test_criterion_4_counting_bound():
+def test_criterion_4_counting_bound(pairwise_sum):
     t0 = time.perf_counter()
     failures = set()
     for triple in SWEEP:
         params = validate_params(*triple)
-        outside = len(minkowski_sum_brute(build_index_set(params))) - len(anchor_set(params, 0))
+        outside = len(pairwise_sum(build_index_set(params))) - len(anchor_set(params, 0))
         if outside > 3 * (params.genus - 1):
             failures.add(triple)
             assert params.genus < 3  # only outside the bound's hypothesis
     assert failures == DEGENERATE_ROWS
     for (p, q, ell), expected in [((5, 2, 1), 45), ((5, 2, 3), 33), ((3, 2, 1), 9)]:
         params = validate_params(p, q, ell)
-        outside = len(minkowski_sum_brute(build_index_set(params))) - len(anchor_set(params, 0))
+        outside = len(pairwise_sum(build_index_set(params))) - len(anchor_set(params, 0))
         assert outside == expected == 3 * (params.genus - 1)
     _report(
         4,

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -90,6 +91,21 @@ def test_integer_elements_hash_as_their_ints(p):
     assert len({int_one, ring_one}) == 1
     lam = CycloElement.lam(p)
     assert len({lam, lam + 0, CycloElement(p, lam.coeffs), 1, lam + 1}) == 3
+
+
+def test_elements_of_two_cyclotomic_rings_are_unequal_but_do_not_mix():
+    # the integral elements hash as their ints, so one set compares them
+    one3, one5 = CycloElement.one(3), CycloElement.one(5)
+    assert len({one3, one5}) == 2
+    assert len({one3: 0, one5: 1, 1: 2}) == 2
+    assert one3 != one5 and not one3 == one5
+    assert one3 != CycloElement.lam(5)
+    assert one3 == 1 == one5
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError, match="mixed cyclotomic rings"):
+            op(one3, one5)
+    with pytest.raises(ValueError, match="mixed cyclotomic rings"):
+        SparsePoly.constant(("x",), one3) * SparsePoly.constant(("x",), CycloElement.lam(5))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 
 import pytest
@@ -5,8 +7,10 @@ import pytest
 from canideal.errors import BadSpecialization, InvariantViolation, VariableOutsideIndexSet, WrongDegree
 from canideal.exactalg import CycloElement, PrimeFieldElement, SparsePoly
 from canideal.family import a_polynomial, deformation_symbols, validate_params
+from canideal.exactalg import reduce_mod_lambda
 from canideal.fibrealg import (
     FibreContext,
+    _relation_rhs,
     fibre_context,
     reduce_normal_form,
     relation_consistency,
@@ -178,13 +182,109 @@ def test_bad_specialization():
         fibre_context(params, "generic", {"x1": 1, "x2": 2, "x3": 3})
 
 
-@pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (3, 2, 1), (7, 1, 1)])
+@functools.lru_cache(maxsize=4)
+def _expanded_relation(rhs, v, factor):
+    """factor * (v^p - sum_i rhs[i] * v^i) over the variables of v, by
+    Horner's rule in v."""
+    acc = SparsePoly.constant(v.vars, 1)
+    for slot in reversed(rhs):
+        acc = acc * v - slot.embed(v.vars)
+    return acc.scale(factor)
+
+
+@functools.lru_cache(maxsize=2)
+def _x_expansion_model(params):
+    """W = a*X, y = a*(lam*X + 1) and a^p*(lam*X+1)^p - lam^p*x^ell - a^p,
+    expanded over ("x", "X") + symbols."""
+    p = params.p
+    variables = ("x", "X") + deformation_symbols(params)
+    a = a_polynomial(params).embed(variables)
+    a_p = a**p
+    lam = CycloElement.lam(p)
+    lhs = SparsePoly.zero(variables)
+    for i in range(p + 1):
+        lhs = lhs + a_p.mul_var_power("X", i).scale(lam**i * math.comb(p, i))
+    lhs = lhs - SparsePoly.variable(variables, "x", params.ell).scale(lam**p) - a_p
+    y = a * (SparsePoly.variable(variables, "X").scale(lam) + SparsePoly.constant(variables, 1))
+    return a.mul_var_power("X", 1), y, lhs
+
+
+def _x_expansion_verdicts(params):
+    """The three relation checks as identities of polynomials in
+    ("x", "X") + symbols, with a(x)^p and both substitutions expanded in
+    full: the reference `relation_consistency` must agree with.  Only the
+    expansions are cached, so each call reads the current slot tables."""
+    W, y, lhs_a = _x_expansion_model(params)
+    relative = _relation_rhs(params, "relative")
+    # (a): the model against lam^p * (W^p - rhs(W))
+    rhs_a = _expanded_relation(relative, W, CycloElement.lam(params.p) ** params.p)
+    # (b): slotwise lam-reduction of the relative relation
+    reduced = tuple(s.map_coefficients(reduce_mod_lambda) for s in relative)
+    # (c): the generic relation at y = a*(lam*X + 1)
+    return (
+        lhs_a == rhs_a,
+        reduced == _relation_rhs(params, "special"),
+        _expanded_relation(_relation_rhs(params, "generic"), y, 1) == rhs_a,
+    )
+
+
+def _verdicts(report):
+    return (
+        report.kummer_form_matches_relative,
+        report.relative_reduces_to_special,
+        report.substitution_recovers_identity,
+    )
+
+
+@pytest.mark.parametrize("triple", [(p, q, ell) for p in (3, 5, 7) for q in range(1, 5) for ell in range(1, p)])
 def test_relation_consistency(triple):
-    report = relation_consistency(validate_params(*triple))
-    assert report.kummer_form_matches_relative
-    assert report.relative_reduces_to_special
-    assert report.substitution_recovers_identity
+    params = validate_params(*triple)
+    report = relation_consistency(params)
+    assert _verdicts(report) == _x_expansion_verdicts(params) == (True, True, True)
     assert report.all_hold
+
+
+def _perturbed_tables(params, fibre):
+    """Every single-slot perturbation of the fibre's slot table, lead kept:
+    the coefficient doubled, negated or shifted by the ring's 1; dr + 1;
+    every other dt in 1..p; and one extra copy of the slot at each dt."""
+    slots = trinomial_slots(params, fibre)
+    one = slots[0][2]
+    for s in range(1, len(slots)):
+        dr, dt, c = slots[s]
+
+        def put(*new):
+            return slots[:s] + new + slots[s + 1 :]
+
+        yield put((dr, dt, c + c))
+        yield put((dr, dt, -c))
+        yield put((dr, dt, c + one))
+        yield put((dr + 1, dt, c))
+        for other in range(1, params.p + 1):
+            if other != dt:
+                yield put((dr, other, c))
+            yield put((dr, dt, c), (dr, other, c))
+
+
+@pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (3, 2, 1), (7, 1, 1), (7, 2, 3), (5, 1, 2)])
+@pytest.mark.parametrize("fibre", ["generic", "special", "relative"])
+def test_perturbed_slot_tables_fail_as_the_x_expansion_does(triple, fibre):
+    # a wrong slot moves the read-off relation: the generic table fails (c)
+    # alone, the special table (b) alone, the relative table (a) and (c)
+    params = validate_params(*triple)
+    tables = list(_perturbed_tables(params, fibre))
+    assert len(tables) == (len(trinomial_slots(params, fibre)) - 1) * (2 * params.p + 3)
+    for table in tables:
+        params.memo[(trinomial_slots.__wrapped__, fibre)] = table
+        params.memo.pop((_relation_rhs.__wrapped__, fibre), None)
+        got = _verdicts(relation_consistency(params))
+        assert got == _x_expansion_verdicts(params), (fibre, table)
+        if fibre == "generic":
+            assert got == (True, True, False), table
+        elif fibre == "special":
+            assert got == (True, False, True), table
+        else:
+            assert not got[0] and not got[2], table
 
 
 def _conv(e1, e2):

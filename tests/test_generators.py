@@ -23,7 +23,7 @@ from canideal.generators import (
     relative_lambda_coefficient,
     special_generators,
 )
-from canideal.indexsets import anchor_set, minimal_monomial, MinkowskiPoint, minkowski_sum_brute, build_index_set, monomials_at
+from canideal.indexsets import anchor_set, minimal_monomial, MinkowskiPoint, build_index_set, monomials_at
 from canideal.termorder import IndexPair, Monomial, leading_term, multidegree
 
 
@@ -33,9 +33,9 @@ def test_binomial_count_521():
     assert len(gens) == 136 - 49 == 87
 
 
-def test_binomial_all_pairs_count():
+def test_binomial_all_pairs_count(pairwise_sum):
     params = validate_params(5, 2, 1)
-    mink = minkowski_sum_brute(build_index_set(params))
+    mink = pairwise_sum(build_index_set(params))
     expected = sum(math.comb(len(monomials_at(params, m)), 2) for m in mink)
     assert len(binomial_generators(params, all_pairs=True)) == expected
 

@@ -17,7 +17,6 @@ from canideal.indexsets import (
     check_counts,
     minimal_monomial,
     minkowski_sum,
-    minkowski_sum_brute,
     minkowski_sum_closed,
     monomials_at,
     rho_lower_bound,
@@ -56,10 +55,10 @@ def test_index_set_empty_row():
     assert all(f.mu != 1 for f in build_index_set(params))
 
 
-def test_minkowski_brute_321():
+def test_minkowski_brute_321(pairwise_sum):
     params = validate_params(3, 2, 1)
-    got = minkowski_sum_brute(build_index_set(params))
-    assert got == (
+    got = pairwise_sum(build_index_set(params))
+    assert got == minkowski_sum(params) == (
         pt(0, 2),
         pt(0, 3),
         pt(1, 3),
@@ -72,14 +71,15 @@ def test_minkowski_brute_321():
     )
 
 
-def test_minkowski_count_521():
+def test_minkowski_count_521(pairwise_sum):
     params = validate_params(5, 2, 1)
-    got = minkowski_sum_brute(build_index_set(params))
+    got = pairwise_sum(build_index_set(params))
+    assert got == minkowski_sum(params)
     assert len(got) == 49 == sum(2 * T - 3 for T in range(2, 9))
 
 
-def test_minkowski_empty():
-    assert minkowski_sum_brute(()) == ()
+def test_minkowski_empty(pairwise_sum):
+    assert pairwise_sum(()) == () == indexsets._expand(indexsets.minkowski_runs(()))
 
 
 def test_rho_lower_bound_ell_one():
@@ -113,9 +113,9 @@ def test_minkowski_closed_mismatch_is_reported(monkeypatch):
 
 
 @pytest.mark.parametrize("triple", SWEEP)
-def test_minkowski_closed_equals_brute(triple):
+def test_minkowski_closed_equals_brute(triple, pairwise_sum):
     params = validate_params(*triple)
-    assert minkowski_sum_closed(params) == minkowski_sum_brute(build_index_set(params))
+    assert minkowski_sum_closed(params) == pairwise_sum(build_index_set(params))
 
 
 def test_minkowski_per_weight_sizes_523():
@@ -127,13 +127,12 @@ def test_minkowski_per_weight_sizes_523():
 
 
 @pytest.mark.parametrize("triple", WIDE_SWEEP)
-def test_minkowski_sum_and_anchor_sets_match_definitions(triple):
+def test_minkowski_sum_and_anchor_sets_match_definitions(triple, pairwise_sum):
     params = validate_params(*triple)
     p, q, ell = triple
-    index_set = build_index_set(params)
-    literal = {pt(a.N + b.N, a.mu + b.mu) for a, b in itertools.combinations_with_replacement(index_set, 2)}
     mink = minkowski_sum(params)
-    assert mink == tuple(sorted(literal, key=lambda m: (m.T, m.rho)))
+    assert mink == pairwise_sum(build_index_set(params))
+    literal = set(mink)
     for i in range(p + 1):
         jlo = 0 if ell == 1 else p - i
         want = tuple(
@@ -231,9 +230,9 @@ def test_minimal_monomial_examples():
 
 
 @pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (3, 2, 1)])
-def test_pair_total_is_triangular(triple):
+def test_pair_total_is_triangular(triple, pairwise_sum):
     params = validate_params(*triple)
-    mink = minkowski_sum_brute(build_index_set(params))
+    mink = pairwise_sum(build_index_set(params))
     total = sum(len(monomials_at(params, m)) for m in mink)
     g = params.genus
     assert total == g * (g + 1) // 2
@@ -277,8 +276,8 @@ def test_pair_counts_match_a_double_loop(index_set):
         assert _canonical(runs)
         assert _covered(runs) == {rho for T2, rho in naive if T2 == T}
     want = tuple(sorted((pt(rho, T) for T, rho in naive), key=lambda m: (m.T, m.rho)))
-    assert minkowski_sum_brute(index_set) == want
-    assert minkowski_sum_brute(tuple(index_set)) == want
+    assert indexsets._expand(table) == want
+    assert indexsets._expand(indexsets.minkowski_runs(tuple(index_set))) == want
 
 
 intervals = st.lists(
@@ -428,9 +427,9 @@ def test_check_counts_degenerate_rows():
     assert r.genus == 0 and not r.counting_bound_holds and r.all_pass
 
 
-def test_sigma_image_is_tie_break_sensitive_but_sizes_are_not():
+def test_sigma_image_is_tie_break_sensitive_but_sizes_are_not(pairwise_sum):
     params = validate_params(5, 2, 1)
-    mink = minkowski_sum_brute(build_index_set(params))
+    mink = pairwise_sum(build_index_set(params))
     default_sigma = {m: minimal_monomial(params, m) for m in mink}
     alt_sigma = {m: minimal_monomial(params, m, TIE_BREAK_ALT) for m in mink}
     # both are injective selections of the same total size
