@@ -379,8 +379,16 @@ def divide_by_lambda_power(e: CycloElement, v: int) -> CycloElement:
     return cur
 
 
-def reduce_mod_lambda(e: CycloElement) -> PrimeFieldElement:
-    """Image in the residue field of size p (constant coefficient mod p)."""
+def reduce_mod_lambda(e: CycloElement | int, p: int | None = None) -> PrimeFieldElement:
+    """Image in the residue field of size p (constant coefficient mod p).
+
+    An int n stands for its image in Z[lam] and goes to n mod p, so an int
+    needs p; a CycloElement carries its own p.
+    """
+    if isinstance(e, int):
+        if p is None:
+            raise TypeError("reducing an int mod lam needs p")
+        return PrimeFieldElement(e, p)
     return PrimeFieldElement(e.coeffs[0], e.p)
 
 
@@ -447,10 +455,10 @@ class SparsePoly:
 
     No method changes `terms` of a polynomial it has returned, so the
     content split of the packed product (`_content_groups`) is computed once
-    per polynomial and kept in `_groups`.
+    per polynomial and kept in `_groups`, and the hash once, in `_hash`.
     """
 
-    __slots__ = ("vars", "terms", "_groups")
+    __slots__ = ("vars", "terms", "_groups", "_hash")
 
     def __init__(self, variables, terms=None):
         self.vars = tuple(variables)
@@ -461,6 +469,7 @@ class SparsePoly:
                     clean[tuple(e)] = c
         self.terms = clean
         self._groups = None
+        self._hash = None
 
     # -- constructors ------------------------------------------------------
 
@@ -578,7 +587,9 @@ class SparsePoly:
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        if self._hash is None:
+            self._hash = hash((self.vars, frozenset(self.terms.items())))
+        return self._hash
 
     def degree_in(self, name: str) -> int:
         i = self.vars.index(name)

@@ -88,6 +88,7 @@ with its exact coefficient polynomials.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,8 +104,8 @@ from .errors import (
 from .exactalg import CycloElement, SparsePoly, reduce_mod_lambda
 from .family import FamilyParams, _a_powers, deformation_symbols, per_triple
 from .generators import ANY_FIBRE, GENERIC, RELATIVE, SPECIAL, GeneratorPoly, trinomial_slots
-from .indexsets import build_index_set
-from .termorder import Monomial, multidegree
+from .indexsets import monomial_multidegrees
+from .termorder import Monomial
 
 
 @dataclass(frozen=True)
@@ -228,13 +229,33 @@ class FibreContext:
         self.a_powers = powers
         self._chain: list[tuple[SparsePoly, ...]] = []
         self._verdicts: dict[frozenset, bool] = {}
-        self._index_set = frozenset(build_index_set(params))
+        self._values: dict[SparsePoly, object] = {}
+        self._multidegrees = monomial_multidegrees(params)
+
+    def specialized_value(self, poly: SparsePoly):
+        """The value of a coefficient polynomial in the deformation symbols at
+        the specialization of a specialized context, computed once per
+        distinct polynomial.
+
+        Specialization is a ring map, so equal polynomials have equal values,
+        and the value read from the table is the one substituting the terms
+        of `poly` gives.  Equality of polynomials is equality of their
+        coefficients in the ring, an int standing for its image, so a hit
+        across an int and a ring element reads the same ring element.  Equal
+        polynomials that hash differently (an int next to a PrimeFieldElement)
+        only miss the table and are substituted on their own.
+        """
+        value = self._values.get(poly)
+        if value is None:
+            value = self._values[poly] = poly.specialize(self.specialization).constant_value()
+        return value
 
     def embed_symbol_poly(self, poly: SparsePoly) -> SparsePoly:
         """Lift a coefficient polynomial in the deformation symbols into the
-        context variables; a specialized context substitutes the values."""
+        context variables; a specialized context substitutes the values
+        (`specialized_value`)."""
         if self.specialization is not None:
-            return SparsePoly.constant(self.vars, poly.specialize(self.specialization).constant_value())
+            return SparsePoly.constant(self.vars, self.specialized_value(poly))
         return poly.embed(self.vars)
 
     def weight_image(self, T: int) -> tuple[SparsePoly, ...]:
@@ -340,14 +361,16 @@ class FibreContext:
         return not any(reduce_normal_form(combination, self.relation))
 
     def multidegree_of(self, m: Monomial) -> tuple[int, int]:
-        """(rho, T) of a degree-2 monomial in the basis variables."""
-        if m.degree != 2:
-            raise WrongDegree(f"need a degree-2 monomial, got degree {m.degree}")
-        for f in m.factors:
-            if f not in self._index_set:
-                raise VariableOutsideIndexSet(f"{f} is not in the basis index set")
-        md = multidegree(m)
-        return md.sum_n, md.sum_mu
+        """(rho, T) of a degree-2 monomial in the basis variables, read from
+        the triple's table (`indexsets.monomial_multidegrees`), which holds
+        every such monomial.  A monomial outside it raises WrongDegree if its
+        degree is not 2, and VariableOutsideIndexSet otherwise."""
+        md = self._multidegrees.get(m)
+        if md is None:
+            if m.degree != 2:
+                raise WrongDegree(f"need a degree-2 monomial, got degree {m.degree}")
+            raise VariableOutsideIndexSet(f"{m} has a variable outside the basis index set")
+        return md
 
     def phi_image(self, m: Monomial) -> tuple[SparsePoly, ...]:
         """Cleared image of a degree-2 monomial of multidegree (2, rho, T):
@@ -430,7 +453,7 @@ def relation_consistency(params: FamilyParams) -> RelationReport:
     check_a = model == target
 
     # (b): coefficientwise reduction of the relative relation, slot by slot
-    reduced = tuple(s.map_coefficients(reduce_mod_lambda) for s in relative)
+    reduced = tuple(s.map_coefficients(functools.partial(reduce_mod_lambda, p=p)) for s in relative)
     check_b = reduced == _relation_rhs(params, SPECIAL)
 
     # (c): the generic table under y = a*(lam*X + 1)

@@ -9,6 +9,7 @@ division and a reduction map back onto the special-fibre family is provided.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -255,15 +256,22 @@ def reduce_relative_to_special(params: FamilyParams, gens) -> list[GeneratorPoly
 
     Only the i = 1 block survives; the output must coincide term-for-term
     with the special-fibre family built on the same anchors, else
-    ReductionMismatch is raised.
+    ReductionMismatch is raised.  Each distinct coefficient polynomial is
+    reduced once: reduction mod lam is a ring map, so equal polynomials have
+    equal reductions.
     """
+    reduce = functools.partial(reduce_mod_lambda, p=params.p)
+    images: dict[SparsePoly, SparsePoly] = {}
     reduced = []
     for gen in gens:
         if gen.fibre != RELATIVE:
             raise ValueError("reduction applies to relative generators")
         term_map: dict[Monomial, SparsePoly] = {}
         for coeff, mono in gen.terms:
-            term_map[mono] = coeff.map_coefficients(reduce_mod_lambda)
+            image = images.get(coeff)
+            if image is None:
+                image = images[coeff] = coeff.map_coefficients(reduce)
+            term_map[mono] = image
         reduced.append(
             GeneratorPoly(
                 fibre=SPECIAL,

@@ -11,8 +11,8 @@ as [a + c, b + d] at T = mu + mu' and merges the intervals at each T.  This is
 exact because [a, b] + [c, d] = [a + c, b + d] over the integers and A + B is
 the union of the sums of its runs.  Closed forms, anchor sets and the counts
 of `check_counts` are interval arithmetic on these runs.  Points are
-materialised only for the point API, monomial classes only for the generators
-and the kernel oracle.
+materialised only for the point API, monomials only for the generators, the
+membership test's multidegree lookup and the kernel oracle.
 """
 
 from __future__ import annotations
@@ -229,18 +229,33 @@ def anchor_set_zero_closed_repaired(params: FamilyParams) -> tuple[MinkowskiPoin
 
 
 @per_triple
+def monomial_multidegrees(params: FamilyParams) -> dict[Monomial, tuple[int, int]]:
+    """Every degree-2 monomial in the basis variables -> its (rho, T).
+
+    One entry per index pair i <= j, walking the index set in order, so the
+    table lists each class's monomials in the order of their first pair;
+    `monomial_classes` groups it and `FibreContext.multidegree_of` reads it.
+    """
+    index_set = build_index_set(params)
+    return {
+        Monomial((a, b)): (a.N + b.N, a.mu + b.mu)
+        for i, a in enumerate(index_set)
+        for b in index_set[i:]
+    }
+
+
+@per_triple
 def monomial_classes(params: FamilyParams, tie_break: str) -> dict[tuple[int, int], tuple[Monomial, ...]]:
     """Every degree-2 monomial, grouped by (rho, T), each class sorted ascending.
 
     Classes appear in the order of their first index pair i <= j, walking
-    the index set in order; `monomials_at` and `verify.kernel_oracle` read
-    this one table.
+    the index set in order (`monomial_multidegrees`, whose monomials the
+    classes hold); `monomials_at` and `verify.kernel_oracle` read this one
+    table.
     """
-    index_set = build_index_set(params)
     classes: dict[tuple[int, int], list[Monomial]] = {}
-    for i, a in enumerate(index_set):
-        for b in index_set[i:]:
-            classes.setdefault((a.N + b.N, a.mu + b.mu), []).append(Monomial((a, b)))
+    for mono, point in monomial_multidegrees(params).items():
+        classes.setdefault(point, []).append(mono)
     return {point: tuple(sort_monomials(monos, tie_break)) for point, monos in classes.items()}
 
 

@@ -14,8 +14,14 @@ only by a power of x share one verdict.
 
 The oracle builds its matrix exactly, with one row per multidegree class of
 `indexsets.monomial_classes` (monomials of one class have equal rows), and
-checks the generators G against it by the membership test itself, on the
-specialized context: G * M = 0 in the X-basis exactly when each generator's
+computes each value once: one residue row per weight T, which each class
+(rho, T) shifts by x^rho, and one specialized value per distinct generator
+coefficient (`FibreContext.specialized_value`), read by the generator rows
+and by the exact check alike.  Specialization and the reduction to F_r are
+ring maps, so equal coefficients have equal values and each table entry is
+the value the per-term computation gives.  It checks the generators G
+against the matrix by the membership test itself, on the specialized
+context: G * M = 0 in the X-basis exactly when each generator's
 combination of W-slot images vanishes, because W^i = a(x)^i * X^i is an
 invertible diagonal change of basis over a domain.  It finds ranks by
 Gaussian elimination over a prime field F_r: r = p on the special fibre,
@@ -325,9 +331,25 @@ def kernel_oracle(
     so monomials of one class have equal rows: M = P * C, where C holds one
     row per class and P maps each monomial to its class.  M and C, and phi(M)
     and phi(C), have the same row space, so rank M = rank C and
-    kernel_dim = n - rank_r phi(C) for n monomials; each class row goes to
-    F_r straight from its exact entries.  No rank and no count depends on
-    the order of the monomials.
+    kernel_dim = n - rank_r phi(C) for n monomials.  No rank and no count
+    depends on the order of the monomials.
+
+    One row per weight.  image(rho, T) = x^rho * image(0, T), so the entry
+    of (rho, T) at column (i, k + rho) is the entry of (0, T) at (i, k).
+    The list of (slot i, x-degree k, residue) is built once per weight T
+    from the exact support of image(0, T), and each class row is that list
+    shifted by rho: the residues are those of the class's own exact
+    entries.  Columns are the shifted keys of the exact support, an entry
+    whose residue is 0 included, so column_count counts exact columns.
+
+    One value per coefficient.  A generator's row entry is
+    residue(phi(c)) of each term's specialized coefficient, read from the
+    context's table (`FibreContext.specialized_value`), which the exact
+    check reads too.  Specialization and phi are ring maps, and equal
+    polynomials have equal images, so the value read from the table equals
+    the per-term value it replaces; equal coefficients that hash
+    differently only miss the table.  Every `gens`, a corrupted family
+    included, takes this one path.
 
     Soundness.  Row g of G * M holds the X-coordinates of
     sum_m g_m * image(m).  By the change of basis above it is zero exactly
@@ -364,22 +386,18 @@ def kernel_oracle(
     ctx = fibre_context(params, fibre, specialization)
     classes = monomial_classes(params, tie_break)
     r, lam = (params.p, 0) if fibre == SPECIAL else _oracle_field_of(params)
-    col_ids: set = set()
-    raw_rows = []
-    weight_coords: dict = {}
-    for rho, T in classes:
-        coords = weight_coords.get(T)
-        if coords is None:
-            coords = weight_coords[T] = ctx.x_coordinates(ctx.weight_image(T))
-        entries = {}
-        for i, c in enumerate(coords):
-            for e, val in c.terms.items():
-                key = (i, e[0] + rho)  # image(rho, T) = x^rho * image(0, T)
-                entries[key] = residue(val, r, lam)
-                col_ids.add(key)
-        raw_rows.append(entries)
+    # (slot i, x-degree k, residue) over the exact support of image(0, T), once per weight
+    weight_rows: dict = {}
+    for _, T in classes:
+        if T not in weight_rows:
+            coords = ctx.x_coordinates(ctx.weight_image(T))
+            weight_rows[T] = [
+                (i, e[0], residue(val, r, lam)) for i, c in enumerate(coords) for e, val in c.terms.items()
+            ]
+    # image(rho, T) = x^rho * image(0, T): the row of (0, T) shifted by rho
+    col_ids = {(i, k + rho) for rho, T in classes for i, k, _ in weight_rows[T]}
     col_index = {key: idx for idx, key in enumerate(sorted(col_ids))}
-    class_rows = [{col_index[k]: v for k, v in entries.items() if v} for entries in raw_rows]
+    class_rows = [{col_index[i, k + rho]: v for i, k, v in weight_rows[T] if v} for rho, T in classes]
 
     monos = [m for group in classes.values() for m in group]
     rank = matrix_rank(class_rows, r)
@@ -402,7 +420,7 @@ def kernel_oracle(
         gens_in_kernel = ctx.generator_vanishes(gen) and gens_in_kernel
         row = {}
         for coeff, mono in gen.terms:
-            val = residue(coeff.specialize(specialization).constant_value(), r, lam)
+            val = residue(ctx.specialized_value(coeff), r, lam)
             if val:
                 row[mono_index[mono]] = val
         if row:

@@ -11,6 +11,7 @@ import canideal
 import canideal.cli as cli
 import canideal.indexsets as indexsets
 from canideal.cli import main
+from canideal.exactalg import SparsePoly
 from canideal.family import validate_params
 from canideal.generators import (
     binomial_generators,
@@ -18,6 +19,7 @@ from canideal.generators import (
     generic_generators,
     relative_generators,
     special_generators,
+    trinomial_slots,
 )
 
 
@@ -110,6 +112,29 @@ def test_generators_export_bytes_are_pinned(capsys, triple, fibre, extra, digest
     code, out, _ = run(capsys, "generators", "-p", p, "-q", q, "-l", ell, "--fibre", fibre, *extra)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_certify_fails_on_a_relative_slot_with_an_int_term(capsys, monkeypatch):
+    # the int 1 added to a relative slot coefficient with no constant term:
+    # certify reports FAIL with exit 1, not a traceback from the lam-reduction
+    real = cli.validate_params
+
+    def planted(p, q, ell):
+        params = real(p, q, ell)
+        slots = trinomial_slots(params, "relative")
+        s = next(s for s, (_, _, c) in enumerate(slots) if not c.constant_value())
+        dr, dt, c = slots[s]
+        table = slots[:s] + ((dr, dt, c + SparsePoly.constant(c.vars, 1)),) + slots[s + 1 :]
+        params.memo[(trinomial_slots.__wrapped__, "relative")] = table
+        return params
+
+    monkeypatch.setattr(cli, "validate_params", planted)
+    code, out, _ = run(capsys, "certify", "-p", "5", "-q", "2", "-l", "1")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["overall"] == "FAIL"
+    assert doc["verdicts"]["relation_consistency"] is False
+    assert doc["verdicts"]["reduction_compatibility"] is False
 
 
 def test_generators_io_failure(tmp_path):

@@ -375,6 +375,31 @@ def test_reduce_mod_lambda_examples():
     assert reduce_mod_lambda(CycloElement(p, (1, 3, 0, 0))) == PrimeFieldElement(1, p)
 
 
+def test_polynomial_hash_is_kept_and_matches_its_terms():
+    # the hash is computed once per polynomial, from terms that never change
+    # once returned, and equal polynomials built in different ways hash alike
+    x = SparsePoly.variable(("x", "y"), "x")
+    y = SparsePoly.variable(("x", "y"), "y")
+    pairs = [
+        ((x + y) * (x - y), x * x - y * y),
+        (x.scale(CycloElement.one(5)), x),
+        ((x + y) ** 2, x * x + (x * y).scale(2) + y * y),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b) == hash(a) == hash((a.vars, frozenset(a.terms.items())))
+
+
+def test_reduce_mod_lambda_takes_an_int():
+    # an int stands for its image in Z[lam]: n goes to n mod p, as the
+    # integral CycloElement n does; without p an int cannot be reduced
+    p = 5
+    for n in (-7, -1, 0, 1, 5, 7, 12):
+        assert reduce_mod_lambda(n, p) == PrimeFieldElement(n, p) == reduce_mod_lambda(CycloElement.from_int(p, n))
+        assert reduce_mod_lambda(CycloElement.from_int(p, n), p) == PrimeFieldElement(n, p)
+    with pytest.raises(TypeError):
+        reduce_mod_lambda(3)
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_reduce_mod_lambda_is_ring_hom(p):
     rng = random.Random(40_000 + p)

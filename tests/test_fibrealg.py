@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from canideal.errors import BadSpecialization, InvariantViolation, VariableOutsideIndexSet, WrongDegree
+from canideal.errors import (
+    BadSpecialization,
+    InvariantViolation,
+    ReductionMismatch,
+    VariableOutsideIndexSet,
+    WrongDegree,
+)
 from canideal.exactalg import CycloElement, PrimeFieldElement, SparsePoly
 from canideal.family import a_polynomial, deformation_symbols, validate_params
 from canideal.exactalg import reduce_mod_lambda
@@ -15,8 +21,13 @@ from canideal.fibrealg import (
     reduce_normal_form,
     relation_consistency,
 )
-from canideal.generators import relative_lambda_coefficient, trinomial_slots
-from canideal.indexsets import minimal_monomial, minkowski_sum
+from canideal.generators import (
+    reduce_relative_to_special,
+    relative_generators,
+    relative_lambda_coefficient,
+    trinomial_slots,
+)
+from canideal.indexsets import build_index_set, minimal_monomial, minkowski_sum, monomial_classes
 from canideal.termorder import IndexPair, Monomial
 from canideal.verify import default_specialization
 
@@ -174,6 +185,30 @@ def test_phi_image_errors():
         ctx.phi_image(Monomial((IndexPair(0, 1), IndexPair(9, 1))))
 
 
+@pytest.mark.parametrize("fibre", ["generic", "special", "relative"])
+def test_multidegree_of_reads_the_triple_table(fibre):
+    # a degree other than 2 raises WrongDegree, a degree-2 monomial with a
+    # factor outside the index set VariableOutsideIndexSet, and a monomial
+    # built anew from equal index pairs finds its (rho, T) in the table
+    params = validate_params(5, 2, 1)
+    basis = build_index_set(params)
+    inside, outside = basis[0], IndexPair(9, 1)
+    assert outside not in basis
+    for spec in (None, default_specialization(params)):
+        ctx = fibre_context(params, fibre, spec)
+        for factors in [(inside,), (inside, inside, basis[-1]), (inside, outside, outside), (outside,)]:
+            with pytest.raises(WrongDegree):
+                ctx.multidegree_of(Monomial(factors))
+        for factors in [(inside, outside), (outside, outside), (IndexPair(0, 0), inside), (IndexPair(0, 5), inside)]:
+            with pytest.raises(VariableOutsideIndexSet):
+                ctx.multidegree_of(Monomial(factors))
+        for point, monos in monomial_classes(params, "default").items():
+            for m in monos:
+                fresh = Monomial(tuple(IndexPair(f.N, f.mu) for f in reversed(m.factors)))
+                assert fresh == m and fresh.factors[0] is not m.factors[0]
+                assert ctx.multidegree_of(fresh) == point == (sum(f.N for f in m.factors), sum(f.mu for f in m.factors))
+
+
 def test_bad_specialization():
     params = validate_params(5, 2, 1)
     with pytest.raises(BadSpecialization):
@@ -219,7 +254,7 @@ def _x_expansion_verdicts(params):
     # (a): the model against lam^p * (W^p - rhs(W))
     rhs_a = _expanded_relation(relative, W, CycloElement.lam(params.p) ** params.p)
     # (b): slotwise lam-reduction of the relative relation
-    reduced = tuple(s.map_coefficients(reduce_mod_lambda) for s in relative)
+    reduced = tuple(s.map_coefficients(lambda c: reduce_mod_lambda(c, params.p)) for s in relative)
     # (c): the generic relation at y = a*(lam*X + 1)
     return (
         lhs_a == rhs_a,
@@ -285,6 +320,32 @@ def test_perturbed_slot_tables_fail_as_the_x_expansion_does(triple, fibre):
             assert got == (True, False, True), table
         else:
             assert not got[0] and not got[2], table
+
+
+def _relative_table_with_int_one(params):
+    """The relative slot table with the int 1 added to the first slot whose
+    coefficient has no constant term, which then holds an int term."""
+    slots = trinomial_slots(params, "relative")
+    s = next(s for s, (_, _, c) in enumerate(slots) if not c.constant_value())
+    dr, dt, c = slots[s]
+    return slots[:s] + ((dr, dt, c + SparsePoly.constant(c.vars, 1)),) + slots[s + 1 :]
+
+
+@pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (7, 2, 3)])
+def test_a_relative_slot_with_an_int_term_fails_the_reduction(triple):
+    # an int term stands for its image in Z[lam] and reduces to n mod p: the
+    # lam-reduction check fails, where it raised AttributeError, and the
+    # relative family no longer reduces to the special one
+    params = validate_params(*triple)
+    table = _relative_table_with_int_one(params)
+    assert any(type(v) is int for _, _, c in table for v in c.terms.values())
+    params.memo[(trinomial_slots.__wrapped__, "relative")] = table
+    params.memo.pop((_relation_rhs.__wrapped__, "relative"), None)
+    got = _verdicts(relation_consistency(params))
+    assert got == _x_expansion_verdicts(params)
+    assert got[1] is False
+    with pytest.raises(ReductionMismatch):
+        reduce_relative_to_special(params, relative_generators(params))
 
 
 def _conv(e1, e2):

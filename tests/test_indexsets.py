@@ -18,6 +18,8 @@ from canideal.indexsets import (
     minimal_monomial,
     minkowski_sum,
     minkowski_sum_closed,
+    monomial_classes,
+    monomial_multidegrees,
     monomials_at,
     rho_lower_bound,
 )
@@ -435,3 +437,20 @@ def test_sigma_image_is_tie_break_sensitive_but_sizes_are_not(pairwise_sum):
     # both are injective selections of the same total size
     assert len(set(default_sigma.values())) == len(mink)
     assert len(set(alt_sigma.values())) == len(mink)
+
+
+@pytest.mark.parametrize("triple", [(5, 2, 1), (7, 2, 3), (3, 4, 2)])
+def test_monomial_multidegrees_hold_every_class_monomial(triple):
+    # one entry per unordered index pair, valued (sum N, sum mu), and the
+    # classes of both tie-breaks group exactly these monomial objects
+    params = validate_params(*triple)
+    table = monomial_multidegrees(params)
+    g = params.genus
+    assert len(table) == g * (g + 1) // 2
+    for m, (rho, T) in table.items():
+        assert m.degree == 2 and (rho, T) == (sum(f.N for f in m.factors), sum(f.mu for f in m.factors))
+    objects = {id(m) for m in table}
+    for tie_break in ("default", "alt"):
+        classes = monomial_classes(params, tie_break)
+        assert sum(map(len, classes.values())) == len(table)
+        assert all(table[m] == point and id(m) in objects for point, monos in classes.items() for m in monos)

@@ -18,6 +18,7 @@ from canideal.errors import (
     TOutOfRange,
     UnknownTieBreak,
     VariableOutsideIndexSet,
+    WrongDegree,
     WrongFibre,
 )
 from canideal.exactalg import CycloElement, PrimeFieldElement, SparsePoly, cyclotomic_min_poly
@@ -34,8 +35,9 @@ from canideal.generators import (
     trinomial_slots,
 )
 from canideal.indexsets import anchor_set, build_index_set, check_counts, monomial_classes
-from canideal.termorder import IndexPair, Monomial
+from canideal.termorder import IndexPair, Monomial, multidegree
 from canideal.verify import (
+    OracleReport,
     certify,
     check_membership,
     default_specialization,
@@ -598,6 +600,157 @@ def test_int_coefficients_act_as_their_ring_images(triple, fibre):
         assert kernel_oracle(params, fibre, spec, gens=as_ints(family)) == kernel_oracle(
             params, fibre, spec, gens=in_ring(family)
         )
+
+
+class _PerTermContext(FibreContext):
+    """A specialized context that specializes every coefficient term by term
+    and sums (rho, T) from the factors after an index-set check: no
+    coefficient table and no multidegree table."""
+
+    def __init__(self, params, fibre, specialization):
+        super().__init__(params, fibre, specialization)
+        self._basis = frozenset(build_index_set(params))
+
+    def embed_symbol_poly(self, poly):
+        return SparsePoly.constant(self.vars, poly.specialize(self.specialization).constant_value())
+
+    def multidegree_of(self, m):
+        if m.degree != 2:
+            raise WrongDegree(f"degree {m.degree}")
+        if not all(f in self._basis for f in m.factors):
+            raise VariableOutsideIndexSet(f"{m}")
+        md = multidegree(m)
+        return md.sum_n, md.sum_mu
+
+
+def _reference_oracle(params, fibre, spec, gens, tie_break, matrix_rank, kernel_basis):
+    """The kernel oracle built one class and one term at a time: every class
+    row takes the residue of each entry of its own shifted image (the
+    X-coordinates of each weight image computed once), every
+    generator term is specialized on its own, and the exact check runs on a
+    `_PerTermContext`.  Returns (report or None when the kernel dimension is
+    off, the rows of every rank computation in order)."""
+    ctx = _PerTermContext(params, fibre, spec)
+    classes = monomial_classes(params, tie_break)
+    r, lam = (params.p, 0) if fibre == "special" else oracle_field(params.p)
+    col_ids, raw_rows, weight_coords = set(), [], {}
+    for rho, T in classes:
+        if T not in weight_coords:
+            weight_coords[T] = ctx.x_coordinates(ctx.weight_image(T))
+        entries = {}
+        for i, c in enumerate(weight_coords[T]):
+            for e, val in c.terms.items():
+                entries[i, e[0] + rho] = residue(val, r, lam)
+                col_ids.add((i, e[0] + rho))
+        raw_rows.append(entries)
+    col_index = {key: idx for idx, key in enumerate(sorted(col_ids))}
+    class_rows = [{col_index[k]: v for k, v in entries.items() if v} for entries in raw_rows]
+    rank_inputs = [class_rows]
+    monos = [m for group in classes.values() for m in group]
+    rank = matrix_rank(class_rows, r)
+    g = params.genus
+    expected = g * (g + 1) // 2 - 3 * (g - 1)
+    if len(monos) - rank != expected:
+        return None, rank_inputs
+    mono_index = {m: idx for idx, m in enumerate(monos)}
+    in_kernel, gen_rows = True, []
+    for gen in gens:
+        in_kernel = ctx.generator_vanishes(gen) and in_kernel
+        row = {}
+        for coeff, mono in gen.terms:
+            val = residue(coeff.specialize(spec).constant_value(), r, lam)
+            if val:
+                row[mono_index[mono]] = val
+        if row:
+            gen_rows.append(row)
+    rank_inputs.append(gen_rows)
+    rank_g = matrix_rank(gen_rows, r)
+    in_span = rank_g == expected
+    if in_span and not in_kernel:
+        rows = [row for row, group in zip(class_rows, classes.values()) for _ in group]
+        union = gen_rows + kernel_basis(rows, len(col_index), r)
+        rank_inputs.append(union)
+        in_span = matrix_rank(union, r) == rank_g
+    report = OracleReport(
+        fibre=fibre,
+        model_fibre=fibre,
+        specialization=dict(spec),
+        monomial_count=len(monos),
+        column_count=len(col_index),
+        rank=rank,
+        kernel_dim=expected,
+        expected_kernel_dim=expected,
+        generators_in_kernel=in_kernel,
+        kernel_in_span=in_span,
+    )
+    return report, rank_inputs
+
+
+# Every triple with p <= 7 and q <= 3, on all three fibres up to genus 24.
+# Above it, one elimination of the relative fibre's dense rows takes seconds
+# (its failing report's kernel basis up to 20 s), so the nine triples of genus
+# 26..57 run the default case on the two fibres that `certify` checks.
+_REFERENCE_GENUS = 24
+_REFERENCE_CASES = [
+    (triple, fibre)
+    for triple in [(p, q, ell) for p in (3, 5, 7) for q in (1, 2, 3) for ell in range(1, p)]
+    for fibre in ("generic", "special", "relative")
+    if fibre != "relative" or validate_params(*triple).genus <= _REFERENCE_GENUS
+]
+
+
+@pytest.mark.parametrize(
+    "triple, fibre", _REFERENCE_CASES, ids=["%d,%d,%d-%s" % (*t, fb) for t, fb in _REFERENCE_CASES]
+)
+def test_oracle_matches_the_per_class_per_term_reference(monkeypatch, triple, fibre):
+    # one residue row per weight and one specialized value per distinct
+    # coefficient give the report and every rank input of the per-class,
+    # per-term build: default and another specialization, both tie-breaks,
+    # the emitted family with its last generator corrupted, and off the
+    # special fibre every symbol at r, where nonzero exact entries have
+    # residue 0 but keep their columns
+    params = validate_params(*triple)
+    seen, done = [], {}
+
+    def once(fn):
+        # ranks and kernel bases are functions of their rows: each distinct
+        # input is eliminated once, for the reference and the oracle alike
+        def call(rows, *args):
+            key = (fn, args, tuple(tuple(sorted(row.items())) for row in rows))
+            if key not in done:
+                done[key] = fn(rows, *args)
+            return done[key]
+
+        return call
+
+    rank_once, basis_once = once(matrix_rank), once(kernel_basis)
+
+    def recorded(rows, r):
+        seen.append(list(rows))
+        return rank_once(rows, r)
+
+    monkeypatch.setattr(verify, "matrix_rank", recorded)
+    monkeypatch.setattr(verify, "kernel_basis", basis_once)
+    default = default_specialization(params)
+    other = {s: 2 * v + 3 for s, v in default.items()}
+    emitted = fibre_generators(params, fibre)
+    cases = [(default, "default", emitted)]
+    if params.genus <= _REFERENCE_GENUS:
+        cases.append((other, "default", emitted))
+        cases.append((default, "alt", fibre_generators(params, fibre, tie_break="alt")))
+        if fibre != "special":
+            cases.append((dict.fromkeys(default, oracle_field(params.p)[0]), "default", emitted))
+        if emitted:
+            cases.append((default, "default", emitted[:-1] + [corrupt_generator(emitted[-1])]))
+    for spec, tie_break, gens in cases:
+        want, want_inputs = _reference_oracle(params, fibre, spec, gens, tie_break, rank_once, basis_once)
+        seen.clear()
+        if want is None:
+            with pytest.raises(DegenerateSpecialization):
+                kernel_oracle(params, fibre, spec, gens=gens, tie_break=tie_break)
+        else:
+            assert kernel_oracle(params, fibre, spec, gens=gens, tie_break=tie_break) == want
+        assert seen == want_inputs, (spec, tie_break)
 
 
 def _oracle_dict(fibre, spec, monos, cols, rank, in_kernel, in_span):
