@@ -4,7 +4,6 @@ for cyclic-cover curve families."""
 from .errors import CanidealError
 from .exactalg import (
     CycloElement,
-    PrimeFieldElement,
     SparsePoly,
     cyclotomic_min_poly,
     divide_by_lambda_power,

@@ -1,9 +1,9 @@
 """Exact arithmetic substrate.
 
-Provides the prime field of size p, the cyclotomic ring
-Z[zeta_p] = Z[lam] with ``lam = zeta_p - 1`` and its lam-adic valuation,
-and sparse multivariate polynomials over the ints and these two rings.  No
-floating point is used anywhere.
+Provides the cyclotomic ring Z[zeta_p] = Z[lam] with ``lam = zeta_p - 1``,
+its lam-adic valuation and its residue field Z[lam]/lam = F_p, read as
+the ints mod p (`reduce_mod_lambda`), and sparse multivariate polynomials
+over the ints and Z[lam].  No floating point is used anywhere.
 
 Cyclotomic elements have int coordinates only, and every operation stays in
 Z[lam]: exact division by lam is a divisibility test by p (p = -lam * S, see
@@ -58,7 +58,8 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeFieldElement:
-    """An element of the field with p elements."""
+    """An element of the field with p elements.  The package reads F_p as
+    the ints mod p and builds none."""
 
     __slots__ = ("value", "p")
 
@@ -379,8 +380,9 @@ def divide_by_lambda_power(e: CycloElement, v: int) -> CycloElement:
     return cur
 
 
-def reduce_mod_lambda(e: CycloElement | int, p: int | None = None) -> PrimeFieldElement:
-    """Image in the residue field of size p (constant coefficient mod p).
+def reduce_mod_lambda(e: CycloElement | int, p: int | None = None) -> int:
+    """Image in the residue field Z[lam]/lam = F_p, as the int c_0 mod p in
+    [0, p), c_0 the constant coefficient.
 
     An int n stands for its image in Z[lam] and goes to n mod p, so an int
     needs p; a CycloElement carries its own p.
@@ -388,8 +390,8 @@ def reduce_mod_lambda(e: CycloElement | int, p: int | None = None) -> PrimeField
     if isinstance(e, int):
         if p is None:
             raise TypeError("reducing an int mod lam needs p")
-        return PrimeFieldElement(e, p)
-    return PrimeFieldElement(e.coeffs[0], e.p)
+        return e % p
+    return e.coeffs[0] % e.p
 
 
 # ---------------------------------------------------------------------------
@@ -427,15 +429,10 @@ def _cyclo_unpacker(p: int, width: int):
 
 def _packed_pair(f: "SparsePoly", g: "SparsePoly"):
     """(f, g) reordered so that the first factor has a CycloElement
-    coefficient, or None unless both are over Z[lam] (int and CycloElement
-    coefficients only) with a CycloElement coefficient on some side."""
-    kf = {type(c) for c in f.terms.values()}
-    kg = {type(c) for c in g.terms.values()}
-    if not kf | kg <= {int, CycloElement}:
-        return None
-    if CycloElement in kf:
+    coefficient, or None when neither has one (a product over Z)."""
+    if any(type(c) is CycloElement for c in f.terms.values()):
         return f, g
-    return (g, f) if CycloElement in kg else None
+    return (g, f) if any(type(c) is CycloElement for c in g.terms.values()) else None
 
 
 def _max_exponent(poly: "SparsePoly") -> int:
@@ -445,12 +442,11 @@ def _max_exponent(poly: "SparsePoly") -> int:
 class SparsePoly:
     """Sparse polynomial over a declared variable tuple.
 
-    Terms map exponent tuples to nonzero coefficients.  Coefficients may be
-    ints, PrimeFieldElements or CycloElements; they only need to support
-    +, -, *, == and truthiness.  Ints may be mixed with the elements of one
-    ring, in one polynomial or across the factors of a product: an int is
-    the image of Z in that ring, the only ring map from Z, and every mixed
-    operation dispatches to the ring (`_coerce`; the packed product takes
+    Terms map exponent tuples to nonzero coefficients, ints or
+    CycloElements.  Ints may be mixed with the elements of Z[lam], in one
+    polynomial or across the factors of a product: an int is the image of Z
+    in Z[lam], the only ring map from Z, and every mixed operation
+    dispatches to the ring (`CycloElement._coerce`; the packed product takes
     int coefficients as they are).
 
     No method changes `terms` of a polynomial it has returned, so the

@@ -2,8 +2,9 @@
 
 Images of degree-2 monomials under the canonical maps are normal forms:
 tuples of p slot polynomials, slot i the coefficient of V^i, in x and the
-deformation symbols over Z[lam] or F_p.  V is y on the generic fibre, where
-y^p = lam^p * x^ell + a(x)^p.  On the special and relative fibres the
+deformation symbols over Z[lam], or Z read mod p on the special fibre.  V is
+y on the generic fibre, where y^p = lam^p * x^ell + a(x)^p.  On the special
+and relative fibres the
 model's variable X has the denominator a(x)^p in X^p, so V is W = a(x) * X
 instead, in which both relations are monic with polynomial coefficients:
 
@@ -33,24 +34,28 @@ slot.  `relation_consistency` checks the read-off relations against the
 model and against each other, so a wrong slot fails the certificate.
 
 Each fibre's ring is named once, by the monic lead (0, 0, 1) of its slot
-table: its 1 lies in F_p on the special fibre and in Z[lam] on the others.
-`_relation_rhs` raises InvariantViolation for any other lead, and the
-normal-form chain starts from that 1 (`FibreContext.one`).  Everywhere else
-a plain int is the image of Z in whichever ring it meets (a(x) and its
-powers, the binomials' coefficients, the specialized values).  This is
-exact:
+table: its 1 lies in Z[lam] on the generic and relative fibres and is the
+int 1 on the special fibre, which computes over Z.  `_relation_rhs` raises
+InvariantViolation for any other lead, and the normal-form chain starts
+from that 1 (`FibreContext.one`).  Everywhere else a plain int is the image
+of Z in whichever ring it meets (a(x) and its powers, the binomials'
+coefficients, the specialized values).  This is exact:
 
 - Z -> R has exactly one ring map, and every mixed int/R operation
-  dispatches to R (`CycloElement._coerce`, `PrimeFieldElement._coerce`, and
-  the packed product of `SparsePoly.__mul__`, which takes int factors).
+  dispatches to R (`CycloElement._coerce`, and the packed product of
+  `SparsePoly.__mul__`, which takes int factors).
 - A value is read as an element of R in three places only: the zero test
   of a generator's reduced combination and the oracle's residue entries
-  and column keys, each a normal form or a product with one.
+  and column keys, each a normal form or a product with one.  On the
+  special fibre R is F_p, and each of them reads the int mod p.
 - Normal-form slots lie in R: each substitution multiplies by relation
   slots read off the same table, the chain starts from the table's 1, and
   a combination starts at V-degrees E - T >= p, so each of its
   coefficients meets a relation slot.
 - residue(n) == residue(R(n)), because both maps are ring maps.
+- The special relation is monic in W over Z and Z -> F_p is a ring map,
+  so NF over Z read mod p is NF over F_p: f - NF(f) stays in the relation's
+  ideal and NF(f) below W^p, and that remainder is unique.
 
 So every verdict and every output byte is the one the same computation gives
 with each int first mapped into R.
@@ -81,9 +86,9 @@ of images vanishes in one basis exactly when it vanishes in the other.
 Membership verdicts are kept per shift class.  A combination
 sum c_(rho,T) * image(rho, T) equals x^s times the same combination over
 (rho - s, T), and x^s is not a zero divisor on the V-slots (polynomials in
-x and the symbols over the domain Z[lam] or F_p), so the two vanish
-together; the verdict is keyed by the class shifted to min rho = 0 together
-with its exact coefficient polynomials.
+x and the symbols over the domain Z[lam], or F_p where the special fibre
+reads them), so the two vanish together; the verdict is keyed by the class
+shifted to min rho = 0 together with its exact coefficient polynomials.
 """
 
 from __future__ import annotations
@@ -114,8 +119,8 @@ class FibreRelation:
 
     V is y on the generic fibre and W = a(x) * X on the special and relative
     fibres.  rhs holds one polynomial over `vars` per V-slot i = 0..p-1, with
-    coefficients in the fibre's ring (Z[lam], or F_p on the special fibre);
-    a slot the relation does not use is the zero polynomial.
+    coefficients in Z[lam], or in Z read mod p on the special fibre; a slot
+    the relation does not use is the zero polynomial.
     """
 
     fibre: str
@@ -188,7 +193,7 @@ def check_specialization(params: FamilyParams, specialization: dict) -> None:
         raise BadSpecialization(
             f"specialization must assign exactly {list(syms)}, got {sorted(specialization)}"
         )
-    # bool is a subclass of int, but no coordinate of Z[lam] or F_p is a bool
+    # bool is a subclass of int, but no coordinate of Z[lam] is a bool
     if not all(type(v) is int for v in specialization.values()):
         raise BadSpecialization("specialization values must be integers")
 
@@ -241,9 +246,7 @@ class FibreContext:
         and the value read from the table is the one substituting the terms
         of `poly` gives.  Equality of polynomials is equality of their
         coefficients in the ring, an int standing for its image, so a hit
-        across an int and a ring element reads the same ring element.  Equal
-        polynomials that hash differently (an int next to a PrimeFieldElement)
-        only miss the table and are substituted on their own.
+        across an int and a ring element reads the same ring element.
         """
         value = self._values.get(poly)
         if value is None:
@@ -316,10 +319,10 @@ class FibreContext:
         s = min rho, the sum equals x^s times the sum over (rho - s, T),
         because image(rho, T) = x^rho * image(0, T).  Every V-slot of a
         normal form lies in a domain (polynomials in x and the symbols over
-        Z[lam] or F_p), where x^s is not a zero divisor, so one sum vanishes
-        exactly when the other does.  The key holds the exact coefficient
-        polynomials, so sums that differ in any coefficient never share a
-        verdict.
+        Z[lam], or F_p where the special fibre reads them), where x^s is not
+        a zero divisor, so one sum vanishes exactly when the other does.  The
+        key holds the exact coefficient polynomials, so sums that differ in
+        any coefficient never share a verdict.
         """
         if not coeffs:
             return True
@@ -346,7 +349,7 @@ class FibreContext:
         - each start degree E - T is at least p (a weight T is at most
           2p - 2, and a start below p raises TOutOfRange), so every
           coefficient meets a relation slot and the zero test reads values
-          of the fibre's ring;
+          of the fibre's ring, mod p on the special fibre;
         - a binomial's per-multidegree sums are already zero, so a binomial
           never reaches this method.
         """
@@ -358,7 +361,10 @@ class FibreContext:
                 raise TOutOfRange(f"weight {T} starts below V^p on the {self.fibre} fibre")
             cur = combination.get(e)
             combination[e] = c if cur is None else cur + c
-        return not any(reduce_normal_form(combination, self.relation))
+        nf = reduce_normal_form(combination, self.relation)
+        if self.fibre == SPECIAL:
+            return not any(c % self.p for s in nf for c in s.terms.values())
+        return not any(nf)
 
     def multidegree_of(self, m: Monomial) -> tuple[int, int]:
         """(rho, T) of a degree-2 monomial in the basis variables, read from
@@ -423,7 +429,7 @@ def relation_consistency(params: FamilyParams) -> RelationReport:
         theorem, has the X^k coefficient a^k times -lam^p * x^ell at k = 0
         and binom(p, k) * lam^k * a^(p-k) for k >= 1;
     (b) coefficientwise lam-reduction of the relative relation gives the
-        special relation, slot by slot;
+        special relation read mod p, slot by slot;
     (c) the generic relation y^p = sum_(i<p) g_i * y^i, substituted as
         y = a*(lam*X + 1): with G_p = 1 and G_i = -g_i, sum_i G_i * y^i has
         the X^k coefficient a^k times sum_(i>=k) binom(i, k) * lam^k * G_i *
@@ -452,9 +458,10 @@ def relation_consistency(params: FamilyParams) -> RelationReport:
     model += [a[p - k].scale(lam[k] * math.comb(p, k)) for k in range(1, p + 1)]
     check_a = model == target
 
-    # (b): coefficientwise reduction of the relative relation, slot by slot
-    reduced = tuple(s.map_coefficients(functools.partial(reduce_mod_lambda, p=p)) for s in relative)
-    check_b = reduced == _relation_rhs(params, SPECIAL)
+    # (b): coefficientwise reduction of the relative relation, slot by slot, both sides mod p
+    mod_p = functools.partial(reduce_mod_lambda, p=p)
+    special = _relation_rhs(params, SPECIAL)
+    check_b = [s.map_coefficients(mod_p) for s in relative] == [s.map_coefficients(mod_p) for s in special]
 
     # (c): the generic table under y = a*(lam*X + 1)
     G = [-g for g in _relation_rhs(params, GENERIC)] + [a[0]]

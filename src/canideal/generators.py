@@ -15,13 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, NonIntegralCoefficient, NotDivisible, ReductionMismatch
-from .exactalg import (
-    CycloElement,
-    PrimeFieldElement,
-    SparsePoly,
-    divide_by_lambda_power,
-    reduce_mod_lambda,
-)
+from .exactalg import CycloElement, SparsePoly, divide_by_lambda_power, reduce_mod_lambda
 from .family import FamilyParams, a_power_coefficients, deformation_symbols, per_triple
 from .indexsets import (
     MinkowskiPoint,
@@ -46,9 +40,9 @@ class GeneratorPoly:
     """A homogeneous degree-2 polynomial in the indexed variables.
 
     ``terms`` maps monomials to coefficient polynomials in the deformation
-    symbols; the coefficient ring depends on the fibre (cyclotomic for the
-    generic and relative fibres, prime field for the special fibre), and a
-    plain int, as in the fibre-agnostic binomials, is the image of Z in it.
+    symbols, over Z[lam] on the generic and relative fibres and over Z on
+    the special fibre, where an int stands for its residue mod p; a plain
+    int, as in the fibre-agnostic binomials, is the image of Z in the ring.
     """
 
     fibre: str
@@ -129,17 +123,17 @@ def trinomial_slots(params: FamilyParams, fibre: str) -> tuple[tuple[int, int, S
     of `fibrealg` are both read off this one table.
 
     The first slot is the monic lead (0, 0, 1), the V^p term, with its 1
-    taken in the fibre's ring: F_p on the special fibre, Z[lam] on the
-    others.  This is where a fibre's ring is named; a plain int anywhere
+    taken in the fibre's ring: Z[lam], or Z read mod p on the special
+    fibre.  This is where a fibre's ring is named; a plain int anywhere
     else stands for its image in whichever ring it meets.
+
+    Every special slot coefficient is its residue in [0, p), and none is 0:
+    the multinomials of a(x)^(p-1) divide (p-1)!, which p does not divide.
     """
     p, ell = params.p, params.ell
-    if fibre == SPECIAL:
-        one = PrimeFieldElement(1, p)
-    elif fibre in (GENERIC, RELATIVE):
-        one = CycloElement.one(p)
-    else:
+    if fibre not in (GENERIC, SPECIAL, RELATIVE):
         raise ValueError(f"unknown fibre {fibre!r}")
+    one = 1 if fibre == SPECIAL else CycloElement.one(p)
     # (i, w): the coefficient table of a(x)^(p-i), times w, at T-shift p - i
     if fibre == RELATIVE:
         blocks = [(i, relative_lambda_coefficient(params, i)) for i in range(1, p)]
@@ -151,6 +145,8 @@ def trinomial_slots(params: FamilyParams, fibre: str) -> tuple[tuple[int, int, S
     for i, weight in blocks:
         for j, poly in sorted(a_power_coefficients(params, i).items()):
             slots.append((j, p - i, poly.scale(weight)))
+    if fibre == SPECIAL:
+        slots = [(dr, dt, c.map_coefficients(lambda v: v % p)) for dr, dt, c in slots]
     return tuple(slots)
 
 
@@ -180,7 +176,7 @@ def special_generators(
     tie_break: str = TIE_BREAK_DEFAULT,
 ) -> list[GeneratorPoly]:
     """One generator per i = 1 anchor (or per supplied anchor), with the
-    a(x)^(p-1) coefficient table reduced into the prime field."""
+    a(x)^(p-1) coefficient table reduced mod p into [0, p)."""
     term_key(tie_break)  # raises UnknownTieBreak
     if anchors is None:
         anchors = anchor_set(params, 1)
@@ -252,7 +248,7 @@ def trinomial_variants(params: FamilyParams, fibre: str, pt: MinkowskiPoint, tie
 
 
 def reduce_relative_to_special(params: FamilyParams, gens) -> list[GeneratorPoly]:
-    """Reduce every cyclotomic coefficient into the prime field.
+    """Reduce every cyclotomic coefficient mod lam, to an int in [0, p).
 
     Only the i = 1 block survives; the output must coincide term-for-term
     with the special-fibre family built on the same anchors, else
@@ -308,15 +304,14 @@ def corrupt_generator(gen: GeneratorPoly, bump: int = 1) -> GeneratorPoly:
 # Serialization
 
 
-def _coefficient_jsonable(c) -> dict:
-    if isinstance(c, CycloElement):
-        return {"lambda_coeffs": [str(v) for v in c.coeffs]}
-    if isinstance(c, PrimeFieldElement):
-        return {"mod_p": c.value}
-    return {"int": c}
+def generator_to_jsonable(gen: GeneratorPoly, p: int) -> dict:
+    """A special generator's int coefficients are residues, emitted mod p."""
 
+    def coefficient(c) -> dict:
+        if isinstance(c, CycloElement):
+            return {"lambda_coeffs": [str(v) for v in c.coeffs]}
+        return {"mod_p": c % p} if gen.fibre == SPECIAL else {"int": c}
 
-def generator_to_jsonable(gen: GeneratorPoly) -> dict:
     return {
         "fibre": gen.fibre,
         "provenance": gen.provenance,
@@ -326,7 +321,7 @@ def generator_to_jsonable(gen: GeneratorPoly) -> dict:
                 "monomial": [[f.N, f.mu] for f in mono.factors],
                 "coefficient": {
                     "terms": [
-                        {"exps": list(e), **_coefficient_jsonable(c)}
+                        {"exps": list(e), **coefficient(c)}
                         for e, c in coeff.sorted_terms()
                     ],
                     "symbols": list(coeff.vars),
@@ -345,5 +340,5 @@ def generators_document(params: FamilyParams, gens, fibre: str, tie_break: str) 
         "fibre": fibre,
         "tie_break": tie_break,
         "count": len(gens),
-        "generators": [generator_to_jsonable(g) for g in gens],
+        "generators": [generator_to_jsonable(g, params.p) for g in gens],
     }

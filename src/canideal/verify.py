@@ -45,7 +45,7 @@ from .errors import (
     ReductionMismatch,
     WrongFibre,
 )
-from .exactalg import CycloElement, PrimeFieldElement, is_prime
+from .exactalg import CycloElement, is_prime
 from .family import FamilyParams, deformation_symbols, per_triple
 from .fibrealg import check_specialization, fibre_context, relation_consistency
 from .generators import (
@@ -96,8 +96,8 @@ def _oracle_field_of(params: FamilyParams) -> tuple[int, int]:
 def residue(value, r: int, lam: int) -> int:
     """phi(value) in F_r, where phi sends lam to `lam`.
 
-    Takes an int, a CycloElement (int coordinates, read by Horner's rule in
-    lam) or an element of F_r itself.
+    Takes an int or a CycloElement (int coordinates, read by Horner's rule
+    in lam).
     """
     if isinstance(value, int):
         return value % r
@@ -106,10 +106,6 @@ def residue(value, r: int, lam: int) -> int:
         for c in reversed(value.coeffs):
             acc = (acc * lam + c) % r
         return acc
-    if isinstance(value, PrimeFieldElement):
-        if value.p != r:
-            raise ValueError(f"element of F_{value.p} reduced into F_{r}")
-        return value.value
     raise TypeError(f"no image in F_{r} for a {type(value).__name__}")
 
 
@@ -314,7 +310,7 @@ def kernel_oracle(
     context (`FibreContext.generator_vanishes`, whose typed errors a
     malformed generator raises before any vector is built), then reduces M
     and G through a ring homomorphism phi into F_r (`oracle_field`; on the
-    special fibre r = p and phi is the identity of F_p) and computes the
+    special fibre r = p, and phi reads an int mod p) and computes the
     ranks there.
 
     Basis.  Off the generic fibre the normal forms live in the basis W^i,
@@ -340,7 +336,8 @@ def kernel_oracle(
     from the exact support of image(0, T), and each class row is that list
     shifted by rho: the residues are those of the class's own exact
     entries.  Columns are the shifted keys of the exact support, an entry
-    whose residue is 0 included, so column_count counts exact columns.
+    whose residue is 0 included, so column_count counts exact columns; on
+    the special fibre an exact value is its residue mod p.
 
     One value per coefficient.  A generator's row entry is
     residue(phi(c)) of each term's specialized coefficient, read from the
@@ -371,9 +368,11 @@ def kernel_oracle(
     Ranks only.  When G * M = 0 exactly, phi(G) * phi(M) = 0, so span phi(G)
     lies in ker phi(M) and equals it exactly when rank_r phi(G) = kernel_dim:
     that is kernel_in_span, with no kernel basis.  Only when G * M != 0 does
-    the oracle build a basis of ker phi(M) (`kernel_basis`, on the rows of
-    all n monomials) and test span phi(G) against it by the rank of their
-    union; a failing report is thus the same as with the basis always built.
+    the oracle build a basis of ker phi(M) and test span phi(G) against it
+    by the rank of their union; a failing report is thus the same as with
+    the basis always built.  As M = P * C, ker phi(M) is spanned by a basis
+    of ker phi(C) (`kernel_basis`) lifted onto the class minima and by the
+    kernel of v -> v * P: e_m - e_min for every other monomial m of a class.
 
     Each fibre runs through its own context: the relative fibre uses the
     stored relative relation, over the same cyclotomic field as the generic
@@ -391,9 +390,8 @@ def kernel_oracle(
     for _, T in classes:
         if T not in weight_rows:
             coords = ctx.x_coordinates(ctx.weight_image(T))
-            weight_rows[T] = [
-                (i, e[0], residue(val, r, lam)) for i, c in enumerate(coords) for e, val in c.terms.items()
-            ]
+            row = [(i, e[0], residue(val, r, lam)) for i, c in enumerate(coords) for e, val in c.terms.items()]
+            weight_rows[T] = [entry for entry in row if entry[2]] if fibre == SPECIAL else row
     # image(rho, T) = x^rho * image(0, T): the row of (0, T) shifted by rho
     col_ids = {(i, k + rho) for rho, T in classes for i, k, _ in weight_rows[T]}
     col_index = {key: idx for idx, key in enumerate(sorted(col_ids))}
@@ -429,8 +427,11 @@ def kernel_oracle(
     rank_g = matrix_rank(gen_rows, r)
     kernel_in_span = rank_g == kernel_dim
     if kernel_in_span and not gens_in_kernel:
-        rows = [row for row, group in zip(class_rows, classes.values()) for _ in group]
-        basis = kernel_basis(rows, len(col_index), r)
+        # ker phi(C) lifted onto the class minima, and e_m - e_min within each class
+        groups = list(classes.values())
+        class_kernel = kernel_basis(class_rows, len(col_index), r)
+        basis = [{mono_index[groups[c][0]]: v for c, v in vec.items()} for vec in class_kernel]
+        basis += [{mono_index[m]: 1, mono_index[group[0]]: r - 1} for group in groups for m in group[1:]]
         kernel_in_span = matrix_rank(gen_rows + basis, r) == rank_g
 
     return OracleReport(

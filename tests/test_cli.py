@@ -353,6 +353,32 @@ def test_optimized_mode_parity(argv, expected):
     assert runs[0].stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "-p", "7", "-q", "2", "-l", "3", "--oracle"],
+        ["generators", "-p", "7", "-q", "2", "-l", "3", "--fibre", "special"],
+    ],
+    ids=["certify-oracle", "generators-special"],
+)
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    # coefficient dicts, sets and memo keys hash ints, ring elements and
+    # polynomials; no output byte may follow the hash seed
+    env = {**os.environ, "PYTHONPATH": str(Path(canideal.__file__).resolve().parents[1])}
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "canideal.cli", *argv],
+            capture_output=True,
+            env={**env, "PYTHONHASHSEED": seed},
+            timeout=300,
+        )
+        for seed in ("0", "1")
+    ]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout
+
+
 def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
     # the parser is built once per process; a usage error or --help must not
     # leave it changed for the next call

@@ -169,10 +169,10 @@ def test_divide_examples():
     p = 5
     # p * lam^-(p-1) reduces to -1 in the residue field
     q = divide_by_lambda_power(CycloElement.from_int(p, 5), 4)
-    assert reduce_mod_lambda(q) == PrimeFieldElement(-1, p)
+    assert reduce_mod_lambda(q) == p - 1
     # 10 = binom(5,2) has valuation 4; quotient by lam^3 still reduces to 0
     q = divide_by_lambda_power(CycloElement.from_int(p, 10), 3)
-    assert reduce_mod_lambda(q) == PrimeFieldElement(0, p)
+    assert reduce_mod_lambda(q) == 0
     assert divide_by_lambda_power(CycloElement.zero(p), 2) == CycloElement.zero(p)
     with pytest.raises(NotDivisible):
         divide_by_lambda_power(CycloElement.one(p), 1)
@@ -369,10 +369,12 @@ def test_packed_divmod_matches_long_division(p):
 
 
 def test_reduce_mod_lambda_examples():
+    # the residue field is F_p read as the ints in [0, p)
     p = 5
-    assert reduce_mod_lambda(CycloElement.lam(p)) == PrimeFieldElement(0, p)
-    assert reduce_mod_lambda(CycloElement.from_int(p, 7)) == PrimeFieldElement(2, p)
-    assert reduce_mod_lambda(CycloElement(p, (1, 3, 0, 0))) == PrimeFieldElement(1, p)
+    assert reduce_mod_lambda(CycloElement.lam(p)) == 0
+    assert reduce_mod_lambda(CycloElement.from_int(p, 7)) == 2
+    assert reduce_mod_lambda(CycloElement(p, (1, 3, 0, 0))) == 1
+    assert reduce_mod_lambda(CycloElement(p, (-1, 3, 0, 0))) == 4
 
 
 def test_polynomial_hash_is_kept_and_matches_its_terms():
@@ -394,8 +396,9 @@ def test_reduce_mod_lambda_takes_an_int():
     # integral CycloElement n does; without p an int cannot be reduced
     p = 5
     for n in (-7, -1, 0, 1, 5, 7, 12):
-        assert reduce_mod_lambda(n, p) == PrimeFieldElement(n, p) == reduce_mod_lambda(CycloElement.from_int(p, n))
-        assert reduce_mod_lambda(CycloElement.from_int(p, n), p) == PrimeFieldElement(n, p)
+        assert reduce_mod_lambda(n, p) == n % p == reduce_mod_lambda(CycloElement.from_int(p, n))
+        assert reduce_mod_lambda(CycloElement.from_int(p, n), p) == n % p
+        assert type(reduce_mod_lambda(n, p)) is int
     with pytest.raises(TypeError):
         reduce_mod_lambda(3)
 
@@ -406,8 +409,10 @@ def test_reduce_mod_lambda_is_ring_hom(p):
     for _ in range(30):
         a = CycloElement(p, tuple(rng.randint(-9, 9) for _ in range(p - 1)))
         b = CycloElement(p, tuple(rng.randint(-9, 9) for _ in range(p - 1)))
-        assert reduce_mod_lambda(a + b) == reduce_mod_lambda(a) + reduce_mod_lambda(b)
-        assert reduce_mod_lambda(a * b) == reduce_mod_lambda(a) * reduce_mod_lambda(b)
+        # Z[lam] -> F_p, read as ints mod p
+        assert reduce_mod_lambda(a + b) == (reduce_mod_lambda(a) + reduce_mod_lambda(b)) % p
+        assert reduce_mod_lambda(a * b) == (reduce_mod_lambda(a) * reduce_mod_lambda(b)) % p
+        assert reduce_mod_lambda(a) in range(p) and reduce_mod_lambda(-a) == -reduce_mod_lambda(a) % p
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from canideal.errors import (
     VariableOutsideIndexSet,
     WrongDegree,
 )
-from canideal.exactalg import CycloElement, PrimeFieldElement, SparsePoly
+from canideal.exactalg import CycloElement, SparsePoly
 from canideal.family import a_polynomial, deformation_symbols, validate_params
 from canideal.exactalg import reduce_mod_lambda
 from canideal.fibrealg import (
@@ -32,12 +32,21 @@ from canideal.termorder import IndexPair, Monomial
 from canideal.verify import default_specialization
 
 
+def _read(ctx, poly):
+    """A polynomial as the context reads its values: over Z[lam] as it is,
+    and on the special fibre, which computes over Z, mod p."""
+    if ctx.fibre == "special":
+        return poly.map_coefficients(lambda c: c % ctx.p)
+    return poly
+
+
 def _a_power(params, ctx, k):
-    """a(x)^k over the context's ring, built from a(x) itself."""
+    """a(x)^k over the context's ring, built from a(x) itself (its residues
+    mod p on the special fibre)."""
     a = a_polynomial(params)
     if ctx.specialization is not None:
         a = a.specialize(ctx.specialization)
-    return (a**k).map_coefficients(lambda n: n * ctx.one)
+    return _read(ctx, (a**k).map_coefficients(lambda n: n * ctx.one))
 
 
 def _termwise_product(f, g):
@@ -67,16 +76,16 @@ def test_special_relation_rhs():
     ctx = fibre_context(params, "special")
     one = SparsePoly.constant(ctx.vars, ctx.one)
     nf = reduce_normal_form({5: one}, ctx.relation)
-    # X^p = X + x^ell / a^p, so W = a X gives W^p -> a^(p-1) W + x^ell
-    assert nf[1] == _a_power(params, ctx, 4)
-    assert nf[0] == SparsePoly.variable(ctx.vars, "x", 1, ctx.one)
+    # X^p = X + x^ell / a^p, so W = a X gives W^p -> a^(p-1) W + x^ell, mod p
+    assert _read(ctx, nf[1]) == _a_power(params, ctx, 4)
+    assert _read(ctx, nf[0]) == SparsePoly.variable(ctx.vars, "x", 1, ctx.one)
     assert not any(nf[2:])
 
 
 @pytest.mark.parametrize("triple", [(5, 2, 1), (3, 4, 2), (7, 1, 3)])
 def test_relation_holds_one_polynomial_per_slot(triple):
-    # rhs[i] is the whole V^i-coefficient over the fibre's ring, built here
-    # from a(x) and the closed forms
+    # rhs[i] is the whole V^i-coefficient over the fibre's ring (read mod p
+    # on the special fibre), built here from a(x) and the closed forms
     params = validate_params(*triple)
     p, ell = params.p, params.ell
     for fibre in ("generic", "special", "relative"):
@@ -93,17 +102,18 @@ def test_relation_holds_one_polynomial_per_slot(triple):
             want = [x_ell] + [
                 _a_power(params, ctx, p - i).scale(-relative_lambda_coefficient(params, i)) for i in range(1, p)
             ]
-        assert list(rhs) == want, fibre
-        ring = PrimeFieldElement if fibre == "special" else CycloElement
+        assert [_read(ctx, s) for s in rhs] == want, fibre
+        ring = int if fibre == "special" else CycloElement
         assert all(type(c) is ring for s in rhs for c in s.terms.values()), fibre
 
 
 @pytest.mark.parametrize("triple", [(5, 2, 1), (3, 4, 2), (7, 1, 3)])
 def test_the_lead_slot_names_the_fibre_ring(triple):
     # each slot table starts with the monic lead (0, 0, 1), its 1 in the
-    # fibre's ring, and every context of the fibre starts its chain there
+    # fibre's ring (the int 1 on the special fibre, which computes over Z),
+    # and every context of the fibre starts its chain there
     params = validate_params(*triple)
-    for fibre, ring in (("generic", CycloElement), ("special", PrimeFieldElement), ("relative", CycloElement)):
+    for fibre, ring in (("generic", CycloElement), ("special", int), ("relative", CycloElement)):
         dr, dt, lead = trinomial_slots(params, fibre)[0]
         assert (dr, dt) == (0, 0) and lead.vars == deformation_symbols(params)
         assert list(lead.terms) == [(0,) * len(lead.vars)]
@@ -164,8 +174,8 @@ def test_phi_image_special_top_weight():
     nf = ctx.phi_image(m)
     start = {5: SparsePoly.variable(ctx.vars, "x", 12, ctx.one)}
     assert nf == reduce_normal_form(start, ctx.relation)
-    # W^p = x^ell + a^(p-1) * W with ell = 1
-    assert nf[0] == SparsePoly.variable(ctx.vars, "x", 13, ctx.one)
+    # W^p = x^ell + a^(p-1) * W with ell = 1, mod p
+    assert _read(ctx, nf[0]) == SparsePoly.variable(ctx.vars, "x", 13, ctx.one)
 
 
 def test_equal_multidegree_images_identical():
@@ -253,12 +263,15 @@ def _x_expansion_verdicts(params):
     relative = _relation_rhs(params, "relative")
     # (a): the model against lam^p * (W^p - rhs(W))
     rhs_a = _expanded_relation(relative, W, CycloElement.lam(params.p) ** params.p)
-    # (b): slotwise lam-reduction of the relative relation
-    reduced = tuple(s.map_coefficients(lambda c: reduce_mod_lambda(c, params.p)) for s in relative)
+    # (b): slotwise lam-reduction of the relative relation against the
+    # special relation, both read mod p
+    def mod_p(rhs):
+        return tuple(s.map_coefficients(lambda c: reduce_mod_lambda(c, params.p)) for s in rhs)
+
     # (c): the generic relation at y = a*(lam*X + 1)
     return (
         lhs_a == rhs_a,
-        reduced == _relation_rhs(params, "special"),
+        mod_p(relative) == mod_p(_relation_rhs(params, "special")),
         _expanded_relation(_relation_rhs(params, "generic"), y, 1) == rhs_a,
     )
 
@@ -465,7 +478,8 @@ def _relation_polynomial(ctx, params):
 @pytest.mark.parametrize("specialized", [False, True])
 def test_weight_images_are_congruent_to_their_starts(triple, specialized):
     # W^e - sum_i s_i W^i (y on the generic fibre) is a multiple of the
-    # relation polynomial: long division leaves remainder 0
+    # relation polynomial: long division leaves remainder 0 (0 mod p on the
+    # special fibre, whose relation polynomial is the closed form over F_p)
     params = validate_params(*triple)
     spec = default_specialization(params) if specialized else None
     for fibre in ("generic", "special", "relative"):
@@ -478,8 +492,8 @@ def test_weight_images_are_congruent_to_their_starts(triple, specialized):
             for i, s in enumerate(ctx.weight_image(T)):
                 diff = diff - s.embed(variables).mul_var_power("V", i)
             quo, rem = diff.divmod_monic(relation, "V")
-            assert not rem, (triple, fibre, T)
-            assert quo * relation == diff
+            assert not _read(ctx, rem), (triple, fibre, T)
+            assert _read(ctx, quo * relation) == _read(ctx, diff)
 
 
 @pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (7, 1, 3)])
@@ -489,7 +503,7 @@ def test_int_a_power_product_equals_ring_product(triple, specialized):
     # (the X-coordinates) in SparsePoly.__mul__, over Z[lam] in the packed
     # product, which splits a factor into cyclotomic content groups inside
     # exactalg.  The product equals a term-by-term product with a(x)^k over
-    # the ring
+    # the ring (over F_p on the special fibre, both products read mod p)
     params = validate_params(*triple)
     spec = default_specialization(params) if specialized else None
     for fibre in ("generic", "special", "relative"):
@@ -507,8 +521,11 @@ def test_int_a_power_product_equals_ring_product(triple, specialized):
         for num in nums[:6]:
             for k in range(ctx.p + 1):
                 ring = _a_power(params, ctx, k)
-                assert all(type(c) is not int for c in ring.terms.values())
-                assert num * ctx.a_powers[k] == _termwise_product(num, ring), (fibre, k)
+                if fibre == "special":
+                    assert all(type(c) is int and 0 < c < ctx.p for c in ring.terms.values())
+                else:
+                    assert all(type(c) is not int for c in ring.terms.values())
+                assert _read(ctx, num * ctx.a_powers[k]) == _read(ctx, _termwise_product(num, ring)), (fibre, k)
 
 
 @pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (7, 1, 3)])
@@ -522,4 +539,4 @@ def test_x_coordinates_are_w_slots_times_a_powers(triple):
             img = ctx.weight_image(T)
             coords = ctx.x_coordinates(img)
             for i, (s, r) in enumerate(zip(img, coords)):
-                assert r == (s if fibre == "generic" else s * _a_power(params, ctx, i)), (fibre, T, i)
+                assert _read(ctx, r) == _read(ctx, s if fibre == "generic" else s * _a_power(params, ctx, i)), (fibre, T, i)

@@ -6,7 +6,6 @@ import pytest
 from canideal.errors import ReductionMismatch
 from canideal.exactalg import (
     CycloElement,
-    PrimeFieldElement,
     SparsePoly,
     lambda_valuation,
     reduce_mod_lambda,
@@ -22,6 +21,7 @@ from canideal.generators import (
     relative_generators,
     relative_lambda_coefficient,
     special_generators,
+    trinomial_slots,
 )
 from canideal.indexsets import anchor_set, minimal_monomial, MinkowskiPoint, build_index_set, monomials_at
 from canideal.termorder import IndexPair, Monomial, leading_term, multidegree
@@ -111,6 +111,7 @@ def test_trinomial_multidegree_offsets():
 
 
 def test_special_generators_tables_mod_p():
+    # the special fibre computes over Z: every coefficient is a nonzero residue mod p
     params = validate_params(5, 2, 1)
     gens = special_generators(params)
     assert len(gens) == 4
@@ -119,17 +120,35 @@ def test_special_generators_tables_mod_p():
         assert leading_term(g.terms)[1] == minimal_monomial(params, g.anchor)
         for coeff, _ in g.terms:
             for c in coeff.terms.values():
-                assert isinstance(c, PrimeFieldElement)
+                assert type(c) is int and 0 < c < params.p
+
+
+_GRID = [(p, q, ell) for p in (3, 5, 7, 11, 13) for q in (1, 2, 3, 4) for ell in range(1, p)]
+
+
+def test_special_slot_coefficients_are_nonzero_residues():
+    # every special slot coefficient is an int in [1, p): the lead 1, the
+    # residue p - 1 of -1, and the residues of -[a^(p-1)]_j, whose
+    # multinomials divide (p-1)! and so are prime to p; no coefficient is
+    # 0 mod p, so the special table drops no term of the relative one
+    for triple in _GRID:
+        params = validate_params(*triple)
+        slots = trinomial_slots(params, "special")
+        assert slots[0][2] == SparsePoly.constant(slots[0][2].vars, 1)
+        assert slots[1][2] == SparsePoly.constant(slots[1][2].vars, params.p - 1)
+        for _, _, coeff in slots:
+            assert coeff, triple
+            assert all(type(c) is int and 0 < c < params.p for c in coeff.terms.values()), triple
 
 
 def test_relative_lambda_coefficients():
     params = validate_params(5, 2, 1)
     # i = 1: lam^(1-p) * p reduces to -1; higher i reduce to 0
-    assert reduce_mod_lambda(relative_lambda_coefficient(params, 1)) == PrimeFieldElement(-1, 5)
+    assert reduce_mod_lambda(relative_lambda_coefficient(params, 1)) == 4
     for i in (2, 3, 4):
         c = relative_lambda_coefficient(params, i)
         assert all(type(x) is int for x in c.coeffs)
-        assert reduce_mod_lambda(c) == PrimeFieldElement(0, 5)
+        assert reduce_mod_lambda(c) == 0
         assert lambda_valuation(c) >= 1
 
 

@@ -21,7 +21,7 @@ from canideal.errors import (
     WrongDegree,
     WrongFibre,
 )
-from canideal.exactalg import CycloElement, PrimeFieldElement, SparsePoly, cyclotomic_min_poly
+from canideal.exactalg import CycloElement, SparsePoly, cyclotomic_min_poly
 from canideal.family import deformation_symbols, validate_params
 from canideal.fibrealg import FibreContext, fibre_context
 from canideal.generators import (
@@ -548,9 +548,7 @@ def _map_coefficients(gen, fn):
 
 
 def _int_lift(v):
-    """The int whose image v is, for v in F_p or in Z inside Z[lam]; v otherwise."""
-    if isinstance(v, PrimeFieldElement):
-        return v.value
+    """The int whose image v is, for v in Z inside Z[lam]; v otherwise."""
     if isinstance(v, CycloElement) and not any(v.coeffs[1:]):
         return v.coeffs[0]
     return v
@@ -561,7 +559,9 @@ def _int_lift(v):
 def test_int_coefficients_act_as_their_ring_images(triple, fibre):
     # a plain int is the image of Z in the fibre's ring: a generator with int
     # coefficients and the same generator mapped into the ring get the same
-    # verdict, symbolic and specialized, and the same oracle rows and report
+    # verdict, symbolic and specialized, and the same oracle rows and report.
+    # The special fibre reads F_p as Z mod p: there the ints are the lifts
+    # c - p of its residues c, and the ring images the residues in [0, p)
     params = validate_params(*triple)
     p = params.p
     spec = default_specialization(params)
@@ -577,14 +577,19 @@ def test_int_coefficients_act_as_their_ring_images(triple, fibre):
     )
 
     def as_ints(family):
-        return [_map_coefficients(g, _int_lift) for g in family]
+        lift = (lambda v: v - p) if fibre == "special" else _int_lift
+        return [_map_coefficients(g, lift) for g in family]
 
     def in_ring(family):
-        return [_map_coefficients(g, lambda v: v * one) for g in family]
+        return [_map_coefficients(g, lambda v: v * one % p if fibre == "special" else v * one) for g in family]
 
     picks = [binomial, trinomial, corrupt_generator(binomial), corrupt_generator(trinomial), p_times]
     ints, rings = as_ints(picks), in_ring(picks)
-    assert all(type(c) is not int for g in rings for coeff, _ in g.terms for c in coeff.terms.values())
+    if fibre == "special":
+        assert all(type(c) is int and 0 <= c < p for g in rings for coeff, _ in g.terms for c in coeff.terms.values())
+        assert all(c < 0 for g in ints for coeff, _ in g.terms for c in coeff.terms.values())
+    else:
+        assert all(type(c) is not int for g in rings for coeff, _ in g.terms for c in coeff.terms.values())
     assert all(type(c) is int for coeff, _ in ints[0].terms for c in coeff.terms.values())
     assert any(type(c) is int for coeff, _ in ints[1].terms for c in coeff.terms.values())
     for s in (None, spec):
@@ -600,6 +605,24 @@ def test_int_coefficients_act_as_their_ring_images(triple, fibre):
         assert kernel_oracle(params, fibre, spec, gens=as_ints(family)) == kernel_oracle(
             params, fibre, spec, gens=in_ring(family)
         )
+
+
+@pytest.mark.parametrize("triple", [(5, 2, 1), (7, 1, 3), (3, 2, 1), (11, 1, 1)])
+def test_special_coefficients_are_read_mod_p(triple):
+    # the special fibre computes over Z and reads values mod p: a special
+    # generator with one coefficient shifted by p is still a member, with one
+    # bumped by 1 it is not, on the symbolic and the specialized context alike
+    params = validate_params(*triple)
+    p = params.p
+    gens = fibre_generators(params, "special")
+    for i in {len(gens) - 1, len(gens) // 2}:
+        for spec in (None, default_specialization(params)):
+            shifted, bumped = corrupt_generator(gens[i], bump=p), corrupt_generator(gens[i], bump=1)
+            assert shifted.terms != gens[i].terms
+            for ctx in (FibreContext(params, "special", spec), fibre_context(params, "special", spec)):
+                assert ctx.generator_vanishes(gens[i]), (i, spec)
+                assert ctx.generator_vanishes(shifted), (i, spec)
+                assert not ctx.generator_vanishes(bumped), (i, spec)
 
 
 class _PerTermContext(FibreContext):
@@ -640,6 +663,9 @@ def _reference_oracle(params, fibre, spec, gens, tie_break, matrix_rank, kernel_
         entries = {}
         for i, c in enumerate(weight_coords[T]):
             for e, val in c.terms.items():
+                # the special fibre's exact values are its residues mod p
+                if fibre == "special" and not residue(val, r, lam):
+                    continue
                 entries[i, e[0] + rho] = residue(val, r, lam)
                 col_ids.add((i, e[0] + rho))
         raw_rows.append(entries)
@@ -750,7 +776,16 @@ def test_oracle_matches_the_per_class_per_term_reference(monkeypatch, triple, fi
                 kernel_oracle(params, fibre, spec, gens=gens, tie_break=tie_break)
         else:
             assert kernel_oracle(params, fibre, spec, gens=gens, tie_break=tie_break) == want
-        assert seen == want_inputs, (spec, tie_break)
+        assert len(seen) == len(want_inputs) and seen[:2] == want_inputs[:2], (spec, tie_break)
+        if len(seen) == 3:
+            # a failing report's union: the generator rows, then a basis of
+            # ker phi(M) from the class rows spanning what the reference's
+            # per-monomial basis spans
+            r = params.p if fibre == "special" else oracle_field(params.p)[0]
+            n_gen = len(want_inputs[1])
+            assert seen[2][:n_gen] == want_inputs[2][:n_gen]
+            got, ref = seen[2][n_gen:], want_inputs[2][n_gen:]
+            assert len(got) == len(ref) == rank_once(ref, r) == rank_once(got, r) == rank_once(got + ref, r)
 
 
 def _oracle_dict(fibre, spec, monos, cols, rank, in_kernel, in_span):
