@@ -55,10 +55,8 @@ from .indexsets import (
 from .termorder import (
     IndexPair,
     Monomial,
-    MultiDegree,
     format_monomial,
     leading_term,
-    multidegree,
 )
 from .verify import (
     Certificate,

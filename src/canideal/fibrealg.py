@@ -373,8 +373,8 @@ class FibreContext:
         degree is not 2, and VariableOutsideIndexSet otherwise."""
         md = self._multidegrees.get(m)
         if md is None:
-            if m.degree != 2:
-                raise WrongDegree(f"need a degree-2 monomial, got degree {m.degree}")
+            if len(m) != 2:
+                raise WrongDegree(f"need a degree-2 monomial, got degree {len(m)}")
             raise VariableOutsideIndexSet(f"{m} has a variable outside the basis index set")
         return md
 

@@ -52,7 +52,7 @@ class GeneratorPoly:
     tie_break: str
 
     def is_homogeneous_degree2(self) -> bool:
-        return bool(self.terms) and all(m.degree == 2 for _, m in self.terms)
+        return bool(self.terms) and all(len(m) == 2 for _, m in self.terms)
 
     def __repr__(self):
         head = f"{self.provenance}/{self.fibre}"
@@ -318,7 +318,7 @@ def generator_to_jsonable(gen: GeneratorPoly, p: int) -> dict:
         "anchor": [gen.anchor.rho, gen.anchor.T] if gen.anchor else None,
         "terms": [
             {
-                "monomial": [[f.N, f.mu] for f in mono.factors],
+                "monomial": [[f.N, f.mu] for f in mono],
                 "coefficient": {
                     "terms": [
                         {"exps": list(e), **coefficient(c)}

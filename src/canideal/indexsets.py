@@ -39,13 +39,11 @@ class MinkowskiPoint(NamedTuple):
 @per_triple
 def build_index_set(params: FamilyParams) -> tuple[IndexPair, ...]:
     """All (N, mu) with 1 <= mu <= p-1 and floor(mu*ell/p) <= N <= mu*q - 2."""
-    points = []
-    for mu in range(1, params.p):
-        lo = (mu * params.ell) // params.p
-        hi = mu * params.q - 2
-        for N in range(lo, hi + 1):
-            points.append(IndexPair(N=N, mu=mu))
-    return tuple(sorted(points, key=lambda f: (f.mu, f.N)))
+    return tuple(
+        IndexPair(N=N, mu=mu)
+        for mu in range(1, params.p)
+        for N in range((mu * params.ell) // params.p, mu * params.q - 1)
+    )
 
 
 def _merge(intervals) -> tuple[Run, ...]:
@@ -263,7 +261,7 @@ def monomials_at(
     params: FamilyParams, point: MinkowskiPoint, tie_break: str = TIE_BREAK_DEFAULT
 ) -> list[Monomial]:
     """All degree-2 monomials of multidegree (2, rho, T), sorted ascending."""
-    got = monomial_classes(params, tie_break).get((point.rho, point.T))
+    got = monomial_classes(params, tie_break).get(point)
     if got is None:
         raise PointNotInMinkowskiSum(f"{point} is not in the Minkowski sum")
     return list(got)

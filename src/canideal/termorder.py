@@ -1,5 +1,9 @@
 """Indexed variables z[N,mu], degree-graded monomials, and the custom term order.
 
+A variable z[N,mu] is its index pair (N, mu), a NamedTuple.  A monomial is
+the tuple of its factors sorted by (mu, N), one entry per copy, so its
+degree is its length and z[0,1]*z[2,3] is (IndexPair(0, 1), IndexPair(2, 3)).
+
 The order compares (i) standard degree ascending, (ii) total mu-weight
 DESCENDING (a larger mu-sum makes a monomial smaller), (iii) total N-sum
 ascending, and (iv) a lexicographic tie-break on the variables: at the
@@ -15,7 +19,6 @@ and taking a maximum are plain tuple comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import UnknownTieBreak, ZeroPolynomial
@@ -25,53 +28,27 @@ TIE_BREAK_ALT = "alt"
 TIE_BREAKS = (TIE_BREAK_DEFAULT, TIE_BREAK_ALT)
 
 
-@dataclass(frozen=True)
-class IndexPair:
+class IndexPair(NamedTuple):
     """A point (N, mu) indexing one variable z[N,mu]."""
 
     N: int
     mu: int
 
 
-class MultiDegree(NamedTuple):
-    degree: int
-    sum_n: int
-    sum_mu: int
+class Monomial(tuple):
+    """Product of indexed variables: the tuple of its factors sorted by (mu, N).
 
-    def __add__(self, other):
-        return MultiDegree(
-            self.degree + other.degree, self.sum_n + other.sum_n, self.sum_mu + other.sum_mu
-        )
+    Its degree is its length; hash and equality are the tuple's own, so a
+    monomial equals the plain tuple of its sorted factors.
+    """
 
+    __slots__ = ()
 
-@dataclass(frozen=True, init=False)
-class Monomial:
-    """Product of indexed variables; factors are stored canonically sorted."""
-
-    factors: tuple[IndexPair, ...]
-
-    def __init__(self, factors):
-        ordered = tuple(sorted(factors, key=lambda f: (f.mu, f.N)))
-        object.__setattr__(self, "factors", ordered)
-
-    @property
-    def degree(self) -> int:
-        return len(self.factors)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.factors + other.factors)
+    def __new__(cls, factors):
+        return super().__new__(cls, sorted(factors, key=lambda f: (f.mu, f.N)))
 
     def __repr__(self):
         return format_monomial(self) or "1"
-
-
-def multidegree(m: Monomial) -> MultiDegree:
-    """(degree, sum of N, sum of mu); additive under monomial products."""
-    return MultiDegree(
-        len(m.factors),
-        sum(f.N for f in m.factors),
-        sum(f.mu for f in m.factors),
-    )
 
 
 def term_key(tie_break: str = TIE_BREAK_DEFAULT):
@@ -99,12 +76,11 @@ def term_key(tie_break: str = TIE_BREAK_DEFAULT):
         raise UnknownTieBreak(f"unknown tie-break {tie_break!r}; expected one of {TIE_BREAKS}")
 
     def key(m: Monomial):
-        factors = m.factors
         return (
-            len(factors),
-            -sum(f.mu for f in factors),
-            sum(f.N for f in factors),
-            tuple(sorted(map(neg_var, factors), reverse=True)),
+            len(m),
+            -sum(f.mu for f in m),
+            sum(f.N for f in m),
+            tuple(sorted(map(neg_var, m), reverse=True)),
         )
 
     return key
@@ -130,4 +106,4 @@ def leading_term(poly, tie_break: str = TIE_BREAK_DEFAULT):
 
 def format_monomial(m: Monomial) -> str:
     """Stable serialization, e.g. "z[0,1]*z[2,3]"; empty string for degree 0."""
-    return "*".join(f"z[{f.N},{f.mu}]" for f in m.factors)
+    return "*".join(f"z[{f.N},{f.mu}]" for f in m)

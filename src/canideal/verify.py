@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import (
     DegenerateSpecialization,
@@ -196,16 +196,11 @@ class CriterionReport:
     memberships: tuple[bool, ...] | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "label": self.label,
-            "genus": self.genus,
-            "generator_count": self.generator_count,
-            "leading_count": self.leading_count,
-            "standard_monomial_count": self.standard_monomial_count,
-            "bound": self.bound,
-            "passes": self.passes,
-        }
-        if self.memberships is not None:
+        """The fields; memberships as a list, left out when None."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.memberships is None:
+            del out["memberships"]
+        else:
             out["memberships"] = list(self.memberships)
         return out
 
@@ -273,20 +268,12 @@ class OracleReport:
         return self.kernel_dim == self.expected_kernel_dim and self.span_matches_kernel
 
     def to_dict(self) -> dict:
-        return {
-            "fibre": self.fibre,
-            "model_fibre": self.model_fibre,
-            "specialization": dict(sorted(self.specialization.items())),
-            "monomial_count": self.monomial_count,
-            "column_count": self.column_count,
-            "rank": self.rank,
-            "kernel_dim": self.kernel_dim,
-            "expected_kernel_dim": self.expected_kernel_dim,
-            "generators_in_kernel": self.generators_in_kernel,
-            "kernel_in_span": self.kernel_in_span,
-            "span_matches_kernel": self.span_matches_kernel,
-            "passes": self.passes,
-        }
+        """The fields with the specialization sorted, and both properties."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["specialization"] = dict(sorted(self.specialization.items()))
+        out["span_matches_kernel"] = self.span_matches_kernel
+        out["passes"] = self.passes
+        return out
 
 
 def default_specialization(params: FamilyParams) -> dict:

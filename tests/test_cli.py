@@ -103,6 +103,8 @@ GENERATOR_DIGESTS = [
     ((7, 2, 5), "relative", (), "5090ba5c4054bfb8fbdbf48611321eeae3f40da5075a084b68abb287870a911e"),
     ((5, 2, 1), "relative", ("--all-pairs",), "4abc7f0da422786c2c14e96f1b03435d58673b69ebea14d1972fd3f48e84ad12"),
     ((5, 2, 4), "generic", ("--tie-break", "alt"), "2e4f5daf8251c0b472a6e9b76e3e7cca9b926bf78118c289c9f218b142b87eaf"),
+    ((7, 2, 1), "relative", ("--tie-break", "alt"), "a0c50b6b46f280e0cf3275367b9f1b7594726d5806c4312ef995732076974ff0"),
+    ((7, 2, 1), "special", ("--tie-break", "alt"), "19f924764c5d3e03711e00877c5ca333c9b67be6e627cfa413db7bd3f170ee5c"),
 ]
 
 
@@ -110,6 +112,23 @@ GENERATOR_DIGESTS = [
 def test_generators_export_bytes_are_pinned(capsys, triple, fibre, extra, digest):
     p, q, ell = map(str, triple)
     code, out, _ = run(capsys, "generators", "-p", p, "-q", q, "-l", ell, "--fibre", fibre, *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# sha256 of `canideal certify --oracle --tie-break alt` stdout: the benchmark's
+# recorded workloads run only the default tie-break, so the alternative's
+# certificate bytes are pinned here
+@pytest.mark.parametrize(
+    "triple,digest",
+    [
+        ((7, 2, 1), "c44ee15895dc672053dfb96697fbf586e0cdf15eeec9514edd6ffca69e13a98d"),
+        ((5, 4, 1), "41e96822c43380459b0bdfcfdfde04d7cef85a8bd6e86863cb142e96fcb0eca0"),
+    ],
+)
+def test_certify_oracle_alt_tie_break_bytes_are_pinned(capsys, triple, digest):
+    p, q, ell = map(str, triple)
+    code, out, _ = run(capsys, "certify", "-p", p, "-q", q, "-l", ell, "--oracle", "--tie-break", "alt")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

@@ -214,9 +214,9 @@ def test_multidegree_of_reads_the_triple_table(fibre):
                 ctx.multidegree_of(Monomial(factors))
         for point, monos in monomial_classes(params, "default").items():
             for m in monos:
-                fresh = Monomial(tuple(IndexPair(f.N, f.mu) for f in reversed(m.factors)))
-                assert fresh == m and fresh.factors[0] is not m.factors[0]
-                assert ctx.multidegree_of(fresh) == point == (sum(f.N for f in m.factors), sum(f.mu for f in m.factors))
+                fresh = Monomial(tuple(IndexPair(f.N, f.mu) for f in reversed(m)))
+                assert fresh == m and fresh[0] is not m[0]
+                assert ctx.multidegree_of(fresh) == point == (sum(f.N for f in m), sum(f.mu for f in m))
 
 
 def test_bad_specialization():

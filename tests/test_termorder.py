@@ -1,5 +1,7 @@
+import copy
 import functools
 import itertools
+import pickle
 import random
 from collections import Counter
 
@@ -12,10 +14,8 @@ from canideal.termorder import (
     TIE_BREAK_DEFAULT,
     IndexPair,
     Monomial,
-    MultiDegree,
     format_monomial,
     leading_term,
-    multidegree,
     sort_monomials,
     term_key,
 )
@@ -29,15 +29,15 @@ def mono(*pairs):
     return Monomial(tuple(z(*p) for p in pairs))
 
 
-def test_multidegree_examples():
-    assert multidegree(mono((0, 1), (2, 2))) == MultiDegree(2, 2, 3)
-    assert multidegree(mono()) == MultiDegree(0, 0, 0)
-    assert multidegree(mono((1, 2), (1, 2), (1, 2))) == MultiDegree(3, 3, 6)
-
-
-def test_multidegree_additive():
-    a, b = mono((0, 1), (2, 2)), mono((1, 3))
-    assert multidegree(a * b) == multidegree(a) + multidegree(b)
+def test_monomials_are_sorted_tuples_of_index_pairs():
+    m = mono((2, 3), (0, 1))
+    assert m == mono((0, 1), (2, 3)) and hash(m) == hash(mono((0, 1), (2, 3)))
+    assert tuple(m) == (z(0, 1), z(2, 3)) and hash(m) == hash(tuple(m))
+    for copied in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+        assert type(copied) is Monomial and copied == m
+    assert IndexPair(N=1, mu=2) == IndexPair(1, 2)
+    assert repr(IndexPair(N=0, mu=1)) == "IndexPair(N=0, mu=1)"
+    assert repr(m) == "z[0,1]*z[2,3]" and repr(mono()) == "1"
 
 
 def _sign(m1, m2, tie_break=TIE_BREAK_DEFAULT):
@@ -126,19 +126,19 @@ def test_format_monomial_stable():
 
 def _reference_compare(m1, m2, tie_break):
     """The documented order (i)-(iv), written out rule by rule."""
-    if m1.degree != m2.degree:
-        return -1 if m1.degree < m2.degree else 1
-    mu1, mu2 = sum(f.mu for f in m1.factors), sum(f.mu for f in m2.factors)
+    if len(m1) != len(m2):
+        return -1 if len(m1) < len(m2) else 1
+    mu1, mu2 = sum(f.mu for f in m1), sum(f.mu for f in m2)
     if mu1 != mu2:
         return -1 if mu1 > mu2 else 1
-    n1, n2 = sum(f.N for f in m1.factors), sum(f.N for f in m2.factors)
+    n1, n2 = sum(f.N for f in m1), sum(f.N for f in m2)
     if n1 != n2:
         return -1 if n1 < n2 else 1
 
     def enum(f):
         return (f.mu, f.N) if tie_break == TIE_BREAK_DEFAULT else (f.N, f.mu)
 
-    c1, c2 = Counter(map(enum, m1.factors)), Counter(map(enum, m2.factors))
+    c1, c2 = Counter(map(enum, m1)), Counter(map(enum, m2))
     for var in sorted(set(c1) | set(c2)):
         if c1[var] != c2[var]:
             # more copies of the enumeration-smaller variable: larger monomial

@@ -35,7 +35,7 @@ from canideal.generators import (
     trinomial_slots,
 )
 from canideal.indexsets import anchor_set, build_index_set, check_counts, monomial_classes
-from canideal.termorder import IndexPair, Monomial, multidegree
+from canideal.termorder import IndexPair, Monomial
 from canideal.verify import (
     OracleReport,
     certify,
@@ -638,12 +638,11 @@ class _PerTermContext(FibreContext):
         return SparsePoly.constant(self.vars, poly.specialize(self.specialization).constant_value())
 
     def multidegree_of(self, m):
-        if m.degree != 2:
-            raise WrongDegree(f"degree {m.degree}")
-        if not all(f in self._basis for f in m.factors):
+        if len(m) != 2:
+            raise WrongDegree(f"degree {len(m)}")
+        if not all(f in self._basis for f in m):
             raise VariableOutsideIndexSet(f"{m}")
-        md = multidegree(m)
-        return md.sum_n, md.sum_mu
+        return sum(f.N for f in m), sum(f.mu for f in m)
 
 
 def _reference_oracle(params, fibre, spec, gens, tie_break, matrix_rank, kernel_basis):
