@@ -37,7 +37,6 @@ from .generators import (
     reduce_relative_to_special,
     relative_generators,
     special_generators,
-    trinomial_variants,
 )
 from .indexsets import (
     CountReport,

@@ -5,12 +5,17 @@ the per-fibre trinomial-type families attach, to each anchor point, shifted
 class minima weighted by the coefficient tables of powers of a(x).  The
 relative family's lam-power coefficients are produced by exact cyclotomic
 division and a reduction map back onto the special-fibre family is provided.
+
+Every generator is built in descending term order and never sorted.  A
+degree-2 monomial of class (rho, T) has term key (2, -T, rho, v), so
+distinct classes compare by (T, rho) alone.  A binomial reverses two
+monomials of one ascending class; a trinomial-type generator takes the class
+minimum at each slot of its fibre's layout, in (T, rho) order.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +48,10 @@ class GeneratorPoly:
     symbols, over Z[lam] on the generic and relative fibres and over Z on
     the special fibre, where an int stands for its residue mod p; a plain
     int, as in the fibre-agnostic binomials, is the image of Z in the ring.
+
+    The monomials are distinct and strictly descending under ``tie_break``
+    (every builder here emits them so, and `corrupt_generator` keeps the
+    order): ``terms[0]`` is the lead `verify.dimension_criterion` reads.
     """
 
     fibre: str
@@ -58,13 +67,6 @@ class GeneratorPoly:
         head = f"{self.provenance}/{self.fibre}"
         body = " + ".join(f"({c!r})*{format_monomial(m)}" for c, m in self.terms)
         return f"<{head}: {body}>"
-
-
-def _sorted_terms(term_map: dict[Monomial, SparsePoly], tie_break: str):
-    """Order-descending tuple of (coefficient, monomial), zero coefficients dropped."""
-    monos = [m for m, c in term_map.items() if c]
-    monos.sort(key=term_key(tie_break), reverse=True)
-    return tuple((term_map[m], m) for m in monos)
 
 
 def binomial_generators(
@@ -90,6 +92,7 @@ def binomial_generators(
 def _binomials(params: FamilyParams, all_pairs: bool, tie_break: str) -> tuple[GeneratorPoly, ...]:
     syms = deformation_symbols(params)
     one = SparsePoly.constant(syms, 1)
+    minus_one = -one
     out = []
     for pt in minkowski_sum(params):
         group = monomials_at(params, pt, tie_break)
@@ -105,7 +108,7 @@ def _binomials(params: FamilyParams, all_pairs: bool, tie_break: str) -> tuple[G
                     fibre=ANY_FIBRE,
                     provenance=BINOMIAL,
                     anchor=pt,
-                    terms=_sorted_terms({big: one, small: -one}, tie_break),
+                    terms=((one, big), (minus_one, small)),
                     tie_break=tie_break,
                 )
             )
@@ -129,6 +132,11 @@ def trinomial_slots(params: FamilyParams, fibre: str) -> tuple[tuple[int, int, S
 
     Every special slot coefficient is its residue in [0, p), and none is 0:
     the multinomials of a(x)^(p-1) divide (p-1)!, which p does not divide.
+
+    `_trinomial_family` adds the coefficients of slots of equal (dr, dt), one
+    class minimum at every anchor (only the generic fibre at ell = 1 has such:
+    (ell, p) meets j = 1), drops zero sums, and orders the slots by dt
+    ascending, dr descending: their term order at every anchor.
     """
     p, ell = params.p, params.ell
     if fibre not in (GENERIC, SPECIAL, RELATIVE):
@@ -150,24 +158,38 @@ def trinomial_slots(params: FamilyParams, fibre: str) -> tuple[tuple[int, int, S
     return tuple(slots)
 
 
-def _anchored_generator(
-    params: FamilyParams, fibre: str, pt: MinkowskiPoint, tie_break: str
-) -> GeneratorPoly:
-    """The emitted generator at one anchor: the first of `trinomial_variants`,
-    the class minimum in every slot."""
-    gen = next(trinomial_variants(params, fibre, pt, tie_break))
-    if gen.terms[0][1] != minimal_monomial(params, pt, tie_break):
-        raise InvariantViolation(
-            f"the {fibre} generator at anchor {pt} does not lead with its class minimum"
+def _trinomial_family(params: FamilyParams, fibre: str, anchors, tie_break: str) -> list[GeneratorPoly]:
+    """One generator per anchor: the slot layout, built per call from
+    `trinomial_slots` as the memo holds it, on the class minima at the shifted
+    points.  PointNotInMinkowskiSum if a point is missing; InvariantViolation
+    unless the lead (0, 0) is the layout's only slot with dt <= 0."""
+    merged: dict[tuple[int, int], SparsePoly] = {}
+    for dr, dt, coeff in trinomial_slots(params, fibre):
+        cur = merged.get((dr, dt))
+        merged[dr, dt] = coeff if cur is None else cur + coeff
+    layout = sorted(((dr, dt, c) for (dr, dt), c in merged.items() if c), key=lambda s: (s[1], -s[0]))
+    if [(dr, dt) for dr, dt, _ in layout if dt <= 0] != [(0, 0)]:
+        raise InvariantViolation(f"the {fibre} generators do not lead with the class minimum of their anchor")
+    return [
+        GeneratorPoly(
+            fibre=fibre,
+            provenance=TRINOMIAL,
+            anchor=pt,
+            terms=tuple(
+                (c, minimal_monomial(params, MinkowskiPoint(pt.rho + dr, pt.T + dt), tie_break))
+                for dr, dt, c in layout
+            ),
+            tie_break=tie_break,
         )
-    return gen
+        for pt in anchors
+    ]
 
 
 def generic_generators(params: FamilyParams, tie_break: str = TIE_BREAK_DEFAULT) -> list[GeneratorPoly]:
     """One generator per i = 0 anchor: class minimum minus lam^p times the
     (ell, p)-shifted minimum minus the a(x)^p-weighted (j, p)-shifted minima."""
     term_key(tie_break)  # raises UnknownTieBreak
-    return [_anchored_generator(params, GENERIC, pt, tie_break) for pt in anchor_set(params, 0)]
+    return _trinomial_family(params, GENERIC, anchor_set(params, 0), tie_break)
 
 
 def special_generators(
@@ -180,7 +202,7 @@ def special_generators(
     term_key(tie_break)  # raises UnknownTieBreak
     if anchors is None:
         anchors = anchor_set(params, 1)
-    return [_anchored_generator(params, SPECIAL, pt, tie_break) for pt in anchors]
+    return _trinomial_family(params, SPECIAL, anchors, tie_break)
 
 
 def relative_lambda_coefficient(params: FamilyParams, i: int) -> CycloElement:
@@ -204,7 +226,7 @@ def relative_generators(params: FamilyParams, tie_break: str = TIE_BREAK_DEFAULT
     1 <= i <= p-1.
     """
     term_key(tie_break)  # raises UnknownTieBreak
-    return [_anchored_generator(params, RELATIVE, pt, tie_break) for pt in anchor_set(params, 0)]
+    return _trinomial_family(params, RELATIVE, anchor_set(params, 0), tie_break)
 
 
 def fibre_generators(
@@ -222,39 +244,15 @@ def fibre_generators(
     return binomials + families[fibre](params, tie_break=tie_break)
 
 
-def trinomial_variants(params: FamilyParams, fibre: str, pt: MinkowskiPoint, tie_break: str = TIE_BREAK_DEFAULT):
-    """Iterate over ALL admissible representatives of the generator at one anchor.
-
-    The first picks the class minimum in every slot and is the one the
-    families emit; any other choice of a monomial with the same multidegree
-    gives an equally valid generator.  Lazily yields every combination.
-    """
-    slots = trinomial_slots(params, fibre)
-    choice_lists = [
-        monomials_at(params, MinkowskiPoint(pt.rho + dr, pt.T + dt), tie_break) for dr, dt, _ in slots
-    ]
-    for picks in itertools.product(*choice_lists):
-        terms: dict[Monomial, SparsePoly] = {}
-        for (_, _, coeff), mono in zip(slots, picks):
-            cur = terms.get(mono)
-            terms[mono] = coeff if cur is None else cur + coeff
-        yield GeneratorPoly(
-            fibre=fibre,
-            provenance=TRINOMIAL,
-            anchor=pt,
-            terms=_sorted_terms(terms, tie_break),
-            tie_break=tie_break,
-        )
-
-
 def reduce_relative_to_special(params: FamilyParams, gens) -> list[GeneratorPoly]:
     """Reduce every cyclotomic coefficient mod lam, to an int in [0, p).
 
     Only the i = 1 block survives; the output must coincide term-for-term
     with the special-fibre family built on the same anchors, else
-    ReductionMismatch is raised.  Each distinct coefficient polynomial is
-    reduced once: reduction mod lam is a ring map, so equal polynomials have
-    equal reductions.
+    ReductionMismatch is raised.  Terms whose coefficient reduces to zero
+    are dropped; the rest keep their order.  Each distinct coefficient
+    polynomial is reduced once: reduction mod lam is a ring map, so equal
+    polynomials have equal reductions.
     """
     reduce = functools.partial(reduce_mod_lambda, p=params.p)
     images: dict[SparsePoly, SparsePoly] = {}
@@ -262,18 +260,19 @@ def reduce_relative_to_special(params: FamilyParams, gens) -> list[GeneratorPoly
     for gen in gens:
         if gen.fibre != RELATIVE:
             raise ValueError("reduction applies to relative generators")
-        term_map: dict[Monomial, SparsePoly] = {}
+        terms = []
         for coeff, mono in gen.terms:
             image = images.get(coeff)
             if image is None:
                 image = images[coeff] = coeff.map_coefficients(reduce)
-            term_map[mono] = image
+            if image:
+                terms.append((image, mono))
         reduced.append(
             GeneratorPoly(
                 fibre=SPECIAL,
                 provenance=TRINOMIAL,
                 anchor=gen.anchor,
-                terms=_sorted_terms(term_map, gen.tie_break),
+                terms=tuple(terms),
                 tie_break=gen.tie_break,
             )
         )

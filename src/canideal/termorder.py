@@ -15,6 +15,10 @@ is invariant under the switch.
 The order is one sort key (`term_key`): (degree, -sum mu, sum N, the variable
 keys sorted ascending with every component negated), so sorting, comparing
 and taking a maximum are plain tuple comparisons.
+
+A degree-2 monomial of class (rho, T) has key (2, -T, rho, v), so distinct
+classes compare by (T, rho) alone and v orders one class: `monomial_classes`
+sorts each class once, and the generators are built in order, not sorted.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ from .generators import (
     special_generators,
 )
 from .indexsets import anchor_set, check_counts, monomial_classes
-from .termorder import TIE_BREAK_DEFAULT, leading_term, term_key
+from .termorder import TIE_BREAK_DEFAULT, term_key
 
 _FIBRES = (GENERIC, SPECIAL, RELATIVE)
 
@@ -208,7 +208,6 @@ class CriterionReport:
 def dimension_criterion(
     params: FamilyParams,
     gens,
-    tie_break: str = TIE_BREAK_DEFAULT,
     label: str = "",
     memberships=None,
 ) -> CriterionReport:
@@ -216,14 +215,15 @@ def dimension_criterion(
 
     All generators have degree 2, so the degree-2 part of the leading-term
     ideal is exactly the set of distinct leading monomials and no Groebner
-    computation is needed.
+    computation is needed.  Each lead is ``gen.terms[0][1]``, the terms
+    being descending under the generator's own tie-break (`GeneratorPoly`).
     """
     gens = list(gens)
     leads = set()
     for gen in gens:
         if not gen.is_homogeneous_degree2():
             raise NonHomogeneous("criterion requires homogeneous degree-2 generators")
-        leads.add(leading_term(gen.terms, tie_break)[1])
+        leads.add(gen.terms[0][1])
     g = params.genus
     total = g * (g + 1) // 2
     s = total - len(leads)
@@ -567,13 +567,10 @@ def certify(
     except (ReductionMismatch, NonIntegralCoefficient):
         reduction_ok = False
         reduced = special_generators(params, anchors=anchor_set(params, 0), tie_break=tie_break)
-    crit_special = dimension_criterion(
-        params, g1 + reduced, tie_break, label="special-fibre (lam-reduced generators)"
-    )
+    crit_special = dimension_criterion(params, g1 + reduced, label="special-fibre (lam-reduced generators)")
     crit_relative = dimension_criterion(
         params,
         g1 + rel,
-        tie_break,
         label="generic-fibre view of the relative generators",
         memberships=mem_g1 + mem_rel,
     )

@@ -233,7 +233,7 @@ def test_criterion_9_determinism():
         for tb in (TIE_BREAK_DEFAULT, TIE_BREAK_ALT):
             g1 = binomial_generators(pp, tie_break=tb)
             g2 = generic_generators(pp, tie_break=tb)
-            rep = dimension_criterion(pp, g1 + g2, tie_break=tb)
+            rep = dimension_criterion(pp, g1 + g2)
             counts[tb] = (
                 len(g1),
                 len(g2),

@@ -105,6 +105,14 @@ GENERATOR_DIGESTS = [
     ((5, 2, 4), "generic", ("--tie-break", "alt"), "2e4f5daf8251c0b472a6e9b76e3e7cca9b926bf78118c289c9f218b142b87eaf"),
     ((7, 2, 1), "relative", ("--tie-break", "alt"), "a0c50b6b46f280e0cf3275367b9f1b7594726d5806c4312ef995732076974ff0"),
     ((7, 2, 1), "special", ("--tie-break", "alt"), "19f924764c5d3e03711e00877c5ca333c9b67be6e627cfa413db7bd3f170ee5c"),
+    # the merged (ell, p) slot of the generic fibre at ell = 1, under alt
+    ((7, 2, 1), "generic", ("--tie-break", "alt"), "e49ba8ab636ccec1164b8bc4606b91b995b6bd4b871de2a60dfa419786ae07a6"),
+    (
+        (5, 2, 1),
+        "relative",
+        ("--all-pairs", "--tie-break", "alt"),
+        "40cfeb274220021af32d0e963fcd7bab20dca99fa25ef5c475dd16c5dc76476f",
+    ),
 ]
 
 
@@ -131,6 +139,18 @@ def test_certify_oracle_alt_tie_break_bytes_are_pinned(capsys, triple, digest):
     code, out, _ = run(capsys, "certify", "-p", p, "-q", q, "-l", ell, "--oracle", "--tie-break", "alt")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_certify_corrupt_one_alt_tie_break_bytes_are_pinned(capsys):
+    # corrupt_generator bumps a generator's last term, so these bytes depend
+    # on the term order of the relative family under alt
+    code, out, _ = run(
+        capsys, "certify", "-p", "5", "-q", "2", "-l", "1", "--oracle", "--corrupt-one", "--tie-break", "alt"
+    )
+    assert code == 1
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "210d9494beb70861dbff7a08e5faa9951749664d675814c8251831cf09671922"
+    )
 
 
 def test_certify_fails_on_a_relative_slot_with_an_int_term(capsys, monkeypatch):

@@ -22,9 +22,11 @@ from canideal.fibrealg import (
     relation_consistency,
 )
 from canideal.generators import (
+    generic_generators,
     reduce_relative_to_special,
     relative_generators,
     relative_lambda_coefficient,
+    special_generators,
     trinomial_slots,
 )
 from canideal.indexsets import build_index_set, minimal_monomial, minkowski_sum, monomial_classes
@@ -142,6 +144,16 @@ def test_a_non_monic_lead_raises(fibre, how):
         FibreContext(params, fibre)
     with pytest.raises(InvariantViolation):
         relation_consistency(params)
+    if how == "shifted":
+        # with no slot at dt = 0 the generators would not lead with the
+        # class minimum of their anchor
+        builder = {
+            "generic": generic_generators,
+            "special": special_generators,
+            "relative": relative_generators,
+        }[fibre]
+        with pytest.raises(InvariantViolation):
+            builder(params)
 
 
 def test_low_degree_unchanged():

@@ -12,6 +12,7 @@ from canideal.exactalg import (
 )
 from canideal.family import a_power_coefficients, validate_params
 from canideal.generators import (
+    GeneratorPoly,
     binomial_generators,
     corrupt_generator,
     fibre_generators,
@@ -24,7 +25,8 @@ from canideal.generators import (
     trinomial_slots,
 )
 from canideal.indexsets import anchor_set, minimal_monomial, MinkowskiPoint, build_index_set, monomials_at
-from canideal.termorder import IndexPair, Monomial, leading_term
+from canideal.termorder import IndexPair, Monomial, leading_term, term_key
+from canideal.verify import dimension_criterion
 
 
 def test_binomial_count_521():
@@ -126,6 +128,38 @@ def test_special_generators_tables_mod_p():
 _GRID = [(p, q, ell) for p in (3, 5, 7, 11, 13) for q in (1, 2, 3, 4) for ell in range(1, p)]
 
 
+@pytest.mark.parametrize("tie_break", ["default", "alt"])
+@pytest.mark.parametrize("triple", [(p, q, ell) for p in (3, 5, 7) for q in (1, 2, 3) for ell in range(1, p)])
+def test_every_builder_emits_strictly_descending_terms(triple, tie_break):
+    # the criterion reads each lead as terms[0], so every builder must emit
+    # distinct monomials strictly descending under the generator's tie-break;
+    # leading_term, which compares every term's key, is the reference
+    params = validate_params(*triple)
+    key = term_key(tie_break)
+    binomials = binomial_generators(params, tie_break=tie_break)
+    rel = relative_generators(params, tie_break=tie_break)
+    families = [
+        binomials,
+        binomial_generators(params, all_pairs=True, tie_break=tie_break),
+        generic_generators(params, tie_break=tie_break),
+        special_generators(params, tie_break=tie_break),
+        rel,
+        reduce_relative_to_special(params, rel),
+        [corrupt_generator(g) for g in binomials + rel],
+    ]
+    for family in families:
+        for gen in family:
+            assert gen.tie_break == tie_break
+            monos = [m for _, m in gen.terms]
+            assert len(set(monos)) == len(monos), gen
+            keys = [key(m) for m in monos]
+            assert all(a > b for a, b in zip(keys, keys[1:])), gen
+            assert leading_term(gen.terms, gen.tie_break) == gen.terms[0], gen
+        gens = binomials + family
+        reference = {leading_term(g.terms, g.tie_break)[1] for g in gens}
+        assert dimension_criterion(params, gens).leading_count == len(reference)
+
+
 def test_special_slot_coefficients_are_nonzero_residues():
     # every special slot coefficient is an int in [1, p): the lead 1, the
     # residue p - 1 of -1, and the residues of -[a^(p-1)]_j, whose
@@ -212,14 +246,31 @@ def test_serialization_deterministic():
 
 
 def test_trinomial_variants_are_members():
-    from itertools import islice
+    # any monomial of a slot's class, not only its minimum, gives a member:
+    # the first 8 choices of one monomial per raw slot, coefficients merged
+    # per monomial
+    from itertools import islice, product
 
-    from canideal.generators import trinomial_variants
     from canideal.verify import check_membership
 
     params = validate_params(5, 2, 1)
     anchor = MinkowskiPoint(0, 2)
-    variants = list(islice(trinomial_variants(params, "generic", anchor), 8))
+    slots = trinomial_slots(params, "generic")
+    choices = [monomials_at(params, MinkowskiPoint(anchor.rho + dr, anchor.T + dt)) for dr, dt, _ in slots]
+    variants = []
+    for picks in islice(product(*choices), 8):
+        terms = {}
+        for (_, _, coeff), mono in zip(slots, picks):
+            terms[mono] = coeff if mono not in terms else terms[mono] + coeff
+        variants.append(
+            GeneratorPoly(
+                fibre="generic",
+                provenance="trinomial",
+                anchor=anchor,
+                terms=tuple((c, m) for m, c in terms.items() if c),
+                tie_break="default",
+            )
+        )
     assert len(variants) > 1
     for gen in variants:
         assert leading_term(gen.terms)[1] in monomials_at(params, anchor)

@@ -469,12 +469,23 @@ def test_criterion_321():
     assert validate_params(3, 2, 1).trigonal_risk  # conclusion carries the caveat
 
 
+@pytest.mark.parametrize("how", ["empty", "degree-one"])
+def test_criterion_rejects_a_generator_without_a_degree_two_lead(how):
+    # the lead is read as terms[0] only after the homogeneity check
+    params = validate_params(5, 2, 1)
+    gen = generic_generators(params)[0]
+    terms = () if how == "empty" else ((gen.terms[0][0], Monomial((IndexPair(0, 1),))),) + gen.terms
+    broken = dataclasses.replace(gen, terms=terms)
+    with pytest.raises(NonHomogeneous):
+        dimension_criterion(params, binomial_generators(params) + [broken])
+
+
 def test_criterion_tie_break_invariance():
     params = validate_params(5, 2, 3)
     for tb in ("default", "alt"):
         g1 = binomial_generators(params, tie_break=tb)
         g2 = generic_generators(params, tie_break=tb)
-        rep = dimension_criterion(params, g1 + g2, tie_break=tb)
+        rep = dimension_criterion(params, g1 + g2)
         assert rep.standard_monomial_count == 33
 
 
