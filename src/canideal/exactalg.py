@@ -591,21 +591,6 @@ class SparsePoly:
         i = self.vars.index(name)
         return max((e[i] for e in self.terms), default=0)
 
-    def strata(self, name: str) -> dict:
-        """Split by the exponent of one variable: exp -> poly with that variable removed from use."""
-        i = self.vars.index(name)
-        out: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            reste = e[:i] + (0,) + e[i + 1 :]
-            out.setdefault(k, {})[reste] = c
-        result = {}
-        for k, terms in out.items():
-            poly = SparsePoly(self.vars)
-            poly.terms = terms
-            result[k] = poly
-        return result
-
     def coefficient_of(self, name: str, exp: int) -> "SparsePoly":
         i = self.vars.index(name)
         poly = SparsePoly(self.vars)
@@ -646,18 +631,6 @@ class SparsePoly:
         res = SparsePoly(self.vars)
         res.terms = {e: v for e, v in ((e, fn(c)) for e, c in self.terms.items()) if v}
         return res
-
-    def drop_vars(self, names) -> "SparsePoly":
-        """Remove variables that appear with exponent 0 in every term."""
-        names = set(names)
-        keep = [i for i, v in enumerate(self.vars) if v not in names]
-        for e in self.terms:
-            for i, v in enumerate(self.vars):
-                if v in names and e[i]:
-                    raise ValueError(f"variable {v} occurs with positive exponent")
-        poly = SparsePoly(tuple(self.vars[i] for i in keep))
-        poly.terms = {tuple(e[i] for i in keep): c for e, c in self.terms.items()}
-        return poly
 
     def embed(self, variables) -> "SparsePoly":
         """View the polynomial inside a larger variable tuple."""

@@ -132,15 +132,12 @@ def a_power_coefficients(params: FamilyParams, i: int) -> dict[int, SparsePoly]:
     """
     if i < 0 or i > params.p - 1:
         raise IOutOfRange(f"i must lie in [0, {params.p - 1}], got {i}")
-    power = _a_powers(params)[params.p - i - 1]
-    table = {}
+    # the variables of a(x)^(p-i) are ("x",) + symbols: e[0] is the x-exponent
+    terms: dict[int, dict] = {}
+    for e, c in _a_powers(params)[params.p - i - 1].terms.items():
+        terms.setdefault(e[0], {})[e[1:]] = c
     syms = deformation_symbols(params)
-    for j, poly in power.strata("x").items():
-        table[j] = poly.drop_vars(("x",))
-        if table[j].vars != syms:
-            raise InvariantViolation(
-                f"a(x)^{params.p - i} coefficient of x^{j} is not a polynomial in {syms}"
-            )
+    table = {j: SparsePoly(syms, t) for j, t in terms.items()}
     # the support is the full contiguous range: every exponent between the
     # minimum and (p-i)*q is realized by some coefficient pattern
     lo, hi = a_power_min_exponent(params, i), (params.p - i) * params.q

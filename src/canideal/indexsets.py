@@ -271,7 +271,10 @@ def minimal_monomial(
     params: FamilyParams, point: MinkowskiPoint, tie_break: str = TIE_BREAK_DEFAULT
 ) -> Monomial:
     """The order-minimal degree-2 monomial of multidegree (2, rho, T)."""
-    return monomials_at(params, point, tie_break)[0]
+    got = monomial_classes(params, tie_break).get(point)
+    if got is None:
+        raise PointNotInMinkowskiSum(f"{point} is not in the Minkowski sum")
+    return got[0]
 
 
 @dataclass(frozen=True)

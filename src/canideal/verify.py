@@ -28,8 +28,10 @@ Gaussian elimination over a prime field F_r: r = p on the special fibre,
 and on the generic and relative fibres the largest prime r < 2^61 with
 r = 1 (mod p).  Elimination takes one row at a time: the row is reduced by
 the pivot row of its smallest column until that column has none, and then
-becomes the pivot row of that column.  `kernel_oracle` states why every
-passing report is exact.
+becomes the pivot row of that column; the oracle orders its columns so
+that each binomial is stored at once.  `kernel_oracle` states why every
+passing report is exact, and why its column orders and its span test, one
+matrix product and no kernel basis, leave every report as it was.
 """
 
 from __future__ import annotations
@@ -149,6 +151,8 @@ def kernel_basis(rows, ncols: int, r: int):
 
     Works on the transpose internally; kernel vectors come out as dicts
     indexed by row position, one per free column, in canonical order.
+    Nothing in the package calls it: the tests read it as a reference, and
+    `perfbench/spans.py` traces it.
     """
     transpose: list[dict] = [dict() for _ in range(ncols)]
     for ridx, row in enumerate(rows):
@@ -310,12 +314,21 @@ def kernel_oracle(
 
     Class rows.  The monomials and their multidegree classes are read from
     `indexsets.monomial_classes`, the table `monomials_at` reads.  The image
-    of a monomial depends only on its multidegree (`FibreContext.phi_image`),
-    so monomials of one class have equal rows: M = P * C, where C holds one
-    row per class and P maps each monomial to its class.  M and C, and phi(M)
-    and phi(C), have the same row space, so rank M = rank C and
-    kernel_dim = n - rank_r phi(C) for n monomials.  No rank and no count
-    depends on the order of the monomials.
+    of a monomial depends only on its multidegree, so monomials of one class
+    have equal rows: M = P * C, where C holds one row per class and P maps
+    each monomial to its class.  M and C, and phi(M) and phi(C), have the
+    same row space, so rank M = rank C and kernel_dim = n - rank_r phi(C)
+    for n monomials.
+
+    Column orders.  No rank changes under a column permutation, and
+    monomial_count and column_count are the sizes of sets, so the columns
+    are numbered for the elimination, which pivots each row at its smallest
+    column (`fraction_free_echelon`).  The columns of C are sorted by
+    descending x-degree k, then slot i.  The monomials, the columns of G,
+    keep the class order with each class listed minimum last: a default
+    binomial m - min then becomes the pivot row of its own column m without
+    a reduction step, and the trinomial rows, which touch class minima only,
+    are reduced against each other alone.
 
     One row per weight.  image(rho, T) = x^rho * image(0, T), so the entry
     of (rho, T) at column (i, k + rho) is the entry of (0, T) at (i, k).
@@ -352,14 +365,18 @@ def kernel_oracle(
     dividing a nonzero minor of M or G can therefore cause a retry or a
     failure, never a false pass.
 
-    Ranks only.  When G * M = 0 exactly, phi(G) * phi(M) = 0, so span phi(G)
-    lies in ker phi(M) and equals it exactly when rank_r phi(G) = kernel_dim:
-    that is kernel_in_span, with no kernel basis.  Only when G * M != 0 does
-    the oracle build a basis of ker phi(M) and test span phi(G) against it
-    by the rank of their union; a failing report is thus the same as with
-    the basis always built.  As M = P * C, ker phi(M) is spanned by a basis
-    of ker phi(C) (`kernel_basis`) lifted onto the class minima and by the
-    kernel of v -> v * P: e_m - e_min for every other monomial m of a class.
+    Span test.  kernel_in_span says that ker phi(M) lies in span phi(G).
+    For matrices A and B, v -> v * B maps the row space of A onto the row
+    space of A * B, with kernel the part of row space A inside ker B; so
+    that part has dimension rank A - rank A * B.  When rank A = dim ker B,
+    ker B lies in row space A exactly when A * B = 0.  Hence kernel_in_span
+    is rank_r phi(G) = kernel_dim and phi(G) * phi(M) = 0.  A passing report
+    has G * M = 0, hence phi(G) * phi(M) = 0, and needs the rank equality
+    alone.  Otherwise the product is computed from M = P * C: row g of
+    phi(G) * phi(M) is sum_c (sum_(m in c) g_m) * phi(C)_c, so each
+    generator row is summed per class (a binomial sums to zero) and the
+    sums multiply the class rows, up to the first nonzero entry.  The
+    oracle thus eliminates twice, C and G, and builds no kernel basis.
 
     Each fibre runs through its own context: the relative fibre uses the
     stored relative relation, over the same cyclotomic field as the generic
@@ -381,10 +398,11 @@ def kernel_oracle(
             weight_rows[T] = [entry for entry in row if entry[2]] if fibre == SPECIAL else row
     # image(rho, T) = x^rho * image(0, T): the row of (0, T) shifted by rho
     col_ids = {(i, k + rho) for rho, T in classes for i, k, _ in weight_rows[T]}
-    col_index = {key: idx for idx, key in enumerate(sorted(col_ids))}
+    col_index = {key: idx for idx, key in enumerate(sorted(col_ids, key=lambda key: (-key[1], key[0])))}
     class_rows = [{col_index[i, k + rho]: v for i, k, v in weight_rows[T] if v} for rho, T in classes]
 
-    monos = [m for group in classes.values() for m in group]
+    # each class's minimum last: the binomial m - min pivots at m with no reduction
+    monos = [m for group in classes.values() for m in reversed(group)]
     rank = matrix_rank(class_rows, r)
     kernel_dim = len(monos) - rank
     g = params.genus
@@ -411,15 +429,21 @@ def kernel_oracle(
         if row:
             gen_rows.append(row)
 
-    rank_g = matrix_rank(gen_rows, r)
-    kernel_in_span = rank_g == kernel_dim
+    kernel_in_span = matrix_rank(gen_rows, r) == kernel_dim
     if kernel_in_span and not gens_in_kernel:
-        # ker phi(C) lifted onto the class minima, and e_m - e_min within each class
-        groups = list(classes.values())
-        class_kernel = kernel_basis(class_rows, len(col_index), r)
-        basis = [{mono_index[groups[c][0]]: v for c, v in vec.items()} for vec in class_kernel]
-        basis += [{mono_index[m]: 1, mono_index[group[0]]: r - 1} for group in groups for m in group[1:]]
-        kernel_in_span = matrix_rank(gen_rows + basis, r) == rank_g
+        # phi(G) * phi(M) = 0, row by row: sum each row per class, then multiply by the class rows
+        class_of = [c for c, group in enumerate(classes.values()) for _ in group]
+        for row in gen_rows:
+            sums: dict[int, int] = {}
+            for idx, v in row.items():
+                sums[class_of[idx]] = sums.get(class_of[idx], 0) + v
+            product: dict[int, int] = {}
+            for c, s in sums.items():
+                for col, v in class_rows[c].items():
+                    product[col] = (product.get(col, 0) + s * v) % r
+            if any(product.values()):
+                kernel_in_span = False
+                break
 
     return OracleReport(
         fibre=fibre,

@@ -484,4 +484,5 @@ def test_embed_and_drop():
     small = SparsePoly(("a",), {(2,): 5})
     big = small.embed(("x", "a", "b"))
     assert big.terms == {(0, 2, 0): 5}
-    assert big.drop_vars(("x", "b")) == small
+    # substituting 0 for the added variables gives the polynomial back
+    assert big.specialize({"x": 0, "b": 0}) == small

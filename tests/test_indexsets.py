@@ -229,6 +229,8 @@ def test_minimal_monomial_examples():
     assert minimal_monomial(params, pt(1, 7)) == Monomial((IndexPair(1, 3), IndexPair(0, 4)))
     params3 = validate_params(3, 2, 1)
     assert minimal_monomial(params3, pt(4, 4)) == Monomial((IndexPair(2, 2), IndexPair(2, 2)))
+    with pytest.raises(PointNotInMinkowskiSum):
+        minimal_monomial(params, pt(40, 2))
 
 
 @pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (3, 2, 1)])

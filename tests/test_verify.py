@@ -121,9 +121,11 @@ def sparse_matrices(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(sparse_matrices())
-def test_kernel_random_consistency(case):
-    # rank against sympy's GF(r) rank, echelon shape, and the kernel basis
+@given(sparse_matrices(), st.data())
+def test_kernel_random_consistency(case, data):
+    # rank against sympy's GF(r) rank, echelon shape, and the kernel basis;
+    # then the oracle's span test on B = rows: for A of rank n - rank B,
+    # ker B lies in the row space of A exactly when A * B = 0
     rows, ncols, r = case
     before = [dict(row) for row in rows]
     dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
@@ -138,6 +140,24 @@ def test_kernel_random_consistency(case):
         for col in range(ncols):
             assert sum(val * rows[ridx].get(col, 0) for ridx, val in v.items()) % r == 0
     assert matrix_rank(basis, r) == len(basis)
+    # A: the kernel vectors, some moved off the kernel, plus scaled copies
+    a_rows = []
+    for v in basis:
+        v = dict(v)
+        if data.draw(st.booleans()):
+            j = data.draw(st.integers(0, len(rows) - 1))
+            v[j] = (v.get(j, 0) + data.draw(st.integers(1, r - 1))) % r
+        a_rows.append({c: x for c, x in v.items() if x})
+    for _ in range(data.draw(st.integers(0, 3))):
+        if a_rows:
+            src = a_rows[data.draw(st.integers(0, len(a_rows) - 1))]
+            a_rows.append({c: x * data.draw(st.integers(1, r - 1)) % r for c, x in src.items()})
+    if matrix_rank(a_rows, r) == len(basis):
+        product_is_zero = all(
+            sum(x * rows[j].get(col, 0) for j, x in v.items()) % r == 0 for v in a_rows for col in range(ncols)
+        )
+        kernel_in_span = matrix_rank(a_rows + basis, r) == len(basis)
+        assert kernel_in_span == product_is_zero
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -679,10 +699,12 @@ def _reference_oracle(params, fibre, spec, gens, tie_break, matrix_rank, kernel_
                 entries[i, e[0] + rho] = residue(val, r, lam)
                 col_ids.add((i, e[0] + rho))
         raw_rows.append(entries)
-    col_index = {key: idx for idx, key in enumerate(sorted(col_ids))}
+    # the oracle's orders: columns by descending x-degree, then slot, and
+    # each class's monomials with the minimum last
+    col_index = {key: idx for idx, key in enumerate(sorted(col_ids, key=lambda key: (-key[1], key[0])))}
     class_rows = [{col_index[k]: v for k, v in entries.items() if v} for entries in raw_rows]
     rank_inputs = [class_rows]
-    monos = [m for group in classes.values() for m in group]
+    monos = [m for group in classes.values() for m in reversed(group)]
     rank = matrix_rank(class_rows, r)
     g = params.genus
     expected = g * (g + 1) // 2 - 3 * (g - 1)
@@ -740,7 +762,7 @@ _REFERENCE_CASES = [
 )
 def test_oracle_matches_the_per_class_per_term_reference(monkeypatch, triple, fibre):
     # one residue row per weight and one specialized value per distinct
-    # coefficient give the report and every rank input of the per-class,
+    # coefficient give the report and both rank inputs of the per-class,
     # per-term build: default and another specialization, both tie-breaks,
     # the emitted family with its last generator corrupted, and off the
     # special fibre every symbol at r, where nonzero exact entries have
@@ -766,7 +788,6 @@ def test_oracle_matches_the_per_class_per_term_reference(monkeypatch, triple, fi
         return rank_once(rows, r)
 
     monkeypatch.setattr(verify, "matrix_rank", recorded)
-    monkeypatch.setattr(verify, "kernel_basis", basis_once)
     default = default_specialization(params)
     other = {s: 2 * v + 3 for s, v in default.items()}
     emitted = fibre_generators(params, fibre)
@@ -786,16 +807,36 @@ def test_oracle_matches_the_per_class_per_term_reference(monkeypatch, triple, fi
                 kernel_oracle(params, fibre, spec, gens=gens, tie_break=tie_break)
         else:
             assert kernel_oracle(params, fibre, spec, gens=gens, tie_break=tie_break) == want
-        assert len(seen) == len(want_inputs) and seen[:2] == want_inputs[:2], (spec, tie_break)
-        if len(seen) == 3:
-            # a failing report's union: the generator rows, then a basis of
-            # ker phi(M) from the class rows spanning what the reference's
-            # per-monomial basis spans
-            r = params.p if fibre == "special" else oracle_field(params.p)[0]
-            n_gen = len(want_inputs[1])
-            assert seen[2][:n_gen] == want_inputs[2][:n_gen]
-            got, ref = seen[2][n_gen:], want_inputs[2][n_gen:]
-            assert len(got) == len(ref) == rank_once(ref, r) == rank_once(got, r) == rank_once(got + ref, r)
+        # the oracle eliminates the class rows and the generator rows, and
+        # no union: a failing report's span is decided by phi(G) * phi(M),
+        # which the reference's per-monomial kernel basis checks
+        assert seen == want_inputs[:2], (spec, tie_break)
+
+
+@pytest.mark.parametrize("fibre", ["generic", "special", "relative"])
+@pytest.mark.parametrize("damage", ["intact", "corrupted"])
+def test_oracle_eliminates_twice_and_builds_no_kernel_basis(monkeypatch, fibre, damage):
+    # rank of the class rows, rank of the generator rows, and nothing more:
+    # a failing report whose generator rank equals the kernel dimension
+    # decides its span by phi(G) * phi(M), not by a kernel basis
+    params = validate_params(5, 2, 1)
+    gens = fibre_generators(params, fibre)
+    if damage == "corrupted":
+        gens = gens[:-1] + [corrupt_generator(gens[-1])]
+    ranks = []
+
+    def recorded(rows, r):
+        ranks.append(matrix_rank(rows, r))
+        return ranks[-1]
+
+    def no_basis(*args):
+        raise AssertionError("kernel_basis called")
+
+    monkeypatch.setattr(verify, "matrix_rank", recorded)
+    monkeypatch.setattr(verify, "kernel_basis", no_basis)
+    rep = kernel_oracle(params, fibre, gens=gens)
+    assert len(ranks) == 2 and ranks[1] == rep.kernel_dim
+    assert rep.passes == rep.generators_in_kernel == rep.kernel_in_span == (damage == "intact")
 
 
 def _oracle_dict(fibre, spec, monos, cols, rank, in_kernel, in_span):
