@@ -108,7 +108,7 @@ from .errors import (
 )
 from .exactalg import CycloElement, SparsePoly, reduce_mod_lambda
 from .family import FamilyParams, _a_powers, deformation_symbols, per_triple
-from .generators import ANY_FIBRE, GENERIC, RELATIVE, SPECIAL, GeneratorPoly, trinomial_slots
+from .generators import ANY_FIBRE, GENERIC, RELATIVE, SPECIAL, GeneratorPoly, relative_lambda_coefficient, trinomial_slots
 from .indexsets import monomial_multidegrees
 from .termorder import Monomial
 
@@ -438,9 +438,12 @@ def relation_consistency(params: FamilyParams) -> RelationReport:
     This is exact.  An identity in X holds exactly when it holds at every
     X^k.  At X^k both sides are a^k times the compared quotients, so the
     division by a^k is exact, and as R is a domain and a != 0,
-    a^k * L = a^k * R exactly when L = R.  (a) reads the relative table
-    only; (c) still reads the generic table, so a wrong generic slot fails
-    (c), and a wrong relative slot fails (a) and (c).
+    a^k * L = a^k * R exactly when L = R.  So lam^p != 0 cancels too: given
+    lam^p * c_k = binom(p, k) * lam^k for the relative slot table's c_k, (a)
+    holds if rel_0 = x^ell and rel_k = -c_k * a^(p-k) for 0 < k < p, and the
+    model is then the right side; only otherwise is that side built.  (a)
+    reads the relative table only; (c) still reads the generic table, so a
+    wrong generic slot fails (c), and a wrong relative slot fails (a) and (c).
     """
     p = params.p
     # lam^0..lam^p, lam^0 the int 1, which scales on the int fast path
@@ -449,28 +452,30 @@ def relation_consistency(params: FamilyParams) -> RelationReport:
     variables = ("x",) + deformation_symbols(params)
     a = (SparsePoly.constant(variables, 1),) + _a_powers(params)
 
-    # R_0..R_p from the relative relation
-    relative = _relation_rhs(params, RELATIVE)
-    target = [s.scale(-lam[p]) for s in relative] + [a[0].scale(lam[p])]
-
     # (a): the binomial theorem, coefficient by coefficient
     model = [SparsePoly.variable(variables, "x", params.ell, -lam[p])]
     model += [a[p - k].scale(lam[k] * math.comb(p, k)) for k in range(1, p + 1)]
-    check_a = model == target
+    relative = _relation_rhs(params, RELATIVE)
+    c = {k: relative_lambda_coefficient(params, k) for k in range(1, p)}
+    check_a = relative[0] == SparsePoly.variable(variables, "x", params.ell) and all(
+        lam[p] * c[k] == math.comb(p, k) * lam[k] and relative[k] == a[p - k].scale(-c[k]) for k in range(1, p)
+    )
+    target = model if check_a else [s.scale(-lam[p]) for s in relative] + [a[0].scale(lam[p])]
+    check_a = check_a or model == target
 
     # (b): coefficientwise reduction of the relative relation, slot by slot, both sides mod p
     mod_p = functools.partial(reduce_mod_lambda, p=p)
     special = _relation_rhs(params, SPECIAL)
     check_b = [s.map_coefficients(mod_p) for s in relative] == [s.map_coefficients(mod_p) for s in special]
 
-    # (c): the generic table under y = a*(lam*X + 1)
+    # (c): the generic table under y = a*(lam*X + 1); a^0 = 1 needs no product
     G = [-g for g in _relation_rhs(params, GENERIC)] + [a[0]]
     substituted = []
     for k in range(p + 1):
         acc = SparsePoly.zero(variables)
         for i in range(k, p + 1):
             if G[i]:
-                acc = acc + (G[i] * a[i - k]).scale(lam[k] * math.comb(i, k))
+                acc = acc + (G[i] * a[i - k] if i > k else G[i]).scale(lam[k] * math.comb(i, k))
         substituted.append(acc)
     check_c = substituted == target
 

@@ -205,8 +205,9 @@ def special_generators(
     return _trinomial_family(params, SPECIAL, anchors, tie_break)
 
 
+@per_triple
 def relative_lambda_coefficient(params: FamilyParams, i: int) -> CycloElement:
-    """lam^(i-p) * binom(p, i), computed by exact cyclotomic division.
+    """lam^(i-p) * binom(p, i), computed by exact cyclotomic division once per triple.
 
     Raises NonIntegralCoefficient if the division fails, which would mean the
     lam-adic congruences underlying the construction are wrong.

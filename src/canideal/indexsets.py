@@ -4,15 +4,15 @@ Everything is computed from the index set; the closed forms are only checked
 against it.  Sets are returned sorted: index pairs by (mu, N), Minkowski
 points by (T, rho).
 
-The counting layer works on run tables: weight T -> the sorted, disjoint,
-non-adjacent rho-intervals [lo, hi] at T.  The Minkowski sum's table cuts each
-row mu of the index set into runs of N, adds each run pair of rows mu <= mu'
-as [a + c, b + d] at T = mu + mu' and merges the intervals at each T.  This is
-exact because [a, b] + [c, d] = [a + c, b + d] over the integers and A + B is
-the union of the sums of its runs.  Closed forms, anchor sets and the counts
-of `check_counts` are interval arithmetic on these runs.  Points are
-materialised only for the point API, monomials only for the generators, the
-membership test's multidegree lookup and the kernel oracle.
+The counting layer works on run tables: weight -> sorted, disjoint,
+non-adjacent intervals [lo, hi].  Row mu of the index set is by definition
+one interval, floor(mu*ell/p) <= N <= mu*q - 2 (`_rows`).  The Minkowski
+sum's table adds each run pair of rows mu <= mu' as [a + c, b + d] at
+T = mu + mu' and merges the intervals at each T, as [a, b] + [c, d] =
+[a + c, b + d] over the integers.  Closed forms, anchor sets and the counts
+of `check_counts` are interval arithmetic on these tables, with no point
+built.  Points are expanded only for the point API, monomials only for the
+generators, the membership test's multidegree lookup and the kernel oracle.
 """
 
 from __future__ import annotations
@@ -37,13 +37,16 @@ class MinkowskiPoint(NamedTuple):
 
 
 @per_triple
+def _rows(params: FamilyParams) -> RunTable:
+    """mu -> ((floor(mu*ell/p), mu*q - 2),), 1 <= mu <= p-1: the index set's rows, empty ones left out."""
+    p, q, ell = params.p, params.q, params.ell
+    return {mu: ((mu * ell // p, mu * q - 2),) for mu in range(1, p) if mu * ell // p <= mu * q - 2}
+
+
+@per_triple
 def build_index_set(params: FamilyParams) -> tuple[IndexPair, ...]:
-    """All (N, mu) with 1 <= mu <= p-1 and floor(mu*ell/p) <= N <= mu*q - 2."""
-    return tuple(
-        IndexPair(N=N, mu=mu)
-        for mu in range(1, params.p)
-        for N in range((mu * params.ell) // params.p, mu * params.q - 1)
-    )
+    """All (N, mu) with 1 <= mu <= p-1 and floor(mu*ell/p) <= N <= mu*q - 2: the rows expanded."""
+    return _expand(_rows(params), IndexPair)
 
 
 def _merge(intervals) -> tuple[Run, ...]:
@@ -57,57 +60,55 @@ def _merge(intervals) -> tuple[Run, ...]:
     return tuple(out)
 
 
-def _intersect(xs: tuple[Run, ...], ys: tuple[Run, ...]) -> tuple[Run, ...]:
-    """The intersection of two run lists, again sorted, disjoint and non-adjacent."""
+def _intersect(xs: tuple[Run, ...], ys: tuple[Run, ...], lo: int = 0, hi: int = 0) -> tuple[Run, ...]:
+    """xs intersected with the runs [c, d] of ys shrunk to [c - lo, d - hi], lo <= hi:
+    again sorted, disjoint and non-adjacent, as the shrink only widens gaps."""
     out = []
     for a, b in xs:
         for c, d in ys:
-            lo, hi = (a if a > c else c), (b if b < d else d)
-            if lo <= hi:
-                out.append((lo, hi))
+            c, d = c - lo, d - hi
+            c, d = (a if a > c else c), (b if b < d else d)
+            if c <= d:
+                out.append((c, d))
     return tuple(out)
 
 
-def _size(runs: tuple[Run, ...]) -> int:
-    return sum(hi - lo + 1 for lo, hi in runs)
-
-
 def _total(table: RunTable) -> int:
-    return sum(map(_size, table.values()))
+    return sum(hi - lo + 1 for runs in table.values() for lo, hi in runs)
 
 
-def _row_runs(index_set) -> RunTable:
-    """mu -> the runs of the N values of row mu, rows by ascending mu."""
-    rows: dict[int, list[Run]] = {}
-    for f in index_set:
-        rows.setdefault(f.mu, []).append((f.N, f.N))
-    return {mu: _merge(rows[mu]) for mu in sorted(rows)}
+def _row_sums(rows: RunTable) -> RunTable:
+    """Run table of the pairwise sums of a row table (rows by ascending mu): each run
+    pair of rows mu <= mu' adds its sum at T = mu + mu', merged at each T."""
+    items = list(rows.items())
+    sums: dict[int, list[Run]] = {}
+    for k, (mu, runs) in enumerate(items):
+        for mu2, runs2 in items[k:]:
+            sums.setdefault(mu + mu2, []).extend((a + c, b + d) for a, b in runs for c, d in runs2)
+    return {T: _merge(sums[T]) for T in sorted(sums)}
 
 
 def minkowski_runs(index_set) -> RunTable:
     """Run table of the sum of index_set with itself (unordered pairs, repetition allowed).
 
     T -> the runs of {N + N' : (N, mu), (N', mu') in index_set, mu + mu' = T},
-    weights ascending: every run pair of the rows mu <= mu' adds its interval
-    sum at T = mu + mu', and the intervals at each T are merged.
+    weights ascending, from the rows of index_set cut into runs of N.
     """
-    rows = list(_row_runs(index_set).items())
-    sums: dict[int, list[Run]] = {}
-    for k, (mu, runs) in enumerate(rows):
-        for mu2, runs2 in rows[k:]:
-            sums.setdefault(mu + mu2, []).extend((a + c, b + d) for a, b in runs for c, d in runs2)
-    return {T: _merge(sums[T]) for T in sorted(sums)}
+    rows: dict[int, list[Run]] = {}
+    for f in index_set:
+        rows.setdefault(f.mu, []).append((f.N, f.N))
+    return _row_sums({mu: _merge(rows[mu]) for mu in sorted(rows)})
 
 
-def _expand(table: RunTable) -> tuple[MinkowskiPoint, ...]:
-    """The points of a run table with ascending weights, sorted by (T, rho)."""
-    return tuple(MinkowskiPoint(rho, T) for T, runs in table.items() for lo, hi in runs for rho in range(lo, hi + 1))
+def _expand(table: RunTable, point=MinkowskiPoint) -> tuple:
+    """The points point(x, weight) of a run table with ascending weights, sorted by (weight, x)."""
+    return tuple(point(x, w) for w, runs in table.items() for lo, hi in runs for x in range(lo, hi + 1))
 
 
 @per_triple
 def _runs(params: FamilyParams) -> RunTable:
-    """minkowski_runs of the triple's index set."""
-    return minkowski_runs(build_index_set(params))
+    """Run table of the triple's Minkowski sum, the pairwise sums of its rows."""
+    return _row_sums(_rows(params))
 
 
 @per_triple
@@ -162,6 +163,7 @@ def minkowski_sum_closed(params: FamilyParams) -> tuple[MinkowskiPoint, ...]:
     return minkowski_sum(params)
 
 
+@per_triple
 def anchor_set(params: FamilyParams, i: int) -> tuple[MinkowskiPoint, ...]:
     """Points (rho, T) whose shifted companions all stay inside the Minkowski sum.
 
@@ -171,19 +173,15 @@ def anchor_set(params: FamilyParams, i: int) -> tuple[MinkowskiPoint, ...]:
     """
     if i < 0 or i > params.p:
         raise IOutOfRange(f"i must lie in [0, {params.p}], got {i}")
-    return _anchor_set(params, i)
-
-
-@per_triple
-def _anchor_set(params: FamilyParams, i: int) -> tuple[MinkowskiPoint, ...]:
     return _expand(_anchor_runs(params)[i])
 
 
-def _meet(table: RunTable, others: RunTable) -> RunTable:
-    """At each weight of table, its runs intersected with those of others; empty weights left out."""
+def _meet(table: RunTable, others: RunTable, shift: int = 0, lo: int = 0, hi: int = 0) -> RunTable:
+    """At each weight T of table, the rho of its runs with [rho + lo, rho + hi] inside
+    the runs of others at T + shift (so in one run, as runs are non-adjacent); empty T left out."""
     out = {}
     for T, runs in table.items():
-        got = _intersect(runs, others.get(T, ()))
+        got = _intersect(runs, others.get(T + shift, ()), lo, hi)
         if got:
             out[T] = got
     return out
@@ -191,18 +189,12 @@ def _meet(table: RunTable, others: RunTable) -> RunTable:
 
 @per_triple
 def _anchor_runs(params: FamilyParams) -> tuple[RunTable, ...]:
-    """Run tables of the anchor sets i = 0..p: at each T the runs at T, those at
-    T + p shifted by -ell (the same for every i) and those at T + p - i shrunk
-    to [a - jlo, c - jhi] (the rho with [rho + jlo, rho + jhi] inside [a, c]), intersected."""
+    """Run tables of the anchor sets i = 0..p: the rho at T with rho + ell in the runs
+    at T + p (for every i) and [rho + jlo, rho + jhi] in those at T + p - i (jlo <= jhi)."""
     runs = _runs(params)
-    p, ell = params.p, params.ell
-    anchored = _meet(runs, {T - p: tuple((a - ell, c - ell) for a, c in rs) for T, rs in runs.items()})
-    tables = []
-    for i in range(p + 1):
-        jlo, jhi = a_power_min_exponent(params, i), (p - i) * params.q  # jlo <= jhi since q >= 1
-        covering = {T: tuple((a - jlo, c - jhi) for a, c in runs.get(T + p - i, ()) if c - a >= jhi - jlo) for T in anchored}
-        tables.append(_meet(anchored, covering))
-    return tuple(tables)
+    p, q, ell = params.p, params.q, params.ell
+    anchored = _meet(runs, runs, p, ell, ell)
+    return tuple(_meet(anchored, runs, p - i, a_power_min_exponent(params, i), (p - i) * q) for i in range(p + 1))
 
 
 def anchor_set_zero_closed(params: FamilyParams) -> tuple[MinkowskiPoint, ...]:
@@ -334,35 +326,37 @@ class CountReport:
 def check_counts(params: FamilyParams) -> CountReport:
     """Run every counting identity for one parameter triple on its run tables;
     failed identities become report entries, never exceptions."""
-    index_set = build_index_set(params)
+    rows = [hi - lo + 1 for ((lo, hi),) in _rows(params).values()]
     runs = _runs(params)
     b, closed, zero_closed, zero_repaired = _closed_forms(params)
     anchors = _anchor_runs(params)
     zero = anchors[0]
 
     g = params.genus
+    n = sum(rows)
     size = _total(runs)
-    outside = size - _total(zero)
+    anchor_sizes = tuple(map(_total, anchors))
+    outside = size - anchor_sizes[0]
     bound = 3 * (g - 1)
 
     tmax = 2 * (params.p - 1)
-    subadd = all(b[T + alpha] <= b[T] + alpha for T in range(2, tmax + 1) for alpha in range(0, tmax - T + 1))
+    # b(T + alpha) <= b(T) + alpha for all alpha >= 0 exactly when it holds at alpha = 1: steps telescope
+    subadd = all(b[T + 1] <= b[T] + 1 for T in range(2, tmax))
 
     # runs are canonical, so zero lies inside a exactly when it meets a in itself
-    contained = all(_meet(zero, a) == zero for a in anchors)
+    contained = all(_meet(zero, a) == zero for a in anchors[1:])
 
     # unordered pairs: |row|(|row|+1)/2 within a row, |row|*|row'| across two rows
-    rows = list(map(_size, _row_runs(index_set).values()))
-    pair_total = sum(n * (n + 1) // 2 for n in rows) + sum(m * n for m, n in combinations(rows, 2))
+    pair_total = sum(m * (m + 1) // 2 for m in rows) + sum(m * k for m, k in combinations(rows, 2))
 
     return CountReport(
         p=params.p,
         q=params.q,
         ell=params.ell,
         genus=g,
-        index_set_size=len(index_set),
+        index_set_size=n,
         minkowski_size=size,
-        anchor_sizes=tuple(map(_total, anchors)),
+        anchor_sizes=anchor_sizes,
         outside_zero=outside,
         bound=bound,
         minkowski_closed_matches=closed == runs,
@@ -373,6 +367,6 @@ def check_counts(params: FamilyParams) -> CountReport:
         counting_bound_equality=outside == bound,
         rho_bound_subadditive=subadd,
         anchor_zero_contained=contained,
-        index_set_size_equals_genus=len(index_set) == g,
+        index_set_size_equals_genus=n == g,
         degree2_total_matches=pair_total == g * (g + 1) // 2,
     )

@@ -1,9 +1,11 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import canideal.cli as cli
 import canideal.indexsets as indexsets
 from canideal.errors import MinkowskiClosedFormMismatch, PointNotInMinkowskiSum, TOutOfRange
 from canideal.family import validate_params
@@ -32,6 +34,40 @@ WIDE_SWEEP = [(p, q, ell) for p in (3, 5, 7, 11, 13) for q in range(1, 5) for el
 
 def pt(rho, T):
     return MinkowskiPoint(rho=rho, T=T)
+
+
+# the 720-triple grid of the CI sweep; every ell < p gives a valid triple
+GRID_720 = [(p, q, ell) for p in (3, 5, 7, 11, 13, 17, 19, 23) for q in range(1, 9) for ell in range(1, p)]
+
+
+def test_row_table_is_the_index_set_grouped_by_rows():
+    # the points of the definition, enumerated here, grouped into rows of N
+    for p, q, ell in GRID_720:
+        params = validate_params(p, q, ell)
+        points = [(N, mu) for mu in range(1, p) for N in range(mu * q) if (mu * ell) // p <= N <= mu * q - 2]
+        rows = {}
+        for N, mu in points:
+            rows.setdefault(mu, []).append(N)
+        assert all(Ns == list(range(Ns[0], Ns[-1] + 1)) for Ns in rows.values())
+        assert indexsets._rows(params) == {mu: ((Ns[0], Ns[-1]),) for mu, Ns in rows.items()}, (p, q, ell)
+        assert build_index_set(params) == tuple(IndexPair(N, mu) for N, mu in points)
+        assert len(build_index_set(params)) == params.genus
+
+
+def test_counting_builds_no_points(monkeypatch, capsys):
+    # check_counts and sweep read the row table alone: per-point work fails here
+    def no_points(*args):
+        raise AssertionError("the counting path built points")
+
+    monkeypatch.setattr(indexsets, "build_index_set", no_points)
+    monkeypatch.setattr(indexsets, "_expand", no_points)
+    grid = [(p, q, ell) for p in (3, 5, 7, 11) for q in range(1, 5) for ell in range(1, p)]
+    assert len(grid) == 88
+    assert all(check_counts(validate_params(*triple)).all_pass for triple in grid)
+    argv = ["sweep", "--p-set", "3,5,7,11", "--q-set", "1,2,3,4", "--format", "structured"]
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["rows"]) == 88 and doc["all_pass"] is True
 
 
 def test_index_set_321():
