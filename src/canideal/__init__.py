@@ -5,18 +5,14 @@ from .errors import CanidealError
 from .exactalg import (
     CycloElement,
     SparsePoly,
-    cyclotomic_min_poly,
     divide_by_lambda_power,
-    lambda_valuation,
     reduce_mod_lambda,
 )
 from .family import (
     FamilyParams,
-    a_polynomial,
     a_power_coefficients,
     a_power_min_exponent,
     deformation_symbols,
-    multinomial_coefficient_table,
     validate_params,
 )
 from .fibrealg import (
@@ -42,12 +38,9 @@ from .indexsets import (
     CountReport,
     MinkowskiPoint,
     anchor_set,
-    anchor_set_zero_closed,
-    anchor_set_zero_closed_repaired,
     build_index_set,
     check_counts,
     minimal_monomial,
-    minkowski_sum_closed,
     monomials_at,
     rho_lower_bound,
 )

@@ -41,10 +41,6 @@ class ZeroPolynomial(CanidealError):
     """The zero polynomial has no leading term."""
 
 
-class MinkowskiClosedFormMismatch(CanidealError):
-    """The closed-form Minkowski description disagrees with the enumeration."""
-
-
 class PointNotInMinkowskiSum(CanidealError):
     """Requested point lies outside the Minkowski sum."""
 

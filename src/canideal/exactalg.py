@@ -1,9 +1,10 @@
 """Exact arithmetic substrate.
 
 Provides the cyclotomic ring Z[zeta_p] = Z[lam] with ``lam = zeta_p - 1``,
-its lam-adic valuation and its residue field Z[lam]/lam = F_p, read as
-the ints mod p (`reduce_mod_lambda`), and sparse multivariate polynomials
-over the ints and Z[lam].  No floating point is used anywhere.
+exact division by powers of lam (`divide_by_lambda_power`) and the residue
+field Z[lam]/lam = F_p, read as the ints mod p (`reduce_mod_lambda`), and
+sparse multivariate polynomials over the ints and Z[lam].  No floating point
+is used anywhere.
 
 Cyclotomic elements have int coordinates only, and every operation stays in
 Z[lam]: exact division by lam is a divisibility test by p (p = -lam * S, see
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .errors import NonIntegralInput, NonPrimeP, NotDivisible
+from .errors import NonIntegralInput, NotDivisible
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -332,17 +333,6 @@ class CycloElement:
         return " + ".join(parts) if parts else "0"
 
 
-def cyclotomic_min_poly(p: int) -> "SparsePoly":
-    """Minimal polynomial of lam = zeta_p - 1: sum_{i=1}^{p} binom(p, i) lam^{i-1}.
-
-    Monic of degree p-1 with integer coefficients.
-    """
-    if not is_prime(p):
-        raise NonPrimeP(f"p = {p} is not prime")
-    terms = {(i - 1,): math.comb(p, i) for i in range(1, p + 1)}
-    return SparsePoly(("lam",), terms)
-
-
 def _divide_by_lambda(e: CycloElement) -> CycloElement | None:
     """e / lam, or None when the quotient is not in Z[lam].
 
@@ -356,16 +346,6 @@ def _divide_by_lambda(e: CycloElement) -> CycloElement | None:
     if any(c % p for c in es.coeffs):
         return None
     return CycloElement._integral(p, tuple(-(c // p) for c in es.coeffs))
-
-
-def lambda_valuation(e: CycloElement):
-    """Largest v with e = lam^v * e' and e' integral; math.inf for e = 0."""
-    if not e:
-        return math.inf
-    v = 0
-    while (e := _divide_by_lambda(e)) is not None:
-        v += 1
-    return v
 
 
 def divide_by_lambda_power(e: CycloElement, v: int) -> CycloElement:
@@ -484,10 +464,6 @@ class SparsePoly:
         e = [0] * len(variables)
         e[variables.index(name)] = exp
         return cls(variables, {tuple(e): c})
-
-    @classmethod
-    def monomial(cls, variables, exps, c) -> "SparsePoly":
-        return cls(variables, {tuple(exps): c})
 
     # -- ring operations ---------------------------------------------------
 

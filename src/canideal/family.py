@@ -93,11 +93,6 @@ def deformation_symbols(params: FamilyParams) -> tuple[str, ...]:
     return tuple(f"x{s}" for s in range(1, top + 1))
 
 
-def a_polynomial(params: FamilyParams) -> SparsePoly:
-    """a(x) over ("x",) + symbols with int coefficients (`_a_powers`)."""
-    return _a_powers(params)[0]
-
-
 def a_power_min_exponent(params: FamilyParams, i: int) -> int:
     """Smallest x-exponent appearing in a(x)^(p-i): 0 when ell == 1, p - i otherwise."""
     if i < 0 or i > params.p:
@@ -146,36 +141,3 @@ def a_power_coefficients(params: FamilyParams, i: int) -> dict[int, SparsePoly]:
             f"a(x)^{params.p - i} has x-exponents {sorted(table)}, not {lo}..{hi}"
         )
     return table
-
-
-def _weak_compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _weak_compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
-def multinomial_coefficient_table(params: FamilyParams, i: int) -> dict[int, SparsePoly]:
-    """Closed multinomial-sum form of the a(x)^(p-i) coefficient table.
-
-    Independent of a_power_coefficients: sums multinomial(p-i; t_0..t_S) over
-    exponent patterns with t_0 + ... + t_S = p - i and weight
-    sum_s t_s * (q - s) = j, where the coefficient slot s = 0 carries the
-    literal leading 1.  Used as a cross-check of the direct expansion.
-    """
-    if i < 0 or i > params.p - 1:
-        raise IOutOfRange(f"i must lie in [0, {params.p - 1}], got {i}")
-    n = params.p - i
-    syms = deformation_symbols(params)
-    nparts = len(syms) + 1  # slot 0 is the leading coefficient 1
-    table: dict[int, SparsePoly] = {}
-    for t in _weak_compositions(n, nparts):
-        j = sum(ts * (params.q - s) for s, ts in enumerate(t))
-        coeff = math.factorial(n)
-        for ts in t:
-            coeff //= math.factorial(ts)
-        mono = SparsePoly.monomial(syms, t[1:], coeff)
-        table[j] = table.get(j, SparsePoly.zero(syms)) + mono
-    return {j: poly for j, poly in table.items() if poly}

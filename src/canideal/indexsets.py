@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from itertools import combinations
 from typing import NamedTuple
 
-from .errors import IOutOfRange, MinkowskiClosedFormMismatch, PointNotInMinkowskiSum, TOutOfRange
+from .errors import IOutOfRange, PointNotInMinkowskiSum, TOutOfRange
 from .family import FamilyParams, a_power_min_exponent, per_triple
 from .termorder import TIE_BREAK_DEFAULT, IndexPair, Monomial, sort_monomials
 
@@ -88,18 +88,6 @@ def _row_sums(rows: RunTable) -> RunTable:
     return {T: _merge(sums[T]) for T in sorted(sums)}
 
 
-def minkowski_runs(index_set) -> RunTable:
-    """Run table of the sum of index_set with itself (unordered pairs, repetition allowed).
-
-    T -> the runs of {N + N' : (N, mu), (N', mu') in index_set, mu + mu' = T},
-    weights ascending, from the rows of index_set cut into runs of N.
-    """
-    rows: dict[int, list[Run]] = {}
-    for f in index_set:
-        rows.setdefault(f.mu, []).append((f.N, f.N))
-    return _row_sums({mu: _merge(rows[mu]) for mu in sorted(rows)})
-
-
 def _expand(table: RunTable, point=MinkowskiPoint) -> tuple:
     """The points point(x, weight) of a run table with ascending weights, sorted by (weight, x)."""
     return tuple(point(x, w) for w, runs in table.items() for lo, hi in runs for x in range(lo, hi + 1))
@@ -139,7 +127,12 @@ def rho_lower_bound(params: FamilyParams, T: int) -> int:
 
 def _closed_forms(params: FamilyParams) -> tuple[dict[int, int], RunTable, RunTable, RunTable]:
     """b(T) for 2 <= T <= 2(p-1), and the run tables of the closed forms of the
-    Minkowski sum and of anchor set 0, literal and repaired."""
+    Minkowski sum and of anchor set 0, literal and repaired.
+
+    The literal form b(T) <= rho <= T*q - 4 of anchor set 0 relies on
+    b(T + p) - ell = b(T), which fails for some ell > 1 (witness (5, 2, 4));
+    the repaired lower bound max(b(T), b(T+p) - ell, b(T+p) - j_min(0)) is exact.
+    """
     p, q, ell, jmin = params.p, params.q, params.ell, a_power_min_exponent(params, 0)
     b = {T: rho_lower_bound(params, T) for T in range(2, 2 * (p - 1) + 1)}
 
@@ -148,19 +141,6 @@ def _closed_forms(params: FamilyParams) -> tuple[dict[int, int], RunTable, RunTa
 
     zero, lower = range(2, p - 1), b.__getitem__
     return b, bands(b, lower), bands(zero, lower), bands(zero, lambda T: max(b[T], b[T + p] - ell, b[T + p] - jmin))
-
-
-def minkowski_sum_closed(params: FamilyParams) -> tuple[MinkowskiPoint, ...]:
-    """Closed form {2 <= T <= 2(p-1), b(T) <= rho <= T*q - 4}.
-
-    Always checked against the enumerated sum before returning.
-    """
-    if _closed_forms(params)[1] != _runs(params):
-        raise MinkowskiClosedFormMismatch(
-            f"closed-form Minkowski description disagrees with enumeration for "
-            f"(p,q,ell)=({params.p},{params.q},{params.ell})"
-        )
-    return minkowski_sum(params)
 
 
 @per_triple
@@ -195,27 +175,6 @@ def _anchor_runs(params: FamilyParams) -> tuple[RunTable, ...]:
     p, q, ell = params.p, params.q, params.ell
     anchored = _meet(runs, runs, p, ell, ell)
     return tuple(_meet(anchored, runs, p - i, a_power_min_exponent(params, i), (p - i) * q) for i in range(p + 1))
-
-
-def anchor_set_zero_closed(params: FamilyParams) -> tuple[MinkowskiPoint, ...]:
-    """Literal closed form of the i = 0 anchor set: b(T) <= rho <= T*q - 4, 2 <= T <= p - 2.
-
-    This simplified description relies on b(T + p) - ell = b(T), which fails
-    for some ell > 1 (witness: (p, q, ell) = (5, 2, 4), where the true anchor
-    set is {(2, 3)} but this form also lists (0, 2) and (1, 3)).  Use
-    anchor_set_zero_closed_repaired for the form that is exact everywhere.
-    """
-    return _expand(_closed_forms(params)[2])
-
-
-def anchor_set_zero_closed_repaired(params: FamilyParams) -> tuple[MinkowskiPoint, ...]:
-    """Exact closed form of the i = 0 anchor set.
-
-    Lower bound max(b(T), b(T+p) - ell, b(T+p) - j_min(0)): the shifted
-    companions (rho + ell, T + p) and (rho + j, T + p) must clear the
-    Minkowski lower bound at weight T + p, which cannot be simplified away.
-    """
-    return _expand(_closed_forms(params)[3])
 
 
 @per_triple

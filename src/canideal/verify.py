@@ -41,6 +41,7 @@ import time
 from dataclasses import dataclass, field, fields
 
 from .errors import (
+    CanidealError,
     DegenerateSpecialization,
     NonHomogeneous,
     NonIntegralCoefficient,
@@ -197,24 +198,12 @@ class CriterionReport:
     standard_monomial_count: int
     bound: int
     passes: bool
-    memberships: tuple[bool, ...] | None = None
 
     def to_dict(self) -> dict:
-        """The fields; memberships as a list, left out when None."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        if self.memberships is None:
-            del out["memberships"]
-        else:
-            out["memberships"] = list(self.memberships)
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def dimension_criterion(
-    params: FamilyParams,
-    gens,
-    label: str = "",
-    memberships=None,
-) -> CriterionReport:
+def dimension_criterion(params: FamilyParams, gens, label: str = "") -> CriterionReport:
     """Count degree-2 standard monomials of the leading-term ideal of `gens`.
 
     All generators have degree 2, so the degree-2 part of the leading-term
@@ -240,7 +229,6 @@ def dimension_criterion(
         standard_monomial_count=s,
         bound=bound,
         passes=s <= bound,
-        memberships=tuple(memberships) if memberships is not None else None,
     )
 
 
@@ -506,10 +494,6 @@ class Certificate:
     overall: str
     timings: dict = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return self.overall in ("PASS", "PASS-WITH-CAVEAT")
-
     def to_dict(self, include_timings: bool = False) -> dict:
         out = {
             "schema": "canideal.certificate/1",
@@ -558,7 +542,8 @@ def certify(
     certificate, never an exception; a specialization that does not assign
     integers to exactly the deformation symbols raises BadSpecialization,
     whether or not the oracles run; an unknown tie-break raises
-    UnknownTieBreak.
+    UnknownTieBreak; corrupt_one on a triple with no relative generator and
+    no binomial raises CanidealError, as the control would corrupt nothing.
     """
     term_key(tie_break)  # raises UnknownTieBreak
     if specialization is not None:
@@ -580,6 +565,11 @@ def certify(
         elif g1:
             corrupted = 0
             g1 = [corrupt_generator(g1[0])] + g1[1:]
+        else:
+            raise CanidealError(
+                f"nothing to corrupt: (p,q,ell)=({params.p},{params.q},{params.ell}) "
+                "has no relative generator and no binomial"
+            )
     mem_g1 = [check_membership(params, RELATIVE, g) for g in g1]
     mem_rel = [check_membership(params, RELATIVE, g) for g in rel]
     timings["membership"] = time.perf_counter() - t0
@@ -592,12 +582,7 @@ def certify(
         reduction_ok = False
         reduced = special_generators(params, anchors=anchor_set(params, 0), tie_break=tie_break)
     crit_special = dimension_criterion(params, g1 + reduced, label="special-fibre (lam-reduced generators)")
-    crit_relative = dimension_criterion(
-        params,
-        g1 + rel,
-        label="generic-fibre view of the relative generators",
-        memberships=mem_g1 + mem_rel,
-    )
+    crit_relative = dimension_criterion(params, g1 + rel, label="generic-fibre view of the relative generators")
     timings["criterion"] = time.perf_counter() - t0
 
     oracles: dict = {}
@@ -659,7 +644,7 @@ def certify(
         verdicts=verdicts,
         criteria={
             "special": crit_special.to_dict(),
-            "relative": crit_relative.to_dict(),
+            "relative": {**crit_relative.to_dict(), "memberships": mem_g1 + mem_rel},
         },
         oracles=oracles,
         specializations=spec_info,

@@ -215,6 +215,46 @@ def test_certify_corrupt_one(capsys):
     assert json.loads(out)["overall"] == "FAIL"
 
 
+@pytest.mark.parametrize("triple, expected", [((3, 2, 2), 2), ((5, 1, 3), 2), ((5, 1, 2), 1)])
+def test_corrupt_one_exits_2_when_there_is_nothing_to_corrupt(capsys, triple, expected):
+    # (3,2,2) and (5,1,3) have no relative generator and no binomial: the
+    # control would corrupt nothing, so it is a usage error, not a pass
+    p, q, ell = map(str, triple)
+    code, out, err = run(capsys, "certify", "-p", p, "-q", q, "-l", ell, "--corrupt-one")
+    assert code == expected
+    if expected == 2:
+        assert out == ""
+        assert f"(p,q,ell)=({p},{q},{ell})" in err
+        assert run(capsys, "certify", "-p", p, "-q", q, "-l", ell)[0] == 0
+    else:
+        assert json.loads(out)["overall"] == "FAIL"
+
+
+def test_corrupt_one_with_nothing_to_corrupt_exits_2_under_optimized_mode():
+    # python -O strips assert statements; the usage error is raised, not asserted
+    env = {**os.environ, "PYTHONPATH": str(Path(canideal.__file__).resolve().parents[1])}
+    argv = ["certify", "-p", "3", "-q", "2", "-l", "2", "--corrupt-one"]
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "canideal.cli", *argv], capture_output=True, env=env, timeout=300
+    )
+    assert done.returncode == 2
+    assert done.stdout == b""
+
+
+def test_readme_library_block_runs_and_its_numbers_hold():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(block, scope)
+    report, crit, oracle = scope["report"], scope["crit"], scope["oracle"]
+    assert scope["params"].genus == 16
+    assert (report.index_set_size, report.minkowski_size, report.anchor_sizes[0]) == (16, 49, 4)
+    assert report.outside_zero == report.bound == 45
+    assert crit.standard_monomial_count == 45
+    assert oracle.kernel_dim == 91 and oracle.span_matches_kernel
+    assert scope["cert"].overall == "PASS"
+
+
 def test_corrupt_one_fails_through_the_class_memo(capsys):
     # the relative trinomials of (5,3,2) share two shift classes; the
     # corrupted copy has its own key, so its verdict is computed, not reused

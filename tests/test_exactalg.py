@@ -6,33 +6,47 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from canideal.errors import NonIntegralInput, NonPrimeP, NotDivisible
+from canideal.errors import NonIntegralInput, NotDivisible
 from canideal.exactalg import (
     CycloElement,
     PrimeFieldElement,
     SparsePoly,
-    cyclotomic_min_poly,
     divide_by_lambda_power,
     is_prime,
     _content_groups,
-    lambda_valuation,
     reduce_mod_lambda,
 )
 
 
+def _min_poly(p):
+    """Coefficients of the minimal polynomial of lam = zeta_p - 1, lowest degree
+    first, from its definition: sum_(i=1..p) binom(p, i) lam^(i-1)."""
+    return [math.comb(p, i) for i in range(1, p + 1)]
+
+
+def _lam_valuation(e):
+    """v_lam(e) for e != 0, independent of the division code: (p) = (lam)^(p-1)
+    and N(lam) = +-p, so v_lam(e) = v_p(N(e)), the norm being the resultant of
+    the p-th cyclotomic polynomial with e as a polynomial in zeta."""
+    z = sympy.Symbol("z")
+    elt = sum(c * (z - 1) ** i for i, c in enumerate(e.coeffs))
+    norm = abs(int(sympy.resultant(sympy.cyclotomic_poly(e.p, z), elt, z)))
+    return sympy.multiplicity(e.p, norm)
+
+
+def _lam_satisfies(p, coeffs):
+    lam = CycloElement.lam(p)
+    return sum((c * lam**k for k, c in enumerate(coeffs)), CycloElement.zero(p)) == CycloElement.zero(p)
+
+
 def test_min_poly_p3():
-    poly = cyclotomic_min_poly(3)
-    assert poly.terms == {(2,): 1, (1,): 3, (0,): 3}
+    assert _min_poly(3) == [3, 3, 1]
+    assert _lam_satisfies(3, _min_poly(3))
 
 
 def test_min_poly_p5():
-    poly = cyclotomic_min_poly(5)
-    assert poly.terms == {(4,): 1, (3,): 5, (2,): 10, (1,): 10, (0,): 5}
-
-
-def test_min_poly_p2():
-    poly = cyclotomic_min_poly(2)
-    assert poly.terms == {(1,): 1, (0,): 2}
+    assert _min_poly(5) == [5, 10, 10, 5, 1]
+    assert _lam_satisfies(5, _min_poly(5))
 
 
 def test_is_prime_matches_sympy():
@@ -45,11 +59,6 @@ def test_is_prime_matches_sympy():
     for n in (3215031751, 3825123056546413051, 318665857834031151167461, 561):
         assert not is_prime(n)
     assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
-
-
-def test_min_poly_rejects_composite():
-    with pytest.raises(NonPrimeP):
-        cyclotomic_min_poly(4)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -146,23 +155,32 @@ def test_prime_field_laws():
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_valuation_of_p_is_p_minus_1(p):
     e = CycloElement.from_int(p, p)
-    v = lambda_valuation(e)
-    assert v == p - 1
-    # verified by exact division: the quotient re-multiplies back
-    q = divide_by_lambda_power(e, v)
-    assert q * CycloElement.lam(p) ** v == e
+    # lam^(p-1) divides p exactly, and the quotient re-multiplies back
+    q = divide_by_lambda_power(e, p - 1)
+    assert q * CycloElement.lam(p) ** (p - 1) == e
+    with pytest.raises(NotDivisible):
+        divide_by_lambda_power(e, p)
 
 
 def test_valuation_basics():
     p = 5
-    assert lambda_valuation(CycloElement.lam(p)) == 1
-    assert lambda_valuation(CycloElement.one(p)) == 0
-    assert lambda_valuation(CycloElement.zero(p)) == math.inf
+    lam = CycloElement.lam(p)
+    assert divide_by_lambda_power(lam, 1) == CycloElement.one(p)
+    with pytest.raises(NotDivisible):
+        divide_by_lambda_power(lam, 2)
+    assert divide_by_lambda_power(CycloElement.one(p), 0) == CycloElement.one(p)
+    with pytest.raises(NotDivisible):
+        divide_by_lambda_power(CycloElement.one(p), 1)
+    # 0 has infinite valuation: every power of lam divides it
+    assert divide_by_lambda_power(CycloElement.zero(p), 3 * p) == CycloElement.zero(p)
 
 
 def test_valuation_of_binomial_coefficient():
     # binom(5, 2) = 10 = 2 * 5 and 2 is a unit
-    assert lambda_valuation(CycloElement.from_int(5, 10)) == 4
+    e = CycloElement.from_int(5, 10)
+    assert divide_by_lambda_power(e, 4) * CycloElement.lam(5) ** 4 == e
+    with pytest.raises(NotDivisible):
+        divide_by_lambda_power(e, 5)
 
 
 def test_divide_examples():
@@ -187,7 +205,7 @@ def test_integer_lambda_division_is_exact_and_maximal(p):
         if not base:
             continue
         e = base * lam ** rng.randint(0, 2 * p)
-        v = lambda_valuation(e)
+        v = _lam_valuation(e)
         for k in range(v + 1):
             assert divide_by_lambda_power(e, k) * lam**k == e
         # Z[lam]/(lam) = F_p: lam divides an element exactly when its residue is 0
@@ -203,7 +221,7 @@ def test_lambda_division_rejects_non_integral_input(p):
         CycloElement(p, (Fraction(1, 2),) + (0,) * (p - 2))
     for k in range(1, p):
         e = CycloElement.from_int(p, k) * CycloElement.lam(p)
-        assert lambda_valuation(e) == 1
+        assert divide_by_lambda_power(e, 1) == CycloElement.from_int(p, k)
         with pytest.raises(NotDivisible):
             divide_by_lambda_power(e, 2)
 

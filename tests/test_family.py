@@ -1,3 +1,5 @@
+import math
+
 import pytest
 import sympy
 
@@ -6,9 +8,7 @@ from canideal.exactalg import SparsePoly
 from canideal.family import (
     a_power_coefficients,
     a_power_min_exponent,
-    a_polynomial,
     deformation_symbols,
-    multinomial_coefficient_table,
     validate_p_q,
     validate_params,
 )
@@ -179,6 +179,39 @@ def test_a_power_tables_match_sympy(triple):
             assert _to_sympy(poly, names) == reference[j]
 
 
+def _weak_compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _weak_compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def multinomial_coefficient_table(params, i: int) -> dict[int, SparsePoly]:
+    """Closed multinomial-sum form of the a(x)^(p-i) coefficient table.
+
+    Independent of a_power_coefficients: sums multinomial(p-i; t_0..t_S) over
+    exponent patterns with t_0 + ... + t_S = p - i and weight
+    sum_s t_s * (q - s) = j, where the coefficient slot s = 0 carries the
+    literal leading 1.  Used as a cross-check of the direct expansion.
+    """
+    if i < 0 or i > params.p - 1:
+        raise IOutOfRange(f"i must lie in [0, {params.p - 1}], got {i}")
+    n = params.p - i
+    syms = deformation_symbols(params)
+    nparts = len(syms) + 1  # slot 0 is the leading coefficient 1
+    table: dict[int, SparsePoly] = {}
+    for t in _weak_compositions(n, nparts):
+        j = sum(ts * (params.q - s) for s, ts in enumerate(t))
+        coeff = math.factorial(n)
+        for ts in t:
+            coeff //= math.factorial(ts)
+        mono = SparsePoly(syms, {t[1:]: coeff})
+        table[j] = table.get(j, SparsePoly.zero(syms)) + mono
+    return {j: poly for j, poly in table.items() if poly}
+
+
 @pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (3, 2, 1), (7, 2, 4)])
 def test_multinomial_formula_matches_expansion(triple):
     params = validate_params(*triple)
@@ -190,7 +223,10 @@ def test_multinomial_formula_matches_expansion(triple):
 def test_power_tables_satisfy_recurrence(triple):
     params = validate_params(*triple)
     variables = ("x",) + deformation_symbols(params)
-    a = a_polynomial(params)
+    # a(x) by its definition: monic of degree q, the symbol x_s at x^(q-s)
+    a = SparsePoly.variable(variables, "x", params.q)
+    for s, name in enumerate(deformation_symbols(params), 1):
+        a = a + SparsePoly.variable(variables, "x", params.q - s) * SparsePoly.variable(variables, name)
 
     def full(i):
         poly = SparsePoly.zero(variables)

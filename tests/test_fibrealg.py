@@ -12,7 +12,7 @@ from canideal.errors import (
     WrongDegree,
 )
 from canideal.exactalg import CycloElement, SparsePoly
-from canideal.family import a_polynomial, deformation_symbols, validate_params
+from canideal.family import deformation_symbols, validate_params
 from canideal.exactalg import reduce_mod_lambda
 from canideal.fibrealg import (
     FibreContext,
@@ -42,10 +42,20 @@ def _read(ctx, poly):
     return poly
 
 
+def _a_polynomial(params):
+    """a(x) over ("x",) + symbols by its definition: monic of degree q, the
+    symbol x_s the coefficient of x^(q-s)."""
+    variables = ("x",) + deformation_symbols(params)
+    a = SparsePoly.variable(variables, "x", params.q)
+    for s, name in enumerate(deformation_symbols(params), 1):
+        a = a + SparsePoly.variable(variables, "x", params.q - s) * SparsePoly.variable(variables, name)
+    return a
+
+
 def _a_power(params, ctx, k):
     """a(x)^k over the context's ring, built from a(x) itself (its residues
     mod p on the special fibre)."""
-    a = a_polynomial(params)
+    a = _a_polynomial(params)
     if ctx.specialization is not None:
         a = a.specialize(ctx.specialization)
     return _read(ctx, (a**k).map_coefficients(lambda n: n * ctx.one))
@@ -255,7 +265,7 @@ def _x_expansion_model(params):
     expanded over ("x", "X") + symbols."""
     p = params.p
     variables = ("x", "X") + deformation_symbols(params)
-    a = a_polynomial(params).embed(variables)
+    a = _a_polynomial(params).embed(variables)
     a_p = a**p
     lam = CycloElement.lam(p)
     lhs = SparsePoly.zero(variables)

@@ -7,19 +7,16 @@ from hypothesis import strategies as st
 
 import canideal.cli as cli
 import canideal.indexsets as indexsets
-from canideal.errors import MinkowskiClosedFormMismatch, PointNotInMinkowskiSum, TOutOfRange
+from canideal.errors import PointNotInMinkowskiSum, TOutOfRange
 from canideal.family import validate_params
 from canideal.indexsets import (
     CountReport,
     MinkowskiPoint,
     anchor_set,
-    anchor_set_zero_closed,
-    anchor_set_zero_closed_repaired,
     build_index_set,
     check_counts,
     minimal_monomial,
     minkowski_sum,
-    minkowski_sum_closed,
     monomial_classes,
     monomial_multidegrees,
     monomials_at,
@@ -34,6 +31,12 @@ WIDE_SWEEP = [(p, q, ell) for p in (3, 5, 7, 11, 13) for q in range(1, 5) for el
 
 def pt(rho, T):
     return MinkowskiPoint(rho=rho, T=T)
+
+
+def closed_form(params, k):
+    """The points of closed form k of `indexsets._closed_forms`: 1 the Minkowski
+    sum, 2 and 3 anchor set 0, literal and repaired."""
+    return indexsets._expand(indexsets._closed_forms(params)[k])
 
 
 # the 720-triple grid of the CI sweep; every ell < p gives a valid triple
@@ -117,7 +120,7 @@ def test_minkowski_count_521(pairwise_sum):
 
 
 def test_minkowski_empty(pairwise_sum):
-    assert pairwise_sum(()) == () == indexsets._expand(indexsets.minkowski_runs(()))
+    assert pairwise_sum(()) == () == indexsets._expand(indexsets._row_sums({}))
 
 
 def test_rho_lower_bound_ell_one():
@@ -143,22 +146,20 @@ def test_minkowski_closed_mismatch_is_reported(monkeypatch):
     real = indexsets.rho_lower_bound
     monkeypatch.setattr(indexsets, "rho_lower_bound", lambda params, T: real(params, T) + 1)
     params = validate_params(5, 2, 3)
-    with pytest.raises(MinkowskiClosedFormMismatch):
-        minkowski_sum_closed(params)
     report = check_counts(params)
-    assert not report.minkowski_closed_matches
+    assert report.minkowski_closed_matches is False
     assert not report.all_pass
 
 
 @pytest.mark.parametrize("triple", SWEEP)
 def test_minkowski_closed_equals_brute(triple, pairwise_sum):
     params = validate_params(*triple)
-    assert minkowski_sum_closed(params) == pairwise_sum(build_index_set(params))
+    assert closed_form(params, 1) == pairwise_sum(build_index_set(params))
 
 
 def test_minkowski_per_weight_sizes_523():
     params = validate_params(5, 2, 3)
-    got = minkowski_sum_closed(params)
+    got = closed_form(params, 1)
     assert len(got) == 36
     sizes = {T: sum(1 for m in got if m.T == T) for T in range(2, 9)}
     assert [sizes[T] for T in range(2, 9)] == [1, 2, 4, 5, 7, 8, 9]
@@ -195,14 +196,14 @@ def test_anchor_zero_closed_forms():
     params = validate_params(5, 2, 4)
     brute = anchor_set(params, 0)
     assert brute == (pt(2, 3),)
-    assert anchor_set_zero_closed(params) == (pt(0, 2), pt(1, 3), pt(2, 3))
-    assert anchor_set_zero_closed_repaired(params) == brute
+    assert closed_form(params, 2) == (pt(0, 2), pt(1, 3), pt(2, 3))
+    assert closed_form(params, 3) == brute
 
 
 @pytest.mark.parametrize("triple", SWEEP)
 def test_anchor_zero_repaired_matches_on_sweep(triple):
     params = validate_params(*triple)
-    assert anchor_set_zero_closed_repaired(params) == anchor_set(params, 0)
+    assert closed_form(params, 3) == anchor_set(params, 0)
 
 
 LITERAL_CLOSED_FORM_FAILURES = {
@@ -222,7 +223,7 @@ def test_literal_closed_form_failure_set_is_pinned():
     failures = {
         triple
         for triple in SWEEP
-        if anchor_set_zero_closed(validate_params(*triple)) != anchor_set(validate_params(*triple), 0)
+        if closed_form(validate_params(*triple), 2) != anchor_set(validate_params(*triple), 0)
     }
     assert failures == LITERAL_CLOSED_FORM_FAILURES
 
@@ -310,14 +311,22 @@ def _covered(runs):
 @example(index_set=[IndexPair(5, 4), IndexPair(0, 1), IndexPair(2, 4), IndexPair(1, 1), IndexPair(3, 2)])
 def test_pair_counts_match_a_double_loop(index_set):
     naive = _naive_pair_counts(index_set)
-    table = indexsets.minkowski_runs(index_set)
+    # the row table of index_set: rows by ascending mu, each row's N cut into
+    # maximal runs of consecutive values
+    rows = {}
+    for f in sorted(index_set, key=lambda f: (f.mu, f.N)):
+        runs = rows.setdefault(f.mu, [])
+        if runs and runs[-1][1] + 1 == f.N:
+            runs[-1] = (runs[-1][0], f.N)
+        else:
+            runs.append((f.N, f.N))
+    table = indexsets._row_sums({mu: tuple(runs) for mu, runs in rows.items()})
     assert list(table) == sorted({T for T, _ in naive})
     for T, runs in table.items():
         assert _canonical(runs)
         assert _covered(runs) == {rho for T2, rho in naive if T2 == T}
     want = tuple(sorted((pt(rho, T) for T, rho in naive), key=lambda m: (m.T, m.rho)))
     assert indexsets._expand(table) == want
-    assert indexsets._expand(indexsets.minkowski_runs(tuple(index_set))) == want
 
 
 intervals = st.lists(

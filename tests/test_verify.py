@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import math
 import random
 import weakref
 
@@ -21,7 +22,7 @@ from canideal.errors import (
     WrongDegree,
     WrongFibre,
 )
-from canideal.exactalg import CycloElement, SparsePoly, cyclotomic_min_poly
+from canideal.exactalg import CycloElement, SparsePoly
 from canideal.family import deformation_symbols, validate_params
 from canideal.fibrealg import FibreContext, fibre_context
 from canideal.generators import (
@@ -166,8 +167,8 @@ def test_kernel_random_consistency(case, data):
 def test_oracle_field_is_a_ring_map(p, data):
     r, lam = oracle_field(p)
     assert sympy.isprime(r) and r % p == 1 and r < 2**61
-    min_poly = cyclotomic_min_poly(p)
-    assert sum(c * pow(lam, e[0], r) for e, c in min_poly.terms.items()) % r == 0
+    # lam is a root mod r of its minimal polynomial sum_(i=1..p) binom(p, i) lam^(i-1)
+    assert sum(math.comb(p, i) * pow(lam, i - 1, r) for i in range(1, p + 1)) % r == 0
     ints = st.lists(st.integers(-(10**30), 10**30), min_size=p - 1, max_size=p - 1)
     a = CycloElement(p, data.draw(ints))
     b = CycloElement(p, data.draw(ints))
@@ -968,7 +969,6 @@ def test_certify_321_caveat():
     cert = certify(validate_params(3, 2, 1))
     assert cert.overall == "PASS-WITH-CAVEAT"
     assert any("trigonal" in c for c in cert.caveats)
-    assert cert.passed
 
 
 def test_certify_corrupt_fails():
@@ -976,7 +976,6 @@ def test_certify_corrupt_fails():
     assert cert.overall == "FAIL"
     assert not cert.verdicts["membership_relative"]
     assert not cert.verdicts["reduction_compatibility"]
-    assert not cert.passed
 
 
 @pytest.mark.parametrize("triple", [(3, 2, 2), (3, 1, 1), (5, 1, 4), (3, 2, 1)])
@@ -996,7 +995,7 @@ def test_unknown_tie_break_is_rejected(triple):
 def test_derived_data_is_freed_with_its_params():
     params = validate_params(3, 2, 1)
     check_counts(params)
-    assert certify(params, oracle=True).passed
+    assert certify(params, oracle=True).overall == "PASS-WITH-CAVEAT"
     # the memo is not a field: equality and hash are those of a fresh triple
     fresh = validate_params(3, 2, 1)
     assert params == fresh and hash(params) == hash(fresh)
