@@ -298,18 +298,31 @@ class FibreContext:
         touches the function field); the rest is `combination_vanishes`.
         Raises WrongFibre, NonHomogeneous or VariableOutsideIndexSet for a
         generator tagged with another fibre, not homogeneous of degree 2, or
-        with a variable outside the index set.
+        with a variable outside the index set, checked in that order.
+
+        Each term is looked up in the multidegree table, which holds exactly
+        the degree-2 monomials in the basis variables, so a hit proves the
+        term has degree 2 and no separate homogeneity scan runs.  The first
+        miss decides the error as that scan would: NonHomogeneous unless
+        every term has degree 2, else `multidegree_of` raises.  No term
+        misses in an empty generator, which is not homogeneous of degree 2.
         """
         if gen.fibre not in (self.fibre, ANY_FIBRE):
             raise WrongFibre(f"generator tagged {gen.fibre!r} checked on {self.fibre!r}")
-        if not gen.is_homogeneous_degree2():
-            raise NonHomogeneous("membership requires homogeneous degree-2 generators")
+        table = self._multidegrees
         sums: dict = {}
         for coeff, mono in gen.terms:
-            md = self.multidegree_of(mono)
+            md = table.get(mono)
+            if md is None:
+                if gen.is_homogeneous_degree2():
+                    self.multidegree_of(mono)  # raises VariableOutsideIndexSet
+                break
             cur = sums.get(md)
             sums[md] = coeff if cur is None else cur + coeff
-        return self.combination_vanishes({md: c for md, c in sums.items() if c})
+        else:
+            if sums:
+                return self.combination_vanishes({md: c for md, c in sums.items() if c})
+        raise NonHomogeneous("membership requires homogeneous degree-2 generators")
 
     def combination_vanishes(self, coeffs: dict[tuple[int, int], SparsePoly]) -> bool:
         """Is sum_(rho,T) c_(rho,T) * image(rho, T) zero?
@@ -444,6 +457,15 @@ def relation_consistency(params: FamilyParams) -> RelationReport:
     model is then the right side; only otherwise is that side built.  (a)
     reads the relative table only; (c) still reads the generic table, so a
     wrong generic slot fails (c), and a wrong relative slot fails (a) and (c).
+
+    (c) needs no substitution when (a) holds and the generic table's middle
+    slots g_1..g_(p-1) are zero, as the generic layout makes them: then
+    G_i = 0 for 0 < i < p and G_p = 1, so the X^k quotient of the
+    substitution is binom(p, k) * lam^k * a^(p-k) for k >= 1, the model's
+    own, and G_0 + a^p = a^p - g_0 at k = 0.  As (a) makes the model the
+    right side, (c) is then a^p - g_0 == -lam^p * x^ell, the model's X^0
+    slot.  The model's other slots and the substitution are built only
+    otherwise.
     """
     p = params.p
     # lam^0..lam^p, lam^0 the int 1, which scales on the int fast path
@@ -451,33 +473,41 @@ def relation_consistency(params: FamilyParams) -> RelationReport:
     # a^0..a^p with int coefficients, the powers the fibre contexts use
     variables = ("x",) + deformation_symbols(params)
     a = (SparsePoly.constant(variables, 1),) + _a_powers(params)
+    x_ell = SparsePoly.variable(variables, "x", params.ell)
 
-    # (a): the binomial theorem, coefficient by coefficient
-    model = [SparsePoly.variable(variables, "x", params.ell, -lam[p])]
-    model += [a[p - k].scale(lam[k] * math.comb(p, k)) for k in range(1, p + 1)]
+    # (a): rel_0 = x^ell and rel_k = -c_k * a^(p-k), with lam^p * c_k = binom(p, k) * lam^k
     relative = _relation_rhs(params, RELATIVE)
     c = {k: relative_lambda_coefficient(params, k) for k in range(1, p)}
-    check_a = relative[0] == SparsePoly.variable(variables, "x", params.ell) and all(
+    check_a = relative[0] == x_ell and all(
         lam[p] * c[k] == math.comb(p, k) * lam[k] and relative[k] == a[p - k].scale(-c[k]) for k in range(1, p)
     )
-    target = model if check_a else [s.scale(-lam[p]) for s in relative] + [a[0].scale(lam[p])]
-    check_a = check_a or model == target
 
     # (b): coefficientwise reduction of the relative relation, slot by slot, both sides mod p
     mod_p = functools.partial(reduce_mod_lambda, p=p)
     special = _relation_rhs(params, SPECIAL)
     check_b = [s.map_coefficients(mod_p) for s in relative] == [s.map_coefficients(mod_p) for s in special]
 
-    # (c): the generic table under y = a*(lam*X + 1); a^0 = 1 needs no product
-    G = [-g for g in _relation_rhs(params, GENERIC)] + [a[0]]
-    substituted = []
-    for k in range(p + 1):
-        acc = SparsePoly.zero(variables)
-        for i in range(k, p + 1):
-            if G[i]:
-                acc = acc + (G[i] * a[i - k] if i > k else G[i]).scale(lam[k] * math.comb(i, k))
-        substituted.append(acc)
-    check_c = substituted == target
+    generic = _relation_rhs(params, GENERIC)
+    model_0 = x_ell.scale(-lam[p])
+    if check_a and not any(generic[1:]):
+        # (c) at X^0: the model's slots k >= 1 are the substitution's own
+        check_c = a[p] - generic[0] == model_0
+    else:
+        # (a): the binomial theorem, coefficient by coefficient
+        model = [model_0] + [a[p - k].scale(lam[k] * math.comb(p, k)) for k in range(1, p + 1)]
+        target = model if check_a else [s.scale(-lam[p]) for s in relative] + [a[0].scale(lam[p])]
+        check_a = check_a or model == target
+
+        # (c): the generic table under y = a*(lam*X + 1); a^0 = 1 needs no product
+        G = [-g for g in generic] + [a[0]]
+        substituted = []
+        for k in range(p + 1):
+            acc = SparsePoly.zero(variables)
+            for i in range(k, p + 1):
+                if G[i]:
+                    acc = acc + (G[i] * a[i - k] if i > k else G[i]).scale(lam[k] * math.comb(i, k))
+            substituted.append(acc)
+        check_c = substituted == target
 
     return RelationReport(
         kummer_form_matches_relative=check_a,

@@ -181,13 +181,16 @@ def _anchor_runs(params: FamilyParams) -> tuple[RunTable, ...]:
 def monomial_multidegrees(params: FamilyParams) -> dict[Monomial, tuple[int, int]]:
     """Every degree-2 monomial in the basis variables -> its (rho, T).
 
-    One entry per index pair i <= j, walking the index set in order, so the
-    table lists each class's monomials in the order of their first pair;
+    One entry per index pair a <= b, walking the index set in (mu, N) order,
+    so each pair is already a monomial's sorted factors and no entry is
+    sorted again (`Monomial._presorted`).  The table lists each class's
+    monomials in ascending (mu, N) of their smaller factor a;
     `monomial_classes` groups it and `FibreContext.multidegree_of` reads it.
     """
     index_set = build_index_set(params)
+    presorted = Monomial._presorted
     return {
-        Monomial((a, b)): (a.N + b.N, a.mu + b.mu)
+        presorted((a, b)): (a.N + b.N, a.mu + b.mu)
         for i, a in enumerate(index_set)
         for b in index_set[i:]
     }
@@ -197,14 +200,24 @@ def monomial_multidegrees(params: FamilyParams) -> dict[Monomial, tuple[int, int
 def monomial_classes(params: FamilyParams, tie_break: str) -> dict[tuple[int, int], tuple[Monomial, ...]]:
     """Every degree-2 monomial, grouped by (rho, T), each class sorted ascending.
 
-    Classes appear in the order of their first index pair i <= j, walking
+    Classes appear in the order of their first index pair a <= b, walking
     the index set in order (`monomial_multidegrees`, whose monomials the
     classes hold); `monomials_at` and `verify.kernel_oracle` read this one
     table.
+
+    The default class order is the walk's, reversed, with no sort.  In a
+    class (rho, T) the smaller factor a fixes the monomial, as b is
+    (rho - a.N, T - a.mu), and the walk lists the class in ascending (mu, N)
+    of a.  The default term key of a*b is (2, -T, rho, v) with
+    v = ((-a.mu, -a.N), (-b.mu, -b.N)), so inside the class it ascends as a
+    descends.  The alt tie-break reads v by (N, mu), which no walk gives for
+    free, so its classes are sorted (`sort_monomials`).
     """
     classes: dict[tuple[int, int], list[Monomial]] = {}
     for mono, point in monomial_multidegrees(params).items():
         classes.setdefault(point, []).append(mono)
+    if tie_break == TIE_BREAK_DEFAULT:
+        return {point: tuple(reversed(monos)) for point, monos in classes.items()}
     return {point: tuple(sort_monomials(monos, tie_break)) for point, monos in classes.items()}
 
 

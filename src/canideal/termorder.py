@@ -17,8 +17,11 @@ keys sorted ascending with every component negated), so sorting, comparing
 and taking a maximum are plain tuple comparisons.
 
 A degree-2 monomial of class (rho, T) has key (2, -T, rho, v), so distinct
-classes compare by (T, rho) alone and v orders one class: `monomial_classes`
-sorts each class once, and the generators are built in order, not sorted.
+classes compare by (T, rho) alone and v orders one class.  The index-set
+walk lists a class in ascending (mu, N) of the smaller factor, and the
+default v ascends as that factor descends, so `monomial_classes` reads each
+default class as the walk order reversed, with no sort; the alt tie-break
+sorts each class once.  The generators are built in order, not sorted.
 """
 
 from __future__ import annotations
@@ -50,6 +53,11 @@ class Monomial(tuple):
 
     def __new__(cls, factors):
         return super().__new__(cls, sorted(factors, key=lambda f: (f.mu, f.N)))
+
+    @classmethod
+    def _presorted(cls, factors) -> "Monomial":
+        """A monomial from factors already sorted by (mu, N), with no sort."""
+        return tuple.__new__(cls, factors)
 
     def __repr__(self):
         return format_monomial(self) or "1"

@@ -461,16 +461,25 @@ def kernel_oracle_with_retry(
     first, then randomized small integers after each degeneracy.
 
     Returns (report_or_None, list of attempted specializations).
+
+    The oracle on the fibre's own family is a function of (params, fibre,
+    specialization, tie_break), so a specialization already tried, which
+    was degenerate, is recorded again and not rerun; the draws are the
+    same, so the list is too.  On a triple with no deformation symbols
+    every attempt is {}, and the oracle runs once.
     """
     syms = deformation_symbols(params)
     tried = []
     spec = dict(specialization) if specialization is not None else default_specialization(params)
     for _ in range(ORACLE_ATTEMPTS):
+        fresh = spec not in tried
         tried.append(dict(spec))
-        try:
-            return kernel_oracle(params, fibre, spec, tie_break=tie_break), tried
-        except DegenerateSpecialization:
-            spec = {s: rng.randint(1, max(9, params.p)) for s in syms}
+        if fresh:
+            try:
+                return kernel_oracle(params, fibre, spec, tie_break=tie_break), tried
+            except DegenerateSpecialization:
+                pass
+        spec = {s: rng.randint(1, max(9, params.p)) for s in syms}
     return None, tried
 
 

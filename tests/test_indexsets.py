@@ -22,7 +22,7 @@ from canideal.indexsets import (
     monomials_at,
     rho_lower_bound,
 )
-from canideal.termorder import TIE_BREAK_ALT, IndexPair, Monomial
+from canideal.termorder import TIE_BREAK_ALT, IndexPair, Monomial, term_key
 
 SWEEP = [(p, q, ell) for p in (3, 5, 7) for q in (1, 2, 3) for ell in range(1, p)]
 # every ell < p gives m = p*q - ell prime to p, so each of these triples is valid
@@ -501,3 +501,20 @@ def test_monomial_multidegrees_hold_every_class_monomial(triple):
         classes = monomial_classes(params, tie_break)
         assert sum(map(len, classes.values())) == len(table)
         assert all(table[m] == point and id(m) in objects for point, monos in classes.items() for m in monos)
+
+
+@pytest.mark.parametrize("triple", WIDE_SWEEP)
+def test_class_order_is_the_term_order(triple):
+    # the table's monomials are built and the default classes read from the
+    # index-set walk with no sort: each key must still be the canonical
+    # factor order and each class the term order, under either tie-break
+    # (which class holds which monomial is the test above)
+    params = validate_params(*triple)
+    table = monomial_multidegrees(params)
+    assert all(type(m) is Monomial for m in table)
+    assert list(map(tuple, table)) == [tuple(Monomial(list(m))) for m in table]
+    for tie_break in ("default", "alt"):
+        key = term_key(tie_break)
+        classes = monomial_classes(params, tie_break)
+        assert sum(map(len, classes.values())) == len(table)
+        assert all(list(monos) == sorted(monos, key=key) for monos in classes.values()), tie_break

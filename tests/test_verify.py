@@ -449,6 +449,46 @@ def test_membership_rejects_nonhomogeneous():
         check_membership(params, "generic", broken)
 
 
+OUTSIDE = Monomial((IndexPair(0, 1), IndexPair(9, 1)))
+DEGREE_ONE = Monomial((IndexPair(0, 1),))
+DEGREE_THREE = Monomial((IndexPair(0, 1), IndexPair(0, 1), IndexPair(0, 1)))
+
+
+@pytest.mark.parametrize("specialized", [False, True], ids=["symbolic", "specialized"])
+@pytest.mark.parametrize(
+    "tagged, extra, error",
+    [
+        ("own", (OUTSIDE, DEGREE_ONE), NonHomogeneous),
+        ("own", (OUTSIDE, DEGREE_THREE), NonHomogeneous),
+        ("own", (DEGREE_ONE, OUTSIDE), NonHomogeneous),
+        ("own", (OUTSIDE,), VariableOutsideIndexSet),
+        ("own", None, NonHomogeneous),
+        ("other", (OUTSIDE, DEGREE_ONE), WrongFibre),
+        ("other", None, WrongFibre),
+    ],
+    ids=[
+        "outside-before-degree-one",
+        "outside-before-degree-three",
+        "degree-one-before-outside",
+        "outside-index-set",
+        "empty",
+        "other-fibre-malformed",
+        "other-fibre-empty",
+    ],
+)
+def test_membership_error_precedence(specialized, tagged, extra, error):
+    # WrongFibre first; then NonHomogeneous for any term of degree other
+    # than 2 (and for no term at all), wherever it stands, even after a
+    # degree-2 term outside the index set; VariableOutsideIndexSet last
+    params = validate_params(5, 2, 1)
+    ctx = fibre_context(params, "generic", default_specialization(params) if specialized else None)
+    gen = (generic_generators if tagged == "own" else special_generators)(params)[0]
+    coeff = gen.terms[0][0]
+    terms = () if extra is None else gen.terms[:1] + tuple((coeff, m) for m in extra) + gen.terms[1:]
+    with pytest.raises(error):
+        ctx.generator_vanishes(dataclasses.replace(gen, terms=terms))
+
+
 # ---------------------------------------------------------------------------
 # dimension criterion
 
@@ -949,6 +989,41 @@ def test_oracle_retry(monkeypatch):
     assert report is not None and report.passes
     assert len(tried) == 2
     assert tried[0] == {"x1": 1, "x2": 2}
+
+
+class _CountingRandom(random.Random):
+    """A random source that counts its draws and, if asked, always draws 1."""
+
+    def __init__(self, seed, constant=False):
+        super().__init__(seed)
+        self.draws = 0
+        self.constant = constant
+
+    def randint(self, a, b):
+        self.draws += 1
+        return 1 if self.constant else super().randint(a, b)
+
+
+@pytest.mark.parametrize(
+    "triple, spec, constant", [((7, 1, 5), None, False), ((5, 2, 1), {"x1": 1, "x2": 1}, True)]
+)
+def test_oracle_retry_runs_each_specialization_once(monkeypatch, triple, spec, constant):
+    # a repeated specialization is recorded, not rerun, and the draws are
+    # made as before: no symbols draw nothing, and every attempt is {}
+    params = validate_params(*triple)
+    calls = []
+
+    def degenerate(p, fibre, spec, tie_break="default"):
+        calls.append(dict(spec))
+        raise DegenerateSpecialization("forced")
+
+    monkeypatch.setattr(verify, "kernel_oracle", degenerate)
+    rng = _CountingRandom(0, constant)
+    report, tried = kernel_oracle_with_retry(params, "special", spec, rng)
+    first = spec if spec is not None else default_specialization(params)
+    assert report is None and tried == [first] * verify.ORACLE_ATTEMPTS
+    assert calls == [first]
+    assert rng.draws == verify.ORACLE_ATTEMPTS * len(deformation_symbols(params))
 
 
 # ---------------------------------------------------------------------------
