@@ -6,7 +6,7 @@ from .exactalg import (
     CycloElement,
     SparsePoly,
     divide_by_lambda_power,
-    reduce_mod_lambda,
+    residue,
 )
 from .family import (
     FamilyParams,

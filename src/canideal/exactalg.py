@@ -1,14 +1,15 @@
-"""Exact arithmetic substrate.
+"""Exact arithmetic substrate: the one module that knows how Z[lam]
+multiplies and how it maps to a finite field.  No floating point is used.
 
 Provides the cyclotomic ring Z[zeta_p] = Z[lam] with ``lam = zeta_p - 1``,
-exact division by powers of lam (`divide_by_lambda_power`) and the residue
-field Z[lam]/lam = F_p, read as the ints mod p (`reduce_mod_lambda`), and
-sparse multivariate polynomials over the ints and Z[lam].  No floating point
-is used anywhere.
-
-Cyclotomic elements have int coordinates only, and every operation stays in
-Z[lam]: exact division by lam is a divisibility test by p (p = -lam * S, see
-`_divide_by_lambda`), and `CycloElement.inverse` inverts units only.
+exact division by powers of lam (`divide_by_lambda_power`), the one quotient
+map `residue` (onto F_r, sending lam to a given residue; the residue field
+F_p = Z[lam]/(lam) is r = p, lam = 0), and sparse multivariate polynomials
+over the ints and Z[lam].  Cyclotomic elements have int coordinates only,
+and both products, of elements and of polynomials, multiply through the one
+lam-shift rule `_lam_rows`.  Exact division by lam is a divisibility test by
+p (p = -lam * S, see `_divide_by_lambda`); `CycloElement.inverse` inverts
+units only.
 
 There is one product of polynomials over Z[lam], `SparsePoly.__mul__`: when
 either factor has a CycloElement coefficient it runs on packed ints
@@ -136,30 +137,19 @@ class PrimeFieldElement:
 # Cyclotomic ring
 
 
-_REDUCTION_ROWS: dict[int, list[tuple[int, ...]]] = {}
-
-
-def _reduction_rows(p: int) -> list[tuple[int, ...]]:
-    """Expansions of lam^k, k = p-1 .. 2p-4, in the power basis 1..lam^{p-2}.
-
-    The defining relation is sum_{i=1}^{p} binom(p, i) lam^{i-1} = 0, which is
-    monic in lam^{p-1}.
+def _lam_rows(coeffs: tuple, count: int) -> list[tuple[int, ...]]:
+    """The coordinates of c * lam^j for j = 0 and every j < count, c given by
+    `coeffs`: the one lam-shift rule.  Each row is the previous one shifted
+    up a place, with the lam^(p-1) that leaves the basis expanded by the
+    minimal polynomial, lam^(p-1) = -sum_{i=1}^{p-1} binom(p, i) lam^(i-1).
     """
-    rows = _REDUCTION_ROWS.get(p)
-    if rows is not None:
-        return rows
-    n = p - 1
-    base = [-math.comb(p, i) for i in range(1, p)]  # lam^{p-1}
-    rows = [tuple(base)]
-    cur = base
-    for _ in range(p - 1, 2 * p - 4):
-        nxt = [0] + cur[: n - 1]
-        top = cur[n - 1]
-        if top:
-            nxt = [nxt[i] + top * base[i] for i in range(n)]
-        rows.append(tuple(nxt))
-        cur = nxt
-    _REDUCTION_ROWS[p] = rows
+    n = len(coeffs)
+    binoms = tuple(map(math.comb, [n + 1] * n, range(1, n + 1)))
+    rows = [coeffs]
+    for _ in range(count - 1):
+        cur = rows[-1]
+        shifted = (0,) + cur[:-1]
+        rows.append(tuple(map(operator.sub, shifted, map(cur[-1].__mul__, binoms))) if cur[-1] else shifted)
     return rows
 
 
@@ -172,7 +162,8 @@ class CycloElement:
     constructor raises NonIntegralInput on any coordinate whose type is not
     exactly int (a Fraction, a float or a bool included).  Sums, differences,
     negations and products have int coefficients by construction (the
-    reduction rows are integral), so they skip that check through `_integral`.
+    rows of `_lam_rows` are integral), so they skip that check through
+    `_integral`.
     """
 
     __slots__ = ("p", "coeffs")
@@ -248,21 +239,10 @@ class CycloElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        n = self.p - 1
-        conv = [0] * (2 * n - 1)
-        nonzero_b = [(j, y) for j, y in enumerate(b) if y]
-        for i, x in enumerate(a):
-            if x:
-                for j, y in nonzero_b:
-                    conv[i + j] += x * y
-        rows = _reduction_rows(self.p)
-        out = conv[:n]
-        for k in range(n, 2 * n - 1):
-            c = conv[k]
-            if c:
-                out = [o + c * r for o, r in zip(out, rows[k - n])]
-        return CycloElement._integral(self.p, tuple(out))
+        # self * other = sum_j a_j * (other * lam^j), j up to the last nonzero a_j
+        a = self.coeffs
+        rows = _lam_rows(other.coeffs, max((j + 1 for j, x in enumerate(a) if x), default=0))
+        return CycloElement._integral(self.p, tuple(sum(map(operator.mul, a, c)) for c in zip(*rows)))
 
     __rmul__ = __mul__
 
@@ -360,18 +340,20 @@ def divide_by_lambda_power(e: CycloElement, v: int) -> CycloElement:
     return cur
 
 
-def reduce_mod_lambda(e: CycloElement | int, p: int | None = None) -> int:
-    """Image in the residue field Z[lam]/lam = F_p, as the int c_0 mod p in
-    [0, p), c_0 the constant coefficient.
-
-    An int n stands for its image in Z[lam] and goes to n mod p, so an int
-    needs p; a CycloElement carries its own p.
+def residue(value, r: int, lam: int) -> int:
+    """phi(value) in F_r, read as the ints in [0, r), for the ring map
+    phi: Z[lam] -> F_r sending lam to `lam`; F_p = Z[lam]/(lam) is the case
+    r = p, lam = 0.  Takes an int, the image of Z in Z[lam], or a
+    CycloElement, whose int coordinates are read by Horner's rule in lam.
     """
-    if isinstance(e, int):
-        if p is None:
-            raise TypeError("reducing an int mod lam needs p")
-        return e % p
-    return e.coeffs[0] % e.p
+    if isinstance(value, int):
+        return value % r
+    if isinstance(value, CycloElement):
+        acc = 0
+        for c in reversed(value.coeffs):
+            acc = (acc * lam + c) % r
+        return acc
+    raise TypeError(f"no image in F_{r} for a {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -525,21 +507,6 @@ class SparsePoly:
                     del out[e]
         res.terms = out
         return res
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        if n == 0:
-            return SparsePoly.constant(self.vars, 1)
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
 
     def scale(self, c) -> "SparsePoly":
         if not c:
@@ -696,15 +663,7 @@ def _content_groups(poly: SparsePoly):
             split.setdefault(gamma, {})[e] = k
         groups = []
         for gamma, multiples in split.items():
-            rows = None
-            if gamma is not None:
-                # gamma * lam^(j+1) from gamma * lam^j: shift up one, and
-                # expand the lam^(p-1) that leaves the basis
-                top_row = _reduction_rows(len(gamma) + 1)[0]
-                rows = [gamma]
-                while len(rows) < len(gamma):
-                    cur = rows[-1]
-                    rows.append(tuple(a + cur[-1] * b for a, b in zip((0,) + cur[:-1], top_row)))
+            rows = None if gamma is None else _lam_rows(gamma, len(gamma))
             size = 1 if rows is None else max(abs(x) for row in rows for x in row)
             groups.append((rows, multiples, sum(map(abs, multiples.values())) * size))
         poly._groups = (_max_exponent(poly), tuple(groups))

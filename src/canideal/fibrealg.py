@@ -106,7 +106,7 @@ from .errors import (
     WrongDegree,
     WrongFibre,
 )
-from .exactalg import CycloElement, SparsePoly, reduce_mod_lambda
+from .exactalg import CycloElement, SparsePoly, residue
 from .family import FamilyParams, _a_powers, deformation_symbols, per_triple
 from .generators import ANY_FIBRE, GENERIC, RELATIVE, SPECIAL, GeneratorPoly, relative_lambda_coefficient, trinomial_slots
 from .indexsets import monomial_multidegrees
@@ -483,7 +483,7 @@ def relation_consistency(params: FamilyParams) -> RelationReport:
     )
 
     # (b): coefficientwise reduction of the relative relation, slot by slot, both sides mod p
-    mod_p = functools.partial(reduce_mod_lambda, p=p)
+    mod_p = functools.partial(residue, r=p, lam=0)
     special = _relation_rhs(params, SPECIAL)
     check_b = [s.map_coefficients(mod_p) for s in relative] == [s.map_coefficients(mod_p) for s in special]
 

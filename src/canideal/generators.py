@@ -19,8 +19,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import InvariantViolation, NonIntegralCoefficient, NotDivisible, ReductionMismatch
-from .exactalg import CycloElement, SparsePoly, divide_by_lambda_power, reduce_mod_lambda
+from .errors import InvariantViolation, NonIntegralCoefficient, NotDivisible, ReductionMismatch, WrongFibre
+from .exactalg import CycloElement, SparsePoly, divide_by_lambda_power, residue
 from .family import FamilyParams, a_power_coefficients, deformation_symbols, per_triple
 from .indexsets import (
     MinkowskiPoint,
@@ -34,10 +34,17 @@ from .termorder import TIE_BREAK_DEFAULT, Monomial, format_monomial, term_key
 GENERIC = "generic"
 SPECIAL = "special"
 RELATIVE = "relative"
+FIBRES = (GENERIC, SPECIAL, RELATIVE)
 ANY_FIBRE = "any"
 
 BINOMIAL = "binomial"
 TRINOMIAL = "trinomial"
+
+
+def check_fibre(fibre: str, fibres: tuple[str, ...] = FIBRES) -> None:
+    """WrongFibre unless `fibre` is one of `fibres`, by default the three."""
+    if fibre not in fibres:
+        raise WrongFibre(f"fibre {fibre!r}, expected one of {fibres}")
 
 
 @dataclass(frozen=True)
@@ -139,8 +146,7 @@ def trinomial_slots(params: FamilyParams, fibre: str) -> tuple[tuple[int, int, S
     ascending, dr descending: their term order at every anchor.
     """
     p, ell = params.p, params.ell
-    if fibre not in (GENERIC, SPECIAL, RELATIVE):
-        raise ValueError(f"unknown fibre {fibre!r}")
+    check_fibre(fibre)
     one = 1 if fibre == SPECIAL else CycloElement.one(p)
     # (i, w): the coefficient table of a(x)^(p-i), times w, at T-shift p - i
     if fibre == RELATIVE:
@@ -238,15 +244,15 @@ def fibre_generators(
 ) -> list[GeneratorPoly]:
     """The binomials followed by the fibre's trinomial-type family: the
     family `canideal generators` emits and the kernel oracle checks."""
+    check_fibre(fibre)
     families = {GENERIC: generic_generators, SPECIAL: special_generators, RELATIVE: relative_generators}
-    if fibre not in families:
-        raise ValueError(f"unknown fibre {fibre!r}")
     binomials = binomial_generators(params, all_pairs=all_pairs, tie_break=tie_break)
     return binomials + families[fibre](params, tie_break=tie_break)
 
 
 def reduce_relative_to_special(params: FamilyParams, gens) -> list[GeneratorPoly]:
-    """Reduce every cyclotomic coefficient mod lam, to an int in [0, p).
+    """Reduce every cyclotomic coefficient mod lam, to an int in [0, p)
+    (`residue` at r = p, lam = 0); WrongFibre for a non-relative generator.
 
     Only the i = 1 block survives; the output must coincide term-for-term
     with the special-fibre family built on the same anchors, else
@@ -255,12 +261,11 @@ def reduce_relative_to_special(params: FamilyParams, gens) -> list[GeneratorPoly
     polynomial is reduced once: reduction mod lam is a ring map, so equal
     polynomials have equal reductions.
     """
-    reduce = functools.partial(reduce_mod_lambda, p=params.p)
+    reduce = functools.partial(residue, r=params.p, lam=0)
     images: dict[SparsePoly, SparsePoly] = {}
     reduced = []
     for gen in gens:
-        if gen.fibre != RELATIVE:
-            raise ValueError("reduction applies to relative generators")
+        check_fibre(gen.fibre, (RELATIVE,))
         terms = []
         for coeff, mono in gen.terms:
             image = images.get(coeff)

@@ -46,9 +46,8 @@ from .errors import (
     NonHomogeneous,
     NonIntegralCoefficient,
     ReductionMismatch,
-    WrongFibre,
 )
-from .exactalg import CycloElement, is_prime
+from .exactalg import is_prime, residue
 from .family import FamilyParams, deformation_symbols, per_triple
 from .fibrealg import check_specialization, fibre_context, relation_consistency
 from .generators import (
@@ -57,6 +56,7 @@ from .generators import (
     SPECIAL,
     GeneratorPoly,
     binomial_generators,
+    check_fibre,
     corrupt_generator,
     fibre_generators,
     reduce_relative_to_special,
@@ -65,8 +65,6 @@ from .generators import (
 )
 from .indexsets import anchor_set, check_counts, monomial_classes
 from .termorder import TIE_BREAK_DEFAULT, term_key
-
-_FIBRES = (GENERIC, SPECIAL, RELATIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -94,22 +92,6 @@ def oracle_field(p: int) -> tuple[int, int]:
 @per_triple
 def _oracle_field_of(params: FamilyParams) -> tuple[int, int]:
     return oracle_field(params.p)
-
-
-def residue(value, r: int, lam: int) -> int:
-    """phi(value) in F_r, where phi sends lam to `lam`.
-
-    Takes an int or a CycloElement (int coordinates, read by Horner's rule
-    in lam).
-    """
-    if isinstance(value, int):
-        return value % r
-    if isinstance(value, CycloElement):
-        acc = 0
-        for c in reversed(value.coeffs):
-            acc = (acc * lam + c) % r
-        return acc
-    raise TypeError(f"no image in F_{r} for a {type(value).__name__}")
 
 
 def fraction_free_echelon(rows, r: int):
@@ -182,8 +164,7 @@ def kernel_basis(rows, ncols: int, r: int):
 def check_membership(params: FamilyParams, fibre: str, gen: GeneratorPoly) -> bool:
     """Does the generator map to zero on the fibre, with symbols kept symbolic?
     (`FibreContext.generator_vanishes` on the fibre's symbolic context.)"""
-    if fibre not in _FIBRES:
-        raise WrongFibre(f"unknown fibre {fibre!r}")
+    check_fibre(fibre)
     return fibre_context(params, fibre).generator_vanishes(gen)
 
 
@@ -370,8 +351,7 @@ def kernel_oracle(
     stored relative relation, over the same cyclotomic field as the generic
     fibre, so the report's model_fibre always equals its fibre.
     """
-    if fibre not in _FIBRES:
-        raise WrongFibre(f"unknown fibre {fibre!r}")
+    check_fibre(fibre)
     if specialization is None:
         specialization = default_specialization(params)
     ctx = fibre_context(params, fibre, specialization)

@@ -10,7 +10,7 @@ import time
 from canideal.exactalg import (
     CycloElement,
     divide_by_lambda_power,
-    reduce_mod_lambda,
+    residue,
 )
 from canideal.family import validate_params
 from canideal.generators import (
@@ -176,10 +176,10 @@ def test_criterion_7_lambda_adic_layer():
     for p in (3, 5, 7):
         pp = CycloElement.from_int(p, p)
         top = divide_by_lambda_power(pp, p - 1)
-        assert reduce_mod_lambda(top) == p - 1
+        assert residue(top, p, 0) == p - 1
         for v in range(1, p - 1):
             q = divide_by_lambda_power(pp, v)
-            assert reduce_mod_lambda(q) == 0
+            assert residue(q, p, 0) == 0
     for triple in [(5, 2, 1), (5, 2, 3), (7, 1, 1), (3, 2, 1)]:
         params = validate_params(*triple)
         rel = relative_generators(params)

@@ -14,7 +14,7 @@ from canideal.exactalg import (
     divide_by_lambda_power,
     is_prime,
     _content_groups,
-    reduce_mod_lambda,
+    residue,
 )
 
 
@@ -85,6 +85,27 @@ def test_cyclo_ring_laws(p):
         k = rng.randint(-9, 9)
         scaled = CycloElement(p, tuple(k * x for x in a.coeffs))
         assert a * k == k * a == a * CycloElement.from_int(p, k) == CycloElement.from_int(p, k) * a == scaled
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_cyclo_product_matches_sympy_remainder(p):
+    # a reference independent of exactalg: the coordinates of a * b are the
+    # coefficients of A(t) * B(t) mod the minimal polynomial of lam
+    t = sympy.Symbol("t")
+    min_poly = sympy.Poly(list(reversed(_min_poly(p))), t)
+    rng = random.Random(90_000 + p)
+    cases = [
+        [rng.randint(-size, size) for _ in range(p - 1)]
+        for size in (1, 9, 10**6, 10**40)
+        for _ in range(3)
+    ]
+    cases += [[0] * j + [1] + [0] * (p - 2 - j) for j in (0, 1, p - 2)]  # lam^j
+    cases += [[0] * (p - 2) + [-(3**50)]]
+    for a in cases:
+        for b in rng.sample(cases, 4):
+            want = sympy.rem(sympy.Poly(a[::-1], t) * sympy.Poly(b[::-1], t), min_poly)
+            coords = [int(want.coeff_monomial(t**k)) for k in range(p - 1)]
+            assert (CycloElement(p, a) * CycloElement(p, b)).coeffs == tuple(coords), (a, b)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -187,10 +208,10 @@ def test_divide_examples():
     p = 5
     # p * lam^-(p-1) reduces to -1 in the residue field
     q = divide_by_lambda_power(CycloElement.from_int(p, 5), 4)
-    assert reduce_mod_lambda(q) == p - 1
+    assert residue(q, p, 0) == p - 1
     # 10 = binom(5,2) has valuation 4; quotient by lam^3 still reduces to 0
     q = divide_by_lambda_power(CycloElement.from_int(p, 10), 3)
-    assert reduce_mod_lambda(q) == 0
+    assert residue(q, p, 0) == 0
     assert divide_by_lambda_power(CycloElement.zero(p), 2) == CycloElement.zero(p)
     with pytest.raises(NotDivisible):
         divide_by_lambda_power(CycloElement.one(p), 1)
@@ -209,7 +230,7 @@ def test_integer_lambda_division_is_exact_and_maximal(p):
         for k in range(v + 1):
             assert divide_by_lambda_power(e, k) * lam**k == e
         # Z[lam]/(lam) = F_p: lam divides an element exactly when its residue is 0
-        assert reduce_mod_lambda(divide_by_lambda_power(e, v)) != 0
+        assert residue(divide_by_lambda_power(e, v), p, 0) != 0
         with pytest.raises(NotDivisible):
             divide_by_lambda_power(e, v + 1)
 
@@ -387,12 +408,13 @@ def test_packed_divmod_matches_long_division(p):
 
 
 def test_reduce_mod_lambda_examples():
-    # the residue field is F_p read as the ints in [0, p)
+    # the residue field Z[lam]/(lam) = F_p is `residue` at r = p, lam = 0,
+    # read as the ints in [0, p)
     p = 5
-    assert reduce_mod_lambda(CycloElement.lam(p)) == 0
-    assert reduce_mod_lambda(CycloElement.from_int(p, 7)) == 2
-    assert reduce_mod_lambda(CycloElement(p, (1, 3, 0, 0))) == 1
-    assert reduce_mod_lambda(CycloElement(p, (-1, 3, 0, 0))) == 4
+    assert residue(CycloElement.lam(p), p, 0) == 0
+    assert residue(CycloElement.from_int(p, 7), p, 0) == 2
+    assert residue(CycloElement(p, (1, 3, 0, 0)), p, 0) == 1
+    assert residue(CycloElement(p, (-1, 3, 0, 0)), p, 0) == 4
 
 
 def test_polynomial_hash_is_kept_and_matches_its_terms():
@@ -403,7 +425,7 @@ def test_polynomial_hash_is_kept_and_matches_its_terms():
     pairs = [
         ((x + y) * (x - y), x * x - y * y),
         (x.scale(CycloElement.one(5)), x),
-        ((x + y) ** 2, x * x + (x * y).scale(2) + y * y),
+        ((x + y) * (x + y), x * x + (x * y).scale(2) + y * y),
     ]
     for a, b in pairs:
         assert a == b and hash(a) == hash(b) == hash(a) == hash((a.vars, frozenset(a.terms.items())))
@@ -411,14 +433,16 @@ def test_polynomial_hash_is_kept_and_matches_its_terms():
 
 def test_reduce_mod_lambda_takes_an_int():
     # an int stands for its image in Z[lam]: n goes to n mod p, as the
-    # integral CycloElement n does; without p an int cannot be reduced
+    # integral CycloElement n does; without r and lam an int cannot be
+    # reduced, and a value outside Z[lam] has no image
     p = 5
     for n in (-7, -1, 0, 1, 5, 7, 12):
-        assert reduce_mod_lambda(n, p) == n % p == reduce_mod_lambda(CycloElement.from_int(p, n))
-        assert reduce_mod_lambda(CycloElement.from_int(p, n), p) == n % p
-        assert type(reduce_mod_lambda(n, p)) is int
+        assert residue(n, p, 0) == n % p == residue(CycloElement.from_int(p, n), p, 0)
+        assert type(residue(n, p, 0)) is int
     with pytest.raises(TypeError):
-        reduce_mod_lambda(3)
+        residue(3)
+    with pytest.raises(TypeError):
+        residue(Fraction(3), p, 0)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -427,10 +451,10 @@ def test_reduce_mod_lambda_is_ring_hom(p):
     for _ in range(30):
         a = CycloElement(p, tuple(rng.randint(-9, 9) for _ in range(p - 1)))
         b = CycloElement(p, tuple(rng.randint(-9, 9) for _ in range(p - 1)))
-        # Z[lam] -> F_p, read as ints mod p
-        assert reduce_mod_lambda(a + b) == (reduce_mod_lambda(a) + reduce_mod_lambda(b)) % p
-        assert reduce_mod_lambda(a * b) == (reduce_mod_lambda(a) * reduce_mod_lambda(b)) % p
-        assert reduce_mod_lambda(a) in range(p) and reduce_mod_lambda(-a) == -reduce_mod_lambda(a) % p
+        # Z[lam] -> F_p = Z[lam]/(lam), read as ints mod p
+        assert residue(a + b, p, 0) == (residue(a, p, 0) + residue(b, p, 0)) % p
+        assert residue(a * b, p, 0) == (residue(a, p, 0) * residue(b, p, 0)) % p
+        assert residue(a, p, 0) in range(p) and residue(-a, p, 0) == -residue(a, p, 0) % p
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +475,7 @@ def test_sparse_poly_arithmetic():
     assert not (a - a)
     prod = a * b
     assert prod.terms == {(2, 0): -4, (1, 1): -2, (1, 0): 6, (0, 1): 3}
-    assert a**3 == a * a * a
+    assert (a * a) * a == a * (a * a)
 
 
 def test_sparse_poly_zero_coefficients_dropped():

@@ -1,5 +1,6 @@
 import functools
 import math
+import operator
 import random
 
 import pytest
@@ -11,9 +12,8 @@ from canideal.errors import (
     VariableOutsideIndexSet,
     WrongDegree,
 )
-from canideal.exactalg import CycloElement, SparsePoly
+from canideal.exactalg import CycloElement, SparsePoly, residue
 from canideal.family import deformation_symbols, validate_params
-from canideal.exactalg import reduce_mod_lambda
 from canideal.fibrealg import (
     FibreContext,
     _relation_rhs,
@@ -52,13 +52,18 @@ def _a_polynomial(params):
     return a
 
 
+def _power(f, k):
+    """f^k by explicit products, f^0 the constant 1."""
+    return functools.reduce(operator.mul, [f] * k, SparsePoly.constant(f.vars, 1))
+
+
 def _a_power(params, ctx, k):
     """a(x)^k over the context's ring, built from a(x) itself (its residues
     mod p on the special fibre)."""
     a = _a_polynomial(params)
     if ctx.specialization is not None:
         a = a.specialize(ctx.specialization)
-    return _read(ctx, (a**k).map_coefficients(lambda n: n * ctx.one))
+    return _read(ctx, _power(a, k).map_coefficients(lambda n: n * ctx.one))
 
 
 def _termwise_product(f, g):
@@ -266,7 +271,7 @@ def _x_expansion_model(params):
     p = params.p
     variables = ("x", "X") + deformation_symbols(params)
     a = _a_polynomial(params).embed(variables)
-    a_p = a**p
+    a_p = _power(a, p)
     lam = CycloElement.lam(p)
     lhs = SparsePoly.zero(variables)
     for i in range(p + 1):
@@ -288,7 +293,7 @@ def _x_expansion_verdicts(params):
     # (b): slotwise lam-reduction of the relative relation against the
     # special relation, both read mod p
     def mod_p(rhs):
-        return tuple(s.map_coefficients(lambda c: reduce_mod_lambda(c, params.p)) for s in rhs)
+        return tuple(s.map_coefficients(lambda c: residue(c, params.p, 0)) for s in rhs)
 
     # (c): the generic relation at y = a*(lam*X + 1)
     return (
@@ -485,14 +490,14 @@ def _relation_polynomial(ctx, params):
     V = SparsePoly.variable(variables, "V", 1, ctx.one)
     x_ell = SparsePoly.variable(variables, "x", ell, ctx.one)
     if ctx.fibre == "generic":
-        return V**p - x_ell.scale(CycloElement.lam(p) ** p) - a**p
+        return _power(V, p) - x_ell.scale(CycloElement.lam(p) ** p) - _power(a, p)
     if ctx.fibre == "special":
         # X^p - X = x^ell / a^p, times a^p, with W = a X
-        return V**p - x_ell - a ** (p - 1) * V
+        return _power(V, p) - x_ell - _power(a, p - 1) * V
     # X^p = x^ell / a^p - sum c_i X^i, times a^p
-    rel = V**p - x_ell
+    rel = _power(V, p) - x_ell
     for i in range(1, p):
-        rel = rel + (a ** (p - i) * V**i).scale(relative_lambda_coefficient(params, i))
+        rel = rel + (_power(a, p - i) * _power(V, i)).scale(relative_lambda_coefficient(params, i))
     return rel
 
 

@@ -3,12 +3,12 @@ import math
 
 import pytest
 
-from canideal.errors import ReductionMismatch
+from canideal.errors import ReductionMismatch, WrongFibre
 from canideal.exactalg import (
     CycloElement,
     SparsePoly,
     divide_by_lambda_power,
-    reduce_mod_lambda,
+    residue,
 )
 from canideal.family import a_power_coefficients, validate_params
 from canideal.generators import (
@@ -178,11 +178,11 @@ def test_special_slot_coefficients_are_nonzero_residues():
 def test_relative_lambda_coefficients():
     params = validate_params(5, 2, 1)
     # i = 1: lam^(1-p) * p reduces to -1; higher i reduce to 0
-    assert reduce_mod_lambda(relative_lambda_coefficient(params, 1)) == 4
+    assert residue(relative_lambda_coefficient(params, 1), 5, 0) == 4
     for i in (2, 3, 4):
         c = relative_lambda_coefficient(params, i)
         assert all(type(x) is int for x in c.coeffs)
-        assert reduce_mod_lambda(c) == 0
+        assert residue(c, 5, 0) == 0
         assert divide_by_lambda_power(c, 1) * CycloElement.lam(5) == c  # lam divides c
 
 
@@ -278,5 +278,14 @@ def test_trinomial_variants_are_members():
 
 
 def test_fibre_generators_rejects_unknown_fibre():
-    with pytest.raises(ValueError):
-        fibre_generators(validate_params(5, 2, 1), "any")
+    # one fibre check decides every entry point, as it does for
+    # check_membership and kernel_oracle (test_verify)
+    params = validate_params(5, 2, 1)
+    for fibre in ("any", "bogus"):
+        with pytest.raises(WrongFibre):
+            fibre_generators(params, fibre)
+        with pytest.raises(WrongFibre):
+            trinomial_slots(params, fibre)
+    for gens in (special_generators(params), generic_generators(params), binomial_generators(params)):
+        with pytest.raises(WrongFibre):
+            reduce_relative_to_special(params, gens)

@@ -22,7 +22,7 @@ from canideal.errors import (
     WrongDegree,
     WrongFibre,
 )
-from canideal.exactalg import CycloElement, SparsePoly
+from canideal.exactalg import CycloElement, SparsePoly, residue
 from canideal.family import deformation_symbols, validate_params
 from canideal.fibrealg import FibreContext, fibre_context
 from canideal.generators import (
@@ -48,7 +48,6 @@ from canideal.verify import (
     kernel_oracle_with_retry,
     matrix_rank,
     oracle_field,
-    residue,
 )
 
 
