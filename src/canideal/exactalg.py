@@ -201,6 +201,11 @@ class CycloElement:
     def lam(cls, p: int) -> "CycloElement":
         return cls(p, (0, 1) + (0,) * (p - 3))
 
+    @classmethod
+    def lam_powers(cls, p: int, count: int) -> list["CycloElement"]:
+        """lam^0, ..., lam^(count-1): the rows of one `_lam_rows` call, no product taken."""
+        return [cls._integral(p, row) for row in _lam_rows((1,) + (0,) * (p - 2), count)]
+
     def _coerce(self, other):
         if isinstance(other, CycloElement):
             if other.p != self.p:
@@ -249,14 +254,16 @@ class CycloElement:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not defined on the ring; use inverse() on a unit")
-        result = CycloElement.one(self.p)
+        # square-and-multiply with no product by 1 and no square after the last bit
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return CycloElement.one(self.p) if result is None else result
 
     def inverse(self) -> "CycloElement":
         """Ring inverse of a unit of Z[lam]; NotDivisible for any other element.
@@ -597,12 +604,12 @@ class SparsePoly:
         poly = SparsePoly(tuple(self.vars[i] for i in keep))
         out: dict = {}
         for e, c in self.terms.items():
+            # one product per term: the substituted powers are multiplied first
+            scale = 1
             for i in todrop:
-                k = e[i]
-                if k:
-                    val = values[self.vars[i]]
-                    for _ in range(k):
-                        c = c * val
+                if e[i]:
+                    scale = scale * values[self.vars[i]] ** e[i]
+            c = c * scale
             if not c:
                 continue
             ne = tuple(e[i] for i in keep)

@@ -469,7 +469,7 @@ def relation_consistency(params: FamilyParams) -> RelationReport:
     """
     p = params.p
     # lam^0..lam^p, lam^0 the int 1, which scales on the int fast path
-    lam = [1] + [CycloElement.lam(p) ** k for k in range(1, p + 1)]
+    lam = [1] + CycloElement.lam_powers(p, p + 1)[1:]
     # a^0..a^p with int coefficients, the powers the fibre contexts use
     variables = ("x",) + deformation_symbols(params)
     a = (SparsePoly.constant(variables, 1),) + _a_powers(params)

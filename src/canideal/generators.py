@@ -90,8 +90,7 @@ def binomial_generators(
     unordered pairs within each class is emitted instead.
     """
     term_key(tie_break)  # raises UnknownTieBreak
-    # a fresh list each call, so a caller that replaces an entry (as
-    # `certify --corrupt-one` does) leaves the memo intact
+    # a fresh list each call, so a caller that replaces an entry leaves the memo intact
     return list(_binomials(params, all_pairs, tie_break))
 
 
@@ -154,7 +153,7 @@ def trinomial_slots(params: FamilyParams, fibre: str) -> tuple[tuple[int, int, S
     else:
         blocks = [(0 if fibre == GENERIC else 1, -one)]
     syms = deformation_symbols(params)
-    ell_coeff = CycloElement.lam(p) ** p if fibre == GENERIC else one
+    ell_coeff = CycloElement.lam_powers(p, p + 1)[p] if fibre == GENERIC else one
     slots = [(0, 0, SparsePoly.constant(syms, one)), (ell, p, SparsePoly.constant(syms, -ell_coeff))]
     for i, weight in blocks:
         for j, poly in sorted(a_power_coefficients(params, i).items()):
@@ -236,6 +235,14 @@ def relative_generators(params: FamilyParams, tie_break: str = TIE_BREAK_DEFAULT
     return _trinomial_family(params, RELATIVE, anchor_set(params, 0), tie_break)
 
 
+def trinomial_generators(params: FamilyParams, fibre: str, tie_break: str = TIE_BREAK_DEFAULT) -> list[GeneratorPoly]:
+    """The fibre's trinomial-type family, the one the kernel oracle checks
+    next to the binomials it reads from the class table."""
+    check_fibre(fibre)
+    families = {GENERIC: generic_generators, SPECIAL: special_generators, RELATIVE: relative_generators}
+    return families[fibre](params, tie_break=tie_break)
+
+
 def fibre_generators(
     params: FamilyParams,
     fibre: str,
@@ -243,11 +250,9 @@ def fibre_generators(
     tie_break: str = TIE_BREAK_DEFAULT,
 ) -> list[GeneratorPoly]:
     """The binomials followed by the fibre's trinomial-type family: the
-    family `canideal generators` emits and the kernel oracle checks."""
-    check_fibre(fibre)
-    families = {GENERIC: generic_generators, SPECIAL: special_generators, RELATIVE: relative_generators}
-    binomials = binomial_generators(params, all_pairs=all_pairs, tie_break=tie_break)
-    return binomials + families[fibre](params, tie_break=tie_break)
+    family `canideal generators` emits."""
+    family = trinomial_generators(params, fibre, tie_break)
+    return binomial_generators(params, all_pairs=all_pairs, tie_break=tie_break) + family
 
 
 def reduce_relative_to_special(params: FamilyParams, gens) -> list[GeneratorPoly]:

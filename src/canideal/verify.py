@@ -28,10 +28,15 @@ Gaussian elimination over a prime field F_r: r = p on the special fibre,
 and on the generic and relative fibres the largest prime r < 2^61 with
 r = 1 (mod p).  Elimination takes one row at a time: the row is reduced by
 the pivot row of its smallest column until that column has none, and then
-becomes the pivot row of that column; the oracle orders its columns so
-that each binomial is stored at once.  `kernel_oracle` states why every
-passing report is exact, and why its column orders and its span test, one
-matrix product and no kernel basis, leave every report as it was.
+becomes the pivot row of that column.  `kernel_oracle` states why every
+passing report is exact, and why its row and column orders, its binomial
+block and its span test, one matrix product and no kernel basis, leave
+every report as it was.
+
+`certify` treats the default binomials m - min(class) as the class table
+(`indexsets.monomial_classes`) and builds none as a `GeneratorPoly`: their
+membership is a table lookup (`binomial_memberships`), the criterion
+counts their leads and the oracles their rank.
 """
 
 from __future__ import annotations
@@ -58,12 +63,12 @@ from .generators import (
     binomial_generators,
     check_fibre,
     corrupt_generator,
-    fibre_generators,
     reduce_relative_to_special,
     relative_generators,
     special_generators,
+    trinomial_generators,
 )
-from .indexsets import anchor_set, check_counts, monomial_classes
+from .indexsets import anchor_set, check_counts, monomial_classes, monomial_multidegrees
 from .termorder import TIE_BREAK_DEFAULT, term_key
 
 
@@ -126,6 +131,7 @@ def fraction_free_echelon(rows, r: int):
 
 
 def matrix_rank(rows, r: int) -> int:
+    """The rank over F_r of sparse rows; rank is invariant under row permutation."""
     return len(fraction_free_echelon(rows, r))
 
 
@@ -168,6 +174,21 @@ def check_membership(params: FamilyParams, fibre: str, gen: GeneratorPoly) -> bo
     return fibre_context(params, fibre).generator_vanishes(gen)
 
 
+def binomial_memberships(params: FamilyParams, classes: dict) -> list[bool]:
+    """Membership of the default binomials m - min(class), read from the class
+    table `classes` in `binomial_generators` order: classes by (T, rho), then
+    class order.  A binomial's images cancel on every fibre exactly when both
+    of its monomials have its class's multidegree, so each pair is checked by
+    looking both up in the table `generator_vanishes` reads."""
+    table = monomial_multidegrees(params)
+    out = []
+    for point in sorted(classes, key=lambda point: (point[1], point[0])):
+        group = classes[point]
+        low = table.get(group[0]) == point
+        out.extend(low and table.get(m) == point for m in group[1:])
+    return out
+
+
 @dataclass(frozen=True)
 class CriterionReport:
     """Degree-2 standard-monomial count against the 3(g-1) bound."""
@@ -184,13 +205,17 @@ class CriterionReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def dimension_criterion(params: FamilyParams, gens, label: str = "") -> CriterionReport:
+def dimension_criterion(params: FamilyParams, gens, label: str = "", classes: dict | None = None) -> CriterionReport:
     """Count degree-2 standard monomials of the leading-term ideal of `gens`.
 
     All generators have degree 2, so the degree-2 part of the leading-term
     ideal is exactly the set of distinct leading monomials and no Groebner
     computation is needed.  Each lead is ``gen.terms[0][1]``, the terms
     being descending under the generator's own tie-break (`GeneratorPoly`).
+
+    A class table `classes` adds its default binomials m - min(class): n -
+    #classes generators, led by the distinct non-minimal monomials, so a
+    lead of `gens` is new only at a class minimum or outside the table.
     """
     gens = list(gens)
     leads = set()
@@ -198,15 +223,20 @@ def dimension_criterion(params: FamilyParams, gens, label: str = "") -> Criterio
         if not gen.is_homogeneous_degree2():
             raise NonHomogeneous("criterion requires homogeneous degree-2 generators")
         leads.add(gen.terms[0][1])
+    block = 0
+    if classes is not None:
+        table = monomial_multidegrees(params)
+        block = len(table) - len(classes)
+        leads = {m for m in leads if (point := table.get(m)) is None or classes[point][0] == m}
+    lead_count = len(leads) + block
     g = params.genus
-    total = g * (g + 1) // 2
-    s = total - len(leads)
+    s = g * (g + 1) // 2 - lead_count
     bound = 3 * (g - 1)
     return CriterionReport(
         label=label,
         genus=g,
-        generator_count=len(gens),
-        leading_count=len(leads),
+        generator_count=len(gens) + block,
+        leading_count=lead_count,
         standard_monomial_count=s,
         bound=bound,
         passes=s <= bound,
@@ -289,15 +319,34 @@ def kernel_oracle(
     same row space, so rank M = rank C and kernel_dim = n - rank_r phi(C)
     for n monomials.
 
-    Column orders.  No rank changes under a column permutation, and
-    monomial_count and column_count are the sizes of sets, so the columns
-    are numbered for the elimination, which pivots each row at its smallest
-    column (`fraction_free_echelon`).  The columns of C are sorted by
-    descending x-degree k, then slot i.  The monomials, the columns of G,
-    keep the class order with each class listed minimum last: a default
-    binomial m - min then becomes the pivot row of its own column m without
-    a reduction step, and the trinomial rows, which touch class minima only,
+    Row and column orders.  No rank changes under a row or a column
+    permutation, and monomial_count and column_count are the sizes of sets,
+    so the columns are numbered for the elimination, which pivots each row
+    at its smallest column (`fraction_free_echelon`).  The columns of C are
+    sorted by descending x-degree k, then slot i, and its rows are
+    eliminated sparsest first (a stable sort by entry count, which keeps
+    less fill-in than the class order); the span test reads them in class
+    order.  For explicit `gens` the monomials, the columns of G, keep the
+    class order with each class listed minimum last: a default binomial
+    m - min then becomes the pivot row of its own column m without a
+    reduction step, and the trinomial rows, which touch class minima only,
     are reduced against each other alone.
+
+    Binomial block.  With gens=None, G is the fibre's family: the default
+    binomials B, m - min(class) for each non-minimal m, read from the class
+    table, and the trinomial-type family F (`trinomial_generators`).  B gets
+    no row.  Let pi send e_m to e_min(class), a linear map onto the class
+    coordinates.  The rows of B are independent (each has its own
+    non-minimal m) and lie in ker pi, whose dimension n - #classes is their
+    number, so they span ker pi.  Then span(B + F) contains ker pi, and
+    rank(B + F) = dim ker pi + rank pi(F) = #B + rank pi(F), over Q and over
+    F_r alike: each F row is summed per class and only those sums are
+    eliminated.  A binomial's monomials lie in one class, so its images
+    cancel and generators_in_kernel holds for B by the class argument
+    (`binomial_memberships`); only F is checked.  Each B row sums to zero
+    per class, so B adds nothing to the span test's product, which reads
+    the F sums.  Explicit `gens`, a corrupted family included, keep a row
+    per generator.
 
     One row per weight.  image(rho, T) = x^rho * image(0, T), so the entry
     of (rho, T) at column (i, k + rho) is the entry of (0, T) at (i, k).
@@ -314,8 +363,8 @@ def kernel_oracle(
     check reads too.  Specialization and phi are ring maps, and equal
     polynomials have equal images, so the value read from the table equals
     the per-term value it replaces; equal coefficients that hash
-    differently only miss the table.  Every `gens`, a corrupted family
-    included, takes this one path.
+    differently only miss the table.  Every generator row, summed per class
+    or not, takes this one path.
 
     Soundness.  Row g of G * M holds the X-coordinates of
     sum_m g_m * image(m).  By the change of basis above it is zero exactly
@@ -345,7 +394,8 @@ def kernel_oracle(
     phi(G) * phi(M) is sum_c (sum_(m in c) g_m) * phi(C)_c, so each
     generator row is summed per class (a binomial sums to zero) and the
     sums multiply the class rows, up to the first nonzero entry.  The
-    oracle thus eliminates twice, C and G, and builds no kernel basis.
+    oracle thus eliminates twice, C and G (or pi(F)), and builds no kernel
+    basis.
 
     Each fibre runs through its own context: the relative fibre uses the
     stored relative relation, over the same cyclotomic field as the generic
@@ -369,10 +419,10 @@ def kernel_oracle(
     col_index = {key: idx for idx, key in enumerate(sorted(col_ids, key=lambda key: (-key[1], key[0])))}
     class_rows = [{col_index[i, k + rho]: v for i, k, v in weight_rows[T] if v} for rho, T in classes]
 
-    # each class's minimum last: the binomial m - min pivots at m with no reduction
-    monos = [m for group in classes.values() for m in reversed(group)]
-    rank = matrix_rank(class_rows, r)
-    kernel_dim = len(monos) - rank
+    table = monomial_multidegrees(params)
+    n = len(table)
+    rank = matrix_rank(sorted(class_rows, key=len), r)
+    kernel_dim = n - rank
     g = params.genus
     expected = g * (g + 1) // 2 - 3 * (g - 1)
     if kernel_dim != expected:
@@ -382,25 +432,33 @@ def kernel_oracle(
         )
 
     if gens is None:
-        gens = fibre_generators(params, fibre, tie_break=tie_break)
-    mono_index = {m: idx for idx, m in enumerate(monos)}
+        # the binomial block has no row: rank G = #B + rank pi(F), each F row summed per class
+        gens, block = trinomial_generators(params, fibre, tie_break), n - len(classes)
+        position = {point: c for c, point in enumerate(classes)}
+        column, class_of = (lambda mono: position[table[mono]]), range(len(classes))
+    else:
+        # each class's minimum last: the binomial m - min pivots at m with no reduction
+        monos = [m for group in classes.values() for m in reversed(group)]
+        column, block = {m: idx for idx, m in enumerate(monos)}.__getitem__, 0
+        class_of = [c for c, group in enumerate(classes.values()) for _ in group]
     gens_in_kernel = True
     gen_rows = []
     for gen in gens:
         # every generator is checked, so a malformed one raises before its vector is built
         gens_in_kernel = ctx.generator_vanishes(gen) and gens_in_kernel
-        row = {}
+        row: dict[int, int] = {}
         for coeff, mono in gen.terms:
             val = residue(ctx.specialized_value(coeff), r, lam)
             if val:
-                row[mono_index[mono]] = val
+                col = column(mono)
+                row[col] = (row.get(col, 0) + val) % r
+        row = {col: v for col, v in row.items() if v}
         if row:
             gen_rows.append(row)
 
-    kernel_in_span = matrix_rank(gen_rows, r) == kernel_dim
+    kernel_in_span = block + matrix_rank(gen_rows, r) == kernel_dim
     if kernel_in_span and not gens_in_kernel:
         # phi(G) * phi(M) = 0, row by row: sum each row per class, then multiply by the class rows
-        class_of = [c for c, group in enumerate(classes.values()) for _ in group]
         for row in gen_rows:
             sums: dict[int, int] = {}
             for idx, v in row.items():
@@ -417,7 +475,7 @@ def kernel_oracle(
         fibre=fibre,
         model_fibre=fibre,
         specialization=dict(specialization),
-        monomial_count=len(monos),
+        monomial_count=n,
         column_count=len(col_index),
         rank=rank,
         kernel_dim=kernel_dim,
@@ -523,11 +581,11 @@ def certify(
 ) -> Certificate:
     """Run the full two-fibre certification pipeline.
 
-    Order: counting identities; membership of the binomials and the relative
-    family on the relative model; reduction compatibility with the special
-    fibre; the counting criterion on the reduced set over the special fibre
-    and on the relative set over the generic fibre; optionally the kernel
-    oracles on both fibres.  Mathematical failures produce a failed
+    Order: counting identities; membership of the binomials (from the
+    class table) and the relative family on the relative model; reduction
+    compatibility with the special fibre; the counting criterion on the
+    reduced set over the special fibre and on the relative set over the
+    generic fibre; optionally the kernel oracles on both fibres.  Mathematical failures produce a failed
     certificate, never an exception; a specialization that does not assign
     integers to exactly the deformation symbols raises BadSpecialization,
     whether or not the oracles run; an unknown tie-break raises
@@ -544,22 +602,23 @@ def certify(
     timings["counting"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    g1 = binomial_generators(params, tie_break=tie_break)
+    # the default binomials are the class table: no GeneratorPoly is built for them
+    classes = monomial_classes(params, tie_break)
+    mem_g1 = binomial_memberships(params, classes)
     rel = relative_generators(params, tie_break=tie_break)
     corrupted = None
     if corrupt_one:
         if rel:
-            corrupted = 0
             rel = [corrupt_generator(rel[0])] + rel[1:]
-        elif g1:
-            corrupted = 0
-            g1 = [corrupt_generator(g1[0])] + g1[1:]
+        elif mem_g1:
+            bad = corrupt_generator(binomial_generators(params, tie_break=tie_break)[0])
+            mem_g1[0] = check_membership(params, RELATIVE, bad)
         else:
             raise CanidealError(
                 f"nothing to corrupt: (p,q,ell)=({params.p},{params.q},{params.ell}) "
                 "has no relative generator and no binomial"
             )
-    mem_g1 = [check_membership(params, RELATIVE, g) for g in g1]
+        corrupted = 0
     mem_rel = [check_membership(params, RELATIVE, g) for g in rel]
     timings["membership"] = time.perf_counter() - t0
 
@@ -570,8 +629,8 @@ def certify(
     except (ReductionMismatch, NonIntegralCoefficient):
         reduction_ok = False
         reduced = special_generators(params, anchors=anchor_set(params, 0), tie_break=tie_break)
-    crit_special = dimension_criterion(params, g1 + reduced, label="special-fibre (lam-reduced generators)")
-    crit_relative = dimension_criterion(params, g1 + rel, label="generic-fibre view of the relative generators")
+    crit_special = dimension_criterion(params, reduced, "special-fibre (lam-reduced generators)", classes)
+    crit_relative = dimension_criterion(params, rel, "generic-fibre view of the relative generators", classes)
     timings["criterion"] = time.perf_counter() - t0
 
     oracles: dict = {}
@@ -610,7 +669,7 @@ def certify(
     anchors_one = len(anchor_set(params, 1))
     counts = dict(count_report.to_dict())
     counts["degree2_monomials"] = params.genus * (params.genus + 1) // 2
-    counts["binomial_generators"] = len(g1)
+    counts["binomial_generators"] = counts["degree2_monomials"] - len(classes)
     counts["relative_generators"] = len(rel)
     counts["anchors_one_minus_zero"] = anchors_one - anchors_zero
     counts["standard_monomials_special"] = crit_special.standard_monomial_count

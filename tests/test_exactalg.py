@@ -69,6 +69,26 @@ def test_zeta_is_pth_root_of_unity(p):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
+def test_cyclo_powers_take_no_wasted_product(monkeypatch, p):
+    # square-and-multiply: bit_length - 1 squarings and popcount - 1
+    # multiplications, none by 1; lam_powers reads lam^0..lam^p off one
+    # lam-shift, with no product at all
+    lam = CycloElement.lam(p)
+    by_hand = [CycloElement.one(p)]
+    for _ in range(2 * p):
+        by_hand.append(by_hand[-1] * lam)
+    products = []
+    real = CycloElement.__mul__
+    monkeypatch.setattr(CycloElement, "__mul__", lambda a, b: products.append(1) or real(a, b))
+    for n, want in enumerate(by_hand):
+        products.clear()
+        assert lam**n == want
+        assert len(products) == (n.bit_length() + bin(n).count("1") - 2 if n else 0)
+    products.clear()
+    assert CycloElement.lam_powers(p, p + 1) == by_hand[: p + 1] and not products
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
 def test_cyclo_ring_laws(p):
     rng = random.Random(20_000 + p)
 

@@ -31,6 +31,7 @@ from canideal.generators import (
     corrupt_generator,
     fibre_generators,
     generic_generators,
+    reduce_relative_to_special,
     relative_generators,
     special_generators,
     trinomial_slots,
@@ -184,6 +185,23 @@ def test_membership_binomials_everywhere():
     gens = binomial_generators(params)
     for fibre in ("generic", "special", "relative"):
         assert all(check_membership(params, fibre, g) for g in gens[:10])
+
+
+def test_binomial_memberships_check_the_class_table():
+    # certify's binomial memberships are lookups in the multidegree table, in
+    # binomial_generators order: a monomial planted in a foreign class fails
+    params = validate_params(5, 2, 3)
+    classes = monomial_classes(params, "default")
+    g1 = binomial_generators(params)
+    assert verify.binomial_memberships(params, classes) == [check_membership(params, "relative", g) for g in g1]
+    assert all(verify.binomial_memberships(params, classes))
+    mono, home = g1[len(g1) // 2].terms[0][1], g1[len(g1) // 2].anchor
+    foreign = next(point for point in classes if point != home)
+    planted = dict(classes)
+    planted[home] = tuple(m for m in classes[home] if m != mono)
+    planted[foreign] = classes[foreign] + (mono,)
+    got = verify.binomial_memberships(params, planted)
+    assert len(got) == len(g1) and got.count(False) == 1
 
 
 def test_membership_trinomials():
@@ -502,16 +520,24 @@ def test_criterion_counts_521():
     only = dimension_criterion(params, g1)
     assert only.standard_monomial_count == 49
     assert not only.passes
+    # the class table in place of g1 gives the same report; g1 given as well
+    # adds generators but no lead, as no binomial leads at a class minimum
+    classes = monomial_classes(params, "default")
+    assert dimension_criterion(params, g2, classes=classes) == full
+    both = dimension_criterion(params, g1 + g2, classes=classes)
+    assert (both.generator_count, both.leading_count) == (2 * len(g1) + len(g2), 91)
 
 
 def test_criterion_drop_one_fails():
     params = validate_params(5, 2, 1)
     g1 = binomial_generators(params)
     g2 = generic_generators(params)
+    classes = monomial_classes(params, "default")
     for k in range(len(g2)):
         sub = dimension_criterion(params, g1 + g2[:k] + g2[k + 1 :])
         assert sub.standard_monomial_count == 46
         assert not sub.passes
+        assert dimension_criterion(params, g2[:k] + g2[k + 1 :], classes=classes) == sub
 
 
 def test_criterion_reads_an_iterator_once():
@@ -739,13 +765,15 @@ def _reference_oracle(params, fibre, spec, gens, tie_break, matrix_rank, kernel_
                 entries[i, e[0] + rho] = residue(val, r, lam)
                 col_ids.add((i, e[0] + rho))
         raw_rows.append(entries)
-    # the oracle's orders: columns by descending x-degree, then slot, and
-    # each class's monomials with the minimum last
+    # the oracle's orders: columns by descending x-degree, then slot, the
+    # class rows eliminated sparsest first (a stable sort, ties in class
+    # order), and each class's monomials with the minimum last
     col_index = {key: idx for idx, key in enumerate(sorted(col_ids, key=lambda key: (-key[1], key[0])))}
     class_rows = [{col_index[k]: v for k, v in entries.items() if v} for entries in raw_rows]
-    rank_inputs = [class_rows]
+    sparsest_first = sorted(class_rows, key=len)
+    rank_inputs = [sparsest_first]
     monos = [m for group in classes.values() for m in reversed(group)]
-    rank = matrix_rank(class_rows, r)
+    rank = matrix_rank(sparsest_first, r)
     g = params.genus
     expected = g * (g + 1) // 2 - 3 * (g - 1)
     if len(monos) - rank != expected:
@@ -839,6 +867,7 @@ def test_oracle_matches_the_per_class_per_term_reference(monkeypatch, triple, fi
             cases.append((dict.fromkeys(default, oracle_field(params.p)[0]), "default", emitted))
         if emitted:
             cases.append((default, "default", emitted[:-1] + [corrupt_generator(emitted[-1])]))
+    r = params.p if fibre == "special" else oracle_field(params.p)[0]
     for spec, tie_break, gens in cases:
         want, want_inputs = _reference_oracle(params, fibre, spec, gens, tie_break, rank_once, basis_once)
         seen.clear()
@@ -851,6 +880,22 @@ def test_oracle_matches_the_per_class_per_term_reference(monkeypatch, triple, fi
         # no union: a failing report's span is decided by phi(G) * phi(M),
         # which the reference's per-monomial kernel basis checks
         assert seen == want_inputs[:2], (spec, tie_break)
+        if want is None or (gens is not emitted and tie_break == "default"):
+            continue  # degenerate, or the corrupted family
+        # gens=None reads the binomials from the class table: the same report
+        # from the class rows and the generator rows summed per class, the
+        # binomials' sums being zero
+        class_of = [c for c, group in enumerate(monomial_classes(params, tie_break).values()) for _ in group]
+        summed = []
+        for row in want_inputs[1]:
+            sums = {}
+            for idx, v in row.items():
+                sums[class_of[idx]] = (sums.get(class_of[idx], 0) + v) % r
+            if any(sums.values()):
+                summed.append({c: v for c, v in sums.items() if v})
+        seen.clear()
+        assert kernel_oracle(params, fibre, spec, tie_break=tie_break) == want
+        assert seen == [want_inputs[0], summed], (spec, tie_break)
 
 
 @pytest.mark.parametrize("fibre", ["generic", "special", "relative"])
@@ -943,21 +988,25 @@ def test_certify_rejects_bool_specialization():
 
 
 def test_binomials_built_once_per_triple(monkeypatch):
-    # certify --oracle asks for the binomials three times (certify and both
-    # oracle fibres); the build, one walk over the Minkowski sum, runs once
+    # certify reads the default binomials from the class table: with and
+    # without the oracle, intact or with a control that corrupts a relative
+    # generator, it never walks the Minkowski sum to build them as generators
     import canideal.generators as generators
 
     params = validate_params(5, 2, 1)
+    assert relative_generators(params)
     builds = []
     real = generators.minkowski_sum
     monkeypatch.setattr(generators, "minkowski_sum", lambda *args: builds.append(args) or real(*args))
-    assert certify(params, oracle=True).overall == "PASS"
-    assert len(builds) == 1
-    # callers get fresh lists: neither --corrupt-one nor a caller replacing
-    # an entry reaches the memo
-    assert certify(params, corrupt_one=True).overall == "FAIL"
+    for oracle in (False, True):
+        assert certify(params, oracle=oracle).overall == "PASS"
+        cert = certify(params, oracle=oracle, corrupt_one=True)
+        assert cert.overall == "FAIL" and not cert.verdicts["membership_relative"]
+    assert builds == []
+    # the builder the generators command reads walks it once per triple, and
+    # callers get fresh lists: a caller replacing an entry leaves the memo intact
     binomial_generators(params)[0] = corrupt_generator(binomial_generators(params)[0])
-    assert certify(params).overall == "PASS"
+    assert all(check_membership(params, "relative", g) for g in binomial_generators(params))
     assert len(builds) == 1
 
 
@@ -1050,6 +1099,71 @@ def test_certify_corrupt_fails():
     assert cert.overall == "FAIL"
     assert not cert.verdicts["membership_relative"]
     assert not cert.verdicts["reduction_compatibility"]
+
+
+def _certificate_from_generators(params, cert, tie_break):
+    """The counts, criteria and oracle reports of `cert` rebuilt from the
+    binomials as `GeneratorPoly` objects: one membership check per
+    generator, each criterion over the binomials and the family, and each
+    oracle on the emitted family as explicit gens, at the specializations
+    `certify` tried, in order."""
+    g1 = binomial_generators(params, tie_break=tie_break)
+    rel = relative_generators(params, tie_break=tie_break)
+    special = dimension_criterion(params, g1 + reduce_relative_to_special(params, rel), "special-fibre (lam-reduced generators)")
+    relative = dimension_criterion(params, g1 + rel, "generic-fibre view of the relative generators")
+    oracles = {}
+    for fibre in ("generic", "special"):
+        gens = fibre_generators(params, fibre, tie_break=tie_break)
+        oracles[fibre] = {"passes": False, "degenerate": True}
+        for spec in cert.specializations[f"attempts_{fibre}"]:
+            try:
+                oracles[fibre] = kernel_oracle(params, fibre, spec, gens=gens, tie_break=tie_break).to_dict()
+                break
+            except DegenerateSpecialization:
+                pass
+    memberships = [check_membership(params, "relative", g) for g in g1 + rel]
+    return (
+        {
+            "binomial_generators": len(g1),
+            "standard_monomials_special": special.standard_monomial_count,
+            "standard_monomials_relative": relative.standard_monomial_count,
+        },
+        {"special": special.to_dict(), "relative": {**relative.to_dict(), "memberships": memberships}},
+        oracles,
+    )
+
+
+_EQUIVALENCE_TRIPLES = [(p, q, ell) for p in (3, 5, 7) for q in (1, 2, 3) for ell in range(1, p)]
+
+
+@pytest.mark.parametrize("triple", _EQUIVALENCE_TRIPLES, ids=["%d,%d,%d" % t for t in _EQUIVALENCE_TRIPLES])
+def test_certify_binomial_block_matches_the_generator_objects(triple):
+    # certify reads the default binomials from the class table; every valid
+    # triple with p <= 7 and q <= 3, under both tie-breaks, gives the counts,
+    # criteria (memberships included) and oracle reports of the binomials
+    # built as generators and checked one by one
+    params = validate_params(*triple)
+    for tie_break in ("default", "alt"):
+        cert = certify(params, oracle=True, tie_break=tie_break)
+        counts, criteria, oracles = _certificate_from_generators(params, cert, tie_break)
+        assert {key: cert.counts[key] for key in counts} == counts
+        assert cert.criteria == criteria
+        assert cert.oracles == oracles
+
+
+@pytest.mark.parametrize("triple", [(5, 1, 2), (3, 4, 1)])
+@pytest.mark.parametrize("tie_break", ["default", "alt"])
+def test_corrupt_one_without_a_relative_generator_fails_on_the_first_binomial(triple, tie_break):
+    # with no relative generator the control corrupts the first binomial,
+    # built as a generator and checked by check_membership: only its
+    # membership is false, and the oracles, which read the intact family, pass
+    params = validate_params(*triple)
+    assert not relative_generators(params, tie_break=tie_break)
+    cert = certify(params, oracle=True, tie_break=tie_break, corrupt_one=True)
+    memberships = cert.criteria["relative"]["memberships"]
+    assert cert.overall == "FAIL" and cert.counts["corrupted_generator_index"] == 0
+    assert memberships == [False] + [True] * (len(memberships) - 1)
+    assert [name for name, ok in cert.verdicts.items() if not ok] == ["membership_binomials"]
 
 
 @pytest.mark.parametrize("triple", [(3, 2, 2), (3, 1, 1), (5, 1, 4), (3, 2, 1)])
