@@ -15,7 +15,12 @@ There is one product of polynomials over Z[lam], `SparsePoly.__mul__`: when
 either factor has a CycloElement coefficient it runs on packed ints
 (`_packed_sum`, Kronecker substitution in lam).  The packed path splits the
 other factor into content groups gamma_k * d_k with int d_k itself
-(`_content_groups`), once per polynomial; no caller sees the split.
+(`_content_groups`), once per polynomial.  One packed kernel serves that
+product and the normal-form reduction of `fibrealg`: `_pack` and
+`_packed_rows` pack, `_accumulate` adds f * gamma_k * d_k into a dict of
+packed terms, and `_unpacker` and `_unpacked_terms` read packed values back
+(every read goes through `_digits`).  `SparsePoly.specialize` specializes
+the int parts d_k in ints and scales by gamma_k once per output term.
 """
 
 from __future__ import annotations
@@ -236,11 +241,11 @@ class CycloElement:
         return other - self
 
     def __neg__(self):
-        return CycloElement._integral(self.p, tuple(-a for a in self.coeffs))
+        return CycloElement._integral(self.p, tuple(map(operator.neg, self.coeffs)))
 
     def __mul__(self, other):
         if type(other) is int:
-            return CycloElement._integral(self.p, tuple(a * other for a in self.coeffs))
+            return CycloElement._integral(self.p, tuple(map(other.__mul__, self.coeffs)))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -383,17 +388,52 @@ def _digits(packed: int, width: int, n: int) -> list[int]:
     return [(packed >> (width * i)) & mask for i in range(n)]
 
 
-def _cyclo_unpacker(p: int, width: int):
-    """Reads packed coordinates, each below 2^(width-1) in absolute value,
-    back into a CycloElement: adding 2^(width-1) to every digit
-    makes them all nonnegative."""
+def _unpacker(width: int, n: int):
+    """Reads a packed vector of n signed digits, each below 2^(width-1) in
+    absolute value, back into its digits: adding 2^(width-1) to every digit
+    makes them all nonnegative, and `_digits` reads those."""
     half = 1 << (width - 1)
-    offset = _pack((half,) * (p - 1), width)
+    offset = _pack((half,) * n, width)
 
-    def unpack(packed: int) -> "CycloElement":
-        return CycloElement._integral(p, tuple(d - half for d in _digits(packed + offset, width, p - 1)))
+    def unpack(packed: int) -> tuple[int, ...]:
+        return tuple(d - half for d in _digits(packed + offset, width, n))
 
     return unpack
+
+
+def _unpacked_terms(acc: dict, width: int, nvars: int, read=None) -> dict:
+    """{exponent tuple: read(packed coordinates)} of the nonzero packed terms
+    of `acc`, whose exponents are packed with nonnegative digits of `width`;
+    with read=None a packed value is its own coefficient.  One variable's
+    exponent is its packed key."""
+    if nvars == 1:
+        return {(key,): v if read is None else read(v) for key, v in acc.items() if v}
+    return {tuple(_digits(key, width, nvars)): v if read is None else read(v) for key, v in acc.items() if v}
+
+
+def _packed_rows(rows, shift: int, n: int) -> list[int]:
+    """A content group's rows gamma * lam^j, j < n, packed at coordinate
+    width `shift`; rows None (gamma = 1) are the unit vectors."""
+    units = [1 << (shift * j) for j in range(n)]
+    if rows is None:
+        return units
+    if len(rows) != n:
+        raise ValueError("mixed cyclotomic rings")
+    return [sum(map(operator.mul, row, units)) for row in rows]
+
+
+def _accumulate(acc: dict, terms, rows: list[int], keys, multiples) -> None:
+    """acc += f * gamma * d on packed ints: `terms` are f's (packed exponent,
+    coordinates), `rows` gamma's packed rows (`_packed_rows`), and `keys`
+    and `multiples` d's packed exponents and int coefficients, in one
+    order.  Packing is Z-linear, so the coordinates c of a term of f times
+    gamma pack to sum_j c_j * rows[j]."""
+    get = acc.get
+    for key1, cs in terms:
+        packed = sum(map(operator.mul, cs, rows))
+        for key2, k in zip(keys, multiples):
+            key = key1 + key2
+            acc[key] = get(key, 0) + k * packed
 
 
 def _packed_pair(f: "SparsePoly", g: "SparsePoly"):
@@ -495,9 +535,8 @@ class SparsePoly:
         if pair is not None:
             # over Z[lam]: on packed ints, unpacked exactly
             acc, shift, width, p = _packed_sum(*pair)
-            unpack = _cyclo_unpacker(p, shift)
-            nvars = len(self.vars)
-            res.terms = {tuple(_digits(key, width, nvars)): unpack(v) for key, v in acc.items() if v}
+            unpack = _unpacker(shift, p - 1)
+            res.terms = _unpacked_terms(acc, width, len(self.vars), lambda v: CycloElement._integral(p, unpack(v)))
             return res
         out: dict = {}
         for e1, c1 in self.terms.items():
@@ -582,44 +621,40 @@ class SparsePoly:
         res.terms = {e: v for e, v in ((e, fn(c)) for e, c in self.terms.items()) if v}
         return res
 
-    def embed(self, variables) -> "SparsePoly":
-        """View the polynomial inside a larger variable tuple."""
-        variables = tuple(variables)
-        pos = [variables.index(v) for v in self.vars]
-        n = len(variables)
-        poly = SparsePoly(variables)
-        out = {}
-        for e, c in self.terms.items():
-            ne = [0] * n
-            for i, k in zip(pos, e):
-                ne[i] = k
-            out[tuple(ne)] = c
-        poly.terms = out
-        return poly
-
     def specialize(self, values: dict) -> "SparsePoly":
-        """Substitute scalars for some variables; the result forgets them."""
+        """Substitute scalars for some variables; the result forgets them.
+
+        Over Z[lam] the polynomial is read as its content split
+        sum_gamma gamma * d_gamma with int d_gamma (`_split_content`): each
+        d_gamma is specialized in ints, and gamma multiplies each of its
+        output terms once.  Specialization is a ring map, so the values are
+        those of substituting term by term.
+        """
         todrop = [i for i, v in enumerate(self.vars) if v in values]
         keep = [i for i in range(len(self.vars)) if i not in todrop]
         poly = SparsePoly(tuple(self.vars[i] for i in keep))
+        if any(type(c) is CycloElement for c in self.terms.values()):
+            groups = _split_content(self).items()
+        else:
+            groups = [(None, self.terms)]
         out: dict = {}
-        for e, c in self.terms.items():
-            # one product per term: the substituted powers are multiplied first
-            scale = 1
-            for i in todrop:
-                if e[i]:
-                    scale = scale * values[self.vars[i]] ** e[i]
-            c = c * scale
-            if not c:
-                continue
-            ne = tuple(e[i] for i in keep)
-            s = out.get(ne)
-            s = c if s is None else s + c
-            if s:
-                out[ne] = s
-            elif ne in out:
-                del out[ne]
-        poly.terms = out
+        for gamma, multiples in groups:
+            # the group of gamma = 1 adds its ints to the output directly
+            specialized = out if gamma is None else {}
+            for e, c in multiples.items():
+                # one product per term: the substituted powers are multiplied first
+                scale = 1
+                for i in todrop:
+                    if e[i]:
+                        scale = scale * values[self.vars[i]] ** e[i]
+                ne = tuple(e[i] for i in keep)
+                specialized[ne] = specialized.get(ne, 0) + c * scale
+            if gamma is not None:
+                gamma = CycloElement._integral(len(gamma) + 1, gamma)
+                for ne, c in specialized.items():
+                    if c:
+                        out[ne] = out.get(ne, 0) + gamma * c
+        poly.terms = {ne: c for ne, c in out.items() if c}
         return poly
 
     def constant_value(self):
@@ -642,34 +677,43 @@ class SparsePoly:
         return " + ".join(bits)
 
 
-def _content_groups(poly: SparsePoly):
-    """(largest exponent, groups) of a polynomial over Z[lam], kept on it.
+def _split_content(poly: SparsePoly) -> dict:
+    """{gamma: {exponent: int k}} with poly = sum_gamma gamma * d_gamma.
 
-    The groups split poly as sum_k gamma_k * d_k with d_k over the ints;
-    each group is (rows, d_k terms, weight).  A CycloElement coefficient c
-    is k * gamma with k the gcd of its coordinates, sign-normalized so that
-    the first nonzero coordinate of gamma is positive: c and -c, and every
-    int multiple of one primitive element, share a group.  An int
-    coefficient, and a CycloElement one with gamma = 1, go to the group of
-    gamma = 1, whose rows are None (the unit vectors).  Otherwise rows[j] are
-    the coordinates of gamma * lam^j, j = 0..p-2.  The weight is the sum of
-    the |d_k| coefficients times the largest |coordinate| in rows (1 for
-    None), the factor of the digit bound in `_packed_sum`.
+    A CycloElement coefficient c is k * gamma with k the gcd of its
+    coordinates, sign-normalized so that the first nonzero coordinate of
+    gamma is positive: c and -c, and every int multiple of one primitive
+    element, share a group.  An int coefficient, and a CycloElement in Z,
+    go to the group gamma = None, which stands for 1.
     """
-    if poly._groups is None:
-        split: dict = {}
-        for e, c in poly.terms.items():
-            gamma, k = None, c
-            if type(c) is CycloElement:
+    split: dict = {}
+    for e, c in poly.terms.items():
+        gamma, k = None, c
+        if type(c) is CycloElement:
+            if any(c.coeffs[1:]):
                 k = math.gcd(*c.coeffs)
                 if next(x for x in c.coeffs if x) < 0:
                     k = -k
                 gamma = tuple(x // k for x in c.coeffs)
-                if gamma[0] == 1 and not any(gamma[1:]):
-                    gamma = None
-            split.setdefault(gamma, {})[e] = k
+            else:
+                k = c.coeffs[0]
+        split.setdefault(gamma, {})[e] = k
+    return split
+
+
+def _content_groups(poly: SparsePoly):
+    """(largest exponent, groups) of a polynomial over Z[lam], kept on it.
+
+    The groups are the content split gamma_k * d_k of `_split_content`;
+    each group is (rows, d_k terms, weight).  The rows of gamma = 1 are None
+    (the unit vectors); otherwise rows[j] are the coordinates of
+    gamma * lam^j, j = 0..p-2.  The weight is the sum of the |d_k|
+    coefficients times the largest |coordinate| in rows (1 for None), the
+    factor of the digit bound in `_packed_sum`.
+    """
+    if poly._groups is None:
         groups = []
-        for gamma, multiples in split.items():
+        for gamma, multiples in _split_content(poly).items():
             rows = None if gamma is None else _lam_rows(gamma, len(gamma))
             size = 1 if rows is None else max(abs(x) for row in rows for x in row)
             groups.append((rows, multiples, sum(map(abs, multiples.values())) * size))
@@ -704,20 +748,11 @@ def _packed_sum(f: SparsePoly, g: SparsePoly) -> tuple[dict, int, int, int]:
     bound = max(sum(map(abs, cs)) for _, cs in coords) * sum(w for _, _, w in groups)
     shift = bound.bit_length() + 1
     width = (_max_exponent(f) + g_top).bit_length()
-    units = [1 << (shift * j) for j in range(n)]
     packed_f = [(_pack(e1, width), cs) for e1, cs in coords]
     acc: dict = {}
-    get = acc.get
     for rows, multiples, _ in groups:
-        if rows is not None and len(rows) != n:
-            raise ValueError("mixed cyclotomic rings")
-        packed_rows = units if rows is None else [_pack(row, shift) for row in rows]
-        others = [(_pack(e2, width), k) for e2, k in multiples.items()]
-        for key1, cs in packed_f:
-            packed = sum(map(operator.mul, cs, packed_rows))
-            for key2, k in others:
-                key = key1 + key2
-                acc[key] = get(key, 0) + k * packed
+        keys = [_pack(e2, width) for e2 in multiples]
+        _accumulate(acc, packed_f, _packed_rows(rows, shift, n), keys, multiples.values())
     return acc, shift, width, p
 
 

@@ -42,8 +42,9 @@ of Z in whichever ring it meets (a(x) and its powers, the binomials'
 coefficients, the specialized values).  This is exact:
 
 - Z -> R has exactly one ring map, and every mixed int/R operation
-  dispatches to R (`CycloElement._coerce`, and the packed product of
-  `SparsePoly.__mul__`, which takes int factors).
+  dispatches to R (`CycloElement._coerce`; the packed product of
+  `SparsePoly.__mul__` and the packed reduction take an int as its own
+  lam^0 coordinate).
 - A value is read as an element of R in three places only: the zero test
   of a generator's reduced combination and the oracle's residue entries
   and column keys, each a normal form or a product with one.  On the
@@ -68,15 +69,21 @@ in x and the symbols, so a generator's image sum_T C_T * NF(V^(E-T)) is the
 normal form of the one V-polynomial sum_T C_T * V^(E-T), which membership
 reduces (`FibreContext._sum_vanishes`).
 
+There is one reduction, `reduce_normal_form`, and it runs on packed ints
+on every fibre: a V-slot is {packed exponent: packed coordinates}, the
+relation is packed once per context and widths, and each substitution
+multiplies the top coefficient by the relation slots through the packed
+kernel of `exactalg` that `SparsePoly.__mul__` runs too.  Membership reads
+its verdict as a zero test on the packed values, mod p on the special
+fibre, and unpacks nothing when the combination vanishes in one round, as
+every intact trinomial's does.  Its docstring gives the widths and why the
+reduction is exact.
+
 The oracle's rows need the weight images NF(V^(E-T)) themselves.  They form
 one chain per context, which in `certify` only the oracle's specialized
 contexts fill: NF(V^(e+1)) is the reduction of V * NF(V^e), of V-degree at
-most p, so each step is one substitution, and by linearity and uniqueness
-it is NF(V^(e+1)).  The relation holds one polynomial per V-slot, and each
-substitution multiplies the top coefficient by them through
-`SparsePoly.__mul__`, which over Z[lam] is the one packed product; the
-split of a factor that the packing needs happens inside `exactalg`, once
-per polynomial.
+most p, so each step is one substitution round, unpacked once, and by
+linearity and uniqueness it is NF(V^(e+1)).
 
 W^i = a(x)^i * X^i, so the W-slot s_i of a normal form is the X-slot
 a(x)^i * s_i (`FibreContext.x_coordinates`).  As a(x) != 0 this is an
@@ -95,7 +102,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 from .errors import (
     BadSpecialization,
@@ -106,7 +114,18 @@ from .errors import (
     WrongDegree,
     WrongFibre,
 )
-from .exactalg import CycloElement, SparsePoly, residue
+from .exactalg import (
+    CycloElement,
+    SparsePoly,
+    _accumulate,
+    _content_groups,
+    _max_exponent,
+    _pack,
+    _packed_rows,
+    _unpacked_terms,
+    _unpacker,
+    residue,
+)
 from .family import FamilyParams, _a_powers, deformation_symbols, per_triple
 from .generators import ANY_FIBRE, GENERIC, RELATIVE, SPECIAL, GeneratorPoly, relative_lambda_coefficient, trinomial_slots
 from .indexsets import monomial_multidegrees
@@ -120,13 +139,16 @@ class FibreRelation:
     V is y on the generic fibre and W = a(x) * X on the special and relative
     fibres.  rhs holds one polynomial over `vars` per V-slot i = 0..p-1, with
     coefficients in Z[lam], or in Z read mod p on the special fibre; a slot
-    the relation does not use is the zero polynomial.
+    the relation does not use is the zero polynomial.  `memo` keeps the
+    relation's packed forms and widths (`reduce_normal_form`); it takes no
+    part in equality.
     """
 
     fibre: str
     p: int
     vars: tuple[str, ...]
     rhs: tuple[SparsePoly, ...]
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @per_triple
@@ -152,38 +174,298 @@ def _relation_rhs(params: FamilyParams, fibre: str) -> tuple[SparsePoly, ...]:
     return tuple(SparsePoly(variables, slot) for slot in rhs)
 
 
-def reduce_normal_form(e: dict, rel: FibreRelation) -> tuple[SparsePoly, ...]:
-    """Reduce a V-polynomial (exp -> coefficient polynomial) below degree p:
-    its normal form, the slots 0..p-1.
+def _relation_bounds(rel: FibreRelation) -> tuple[int, tuple[int, ...]]:
+    """(largest exponent of the relation, w_i per slot), kept in `rel.memo`:
+    w_i is the sum of the content-group weights of rhs_i
+    (`exactalg._content_groups`).  Slots are read by index."""
+    bounds = rel.memo.get("bounds")
+    if bounds is None:
+        groups = [_content_groups(rel.rhs[i]) for i in range(rel.p)]
+        bounds = rel.memo["bounds"] = (
+            max(top for top, _ in groups),
+            tuple(sum(w for _, _, w in slot) for _, slot in groups),
+        )
+    return bounds
 
-    The top coefficient r meets each relation slot s_i as the product
-    r * s_i, which over Z[lam] runs on packed ints (`SparsePoly.__mul__`);
-    `exactalg` splits each slot for the packing once and keeps the split on
-    it.  Each round walks `rel.rhs` once.  Each substitution strictly lowers the
-    top V-degree, so the loop runs at most (initial degree - p + 1) times.
+
+def _packed_relation(rel: FibreRelation, width: int, shift: int, n: int) -> list:
+    """Each relation slot's content groups on packed ints: per slot, a list of
+    (packed rows of gamma * lam^j, packed exponents, int multiples).  The
+    exponents are packed once per width, which `rel.memo` keeps the latest
+    of, and the rows once per coordinate width.  Slots are read by index."""
+    keyed = rel.memo.get("keys")
+    if keyed is None or keyed[0] != width:
+        groups = [_content_groups(rel.rhs[i])[1] for i in range(rel.p)]
+        slots = [[(rows, [_pack(e, width) for e in multiples], multiples.values()) for rows, multiples, _ in slot] for slot in groups]
+        keyed = rel.memo["keys"] = (width, slots, {})
+    packed = keyed[2].get(shift)
+    if packed is None:
+        packed = keyed[2][shift] = [[(_packed_rows(rows, shift, n), keys, ks) for rows, keys, ks in slot] for slot in keyed[1]]
+    return packed
+
+
+def _coords(v, n: int) -> tuple[int, ...]:
+    """The n coordinates of a coefficient: over Z[lam] (n = p - 1) an int is
+    its own first coordinate; on the special fibre's Z (n = 1) only ints
+    occur."""
+    if type(v) is CycloElement:
+        if n == 1:
+            raise InvariantViolation("the special fibre computes over Z")
+        return v.coeffs
+    return (v,) + (0,) * (n - 1)
+
+
+def _part(c: SparsePoly, rel: FibreRelation, n: int, memo: dict | None) -> list:
+    """[lift, largest exponent, largest |coordinate|, width, packed exponents]
+    of a part's polynomial, kept in `memo` when one is given.  A polynomial
+    over the deformation symbols rel.vars[1:] is lifted (lift 1) with
+    x-exponent 0; the packed exponents are those of the latest width, in
+    the order of its terms."""
+    info = None if memo is None else memo.get(c)
+    if info is None:
+        lift = len(rel.vars) - len(c.vars)
+        if lift not in (0, 1) or c.vars != rel.vars[lift:]:
+            raise ValueError(f"variable mismatch: {c.vars} vs {rel.vars}")
+        largest = 0
+        for v in c.terms.values():
+            largest = max(largest, max(map(abs, _coords(v, n))))
+        info = [lift, _max_exponent(c), largest, None, None]
+        if memo is not None:
+            memo[c] = info
+    return info
+
+
+def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dict | None = None):
+    """Reduce a V-polynomial below degree p: its normal form, the slots
+    0..p-1, or with zero_test=True whether that normal form is zero.
+
+    `e` holds the V-polynomial as parts (k, rho, c), each the term
+    x^rho * c * V^k, with c a polynomial over `rel.vars`, or over the
+    deformation symbols `rel.vars[1:]` and read with x-exponent 0.  The
+    reduction runs on packed ints (Kronecker substitution, as in
+    `SparsePoly.__mul__`): a V-slot is {packed exponent: packed
+    coordinates}.  An exponent vector packs with nonnegative digits of
+    `width` bits.  A coordinate vector c_0..c_(n-1) over Z[lam] (n = p - 1)
+    packs as the signed digits sum_j c_j * 2^(B*j); on the special fibre's
+    Z (n = 1) the coordinate is the int itself and needs no B.  Each
+    distinct part polynomial is packed once per width (kept in `memo`
+    across calls when one is given), and its shift by x^rho adds rho to
+    the packed exponents.  The relation is packed once per widths
+    (`_packed_relation`).  When the slots are returned, a plain part
+    (x-shift 0, over `rel.vars`) is not packed: its slot is returned as
+    given, plus what the rounds add to it.
+
+    Each round takes the top V-degree t >= p, with the coordinates of its
+    terms, and adds r * rhs_i to slot t - p + i for each relation slot
+    (`exactalg._accumulate`).  Round 1 reads the top coordinates from the
+    parts; a later round unpacks the top slot.  Each round walks `rel.rhs`
+    once and strictly lowers the top V-degree, so the loop runs at most
+    (initial degree - p + 1) times.  The zero test reads the packed values,
+    mod p on the special fibre, and unpacks nothing; otherwise the packed
+    slots are unpacked once, at the end.
+
+    Soundness:
+
+    - Signed-digit injectivity.  Packing is Z-linear, so the packed value
+      of a sum or an int multiple is that sum or multiple of the packed
+      values, whatever the digits.  If every |c_j| < 2^(B-1), adding
+      2^(B-1) to each digit gives digits in [0, 2^B), which pack
+      injectively; so the packed value is 0 exactly when every c_j is, and
+      the coordinates unpack exactly (`exactalg._unpacker`).  Coordinates
+      are read, by the zero test, an unpack or a re-pack, only while this
+      holds.
+    - Per-round bound.  bound[k] bounds every |coordinate| of the packed
+      slot k: at the start, the largest |coordinate| of its parts, summed
+      over them.
+      A top term r with coordinate sum C, times gamma * d, adds at most
+      C * |d|_1 * G to any coordinate, G the largest coordinate of any
+      gamma * lam^j; so a round adds at most C * w_i to bound[t - p + i],
+      with C the largest coordinate sum of the top terms, known exactly,
+      and w_i the sum of |d|_1 * G over the content groups of rhs_i
+      (`exactalg._content_groups`).  Before each round B is checked
+      against the largest bound the round leaves.  A slot that empties
+      drops its bound.
+    - Exact re-pack.  When that bound reaches 2^(B-1), every live slot is
+      still below it and unpacks exactly; its exact largest |coordinate|
+      becomes its bound, and it packs again at a B wide enough for the
+      round and at least twice the old one, so that re-packs stay few.  A
+      reduction whose first round leaves no V-degree >= p, as a passing
+      trinomial's does, never re-packs.
+    - Exponents.  No exponent digit exceeds the largest exponent of a part
+      plus the rounds times the largest exponent of the relation, so
+      `width` is fixed before round 1 from that all-rounds bound (or the
+      relation's widest so far), and no sum of packed exponents carries.
     """
-    work = {k: v for k, v in e.items() if v}
-    if work:
-        rounds_allowed = max(work) - rel.p + 1
-    while work and max(work) >= rel.p:
-        top = max(work)
-        r = work.pop(top)
-        for i, s in enumerate(rel.rhs):
-            if not s:
+    p = rel.p
+    n = 1 if rel.fibre == SPECIAL else p - 1
+    rel_top, weights = _relation_bounds(rel)
+    # the slots to return keep a plain part (x-shift 0, over rel.vars) as it
+    # is; every other part, and every part of a zero test, is packed
+    plain: dict[int, SparsePoly] = {}
+    parts = []
+    top = 0
+    variables = rel.vars
+    for k, rho, c in e:
+        if not c.terms:
+            continue
+        if k > top:
+            top = k
+        if zero_test or rho or c.vars != variables:
+            parts.append((k, rho, c, _part(c, rel, n, memo)))
+        elif k not in plain:
+            plain[k] = c
+        elif plain[k] + c:
+            plain[k] = plain[k] + c
+        else:
+            del plain[k]
+    if top < p and not parts:
+        # no round and nothing packed: the plain parts are the slots
+        zero = SparsePoly(variables)
+        return not plain if zero_test else tuple([plain.get(i, zero) for i in range(p)])
+    rounds_allowed = max(top - p + 1, 0)
+    # the all-rounds exponent bound; a plain part is packed only when a
+    # round reads it as the top
+    largest = 0
+    for _, rho, _, info in parts:
+        largest = max(largest, rho + info[1])
+    for k, c in plain.items():
+        if k >= p:
+            largest = max(largest, _max_exponent(c))
+    width = rel.memo["width"] = max((largest + rounds_allowed * rel_top).bit_length(), rel.memo.get("width", 1))
+
+    # round 1 reads its top coordinates from the parts, summed per exponent;
+    # bound[k] bounds the coordinates of the packed slot k
+    bound: dict[int, int] = {}
+    coords = _plain_coords(plain.pop(top), width, n) if top >= p and top in plain else {}
+    for k, rho, c, info in parts:
+        if k != top or top < p:
+            bound[k] = bound.get(k, 0) + info[2]
+            continue
+        lift = width * info[0]
+        for exps, v in c.terms.items():
+            _add_coords(coords, (_pack(exps, width) << lift) + rho, _coords(v, n))
+    terms = [(key, cs) for key, cs in coords.items() if any(cs)]
+    t = c_top = None
+    if terms:
+        t, c_top = top, _coordinate_sum(terms, n)
+    # B for round 1, or for the slots as given when no round runs
+    shift = _round_need(bound, t, c_top, p, weights).bit_length() + 1 if n > 1 else 0
+
+    work: dict[int, dict] = {}
+    if bound:
+        units = _packed_rows(None, shift, n)
+    for k, rho, c, info in parts:
+        if k == top >= p:
+            continue
+        if info[3] != width:
+            lift = width * info[0]
+            info[3] = width
+            info[4] = [_pack(exps, width) << lift for exps in c.terms]
+        slot = work.setdefault(k, {})
+        get = slot.get
+        for key, v in zip(info[4], c.terms.values()):
+            key += rho
+            # an int is its own packed value: the digit of lam^0
+            slot[key] = get(key, 0) + (sum(map(operator.mul, v.coeffs, units)) if type(v) is CycloElement else v)
+    for k in list(work):
+        _settle(work, bound, k)
+
+    while True:
+        if t is None:
+            t = max(max(work, default=0), max(plain, default=0))
+            if t < p:
+                break
+            coords = _plain_coords(plain.pop(t), width, n) if t in plain else {}
+            if t in work:
+                del bound[t]
+                unpack = _unpacker(shift, n) if n > 1 else lambda v: (v,)
+                for key, v in work.pop(t).items():
+                    _add_coords(coords, key, unpack(v))
+            terms = [(key, cs) for key, cs in coords.items() if any(cs)]
+            if not terms:
+                t = None
                 continue
-            k = top - rel.p + i
-            add = r * s
-            cur = work.get(k)
-            cur = add if cur is None else cur + add
-            if cur:
-                work[k] = cur
-            elif k in work:
-                del work[k]
+            c_top = _coordinate_sum(terms, n)
         rounds_allowed -= 1
         if rounds_allowed < 0:
             raise InvariantViolation("normal-form reduction did not lower the top V-degree")
-    zero = SparsePoly.zero(rel.vars)
-    return tuple(work.get(i, zero) for i in range(rel.p))
+        if n > 1 and _round_need(bound, t, c_top, p, weights) >> (shift - 1):
+            # re-pack every packed slot, with its exact bound, at a width the round fits
+            unpack = _unpacker(shift, n)
+            unpacked = {k: [(key, unpack(v)) for key, v in slot.items()] for k, slot in work.items()}
+            for k, slot in unpacked.items():
+                bound[k] = max(abs(x) for _, cs in slot for x in cs)
+            shift = max(_round_need(bound, t, c_top, p, weights).bit_length() + 1, 2 * shift)
+            work = {k: {key: _pack(cs, shift) for key, cs in slot} for k, slot in unpacked.items()}
+        packed_rel = _packed_relation(rel, width, shift, n)
+        for i, s in enumerate(rel.rhs):
+            if not weights[i]:
+                continue
+            k = t - p + i
+            slot = work.setdefault(k, {})
+            for rows, keys, multiples in packed_rel[i]:
+                _accumulate(slot, terms, rows, keys, multiples)
+            bound[k] = bound.get(k, 0) + c_top * weights[i]
+            _settle(work, bound, k)
+        t = None
+
+    if zero_test:
+        if n == 1:
+            return not any(v % p for slot in work.values() for v in slot.values())
+        return not any(any(slot.values()) for slot in work.values())
+    read = None
+    if n > 1 and work:
+        unpack = _unpacker(shift, n)
+        read = lambda v: CycloElement._integral(p, unpack(v))  # noqa: E731
+    zero = SparsePoly(rel.vars)
+    slots = []
+    for i in range(p):
+        poly = plain.get(i, zero)
+        if i in work:
+            packed = SparsePoly(rel.vars)
+            packed.terms = _unpacked_terms(work[i], width, len(rel.vars), read)
+            poly = poly + packed if poly else packed
+        slots.append(poly)
+    return tuple(slots)
+
+
+def _coordinate_sum(terms, n: int) -> int:
+    """The largest coordinate sum |c_0| + ... + |c_(n-1)| of the terms, which
+    the coordinate bound needs over Z[lam] only (0 on the special fibre)."""
+    return max(sum(map(abs, cs)) for _, cs in terms) if n > 1 else 0
+
+
+def _plain_coords(poly: SparsePoly, width: int, n: int) -> dict:
+    """{packed exponent: coordinates} of a plain part."""
+    return {_pack(exps, width): _coords(v, n) for exps, v in poly.terms.items()}
+
+
+def _add_coords(coords: dict, key: int, cs: tuple[int, ...]) -> None:
+    """coords[key] += cs, coordinatewise."""
+    cur = coords.get(key)
+    coords[key] = cs if cur is None else tuple(map(operator.add, cur, cs))
+
+
+def _round_need(bound: dict, t: int | None, c_top: int | None, p: int, weights) -> int:
+    """The largest coordinate bound over the live slots once a round has run
+    at top V-degree t, its top terms' largest coordinate sum c_top (no round
+    when t is None)."""
+    need = max(bound.values(), default=0)
+    if t is not None:
+        for i, w in enumerate(weights):
+            if w:
+                need = max(need, bound.get(t - p + i, 0) + c_top * w)
+    return need
+
+
+def _settle(work: dict, bound: dict, k: int) -> None:
+    """Drop the zero terms of slot k, and the slot and its bound when it empties."""
+    slot = work[k]
+    if not all(slot.values()):
+        slot = work[k] = {key: v for key, v in slot.items() if v}
+    if not slot:
+        del work[k]
+        bound.pop(k, None)
 
 
 def check_specialization(params: FamilyParams, specialization: dict) -> None:
@@ -235,6 +517,10 @@ class FibreContext:
         self._chain: list[tuple[SparsePoly, ...]] = []
         self._verdicts: dict[frozenset, bool] = {}
         self._values: dict[SparsePoly, object] = {}
+        # the combinations' coefficients: their constants on a specialized
+        # context, and the packed forms of `reduce_normal_form`
+        self._constants: dict[SparsePoly, SparsePoly] = {}
+        self._packed: dict[SparsePoly, list] = {}
         self._multidegrees = monomial_multidegrees(params)
 
     def specialized_value(self, poly: SparsePoly):
@@ -253,13 +539,14 @@ class FibreContext:
             value = self._values[poly] = poly.specialize(self.specialization).constant_value()
         return value
 
-    def embed_symbol_poly(self, poly: SparsePoly) -> SparsePoly:
-        """Lift a coefficient polynomial in the deformation symbols into the
-        context variables; a specialized context substitutes the values
-        (`specialized_value`)."""
-        if self.specialization is not None:
-            return SparsePoly.constant(self.vars, self.specialized_value(poly))
-        return poly.embed(self.vars)
+    def _constant(self, poly: SparsePoly) -> SparsePoly:
+        """The specialized value of a coefficient polynomial as a constant
+        over no variables, a part `reduce_normal_form` reads with x-exponent
+        0, built once per distinct polynomial."""
+        const = self._constants.get(poly)
+        if const is None:
+            const = self._constants[poly] = SparsePoly.constant((), self.specialized_value(poly))
+        return const
 
     def weight_image(self, T: int) -> tuple[SparsePoly, ...]:
         """Cleared image of the multidegree (2, 0, T): NF(V^(E-T)), one per weight."""
@@ -278,8 +565,7 @@ class FibreContext:
             one = SparsePoly.constant(self.vars, self.one)
             chain.extend(tuple(one if i == k else zero for i in range(self.p)) for k in range(self.p))
         while len(chain) <= e:
-            shifted = {i + 1: c for i, c in enumerate(chain[-1]) if c}
-            chain.append(reduce_normal_form(shifted, self.relation))
+            chain.append(reduce_normal_form([(i + 1, 0, c) for i, c in enumerate(chain[-1])], self.relation))
         return chain[e]
 
     def x_coordinates(self, img: tuple[SparsePoly, ...]) -> tuple[SparsePoly, ...]:
@@ -350,8 +636,10 @@ class FibreContext:
         """Evaluate sum c_(rho,T) * image(rho, T) over ((rho, T), c) items.
 
         With C_T = sum_rho x^rho * c_(rho,T), the V-polynomial
-        sum_T C_T * V^(E-T) is reduced once (`reduce_normal_form`), and the
-        sum vanishes when every slot of that normal form is zero:
+        sum_T C_T * V^(E-T) is reduced once (`reduce_normal_form`), as the
+        parts (E - T, rho, c_(rho,T)), each coefficient packed once per
+        context (a specialized context passes its value as a constant), and
+        the sum vanishes when every slot of that normal form is zero:
 
         - the normal form modulo a monic relation is unique and linear over
           the polynomials in x and the symbols, so
@@ -366,18 +654,15 @@ class FibreContext:
         - a binomial's per-multidegree sums are already zero, so a binomial
           never reaches this method.
         """
-        combination: dict[int, SparsePoly] = {}
+        parts = []
         for (rho, T), coeff in items:
-            c = self.embed_symbol_poly(coeff).mul_var_power("x", rho)
             e = self.clearing - T
             if e < self.p:
                 raise TOutOfRange(f"weight {T} starts below V^p on the {self.fibre} fibre")
-            cur = combination.get(e)
-            combination[e] = c if cur is None else cur + c
-        nf = reduce_normal_form(combination, self.relation)
-        if self.fibre == SPECIAL:
-            return not any(c % self.p for s in nf for c in s.terms.values())
-        return not any(nf)
+            if self.specialization is not None:
+                coeff = self._constant(coeff)
+            parts.append((e, rho, coeff))
+        return reduce_normal_form(parts, self.relation, zero_test=True, memo=self._packed)
 
     def multidegree_of(self, m: Monomial) -> tuple[int, int]:
         """(rho, T) of a degree-2 monomial in the basis variables, read from

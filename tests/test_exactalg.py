@@ -542,9 +542,37 @@ def test_specialize():
     assert g.terms == {(2,): 2, (0,): 6, (1,): 2}
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_specialize_over_z_lam_matches_termwise_substitution(p):
+    # specialize runs each content group's int part in ints and scales by
+    # gamma once per output term; the reference substitutes term by term
+    rng = random.Random(70_000 + p)
+    variables = ("x", "s", "t")
+
+    def termwise(poly, values):
+        out = {}
+        for e, c in poly.terms.items():
+            for name, k in zip(variables, e):
+                if name in values:
+                    c = c * values[name] ** k
+            key = tuple(k for name, k in zip(variables, e) if name not in values)
+            out[key] = out.get(key, 0) + c
+        return SparsePoly(tuple(v for v in variables if v not in values), out)
+
+    gamma = CycloElement(p, tuple(rng.randint(-9, 9) for _ in range(p - 1)))
+    for _ in range(8):
+        ints = SparsePoly(variables, {tuple(rng.randint(0, 3) for _ in variables): rng.randint(-5, 5) for _ in range(8)})
+        poly = ints.map_coefficients(lambda k: gamma * k) + _rand_cyclo_poly(rng, p, variables, 5) + ints
+        for values in ({"s": rng.randint(-4, 4)}, {"s": 2, "t": -3}, {"x": 0, "s": 1, "t": 0}):
+            assert poly.specialize(values) == termwise(poly, values)
+    # terms that meet in one output term and cancel there leave none
+    cancel = SparsePoly(variables, {(1, 1, 0): gamma * 2, (1, 0, 1): gamma * -1, (1, 0, 0): 3})
+    assert cancel.specialize({"s": 1, "t": 2}) == SparsePoly(("x",), {(1,): 3})
+
+
 def test_embed_and_drop():
+    # a polynomial viewed inside a larger variable tuple: substituting 0 for
+    # the added variables gives the polynomial back
     small = SparsePoly(("a",), {(2,): 5})
-    big = small.embed(("x", "a", "b"))
-    assert big.terms == {(0, 2, 0): 5}
-    # substituting 0 for the added variables gives the polynomial back
+    big = SparsePoly(("x", "a", "b"), {(0, 2, 0): 5})
     assert big.specialize({"x": 0, "b": 0}) == small

@@ -231,7 +231,7 @@ def test_power_tables_satisfy_recurrence(triple):
     def full(i):
         poly = SparsePoly.zero(variables)
         for j, c in a_power_coefficients(params, i).items():
-            poly = poly + c.embed(variables) * SparsePoly.variable(variables, "x", j)
+            poly = poly + SparsePoly(variables, {(j,) + e: v for e, v in c.terms.items()})
         return poly
 
     for i in range(1, params.p):

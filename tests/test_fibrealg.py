@@ -4,6 +4,7 @@ import operator
 import random
 
 import pytest
+import sympy
 
 from canideal.errors import (
     BadSpecialization,
@@ -16,6 +17,7 @@ from canideal.exactalg import CycloElement, SparsePoly, residue
 from canideal.family import deformation_symbols, validate_params
 from canideal.fibrealg import (
     FibreContext,
+    FibreRelation,
     _relation_rhs,
     fibre_context,
     reduce_normal_form,
@@ -32,6 +34,23 @@ from canideal.generators import (
 from canideal.indexsets import build_index_set, minimal_monomial, minkowski_sum, monomial_classes
 from canideal.termorder import IndexPair, Monomial
 from canideal.verify import default_specialization
+
+
+def _nf(e, rel):
+    """The normal form of a V-polynomial given as {V-degree: coefficient}."""
+    return reduce_normal_form([(k, 0, c) for k, c in e.items()], rel)
+
+
+def _embed(poly, variables):
+    """The polynomial viewed inside a larger variable tuple."""
+    pos = [variables.index(v) for v in poly.vars]
+    terms = {}
+    for e, c in poly.terms.items():
+        exps = [0] * len(variables)
+        for i, k in zip(pos, e):
+            exps[i] = k
+        terms[tuple(exps)] = c
+    return SparsePoly(variables, terms)
 
 
 def _read(ctx, poly):
@@ -81,7 +100,7 @@ def test_generic_relation_rhs():
     ctx = fibre_context(params, "generic")
     # V^p reduces to lam^p * x^ell + a(x)^p, a constant in the fibre variable
     one = SparsePoly.constant(ctx.vars, ctx.one)
-    nf = reduce_normal_form({5: one}, ctx.relation)
+    nf = _nf({5: one}, ctx.relation)
     lam5 = CycloElement.lam(5) ** 5
     expected = SparsePoly.variable(ctx.vars, "x", 1, lam5) + _a_power(params, ctx, 5)
     assert nf[0] == expected
@@ -92,7 +111,7 @@ def test_special_relation_rhs():
     params = validate_params(5, 2, 1)
     ctx = fibre_context(params, "special")
     one = SparsePoly.constant(ctx.vars, ctx.one)
-    nf = reduce_normal_form({5: one}, ctx.relation)
+    nf = _nf({5: one}, ctx.relation)
     # X^p = X + x^ell / a^p, so W = a X gives W^p -> a^(p-1) W + x^ell, mod p
     assert _read(ctx, nf[1]) == _a_power(params, ctx, 4)
     assert _read(ctx, nf[0]) == SparsePoly.variable(ctx.vars, "x", 1, ctx.one)
@@ -175,7 +194,7 @@ def test_low_degree_unchanged():
     params = validate_params(5, 2, 1)
     ctx = fibre_context(params, "relative")
     e = {4: SparsePoly.constant(ctx.vars, 3 * ctx.one)}
-    nf = reduce_normal_form(e, ctx.relation)
+    nf = _nf(e, ctx.relation)
     assert nf[4] == e[4]
     assert not any(nf[i] for i in range(4))
 
@@ -200,7 +219,7 @@ def test_phi_image_special_top_weight():
     m = Monomial((IndexPair(6, 4), IndexPair(6, 4)))
     nf = ctx.phi_image(m)
     start = {5: SparsePoly.variable(ctx.vars, "x", 12, ctx.one)}
-    assert nf == reduce_normal_form(start, ctx.relation)
+    assert nf == _nf(start, ctx.relation)
     # W^p = x^ell + a^(p-1) * W with ell = 1, mod p
     assert _read(ctx, nf[0]) == SparsePoly.variable(ctx.vars, "x", 13, ctx.one)
 
@@ -260,7 +279,7 @@ def _expanded_relation(rhs, v, factor):
     Horner's rule in v."""
     acc = SparsePoly.constant(v.vars, 1)
     for slot in reversed(rhs):
-        acc = acc * v - slot.embed(v.vars)
+        acc = acc * v - _embed(slot, v.vars)
     return acc.scale(factor)
 
 
@@ -270,7 +289,7 @@ def _x_expansion_model(params):
     expanded over ("x", "X") + symbols."""
     p = params.p
     variables = ("x", "X") + deformation_symbols(params)
-    a = _a_polynomial(params).embed(variables)
+    a = _embed(_a_polynomial(params), variables)
     a_p = _power(a, p)
     lam = CycloElement.lam(p)
     lhs = SparsePoly.zero(variables)
@@ -424,10 +443,10 @@ def test_normal_form_is_multiplicative(fibre):
 
     for _ in range(6):
         e1, e2 = rand_elem(), rand_elem()
-        direct = reduce_normal_form(_conv(e1, e2), ctx.relation)
-        nf1 = reduce_normal_form(e1, ctx.relation)
-        nf2 = reduce_normal_form(e2, ctx.relation)
-        stepped = reduce_normal_form(
+        direct = _nf(_conv(e1, e2), ctx.relation)
+        nf1 = _nf(e1, ctx.relation)
+        nf2 = _nf(e2, ctx.relation)
+        stepped = _nf(
             _conv(dict(enumerate(nf1)), dict(enumerate(nf2))), ctx.relation
         )
         assert direct == stepped
@@ -438,7 +457,7 @@ def _direct_image(ctx, rho, T):
     p = ctx.p
     x_rho = SparsePoly.variable(ctx.vars, "x", rho, ctx.one)
     e = 3 * p - T if ctx.fibre == "generic" else 3 * p - 2 - T
-    return reduce_normal_form({e: x_rho}, ctx.relation)
+    return _nf({e: x_rho}, ctx.relation)
 
 
 @pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (3, 4, 2)])
@@ -476,7 +495,7 @@ def test_normal_form_chain_equals_reduction_from_scratch(triple, specialized):
         assert len(ctx._chain) == top + 1
         for e in range(top + 1):
             got = ctx.power_normal_form(e)
-            want = reduce_normal_form({e: one}, ctx.relation)
+            want = _nf({e: one}, ctx.relation)
             assert got == want, (triple, fibre, e)
 
 
@@ -486,7 +505,7 @@ def _relation_polynomial(ctx, params):
     rather than from the stored relation."""
     p, ell = params.p, params.ell
     variables = ("V",) + ctx.vars
-    a = _a_power(params, ctx, 1).embed(variables)
+    a = _embed(_a_power(params, ctx, 1), variables)
     V = SparsePoly.variable(variables, "V", 1, ctx.one)
     x_ell = SparsePoly.variable(variables, "x", ell, ctx.one)
     if ctx.fibre == "generic":
@@ -517,7 +536,7 @@ def test_weight_images_are_congruent_to_their_starts(triple, specialized):
             e = 3 * ctx.p - T if fibre == "generic" else 3 * ctx.p - 2 - T
             diff = SparsePoly.variable(variables, "V", e, ctx.one)
             for i, s in enumerate(ctx.weight_image(T)):
-                diff = diff - s.embed(variables).mul_var_power("V", i)
+                diff = diff - _embed(s, variables).mul_var_power("V", i)
             quo, rem = diff.divmod_monic(relation, "V")
             assert not _read(ctx, rem), (triple, fibre, T)
             assert _read(ctx, quo * relation) == _read(ctx, diff)
@@ -567,3 +586,164 @@ def test_x_coordinates_are_w_slots_times_a_powers(triple):
             coords = ctx.x_coordinates(img)
             for i, (s, r) in enumerate(zip(img, coords)):
                 assert _read(ctx, r) == _read(ctx, s if fibre == "generic" else s * _a_power(params, ctx, i)), (fibre, T, i)
+
+
+def _sympy_power_normal_form(params, ctx, e):
+    """NF(V^e) by sympy, independent of the package's relation and of its
+    arithmetic: V^e is reduced modulo the fibre relation, built from a(x)
+    and the closed forms of the relations, and every coefficient, a
+    polynomial in t = lam, modulo the minimal polynomial of lam (one
+    multivariate division by both).  Returns
+    {(V-slot, exponents over ctx.vars): coordinates}, the special fibre's
+    read mod p."""
+    p, ell = params.p, params.ell
+    t, V = sympy.symbols("t V")
+    xs = sympy.symbols(ctx.vars)
+    min_poly = sum(math.comb(p, i) * t ** (i - 1) for i in range(1, p + 1))
+    values = dict(zip(sympy.symbols(deformation_symbols(params)), (ctx.specialization or {}).values()))
+    syms = sympy.symbols(deformation_symbols(params))
+    a = xs[0] ** params.q + sum(s * xs[0] ** (params.q - k) for k, s in enumerate(syms, 1))
+    a = a.subs(values)
+    if ctx.fibre == "generic":
+        relation = V**p - t**p * xs[0] ** ell - a**p
+    elif ctx.fibre == "special":
+        relation = V**p - xs[0] ** ell - a ** (p - 1) * V
+    else:
+        relation = V**p - xs[0] ** ell
+        for i in range(1, p):
+            # c_i = binom(p, i) / lam^(p-i), an integral element of Z[lam]
+            c = sympy.rem(math.comb(p, i) * sympy.invert(t ** (p - i), min_poly, t), min_poly, t)
+            assert all(coeff.is_integer for coeff in sympy.Poly(c, t).coeffs())
+            relation += c * a ** (p - i) * V**i
+    # the relation's lead V^p and the minimal polynomial's t^(p-1) are
+    # coprime, so the two form a Groebner basis in lex order with V first,
+    # and the remainder of the division by both is unique
+    _, nf = sympy.reduced(V**e, [sympy.expand(relation), min_poly], V, t, *xs, order="lex")
+    out = {}
+    for (i, *exps, j), coeff in sympy.Poly(nf, V, *xs, t).terms():
+        coords = out.setdefault((i, tuple(exps)), [0] * (p - 1))
+        coords[j] += int(coeff)
+    if ctx.fibre == "special":
+        out = {key: [coords[0] % p] for key, coords in out.items()}
+    return {key: tuple(coords) for key, coords in out.items() if any(coords)}
+
+
+def _slot_coordinates(ctx, nf):
+    """{(V-slot, exponents): coordinates} of a normal form, the special
+    fibre's read mod p."""
+    out = {}
+    for i, slot in enumerate(nf):
+        for exps, c in slot.terms.items():
+            if ctx.fibre == "special":
+                coords = (c % ctx.p,)
+            else:
+                coords = c.coeffs if isinstance(c, CycloElement) else (c,) + (0,) * (ctx.p - 2)
+            if any(coords):
+                out[i, exps] = coords
+    return out
+
+
+@pytest.mark.parametrize("triple", [(3, 1, 1), (3, 2, 2), (5, 1, 1)])
+@pytest.mark.parametrize("specialized", [False, True])
+def test_power_normal_forms_match_a_sympy_reduction(triple, specialized):
+    # the packed reduction against sympy's remainders, slot by slot: V^e
+    # reduced modulo the fibre relation and lam's minimal polynomial
+    params = validate_params(*triple)
+    spec = default_specialization(params) if specialized else None
+    for fibre in ("generic", "special", "relative"):
+        ctx = FibreContext(params, fibre, spec)
+        p = ctx.p
+        # the clearing exponent E at p = 3 only, where sympy reduces V^E quickly
+        for e in sorted({p, p + 1, 2 * p - 1, ctx.clearing if p == 3 else p}):
+            want = _sympy_power_normal_form(params, ctx, e)
+            assert want
+            assert _slot_coordinates(ctx, ctx.power_normal_form(e)) == want, (triple, fibre, e)
+
+
+def _spy_unpacker(monkeypatch):
+    """The coordinate widths B of every unpacker a reduction makes."""
+    import canideal.fibrealg as fibrealg
+
+    widths = []
+    real = fibrealg._unpacker
+    monkeypatch.setattr(fibrealg, "_unpacker", lambda width, n: widths.append(width) or real(width, n))
+    return widths
+
+
+@pytest.mark.parametrize("m", [2, 5, 64, 200])
+def test_packed_coordinates_reach_the_digit_bound(monkeypatch, m):
+    # on V^3 = d over Z[lam] (p = 3), x * lam * V^3 + x * s * lam reduces in
+    # one round to x * (s + d) * lam; with |s| + |d| = 2^m - 1 the round is
+    # sized at B = m + 1, so the coordinate s + d is +-(2^(B-1) - 1), the
+    # largest signed digit, and it reads back exactly; s = -d reads as zero.
+    # The x-shift makes every part a packed one.
+    widths = _spy_unpacker(monkeypatch)
+    p, variables = 3, ("x",)
+    lam = SparsePoly.constant(variables, CycloElement.lam(p))
+    zero = SparsePoly.zero(variables)
+    for sign in (1, -1):
+        d, s = sign, sign * (2**m - 2)
+        rel = FibreRelation("generic", p, variables, (SparsePoly.constant(variables, d), zero, zero))
+        parts = [(p, 1, lam), (0, 1, lam.scale(s))]
+        widths.clear()
+        nf = reduce_normal_form(parts, rel)
+        assert widths == [m + 1]
+        assert nf == (lam.scale(sign * (2**m - 1)).mul_var_power("x", 1), zero, zero)
+        assert reduce_normal_form(parts, rel, zero_test=True) is False
+        assert reduce_normal_form([(p, 1, lam), (0, 1, lam.scale(-d))], rel, zero_test=True) is True
+    # a coordinate vector (2^k, -1) packs to 2^k - 2^(k+B'), zero at B' = k:
+    # at the width chosen for it, it neither aliases to zero nor misreads
+    for k in range(1, 80):
+        c = SparsePoly.constant(variables, CycloElement(p, (2**k, -1)))
+        assert reduce_normal_form([(1, 1, c)], rel, zero_test=True) is False
+        assert reduce_normal_form([(1, 1, c)], rel) == (zero, c.mul_var_power("x", 1), zero)
+
+
+@pytest.mark.parametrize("fibre", ["generic", "relative"])
+def test_multi_round_reduction_repacks_exactly(monkeypatch, fibre):
+    # a non-cancelling combination over several V-degrees runs many rounds;
+    # its coordinates outgrow the width sized for round 1, so the reduction
+    # re-packs, and it still equals sum_e c_e * NF(V^e) from the chain
+    params = validate_params(5, 2, 1)
+    ctx = FibreContext(params, fibre)
+    lam = CycloElement.lam(5)
+    x = SparsePoly.variable(ctx.vars, "x")
+    coeffs = {
+        ctx.clearing: x.scale(3 * ctx.one),
+        ctx.clearing - 2: SparsePoly.constant(ctx.vars, lam**3 - 7),
+        ctx.p + 1: x * x.scale(lam),
+    }
+    want = [SparsePoly.zero(ctx.vars)] * ctx.p
+    for e, c in coeffs.items():
+        want = [w + s * c for w, s in zip(want, ctx.power_normal_form(e))]
+    widths = _spy_unpacker(monkeypatch)
+    got = reduce_normal_form([(e, 0, c) for e, c in coeffs.items()], ctx.relation)
+    assert list(got) == want and any(want)
+    assert len(set(widths)) > 1
+    assert reduce_normal_form([(e, 0, c) for e, c in coeffs.items()], ctx.relation, zero_test=True) is False
+
+
+@pytest.mark.parametrize("m", [3, 40])
+def test_repack_covers_a_slot_that_grows_over_rounds(monkeypatch, m):
+    # on V^3 = d + d * V + V^2 over Z[lam] (p = 3), x * lam * V^4 reduces in
+    # two rounds to x * lam * (d + 2d * V + (d + 1) * V^2): round 1 puts d in
+    # slots 1 and 2 and 1 in slot 3, sized for d = 2^m - 1; round 2, whose
+    # top is that 1, adds d to slot 1 again, so slot 1 outgrows the width
+    # round 1 chose unless its running bound is kept, and re-packs
+    widths = _spy_unpacker(monkeypatch)
+    p, variables, d = 3, ("x",), 2**m - 1
+    lam_x = SparsePoly.variable(variables, "x", 1, CycloElement.lam(p))
+    rhs = (SparsePoly.constant(variables, d), SparsePoly.constant(variables, d), SparsePoly.constant(variables, 1))
+    rel = FibreRelation("generic", p, variables, rhs)
+    lam = SparsePoly.constant(variables, CycloElement.lam(p))
+    nf = reduce_normal_form([(4, 1, lam)], rel)
+    assert nf == (lam_x.scale(d), lam_x.scale(2 * d), lam_x.scale(d + 1))
+    assert len(set(widths)) > 1
+
+
+def test_special_reduction_takes_ints_only():
+    params = validate_params(5, 2, 1)
+    ctx = fibre_context(params, "special")
+    ring_one = SparsePoly.constant(ctx.vars, CycloElement.one(5))
+    with pytest.raises(InvariantViolation):
+        reduce_normal_form([(5, 0, ring_one)], ctx.relation)

@@ -222,12 +222,31 @@ def test_membership_negative_control():
         assert not check_membership(params, fibre, bad)
 
 
+def _lift(ctx, poly):
+    """A coefficient polynomial in the deformation symbols over the context
+    variables, its value substituted on a specialized context."""
+    if ctx.specialization is not None:
+        return SparsePoly.constant(ctx.vars, _termwise_value(poly, ctx.specialization))
+    return SparsePoly(ctx.vars, {(0,) + e: c for e, c in poly.terms.items()})
+
+
+def _termwise_value(poly, spec):
+    """The value of a polynomial in the deformation symbols at `spec`, one
+    term at a time: each coefficient times its substituted powers."""
+    total = 0
+    for e, c in poly.terms.items():
+        for name, k in zip(poly.vars, e):
+            c = c * spec[name] ** k
+        total = total + c
+    return total
+
+
 def _per_term_membership(params, fibre, gen):
     """The uncollapsed sum: every term's image times its coefficient."""
     ctx = verify.fibre_context(params, fibre)
     total = None
     for coeff, mono in gen.terms:
-        c = ctx.embed_symbol_poly(coeff)
+        c = _lift(ctx, coeff)
         img = tuple(e * c for e in ctx.phi_image(mono))
         total = img if total is None else tuple(a + b for a, b in zip(total, img))
     return not any(total)
@@ -389,7 +408,7 @@ def _slotwise_verdict(ctx, gen):
     """The weight-image test: sum_T C_T * NF(V^(E-T)), slot by slot."""
     by_weight = {}
     for (rho, T), c in _multidegree_sums(ctx, gen).items():
-        term = ctx.embed_symbol_poly(c).mul_var_power("x", rho)
+        term = _lift(ctx, c).mul_var_power("x", rho)
         by_weight[T] = by_weight[T] + term if T in by_weight else term
     total = [SparsePoly.zero(ctx.vars)] * ctx.p
     for T, c in by_weight.items():
@@ -731,8 +750,8 @@ class _PerTermContext(FibreContext):
         super().__init__(params, fibre, specialization)
         self._basis = frozenset(build_index_set(params))
 
-    def embed_symbol_poly(self, poly):
-        return SparsePoly.constant(self.vars, poly.specialize(self.specialization).constant_value())
+    def specialized_value(self, poly):
+        return _termwise_value(poly, self.specialization)
 
     def multidegree_of(self, m):
         if len(m) != 2:
@@ -784,7 +803,7 @@ def _reference_oracle(params, fibre, spec, gens, tie_break, matrix_rank, kernel_
         in_kernel = ctx.generator_vanishes(gen) and in_kernel
         row = {}
         for coeff, mono in gen.terms:
-            val = residue(coeff.specialize(spec).constant_value(), r, lam)
+            val = residue(_termwise_value(coeff, spec), r, lam)
             if val:
                 row[mono_index[mono]] = val
         if row:
@@ -1008,6 +1027,24 @@ def test_binomials_built_once_per_triple(monkeypatch):
     binomial_generators(params)[0] = corrupt_generator(binomial_generators(params)[0])
     assert all(check_membership(params, "relative", g) for g in binomial_generators(params))
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("triple", [(7, 2, 1), (5, 3, 2)])
+def test_passing_membership_unpacks_nothing(monkeypatch, triple):
+    # certify without the oracle decides membership by a zero test on the
+    # packed reductions: no packed value is unpacked, as every unpack reads
+    # its digits through exactalg._digits; the corrupted control runs past
+    # round 1 and unpacks
+    import canideal.exactalg as exactalg
+
+    calls = []
+    real = exactalg._digits
+    monkeypatch.setattr(exactalg, "_digits", lambda *args: calls.append(args) or real(*args))
+    assert certify(validate_params(*triple)).overall == "PASS"
+    assert calls == []
+    cert = certify(validate_params(*triple), corrupt_one=True)
+    assert cert.overall == "FAIL" and not cert.verdicts["membership_relative"]
+    assert calls
 
 
 def test_oracle_degenerate_guard(monkeypatch):
