@@ -624,8 +624,8 @@ class SparsePoly:
     def specialize(self, values: dict) -> "SparsePoly":
         """Substitute scalars for some variables; the result forgets them.
 
-        Over Z[lam] the polynomial is read as its content split
-        sum_gamma gamma * d_gamma with int d_gamma (`_split_content`): each
+        Over Z[lam] each coefficient is read as k * gamma (`_content`), so
+        the polynomial is sum_gamma gamma * d_gamma with int d_gamma: each
         d_gamma is specialized in ints, and gamma multiplies each of its
         output terms once.  Specialization is a ring map, so the values are
         those of substituting term by term.
@@ -633,27 +633,27 @@ class SparsePoly:
         todrop = [i for i, v in enumerate(self.vars) if v in values]
         keep = [i for i in range(len(self.vars)) if i not in todrop]
         poly = SparsePoly(tuple(self.vars[i] for i in keep))
-        if any(type(c) is CycloElement for c in self.terms.values()):
-            groups = _split_content(self).items()
-        else:
-            groups = [(None, self.terms)]
+        # the int parts: the group of gamma = 1 in `out` itself, the others in `split`
         out: dict = {}
-        for gamma, multiples in groups:
-            # the group of gamma = 1 adds its ints to the output directly
-            specialized = out if gamma is None else {}
-            for e, c in multiples.items():
-                # one product per term: the substituted powers are multiplied first
-                scale = 1
-                for i in todrop:
-                    if e[i]:
-                        scale = scale * values[self.vars[i]] ** e[i]
-                ne = tuple(e[i] for i in keep)
-                specialized[ne] = specialized.get(ne, 0) + c * scale
-            if gamma is not None:
-                gamma = CycloElement._integral(len(gamma) + 1, gamma)
-                for ne, c in specialized.items():
-                    if c:
-                        out[ne] = out.get(ne, 0) + gamma * c
+        split: dict = {}
+        for e, c in self.terms.items():
+            # one product per term: the substituted powers are multiplied first
+            scale = 1
+            for i in todrop:
+                if e[i]:
+                    scale = scale * values[self.vars[i]] ** e[i]
+            ne = tuple(e[i] for i in keep)
+            ints = out
+            if type(c) is CycloElement:
+                gamma, c = _content(c)
+                if gamma is not None:
+                    ints = split.setdefault(gamma, {})
+            ints[ne] = ints.get(ne, 0) + c * scale
+        for gamma, ints in split.items():
+            gamma = CycloElement._integral(len(gamma) + 1, gamma)
+            for ne, c in ints.items():
+                if c:
+                    out[ne] = out.get(ne, 0) + gamma * c
         poly.terms = {ne: c for ne, c in out.items() if c}
         return poly
 
@@ -677,26 +677,28 @@ class SparsePoly:
         return " + ".join(bits)
 
 
-def _split_content(poly: SparsePoly) -> dict:
-    """{gamma: {exponent: int k}} with poly = sum_gamma gamma * d_gamma.
+def _content(c) -> tuple[tuple[int, ...] | None, int]:
+    """(gamma, k) with c = k * gamma.  For a CycloElement outside Z, k is the
+    gcd of its coordinates, sign-normalized so that the first nonzero
+    coordinate of gamma is positive: c and -c, and every int multiple of one
+    primitive element, share a gamma.  An int, and a CycloElement in Z, have
+    gamma = None, which stands for 1."""
+    if type(c) is CycloElement:
+        if not any(c.coeffs[1:]):
+            return None, c.coeffs[0]
+        k = math.gcd(*c.coeffs)
+        if next(x for x in c.coeffs if x) < 0:
+            k = -k
+        return tuple(x // k for x in c.coeffs), k
+    return None, c
 
-    A CycloElement coefficient c is k * gamma with k the gcd of its
-    coordinates, sign-normalized so that the first nonzero coordinate of
-    gamma is positive: c and -c, and every int multiple of one primitive
-    element, share a group.  An int coefficient, and a CycloElement in Z,
-    go to the group gamma = None, which stands for 1.
-    """
+
+def _split_content(poly: SparsePoly) -> dict:
+    """{gamma: {exponent: int k}} with poly = sum_gamma gamma * d_gamma, each
+    coefficient split by `_content`."""
     split: dict = {}
     for e, c in poly.terms.items():
-        gamma, k = None, c
-        if type(c) is CycloElement:
-            if any(c.coeffs[1:]):
-                k = math.gcd(*c.coeffs)
-                if next(x for x in c.coeffs if x) < 0:
-                    k = -k
-                gamma = tuple(x // k for x in c.coeffs)
-            else:
-                k = c.coeffs[0]
+        gamma, k = _content(c)
         split.setdefault(gamma, {})[e] = k
     return split
 
