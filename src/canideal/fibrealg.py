@@ -293,8 +293,8 @@ def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dic
       trinomial's does, never re-packs.
     - Exponents.  No exponent digit exceeds the largest exponent of a part
       plus the rounds times the largest exponent of the relation, so
-      `width` is fixed before round 1 from that all-rounds bound (or the
-      relation's widest so far), and no sum of packed exponents carries.
+      `width` is fixed before round 1 at or above that all-rounds bound,
+      and no sum of packed exponents carries.
     """
     p = rel.p
     n = 1 if rel.fibre == SPECIAL else p - 1
@@ -331,7 +331,11 @@ def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dic
     for k, c in plain.items():
         if k >= p:
             largest = max(largest, _max_exponent(c))
-    width = rel.memo["width"] = max((largest + rounds_allowed * rel_top).bit_length(), rel.memo.get("width", 1))
+    # the relation keeps its width, doubled when a reduction needs more, so
+    # that its exponents are seldom packed again
+    width = rel.memo.get("width", 1)
+    if (largest + rounds_allowed * rel_top) >> width:
+        width = rel.memo["width"] = max((largest + rounds_allowed * rel_top).bit_length(), 2 * width)
 
     # round 1 reads its top coordinates from the parts, summed per exponent;
     # bound[k] bounds the coordinates of the packed slot k
@@ -416,7 +420,7 @@ def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dic
     read = None
     if n > 1 and work:
         unpack = _unpacker(shift, n)
-        read = lambda v: CycloElement._integral(p, unpack(v))  # noqa: E731
+        read = lambda v: CycloElement._integral(p, unpack(v))
     zero = SparsePoly(rel.vars)
     slots = []
     for i in range(p):
