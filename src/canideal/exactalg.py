@@ -693,29 +693,24 @@ def _content(c) -> tuple[tuple[int, ...] | None, int]:
     return None, c
 
 
-def _split_content(poly: SparsePoly) -> dict:
-    """{gamma: {exponent: int k}} with poly = sum_gamma gamma * d_gamma, each
-    coefficient split by `_content`."""
-    split: dict = {}
-    for e, c in poly.terms.items():
-        gamma, k = _content(c)
-        split.setdefault(gamma, {})[e] = k
-    return split
-
-
 def _content_groups(poly: SparsePoly):
     """(largest exponent, groups) of a polynomial over Z[lam], kept on it.
 
-    The groups are the content split gamma_k * d_k of `_split_content`;
-    each group is (rows, d_k terms, weight).  The rows of gamma = 1 are None
+    The groups split poly as sum_k gamma_k * d_k with d_k over the ints,
+    each coefficient read as k * gamma (`_content`); each group is
+    (rows, d_k terms, weight).  The rows of gamma = 1 are None
     (the unit vectors); otherwise rows[j] are the coordinates of
     gamma * lam^j, j = 0..p-2.  The weight is the sum of the |d_k|
     coefficients times the largest |coordinate| in rows (1 for None), the
     factor of the digit bound in `_packed_sum`.
     """
     if poly._groups is None:
+        split: dict = {}
+        for e, c in poly.terms.items():
+            gamma, k = _content(c)
+            split.setdefault(gamma, {})[e] = k
         groups = []
-        for gamma, multiples in _split_content(poly).items():
+        for gamma, multiples in split.items():
             rows = None if gamma is None else _lam_rows(gamma, len(gamma))
             size = 1 if rows is None else max(abs(x) for row in rows for x in row)
             groups.append((rows, multiples, sum(map(abs, multiples.values())) * size))
