@@ -19,8 +19,9 @@ other factor into content groups gamma_k * d_k with int d_k itself
 product and the normal-form reduction of `fibrealg`: `_pack` and
 `_packed_rows` pack, `_accumulate` adds f * gamma_k * d_k into a dict of
 packed terms, and `_unpacker` and `_unpacked_terms` read packed values back
-(every read goes through `_digits`).  `SparsePoly.specialize` specializes
-the int parts d_k in ints and scales by gamma_k once per output term.
+(every coordinate read goes through `_digits`).  `SparsePoly.specialize`
+specializes the int parts d_k in ints and scales by gamma_k once per
+output term.
 """
 
 from __future__ import annotations

@@ -1032,8 +1032,9 @@ def test_binomials_built_once_per_triple(monkeypatch):
 @pytest.mark.parametrize("triple", [(7, 2, 1), (5, 3, 2)])
 def test_passing_membership_unpacks_nothing(monkeypatch, triple):
     # certify without the oracle decides membership by a zero test on the
-    # packed reductions: no packed value is unpacked, as every unpack reads
-    # its digits through exactalg._digits; the corrupted control runs past
+    # packed reductions: no packed value is unpacked, as every coordinate and
+    # every exponent of more than one variable is read through
+    # exactalg._digits; the corrupted control runs past
     # round 1 and unpacks
     import canideal.exactalg as exactalg
 
