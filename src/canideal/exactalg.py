@@ -242,11 +242,11 @@ class CycloElement:
         return other - self
 
     def __neg__(self):
-        return CycloElement._integral(self.p, tuple(map(operator.neg, self.coeffs)))
+        return CycloElement._integral(self.p, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
         if type(other) is int:
-            return CycloElement._integral(self.p, tuple(map(other.__mul__, self.coeffs)))
+            return CycloElement._integral(self.p, tuple(a * other for a in self.coeffs))
         other = self._coerce(other)
         if other is None:
             return NotImplemented

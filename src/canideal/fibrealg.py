@@ -81,9 +81,10 @@ reduction is exact.
 
 The oracle's rows need the weight images NF(V^(E-T)) themselves.  They form
 one chain per context, which in `certify` only the oracle's specialized
-contexts fill: NF(V^(e+1)) is the reduction of V * NF(V^e), of V-degree at
-most p, so each step is one substitution round, unpacked once, and by
-linearity and uniqueness it is NF(V^(e+1)).
+contexts fill: NF(V^(e+1)) is the normal form of V * NF(V^e), whose only
+term of V-degree p is the top slot times V^p.  Each step reduces that term
+in one substitution round, unpacked once, and adds it to the shifted lower
+slots; by linearity and uniqueness this is NF(V^(e+1)).
 
 W^i = a(x)^i * X^i, so the W-slot s_i of a normal form is the X-slot
 a(x)^i * s_i (`FibreContext.x_coordinates`).  As a(x) != 0 this is an
@@ -216,23 +217,43 @@ def _coords(v, n: int) -> tuple[int, ...]:
 
 
 def _part(c: SparsePoly, rel: FibreRelation, n: int, memo: dict | None) -> list:
-    """[lift, largest exponent, largest |coordinate|, width, packed exponents]
-    of a part's polynomial, kept in `memo` when one is given.  A polynomial
-    over the deformation symbols rel.vars[1:] is lifted (lift 1) with
-    x-exponent 0; the packed exponents are those of the latest width, in
-    the order of its terms."""
+    """[poly, lift, largest exponent, packed, largest |coordinate|] of a
+    part's polynomial, kept in `memo` when one is given.  A polynomial over
+    the deformation symbols rel.vars[1:] is lifted (lift 1) with x-exponent
+    0.  packed is (width, packed exponents) at the latest width
+    (`_packed_terms`); poly is the polynomial the entry was built from, so
+    an equal polynomial with its terms in another order reads the entry's
+    own terms.  The largest |coordinate| is read by `_largest`."""
     info = None if memo is None else memo.get(c)
     if info is None:
         lift = len(rel.vars) - len(c.vars)
         if lift not in (0, 1) or c.vars != rel.vars[lift:]:
             raise ValueError(f"variable mismatch: {c.vars} vs {rel.vars}")
-        largest = 0
-        for v in c.terms.values():
-            largest = max(largest, max(map(abs, _coords(v, n))))
-        info = [lift, _max_exponent(c), largest, None, None]
+        info = [c, lift, _max_exponent(c), (None, None), None]
         if memo is not None:
             memo[c] = info
     return info
+
+
+def _largest(info: list, n: int) -> int:
+    """The largest |coordinate| of a part (`_part`), read once."""
+    largest = info[4]
+    if largest is None:
+        largest = info[4] = max(max(map(abs, _coords(v, n))) for v in info[0].terms.values())
+    return largest
+
+
+def _packed_terms(info: list, width: int):
+    """The (packed exponent, coefficient) pairs of a part (`_part`) at
+    exponent width `width`.  The exponents are packed once per width, in the
+    term order of the entry's own polynomial, and replace the old ones with
+    their width in one assignment, so a reader sees one width's keys whole
+    and pairs them with the terms they were packed from."""
+    packed = info[3]
+    if packed[0] != width:
+        lift = width * info[1]
+        packed = info[3] = (width, [_pack(exps, width) << lift for exps in info[0].terms])
+    return zip(packed[1], info[0].terms.values())
 
 
 def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dict | None = None):
@@ -251,9 +272,7 @@ def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dic
     distinct part polynomial is packed once per width (kept in `memo`
     across calls when one is given), and its shift by x^rho adds rho to
     the packed exponents.  The relation is packed once per widths
-    (`_packed_relation`).  When the slots are returned, a plain part
-    (x-shift 0, over `rel.vars`) is not packed: its slot is returned as
-    given, plus what the rounds add to it.
+    (`_packed_relation`).
 
     Each round takes the top V-degree t >= p, with the coordinates of its
     terms, and adds r * rhs_i to slot t - p + i for each relation slot
@@ -299,55 +318,31 @@ def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dic
     p = rel.p
     n = 1 if rel.fibre == SPECIAL else p - 1
     rel_top, weights = _relation_bounds(rel)
-    # the slots to return keep a plain part (x-shift 0, over rel.vars) as it
-    # is; every other part, and every part of a zero test, is packed
-    plain: dict[int, SparsePoly] = {}
-    parts = []
-    top = 0
-    variables = rel.vars
-    for k, rho, c in e:
-        if not c.terms:
-            continue
-        if k > top:
-            top = k
-        if zero_test or rho or c.vars != variables:
-            parts.append((k, rho, c, _part(c, rel, n, memo)))
-        elif k not in plain:
-            plain[k] = c
-        elif plain[k] + c:
-            plain[k] = plain[k] + c
-        else:
-            del plain[k]
-    if top < p and not parts:
-        # no round and nothing packed: the plain parts are the slots
-        zero = SparsePoly(variables)
-        return not plain if zero_test else tuple([plain.get(i, zero) for i in range(p)])
+    parts = [(k, rho, _part(c, rel, n, memo)) for k, rho, c in e if c.terms]
+    if not parts:
+        return True if zero_test else (SparsePoly(rel.vars),) * p
+    top = max(k for k, _, _ in parts)
     rounds_allowed = max(top - p + 1, 0)
-    # the all-rounds exponent bound; a plain part is packed only when a
-    # round reads it as the top
-    largest = 0
-    for _, rho, _, info in parts:
-        largest = max(largest, rho + info[1])
-    for k, c in plain.items():
-        if k >= p:
-            largest = max(largest, _max_exponent(c))
     # the relation keeps its width, doubled when a reduction needs more, so
     # that its exponents are seldom packed again
+    need = max(rho + info[2] for _, rho, info in parts) + rounds_allowed * rel_top
     width = rel.memo.get("width", 1)
-    if (largest + rounds_allowed * rel_top) >> width:
-        width = rel.memo["width"] = max((largest + rounds_allowed * rel_top).bit_length(), 2 * width)
+    if need >> width:
+        width = rel.memo["width"] = max(need.bit_length(), 2 * width)
 
     # round 1 reads its top coordinates from the parts, summed per exponent;
     # bound[k] bounds the coordinates of the packed slot k
     bound: dict[int, int] = {}
-    coords = _plain_coords(plain.pop(top), width, n) if top >= p and top in plain else {}
-    for k, rho, c, info in parts:
+    coords: dict = {}
+    for k, rho, info in parts:
         if k != top or top < p:
-            bound[k] = bound.get(k, 0) + info[2]
+            bound[k] = bound.get(k, 0) + _largest(info, n)
             continue
-        lift = width * info[0]
-        for exps, v in c.terms.items():
-            _add_coords(coords, (_pack(exps, width) << lift) + rho, _coords(v, n))
+        for key, v in _packed_terms(info, width):
+            key += rho
+            cs = _coords(v, n)
+            cur = coords.get(key)
+            coords[key] = cs if cur is None else tuple(map(operator.add, cur, cs))
     terms = [(key, cs) for key, cs in coords.items() if any(cs)]
     t = c_top = None
     if terms:
@@ -358,16 +353,12 @@ def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dic
     work: dict[int, dict] = {}
     if bound:
         units = _packed_rows(None, shift, n)
-    for k, rho, c, info in parts:
+    for k, rho, info in parts:
         if k == top >= p:
             continue
-        if info[3] != width:
-            lift = width * info[0]
-            info[3] = width
-            info[4] = [_pack(exps, width) << lift for exps in c.terms]
         slot = work.setdefault(k, {})
         get = slot.get
-        for key, v in zip(info[4], c.terms.values()):
+        for key, v in _packed_terms(info, width):
             key += rho
             # an int is its own packed value: the digit of lam^0
             slot[key] = get(key, 0) + (sum(map(operator.mul, v.coeffs, units)) if type(v) is CycloElement else v)
@@ -376,19 +367,12 @@ def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dic
 
     while True:
         if t is None:
-            t = max(max(work, default=0), max(plain, default=0))
+            t = max(work, default=0)
             if t < p:
                 break
-            coords = _plain_coords(plain.pop(t), width, n) if t in plain else {}
-            if t in work:
-                del bound[t]
-                unpack = _unpacker(shift, n) if n > 1 else lambda v: (v,)
-                for key, v in work.pop(t).items():
-                    _add_coords(coords, key, unpack(v))
-            terms = [(key, cs) for key, cs in coords.items() if any(cs)]
-            if not terms:
-                t = None
-                continue
+            del bound[t]
+            unpack = _unpacker(shift, n) if n > 1 else lambda v: (v,)
+            terms = [(key, unpack(v)) for key, v in work.pop(t).items()]
             c_top = _coordinate_sum(terms, n)
         rounds_allowed -= 1
         if rounds_allowed < 0:
@@ -402,7 +386,7 @@ def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dic
             shift = max(_round_need(bound, t, c_top, p, weights).bit_length() + 1, 2 * shift)
             work = {k: {key: _pack(cs, shift) for key, cs in slot} for k, slot in unpacked.items()}
         packed_rel = _packed_relation(rel, width, shift, n)
-        for i, s in enumerate(rel.rhs):
+        for i, _ in enumerate(rel.rhs):
             if not weights[i]:
                 continue
             k = t - p + i
@@ -418,17 +402,16 @@ def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dic
             return not any(v % p for slot in work.values() for v in slot.values())
         return not any(any(slot.values()) for slot in work.values())
     read = None
-    if n > 1 and work:
+    if n > 1:
         unpack = _unpacker(shift, n)
         read = lambda v: CycloElement._integral(p, unpack(v))
     zero = SparsePoly(rel.vars)
     slots = []
     for i in range(p):
-        poly = plain.get(i, zero)
+        poly = zero
         if i in work:
-            packed = SparsePoly(rel.vars)
-            packed.terms = _unpacked_terms(work[i], width, len(rel.vars), read)
-            poly = poly + packed if poly else packed
+            poly = SparsePoly(rel.vars)
+            poly.terms = _unpacked_terms(work[i], width, len(rel.vars), read)
         slots.append(poly)
     return tuple(slots)
 
@@ -437,17 +420,6 @@ def _coordinate_sum(terms, n: int) -> int:
     """The largest coordinate sum |c_0| + ... + |c_(n-1)| of the terms, which
     the coordinate bound needs over Z[lam] only (0 on the special fibre)."""
     return max(sum(map(abs, cs)) for _, cs in terms) if n > 1 else 0
-
-
-def _plain_coords(poly: SparsePoly, width: int, n: int) -> dict:
-    """{packed exponent: coordinates} of a plain part."""
-    return {_pack(exps, width): _coords(v, n) for exps, v in poly.terms.items()}
-
-
-def _add_coords(coords: dict, key: int, cs: tuple[int, ...]) -> None:
-    """coords[key] += cs, coordinatewise."""
-    cur = coords.get(key)
-    coords[key] = cs if cur is None else tuple(map(operator.add, cur, cs))
 
 
 def _round_need(bound: dict, t: int | None, c_top: int | None, p: int, weights) -> int:
@@ -520,17 +492,22 @@ class FibreContext:
         self.a_powers = powers
         self._chain: list[tuple[SparsePoly, ...]] = []
         self._verdicts: dict[frozenset, bool] = {}
-        self._values: dict[SparsePoly, object] = {}
-        # the combinations' coefficients: their constants on a specialized
-        # context, and the packed forms of `reduce_normal_form`
-        self._constants: dict[SparsePoly, SparsePoly] = {}
+        # the combinations' coefficients: their specialized values as
+        # constants on a specialized context, and the packed forms of
+        # `reduce_normal_form`
+        self._values: dict[SparsePoly, SparsePoly] = {}
         self._packed: dict[SparsePoly, list] = {}
         self._multidegrees = monomial_multidegrees(params)
 
     def specialized_value(self, poly: SparsePoly):
         """The value of a coefficient polynomial in the deformation symbols at
-        the specialization of a specialized context, computed once per
-        distinct polynomial.
+        the specialization of a specialized context (`_specialized`)."""
+        return self._specialized(poly).constant_value()
+
+    def _specialized(self, poly: SparsePoly) -> SparsePoly:
+        """The specialized value of a coefficient polynomial as a constant
+        over no variables, the part `reduce_normal_form` reads with
+        x-exponent 0, computed once per distinct polynomial.
 
         Specialization is a ring map, so equal polynomials have equal values,
         and the value read from the table is the one substituting the terms
@@ -538,18 +515,9 @@ class FibreContext:
         coefficients in the ring, an int standing for its image, so a hit
         across an int and a ring element reads the same ring element.
         """
-        value = self._values.get(poly)
-        if value is None:
-            value = self._values[poly] = poly.specialize(self.specialization).constant_value()
-        return value
-
-    def _constant(self, poly: SparsePoly) -> SparsePoly:
-        """The specialized value of a coefficient polynomial as a constant
-        over no variables, a part `reduce_normal_form` reads with x-exponent
-        0, built once per distinct polynomial."""
-        const = self._constants.get(poly)
+        const = self._values.get(poly)
         if const is None:
-            const = self._constants[poly] = SparsePoly.constant((), self.specialized_value(poly))
+            const = self._values[poly] = SparsePoly.constant((), poly.specialize(self.specialization).constant_value())
         return const
 
     def weight_image(self, T: int) -> tuple[SparsePoly, ...]:
@@ -559,17 +527,24 @@ class FibreContext:
     def power_normal_form(self, e: int) -> tuple[SparsePoly, ...]:
         """NF(V^e), from the chain NF(V^(k+1)) = NF(V * NF(V^k)).
 
-        V * NF(V^k) has V-degree at most p, so each step is one substitution
-        round of `reduce_normal_form`; by linearity of the normal form the
-        step gives the same normal form as reducing V^(k+1) from scratch.
+        V * NF(V^k) = sum_(i<p) s_i * V^(i+1), and only its top term
+        s_(p-1) * V^p is not yet below V^p.  The normal form is linear, so
+        the step is the shifted slots s_(i-1) plus NF(s_(p-1) * V^p), one
+        substitution round of `reduce_normal_form`, and it gives the same
+        normal form as reducing V^(k+1) from scratch.
         """
         chain = self._chain
+        zero = SparsePoly.zero(self.vars)
         if not chain:
-            zero = SparsePoly.zero(self.vars)
             one = SparsePoly.constant(self.vars, self.one)
             chain.extend(tuple(one if i == k else zero for i in range(self.p)) for k in range(self.p))
         while len(chain) <= e:
-            chain.append(reduce_normal_form([(i + 1, 0, c) for i, c in enumerate(chain[-1])], self.relation))
+            *low, top = chain[-1]
+            slots = [zero] + low
+            if top:
+                reduced = reduce_normal_form([(self.p, 0, top)], self.relation)
+                slots = [s + r if s and r else s or r for s, r in zip(slots, reduced)]
+            chain.append(tuple(slots))
         return chain[e]
 
     def x_coordinates(self, img: tuple[SparsePoly, ...]) -> tuple[SparsePoly, ...]:
@@ -664,7 +639,7 @@ class FibreContext:
             if e < self.p:
                 raise TOutOfRange(f"weight {T} starts below V^p on the {self.fibre} fibre")
             if self.specialization is not None:
-                coeff = self._constant(coeff)
+                coeff = self._specialized(coeff)
             parts.append((e, rho, coeff))
         return reduce_normal_form(parts, self.relation, zero_test=True, memo=self._packed)
 

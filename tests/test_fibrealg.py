@@ -747,3 +747,27 @@ def test_special_reduction_takes_ints_only():
     ring_one = SparsePoly.constant(ctx.vars, CycloElement.one(5))
     with pytest.raises(InvariantViolation):
         reduce_normal_form([(5, 0, ring_one)], ctx.relation)
+
+
+@pytest.mark.parametrize("fibre", ["generic", "special", "relative"])
+@pytest.mark.parametrize("degree", [1, 6])
+def test_packed_memo_reads_equal_polynomials_in_any_term_order(fibre, degree):
+    # equal coefficient polynomials whose terms come in another order, as
+    # sums taken in another order give, share one memo entry; the entry's
+    # packed pairs must not be matched with the terms of the one passed later
+    params = validate_params(5, 2, 1)
+    ctx = FibreContext(params, fibre)
+    symbols = ctx.vars[1:]
+    one = 1 if fibre == "special" else CycloElement.lam(5) + 2
+    terms = [((1, 0), one), ((0, 2), 3), ((1, 1), -7)]
+    first = SparsePoly(symbols, dict(terms))
+    later = SparsePoly(symbols, dict(reversed(terms)))
+    assert first == later and list(first.terms) != list(later.terms)
+    memo = {}
+    rel = ctx.relation
+    assert not reduce_normal_form([(degree, 0, first)], rel, zero_test=True, memo=memo)
+    assert reduce_normal_form([(degree, 0, later), (degree, 0, -first)], rel, zero_test=True, memo=memo)
+    assert not reduce_normal_form([(degree, 0, later), (degree, 1, -first)], rel, zero_test=True, memo=memo)
+    # the slots agree with those the same reduction gives with no memo
+    for poly in (first, later):
+        assert reduce_normal_form([(degree, 0, poly)], rel, memo=memo) == reduce_normal_form([(degree, 0, first)], rel)
