@@ -6,22 +6,15 @@ exact division by powers of lam (`divide_by_lambda_power`), the one quotient
 map `residue` (onto F_r, sending lam to a given residue; the residue field
 F_p = Z[lam]/(lam) is r = p, lam = 0), and sparse multivariate polynomials
 over the ints and Z[lam].  Cyclotomic elements have int coordinates only,
-and both products, of elements and of polynomials, multiply through the one
-lam-shift rule `_lam_rows`.  Exact division by lam is a divisibility test by
-p (p = -lam * S, see `_divide_by_lambda`); `CycloElement.inverse` inverts
-units only.
+and their product multiplies through the one lam-shift rule `_lam_rows`.
+Exact division by lam is a divisibility test by p (p = -lam * S, see
+`_divide_by_lambda`); `CycloElement.inverse` inverts units only.
 
-There is one product of polynomials over Z[lam], `SparsePoly.__mul__`: when
-either factor has a CycloElement coefficient it runs on packed ints
-(`_packed_sum`, Kronecker substitution in lam).  The packed path splits the
-other factor into content groups gamma_k * d_k with int d_k itself
-(`_content_groups`), once per polynomial.  One packed kernel serves that
-product and the normal-form reduction of `fibrealg`: `_pack` and
-`_packed_rows` pack, `_accumulate` adds f * gamma_k * d_k into a dict of
-packed terms, and `_unpacker` and `_unpacked_terms` read packed values back
-(every coordinate read goes through `_digits`).  `SparsePoly.specialize`
-specializes the int parts d_k in ints and scales by gamma_k once per
-output term.
+There is one product of polynomials, `SparsePoly.__mul__`, a schoolbook
+loop over the terms: over Z[lam] each coefficient product is element
+arithmetic, with its int fast path.  `SparsePoly.specialize` reads each
+coefficient as k * gamma (`_content`), specializes the int parts in ints
+and scales by each gamma once per output term.
 """
 
 from __future__ import annotations
@@ -373,82 +366,6 @@ def residue(value, r: int, lam: int) -> int:
 # Sparse multivariate polynomials
 
 
-def _pack(digits, width: int) -> int:
-    """sum_i digits[i] * 2^(width*i).  The map is Z-linear and injective on
-    digit vectors with every entry in [0, 2^width), and on those with every
-    entry below 2^(width-1) in absolute value."""
-    packed = 0
-    for d in reversed(digits):
-        packed = (packed << width) + d
-    return packed
-
-
-def _digits(packed: int, width: int, n: int) -> list[int]:
-    """The n digits of a packed vector whose digits lie in [0, 2^width)."""
-    mask = (1 << width) - 1
-    return [(packed >> (width * i)) & mask for i in range(n)]
-
-
-def _unpacker(width: int, n: int):
-    """Reads a packed vector of n signed digits, each below 2^(width-1) in
-    absolute value, back into its digits: adding 2^(width-1) to every digit
-    makes them all nonnegative, and `_digits` reads those."""
-    half = 1 << (width - 1)
-    offset = _pack((half,) * n, width)
-
-    def unpack(packed: int) -> tuple[int, ...]:
-        return tuple(d - half for d in _digits(packed + offset, width, n))
-
-    return unpack
-
-
-def _unpacked_terms(acc: dict, width: int, nvars: int, read=None) -> dict:
-    """{exponent tuple: read(packed coordinates)} of the nonzero packed terms
-    of `acc`, whose exponents are packed with nonnegative digits of `width`;
-    with read=None a packed value is its own coefficient.  One variable's
-    exponent is its packed key."""
-    if nvars == 1:
-        return {(key,): v if read is None else read(v) for key, v in acc.items() if v}
-    return {tuple(_digits(key, width, nvars)): v if read is None else read(v) for key, v in acc.items() if v}
-
-
-def _packed_rows(rows, shift: int, n: int) -> list[int]:
-    """A content group's rows gamma * lam^j, j < n, packed at coordinate
-    width `shift`; rows None (gamma = 1) are the unit vectors."""
-    units = [1 << (shift * j) for j in range(n)]
-    if rows is None:
-        return units
-    if len(rows) != n:
-        raise ValueError("mixed cyclotomic rings")
-    return [sum(map(operator.mul, row, units)) for row in rows]
-
-
-def _accumulate(acc: dict, terms, rows: list[int], keys, multiples) -> None:
-    """acc += f * gamma * d on packed ints: `terms` are f's (packed exponent,
-    coordinates), `rows` gamma's packed rows (`_packed_rows`), and `keys`
-    and `multiples` d's packed exponents and int coefficients, in one
-    order.  Packing is Z-linear, so the coordinates c of a term of f times
-    gamma pack to sum_j c_j * rows[j]."""
-    get = acc.get
-    for key1, cs in terms:
-        packed = sum(map(operator.mul, cs, rows))
-        for key2, k in zip(keys, multiples):
-            key = key1 + key2
-            acc[key] = get(key, 0) + k * packed
-
-
-def _packed_pair(f: "SparsePoly", g: "SparsePoly"):
-    """(f, g) reordered so that the first factor has a CycloElement
-    coefficient, or None when neither has one (a product over Z)."""
-    if any(type(c) is CycloElement for c in f.terms.values()):
-        return f, g
-    return (g, f) if any(type(c) is CycloElement for c in g.terms.values()) else None
-
-
-def _max_exponent(poly: "SparsePoly") -> int:
-    return max((x for e in poly.terms for x in e), default=0)
-
-
 class SparsePoly:
     """Sparse polynomial over a declared variable tuple.
 
@@ -456,15 +373,13 @@ class SparsePoly:
     CycloElements.  Ints may be mixed with the elements of Z[lam], in one
     polynomial or across the factors of a product: an int is the image of Z
     in Z[lam], the only ring map from Z, and every mixed operation
-    dispatches to the ring (`CycloElement._coerce`; the packed product takes
-    int coefficients as they are).
+    dispatches to the ring (`CycloElement._coerce`).
 
-    No method changes `terms` of a polynomial it has returned, so the
-    content split of the packed product (`_content_groups`) is computed once
-    per polynomial and kept in `_groups`, and the hash once, in `_hash`.
+    No method changes `terms` of a polynomial it has returned, so the hash
+    is computed once per polynomial and kept in `_hash`.
     """
 
-    __slots__ = ("vars", "terms", "_groups", "_hash")
+    __slots__ = ("vars", "terms", "_hash")
 
     def __init__(self, variables, terms=None):
         self.vars = tuple(variables)
@@ -474,7 +389,6 @@ class SparsePoly:
                 if c:
                     clean[tuple(e)] = c
         self.terms = clean
-        self._groups = None
         self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -529,16 +443,6 @@ class SparsePoly:
         if not isinstance(other, SparsePoly):
             return NotImplemented
         self._check(other)
-        res = SparsePoly(self.vars)
-        if not self.terms or not other.terms:
-            return res
-        pair = _packed_pair(self, other)
-        if pair is not None:
-            # over Z[lam]: on packed ints, unpacked exactly
-            acc, shift, width, p = _packed_sum(*pair)
-            unpack = _unpacker(shift, p - 1)
-            res.terms = _unpacked_terms(acc, width, len(self.vars), lambda v: CycloElement._integral(p, unpack(v)))
-            return res
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -552,6 +456,7 @@ class SparsePoly:
                     out[e] = s
                 elif e in out:
                     del out[e]
+        res = SparsePoly(self.vars)
         res.terms = out
         return res
 
@@ -692,66 +597,6 @@ def _content(c) -> tuple[tuple[int, ...] | None, int]:
             k = -k
         return tuple(x // k for x in c.coeffs), k
     return None, c
-
-
-def _content_groups(poly: SparsePoly):
-    """(largest exponent, groups) of a polynomial over Z[lam], kept on it.
-
-    The groups split poly as sum_k gamma_k * d_k with d_k over the ints,
-    each coefficient read as k * gamma (`_content`); each group is
-    (rows, d_k terms, weight).  The rows of gamma = 1 are None
-    (the unit vectors); otherwise rows[j] are the coordinates of
-    gamma * lam^j, j = 0..p-2.  The weight is the sum of the |d_k|
-    coefficients times the largest |coordinate| in rows (1 for None), the
-    factor of the digit bound in `_packed_sum`.
-    """
-    if poly._groups is None:
-        split: dict = {}
-        for e, c in poly.terms.items():
-            gamma, k = _content(c)
-            split.setdefault(gamma, {})[e] = k
-        groups = []
-        for gamma, multiples in split.items():
-            rows = None if gamma is None else _lam_rows(gamma, len(gamma))
-            size = 1 if rows is None else max(abs(x) for row in rows for x in row)
-            groups.append((rows, multiples, sum(map(abs, multiples.values())) * size))
-        poly._groups = (_max_exponent(poly), tuple(groups))
-    return poly._groups
-
-
-def _packed_sum(f: SparsePoly, g: SparsePoly) -> tuple[dict, int, int, int]:
-    """f * g on packed ints.
-
-    f has int and CycloElement coefficients, at least one of these, and g
-    int and CycloElement coefficients; g is split into content groups
-    gamma_k * d_k (`_content_groups`).  Kronecker substitution in lam: a
-    coordinate vector c_0..c_(n-1) packs into the single int
-    sum_i c_i * 2^(B*i).  Packing is Z-linear, so gamma_k * c packs to
-    sum_j c_j * pack(gamma_k * lam^j), and the packed terms of the product
-    are exact sums of int products.  Any coordinate of the product is at
-    most C * sum_k K_k * G_k in absolute value (C the largest coordinate sum
-    |c_0| + ... + |c_(n-1)| of f, K_k the sum of the |d_k| coefficients,
-    G_k the largest coordinate of any gamma_k * lam^j); B is chosen with
-    2^(B-1) above this bound, so every coordinate of the product is a
-    signed digit that packing keeps apart, and a packed term is 0 exactly
-    when all its coordinates are.  Exponent vectors are packed with
-    nonnegative digits wide enough that no sum carries.
-
-    Returns ({packed exponent: packed coordinates}, B, exponent width, p).
-    """
-    p = next(c.p for c in f.terms.values() if type(c) is CycloElement)
-    n = p - 1
-    coords = [(e, c.coeffs if type(c) is CycloElement else (c,)) for e, c in f.terms.items()]
-    g_top, groups = _content_groups(g)
-    bound = max(sum(map(abs, cs)) for _, cs in coords) * sum(w for _, _, w in groups)
-    shift = bound.bit_length() + 1
-    width = (_max_exponent(f) + g_top).bit_length()
-    packed_f = [(_pack(e1, width), cs) for e1, cs in coords]
-    acc: dict = {}
-    for rows, multiples, _ in groups:
-        keys = [_pack(e2, width) for e2 in multiples]
-        _accumulate(acc, packed_f, _packed_rows(rows, shift, n), keys, multiples.values())
-    return acc, shift, width, p
 
 
 def _is_one_poly(poly: SparsePoly) -> bool:

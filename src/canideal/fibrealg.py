@@ -42,9 +42,8 @@ of Z in whichever ring it meets (a(x) and its powers, the binomials'
 coefficients, the specialized values).  This is exact:
 
 - Z -> R has exactly one ring map, and every mixed int/R operation
-  dispatches to R (`CycloElement._coerce`; the packed product of
-  `SparsePoly.__mul__` and the packed reduction take an int as its own
-  lam^0 coordinate).
+  dispatches to R (`CycloElement._coerce`; the packed reduction takes an
+  int as its own lam^0 coordinate).
 - A value is read as an element of R in three places only: the zero test
   of a generator's reduced combination and the oracle's residue entries
   and column keys, each a normal form or a product with one.  On the
@@ -72,12 +71,13 @@ reduces (`FibreContext._sum_vanishes`).
 There is one reduction, `reduce_normal_form`, and it runs on packed ints
 on every fibre: a V-slot is {packed exponent: packed coordinates}, the
 relation is packed once per context and widths, and each substitution
-multiplies the top coefficient by the relation slots through the packed
-kernel of `exactalg` that `SparsePoly.__mul__` runs too.  Membership reads
-its verdict as a zero test on the packed values, mod p on the special
-fibre, and unpacks nothing when the combination vanishes in one round, as
-every intact trinomial's does.  Its docstring gives the widths and why the
-reduction is exact.
+multiplies the top coefficient by the relation slots on packed ints
+(`_accumulate`).  This module is the one that knows the packed format:
+exponent keys, signed digits of width B, units and unpacking.  Membership
+reads its verdict as a zero test on the packed values, mod p on the
+special fibre, and unpacks nothing when the combination vanishes in one
+round, as every intact trinomial's does.  Its docstring gives the widths
+and why the reduction is exact.
 
 The oracle's rows need the weight images NF(V^(E-T)) themselves.  They form
 one chain per context, which in `certify` only the oracle's specialized
@@ -115,18 +115,7 @@ from .errors import (
     WrongDegree,
     WrongFibre,
 )
-from .exactalg import (
-    CycloElement,
-    SparsePoly,
-    _accumulate,
-    _content_groups,
-    _max_exponent,
-    _pack,
-    _packed_rows,
-    _unpacked_terms,
-    _unpacker,
-    residue,
-)
+from .exactalg import CycloElement, SparsePoly, _content, _lam_rows, residue
 from .family import FamilyParams, _a_powers, deformation_symbols, per_triple
 from .generators import ANY_FIBRE, GENERIC, RELATIVE, SPECIAL, GeneratorPoly, relative_lambda_coefficient, trinomial_slots
 from .indexsets import monomial_multidegrees
@@ -175,28 +164,126 @@ def _relation_rhs(params: FamilyParams, fibre: str) -> tuple[SparsePoly, ...]:
     return tuple(SparsePoly(variables, slot) for slot in rhs)
 
 
-def _relation_bounds(rel: FibreRelation) -> tuple[int, tuple[int, ...]]:
-    """(largest exponent of the relation, w_i per slot), kept in `rel.memo`:
-    w_i is the sum of the content-group weights of rhs_i
-    (`exactalg._content_groups`).  Slots are read by index."""
+# ---------------------------------------------------------------------------
+# The packed format of `reduce_normal_form`
+
+
+def _pack(digits, width: int) -> int:
+    """sum_i digits[i] * 2^(width*i).  The map is Z-linear and injective on
+    digit vectors with every entry in [0, 2^width), and on those with every
+    entry below 2^(width-1) in absolute value."""
+    packed = 0
+    for d in reversed(digits):
+        packed = (packed << width) + d
+    return packed
+
+
+def _digits(packed: int, width: int, n: int) -> list[int]:
+    """The n digits of a packed vector whose digits lie in [0, 2^width)."""
+    mask = (1 << width) - 1
+    return [(packed >> (width * i)) & mask for i in range(n)]
+
+
+def _unpacker(width: int, n: int):
+    """Reads a packed vector of n signed digits, each below 2^(width-1) in
+    absolute value, back into its digits: adding 2^(width-1) to every digit
+    makes them all nonnegative, and `_digits` reads those."""
+    half = 1 << (width - 1)
+    offset = _pack((half,) * n, width)
+
+    def unpack(packed: int) -> tuple[int, ...]:
+        return tuple(d - half for d in _digits(packed + offset, width, n))
+
+    return unpack
+
+
+def _unpacked_terms(acc: dict, width: int, nvars: int, read=None) -> dict:
+    """{exponent tuple: read(packed coordinates)} of the nonzero packed terms
+    of `acc`, whose exponents are packed with nonnegative digits of `width`;
+    with read=None a packed value is its own coefficient.  One variable's
+    exponent is its packed key."""
+    if nvars == 1:
+        return {(key,): v if read is None else read(v) for key, v in acc.items() if v}
+    return {tuple(_digits(key, width, nvars)): v if read is None else read(v) for key, v in acc.items() if v}
+
+
+def _packed_rows(rows, shift: int, n: int) -> list[int]:
+    """A content group's rows gamma * lam^j, j < n, packed at coordinate
+    width `shift`; rows None (gamma = 1) are the unit vectors."""
+    units = [1 << (shift * j) for j in range(n)]
+    if rows is None:
+        return units
+    if len(rows) != n:
+        raise ValueError("mixed cyclotomic rings")
+    return [sum(map(operator.mul, row, units)) for row in rows]
+
+
+def _accumulate(acc: dict, terms, rows: list[int], keys, multiples) -> None:
+    """acc += f * gamma * d on packed ints: `terms` are f's (packed exponent,
+    coordinates), `rows` gamma's packed rows (`_packed_rows`), and `keys`
+    and `multiples` d's packed exponents and int coefficients, in one
+    order.  Packing is Z-linear, so the coordinates c of a term of f times
+    gamma pack to sum_j c_j * rows[j]."""
+    get = acc.get
+    for key1, cs in terms:
+        packed = sum(map(operator.mul, cs, rows))
+        for key2, k in zip(keys, multiples):
+            key = key1 + key2
+            acc[key] = get(key, 0) + k * packed
+
+
+def _max_exponent(poly: SparsePoly) -> int:
+    return max((x for e in poly.terms for x in e), default=0)
+
+
+def _content_groups(poly: SparsePoly):
+    """(largest exponent, groups) of a polynomial over Z[lam].
+
+    The groups split poly as sum_k gamma_k * d_k with d_k over the ints,
+    each coefficient read as k * gamma (`exactalg._content`); each group is
+    (rows, d_k terms, weight).  The rows of gamma = 1 are None (the unit
+    vectors); otherwise rows[j] are the coordinates of gamma * lam^j,
+    j = 0..p-2.  The weight is the sum of the |d_k| coefficients times the
+    largest |coordinate| in rows (1 for None), the factor of the digit
+    bound in `reduce_normal_form`.
+    """
+    split: dict = {}
+    for e, c in poly.terms.items():
+        gamma, k = _content(c)
+        split.setdefault(gamma, {})[e] = k
+    groups = []
+    for gamma, multiples in split.items():
+        rows = None if gamma is None else _lam_rows(gamma, len(gamma))
+        size = 1 if rows is None else max(abs(x) for row in rows for x in row)
+        groups.append((rows, multiples, sum(map(abs, multiples.values())) * size))
+    return _max_exponent(poly), tuple(groups)
+
+
+def _relation_bounds(rel: FibreRelation) -> tuple[int, tuple[int, ...], tuple]:
+    """(largest exponent of the relation, w_i per slot, content groups per
+    slot), kept in `rel.memo`: each rhs_i is split into content groups
+    (`_content_groups`) once per relation, and w_i is the sum of their
+    weights.  Slots are read by index."""
     bounds = rel.memo.get("bounds")
     if bounds is None:
         groups = [_content_groups(rel.rhs[i]) for i in range(rel.p)]
         bounds = rel.memo["bounds"] = (
             max(top for top, _ in groups),
             tuple(sum(w for _, _, w in slot) for _, slot in groups),
+            tuple(slot for _, slot in groups),
         )
     return bounds
 
 
 def _packed_relation(rel: FibreRelation, width: int, shift: int, n: int) -> list:
-    """Each relation slot's content groups on packed ints: per slot, a list of
-    (packed rows of gamma * lam^j, packed exponents, int multiples).  The
-    exponents are packed once per width, which `rel.memo` keeps the latest
-    of, and the rows once per coordinate width.  Slots are read by index."""
+    """Each relation slot's content groups (`_relation_bounds`) on packed
+    ints: per slot, a list of (packed rows of gamma * lam^j, packed
+    exponents, int multiples).  The exponents are packed once per width,
+    which `rel.memo` keeps the latest of, and the rows once per coordinate
+    width."""
     keyed = rel.memo.get("keys")
     if keyed is None or keyed[0] != width:
-        groups = [_content_groups(rel.rhs[i])[1] for i in range(rel.p)]
+        groups = _relation_bounds(rel)[2]
         slots = [[(rows, [_pack(e, width) for e in multiples], multiples.values()) for rows, multiples, _ in slot] for slot in groups]
         keyed = rel.memo["keys"] = (width, slots, {})
     packed = keyed[2].get(shift)
@@ -208,10 +295,13 @@ def _packed_relation(rel: FibreRelation, width: int, shift: int, n: int) -> list
 def _coords(v, n: int) -> tuple[int, ...]:
     """The n coordinates of a coefficient: over Z[lam] (n = p - 1) an int is
     its own first coordinate; on the special fibre's Z (n = 1) only ints
-    occur."""
+    occur.  An element of another cyclotomic ring raises ValueError, as
+    element arithmetic across two rings does."""
     if type(v) is CycloElement:
         if n == 1:
             raise InvariantViolation("the special fibre computes over Z")
+        if len(v.coeffs) != n:
+            raise ValueError("mixed cyclotomic rings")
         return v.coeffs
     return (v,) + (0,) * (n - 1)
 
@@ -263,10 +353,9 @@ def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dic
     `e` holds the V-polynomial as parts (k, rho, c), each the term
     x^rho * c * V^k, with c a polynomial over `rel.vars`, or over the
     deformation symbols `rel.vars[1:]` and read with x-exponent 0.  The
-    reduction runs on packed ints (Kronecker substitution, as in
-    `SparsePoly.__mul__`): a V-slot is {packed exponent: packed
-    coordinates}.  An exponent vector packs with nonnegative digits of
-    `width` bits.  A coordinate vector c_0..c_(n-1) over Z[lam] (n = p - 1)
+    reduction runs on packed ints (Kronecker substitution in lam): a
+    V-slot is {packed exponent: packed coordinates}.  An exponent vector
+    packs with nonnegative digits of `width` bits.  A coordinate vector c_0..c_(n-1) over Z[lam] (n = p - 1)
     packs as the signed digits sum_j c_j * 2^(B*j); on the special fibre's
     Z (n = 1) the coordinate is the int itself and needs no B.  Each
     distinct part polynomial is packed once per width (kept in `memo`
@@ -276,7 +365,7 @@ def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dic
 
     Each round takes the top V-degree t >= p, with the coordinates of its
     terms, and adds r * rhs_i to slot t - p + i for each relation slot
-    (`exactalg._accumulate`).  Round 1 reads the top coordinates from the
+    (`_accumulate`).  Round 1 reads the top coordinates from the
     parts; a later round unpacks the top slot.  Each round walks `rel.rhs`
     once and strictly lowers the top V-degree, so the loop runs at most
     (initial degree - p + 1) times.  The zero test reads the packed values,
@@ -290,7 +379,7 @@ def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dic
       values, whatever the digits.  If every |c_j| < 2^(B-1), adding
       2^(B-1) to each digit gives digits in [0, 2^B), which pack
       injectively; so the packed value is 0 exactly when every c_j is, and
-      the coordinates unpack exactly (`exactalg._unpacker`).  Coordinates
+      the coordinates unpack exactly (`_unpacker`).  Coordinates
       are read, by the zero test, an unpack or a re-pack, only while this
       holds.
     - Per-round bound.  bound[k] bounds every |coordinate| of the packed
@@ -301,7 +390,7 @@ def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dic
       gamma * lam^j; so a round adds at most C * w_i to bound[t - p + i],
       with C the largest coordinate sum of the top terms, known exactly,
       and w_i the sum of |d|_1 * G over the content groups of rhs_i
-      (`exactalg._content_groups`).  Before each round B is checked
+      (`_content_groups`).  Before each round B is checked
       against the largest bound the round leaves.  A slot that empties
       drops its bound.
     - Exact re-pack.  When that bound reaches 2^(B-1), every live slot is
@@ -317,7 +406,7 @@ def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dic
     """
     p = rel.p
     n = 1 if rel.fibre == SPECIAL else p - 1
-    rel_top, weights = _relation_bounds(rel)
+    rel_top, weights, _ = _relation_bounds(rel)
     parts = [(k, rho, _part(c, rel, n, memo)) for k, rho, c in e if c.terms]
     if not parts:
         return True if zero_test else (SparsePoly(rel.vars),) * p
@@ -483,9 +572,8 @@ class FibreContext:
         self.relation = FibreRelation(fibre=fibre, p=p, vars=self.vars, rhs=rhs)
         # the ring's 1, the lead `_relation_rhs` has checked
         self.one = trinomial_slots(params, fibre)[0][2].constant_value()
-        # a(x)^k for k = 0..p as multipliers, with int coefficients on every
-        # fibre, which the packed product of `SparsePoly.__mul__` takes with
-        # no cyclotomic factor to split off
+        # a(x)^k for k = 0..p as multipliers (`x_coordinates`), with int
+        # coefficients on every fibre
         powers = (SparsePoly.constant(("x",) + syms, 1),) + _a_powers(params)
         if specialization is not None:
             powers = tuple(power.specialize(specialization) for power in powers)
@@ -521,7 +609,10 @@ class FibreContext:
         return const
 
     def weight_image(self, T: int) -> tuple[SparsePoly, ...]:
-        """Cleared image of the multidegree (2, 0, T): NF(V^(E-T)), one per weight."""
+        """Cleared image of the multidegree (2, 0, T): NF(V^(E-T)), one per
+        weight T in [2, 2(p-1)]; any other T raises TOutOfRange."""
+        if not 2 <= T <= 2 * (self.p - 1):
+            raise TOutOfRange(f"T must lie in [2, {2 * (self.p - 1)}], got {T}")
         return self.power_normal_form(self.clearing - T)
 
     def power_normal_form(self, e: int) -> tuple[SparsePoly, ...]:
@@ -531,8 +622,11 @@ class FibreContext:
         s_(p-1) * V^p is not yet below V^p.  The normal form is linear, so
         the step is the shifted slots s_(i-1) plus NF(s_(p-1) * V^p), one
         substitution round of `reduce_normal_form`, and it gives the same
-        normal form as reducing V^(k+1) from scratch.
+        normal form as reducing V^(k+1) from scratch.  A negative e raises
+        ValueError.
         """
+        if e < 0:
+            raise ValueError(f"no normal form of V^{e}: the exponent must be nonnegative")
         chain = self._chain
         zero = SparsePoly.zero(self.vars)
         if not chain:

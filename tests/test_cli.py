@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -486,3 +487,16 @@ def test_certify_with_oracle(capsys):
     assert doc["oracles"]["generic"]["kernel_dim"] == 91
     assert doc["oracles"]["special"]["kernel_dim"] == 91
     assert doc["verdicts"]["oracle_generic"] and doc["verdicts"]["oracle_special"]
+
+
+def test_no_check_rests_on_assert():
+    # python -O strips assert statements, so no check of the package may be one
+    sources = sorted(Path(canideal.__file__).resolve().parent.glob("*.py"))
+    assert sources
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []

@@ -13,9 +13,9 @@ from canideal.exactalg import (
     SparsePoly,
     divide_by_lambda_power,
     is_prime,
-    _content_groups,
     residue,
 )
+from canideal.fibrealg import _content_groups
 
 
 def _min_poly(p):
@@ -284,8 +284,8 @@ def test_constructor_accepts_only_int_coordinates():
 
 def _schoolbook(f, g, p):
     """f * g by a double loop over CycloElement.__mul__, int coefficients
-    read as CycloElements: the reference for the packed product, which every
-    SparsePoly product over Z[lam] now takes."""
+    read as CycloElements: the reference for every SparsePoly product over
+    Z[lam], which mixes ints and elements and takes the int fast path."""
     def cy(c):
         return c if isinstance(c, CycloElement) else CycloElement.from_int(p, c)
 
@@ -338,8 +338,6 @@ def test_split_content():
     for g, (_, d, _) in by_gamma.items():
         rebuilt = rebuilt + SparsePoly(poly.vars, d).map_coefficients(lambda k: g * k)
     assert rebuilt == poly
-    # the split is kept on the polynomial
-    assert _content_groups(poly) is _content_groups(poly)
     assert _content_groups(SparsePoly(("x", "y"))) == (0, ())
 
 
@@ -379,7 +377,7 @@ def test_packed_product_matches_schoolbook(p):
         # two groups of different gammas and the group of gamma = 1, in one factor
         mixed = scaled + other.scale(CycloElement.lam(p) + 2) + ints.mul_var_power("x", 4)
         assert cyc * mixed == _schoolbook(cyc, mixed, p)
-    # coordinates far beyond one machine word pack and unpack exactly
+    # coordinates far beyond one machine word multiply exactly
     big = SparsePoly(variables, {(2, 0, 1): CycloElement(p, (-(3**90),) + (7**80,) * (p - 2))})
     gamma = CycloElement(p, (5**70,) * (p - 1))
     ints = SparsePoly(variables, {(0, 0, 0): -(2**100), (1, 1, 0): 1})
@@ -389,8 +387,8 @@ def test_packed_product_matches_schoolbook(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_packed_coordinates_at_a_tight_bound(p):
-    # a coordinate equal to the bound C * K * G, a power of two: the digit
-    # width must leave room for its sign
+    # a product coordinate that is a power of two, with either sign, and
+    # the cancellation of a product against its negation
     variables = ("x", "y")
     f = SparsePoly(variables, {(1, 0): CycloElement(p, (4,) + (0,) * (p - 2))})
     d = SparsePoly(variables, {(0, 1): 4})
@@ -402,9 +400,9 @@ def test_packed_coordinates_at_a_tight_bound(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_packed_divmod_matches_long_division(p):
-    # long division multiplies through the packed product; the result is
-    # checked against the schoolbook product: f = quo * divisor + rem with
-    # rem of lower x-degree, which determines quo and rem
+    # long division multiplies int divisors into Z[lam] polynomials; the
+    # result is checked against the reference product: f = quo * divisor +
+    # rem with rem of lower x-degree, which determines quo and rem
     rng = random.Random(80_000 + p)
     variables = ("x", "s", "t")
     divisors = [

@@ -10,6 +10,7 @@ from canideal.errors import (
     BadSpecialization,
     InvariantViolation,
     ReductionMismatch,
+    TOutOfRange,
     VariableOutsideIndexSet,
     WrongDegree,
 )
@@ -739,6 +740,39 @@ def test_repack_covers_a_slot_that_grows_over_rounds(monkeypatch, m):
     nf = reduce_normal_form([(4, 1, lam)], rel)
     assert nf == (lam_x.scale(d), lam_x.scale(2 * d), lam_x.scale(d + 1))
     assert len(set(widths)) > 1
+
+
+@pytest.mark.parametrize("specialized", [False, True])
+@pytest.mark.parametrize("fibre", ["generic", "relative"])
+def test_reduction_rejects_another_cyclotomic_ring(fibre, specialized):
+    # a Z[zeta_7] coefficient on a p = 5 fibre has 6 coordinates against the
+    # ring's 4; read against 4 unit rows it would be truncated, and this one
+    # would read as zero.  It raises whether round 1 reduces it (V^6) or it
+    # sits in a lower slot (V^3), on either path of the reduction
+    params = validate_params(5, 2, 1)
+    ctx = fibre_context(params, fibre, default_specialization(params) if specialized else None)
+    alien = SparsePoly.constant(ctx.vars[1:], CycloElement(7, (0, 0, 0, 0, 5, 6)))
+    for k in (6, 3):
+        for zero_test in (True, False):
+            with pytest.raises(ValueError, match="mixed cyclotomic rings"):
+                reduce_normal_form([(k, 0, alien)], ctx.relation, zero_test=zero_test)
+
+
+@pytest.mark.parametrize("fibre", ["generic", "special", "relative"])
+def test_chain_reads_only_its_own_exponents_and_weights(fibre):
+    # a negative exponent would index the chain from its end (V^-1 read as
+    # NF(V^(p-1))), and a weight outside [2, 2(p-1)] would reach one
+    params = validate_params(5, 2, 1)
+    ctx = fibre_context(params, fibre, default_specialization(params))
+    p = ctx.p
+    for e in (-1, -2, -ctx.clearing):
+        with pytest.raises(ValueError):
+            ctx.power_normal_form(e)
+    for T in (-1, 0, 1, 2 * p - 1, ctx.clearing, ctx.clearing + 1):
+        with pytest.raises(TOutOfRange):
+            ctx.weight_image(T)
+    for T in (2, 2 * p - 2):
+        assert ctx.weight_image(T) == ctx.power_normal_form(ctx.clearing - T)
 
 
 def test_special_reduction_takes_ints_only():

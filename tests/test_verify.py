@@ -1034,18 +1034,45 @@ def test_passing_membership_unpacks_nothing(monkeypatch, triple):
     # certify without the oracle decides membership by a zero test on the
     # packed reductions: no packed value is unpacked, as every coordinate and
     # every exponent of more than one variable is read through
-    # exactalg._digits; the corrupted control runs past
+    # fibrealg._digits; the corrupted control runs past
     # round 1 and unpacks
-    import canideal.exactalg as exactalg
+    import canideal.fibrealg as fibrealg
 
     calls = []
-    real = exactalg._digits
-    monkeypatch.setattr(exactalg, "_digits", lambda *args: calls.append(args) or real(*args))
+    real = fibrealg._digits
+    monkeypatch.setattr(fibrealg, "_digits", lambda *args: calls.append(args) or real(*args))
     assert certify(validate_params(*triple)).overall == "PASS"
     assert calls == []
     cert = certify(validate_params(*triple), corrupt_one=True)
     assert cert.overall == "FAIL" and not cert.verdicts["membership_relative"]
     assert calls
+
+
+def test_membership_rejects_another_cyclotomic_ring():
+    # a lead coefficient from Z[zeta_7] on the p = 5 relative fibre, where
+    # it would read as zero once truncated to the ring's 4 coordinates
+    params = validate_params(5, 2, 1)
+    gen = relative_generators(params)[0]
+    (coeff, mono), *rest = gen.terms
+    alien = SparsePoly.constant(coeff.vars, CycloElement(7, (1, 0, 0, 0, 0, 9)))
+    bad = dataclasses.replace(gen, terms=((alien, mono), *rest))
+    with pytest.raises(ValueError, match="mixed cyclotomic rings"):
+        check_membership(params, "relative", bad)
+
+
+def test_relation_slots_are_split_once_per_relation(monkeypatch):
+    # each relation slot's content groups are read from the relation's memo,
+    # so certify --oracle splits each of the p slots once per relation built
+    import canideal.fibrealg as fibrealg
+
+    params = validate_params(7, 2, 1)
+    relations, splits = [], []
+    real_relation, real_groups = fibrealg.FibreRelation, fibrealg._content_groups
+    monkeypatch.setattr(fibrealg, "FibreRelation", lambda **kw: relations.append(kw["fibre"]) or real_relation(**kw))
+    monkeypatch.setattr(fibrealg, "_content_groups", lambda poly: splits.append(poly) or real_groups(poly))
+    assert certify(params, oracle=True).overall == "PASS"
+    assert relations and splits
+    assert len(splits) <= params.p * len(relations)
 
 
 def test_oracle_degenerate_guard(monkeypatch):
