@@ -350,11 +350,14 @@ def residue(value, r: int, lam: int) -> int:
     """phi(value) in F_r, read as the ints in [0, r), for the ring map
     phi: Z[lam] -> F_r sending lam to `lam`; F_p = Z[lam]/(lam) is the case
     r = p, lam = 0.  Takes an int, the image of Z in Z[lam], or a
-    CycloElement, whose int coordinates are read by Horner's rule in lam.
+    CycloElement, whose int coordinates are read by Horner's rule in lam;
+    at lam = 0 that is the lam^0 coordinate mod r, read directly.
     """
     if isinstance(value, int):
         return value % r
     if isinstance(value, CycloElement):
+        if lam == 0:
+            return value.coeffs[0] % r
         acc = 0
         for c in reversed(value.coeffs):
             acc = (acc * lam + c) % r

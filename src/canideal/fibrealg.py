@@ -31,7 +31,8 @@ generator at an anchor (rho, T) is x^rho * V^(E-T-p) * (V^p - rhs), with
 E = 3p on the generic fibre and 3p - 2 otherwise, which vanishes modulo the
 read-off relation whatever the table says: membership cannot see a wrong
 slot.  `relation_consistency` checks the read-off relations against the
-model and against each other, so a wrong slot fails the certificate.
+model and against each other, so a wrong slot fails the certificate; an
+intact table is checked on power-basis coordinates, with no model built.
 
 Each fibre's ring is named once, by the monic lead (0, 0, 1) of its slot
 table: its 1 lies in Z[lam] on the generic and relative fibres and is the
@@ -101,7 +102,6 @@ shifted to min rho = 0 together with its exact coefficient polynomials.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -304,6 +304,17 @@ def _coords(v, n: int) -> tuple[int, ...]:
             raise ValueError("mixed cyclotomic rings")
         return v.coeffs
     return (v,) + (0,) * (n - 1)
+
+
+def _has_coordinates(poly: SparsePoly, want: dict, n: int) -> bool:
+    """Whether poly's terms are `want`, {exponent: n nonzero coordinates}, as
+    == reads them: an int is its own lam^0 coordinate, and an element of
+    another cyclotomic ring, which has not n coordinates, matches none."""
+    ints = (0,) * (n - 1)
+    terms = poly.terms
+    return terms.keys() == want.keys() and all(
+        want[e] == (v.coeffs if type(v) is CycloElement else (v,) + ints) for e, v in terms.items()
+    )
 
 
 def _part(c: SparsePoly, rel: FibreRelation, n: int, memo: dict | None) -> list:
@@ -821,11 +832,19 @@ def relation_consistency(params: FamilyParams) -> RelationReport:
     G_i = 0 for 0 < i < p and G_p = 1, so the X^k quotient of the
     substitution is binom(p, k) * lam^k * a^(p-k) for k >= 1, the model's
     own, and G_0 + a^p = a^p - g_0 at k = 0.  As (a) makes the model the
-    right side, (c) is then a^p - g_0 == -lam^p * x^ell, the model's X^0
-    slot.  The model's other slots and the substitution are built only
+    right side, (c) is then g_0 == a^p + lam^p * x^ell, the model's X^0
+    slot moved across.  The model and the substitution are built only
     otherwise.
+
+    The checks before that fallback build no polynomial or ring element per
+    term: rel_k must have the exponents of the int a^(p-k) and, where
+    a^(p-k) has m, the coordinates of m * -c_k (`_has_coordinates`); g_0
+    those of a^p plus lam^p at x^ell; (b) reads each lam^0 coordinate mod p.
+    Power-basis coordinates are unique and no polynomial keeps a zero term,
+    so this is equality in Z[lam][x, symbols].
     """
     p = params.p
+    n = p - 1
     # lam^0..lam^p, lam^0 the int 1, which scales on the int fast path
     lam = [1] + CycloElement.lam_powers(p, p + 1)[1:]
     # a^0..a^p with int coefficients, the powers the fibre contexts use
@@ -837,20 +856,29 @@ def relation_consistency(params: FamilyParams) -> RelationReport:
     relative = _relation_rhs(params, RELATIVE)
     c = {k: relative_lambda_coefficient(params, k) for k in range(1, p)}
     check_a = relative[0] == x_ell and all(
-        lam[p] * c[k] == math.comb(p, k) * lam[k] and relative[k] == a[p - k].scale(-c[k]) for k in range(1, p)
+        lam[p] * c[k] == math.comb(p, k) * lam[k]
+        and _has_coordinates(
+            relative[k], {e: tuple(map((-m).__mul__, c[k].coeffs)) for e, m in a[p - k].terms.items()}, n
+        )
+        for k in range(1, p)
     )
 
     # (b): coefficientwise reduction of the relative relation, slot by slot, both sides mod p
-    mod_p = functools.partial(residue, r=p, lam=0)
+    def mod_p(slot: SparsePoly) -> dict:
+        return {e: r for e, v in slot.terms.items() if (r := residue(v, p, 0))}
+
     special = _relation_rhs(params, SPECIAL)
-    check_b = [s.map_coefficients(mod_p) for s in relative] == [s.map_coefficients(mod_p) for s in special]
+    check_b = list(map(mod_p, relative)) == list(map(mod_p, special))
 
     generic = _relation_rhs(params, GENERIC)
-    model_0 = x_ell.scale(-lam[p])
     if check_a and not any(generic[1:]):
-        # (c) at X^0: the model's slots k >= 1 are the substitution's own
-        check_c = a[p] - generic[0] == model_0
+        # (c) at X^0, g_0 = a^p + lam^p * x^ell: the model's slots k >= 1 are the substitution's own
+        want = {e: (m,) + (0,) * (n - 1) for e, m in a[p].terms.items()}
+        (x_key,) = x_ell.terms
+        want[x_key] = tuple(map(operator.add, want.get(x_key, (0,) * n), lam[p].coeffs))
+        check_c = _has_coordinates(generic[0], want, n)
     else:
+        model_0 = x_ell.scale(-lam[p])
         # (a): the binomial theorem, coefficient by coefficient
         model = [model_0] + [a[p - k].scale(lam[k] * math.comb(p, k)) for k in range(1, p + 1)]
         target = model if check_a else [s.scale(-lam[p]) for s in relative] + [a[0].scale(lam[p])]

@@ -3,8 +3,9 @@
 Binomials pair every monomial of a multidegree class with the class minimum;
 the per-fibre trinomial-type families attach, to each anchor point, shifted
 class minima weighted by the coefficient tables of powers of a(x).  The
-relative family's lam-power coefficients are produced by exact cyclotomic
-division and a reduction map back onto the special-fibre family is provided.
+relative family's lam-power coefficients come from one chain of exact
+cyclotomic divisions, and a reduction map back onto the special-fibre family
+is provided.
 
 Every generator is built in descending term order and never sorted.  A
 degree-2 monomial of class (rho, T) has term key (2, -T, rho, v), so
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvariantViolation, NonIntegralCoefficient, NotDivisible, ReductionMismatch, WrongFibre
-from .exactalg import CycloElement, SparsePoly, divide_by_lambda_power, residue
+from .exactalg import CycloElement, SparsePoly, _lam_rows, divide_by_lambda_power, residue
 from .family import FamilyParams, a_power_coefficients, deformation_symbols, per_triple
 from .indexsets import (
     MinkowskiPoint,
@@ -212,16 +213,22 @@ def special_generators(
 
 @per_triple
 def relative_lambda_coefficient(params: FamilyParams, i: int) -> CycloElement:
-    """lam^(i-p) * binom(p, i), computed by exact cyclotomic division once per triple.
+    """c_i = lam^(i-p) * binom(p, i) for 0 < i < p, once per triple.
 
-    Raises NonIntegralCoefficient if the division fails, which would mean the
-    lam-adic congruences underlying the construction are wrong.
+    c_1 = p / lam^(p-1) takes one chain of p - 1 exact divisions by lam;
+    c_i = (binom(p, i) / p) * lam^(i-1) * c_1 is row i - 1 of `_lam_rows`
+    on c_1 times an int, as the prime p divides p! but not i! (p - i)!.
+    Raises NonIntegralCoefficient if the division fails, which would mean
+    the lam-adic congruences underlying the construction are wrong.
     """
     p = params.p
+    if i > 1:
+        row = _lam_rows(relative_lambda_coefficient(params, 1).coeffs, i)[i - 1]
+        return CycloElement._integral(p, tuple(math.comb(p, i) // p * x for x in row))
     try:
-        return divide_by_lambda_power(CycloElement.from_int(p, math.comb(p, i)), p - i)
+        return divide_by_lambda_power(CycloElement.from_int(p, p), p - 1)
     except NotDivisible as exc:
-        raise NonIntegralCoefficient(f"lam^{i - p} * binom({p},{i}) is not integral") from exc
+        raise NonIntegralCoefficient(f"lam^{1 - p} * {p} is not integral") from exc
 
 
 def relative_generators(params: FamilyParams, tie_break: str = TIE_BREAK_DEFAULT) -> list[GeneratorPoly]:

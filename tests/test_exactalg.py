@@ -282,19 +282,30 @@ def test_constructor_accepts_only_int_coordinates():
         assert all(type(c) is int for c in e.coeffs)
 
 
-def _schoolbook(f, g, p):
-    """f * g by a double loop over CycloElement.__mul__, int coefficients
-    read as CycloElements: the reference for every SparsePoly product over
-    Z[lam], which mixes ints and elements and takes the int fast path."""
-    def cy(c):
-        return c if isinstance(c, CycloElement) else CycloElement.from_int(p, c)
+def _sympy_poly(f):
+    """f in sympy's sparse polynomial ring over Z in lam and f's variables;
+    f must keep no zero term, as every SparsePoly operation drops them."""
+    assert all(f.terms.values())
+    ring = sympy.ring(("lam",) + f.vars, sympy.ZZ)[0]
+    terms = {}
+    for e, c in f.terms.items():
+        for i, x in enumerate(c.coeffs if isinstance(c, CycloElement) else (c,)):
+            if x:
+                terms[(i,) + e] = x
+    return ring.from_dict(terms)
 
-    out = {}
-    for e1, c1 in f.terms.items():
-        for e2, c2 in g.terms.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = out.get(e, CycloElement.zero(p)) + cy(c1) * cy(c2)
-    return SparsePoly(f.vars, out)
+
+def _sympy_product(p, *factors):
+    """The product of the factors by sympy, reduced modulo the p-th
+    cyclotomic polynomial in zeta = lam + 1 as `_lam_valuation` reads it:
+    the reference, independent of the ring code, for every SparsePoly
+    product over Z[lam], which mixes ints and elements and takes the int
+    fast path.  lam leads the variables, so the remainder has lam-degree
+    below p - 1."""
+    prod = _sympy_poly(factors[0])
+    for f in factors[1:]:
+        prod = prod * _sympy_poly(f)
+    return prod.rem(prod.ring(sympy.cyclotomic_poly(p, sympy.Symbol("lam") + 1)))
 
 
 def _group_gamma(rows, p):
@@ -365,24 +376,29 @@ def test_packed_product_matches_schoolbook(p):
         cyc = _rand_cyclo_poly(rng, p, variables, 12)
         ints = SparsePoly(variables, {rand_exps(): rng.randint(-5, 5) for _ in range(8)})
         got = cyc * ints
-        assert got == _schoolbook(cyc, ints, p) == ints * cyc
+        assert got == ints * cyc
+        assert _sympy_poly(got) == _sympy_product(p, cyc, ints)
         assert all(type(x) is int for c in got.terms.values() for x in c.coeffs)
         # Z[lam] x Z[lam], with no content in common between coefficients
         other = _rand_cyclo_poly(rng, p, variables, 6)
-        assert cyc * other == _schoolbook(cyc, other, p)
+        assert _sympy_poly(cyc * other) == _sympy_product(p, cyc, other)
         # one content group: gamma times ints, with negative multiples
         gamma = CycloElement(p, tuple(rng.randint(-9, 9) for _ in range(p - 1)))
         scaled = ints.map_coefficients(lambda k: gamma * k)
-        assert cyc * scaled == _schoolbook(cyc, ints, p).scale(gamma)
+        assert _sympy_poly(cyc * scaled) == _sympy_product(p, cyc, ints, SparsePoly.constant(variables, gamma))
         # two groups of different gammas and the group of gamma = 1, in one factor
         mixed = scaled + other.scale(CycloElement.lam(p) + 2) + ints.mul_var_power("x", 4)
-        assert cyc * mixed == _schoolbook(cyc, mixed, p)
+        assert _sympy_poly(cyc * mixed) == _sympy_product(p, cyc, mixed)
     # coordinates far beyond one machine word multiply exactly
     big = SparsePoly(variables, {(2, 0, 1): CycloElement(p, (-(3**90),) + (7**80,) * (p - 2))})
     gamma = CycloElement(p, (5**70,) * (p - 1))
     ints = SparsePoly(variables, {(0, 0, 0): -(2**100), (1, 1, 0): 1})
     scaled = ints.map_coefficients(lambda k: gamma * k)
-    assert big * scaled == _schoolbook(big, scaled, p) == _schoolbook(big, ints, p).scale(gamma)
+    assert (
+        _sympy_poly(big * scaled)
+        == _sympy_product(p, big, scaled)
+        == _sympy_product(p, big, ints, SparsePoly.constant(variables, gamma))
+    )
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -392,8 +408,8 @@ def test_packed_coordinates_at_a_tight_bound(p):
     variables = ("x", "y")
     f = SparsePoly(variables, {(1, 0): CycloElement(p, (4,) + (0,) * (p - 2))})
     d = SparsePoly(variables, {(0, 1): 4})
-    assert f * d == _schoolbook(f, d, p)
-    assert f * -d == _schoolbook(f, -d, p)
+    assert _sympy_poly(f * d) == _sympy_product(p, f, d)
+    assert _sympy_poly(f * -d) == _sympy_product(p, f, -d)
     assert f * d
     assert not f * d + -f * d
 
@@ -401,7 +417,7 @@ def test_packed_coordinates_at_a_tight_bound(p):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_packed_divmod_matches_long_division(p):
     # long division multiplies int divisors into Z[lam] polynomials; the
-    # result is checked against the reference product: f = quo * divisor +
+    # result is checked against the sympy product: f = quo * divisor +
     # rem with rem of lower x-degree, which determines quo and rem
     rng = random.Random(80_000 + p)
     variables = ("x", "s", "t")
@@ -419,10 +435,12 @@ def test_packed_divmod_matches_long_division(p):
             f = f.mul_var_power("x", rng.randint(0, 6))
             quo, rem = f.divmod_monic(ints, "x")
             assert (quo, rem) == f.divmod_monic(ring, "x")
-            assert _schoolbook(quo, ints, p) + rem == f
+            assert _sympy_product(p, quo, ints) + _sympy_poly(rem) == _sympy_poly(f)
             assert not rem or rem.degree_in("x") < ints.degree_in("x")
             # an exact multiple divides with remainder zero
-            assert _schoolbook(f, ints, p).divmod_monic(ints, "x") == (f, SparsePoly.zero(variables))
+            multiple = f * ints
+            assert _sympy_poly(multiple) == _sympy_product(p, f, ints)
+            assert multiple.divmod_monic(ints, "x") == (f, SparsePoly.zero(variables))
 
 
 def test_reduce_mod_lambda_examples():

@@ -331,12 +331,32 @@ def _verdicts(report):
     )
 
 
-@pytest.mark.parametrize("triple", [(p, q, ell) for p in (3, 5, 7) for q in range(1, 5) for ell in range(1, p)])
+_RELATION_GRID = [(p, q, ell) for p in (3, 5, 7) for q in range(1, 5) for ell in range(1, p)]
+
+
+@pytest.mark.parametrize("triple", _RELATION_GRID)
 def test_relation_consistency(triple):
     params = validate_params(*triple)
     report = relation_consistency(params)
     assert _verdicts(report) == _x_expansion_verdicts(params) == (True, True, True)
     assert report.all_hold
+
+
+def test_intact_relations_are_checked_on_coordinates(monkeypatch):
+    # once the slot tables and the read-off relations are built, the checks
+    # of an intact triple compare coordinates: no polynomial is scaled and no
+    # coefficient map is taken
+    calls = []
+    for name in ("scale", "map_coefficients"):
+        real = getattr(SparsePoly, name)
+        monkeypatch.setattr(SparsePoly, name, lambda self, *args, real=real, name=name: calls.append(name) or real(self, *args))
+    for triple in _RELATION_GRID:
+        params = validate_params(*triple)
+        for fibre in ("generic", "special", "relative"):
+            _relation_rhs(params, fibre)
+        calls.clear()
+        assert _verdicts(relation_consistency(params)) == (True, True, True), triple
+        assert calls == [], triple
 
 
 def _perturbed_tables(params, fibre):
@@ -406,6 +426,24 @@ def test_a_relative_slot_with_an_int_term_fails_the_reduction(triple):
     assert got[1] is False
     with pytest.raises(ReductionMismatch):
         reduce_relative_to_special(params, relative_generators(params))
+
+
+@pytest.mark.parametrize(
+    "fibre, value", [("generic", 3), ("relative", 3), ("generic", CycloElement(7, (1, 0, 0, 0, 0, 9)))]
+)
+def test_a_slot_of_ints_or_of_another_ring_reads_as_unequal(fibre, value):
+    # the coordinate checks read an int as its own lam^0 coordinate and an
+    # element of Z[zeta_7] in a p = 5 table as equal to nothing, as the
+    # polynomial comparison does: with the last slot's values replaced by
+    # either, the checks that read that table fail, and nothing raises
+    params = validate_params(5, 2, 1)
+    slots = trinomial_slots(params, fibre)
+    dr, dt, c = slots[-1]
+    params.memo[(trinomial_slots.__wrapped__, fibre)] = slots[:-1] + ((dr, dt, c.map_coefficients(lambda v: value)),)
+    got = _verdicts(relation_consistency(params))
+    assert got == ((True, True, False) if fibre == "generic" else (False, False, False))
+    if type(value) is int:
+        assert got == _x_expansion_verdicts(params)
 
 
 def _conv(e1, e2):

@@ -186,6 +186,25 @@ def test_relative_lambda_coefficients():
         assert divide_by_lambda_power(c, 1) * CycloElement.lam(5) == c  # lam divides c
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_relative_lambda_coefficients_for_every_p(monkeypatch, p):
+    # lam^(p-i) * c_i == binom(p, i) is a product in Z[lam], whatever found
+    # c_i; c_1 reduces to -1 mod lam and every other c_i to 0; and one
+    # triple's c_1..c_(p-1) take one chain of p - 1 divisions by lam
+    import canideal.exactalg as exactalg
+
+    calls = []
+    real = exactalg._divide_by_lambda
+    monkeypatch.setattr(exactalg, "_divide_by_lambda", lambda e: calls.append(e) or real(e))
+    params = validate_params(p, 1, 1)
+    coeffs = {i: relative_lambda_coefficient(params, i) for i in range(1, p)}
+    assert len(calls) <= p - 1
+    lam = CycloElement.lam_powers(p, p)
+    for i, c in coeffs.items():
+        assert lam[p - i] * c == math.comb(p, i), (p, i)
+        assert residue(c, p, 0) == (p - 1 if i == 1 else 0), (p, i)
+
+
 def test_relative_generators_521():
     params = validate_params(5, 2, 1)
     gens = relative_generators(params)
