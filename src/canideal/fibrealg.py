@@ -694,6 +694,20 @@ class FibreContext:
                 return self.combination_vanishes({md: c for md, c in sums.items() if c})
         raise NonHomogeneous("membership requires homogeneous degree-2 generators")
 
+    def layout_vanishes(self, layout, anchors) -> list[bool]:
+        """Membership of a trinomial layout (`generators.trinomial_layout`)
+        at each anchor, in anchor order.  At the anchor (rho, T) the slot
+        (dr, dt, c) puts c on the class minimum at (rho + dr, T + dt), a
+        point of its own, so the generator's sums per multidegree are the
+        slots' coefficients, and their shift class {(dr - min dr, T + dt): c}
+        does not depend on rho: one `combination_vanishes` per distinct T
+        gives each anchor the verdict its generator object gets."""
+        verdicts: dict[int, bool] = {}
+        for rho, T in anchors:
+            if T not in verdicts:
+                verdicts[T] = self.combination_vanishes({(rho + dr, T + dt): c for dr, dt, c in layout})
+        return [verdicts[T] for _, T in anchors]
+
     def combination_vanishes(self, coeffs: dict[tuple[int, int], SparsePoly]) -> bool:
         """Is sum_(rho,T) c_(rho,T) * image(rho, T) zero?
 

@@ -18,18 +18,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .errors import InvariantViolation, NonIntegralCoefficient, NotDivisible, ReductionMismatch, WrongFibre
+from .errors import InvariantViolation, NonHomogeneous, NonIntegralCoefficient, NotDivisible, PointNotInMinkowskiSum
+from .errors import ReductionMismatch, WrongFibre
 from .exactalg import CycloElement, SparsePoly, _lam_rows, divide_by_lambda_power, residue
 from .family import FamilyParams, a_power_coefficients, deformation_symbols, per_triple
-from .indexsets import (
-    MinkowskiPoint,
-    anchor_set,
-    minimal_monomial,
-    minkowski_sum,
-    monomials_at,
-)
+from .indexsets import MinkowskiPoint, _anchor_runs, _meet, _runs, anchor_set, minimal_monomial, minkowski_sum, monomials_at
 from .termorder import TIE_BREAK_DEFAULT, Monomial, format_monomial, term_key
 
 GENERIC = "generic"
@@ -59,7 +54,7 @@ class GeneratorPoly:
 
     The monomials are distinct and strictly descending under ``tie_break``
     (every builder here emits them so, and `corrupt_generator` keeps the
-    order): ``terms[0]`` is the lead `verify.dimension_criterion` reads.
+    order): ``terms[0]`` holds the lead, the monomial `lead` returns.
     """
 
     fibre: str
@@ -70,6 +65,14 @@ class GeneratorPoly:
 
     def is_homogeneous_degree2(self) -> bool:
         return bool(self.terms) and all(len(m) == 2 for _, m in self.terms)
+
+    @property
+    def lead(self) -> Monomial:
+        """The monomial of terms[0], the lead `verify.dimension_criterion`
+        counts; NonHomogeneous unless the generator is homogeneous of degree 2."""
+        if not self.is_homogeneous_degree2():
+            raise NonHomogeneous("criterion requires homogeneous degree-2 generators")
+        return self.terms[0][1]
 
     def __repr__(self):
         head = f"{self.provenance}/{self.fibre}"
@@ -140,7 +143,7 @@ def trinomial_slots(params: FamilyParams, fibre: str) -> tuple[tuple[int, int, S
     Every special slot coefficient is its residue in [0, p), and none is 0:
     the multinomials of a(x)^(p-1) divide (p-1)!, which p does not divide.
 
-    `_trinomial_family` adds the coefficients of slots of equal (dr, dt), one
+    `trinomial_layout` adds the coefficients of slots of equal (dr, dt), one
     class minimum at every anchor (only the generic fibre at ell = 1 has such:
     (ell, p) meets j = 1), drops zero sums, and orders the slots by dt
     ascending, dr descending: their term order at every anchor.
@@ -164,11 +167,18 @@ def trinomial_slots(params: FamilyParams, fibre: str) -> tuple[tuple[int, int, S
     return tuple(slots)
 
 
-def _trinomial_family(params: FamilyParams, fibre: str, anchors, tie_break: str) -> list[GeneratorPoly]:
-    """One generator per anchor: the slot layout, built per call from
-    `trinomial_slots` as the memo holds it, on the class minima at the shifted
-    points.  PointNotInMinkowskiSum if a point is missing; InvariantViolation
-    unless the lead (0, 0) is the layout's only slot with dt <= 0."""
+def trinomial_layout(params: FamilyParams, fibre: str, i: int | None = None) -> list[tuple[int, int, SparsePoly]]:
+    """The fibre's layout: the slots of `trinomial_slots`, as its memo entry
+    holds them, with the coefficients of equal (dr, dt) added, zero sums
+    dropped, and ordered by dt ascending, dr descending, the term order of
+    the generator at every anchor.  Built per call with no memo of its own,
+    so a slot table placed in the memo is what every reader sees.
+    InvariantViolation unless the lead (0, 0) is the only slot with dt <= 0.
+
+    With i, PointNotInMinkowskiSum unless every slot stays in the Minkowski
+    sum at every anchor of set i: the anchor runs at T, shifted by dr, must
+    lie in the runs at T + dt (`indexsets._meet` on the run tables).
+    """
     merged: dict[tuple[int, int], SparsePoly] = {}
     for dr, dt, coeff in trinomial_slots(params, fibre):
         cur = merged.get((dr, dt))
@@ -176,19 +186,22 @@ def _trinomial_family(params: FamilyParams, fibre: str, anchors, tie_break: str)
     layout = sorted(((dr, dt, c) for (dr, dt), c in merged.items() if c), key=lambda s: (s[1], -s[0]))
     if [(dr, dt) for dr, dt, _ in layout if dt <= 0] != [(0, 0)]:
         raise InvariantViolation(f"the {fibre} generators do not lead with the class minimum of their anchor")
-    return [
-        GeneratorPoly(
-            fibre=fibre,
-            provenance=TRINOMIAL,
-            anchor=pt,
-            terms=tuple(
-                (c, minimal_monomial(params, MinkowskiPoint(pt.rho + dr, pt.T + dt), tie_break))
-                for dr, dt, c in layout
-            ),
-            tie_break=tie_break,
-        )
-        for pt in anchors
-    ]
+    if i is not None:
+        anchors, runs = _anchor_runs(params)[i], _runs(params)
+        if any(_meet(anchors, runs, dt, dr, dr) != anchors for dr, dt, _ in layout):
+            raise PointNotInMinkowskiSum(f"the {fibre} layout leaves the Minkowski sum at an anchor of set {i}")
+    return layout
+
+
+def _trinomial_family(params: FamilyParams, fibre: str, anchors, tie_break: str) -> list[GeneratorPoly]:
+    """One generator per anchor: `trinomial_layout` on the class minima at
+    the shifted points, PointNotInMinkowskiSum if a point is missing."""
+    layout = trinomial_layout(params, fibre)
+    gens = []
+    for pt in anchors:
+        terms = tuple((c, minimal_monomial(params, MinkowskiPoint(pt.rho + dr, pt.T + dt), tie_break)) for dr, dt, c in layout)
+        gens.append(GeneratorPoly(fibre=fibre, provenance=TRINOMIAL, anchor=pt, terms=terms, tie_break=tie_break))
+    return gens
 
 
 def generic_generators(params: FamilyParams, tie_break: str = TIE_BREAK_DEFAULT) -> list[GeneratorPoly]:
@@ -242,14 +255,6 @@ def relative_generators(params: FamilyParams, tie_break: str = TIE_BREAK_DEFAULT
     return _trinomial_family(params, RELATIVE, anchor_set(params, 0), tie_break)
 
 
-def trinomial_generators(params: FamilyParams, fibre: str, tie_break: str = TIE_BREAK_DEFAULT) -> list[GeneratorPoly]:
-    """The fibre's trinomial-type family, the one the kernel oracle checks
-    next to the binomials it reads from the class table."""
-    check_fibre(fibre)
-    families = {GENERIC: generic_generators, SPECIAL: special_generators, RELATIVE: relative_generators}
-    return families[fibre](params, tie_break=tie_break)
-
-
 def fibre_generators(
     params: FamilyParams,
     fibre: str,
@@ -258,7 +263,9 @@ def fibre_generators(
 ) -> list[GeneratorPoly]:
     """The binomials followed by the fibre's trinomial-type family: the
     family `canideal generators` emits."""
-    family = trinomial_generators(params, fibre, tie_break)
+    check_fibre(fibre)
+    families = {GENERIC: generic_generators, SPECIAL: special_generators, RELATIVE: relative_generators}
+    family = families[fibre](params, tie_break=tie_break)
     return binomial_generators(params, all_pairs=all_pairs, tie_break=tie_break) + family
 
 
@@ -272,6 +279,17 @@ def reduce_relative_to_special(params: FamilyParams, gens) -> list[GeneratorPoly
     are dropped; the rest keep their order.  Each distinct coefficient
     polynomial is reduced once: reduction mod lam is a ring map, so equal
     polynomials have equal reductions.
+
+    For the intact families `verify.certify` decides the same comparison
+    once, on the layouts.  Both families are the same function
+    of (layout, anchor): the term of slot (dr, dt, c) at the anchor (rho, T)
+    is c on the class minimum at (rho + dr, T + dt).  Distinct slots sit at
+    distinct points, and distinct points have distinct class minima, so at
+    one anchor two term lists are equal exactly when their slot lists
+    (dr, dt, c), in order, are.  Reduction acts on c alone.  So every
+    reduced generator equals its special one exactly when the relative
+    layout's residues, zeros dropped, equal the special layout, whatever
+    the anchors, provided there is one; on no anchor both lists are empty.
     """
     reduce = functools.partial(residue, r=params.p, lam=0)
     images: dict[SparsePoly, SparsePoly] = {}
@@ -285,15 +303,7 @@ def reduce_relative_to_special(params: FamilyParams, gens) -> list[GeneratorPoly
                 image = images[coeff] = coeff.map_coefficients(reduce)
             if image:
                 terms.append((image, mono))
-        reduced.append(
-            GeneratorPoly(
-                fibre=SPECIAL,
-                provenance=TRINOMIAL,
-                anchor=gen.anchor,
-                terms=tuple(terms),
-                tie_break=gen.tie_break,
-            )
-        )
+        reduced.append(replace(gen, fibre=SPECIAL, provenance=TRINOMIAL, terms=tuple(terms)))
     anchors = [g.anchor for g in gens]
     expected = special_generators(params, anchors=anchors, tie_break=gens[0].tie_break if gens else TIE_BREAK_DEFAULT)
     if [g.terms for g in reduced] != [g.terms for g in expected]:
@@ -304,17 +314,7 @@ def reduce_relative_to_special(params: FamilyParams, gens) -> list[GeneratorPoly
 def corrupt_generator(gen: GeneratorPoly, bump: int = 1) -> GeneratorPoly:
     """Negative-control hook: add a constant to one non-leading coefficient."""
     coeff, mono = gen.terms[-1]
-    bumped = coeff + SparsePoly.constant(coeff.vars, bump)
-    terms = tuple(
-        (bumped if m == mono and c is coeff else c, m) for c, m in gen.terms
-    )
-    return GeneratorPoly(
-        fibre=gen.fibre,
-        provenance=gen.provenance,
-        anchor=gen.anchor,
-        terms=terms,
-        tie_break=gen.tie_break,
-    )
+    return replace(gen, terms=gen.terms[:-1] + ((coeff + SparsePoly.constant(coeff.vars, bump), mono),))
 
 
 # ---------------------------------------------------------------------------

@@ -33,14 +33,21 @@ passing report is exact, and why its row and column orders, its binomial
 block and its span test, one matrix product and no kernel basis, leave
 every report as it was.
 
-`certify` treats the default binomials m - min(class) as the class table
-(`indexsets.monomial_classes`) and builds none as a `GeneratorPoly`: their
-membership is a table lookup (`binomial_memberships`), the criterion
-counts their leads and the oracles their rank.
+`certify` builds no `GeneratorPoly` for an intact family.  The default
+binomials m - min(class) are the class table (`indexsets.monomial_classes`):
+their membership is a table lookup (`binomial_memberships`), the criterion
+counts their leads and the oracles their rank.  Like them, a trinomial-type
+family is read as its layout (`generators.trinomial_layout`) and its
+anchors: membership takes one verdict per anchor weight T
+(`FibreContext.layout_vanishes`), the leads are the class minima at the
+anchors, reduction compatibility compares the two layouts once, and each
+oracle row places the layout's values.  The `--corrupt-one` control builds
+only the generator it corrupts.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field, fields
@@ -48,7 +55,6 @@ from dataclasses import dataclass, field, fields
 from .errors import (
     CanidealError,
     DegenerateSpecialization,
-    NonHomogeneous,
     NonIntegralCoefficient,
     ReductionMismatch,
 )
@@ -60,13 +66,12 @@ from .generators import (
     RELATIVE,
     SPECIAL,
     GeneratorPoly,
+    _trinomial_family,
     binomial_generators,
     check_fibre,
     corrupt_generator,
     reduce_relative_to_special,
-    relative_generators,
-    special_generators,
-    trinomial_generators,
+    trinomial_layout,
 )
 from .indexsets import anchor_set, check_counts, monomial_classes, monomial_multidegrees
 from .termorder import TIE_BREAK_DEFAULT, term_key
@@ -205,37 +210,35 @@ class CriterionReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def dimension_criterion(params: FamilyParams, gens, label: str = "", classes: dict | None = None) -> CriterionReport:
-    """Count degree-2 standard monomials of the leading-term ideal of `gens`.
+def dimension_criterion(params: FamilyParams, leads, label: str = "", classes: dict | None = None) -> CriterionReport:
+    """Count degree-2 standard monomials of the leading-term ideal of a
+    family of degree-2 generators, given one lead monomial per generator.
 
     All generators have degree 2, so the degree-2 part of the leading-term
     ideal is exactly the set of distinct leading monomials and no Groebner
-    computation is needed.  Each lead is ``gen.terms[0][1]``, the terms
-    being descending under the generator's own tie-break (`GeneratorPoly`).
+    computation is needed.  A generator object's lead is
+    `GeneratorPoly.lead`; a trinomial-type family's leads are the class
+    minima at its anchors, where its lead slot (0, 0) sits.
 
     A class table `classes` adds its default binomials m - min(class): n -
     #classes generators, led by the distinct non-minimal monomials, so a
-    lead of `gens` is new only at a class minimum or outside the table.
+    lead of the family is new only at a class minimum or outside the table.
     """
-    gens = list(gens)
-    leads = set()
-    for gen in gens:
-        if not gen.is_homogeneous_degree2():
-            raise NonHomogeneous("criterion requires homogeneous degree-2 generators")
-        leads.add(gen.terms[0][1])
+    leads = list(leads)
+    distinct = set(leads)
     block = 0
     if classes is not None:
         table = monomial_multidegrees(params)
         block = len(table) - len(classes)
-        leads = {m for m in leads if (point := table.get(m)) is None or classes[point][0] == m}
-    lead_count = len(leads) + block
+        distinct = {m for m in distinct if (point := table.get(m)) is None or classes[point][0] == m}
+    lead_count = len(distinct) + block
     g = params.genus
     s = g * (g + 1) // 2 - lead_count
     bound = 3 * (g - 1)
     return CriterionReport(
         label=label,
         genus=g,
-        generator_count=len(gens) + block,
+        generator_count=len(leads) + block,
         leading_count=lead_count,
         standard_monomial_count=s,
         bound=bound,
@@ -334,7 +337,8 @@ def kernel_oracle(
 
     Binomial block.  With gens=None, G is the fibre's family: the default
     binomials B, m - min(class) for each non-minimal m, read from the class
-    table, and the trinomial-type family F (`trinomial_generators`).  B gets
+    table, and the trinomial-type family F, its layout at the fibre's
+    anchors (`generators.trinomial_layout`).  B gets
     no row.  Let pi send e_m to e_min(class), a linear map onto the class
     coordinates.  The rows of B are independent (each has its own
     non-minimal m) and lie in ker pi, whose dimension n - #classes is their
@@ -357,14 +361,16 @@ def kernel_oracle(
     whose residue is 0 included, so column_count counts exact columns; on
     the special fibre an exact value is its residue mod p.
 
-    One value per coefficient.  A generator's row entry is
-    residue(phi(c)) of each term's specialized coefficient, read from the
-    context's table (`FibreContext.specialized_value`), which the exact
-    check reads too.  Specialization and phi are ring maps, and equal
-    polynomials have equal images, so the value read from the table equals
-    the per-term value it replaces; equal coefficients that hash
-    differently only miss the table.  Every generator row, summed per class
-    or not, takes this one path.
+    One value per coefficient.  A row entry is residue(phi(c)) of a
+    coefficient's specialized value, read from the context's table
+    (`FibreContext.specialized_value`), which the exact check reads too.
+    Specialization and phi are ring maps, and equal polynomials have equal
+    images, so the value read from the table equals the per-term value it
+    replaces; equal coefficients that hash differently only miss the table.
+    An F row is read once per slot (dr, dt, c): at the anchor (rho, T) the
+    slot's value sits in the class (rho + dr, T + dt), one class per slot,
+    which is the generator's row summed per class, and F's exact check is
+    `FibreContext.layout_vanishes`.
 
     Soundness.  Row g of G * M holds the X-coordinates of
     sum_m g_m * image(m).  By the change of basis above it is zero exactly
@@ -432,29 +438,31 @@ def kernel_oracle(
         )
 
     if gens is None:
-        # the binomial block has no row: rank G = #B + rank pi(F), each F row summed per class
-        gens, block = trinomial_generators(params, fibre, tie_break), n - len(classes)
+        # F is the fibre's layout at its anchors; the binomial block B has no row
+        i = 1 if fibre == SPECIAL else 0
+        layout, anchors = trinomial_layout(params, fibre, i), anchor_set(params, i)
+        gens_in_kernel = all(ctx.layout_vanishes(layout, anchors))
         position = {point: c for c, point in enumerate(classes)}
-        column, class_of = (lambda mono: position[table[mono]]), range(len(classes))
+        values = [residue(ctx.specialized_value(c), r, lam) for _, _, c in layout]
+        rows = [{position[rho + dr, T + dt]: v for (dr, dt, _), v in zip(layout, values) if v} for rho, T in anchors]
+        block, class_of = n - len(classes), range(len(classes))
     else:
         # each class's minimum last: the binomial m - min pivots at m with no reduction
         monos = [m for group in classes.values() for m in reversed(group)]
         column, block = {m: idx for idx, m in enumerate(monos)}.__getitem__, 0
         class_of = [c for c, group in enumerate(classes.values()) for _ in group]
-    gens_in_kernel = True
-    gen_rows = []
-    for gen in gens:
-        # every generator is checked, so a malformed one raises before its vector is built
-        gens_in_kernel = ctx.generator_vanishes(gen) and gens_in_kernel
-        row: dict[int, int] = {}
-        for coeff, mono in gen.terms:
-            val = residue(ctx.specialized_value(coeff), r, lam)
-            if val:
-                col = column(mono)
-                row[col] = (row.get(col, 0) + val) % r
-        row = {col: v for col, v in row.items() if v}
-        if row:
-            gen_rows.append(row)
+        gens_in_kernel, rows = True, []
+        for gen in gens:
+            # every generator is checked, so a malformed one raises before its vector is built
+            gens_in_kernel = ctx.generator_vanishes(gen) and gens_in_kernel
+            row: dict[int, int] = {}
+            for coeff, mono in gen.terms:
+                val = residue(ctx.specialized_value(coeff), r, lam)
+                if val:
+                    col = column(mono)
+                    row[col] = (row.get(col, 0) + val) % r
+            rows.append({col: v for col, v in row.items() if v})
+    gen_rows = [row for row in rows if row]
 
     kernel_in_span = block + matrix_rank(gen_rows, r) == kernel_dim
     if kernel_in_span and not gens_in_kernel:
@@ -582,14 +590,16 @@ def certify(
     """Run the full two-fibre certification pipeline.
 
     Order: counting identities; membership of the binomials (from the
-    class table) and the relative family on the relative model; reduction
-    compatibility with the special fibre; the counting criterion on the
-    reduced set over the special fibre and on the relative set over the
-    generic fibre; optionally the kernel oracles on both fibres.  Mathematical failures produce a failed
-    certificate, never an exception; a specialization that does not assign
-    integers to exactly the deformation symbols raises BadSpecialization,
-    whether or not the oracles run; an unknown tie-break raises
-    UnknownTieBreak; corrupt_one on a triple with no relative generator and
+    class table) and the relative family (its layout at anchor set 0) on
+    the relative model; reduction compatibility with the special fibre; the
+    counting criterion on the reduced set over the special fibre and on the
+    relative set over the generic fibre, both led by the class minima at
+    the anchors; optionally the kernel oracles on both fibres.  Mathematical
+    failures produce a failed certificate, never an exception; a
+    specialization that does not assign integers to exactly the
+    deformation symbols raises BadSpecialization, whether or not the
+    oracles run; an unknown tie-break raises UnknownTieBreak;
+    corrupt_one on a triple with no relative generator and
     no binomial raises CanidealError, as the control would corrupt nothing.
     """
     term_key(tie_break)  # raises UnknownTieBreak
@@ -602,35 +612,46 @@ def certify(
     timings["counting"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # the default binomials are the class table: no GeneratorPoly is built for them
+    # the default binomials are the class table and the relative family is
+    # its layout at the i = 0 anchors: no GeneratorPoly is built for either
     classes = monomial_classes(params, tie_break)
     mem_g1 = binomial_memberships(params, classes)
-    rel = relative_generators(params, tie_break=tie_break)
-    corrupted = None
+    anchors = anchor_set(params, 0)
+    layout = trinomial_layout(params, RELATIVE, 0)
+    leads = [classes[point][0] for point in anchors]
+    bad = corrupted = None
     if corrupt_one:
-        if rel:
-            rel = [corrupt_generator(rel[0])] + rel[1:]
+        if anchors:
+            bad = corrupt_generator(_trinomial_family(params, RELATIVE, anchors[:1], tie_break)[0])
+            leads[0] = bad.lead
         elif mem_g1:
-            bad = corrupt_generator(binomial_generators(params, tie_break=tie_break)[0])
-            mem_g1[0] = check_membership(params, RELATIVE, bad)
+            bad_binomial = corrupt_generator(binomial_generators(params, tie_break=tie_break)[0])
+            mem_g1[0] = check_membership(params, RELATIVE, bad_binomial)
         else:
             raise CanidealError(
                 f"nothing to corrupt: (p,q,ell)=({params.p},{params.q},{params.ell}) "
                 "has no relative generator and no binomial"
             )
         corrupted = 0
-    mem_rel = [check_membership(params, RELATIVE, g) for g in rel]
+    rest = anchors[1:] if bad is not None else anchors
+    mem_rel = [check_membership(params, RELATIVE, bad)] if bad is not None else []
+    if rest:
+        mem_rel += fibre_context(params, RELATIVE).layout_vanishes(layout, rest)
     timings["membership"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     try:
-        reduced = reduce_relative_to_special(params, rel)
-        reduction_ok = True
+        # one comparison of the layouts decides every intact generator
+        # (`reduce_relative_to_special`); the corrupted one is reduced as an object
+        special = trinomial_layout(params, SPECIAL, 0)
+        reduce = functools.partial(residue, r=params.p, lam=0)
+        reduction_ok = not anchors or [(dr, dt, im) for dr, dt, c in layout if (im := c.map_coefficients(reduce))] == special
+        if bad is not None:
+            reduce_relative_to_special(params, [bad])
     except (ReductionMismatch, NonIntegralCoefficient):
         reduction_ok = False
-        reduced = special_generators(params, anchors=anchor_set(params, 0), tie_break=tie_break)
-    crit_special = dimension_criterion(params, reduced, "special-fibre (lam-reduced generators)", classes)
-    crit_relative = dimension_criterion(params, rel, "generic-fibre view of the relative generators", classes)
+    crit_special = dimension_criterion(params, leads, "special-fibre (lam-reduced generators)", classes)
+    crit_relative = dimension_criterion(params, leads, "generic-fibre view of the relative generators", classes)
     timings["criterion"] = time.perf_counter() - t0
 
     oracles: dict = {}
@@ -670,7 +691,7 @@ def certify(
     counts = dict(count_report.to_dict())
     counts["degree2_monomials"] = params.genus * (params.genus + 1) // 2
     counts["binomial_generators"] = counts["degree2_monomials"] - len(classes)
-    counts["relative_generators"] = len(rel)
+    counts["relative_generators"] = len(anchors)
     counts["anchors_one_minus_zero"] = anchors_one - anchors_zero
     counts["standard_monomials_special"] = crit_special.standard_monomial_count
     counts["standard_monomials_relative"] = crit_relative.standard_monomial_count

@@ -164,9 +164,9 @@ def test_criterion_6_dimension_criterion():
     params = validate_params(5, 2, 1)
     g1 = binomial_generators(params)
     g2 = generic_generators(params)
-    full = dimension_criterion(params, g1 + g2)
+    full = dimension_criterion(params, [g.lead for g in g1 + g2])
     assert full.standard_monomial_count == 45 == full.bound and full.passes
-    alone = dimension_criterion(params, g1)
+    alone = dimension_criterion(params, [g.lead for g in g1])
     assert alone.standard_monomial_count == 49 and not alone.passes
     _report(6, time.perf_counter() - t0, 10.0, "s = 45 with trinomials, 49 without")
 
@@ -233,7 +233,7 @@ def test_criterion_9_determinism():
         for tb in (TIE_BREAK_DEFAULT, TIE_BREAK_ALT):
             g1 = binomial_generators(pp, tie_break=tb)
             g2 = generic_generators(pp, tie_break=tb)
-            rep = dimension_criterion(pp, g1 + g2)
+            rep = dimension_criterion(pp, [g.lead for g in g1 + g2])
             counts[tb] = (
                 len(g1),
                 len(g2),

@@ -365,7 +365,7 @@ def _rand_cyclo_poly(rng, p, variables, terms, size=9):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_packed_product_matches_schoolbook(p):
+def test_product_matches_sympy(p):
     rng = random.Random(60_000 + p)
     variables = ("x", "y", "z")
 
@@ -402,7 +402,7 @@ def test_packed_product_matches_schoolbook(p):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_packed_coordinates_at_a_tight_bound(p):
+def test_product_coordinates_at_a_power_of_two(p):
     # a product coordinate that is a power of two, with either sign, and
     # the cancellation of a product against its negation
     variables = ("x", "y")
@@ -415,7 +415,7 @@ def test_packed_coordinates_at_a_tight_bound(p):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_packed_divmod_matches_long_division(p):
+def test_divmod_matches_the_sympy_product(p):
     # long division multiplies int divisors into Z[lam] polynomials; the
     # result is checked against the sympy product: f = quo * divisor +
     # rem with rem of lower x-degree, which determines quo and rem

@@ -157,7 +157,7 @@ def test_every_builder_emits_strictly_descending_terms(triple, tie_break):
             assert leading_term(gen.terms, gen.tie_break) == gen.terms[0], gen
         gens = binomials + family
         reference = {leading_term(g.terms, g.tie_break)[1] for g in gens}
-        assert dimension_criterion(params, gens).leading_count == len(reference)
+        assert dimension_criterion(params, [g.lead for g in gens]).leading_count == len(reference)
 
 
 def test_special_slot_coefficients_are_nonzero_residues():

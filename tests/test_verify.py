@@ -14,8 +14,11 @@ from hypothesis import strategies as st
 import canideal.verify as verify
 from canideal.errors import (
     BadSpecialization,
+    CanidealError,
     DegenerateSpecialization,
     NonHomogeneous,
+    PointNotInMinkowskiSum,
+    ReductionMismatch,
     TOutOfRange,
     UnknownTieBreak,
     VariableOutsideIndexSet,
@@ -24,9 +27,10 @@ from canideal.errors import (
 )
 from canideal.exactalg import CycloElement, SparsePoly, residue
 from canideal.family import deformation_symbols, validate_params
-from canideal.fibrealg import FibreContext, fibre_context
+from canideal.fibrealg import FibreContext, _relation_rhs, fibre_context
 from canideal.generators import (
     TRINOMIAL,
+    GeneratorPoly,
     binomial_generators,
     corrupt_generator,
     fibre_generators,
@@ -529,21 +533,25 @@ def test_membership_error_precedence(specialized, tagged, extra, error):
 # dimension criterion
 
 
+def _leads(gens):
+    return [g.lead for g in gens]
+
+
 def test_criterion_counts_521():
     params = validate_params(5, 2, 1)
     g1 = binomial_generators(params)
     g2 = generic_generators(params)
-    full = dimension_criterion(params, g1 + g2)
+    full = dimension_criterion(params, _leads(g1 + g2))
     assert (full.leading_count, full.standard_monomial_count, full.bound) == (91, 45, 45)
     assert full.passes
-    only = dimension_criterion(params, g1)
+    only = dimension_criterion(params, _leads(g1))
     assert only.standard_monomial_count == 49
     assert not only.passes
     # the class table in place of g1 gives the same report; g1 given as well
     # adds generators but no lead, as no binomial leads at a class minimum
     classes = monomial_classes(params, "default")
-    assert dimension_criterion(params, g2, classes=classes) == full
-    both = dimension_criterion(params, g1 + g2, classes=classes)
+    assert dimension_criterion(params, _leads(g2), classes=classes) == full
+    both = dimension_criterion(params, _leads(g1 + g2), classes=classes)
     assert (both.generator_count, both.leading_count) == (2 * len(g1) + len(g2), 91)
 
 
@@ -553,22 +561,22 @@ def test_criterion_drop_one_fails():
     g2 = generic_generators(params)
     classes = monomial_classes(params, "default")
     for k in range(len(g2)):
-        sub = dimension_criterion(params, g1 + g2[:k] + g2[k + 1 :])
+        sub = dimension_criterion(params, _leads(g1 + g2[:k] + g2[k + 1 :]))
         assert sub.standard_monomial_count == 46
         assert not sub.passes
-        assert dimension_criterion(params, g2[:k] + g2[k + 1 :], classes=classes) == sub
+        assert dimension_criterion(params, _leads(g2[:k] + g2[k + 1 :]), classes=classes) == sub
 
 
 def test_criterion_reads_an_iterator_once():
     params = validate_params(5, 2, 1)
-    gens = binomial_generators(params) + relative_generators(params)
-    assert dimension_criterion(params, iter(gens)) == dimension_criterion(params, gens)
-    assert dimension_criterion(params, iter(gens)).generator_count == len(gens)
+    leads = _leads(binomial_generators(params) + relative_generators(params))
+    assert dimension_criterion(params, iter(leads)) == dimension_criterion(params, leads)
+    assert dimension_criterion(params, iter(leads)).generator_count == len(leads)
 
 
 def test_criterion_321():
     params = validate_params(3, 2, 1)
-    rep = dimension_criterion(params, binomial_generators(params))
+    rep = dimension_criterion(params, _leads(binomial_generators(params)))
     assert rep.standard_monomial_count == 9 == rep.bound
     assert rep.passes
     assert validate_params(3, 2, 1).trigonal_risk  # conclusion carries the caveat
@@ -576,13 +584,13 @@ def test_criterion_321():
 
 @pytest.mark.parametrize("how", ["empty", "degree-one"])
 def test_criterion_rejects_a_generator_without_a_degree_two_lead(how):
-    # the lead is read as terms[0] only after the homogeneity check
+    # GeneratorPoly.lead reads terms[0] only after the homogeneity check
     params = validate_params(5, 2, 1)
     gen = generic_generators(params)[0]
     terms = () if how == "empty" else ((gen.terms[0][0], Monomial((IndexPair(0, 1),))),) + gen.terms
     broken = dataclasses.replace(gen, terms=terms)
     with pytest.raises(NonHomogeneous):
-        dimension_criterion(params, binomial_generators(params) + [broken])
+        dimension_criterion(params, _leads(binomial_generators(params) + [broken]))
 
 
 def test_criterion_tie_break_invariance():
@@ -590,7 +598,7 @@ def test_criterion_tie_break_invariance():
     for tb in ("default", "alt"):
         g1 = binomial_generators(params, tie_break=tb)
         g2 = generic_generators(params, tie_break=tb)
-        rep = dimension_criterion(params, g1 + g2)
+        rep = dimension_criterion(params, _leads(g1 + g2))
         assert rep.standard_monomial_count == 33
 
 
@@ -1029,6 +1037,67 @@ def test_binomials_built_once_per_triple(monkeypatch):
     assert len(builds) == 1
 
 
+def test_oracle_raises_where_its_family_leaves_the_minkowski_sum():
+    # the special tables of (7,2,1) whose layout leaves the Minkowski sum at
+    # an anchor and whose class rows are not degenerate: the oracle without
+    # gens raises PointNotInMinkowskiSum past its rank check, as building
+    # the family does
+    from test_fibrealg import _perturbed_tables
+
+    raised = 0
+    for table in _perturbed_tables(validate_params(7, 2, 1), "special"):
+        params = validate_params(7, 2, 1)
+        params.memo[(trinomial_slots.__wrapped__, "special")] = table
+        try:
+            special_generators(params)
+            continue
+        except PointNotInMinkowskiSum:
+            pass
+        try:
+            kernel_oracle(params, "special", gens=[])
+        except DegenerateSpecialization:
+            continue
+        with pytest.raises(PointNotInMinkowskiSum):
+            kernel_oracle(params, "special")
+        raised += 1
+    assert raised == 4
+
+
+def test_certify_builds_no_generator_object(monkeypatch):
+    # certify reads every intact family as a layout at its anchors: with and
+    # without the oracle it builds no GeneratorPoly.  The control on a triple
+    # with a relative generator builds that family's generator at the first
+    # anchor only, and the special generator its reduction compares with
+    import canideal.generators as generators
+
+    built, families = [], []
+    real_init, real_family = GeneratorPoly.__init__, generators._trinomial_family
+    monkeypatch.setattr(GeneratorPoly, "__init__", lambda self, *args, **kw: built.append(kw) or real_init(self, *args, **kw))
+
+    def family(params, fibre, anchors, tie_break):
+        families.append((fibre, list(anchors)))
+        return real_family(params, fibre, anchors, tie_break)
+
+    monkeypatch.setattr(generators, "_trinomial_family", family)
+    monkeypatch.setattr(verify, "_trinomial_family", family, raising=False)
+    for triple in [(5, 2, 1), (7, 2, 1), (5, 3, 2), (7, 1, 5), (3, 4, 1)]:
+        for oracle in (False, True):
+            for tie_break in ("default", "alt"):
+                cert = certify(validate_params(*triple), oracle=oracle, tie_break=tie_break)
+                assert cert.verdicts["membership_relative"] and cert.verdicts["reduction_compatibility"]
+    assert built == [] and families == []
+    for triple in [(5, 2, 1), (7, 2, 1)]:
+        params = validate_params(*triple)
+        first = anchor_set(params, 0)[0]
+        assert len(anchor_set(params, 0)) > 1
+        cert = certify(params, corrupt_one=True)
+        assert cert.overall == "FAIL" and not cert.verdicts["membership_relative"]
+        assert families == [("relative", [first]), ("special", [first])]
+        assert {kw["anchor"] for kw in built} == {first}
+        built.clear()
+        families.clear()
+
+
 @pytest.mark.parametrize("triple", [(7, 2, 1), (5, 3, 2)])
 def test_passing_membership_unpacks_nothing(monkeypatch, triple):
     # certify without the oracle decides membership by a zero test on the
@@ -1166,36 +1235,81 @@ def test_certify_corrupt_fails():
     assert not cert.verdicts["reduction_compatibility"]
 
 
-def _certificate_from_generators(params, cert, tie_break):
-    """The counts, criteria and oracle reports of `cert` rebuilt from the
-    binomials as `GeneratorPoly` objects: one membership check per
-    generator, each criterion over the binomials and the family, and each
-    oracle on the emitted family as explicit gens, at the specializations
-    `certify` tried, in order."""
+def _certificate_from_generators(params, tie_break, oracle=True, seed=0):
+    """The counts, verdicts, criteria, oracle reports and oracle attempts of
+    `certify(params, oracle=oracle, tie_break=tie_break, seed=seed)` rebuilt
+    from `GeneratorPoly` objects on the per-generator path: the binomials
+    and the relative family built as objects, one membership check per
+    generator, every relative generator lam-reduced and compared with the
+    special family on its anchors (that family in its place on a mismatch),
+    each criterion over the objects' leads, and each oracle on the emitted
+    family as explicit gens.  The oracle draws its specializations as
+    `kernel_oracle_with_retry` does; a family that raises when built raises
+    past the rank check only, as in the oracle without gens."""
     g1 = binomial_generators(params, tie_break=tie_break)
     rel = relative_generators(params, tie_break=tie_break)
-    special = dimension_criterion(params, g1 + reduce_relative_to_special(params, rel), "special-fibre (lam-reduced generators)")
-    relative = dimension_criterion(params, g1 + rel, "generic-fibre view of the relative generators")
-    oracles = {}
-    for fibre in ("generic", "special"):
-        gens = fibre_generators(params, fibre, tie_break=tie_break)
-        oracles[fibre] = {"passes": False, "degenerate": True}
-        for spec in cert.specializations[f"attempts_{fibre}"]:
-            try:
-                oracles[fibre] = kernel_oracle(params, fibre, spec, gens=gens, tie_break=tie_break).to_dict()
-                break
-            except DegenerateSpecialization:
-                pass
     memberships = [check_membership(params, "relative", g) for g in g1 + rel]
-    return (
-        {
-            "binomial_generators": len(g1),
-            "standard_monomials_special": special.standard_monomial_count,
-            "standard_monomials_relative": relative.standard_monomial_count,
-        },
-        {"special": special.to_dict(), "relative": {**relative.to_dict(), "memberships": memberships}},
-        oracles,
-    )
+    try:
+        reduced, reduction_ok = reduce_relative_to_special(params, rel), True
+    except ReductionMismatch:
+        reduced, reduction_ok = special_generators(params, anchors=anchor_set(params, 0), tie_break=tie_break), False
+    special = dimension_criterion(params, _leads(g1 + reduced), "special-fibre (lam-reduced generators)")
+    relative = dimension_criterion(params, _leads(g1 + rel), "generic-fibre view of the relative generators")
+    rng = random.Random(seed)
+    oracles, attempts = {}, {}
+    for fibre in ("generic", "special") if oracle else ():
+        oracles[fibre] = {"passes": False, "degenerate": True}
+        tried = attempts[f"attempts_{fibre}"] = []
+        spec = default_specialization(params)
+        for _ in range(verify.ORACLE_ATTEMPTS):
+            fresh = spec not in tried
+            tried.append(dict(spec))
+            if fresh:
+                try:
+                    try:
+                        gens = fibre_generators(params, fibre, tie_break=tie_break)
+                    except CanidealError:
+                        kernel_oracle(params, fibre, spec, gens=[], tie_break=tie_break)
+                        raise
+                    oracles[fibre] = kernel_oracle(params, fibre, spec, gens=gens, tie_break=tie_break).to_dict()
+                    break
+                except DegenerateSpecialization:
+                    pass
+            spec = {s: rng.randint(1, max(9, params.p)) for s in deformation_symbols(params)}
+    verdicts = {
+        "membership_binomials": all(memberships[: len(g1)]),
+        "membership_relative": all(memberships[len(g1) :]),
+        "reduction_compatibility": reduction_ok,
+        "criterion_special": special.passes,
+        "criterion_relative": relative.passes,
+        **{f"oracle_{fibre}": report["passes"] for fibre, report in oracles.items()},
+    }
+    counts = {
+        "binomial_generators": len(g1),
+        "relative_generators": len(rel),
+        "standard_monomials_special": special.standard_monomial_count,
+        "standard_monomials_relative": relative.standard_monomial_count,
+    }
+    criteria = {"special": special.to_dict(), "relative": {**relative.to_dict(), "memberships": memberships}}
+    return counts, verdicts, criteria, oracles, attempts
+
+
+def _matches_the_generator_objects(params, tie_break, oracle=True):
+    """certify against `_certificate_from_generators`: the same pieces, or
+    the same exception type raised by both."""
+    try:
+        cert = certify(params, oracle=oracle, tie_break=tie_break)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            _certificate_from_generators(params, tie_break, oracle)
+        return type(exc)
+    counts, verdicts, criteria, oracles, attempts = _certificate_from_generators(params, tie_break, oracle)
+    assert {key: cert.counts[key] for key in counts} == counts
+    assert {key: cert.verdicts[key] for key in verdicts} == verdicts
+    assert cert.criteria == criteria
+    assert cert.oracles == oracles
+    assert {key: cert.specializations[key] for key in attempts} == attempts
+    return cert.overall
 
 
 _EQUIVALENCE_TRIPLES = [(p, q, ell) for p in (3, 5, 7) for q in (1, 2, 3) for ell in range(1, p)]
@@ -1203,17 +1317,36 @@ _EQUIVALENCE_TRIPLES = [(p, q, ell) for p in (3, 5, 7) for q in (1, 2, 3) for el
 
 @pytest.mark.parametrize("triple", _EQUIVALENCE_TRIPLES, ids=["%d,%d,%d" % t for t in _EQUIVALENCE_TRIPLES])
 def test_certify_binomial_block_matches_the_generator_objects(triple):
-    # certify reads the default binomials from the class table; every valid
-    # triple with p <= 7 and q <= 3, under both tie-breaks, gives the counts,
-    # criteria (memberships included) and oracle reports of the binomials
-    # built as generators and checked one by one
+    # certify reads the default binomials from the class table and the
+    # relative, generic and special families as their layouts at their
+    # anchors; every valid triple with p <= 7 and q <= 3, under both
+    # tie-breaks, gives the counts, verdicts, criteria (memberships
+    # included) and oracle reports of the families built as generators and
+    # checked one by one
     params = validate_params(*triple)
     for tie_break in ("default", "alt"):
-        cert = certify(params, oracle=True, tie_break=tie_break)
-        counts, criteria, oracles = _certificate_from_generators(params, cert, tie_break)
-        assert {key: cert.counts[key] for key in counts} == counts
-        assert cert.criteria == criteria
-        assert cert.oracles == oracles
+        assert isinstance(_matches_the_generator_objects(params, tie_break), str)
+
+
+@pytest.mark.parametrize("triple", [(3, 2, 1), (5, 2, 1)])
+@pytest.mark.parametrize("fibre", ["relative", "special"])
+def test_certify_on_a_perturbed_table_matches_the_generator_objects(triple, fibre):
+    # every single-slot perturbation of the relative or the special table:
+    # the layout path and the objects give the same certificate, or raise
+    # the same exception type.  The oracles read the generic and special
+    # tables only, so only the special tables run them; the triple's other
+    # derived data is kept, and what the perturbed table feeds is dropped
+    from test_fibrealg import _perturbed_tables
+
+    params = validate_params(*triple)
+    outcomes = set()
+    for table in _perturbed_tables(params, fibre):
+        params.memo[(trinomial_slots.__wrapped__, fibre)] = table
+        for key in [key for key in params.memo if key[:2] in ((FibreContext, fibre), (_relation_rhs.__wrapped__, fibre))]:
+            del params.memo[key]
+        outcome = _matches_the_generator_objects(params, "default", oracle=fibre == "special")
+        outcomes.add(outcome if isinstance(outcome, str) else outcome.__name__)
+    assert outcomes == ({"FAIL", "PointNotInMinkowskiSum"} if triple == (5, 2, 1) else {"FAIL"})
 
 
 @pytest.mark.parametrize("triple", [(5, 1, 2), (3, 4, 1)])
@@ -1284,6 +1417,6 @@ def test_standard_monomials_equal_minkowski_minus_anchors(pairwise_sum):
     for triple in [(5, 2, 1), (5, 2, 3), (7, 1, 1), (5, 3, 2)]:
         params = validate_params(*triple)
         gens = binomial_generators(params) + generic_generators(params)
-        rep = dimension_criterion(params, gens)
+        rep = dimension_criterion(params, _leads(gens))
         mink = len(pairwise_sum(build_index_set(params)))
         assert rep.standard_monomial_count == mink - len(anchor_set(params, 0))
