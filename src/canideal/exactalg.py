@@ -12,9 +12,10 @@ Exact division by lam is a divisibility test by p (p = -lam * S, see
 
 There is one product of polynomials, `SparsePoly.__mul__`, a schoolbook
 loop over the terms: over Z[lam] each coefficient product is element
-arithmetic, with its int fast path.  `SparsePoly.specialize` reads each
-coefficient as k * gamma (`_content`), specializes the int parts in ints
-and scales by each gamma once per output term.
+arithmetic, with its int fast path.  A slot coefficient of the trinomial
+tables is a tuple of groups (gamma, d), standing for sum_k gamma_k * d_k:
+`multiply_out` forms that polynomial and `residue_terms` its image in F_r,
+each weight gamma_k mapped once.
 """
 
 from __future__ import annotations
@@ -532,37 +533,20 @@ class SparsePoly:
 
     def specialize(self, values: dict) -> "SparsePoly":
         """Substitute scalars for some variables; the result forgets them.
-
-        Over Z[lam] each coefficient is read as k * gamma (`_content`), so
-        the polynomial is sum_gamma gamma * d_gamma with int d_gamma: each
-        d_gamma is specialized in ints, and gamma multiplies each of its
-        output terms once.  Specialization is a ring map, so the values are
-        those of substituting term by term.
-        """
+        The substituted powers of a term are multiplied first, so each
+        coefficient meets one int."""
         todrop = [i for i, v in enumerate(self.vars) if v in values]
         keep = [i for i in range(len(self.vars)) if i not in todrop]
         poly = SparsePoly(tuple(self.vars[i] for i in keep))
-        # the int parts: the group of gamma = 1 in `out` itself, the others in `split`
         out: dict = {}
-        split: dict = {}
         for e, c in self.terms.items():
-            # one product per term: the substituted powers are multiplied first
             scale = 1
             for i in todrop:
                 if e[i]:
                     scale = scale * values[self.vars[i]] ** e[i]
             ne = tuple(e[i] for i in keep)
-            ints = out
-            if type(c) is CycloElement:
-                gamma, c = _content(c)
-                if gamma is not None:
-                    ints = split.setdefault(gamma, {})
-            ints[ne] = ints.get(ne, 0) + c * scale
-        for gamma, ints in split.items():
-            gamma = CycloElement._integral(len(gamma) + 1, gamma)
-            for ne, c in ints.items():
-                if c:
-                    out[ne] = out.get(ne, 0) + gamma * c
+            cur = out.get(ne)
+            out[ne] = c * scale if cur is None else cur + c * scale
         poly.terms = {ne: c for ne, c in out.items() if c}
         return poly
 
@@ -586,20 +570,28 @@ class SparsePoly:
         return " + ".join(bits)
 
 
-def _content(c) -> tuple[tuple[int, ...] | None, int]:
-    """(gamma, k) with c = k * gamma.  For a CycloElement outside Z, k is the
-    gcd of its coordinates, sign-normalized so that the first nonzero
-    coordinate of gamma is positive: c and -c, and every int multiple of one
-    primitive element, share a gamma.  An int, and a CycloElement in Z, have
-    gamma = None, which stands for 1."""
-    if type(c) is CycloElement:
-        if not any(c.coeffs[1:]):
-            return None, c.coeffs[0]
-        k = math.gcd(*c.coeffs)
-        if next(x for x in c.coeffs if x) < 0:
-            k = -k
-        return tuple(x // k for x in c.coeffs), k
-    return None, c
+def multiply_out(groups, variables) -> SparsePoly:
+    """sum_k gamma_k * d_k over `variables`, the tables' own, for groups
+    (gamma_k, d_k).  A lone group of the int weight 1 is its d itself."""
+    if len(groups) == 1 and type(groups[0][0]) is int and groups[0][0] == 1:
+        return groups[0][1]
+    acc = SparsePoly(variables)
+    for gamma, d in groups:
+        acc = acc + d.scale(gamma)
+    return acc
+
+
+def residue_terms(groups, r: int, lam: int) -> dict:
+    """{exponent: residue in [1, r)} of sum_k gamma_k * d_k under the ring
+    map `residue`: each weight is mapped once, and a group whose weight
+    maps to 0 is not read."""
+    out: dict = {}
+    for gamma, d in groups:
+        g = residue(gamma, r, lam)
+        if g:
+            for e, k in d.terms.items():
+                out[e] = (out.get(e, 0) + g * residue(k, r, lam)) % r
+    return {e: v for e, v in out.items() if v}
 
 
 def _is_one_poly(poly: SparsePoly) -> bool:

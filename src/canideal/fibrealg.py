@@ -21,18 +21,19 @@ division anywhere.
 Each relation is read off the fibre's trinomial slot table
 (`generators.trinomial_slots`), the table the generators are built from:
 after the lead (0, 0, 1), which is V^p, a slot (dr, dt, c) is the term
--c * x^dr * V^(p-dt) of the right-hand side (`_relation_rhs`).  The generic
-slots (ell, p, -lam^p) and (j, p, -[a^p]_j) give
-rhs_0 = lam^p * x^ell + a^p; the special slots
-(ell, p, -1) and (j, p-1, -[a^(p-1)]_j) give rhs = (x^ell, a^(p-1)); the
-relative slots (ell, p, -1) and (j, p-i, c_i * [a^(p-i)]_j) give
+-c * x^dr * V^(p-dt) of the right-hand side (`_relation_rhs`), with c one
+ring weight times an int table, a group (gamma, d), read as it is built.
+The generic slots (ell, p, -lam^p * 1) and (j, p, -1 * [a^p]_j) give
+rhs_0 = lam^p * x^ell + a^p; the special slots (ell, p, 1 * (p-1)) and
+(j, p-1, 1 * ([-a^(p-1)]_j mod p)) give rhs = (x^ell, a^(p-1)) mod p; the
+relative slots (ell, p, -1 * 1) and (j, p-i, c_i * [a^(p-i)]_j) give
 rhs_i = -c_i * a^(p-i) next to rhs_0 = x^ell.  The cleared image of the
 generator at an anchor (rho, T) is x^rho * V^(E-T-p) * (V^p - rhs), with
 E = 3p on the generic fibre and 3p - 2 otherwise, which vanishes modulo the
 read-off relation whatever the table says: membership cannot see a wrong
 slot.  `relation_consistency` checks the read-off relations against the
 model and against each other, so a wrong slot fails the certificate; an
-intact table is checked on power-basis coordinates, with no model built.
+intact table is checked on its weights and int tables, with no model built.
 
 Each fibre's ring is named once, by the monic lead (0, 0, 1) of its slot
 table: its 1 lies in Z[lam] on the generic and relative fibres and is the
@@ -71,9 +72,10 @@ reduces (`FibreContext._sum_vanishes`).
 
 There is one reduction, `reduce_normal_form`, and it runs on packed ints
 on every fibre: a V-slot is {packed exponent: packed coordinates}, the
-relation is packed once per context and widths, and each substitution
-multiplies the top coefficient by the relation slots on packed ints
-(`_accumulate`).  This module is the one that knows the packed format:
+relation is packed once per context and widths, a term k * gamma of a
+part packs as the int k times gamma's packed coordinates, and each
+substitution multiplies the top coefficient by the relation's groups on
+packed ints (`_accumulate`).  This module is the one that knows the packed format:
 exponent keys, signed digits of width B, units and unpacking.  Membership
 reads its verdict as a zero test on the packed values, mod p on the
 special fibre, and unpacks nothing when the combination vanishes in one
@@ -115,7 +117,7 @@ from .errors import (
     WrongDegree,
     WrongFibre,
 )
-from .exactalg import CycloElement, SparsePoly, _content, _lam_rows, residue
+from .exactalg import CycloElement, SparsePoly, _lam_rows, multiply_out, residue_terms
 from .family import FamilyParams, _a_powers, deformation_symbols, per_triple
 from .generators import ANY_FIBRE, GENERIC, RELATIVE, SPECIAL, GeneratorPoly, relative_lambda_coefficient, trinomial_slots
 from .indexsets import monomial_multidegrees
@@ -127,41 +129,59 @@ class FibreRelation:
     """The defining relation V^p = sum_(i<p) rhs[i] * V^i of one fibre.
 
     V is y on the generic fibre and W = a(x) * X on the special and relative
-    fibres.  rhs holds one polynomial over `vars` per V-slot i = 0..p-1, with
-    coefficients in Z[lam], or in Z read mod p on the special fibre; a slot
-    the relation does not use is the zero polynomial.  `memo` keeps the
-    relation's packed forms and widths (`reduce_normal_form`); it takes no
-    part in equality.
+    fibres.  rhs[i], i = 0..p-1, is a tuple of groups (gamma, d) standing
+    for sum gamma * d: a weight gamma in Z[lam], or in Z read mod p on the
+    special fibre, times an int polynomial d over `vars`; a slot the
+    relation does not use has no group.  `memo` keeps the relation's packed
+    forms and widths (`reduce_normal_form`); it takes no part in equality.
     """
 
     fibre: str
     p: int
     vars: tuple[str, ...]
-    rhs: tuple[SparsePoly, ...]
+    rhs: tuple[tuple, ...]
     memo: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @per_triple
-def _relation_rhs(params: FamilyParams, fibre: str) -> tuple[SparsePoly, ...]:
-    """The fibre relation's rhs over ("x",) + symbols, read off the slot table.
+def _relation_rhs(params: FamilyParams, fibre: str) -> tuple[tuple, ...]:
+    """The fibre relation's rhs over ("x",) + symbols, read off the slot
+    table: per V-slot, one group (weight, int table) per distinct weight.
 
     The lead slot must be (0, 0, 1), the V^p term, so that the relation is
     monic in V; any other lead raises InvariantViolation.  Every other slot
-    (dr, dt, c) adds -c * x^dr to rhs[p - dt].
+    (dr, dt, c) adds -c * x^dr to rhs[p - dt]: c's tables join those of
+    their weights, shifted by x^dr (`_joined`), and each weight is negated once.
     """
     p = params.p
+    syms = deformation_symbols(params)
     (dr, dt, lead), *slots = trinomial_slots(params, fibre)
-    if (dr, dt) != (0, 0) or lead != SparsePoly.constant(lead.vars, 1):
+    if (dr, dt) != (0, 0) or multiply_out(lead, syms) != SparsePoly.constant(syms, 1):
         raise InvariantViolation(f"the {fibre} slot table leads with ({dr}, {dt}, {lead!r}), not (0, 0, 1)")
-    rhs: list[dict] = [{} for _ in range(p)]
-    for dr, dt, coeff in slots:
-        slot = rhs[p - dt]
-        for e, c in coeff.terms.items():
-            key = (dr,) + e
-            cur = slot.get(key)
-            slot[key] = -c if cur is None else cur - c
-    variables = ("x",) + deformation_symbols(params)
-    return tuple(SparsePoly(variables, slot) for slot in rhs)
+    rhs: list[list] = [[] for _ in range(p)]
+    for dr, dt, groups in slots:
+        rhs[p - dt].append((dr, groups))
+    return tuple(tuple((-w, d) for w, d in _joined(slot, ("x",) + syms)) for slot in rhs)
+
+
+def _joined(blocks, variables) -> tuple:
+    """sum x^rho * c over blocks (rho, c), c groups (gamma, d) over variables[1:],
+    as one group per weight over `variables`, the tables joined; a ring
+    element k in a table (a polynomial's) weighs its own term gamma * k."""
+    tables: dict = {}
+    for rho, groups in blocks:
+        for gamma, d in groups:
+            if d.vars != variables[1:]:
+                raise ValueError(f"variable mismatch: {d.vars} vs {variables}")
+            ints = tables.setdefault(gamma, {})
+            for e, k in d.terms.items():
+                key = (rho,) + e
+                if type(k) is int:
+                    ints[key] = ints.get(key, 0) + k
+                else:
+                    own = tables.setdefault(k if gamma == 1 else gamma * k, {})
+                    own[key] = own.get(key, 0) + 1
+    return tuple((w, d) for w, ints in tables.items() if w and (d := SparsePoly(variables, ints)))
 
 
 # ---------------------------------------------------------------------------
@@ -207,23 +227,12 @@ def _unpacked_terms(acc: dict, width: int, nvars: int, read=None) -> dict:
     return {tuple(_digits(key, width, nvars)): v if read is None else read(v) for key, v in acc.items() if v}
 
 
-def _packed_rows(rows, shift: int, n: int) -> list[int]:
-    """A content group's rows gamma * lam^j, j < n, packed at coordinate
-    width `shift`; rows None (gamma = 1) are the unit vectors."""
-    units = [1 << (shift * j) for j in range(n)]
-    if rows is None:
-        return units
-    if len(rows) != n:
-        raise ValueError("mixed cyclotomic rings")
-    return [sum(map(operator.mul, row, units)) for row in rows]
-
-
 def _accumulate(acc: dict, terms, rows: list[int], keys, multiples) -> None:
     """acc += f * gamma * d on packed ints: `terms` are f's (packed exponent,
-    coordinates), `rows` gamma's packed rows (`_packed_rows`), and `keys`
-    and `multiples` d's packed exponents and int coefficients, in one
-    order.  Packing is Z-linear, so the coordinates c of a term of f times
-    gamma pack to sum_j c_j * rows[j]."""
+    coordinates), `rows` gamma's packed rows gamma * lam^j, and `keys` and
+    `multiples` d's packed exponents and int coefficients, in one order.
+    Packing is Z-linear, so the coordinates c of a term of f times gamma
+    pack to sum_j c_j * rows[j]."""
     get = acc.get
     for key1, cs in terms:
         packed = sum(map(operator.mul, cs, rows))
@@ -236,59 +245,37 @@ def _max_exponent(poly: SparsePoly) -> int:
     return max((x for e in poly.terms for x in e), default=0)
 
 
-def _content_groups(poly: SparsePoly):
-    """(largest exponent, groups) of a polynomial over Z[lam].
-
-    The groups split poly as sum_k gamma_k * d_k with d_k over the ints,
-    each coefficient read as k * gamma (`exactalg._content`); each group is
-    (rows, d_k terms, weight).  The rows of gamma = 1 are None (the unit
-    vectors); otherwise rows[j] are the coordinates of gamma * lam^j,
-    j = 0..p-2.  The weight is the sum of the |d_k| coefficients times the
-    largest |coordinate| in rows (1 for None), the factor of the digit
-    bound in `reduce_normal_form`.
-    """
-    split: dict = {}
-    for e, c in poly.terms.items():
-        gamma, k = _content(c)
-        split.setdefault(gamma, {})[e] = k
-    groups = []
-    for gamma, multiples in split.items():
-        rows = None if gamma is None else _lam_rows(gamma, len(gamma))
-        size = 1 if rows is None else max(abs(x) for row in rows for x in row)
-        groups.append((rows, multiples, sum(map(abs, multiples.values())) * size))
-    return _max_exponent(poly), tuple(groups)
-
-
-def _relation_bounds(rel: FibreRelation) -> tuple[int, tuple[int, ...], tuple]:
-    """(largest exponent of the relation, w_i per slot, content groups per
-    slot), kept in `rel.memo`: each rhs_i is split into content groups
-    (`_content_groups`) once per relation, and w_i is the sum of their
-    weights.  Slots are read by index."""
+def _relation_bounds(rel: FibreRelation) -> tuple[int, tuple[int, ...], list]:
+    """(largest exponent, w_i per slot, each group's rows gamma * lam^j,
+    j < n, per slot) of the relation, kept in `rel.memo`; the groups are
+    read as held.  w_i sums |d|_1 times the largest |coordinate| of the rows
+    over the groups of rhs_i: the digit bound's factor (`reduce_normal_form`)."""
     bounds = rel.memo.get("bounds")
     if bounds is None:
-        groups = [_content_groups(rel.rhs[i]) for i in range(rel.p)]
-        bounds = rel.memo["bounds"] = (
-            max(top for top, _ in groups),
-            tuple(sum(w for _, _, w in slot) for _, slot in groups),
-            tuple(slot for _, slot in groups),
+        n = 1 if rel.fibre == SPECIAL else rel.p - 1
+        rows = [[_lam_rows(_coords(gamma, n), n) for gamma, _ in slot] for slot in rel.rhs]
+        weights = tuple(
+            sum(sum(map(abs, d.terms.values())) * max(abs(x) for row in r for x in row) for r, (_, d) in zip(slot_rows, slot))
+            for slot_rows, slot in zip(rows, rel.rhs)
         )
+        top = max((_max_exponent(d) for slot in rel.rhs for _, d in slot), default=0)
+        bounds = rel.memo["bounds"] = (top, weights, rows)
     return bounds
 
 
-def _packed_relation(rel: FibreRelation, width: int, shift: int, n: int) -> list:
-    """Each relation slot's content groups (`_relation_bounds`) on packed
-    ints: per slot, a list of (packed rows of gamma * lam^j, packed
-    exponents, int multiples).  The exponents are packed once per width,
-    which `rel.memo` keeps the latest of, and the rows once per coordinate
-    width."""
+def _packed_relation(rel: FibreRelation, width: int, shift: int) -> list:
+    """Per relation slot, (packed rows gamma * lam^j, packed exponents, ints
+    of d) per group; `rel.memo` keeps the exponents of the latest width and
+    the rows (`_relation_bounds`) packed once per coordinate width."""
     keyed = rel.memo.get("keys")
     if keyed is None or keyed[0] != width:
-        groups = _relation_bounds(rel)[2]
-        slots = [[(rows, [_pack(e, width) for e in multiples], multiples.values()) for rows, multiples, _ in slot] for slot in groups]
-        keyed = rel.memo["keys"] = (width, slots, {})
+        keyed = rel.memo["keys"] = (width, [[[_pack(e, width) for e in d.terms] for _, d in slot] for slot in rel.rhs], {})
     packed = keyed[2].get(shift)
     if packed is None:
-        packed = keyed[2][shift] = [[(_packed_rows(rows, shift, n), keys, ks) for rows, keys, ks in slot] for slot in keyed[1]]
+        packed = keyed[2][shift] = [
+            [([_pack(row, shift) for row in r], keys, d.terms.values()) for r, keys, (_, d) in zip(slot_rows, slot_keys, slot)]
+            for slot_rows, slot_keys, slot in zip(_relation_bounds(rel)[2], keyed[1], rel.rhs)
+        ]
     return packed
 
 
@@ -306,55 +293,52 @@ def _coords(v, n: int) -> tuple[int, ...]:
     return (v,) + (0,) * (n - 1)
 
 
-def _has_coordinates(poly: SparsePoly, want: dict, n: int) -> bool:
-    """Whether poly's terms are `want`, {exponent: n nonzero coordinates}, as
-    == reads them: an int is its own lam^0 coordinate, and an element of
-    another cyclotomic ring, which has not n coordinates, matches none."""
-    ints = (0,) * (n - 1)
-    terms = poly.terms
-    return terms.keys() == want.keys() and all(
-        want[e] == (v.coeffs if type(v) is CycloElement else (v,) + ints) for e, v in terms.items()
-    )
-
-
-def _part(c: SparsePoly, rel: FibreRelation, n: int, memo: dict | None) -> list:
-    """[poly, lift, largest exponent, packed, largest |coordinate|] of a
-    part's polynomial, kept in `memo` when one is given.  A polynomial over
-    the deformation symbols rel.vars[1:] is lifted (lift 1) with x-exponent
-    0.  packed is (width, packed exponents) at the latest width
-    (`_packed_terms`); poly is the polynomial the entry was built from, so
-    an equal polynomial with its terms in another order reads the entry's
-    own terms.  The largest |coordinate| is read by `_largest`."""
+def _part(c, rel: FibreRelation, n: int, memo: dict | None) -> list:
+    """[groups, lift, largest exponent, bound, packed pairs] of a part's
+    coefficient, groups (gamma, d) or a polynomial c, the group (1, c), kept
+    in `memo` when given; tables over rel.vars[1:] are lifted (lift 1).  The
+    bound (`_largest`) and pairs (`_packed_pairs`) read the entry's own
+    groups, so an equal coefficient in another term order reads its terms."""
     info = None if memo is None else memo.get(c)
     if info is None:
-        lift = len(rel.vars) - len(c.vars)
-        if lift not in (0, 1) or c.vars != rel.vars[lift:]:
-            raise ValueError(f"variable mismatch: {c.vars} vs {rel.vars}")
-        info = [c, lift, _max_exponent(c), (None, None), None]
+        groups = c if type(c) is tuple else ((1, c),)
+        lift = len(rel.vars) - len(groups[0][1].vars)
+        if lift not in (0, 1) or any(d.vars != rel.vars[lift:] for _, d in groups):
+            raise ValueError(f"variable mismatch: {groups[0][1].vars} vs {rel.vars}")
+        info = [groups, lift, max(_max_exponent(d) for _, d in groups), None, (None, None, None)]
         if memo is not None:
             memo[c] = info
     return info
 
 
 def _largest(info: list, n: int) -> int:
-    """The largest |coordinate| of a part (`_part`), read once."""
-    largest = info[4]
-    if largest is None:
-        largest = info[4] = max(max(map(abs, _coords(v, n))) for v in info[0].terms.values())
-    return largest
+    """A bound on every |coordinate| of a part (`_part`), read once: summed
+    over its groups (gamma, d), the largest |k| * |gamma|_max over the int
+    coefficients k of d, and |k * gamma|_max over its ring elements."""
+    if info[3] is None:
+        info[3] = 0
+        for gamma, d in info[0]:
+            g = max(map(abs, _coords(gamma, n)))
+            bounds = (abs(k) * g if type(k) is int else max(map(abs, _coords(gamma * k, n))) for k in d.terms.values())
+            info[3] += max(bounds, default=0)
+    return info[3]
 
 
-def _packed_terms(info: list, width: int):
-    """The (packed exponent, coefficient) pairs of a part (`_part`) at
-    exponent width `width`.  The exponents are packed once per width, in the
-    term order of the entry's own polynomial, and replace the old ones with
-    their width in one assignment, so a reader sees one width's keys whole
-    and pairs them with the terms they were packed from."""
-    packed = info[3]
-    if packed[0] != width:
-        lift = width * info[1]
-        packed = info[3] = (width, [_pack(exps, width) << lift for exps in info[0].terms])
-    return zip(packed[1], info[0].terms.values())
+def _packed_pairs(info: list, width: int, shift: int, n: int) -> list:
+    """(packed exponent, packed value) of every term k * gamma of a part at
+    widths `width` and `shift`, kept for the latest: an int k packs as k
+    times gamma's packed coordinates, one int product."""
+    packed = info[4]
+    if packed[0] != width or packed[1] != shift:
+        lift, pairs = width * info[1], []
+        for gamma, d in info[0]:
+            weight = _pack(_coords(gamma, n), shift)
+            pairs += [
+                (_pack(e, width) << lift, k * weight if type(k) is int else _pack(_coords(gamma * k, n), shift))
+                for e, k in d.terms.items()
+            ]
+        packed = info[4] = (width, shift, pairs)
+    return packed[2]
 
 
 def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dict | None = None):
@@ -362,17 +346,20 @@ def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dic
     0..p-1, or with zero_test=True whether that normal form is zero.
 
     `e` holds the V-polynomial as parts (k, rho, c), each the term
-    x^rho * c * V^k, with c a polynomial over `rel.vars`, or over the
-    deformation symbols `rel.vars[1:]` and read with x-exponent 0.  The
-    reduction runs on packed ints (Kronecker substitution in lam): a
+    x^rho * c * V^k, with c groups (gamma, d) standing for sum gamma * d
+    (a slot coefficient, `generators.trinomial_slots`), or a polynomial,
+    the one group (1, c); the tables d are over `rel.vars`, or over the
+    deformation symbols `rel.vars[1:]` and read with x-exponent 0.
+    The reduction runs on packed ints (Kronecker substitution in lam): a
     V-slot is {packed exponent: packed coordinates}.  An exponent vector
-    packs with nonnegative digits of `width` bits.  A coordinate vector c_0..c_(n-1) over Z[lam] (n = p - 1)
-    packs as the signed digits sum_j c_j * 2^(B*j); on the special fibre's
-    Z (n = 1) the coordinate is the int itself and needs no B.  Each
-    distinct part polynomial is packed once per width (kept in `memo`
-    across calls when one is given), and its shift by x^rho adds rho to
-    the packed exponents.  The relation is packed once per widths
-    (`_packed_relation`).
+    packs with nonnegative digits of `width` bits.  A coordinate vector
+    c_0..c_(n-1) over Z[lam] (n = p - 1) packs as the signed digits
+    sum_j c_j * 2^(B*j); on the special fibre's Z (n = 1) the coordinate is
+    the int itself and needs no B.  Each distinct part coefficient is packed
+    once per widths (kept in `memo` across calls when one is given), a term
+    k * gamma of an int k as k times gamma's packed coordinates, and its
+    shift by x^rho adds rho to the packed exponents.  The relation is
+    packed once per widths (`_packed_relation`).
 
     Each round takes the top V-degree t >= p, with the coordinates of its
     terms, and adds r * rhs_i to slot t - p + i for each relation slot
@@ -394,14 +381,18 @@ def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dic
       are read, by the zero test, an unpack or a re-pack, only while this
       holds.
     - Per-round bound.  bound[k] bounds every |coordinate| of the packed
-      slot k: at the start, the largest |coordinate| of its parts, summed
-      over them.
-      A top term r with coordinate sum C, times gamma * d, adds at most
-      C * |d|_1 * G to any coordinate, G the largest coordinate of any
-      gamma * lam^j; so a round adds at most C * w_i to bound[t - p + i],
-      with C the largest coordinate sum of the top terms, known exactly,
-      and w_i the sum of |d|_1 * G over the content groups of rhs_i
-      (`_content_groups`).  Before each round B is checked
+      slot k: at the start, the bounds of its parts, summed.  A part's
+      groups may meet at one exponent, so its bound sums over its groups
+      (gamma, d) the largest |k| * max |gamma_j| over d's ints k (k * gamma
+      has the coordinates k * gamma_j), or |k * gamma|_max for a ring k
+      (`_largest`).  A top term r = sum_j r_j * lam^j with coordinate sum
+      C, times one group gamma * d of rhs_i, is sum_j r_j * (gamma * lam^j)
+      * d and adds at most C * |d|_1 * G to any coordinate, G the largest
+      coordinate of any gamma * lam^j, j < n: per group, whatever the
+      other groups' weights.  So a round adds at most C * w_i to
+      bound[t - p + i], with C the largest coordinate sum of the top
+      terms, known exactly, and w_i the sum of |d|_1 * G over the groups
+      of rhs_i (`_relation_bounds`).  Before each round B is checked
       against the largest bound the round leaves.  A slot that empties
       drops its bound.
     - Exact re-pack.  When that bound reaches 2^(B-1), every live slot is
@@ -418,7 +409,7 @@ def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dic
     p = rel.p
     n = 1 if rel.fibre == SPECIAL else p - 1
     rel_top, weights, _ = _relation_bounds(rel)
-    parts = [(k, rho, _part(c, rel, n, memo)) for k, rho, c in e if c.terms]
+    parts = [(k, rho, _part(c, rel, n, memo)) for k, rho, c in e if c]
     if not parts:
         return True if zero_test else (SparsePoly(rel.vars),) * p
     top = max(k for k, _, _ in parts)
@@ -438,11 +429,13 @@ def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dic
         if k != top or top < p:
             bound[k] = bound.get(k, 0) + _largest(info, n)
             continue
-        for key, v in _packed_terms(info, width):
-            key += rho
-            cs = _coords(v, n)
-            cur = coords.get(key)
-            coords[key] = cs if cur is None else tuple(map(operator.add, cur, cs))
+        for gamma, d in info[0]:
+            g = _coords(gamma, n)
+            for e, m in d.terms.items():
+                key = (_pack(e, width) << width * info[1]) + rho
+                cs = tuple(m * x for x in g) if type(m) is int else _coords(gamma * m, n)
+                cur = coords.get(key)
+                coords[key] = cs if cur is None else tuple(map(operator.add, cur, cs))
     terms = [(key, cs) for key, cs in coords.items() if any(cs)]
     t = c_top = None
     if terms:
@@ -451,17 +444,14 @@ def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dic
     shift = _round_need(bound, t, c_top, p, weights).bit_length() + 1 if n > 1 else 0
 
     work: dict[int, dict] = {}
-    if bound:
-        units = _packed_rows(None, shift, n)
     for k, rho, info in parts:
         if k == top >= p:
             continue
         slot = work.setdefault(k, {})
         get = slot.get
-        for key, v in _packed_terms(info, width):
+        for key, v in _packed_pairs(info, width, shift, n):
             key += rho
-            # an int is its own packed value: the digit of lam^0
-            slot[key] = get(key, 0) + (sum(map(operator.mul, v.coeffs, units)) if type(v) is CycloElement else v)
+            slot[key] = get(key, 0) + v
     for k in list(work):
         _settle(work, bound, k)
 
@@ -485,7 +475,7 @@ def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dic
                 bound[k] = max(abs(x) for _, cs in slot for x in cs)
             shift = max(_round_need(bound, t, c_top, p, weights).bit_length() + 1, 2 * shift)
             work = {k: {key: _pack(cs, shift) for key, cs in slot} for k, slot in unpacked.items()}
-        packed_rel = _packed_relation(rel, width, shift, n)
+        packed_rel = _packed_relation(rel, width, shift)
         for i, _ in enumerate(rel.rhs):
             if not weights[i]:
                 continue
@@ -579,10 +569,11 @@ class FibreContext:
         self.vars = ("x",) if specialization is not None else ("x",) + syms
         rhs = _relation_rhs(params, fibre)
         if specialization is not None:
-            rhs = tuple(slot.specialize(specialization) for slot in rhs)
+            # each int table is specialized in ints; its weight is kept
+            rhs = tuple(tuple((w, d) for w, table in slot if (d := table.specialize(specialization))) for slot in rhs)
         self.relation = FibreRelation(fibre=fibre, p=p, vars=self.vars, rhs=rhs)
         # the ring's 1, the lead `_relation_rhs` has checked
-        self.one = trinomial_slots(params, fibre)[0][2].constant_value()
+        self.one = multiply_out(trinomial_slots(params, fibre)[0][2], syms).constant_value()
         # a(x)^k for k = 0..p as multipliers (`x_coordinates`), with int
         # coefficients on every fibre
         powers = (SparsePoly.constant(("x",) + syms, 1),) + _a_powers(params)
@@ -591,32 +582,37 @@ class FibreContext:
         self.a_powers = powers
         self._chain: list[tuple[SparsePoly, ...]] = []
         self._verdicts: dict[frozenset, bool] = {}
-        # the combinations' coefficients: their specialized values as
-        # constants on a specialized context, and the packed forms of
-        # `reduce_normal_form`
-        self._values: dict[SparsePoly, SparsePoly] = {}
-        self._packed: dict[SparsePoly, list] = {}
+        # the combinations' coefficients: specialized values (on a specialized
+        # context), joined per V-degree (`_sum_vanishes`) and packed
+        self._values: dict[tuple | SparsePoly, SparsePoly] = {}
+        self._joined: dict[frozenset, tuple] = {}
+        self._packed: dict[tuple, list] = {}
         self._multidegrees = monomial_multidegrees(params)
 
-    def specialized_value(self, poly: SparsePoly):
-        """The value of a coefficient polynomial in the deformation symbols at
-        the specialization of a specialized context (`_specialized`)."""
-        return self._specialized(poly).constant_value()
+    def specialized_value(self, coeff):
+        """The value of a coefficient in the deformation symbols, groups or
+        a polynomial, at the specialization of a specialized context
+        (`_specialized`)."""
+        return self._specialized(coeff).constant_value()
 
-    def _specialized(self, poly: SparsePoly) -> SparsePoly:
-        """The specialized value of a coefficient polynomial as a constant
-        over no variables, the part `reduce_normal_form` reads with
-        x-exponent 0, computed once per distinct polynomial.
+    def _specialized(self, coeff) -> SparsePoly:
+        """The specialized value of a coefficient as a constant over no
+        variables, the part `reduce_normal_form` reads with x-exponent 0,
+        computed once per distinct coefficient: each group's table d is
+        specialized in ints and multiplies its weight gamma once.
 
-        Specialization is a ring map, so equal polynomials have equal values,
-        and the value read from the table is the one substituting the terms
-        of `poly` gives.  Equality of polynomials is equality of their
-        coefficients in the ring, an int standing for its image, so a hit
-        across an int and a ring element reads the same ring element.
+        Specialization is a ring map, so equal coefficients have equal
+        values, and the value read from the table is the one substituting
+        the terms of sum gamma * d gives.  Equality is equality in the ring,
+        an int standing for its image, so a hit across an int and a ring
+        element reads the same ring element.
         """
-        const = self._values.get(poly)
+        const = self._values.get(coeff)
         if const is None:
-            const = self._values[poly] = SparsePoly.constant((), poly.specialize(self.specialization).constant_value())
+            value = 0
+            for gamma, d in coeff if type(coeff) is tuple else ((1, coeff),):
+                value = gamma * d.specialize(self.specialization).constant_value() + value
+            const = self._values[coeff] = SparsePoly.constant((), value)
         return const
 
     def weight_image(self, T: int) -> tuple[SparsePoly, ...]:
@@ -734,10 +730,11 @@ class FibreContext:
         """Evaluate sum c_(rho,T) * image(rho, T) over ((rho, T), c) items.
 
         With C_T = sum_rho x^rho * c_(rho,T), the V-polynomial
-        sum_T C_T * V^(E-T) is reduced once (`reduce_normal_form`), as the
-        parts (E - T, rho, c_(rho,T)), each coefficient packed once per
-        context (a specialized context passes its value as a constant), and
-        the sum vanishes when every slot of that normal form is zero:
+        sum_T C_T * V^(E-T) is reduced once (`reduce_normal_form`), one part
+        (E - T, 0, C_T) per weight: C_T's groups, one per weight, join the
+        tables of the c_(rho,T) shifted by x^rho (`_joined`) once per
+        context (a specialized context joins the values of the c_(rho,T)),
+        and the sum vanishes when every slot of that normal form is zero:
 
         - the normal form modulo a monic relation is unique and linear over
           the polynomials in x and the symbols, so
@@ -752,14 +749,21 @@ class FibreContext:
         - a binomial's per-multidegree sums are already zero, so a binomial
           never reaches this method.
         """
-        parts = []
+        blocks: dict[int, list] = {}
         for (rho, T), coeff in items:
             e = self.clearing - T
             if e < self.p:
                 raise TOutOfRange(f"weight {T} starts below V^p on the {self.fibre} fibre")
             if self.specialization is not None:
                 coeff = self._specialized(coeff)
-            parts.append((e, rho, coeff))
+            blocks.setdefault(e, []).append((rho, coeff if type(coeff) is tuple else ((1, coeff),)))
+        parts = []
+        for e, block in blocks.items():
+            key = frozenset(block)
+            joined = self._joined.get(key)
+            if joined is None:
+                joined = self._joined[key] = _joined(block, self.vars)
+            parts.append((e, 0, joined))
         return reduce_normal_form(parts, self.relation, zero_test=True, memo=self._packed)
 
     def multidegree_of(self, m: Monomial) -> tuple[int, int]:
@@ -835,11 +839,12 @@ def relation_consistency(params: FamilyParams) -> RelationReport:
     X^k.  At X^k both sides are a^k times the compared quotients, so the
     division by a^k is exact, and as R is a domain and a != 0,
     a^k * L = a^k * R exactly when L = R.  So lam^p != 0 cancels too: given
-    lam^p * c_k = binom(p, k) * lam^k for the relative slot table's c_k, (a)
+    lam^(p-k) * c_k = binom(p, k) for the relative slot table's c_k (times
+    lam^k, lam^p * c_k = binom(p, k) * lam^k), (a)
     holds if rel_0 = x^ell and rel_k = -c_k * a^(p-k) for 0 < k < p, and the
-    model is then the right side; only otherwise is that side built.  (a)
-    reads the relative table only; (c) still reads the generic table, so a
-    wrong generic slot fails (c), and a wrong relative slot fails (a) and (c).
+    model is then the right side.  (a) reads the relative table only; (c)
+    still reads the generic table, so a wrong generic slot fails (c), and a
+    wrong relative slot fails (a) and (c).
 
     (c) needs no substitution when (a) holds and the generic table's middle
     slots g_1..g_(p-1) are zero, as the generic layout makes them: then
@@ -847,18 +852,19 @@ def relation_consistency(params: FamilyParams) -> RelationReport:
     substitution is binom(p, k) * lam^k * a^(p-k) for k >= 1, the model's
     own, and G_0 + a^p = a^p - g_0 at k = 0.  As (a) makes the model the
     right side, (c) is then g_0 == a^p + lam^p * x^ell, the model's X^0
-    slot moved across.  The model and the substitution are built only
-    otherwise.
+    slot moved across.
 
-    The checks before that fallback build no polynomial or ring element per
-    term: rel_k must have the exponents of the int a^(p-k) and, where
-    a^(p-k) has m, the coordinates of m * -c_k (`_has_coordinates`); g_0
-    those of a^p plus lam^p at x^ell; (b) reads each lam^0 coordinate mod p.
-    Power-basis coordinates are unique and no polynomial keeps a zero term,
-    so this is equality in Z[lam][x, symbols].
+    On intact tables no polynomial and no ring element is built per term:
+    each V-slot is its groups (weight, int table), one per distinct weight
+    (`_relation_rhs`), so the int tables are compared with a^(p-k) and each
+    weight is checked once.  rel_0 must be the group (1, x^ell), rel_k the
+    group (-c_k, a^(p-k)) and g_0 the groups (lam^p, x^ell) and (1, a^p),
+    each an equality in Z[lam][x, symbols]; (b) maps each weight to F_p
+    once (`exactalg.residue_terms`).  Other groups, as a perturbed slot
+    has, may still sum to the model, so the slots are multiplied out and
+    the model and the substitution built whenever a read fails.
     """
     p = params.p
-    n = p - 1
     # lam^0..lam^p, lam^0 the int 1, which scales on the int fast path
     lam = [1] + CycloElement.lam_powers(p, p + 1)[1:]
     # a^0..a^p with int coefficients, the powers the fibre contexts use
@@ -866,32 +872,22 @@ def relation_consistency(params: FamilyParams) -> RelationReport:
     a = (SparsePoly.constant(variables, 1),) + _a_powers(params)
     x_ell = SparsePoly.variable(variables, "x", params.ell)
 
-    # (a): rel_0 = x^ell and rel_k = -c_k * a^(p-k), with lam^p * c_k = binom(p, k) * lam^k
+    # (a): rel_0 = x^ell and rel_k = -c_k * a^(p-k), with lam^(p-k) * c_k = binom(p, k)
     relative = _relation_rhs(params, RELATIVE)
     c = {k: relative_lambda_coefficient(params, k) for k in range(1, p)}
-    check_a = relative[0] == x_ell and all(
-        lam[p] * c[k] == math.comb(p, k) * lam[k]
-        and _has_coordinates(
-            relative[k], {e: tuple(map((-m).__mul__, c[k].coeffs)) for e, m in a[p - k].terms.items()}, n
-        )
-        for k in range(1, p)
+    check_a = relative[0] == ((1, x_ell),) and all(
+        lam[p - k] * c[k] == math.comb(p, k) and relative[k] == ((-c[k], a[p - k]),) for k in range(1, p)
     )
 
     # (b): coefficientwise reduction of the relative relation, slot by slot, both sides mod p
-    def mod_p(slot: SparsePoly) -> dict:
-        return {e: r for e, v in slot.terms.items() if (r := residue(v, p, 0))}
-
     special = _relation_rhs(params, SPECIAL)
-    check_b = list(map(mod_p, relative)) == list(map(mod_p, special))
+    check_b = [residue_terms(s, p, 0) for s in relative] == [residue_terms(s, p, 0) for s in special]
 
     generic = _relation_rhs(params, GENERIC)
-    if check_a and not any(generic[1:]):
-        # (c) at X^0, g_0 = a^p + lam^p * x^ell: the model's slots k >= 1 are the substitution's own
-        want = {e: (m,) + (0,) * (n - 1) for e, m in a[p].terms.items()}
-        (x_key,) = x_ell.terms
-        want[x_key] = tuple(map(operator.add, want.get(x_key, (0,) * n), lam[p].coeffs))
-        check_c = _has_coordinates(generic[0], want, n)
-    else:
+    # (c) at X^0, g_0 = a^p + lam^p * x^ell: the model's slots k >= 1 are the substitution's own
+    check_c = check_a and not any(generic[1:]) and len(generic[0]) == 2 and dict(generic[0]) == {lam[p]: x_ell, 1: a[p]}
+    if not check_a or not check_c:
+        relative, generic = ([multiply_out(s, variables) for s in rhs] for rhs in (relative, generic))
         model_0 = x_ell.scale(-lam[p])
         # (a): the binomial theorem, coefficient by coefficient
         model = [model_0] + [a[p - k].scale(lam[k] * math.comb(p, k)) for k in range(1, p + 1)]

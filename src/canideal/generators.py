@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 from .errors import InvariantViolation, NonHomogeneous, NonIntegralCoefficient, NotDivisible, PointNotInMinkowskiSum
 from .errors import ReductionMismatch, WrongFibre
-from .exactalg import CycloElement, SparsePoly, _lam_rows, divide_by_lambda_power, residue
+from .exactalg import CycloElement, SparsePoly, _lam_rows, divide_by_lambda_power, multiply_out, residue
 from .family import FamilyParams, a_power_coefficients, deformation_symbols, per_triple
 from .indexsets import MinkowskiPoint, _anchor_runs, _meet, _runs, anchor_set, minimal_monomial, minkowski_sum, monomials_at
 from .termorder import TIE_BREAK_DEFAULT, Monomial, format_monomial, term_key
@@ -126,24 +126,31 @@ def _binomials(params: FamilyParams, all_pairs: bool, tie_break: str) -> tuple[G
 
 
 @per_triple
-def trinomial_slots(params: FamilyParams, fibre: str) -> tuple[tuple[int, int, SparsePoly], ...]:
+def trinomial_slots(params: FamilyParams, fibre: str) -> tuple[tuple[int, int, tuple], ...]:
     """The fibre's equation, as the slot layout of one trinomial-type generator.
 
-    Each slot (dr, dt, c) places the coefficient polynomial c on the class
-    minimum at (rho + dr, T + dt).  Read as an equation in V (y on the
-    generic fibre, W = a(x) * X on the others), the slot is the term
-    c * x^dr * V^(p-dt) of V^p - rhs: the generators and the fibre relation
-    of `fibrealg` are both read off this one table.
+    Each slot (dr, dt, c) places the coefficient c on the class minimum at
+    (rho + dr, T + dt).  Read as an equation in V (y on the generic fibre,
+    W = a(x) * X on the others), the slot is the term c * x^dr * V^(p-dt)
+    of V^p - rhs: the generators and the fibre relation of `fibrealg` are
+    both read off this one table.  c is held as built, groups (gamma_k, d_k)
+    standing for sum_k gamma_k * d_k (`exactalg.multiply_out`), a weight of
+    the fibre's ring times an int polynomial in the symbols: one group per
+    built slot, several in a perturbed one.  Block i holds the int tables of
+    a(x)^(p-i) = sum_j x^j * [a^(p-i)]_j themselves, so its slots sum by the
+    identity sum_j gamma_i * [a^(p-i)]_j * x^j = gamma_i * a(x)^(p-i) in
+    Z[lam][x, symbols], gamma_i = c_i on the relative fibre and -1 on the
+    generic one; (ell, p) weighs -1, or -lam^p on the generic fibre.  The
+    special weights are the int 1, the tables the residues in [0, p) of -1
+    and -[a^(p-1)]_j; none is 0: the multinomials of a(x)^(p-1) divide
+    (p-1)!, which p does not divide.
 
     The first slot is the monic lead (0, 0, 1), the V^p term, with its 1
     taken in the fibre's ring: Z[lam], or Z read mod p on the special
     fibre.  This is where a fibre's ring is named; a plain int anywhere
     else stands for its image in whichever ring it meets.
 
-    Every special slot coefficient is its residue in [0, p), and none is 0:
-    the multinomials of a(x)^(p-1) divide (p-1)!, which p does not divide.
-
-    `trinomial_layout` adds the coefficients of slots of equal (dr, dt), one
+    `trinomial_layout` joins the groups of slots of equal (dr, dt), one
     class minimum at every anchor (only the generic fibre at ell = 1 has such:
     (ell, p) meets j = 1), drops zero sums, and orders the slots by dt
     ascending, dr descending: their term order at every anchor.
@@ -151,25 +158,24 @@ def trinomial_slots(params: FamilyParams, fibre: str) -> tuple[tuple[int, int, S
     p, ell = params.p, params.ell
     check_fibre(fibre)
     one = 1 if fibre == SPECIAL else CycloElement.one(p)
-    # (i, w): the coefficient table of a(x)^(p-i), times w, at T-shift p - i
+    # (i, w): the coefficient table of a(x)^(p-i), weighed by w, at T-shift p - i
     if fibre == RELATIVE:
         blocks = [(i, relative_lambda_coefficient(params, i)) for i in range(1, p)]
     else:
         blocks = [(0 if fibre == GENERIC else 1, -one)]
-    syms = deformation_symbols(params)
-    ell_coeff = CycloElement.lam_powers(p, p + 1)[p] if fibre == GENERIC else one
-    slots = [(0, 0, SparsePoly.constant(syms, one)), (ell, p, SparsePoly.constant(syms, -ell_coeff))]
+    unit = SparsePoly.constant(deformation_symbols(params), 1)
+    ell_weight = CycloElement.lam_powers(p, p + 1)[p] if fibre == GENERIC else one
+    slots = [(0, 0, ((one, unit),)), (ell, p, ((-ell_weight, unit),))]
     for i, weight in blocks:
-        for j, poly in sorted(a_power_coefficients(params, i).items()):
-            slots.append((j, p - i, poly.scale(weight)))
+        slots += [(j, p - i, ((weight, poly),)) for j, poly in sorted(a_power_coefficients(params, i).items())]
     if fibre == SPECIAL:
-        slots = [(dr, dt, c.map_coefficients(lambda v: v % p)) for dr, dt, c in slots]
+        slots = [(dr, dt, tuple((1, d.map_coefficients(lambda k: g * k % p)) for g, d in c)) for dr, dt, c in slots]
     return tuple(slots)
 
 
-def trinomial_layout(params: FamilyParams, fibre: str, i: int | None = None) -> list[tuple[int, int, SparsePoly]]:
+def trinomial_layout(params: FamilyParams, fibre: str, i: int | None = None) -> list[tuple[int, int, tuple]]:
     """The fibre's layout: the slots of `trinomial_slots`, as its memo entry
-    holds them, with the coefficients of equal (dr, dt) added, zero sums
+    holds them, with the groups of equal (dr, dt) joined, zero sums
     dropped, and ordered by dt ascending, dr descending, the term order of
     the generator at every anchor.  Built per call with no memo of its own,
     so a slot table placed in the memo is what every reader sees.
@@ -179,11 +185,13 @@ def trinomial_layout(params: FamilyParams, fibre: str, i: int | None = None) -> 
     sum at every anchor of set i: the anchor runs at T, shifted by dr, must
     lie in the runs at T + dt (`indexsets._meet` on the run tables).
     """
-    merged: dict[tuple[int, int], SparsePoly] = {}
-    for dr, dt, coeff in trinomial_slots(params, fibre):
-        cur = merged.get((dr, dt))
-        merged[dr, dt] = coeff if cur is None else cur + coeff
-    layout = sorted(((dr, dt, c) for (dr, dt), c in merged.items() if c), key=lambda s: (s[1], -s[0]))
+    merged: dict[tuple[int, int], tuple] = {}
+    syms = deformation_symbols(params)
+    for dr, dt, groups in trinomial_slots(params, fibre):
+        merged[dr, dt] = merged.get((dr, dt), ()) + groups
+    # one group gamma * d is zero only when gamma or d is, Z[lam] being a domain
+    nonzero = [(dr, dt, c) for (dr, dt), c in merged.items() if (c[0][0] and c[0][1] if len(c) == 1 else multiply_out(c, syms))]
+    layout = sorted(nonzero, key=lambda s: (s[1], -s[0]))
     if [(dr, dt) for dr, dt, _ in layout if dt <= 0] != [(0, 0)]:
         raise InvariantViolation(f"the {fibre} generators do not lead with the class minimum of their anchor")
     if i is not None:
@@ -194,12 +202,15 @@ def trinomial_layout(params: FamilyParams, fibre: str, i: int | None = None) -> 
 
 
 def _trinomial_family(params: FamilyParams, fibre: str, anchors, tie_break: str) -> list[GeneratorPoly]:
-    """One generator per anchor: `trinomial_layout` on the class minima at
-    the shifted points, PointNotInMinkowskiSum if a point is missing."""
+    """One generator per anchor: `trinomial_layout`, each slot multiplied
+    out once, on the class minima at the shifted points,
+    PointNotInMinkowskiSum if a point is missing."""
     layout = trinomial_layout(params, fibre)
+    coeffs = [multiply_out(c, deformation_symbols(params)) for _, _, c in layout]
     gens = []
     for pt in anchors:
-        terms = tuple((c, minimal_monomial(params, MinkowskiPoint(pt.rho + dr, pt.T + dt), tie_break)) for dr, dt, c in layout)
+        minima = [minimal_monomial(params, MinkowskiPoint(pt.rho + dr, pt.T + dt), tie_break) for dr, dt, _ in layout]
+        terms = tuple(zip(coeffs, minima))
         gens.append(GeneratorPoly(fibre=fibre, provenance=TRINOMIAL, anchor=pt, terms=terms, tie_break=tie_break))
     return gens
 

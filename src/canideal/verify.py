@@ -47,7 +47,6 @@ only the generator it corrupts.
 
 from __future__ import annotations
 
-import functools
 import random
 import time
 from dataclasses import dataclass, field, fields
@@ -58,7 +57,7 @@ from .errors import (
     NonIntegralCoefficient,
     ReductionMismatch,
 )
-from .exactalg import is_prime, residue
+from .exactalg import is_prime, multiply_out, residue, residue_terms
 from .family import FamilyParams, deformation_symbols, per_triple
 from .fibrealg import check_specialization, fibre_context, relation_consistency
 from .generators import (
@@ -643,9 +642,9 @@ def certify(
     try:
         # one comparison of the layouts decides every intact generator
         # (`reduce_relative_to_special`); the corrupted one is reduced as an object
-        special = trinomial_layout(params, SPECIAL, 0)
-        reduce = functools.partial(residue, r=params.p, lam=0)
-        reduction_ok = not anchors or [(dr, dt, im) for dr, dt, c in layout if (im := c.map_coefficients(reduce))] == special
+        syms = deformation_symbols(params)
+        special = [(dr, dt, multiply_out(c, syms).terms) for dr, dt, c in trinomial_layout(params, SPECIAL, 0)]
+        reduction_ok = not anchors or [(dr, dt, im) for dr, dt, c in layout if (im := residue_terms(c, params.p, 0))] == special
         if bad is not None:
             reduce_relative_to_special(params, [bad])
     except (ReductionMismatch, NonIntegralCoefficient):

@@ -12,8 +12,8 @@ import canideal
 import canideal.cli as cli
 import canideal.indexsets as indexsets
 from canideal.cli import main
-from canideal.exactalg import SparsePoly
-from canideal.family import validate_params
+from canideal.exactalg import SparsePoly, multiply_out
+from canideal.family import deformation_symbols, validate_params
 from canideal.generators import (
     binomial_generators,
     generators_document,
@@ -162,9 +162,10 @@ def test_certify_fails_on_a_relative_slot_with_an_int_term(capsys, monkeypatch):
     def planted(p, q, ell):
         params = real(p, q, ell)
         slots = trinomial_slots(params, "relative")
-        s = next(s for s, (_, _, c) in enumerate(slots) if not c.constant_value())
+        syms = deformation_symbols(params)
+        s = next(s for s, (_, _, c) in enumerate(slots) if not multiply_out(c, syms).constant_value())
         dr, dt, c = slots[s]
-        table = slots[:s] + ((dr, dt, c + SparsePoly.constant(c.vars, 1)),) + slots[s + 1 :]
+        table = slots[:s] + ((dr, dt, c + ((1, SparsePoly.constant(syms, 1)),)),) + slots[s + 1 :]
         params.memo[(trinomial_slots.__wrapped__, "relative")] = table
         return params
 

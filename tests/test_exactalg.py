@@ -13,9 +13,10 @@ from canideal.exactalg import (
     SparsePoly,
     divide_by_lambda_power,
     is_prime,
+    multiply_out,
     residue,
+    residue_terms,
 )
-from canideal.fibrealg import _content_groups
 
 
 def _min_poly(p):
@@ -308,48 +309,36 @@ def _sympy_product(p, *factors):
     return prod.rem(prod.ring(sympy.cyclotomic_poly(p, sympy.Symbol("lam") + 1)))
 
 
-def _group_gamma(rows, p):
-    return CycloElement.one(p) if rows is None else CycloElement(p, rows[0])
-
-
-def test_split_content():
-    p = 5
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_groups_multiply_out_and_reduce_as_their_sum(p):
+    # groups (gamma, d) stand for sum gamma * d: weights from Z[lam], Z and
+    # the image of Z, a weight lam that vanishes mod lam, groups meeting at
+    # one exponent, and a ring element inside d, which a perturbed table
+    # may hold; the reference multiplies term by term and maps each term
+    rng = random.Random(80_000 + p)
+    variables = ("x", "y")
     lam = CycloElement.lam(p)
-    base = CycloElement(p, (2, -4, 0, 6))
-    poly = SparsePoly(
-        ("x", "y"),
-        {
-            (1, 0): base * 3,
-            (0, 2): base * -5,
-            (0, 0): CycloElement(p, (-1, 2, 0, -3)),  # base / -2
-            (2, 0): base + lam,  # no content in common with base
-            (0, 1): 7,
-            (1, 1): CycloElement.from_int(p, -4),
-        },
-    )
-    top, groups = _content_groups(poly)
-    assert top == 2
-    by_gamma = {_group_gamma(rows, p): (rows, d, weight) for rows, d, weight in groups}
-    assert len(by_gamma) == len(groups) == 3
-    # gamma is primitive with its first nonzero coordinate positive, so
-    # negative multiples share the group of the positive ones
-    gamma = CycloElement(p, (1, -2, 0, 3))
-    assert by_gamma[gamma][1] == {(1, 0): 6, (0, 2): -10, (0, 0): -1}
-    assert by_gamma[base + lam][1] == {(2, 0): 1}
-    # int coefficients and integer CycloElements form the group of gamma = 1
-    rows, d, weight = by_gamma[CycloElement.one(p)]
-    assert rows is None and d == {(0, 1): 7, (1, 1): -4} and weight == 11
-    for g, (rows, d, weight) in by_gamma.items():
-        assert all(type(k) is int for k in d.values())
-        if rows is not None:
-            assert [CycloElement(p, row) for row in rows] == [g * lam**j for j in range(p - 1)]
-            assert weight == sum(map(abs, d.values())) * max(abs(x) for row in rows for x in row)
-    # the groups rebuild the polynomial
-    rebuilt = SparsePoly.zero(poly.vars)
-    for g, (_, d, _) in by_gamma.items():
-        rebuilt = rebuilt + SparsePoly(poly.vars, d).map_coefficients(lambda k: g * k)
-    assert rebuilt == poly
-    assert _content_groups(SparsePoly(("x", "y"))) == (0, ())
+
+    def ints():
+        return SparsePoly(variables, {(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-9, 9) for _ in range(5)})
+
+    gamma = CycloElement(p, tuple(rng.randint(-9, 9) for _ in range(p - 1)))
+    d = ints()
+    groups = ((gamma, d), (-3, ints()), (CycloElement.from_int(p, 2), ints()), (lam, ints()), (gamma, -d))
+    groups += ((1, d.map_coefficients(lambda k: k * gamma)),)
+    termwise = SparsePoly.zero(variables)
+    for g, table in groups:
+        termwise = termwise + table.map_coefficients(lambda k: g * k)
+    assert multiply_out(groups, variables) == termwise
+    assert multiply_out((), variables) == SparsePoly.zero(variables)
+    # a lone group of the int weight 1 is its table
+    assert multiply_out(((1, d),), variables) is d
+    # F_r with r = 1 mod p, lam sent to zeta - 1 for a p-th root of unity zeta != 1
+    r = 29 if p == 7 else 31
+    z = next(a for a in range(2, r) if pow(a, p, r) == 1) - 1
+    for modulus, image in ((p, 0), (r, z)):
+        want = {e: v for e, c in termwise.terms.items() if (v := residue(c, modulus, image))}
+        assert residue_terms(groups, modulus, image) == want
 
 
 def _rand_cyclo_poly(rng, p, variables, terms, size=9):
@@ -560,8 +549,8 @@ def test_specialize():
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_specialize_over_z_lam_matches_termwise_substitution(p):
-    # specialize runs each content group's int part in ints and scales by
-    # gamma once per output term; the reference substitutes term by term
+    # specialize multiplies each term's substituted powers first and the
+    # coefficient by that int once; the reference substitutes power by power
     rng = random.Random(70_000 + p)
     variables = ("x", "s", "t")
 

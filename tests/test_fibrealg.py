@@ -86,6 +86,21 @@ def _a_power(params, ctx, k):
     return _read(ctx, _power(a, k).map_coefficients(lambda n: n * ctx.one))
 
 
+def _value(groups, variables):
+    """sum gamma * d of a slot coefficient or a relation slot, held as
+    groups (gamma, d), multiplied out term by term."""
+    out = SparsePoly.zero(variables)
+    for gamma, d in groups:
+        out = out + SparsePoly(variables, {e: gamma * k for e, k in d.terms.items()})
+    return out
+
+
+def _rhs(params, fibre):
+    """The relation read off the fibre's table, each V-slot multiplied out."""
+    variables = ("x",) + deformation_symbols(params)
+    return tuple(_value(slot, variables) for slot in _relation_rhs(params, fibre))
+
+
 def _termwise_product(f, g):
     """f * g by a double loop over the coefficient ring's own product."""
     out = {}
@@ -127,8 +142,12 @@ def test_relation_holds_one_polynomial_per_slot(triple):
     p, ell = params.p, params.ell
     for fibre in ("generic", "special", "relative"):
         ctx = FibreContext(params, fibre)
-        rhs = ctx.relation.rhs
-        assert len(rhs) == p and all(s.vars == ctx.vars for s in rhs)
+        # one group per distinct weight, each an int table over the context's variables
+        groups = ctx.relation.rhs
+        assert len(groups) == p and all(d.vars == ctx.vars for slot in groups for _, d in slot)
+        assert all(type(k) is int for slot in groups for _, d in slot for k in d.terms.values())
+        assert all(len({w for w, _ in slot}) == len(slot) for slot in groups)
+        rhs = [_value(slot, ctx.vars) for slot in groups]
         x_ell = SparsePoly.variable(ctx.vars, "x", ell, ctx.one)
         zero = SparsePoly.zero(ctx.vars)
         if fibre == "generic":
@@ -152,9 +171,8 @@ def test_the_lead_slot_names_the_fibre_ring(triple):
     params = validate_params(*triple)
     for fibre, ring in (("generic", CycloElement), ("special", int), ("relative", CycloElement)):
         dr, dt, lead = trinomial_slots(params, fibre)[0]
-        assert (dr, dt) == (0, 0) and lead.vars == deformation_symbols(params)
-        assert list(lead.terms) == [(0,) * len(lead.vars)]
-        one = lead.constant_value()
+        (one, table), = lead
+        assert (dr, dt) == (0, 0) and table == SparsePoly.constant(deformation_symbols(params), 1)
         assert type(one) is ring and one == 1, fibre
         for spec in (None, default_specialization(params)):
             ctx = fibre_context(params, fibre, spec)
@@ -171,7 +189,7 @@ def test_a_non_monic_lead_raises(fibre, how):
     dr, dt, lead = slots[0]
     bad = {
         "doubled": (dr, dt, lead + lead),
-        "symbolic": (dr, dt, lead.mul_var_power("x1", 1)),
+        "symbolic": (dr, dt, tuple((g, d.mul_var_power("x1", 1)) for g, d in lead)),
         "shifted": (dr, 1, lead),
     }[how]
     params.memo[(trinomial_slots.__wrapped__, fibre)] = (bad,) + slots[1:]
@@ -325,7 +343,7 @@ def _x_expansion_verdicts(params, intact=None):
     table, whose expansion is then updated, not redone (`_expanded_relation`)."""
     intact = intact or {}
     W, y, lhs_a = _x_expansion_model(params)
-    relative = _relation_rhs(params, "relative")
+    relative = _rhs(params, "relative")
     # (a): the model against lam^p * (W^p - rhs(W))
     rhs_a = _expanded_relation(relative, W, CycloElement.lam(params.p) ** params.p, intact.get("relative"))
     # (b): slotwise lam-reduction of the relative relation against the
@@ -336,8 +354,8 @@ def _x_expansion_verdicts(params, intact=None):
     # (c): the generic relation at y = a*(lam*X + 1)
     return (
         lhs_a == rhs_a,
-        mod_p(relative) == mod_p(_relation_rhs(params, "special")),
-        _expanded_relation(_relation_rhs(params, "generic"), y, 1, intact.get("generic")) == rhs_a,
+        mod_p(relative) == mod_p(_rhs(params, "special")),
+        _expanded_relation(_rhs(params, "generic"), y, 1, intact.get("generic")) == rhs_a,
     )
 
 
@@ -380,7 +398,9 @@ def test_intact_relations_are_checked_on_coordinates(monkeypatch):
 def _perturbed_tables(params, fibre):
     """Every single-slot perturbation of the fibre's slot table, lead kept:
     the coefficient doubled, negated or shifted by the ring's 1; dr + 1;
-    every other dt in 1..p; and one extra copy of the slot at each dt."""
+    every other dt in 1..p; and one extra copy of the slot at each dt.  A
+    sum is a slot of several groups: c + c is c's group twice, c + 1 adds
+    the lead's group."""
     slots = trinomial_slots(params, fibre)
     one = slots[0][2]
     for s in range(1, len(slots)):
@@ -390,7 +410,7 @@ def _perturbed_tables(params, fibre):
             return slots[:s] + new + slots[s + 1 :]
 
         yield put((dr, dt, c + c))
-        yield put((dr, dt, -c))
+        yield put((dr, dt, tuple((-g, d) for g, d in c)))
         yield put((dr, dt, c + one))
         yield put((dr + 1, dt, c))
         for other in range(1, params.p + 1):
@@ -409,7 +429,7 @@ def test_perturbed_slot_tables_fail_as_the_x_expansion_does(triple, fibre):
     params = validate_params(*triple)
     tables = list(_perturbed_tables(params, fibre))
     assert len(tables) == (len(trinomial_slots(params, fibre)) - 1) * (2 * params.p + 3)
-    intact = {fibre: _relation_rhs(params, fibre)}
+    intact = {fibre: _rhs(params, fibre)}
     for table in tables:
         params.memo[(trinomial_slots.__wrapped__, fibre)] = table
         params.memo.pop((_relation_rhs.__wrapped__, fibre), None)
@@ -425,11 +445,12 @@ def test_perturbed_slot_tables_fail_as_the_x_expansion_does(triple, fibre):
 
 def _relative_table_with_int_one(params):
     """The relative slot table with the int 1 added to the first slot whose
-    coefficient has no constant term, which then holds an int term."""
+    coefficient has no constant term: a second group, of the int weight 1."""
     slots = trinomial_slots(params, "relative")
-    s = next(s for s, (_, _, c) in enumerate(slots) if not c.constant_value())
+    syms = deformation_symbols(params)
+    s = next(s for s, (_, _, c) in enumerate(slots) if not _value(c, syms).constant_value())
     dr, dt, c = slots[s]
-    return slots[:s] + ((dr, dt, c + SparsePoly.constant(c.vars, 1)),) + slots[s + 1 :]
+    return slots[:s] + ((dr, dt, c + ((1, SparsePoly.constant(syms, 1)),)),) + slots[s + 1 :]
 
 
 @pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (7, 2, 3)])
@@ -439,7 +460,7 @@ def test_a_relative_slot_with_an_int_term_fails_the_reduction(triple):
     # relative family no longer reduces to the special one
     params = validate_params(*triple)
     table = _relative_table_with_int_one(params)
-    assert any(type(v) is int for _, _, c in table for v in c.terms.values())
+    assert any(type(g) is int for _, _, c in table for g, _ in c)
     params.memo[(trinomial_slots.__wrapped__, "relative")] = table
     params.memo.pop((_relation_rhs.__wrapped__, "relative"), None)
     got = _verdicts(relation_consistency(params))
@@ -460,7 +481,8 @@ def test_a_slot_of_ints_or_of_another_ring_reads_as_unequal(fibre, value):
     params = validate_params(5, 2, 1)
     slots = trinomial_slots(params, fibre)
     dr, dt, c = slots[-1]
-    params.memo[(trinomial_slots.__wrapped__, fibre)] = slots[:-1] + ((dr, dt, c.map_coefficients(lambda v: value)),)
+    ones = _value(c, deformation_symbols(params)).map_coefficients(lambda v: 1)
+    params.memo[(trinomial_slots.__wrapped__, fibre)] = slots[:-1] + ((dr, dt, ((value, ones),)),)
     got = _verdicts(relation_consistency(params))
     assert got == ((True, True, False) if fibre == "generic" else (False, False, False))
     if type(value) is int:
@@ -606,9 +628,8 @@ def test_weight_images_are_congruent_to_their_starts(triple, specialized):
 @pytest.mark.parametrize("specialized", [False, True])
 def test_int_a_power_product_equals_ring_product(triple, specialized):
     # every context keeps a(x)^k with int coefficients; W-slots meet them
-    # (the X-coordinates) in SparsePoly.__mul__, over Z[lam] in the packed
-    # product, which splits a factor into cyclotomic content groups inside
-    # exactalg.  The product equals a term-by-term product with a(x)^k over
+    # (the X-coordinates) in SparsePoly.__mul__, over Z[lam] on its int fast
+    # path.  The product equals a term-by-term product with a(x)^k over
     # the ring (over F_p on the special fibre, both products read mod p)
     params = validate_params(*triple)
     spec = default_specialization(params) if specialized else None
@@ -649,11 +670,16 @@ def test_x_coordinates_are_w_slots_times_a_powers(triple):
 
 
 def _sympy_power_normal_form(params, ctx, e):
-    """NF(V^e) by sympy, independent of the package's relation and of its
-    arithmetic: V^e is reduced modulo the fibre relation, built from a(x)
-    and the closed forms of the relations, and every coefficient, a
-    polynomial in t = lam, modulo the minimal polynomial of lam (one
-    multivariate division by both).  Returns
+    """NF(V^e) by sympy (`_sympy_normal_form`)."""
+    return _sympy_normal_form(params, ctx, sympy.Symbol("V") ** e)
+
+
+def _sympy_normal_form(params, ctx, f):
+    """NF(f) by sympy, for f a sympy polynomial in V, t = lam and ctx.vars,
+    independent of the package's relation and of its arithmetic: f is
+    reduced modulo the fibre relation, built from a(x) and the closed forms
+    of the relations, and every coefficient, a polynomial in t, modulo the
+    minimal polynomial of lam (one multivariate division by both).  Returns
     {(V-slot, exponents over ctx.vars): coordinates}, the special fibre's
     read mod p."""
     p, ell = params.p, params.ell
@@ -678,7 +704,7 @@ def _sympy_power_normal_form(params, ctx, e):
     # the relation's lead V^p and the minimal polynomial's t^(p-1) are
     # coprime, so the two form a Groebner basis in lex order with V first,
     # and the remainder of the division by both is unique
-    _, nf = sympy.reduced(V**e, [sympy.expand(relation), min_poly], V, t, *xs, order="lex")
+    _, nf = sympy.reduced(sympy.expand(f), [sympy.expand(relation), min_poly], V, t, *xs, order="lex")
     out = {}
     for (i, *exps, j), coeff in sympy.Poly(nf, V, *xs, t).terms():
         coords = out.setdefault((i, tuple(exps)), [0] * (p - 1))
@@ -720,6 +746,46 @@ def test_power_normal_forms_match_a_sympy_reduction(triple, specialized):
             assert _slot_coordinates(ctx, ctx.power_normal_form(e)) == want, (triple, fibre, e)
 
 
+def _sympy_groups(ctx, groups):
+    """sum gamma * d of groups over ctx.vars[1:] as a sympy polynomial in t = lam."""
+    t, names = sympy.Symbol("t"), sympy.symbols(ctx.vars[1:])
+    out = 0
+    for gamma, d in groups:
+        g = sum(c * t**j for j, c in enumerate(gamma.coeffs)) if isinstance(gamma, CycloElement) else gamma
+        out += g * sum(k * sympy.Mul(*(s**x for s, x in zip(names, e))) for e, k in d.terms.items())
+    return out
+
+
+@pytest.mark.parametrize("triple", [(3, 1, 1), (3, 2, 2), (5, 1, 1)])
+@pytest.mark.parametrize("specialized", [False, True])
+def test_multi_group_parts_reduce_as_their_sum(triple, specialized):
+    # a part given as several groups (gamma, d) reduces as sum gamma * d,
+    # against sympy's remainders, slot by slot and by the zero test: a part
+    # whose groups cancel, gamma * d + (-gamma) * d, and a part with two
+    # distinct weights in one coefficient, over the symbols or, on a
+    # specialized context, over no variable
+    params = validate_params(*triple)
+    spec = default_specialization(params) if specialized else None
+    for fibre in ("generic", "special", "relative"):
+        ctx = FibreContext(params, fibre, spec)
+        p, symbols = ctx.p, ctx.vars[1:]
+        lam = CycloElement.lam(p)
+        one, two = (2, 3) if fibre == "special" else (lam + 2, 3 - lam * lam)
+        d = SparsePoly(symbols, {(1,) * len(symbols): 3, (0,) * len(symbols): -2})
+        e = SparsePoly(symbols, {(0,) * len(symbols): 5})
+        cancelling, mixed = ((one, d), (-one, d)), ((one, d), (two, e))
+        V, x = sympy.Symbol("V"), sympy.Symbol("x")
+        for parts in (
+            [(p + 1, 1, cancelling)],
+            [(p + 1, 1, mixed), (p, 0, cancelling), (p - 1, 2, mixed)],
+            [(p, 0, mixed), (p, 0, ((-one, d), (-two, e)))],
+        ):
+            f = sum(x**rho * _sympy_groups(ctx, c) * V**k for k, rho, c in parts)
+            want = _sympy_normal_form(params, ctx, f)
+            assert _slot_coordinates(ctx, reduce_normal_form(parts, ctx.relation)) == want, (fibre, parts)
+            assert reduce_normal_form(parts, ctx.relation, zero_test=True) is (not want), (fibre, parts)
+
+
 def _spy_unpacker(monkeypatch):
     """The coordinate widths B of every unpacker a reduction makes."""
     import canideal.fibrealg as fibrealg
@@ -743,7 +809,7 @@ def test_packed_coordinates_reach_the_digit_bound(monkeypatch, m):
     zero = SparsePoly.zero(variables)
     for sign in (1, -1):
         d, s = sign, sign * (2**m - 2)
-        rel = FibreRelation("generic", p, variables, (SparsePoly.constant(variables, d), zero, zero))
+        rel = FibreRelation("generic", p, variables, (((1, SparsePoly.constant(variables, d)),), (), ()))
         parts = [(p, 1, lam), (0, 1, lam.scale(s))]
         widths.clear()
         nf = reduce_normal_form(parts, rel)
@@ -793,7 +859,7 @@ def test_repack_covers_a_slot_that_grows_over_rounds(monkeypatch, m):
     widths = _spy_unpacker(monkeypatch)
     p, variables, d = 3, ("x",), 2**m - 1
     lam_x = SparsePoly.variable(variables, "x", 1, CycloElement.lam(p))
-    rhs = (SparsePoly.constant(variables, d), SparsePoly.constant(variables, d), SparsePoly.constant(variables, 1))
+    rhs = tuple(((1, SparsePoly.constant(variables, c)),) for c in (d, d, 1))
     rel = FibreRelation("generic", p, variables, rhs)
     lam = SparsePoly.constant(variables, CycloElement.lam(p))
     nf = reduce_normal_form([(4, 1, lam)], rel)

@@ -8,9 +8,10 @@ from canideal.exactalg import (
     CycloElement,
     SparsePoly,
     divide_by_lambda_power,
+    multiply_out,
     residue,
 )
-from canideal.family import a_power_coefficients, validate_params
+from canideal.family import a_power_coefficients, deformation_symbols, validate_params
 from canideal.generators import (
     GeneratorPoly,
     binomial_generators,
@@ -147,6 +148,9 @@ def test_every_builder_emits_strictly_descending_terms(triple, tie_break):
         reduce_relative_to_special(params, rel),
         [corrupt_generator(g) for g in binomials + rel],
     ]
+    # each generator's reference lead is taken once; the binomials, which
+    # every family's criterion run counts too, come first
+    leads = {}
     for family in families:
         for gen in family:
             assert gen.tie_break == tie_break
@@ -154,10 +158,63 @@ def test_every_builder_emits_strictly_descending_terms(triple, tie_break):
             assert len(set(monos)) == len(monos), gen
             keys = [key(m) for m in monos]
             assert all(a > b for a, b in zip(keys, keys[1:])), gen
-            assert leading_term(gen.terms, gen.tie_break) == gen.terms[0], gen
+            if id(gen) not in leads:
+                leads[id(gen)] = leading_term(gen.terms, gen.tie_break)
+            assert leads[id(gen)] == gen.terms[0], gen
         gens = binomials + family
-        reference = {leading_term(g.terms, g.tie_break)[1] for g in gens}
+        reference = {leads[id(g)][1] for g in gens}
         assert dimension_criterion(params, [g.lead for g in gens]).leading_count == len(reference)
+
+
+def _a_power_tables(params, k):
+    """{j: [a^k]_j} of a(x)^k over the symbols, from a(x) by its definition
+    (monic of degree q, x_s the coefficient of x^(q-s)) and plain
+    SparsePoly products."""
+    syms = deformation_symbols(params)
+    variables = ("x",) + syms
+    a = SparsePoly.variable(variables, "x", params.q)
+    for s, name in enumerate(syms, 1):
+        a = a + SparsePoly.variable(variables, "x", params.q - s) * SparsePoly.variable(variables, name)
+    power = SparsePoly.constant(variables, 1)
+    for _ in range(k):
+        power = power * a
+    tables: dict = {}
+    for (j, *e), m in power.terms.items():
+        tables.setdefault(j, {})[tuple(e)] = m
+    return {j: SparsePoly(syms, t) for j, t in sorted(tables.items())}
+
+
+@pytest.mark.parametrize("triple", [(p, q, ell) for p in (3, 5, 7) for q in (1, 2, 3) for ell in range(1, p)])
+def test_slot_groups_multiply_out_to_the_fibre_equation(triple):
+    # a built table has one group (gamma, d) per slot, with an int table d
+    # and the weight of its block; gamma * d, multiplied out term by term,
+    # is the slot's coefficient in the fibre's equation, rebuilt here from
+    # a(x) by plain products: c_i * [a^(p-i)]_j on the relative fibre,
+    # -[a^p]_j on the generic one and -[a^(p-1)]_j read mod p on the special one
+    params = validate_params(*triple)
+    p, ell = params.p, params.ell
+    syms = deformation_symbols(params)
+    unit = SparsePoly.constant(syms, 1)
+    one, lam = CycloElement.one(p), CycloElement.lam(p)
+    c = {i: relative_lambda_coefficient(params, i) for i in range(1, p)}
+    assert all(c[i] * lam ** (p - i) == math.comb(p, i) for i in c)
+    want = {
+        "relative": [(0, 0, one, unit), (ell, p, -one, unit)]
+        + [(j, p - i, c[i], t) for i in range(1, p) for j, t in _a_power_tables(params, p - i).items()],
+        "generic": [(0, 0, one, unit), (ell, p, -(lam**p), unit)]
+        + [(j, p, -one, t) for j, t in _a_power_tables(params, p).items()],
+        "special": [(0, 0, 1, unit), (ell, p, 1, unit.scale(p - 1))]
+        + [(j, p - 1, 1, t.map_coefficients(lambda m: -m % p)) for j, t in _a_power_tables(params, p - 1).items()],
+    }
+    for fibre, slots in want.items():
+        table = trinomial_slots(params, fibre)
+        assert [(dr, dt) for dr, dt, _ in table] == [(dr, dt) for dr, dt, _, _ in slots], fibre
+        for (_, _, groups), (_, _, weight, value) in zip(table, slots):
+            (gamma, d), = groups
+            assert type(gamma) is type(weight) and gamma == weight, fibre
+            assert d.vars == syms and all(type(m) is int for m in d.terms.values()), fibre
+            product = SparsePoly(syms, {e: gamma * m for e, m in d.terms.items()})
+            assert product == value.map_coefficients(lambda m: weight * m), fibre
 
 
 def test_special_slot_coefficients_are_nonzero_residues():
@@ -168,10 +225,12 @@ def test_special_slot_coefficients_are_nonzero_residues():
     for triple in _GRID:
         params = validate_params(*triple)
         slots = trinomial_slots(params, "special")
-        assert slots[0][2] == SparsePoly.constant(slots[0][2].vars, 1)
-        assert slots[1][2] == SparsePoly.constant(slots[1][2].vars, params.p - 1)
-        for _, _, coeff in slots:
-            assert coeff, triple
+        syms = deformation_symbols(params)
+        assert slots[0][2] == ((1, SparsePoly.constant(syms, 1)),)
+        assert slots[1][2] == ((1, SparsePoly.constant(syms, params.p - 1)),)
+        for _, _, groups in slots:
+            (weight, coeff), = groups
+            assert type(weight) is int and weight == 1 and coeff, triple
             assert all(type(c) is int and 0 < c < params.p for c in coeff.terms.values()), triple
 
 
@@ -274,7 +333,7 @@ def test_trinomial_variants_are_members():
 
     params = validate_params(5, 2, 1)
     anchor = MinkowskiPoint(0, 2)
-    slots = trinomial_slots(params, "generic")
+    slots = [(dr, dt, multiply_out(c, deformation_symbols(params))) for dr, dt, c in trinomial_slots(params, "generic")]
     choices = [monomials_at(params, MinkowskiPoint(anchor.rho + dr, anchor.T + dt)) for dr, dt, _ in slots]
     variants = []
     for picks in islice(product(*choices), 8):

@@ -525,3 +525,16 @@ def test_class_order_is_the_term_order(triple):
         for monos in classes.values():
             smaller = [min(map(order, m)) for m in monos]
             assert all(x > y for x, y in zip(smaller, smaller[1:])), tie_break
+
+
+def test_anchor_sets_zero_and_one_coincide_on_the_grid():
+    # anchor set 1, where the special family sits, equals anchor set 0,
+    # where the relative and generic ones sit, on every triple of the
+    # 136-triple grid (p <= 13, q <= 4), compared on the run tables; so on
+    # the grid nothing can tell the special oracle's family at set 1 from
+    # one at set 0
+    triples = [(p, q, ell) for p in (3, 5, 7, 11, 13) for q in (1, 2, 3, 4) for ell in range(1, p)]
+    assert len(triples) == 136
+    for triple in triples:
+        runs = indexsets._anchor_runs(validate_params(*triple))
+        assert runs[0] == runs[1], triple

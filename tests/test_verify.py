@@ -380,10 +380,12 @@ def _check_planted_cancellation(fibre):
     ctx = verify.fibre_context(params, fibre)
     p = k = ctx.p  # every start degree is at least p
     syms = deformation_symbols(params)
+    from test_fibrealg import _value
+
     combination = {k + p: SparsePoly.constant(ctx.vars, ctx.one)}
     for i, s in enumerate(ctx.relation.rhs):
         if s:
-            combination[k + i] = -s
+            combination[k + i] = -_value(s, ctx.vars)
     if fibre == "generic":
         # V^k * (V^p - rhs) * (1 + V^p) = V^(k+2p) + (1 - rhs) * V^(k+p) - rhs * V^k
         combination[k + 2 * p] = combination[k + p]
@@ -1129,19 +1131,25 @@ def test_membership_rejects_another_cyclotomic_ring():
         check_membership(params, "relative", bad)
 
 
-def test_relation_slots_are_split_once_per_relation(monkeypatch):
-    # each relation slot's content groups are read from the relation's memo,
-    # so certify --oracle splits each of the p slots once per relation built
+def test_relation_groups_are_read_never_split(monkeypatch):
+    # each relation slot holds groups whose weights are the slot table's
+    # own, negated, one group per distinct weight: no coefficient is split
+    # again.  certify --oracle takes the rows gamma * lam^j of each group
+    # once per relation built, from the relation's memo
     import canideal.fibrealg as fibrealg
 
     params = validate_params(7, 2, 1)
-    relations, splits = [], []
-    real_relation, real_groups = fibrealg.FibreRelation, fibrealg._content_groups
-    monkeypatch.setattr(fibrealg, "FibreRelation", lambda **kw: relations.append(kw["fibre"]) or real_relation(**kw))
-    monkeypatch.setattr(fibrealg, "_content_groups", lambda poly: splits.append(poly) or real_groups(poly))
+    relations, rows = [], []
+    real_relation, real_rows = fibrealg.FibreRelation, fibrealg._lam_rows
+    monkeypatch.setattr(fibrealg, "FibreRelation", lambda **kw: relations.append(real_relation(**kw)) or relations[-1])
+    monkeypatch.setattr(fibrealg, "_lam_rows", lambda coeffs, count: rows.append(coeffs) or real_rows(coeffs, count))
     assert certify(params, oracle=True).overall == "PASS"
-    assert relations and splits
-    assert len(splits) <= params.p * len(relations)
+    assert {rel.fibre for rel in relations} == {"generic", "special", "relative"}
+    assert len(rows) == sum(len(slot) for rel in relations for slot in rel.rhs)
+    for rel in relations:
+        weights = [-g for _, _, c in trinomial_slots(params, rel.fibre)[1:] for g, _ in c]
+        for slot in rel.rhs:
+            assert all(w in weights for w, _ in slot) and len({w for w, _ in slot}) == len(slot), rel.fibre
 
 
 def test_oracle_degenerate_guard(monkeypatch):
