@@ -94,12 +94,15 @@ a(x)^i * s_i (`FibreContext.x_coordinates`).  As a(x) != 0 this is an
 invertible diagonal change of basis over the function field: a combination
 of images vanishes in one basis exactly when it vanishes in the other.
 
-Membership verdicts are kept per shift class.  A combination
-sum c_(rho,T) * image(rho, T) equals x^s times the same combination over
-(rho - s, T), and x^s is not a zero divisor on the V-slots (polynomials in
-x and the symbols over the domain Z[lam], or F_p where the special fibre
-reads them), so the two vanish together; the verdict is keyed by the class
-shifted to min rho = 0 together with its exact coefficient polynomials.
+Membership verdicts are kept per (x, V)-shift class.  A combination
+sum c_(rho,T) * image(rho, T) is x^s * V^k times the same combination over
+(rho - s, T + k), and neither x nor V is a zero divisor modulo the relation
+when rhs_0 != 0: the slots lie in a domain A (polynomials in x and the
+symbols over Z[lam], or F_p where the special fibre reads them), and V acts
+on A[V]/(V^p - rhs) by the companion matrix, of determinant +-rhs_0.  So the
+two vanish together; the verdict is keyed by the class shifted to min rho = 0
+and lowest start degree p, with its exact coefficients, and every anchor of
+a trinomial layout shares one verdict (`FibreContext.combination_vanishes`).
 """
 
 from __future__ import annotations
@@ -293,55 +296,43 @@ def _coords(v, n: int) -> tuple[int, ...]:
     return (v,) + (0,) * (n - 1)
 
 
-def _part(c, rel: FibreRelation, n: int, memo: dict | None) -> list:
-    """[groups, lift, largest exponent, bound, packed pairs] of a part's
-    coefficient, groups (gamma, d) or a polynomial c, the group (1, c), kept
-    in `memo` when given; tables over rel.vars[1:] are lifted (lift 1).  The
-    bound (`_largest`) and pairs (`_packed_pairs`) read the entry's own
-    groups, so an equal coefficient in another term order reads its terms."""
-    info = None if memo is None else memo.get(c)
-    if info is None:
-        groups = c if type(c) is tuple else ((1, c),)
-        lift = len(rel.vars) - len(groups[0][1].vars)
-        if lift not in (0, 1) or any(d.vars != rel.vars[lift:] for _, d in groups):
-            raise ValueError(f"variable mismatch: {groups[0][1].vars} vs {rel.vars}")
-        info = [groups, lift, max(_max_exponent(d) for _, d in groups), None, (None, None, None)]
-        if memo is not None:
-            memo[c] = info
-    return info
+def _part(c, rel: FibreRelation) -> tuple:
+    """(groups, lift, largest exponent) of a part's coefficient, groups
+    (gamma, d) or a polynomial c, the group (1, c); tables over rel.vars[1:]
+    are lifted (lift 1)."""
+    groups = c if type(c) is tuple else ((1, c),)
+    lift = len(rel.vars) - len(groups[0][1].vars)
+    if lift not in (0, 1) or any(d.vars != rel.vars[lift:] for _, d in groups):
+        raise ValueError(f"variable mismatch: {groups[0][1].vars} vs {rel.vars}")
+    return groups, lift, max(_max_exponent(d) for _, d in groups)
 
 
-def _largest(info: list, n: int) -> int:
-    """A bound on every |coordinate| of a part (`_part`), read once: summed
-    over its groups (gamma, d), the largest |k| * |gamma|_max over the int
-    coefficients k of d, and |k * gamma|_max over its ring elements."""
-    if info[3] is None:
-        info[3] = 0
-        for gamma, d in info[0]:
-            g = max(map(abs, _coords(gamma, n)))
-            bounds = (abs(k) * g if type(k) is int else max(map(abs, _coords(gamma * k, n))) for k in d.terms.values())
-            info[3] += max(bounds, default=0)
-    return info[3]
+def _largest(groups, n: int) -> int:
+    """A bound on every |coordinate| of a part's groups: summed over them, the
+    largest |k| * |gamma|_max over the int coefficients k of d, and
+    |k * gamma|_max over its ring elements."""
+    total = 0
+    for gamma, d in groups:
+        g = max(map(abs, _coords(gamma, n)))
+        total += max((abs(k) * g if type(k) is int else max(map(abs, _coords(gamma * k, n))) for k in d.terms.values()), default=0)
+    return total
 
 
-def _packed_pairs(info: list, width: int, shift: int, n: int) -> list:
-    """(packed exponent, packed value) of every term k * gamma of a part at
-    widths `width` and `shift`, kept for the latest: an int k packs as k
-    times gamma's packed coordinates, one int product."""
-    packed = info[4]
-    if packed[0] != width or packed[1] != shift:
-        lift, pairs = width * info[1], []
-        for gamma, d in info[0]:
-            weight = _pack(_coords(gamma, n), shift)
-            pairs += [
-                (_pack(e, width) << lift, k * weight if type(k) is int else _pack(_coords(gamma * k, n), shift))
-                for e, k in d.terms.items()
-            ]
-        packed = info[4] = (width, shift, pairs)
-    return packed[2]
+def _packed_pairs(groups, lift: int, width: int, shift: int, n: int) -> list:
+    """(packed exponent, packed value) of every term k * gamma of a part's
+    groups at widths `width` and `shift`: an int k packs as k times gamma's
+    packed coordinates, one int product."""
+    pairs = []
+    for gamma, d in groups:
+        weight = _pack(_coords(gamma, n), shift)
+        pairs += [
+            (_pack(e, width) << width * lift, k * weight if type(k) is int else _pack(_coords(gamma * k, n), shift))
+            for e, k in d.terms.items()
+        ]
+    return pairs
 
 
-def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dict | None = None):
+def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False):
     """Reduce a V-polynomial below degree p: its normal form, the slots
     0..p-1, or with zero_test=True whether that normal form is zero.
 
@@ -355,8 +346,7 @@ def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dic
     packs with nonnegative digits of `width` bits.  A coordinate vector
     c_0..c_(n-1) over Z[lam] (n = p - 1) packs as the signed digits
     sum_j c_j * 2^(B*j); on the special fibre's Z (n = 1) the coordinate is
-    the int itself and needs no B.  Each distinct part coefficient is packed
-    once per widths (kept in `memo` across calls when one is given), a term
+    the int itself and needs no B.  Each part is packed once, a term
     k * gamma of an int k as k times gamma's packed coordinates, and its
     shift by x^rho adds rho to the packed exponents.  The relation is
     packed once per widths (`_packed_relation`).
@@ -409,14 +399,14 @@ def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dic
     p = rel.p
     n = 1 if rel.fibre == SPECIAL else p - 1
     rel_top, weights, _ = _relation_bounds(rel)
-    parts = [(k, rho, _part(c, rel, n, memo)) for k, rho, c in e if c]
+    parts = [(k, rho, *_part(c, rel)) for k, rho, c in e if c]
     if not parts:
         return True if zero_test else (SparsePoly(rel.vars),) * p
-    top = max(k for k, _, _ in parts)
+    top = max(part[0] for part in parts)
     rounds_allowed = max(top - p + 1, 0)
     # the relation keeps its width, doubled when a reduction needs more, so
     # that its exponents are seldom packed again
-    need = max(rho + info[2] for _, rho, info in parts) + rounds_allowed * rel_top
+    need = max(rho + e_max for _, rho, _, _, e_max in parts) + rounds_allowed * rel_top
     width = rel.memo.get("width", 1)
     if need >> width:
         width = rel.memo["width"] = max(need.bit_length(), 2 * width)
@@ -425,14 +415,14 @@ def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dic
     # bound[k] bounds the coordinates of the packed slot k
     bound: dict[int, int] = {}
     coords: dict = {}
-    for k, rho, info in parts:
+    for k, rho, groups, lift, _ in parts:
         if k != top or top < p:
-            bound[k] = bound.get(k, 0) + _largest(info, n)
+            bound[k] = bound.get(k, 0) + _largest(groups, n)
             continue
-        for gamma, d in info[0]:
+        for gamma, d in groups:
             g = _coords(gamma, n)
             for e, m in d.terms.items():
-                key = (_pack(e, width) << width * info[1]) + rho
+                key = (_pack(e, width) << width * lift) + rho
                 cs = tuple(m * x for x in g) if type(m) is int else _coords(gamma * m, n)
                 cur = coords.get(key)
                 coords[key] = cs if cur is None else tuple(map(operator.add, cur, cs))
@@ -444,12 +434,12 @@ def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False, memo: dic
     shift = _round_need(bound, t, c_top, p, weights).bit_length() + 1 if n > 1 else 0
 
     work: dict[int, dict] = {}
-    for k, rho, info in parts:
+    for k, rho, groups, lift, _ in parts:
         if k == top >= p:
             continue
         slot = work.setdefault(k, {})
         get = slot.get
-        for key, v in _packed_pairs(info, width, shift, n):
+        for key, v in _packed_pairs(groups, lift, width, shift, n):
             key += rho
             slot[key] = get(key, 0) + v
     for k in list(work):
@@ -582,11 +572,11 @@ class FibreContext:
         self.a_powers = powers
         self._chain: list[tuple[SparsePoly, ...]] = []
         self._verdicts: dict[frozenset, bool] = {}
-        # the combinations' coefficients: specialized values (on a specialized
-        # context), joined per V-degree (`_sum_vanishes`) and packed
+        # V is no zero divisor when rhs_0 != 0 in the ring the verdicts read
+        # (`combination_vanishes`): mod p on the special fibre
+        self._v_regular = bool(residue_terms(rhs[0], p, 0) if fibre == SPECIAL else multiply_out(rhs[0], self.vars))
+        # the specialized values of the combinations' coefficients (on a specialized context)
         self._values: dict[tuple | SparsePoly, SparsePoly] = {}
-        self._joined: dict[frozenset, tuple] = {}
-        self._packed: dict[tuple, list] = {}
         self._multidegrees = monomial_multidegrees(params)
 
     def specialized_value(self, coeff):
@@ -695,9 +685,11 @@ class FibreContext:
         at each anchor, in anchor order.  At the anchor (rho, T) the slot
         (dr, dt, c) puts c on the class minimum at (rho + dr, T + dt), a
         point of its own, so the generator's sums per multidegree are the
-        slots' coefficients, and their shift class {(dr - min dr, T + dt): c}
-        does not depend on rho: one `combination_vanishes` per distinct T
-        gives each anchor the verdict its generator object gets."""
+        slots' coefficients, and their x-shift class does not depend on rho:
+        one `combination_vanishes` per distinct T gives each anchor the
+        verdict its generator object gets.  Their (x, V)-shift class does not
+        depend on T either, so on a context whose V is no zero divisor every
+        anchor shares one verdict and one packed reduction."""
         verdicts: dict[int, bool] = {}
         for rho, T in anchors:
             if T not in verdicts:
@@ -707,34 +699,57 @@ class FibreContext:
     def combination_vanishes(self, coeffs: dict[tuple[int, int], SparsePoly]) -> bool:
         """Is sum_(rho,T) c_(rho,T) * image(rho, T) zero?
 
-        `coeffs` maps multidegrees (rho, T) to coefficient polynomials in the
-        deformation symbols.  The verdict is kept per shift class: with
-        s = min rho, the sum equals x^s times the sum over (rho - s, T),
-        because image(rho, T) = x^rho * image(0, T).  Every V-slot of a
-        normal form lies in a domain (polynomials in x and the symbols over
-        Z[lam], or F_p where the special fibre reads them), where x^s is not
-        a zero divisor, so one sum vanishes exactly when the other does.  The
-        key holds the exact coefficient polynomials, so sums that differ in
-        any coefficient never share a verdict.
+        `coeffs` maps multidegrees (rho, T) to coefficients in the
+        deformation symbols, polynomials or groups (gamma, d).  A weight
+        whose start degree E - T lies below p raises TOutOfRange.  The
+        verdict is kept per (x, V)-shift class:
+
+        - image(rho, T) = x^rho * V^(E-T), reduced, so with s = min rho the
+          sum is x^s times the same sum over (rho - s, T), and with
+          k = E - max T - p it is V^k times the same sum over (rho, T + k),
+          whose lowest start degree is exactly p (k may be negative: the
+          sum is then V^(-k) times the given one).
+        - The V-slots of a normal form lie in a domain A: polynomials in x
+          and the symbols over Z[lam], or over F_p where the special fibre
+          reads them, or in x alone on a specialized context.  x^s is not a
+          zero divisor of A[V]/(V^p - rhs), so a sum and its x-shift vanish
+          together.
+        - V acts on the free A-module with basis 1, V, ..., V^(p-1) by the
+          companion matrix of the monic relation, whose determinant is
+          +-rhs_0.  When rhs_0 != 0 in A, adj * M = det * I shows that V * f
+          = 0 forces rhs_0 * f = 0, so f = 0: V is not a zero divisor, and a
+          sum and its V-shift vanish together.  The context reads rhs_0
+          multiplied out over Z[lam], mod p on the special fibre, or
+          specialized on a specialized context, once (`_v_regular`); it is
+          nonzero on every intact table, x^ell or lam^p * x^ell + a^p, and a
+          perturbed table with rhs_0 = 0 keeps the x-shift key alone.
+
+        The key is the shifted class with its exact coefficients, so sums
+        that differ in any coefficient never share a verdict, and every
+        start degree of a key is at least p, so each of its coefficients
+        meets a relation slot (`_sum_vanishes`).
         """
         if not coeffs:
             return True
+        top = max(T for _, T in coeffs)
+        if self.clearing - top < self.p:
+            raise TOutOfRange(f"weight {top} starts below V^p on the {self.fibre} fibre")
         s = min(rho for rho, _ in coeffs)
-        key = frozenset(((rho - s, T), c) for (rho, T), c in coeffs.items())
+        k = self.clearing - self.p - top if self._v_regular else 0
+        key = frozenset(((rho - s, T + k), c) for (rho, T), c in coeffs.items())
         verdict = self._verdicts.get(key)
         if verdict is None:
             verdict = self._verdicts[key] = self._sum_vanishes(key)
         return verdict
 
     def _sum_vanishes(self, items) -> bool:
-        """Evaluate sum c_(rho,T) * image(rho, T) over ((rho, T), c) items.
+        """Evaluate sum c_(rho,T) * image(rho, T) over ((rho, T), c) items,
+        every start degree E - T at least p.
 
-        With C_T = sum_rho x^rho * c_(rho,T), the V-polynomial
-        sum_T C_T * V^(E-T) is reduced once (`reduce_normal_form`), one part
-        (E - T, 0, C_T) per weight: C_T's groups, one per weight, join the
-        tables of the c_(rho,T) shifted by x^rho (`_joined`) once per
-        context (a specialized context joins the values of the c_(rho,T)),
-        and the sum vanishes when every slot of that normal form is zero:
+        The V-polynomial sum_(rho,T) c_(rho,T) * x^rho * V^(E-T) is reduced
+        once (`reduce_normal_form`), one part (E - T, rho, c) per item (a
+        specialized context reads the value of c), and the sum vanishes
+        when every slot of that normal form is zero:
 
         - the normal form modulo a monic relation is unique and linear over
           the polynomials in x and the symbols, so
@@ -742,29 +757,15 @@ class FibreContext:
           zero exactly when the other is;
         - a trinomial's combination is x^rho * V^k * (V^p - rhs), so one
           substitution round empties it; no weight image is reduced;
-        - each start degree E - T is at least p (a weight T is at most
-          2p - 2, and a start below p raises TOutOfRange), so every
-          coefficient meets a relation slot and the zero test reads values
-          of the fibre's ring, mod p on the special fibre;
+        - each start degree is at least p, so every coefficient meets a
+          relation slot and the zero test reads values of the fibre's ring,
+          mod p on the special fibre;
         - a binomial's per-multidegree sums are already zero, so a binomial
           never reaches this method.
         """
-        blocks: dict[int, list] = {}
-        for (rho, T), coeff in items:
-            e = self.clearing - T
-            if e < self.p:
-                raise TOutOfRange(f"weight {T} starts below V^p on the {self.fibre} fibre")
-            if self.specialization is not None:
-                coeff = self._specialized(coeff)
-            blocks.setdefault(e, []).append((rho, coeff if type(coeff) is tuple else ((1, coeff),)))
-        parts = []
-        for e, block in blocks.items():
-            key = frozenset(block)
-            joined = self._joined.get(key)
-            if joined is None:
-                joined = self._joined[key] = _joined(block, self.vars)
-            parts.append((e, 0, joined))
-        return reduce_normal_form(parts, self.relation, zero_test=True, memo=self._packed)
+        spec = self.specialization is not None
+        parts = [(self.clearing - T, rho, self._specialized(c) if spec else c) for (rho, T), c in items]
+        return reduce_normal_form(parts, self.relation, zero_test=True)
 
     def multidegree_of(self, m: Monomial) -> tuple[int, int]:
         """(rho, T) of a degree-2 monomial in the basis variables, read from

@@ -53,8 +53,8 @@ class GeneratorPoly:
     int, as in the fibre-agnostic binomials, is the image of Z in the ring.
 
     The monomials are distinct and strictly descending under ``tie_break``
-    (every builder here emits them so, and `corrupt_generator` keeps the
-    order): ``terms[0]`` holds the lead, the monomial `lead` returns.
+    (every builder here emits them so): ``terms[0]`` holds the lead, the
+    monomial `lead` returns.
     """
 
     fibre: str
@@ -320,12 +320,6 @@ def reduce_relative_to_special(params: FamilyParams, gens) -> list[GeneratorPoly
     if [g.terms for g in reduced] != [g.terms for g in expected]:
         raise ReductionMismatch("reduction of the relative family does not match the special family")
     return reduced
-
-
-def corrupt_generator(gen: GeneratorPoly, bump: int = 1) -> GeneratorPoly:
-    """Negative-control hook: add a constant to one non-leading coefficient."""
-    coeff, mono = gen.terms[-1]
-    return replace(gen, terms=gen.terms[:-1] + ((coeff + SparsePoly.constant(coeff.vars, bump), mono),))
 
 
 # ---------------------------------------------------------------------------

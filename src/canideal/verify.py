@@ -7,10 +7,10 @@ Membership is collapsed by multidegree: an image depends only on (rho, T),
 so sum_m c_m phi(m) = sum_(rho,T) phi(rho, T) * sum_(m in (rho,T)) c_m, and
 phi(rho, T) = x^rho * phi(0, T) with phi(0, T) = NF(V^(E-T)) (`fibrealg`).
 Coefficients are summed per multidegree before any function-field work,
-which cancels every binomial outright, and then per weight
-(`FibreContext.combination_vanishes`) into one V-polynomial, which is
-reduced once per shift class of those sums: generators whose sums differ
-only by a power of x share one verdict.
+which cancels every binomial outright, and the rest is one V-polynomial
+(`FibreContext.combination_vanishes`), reduced once per (x, V)-shift class
+of those sums: generators whose sums differ only by a monomial x^s * V^k
+share one verdict.
 
 The oracle builds its matrix exactly, with one row per multidegree class of
 `indexsets.monomial_classes` (monomials of one class have equal rows), and
@@ -38,11 +38,13 @@ binomials m - min(class) are the class table (`indexsets.monomial_classes`):
 their membership is a table lookup (`binomial_memberships`), the criterion
 counts their leads and the oracles their rank.  Like them, a trinomial-type
 family is read as its layout (`generators.trinomial_layout`) and its
-anchors: membership takes one verdict per anchor weight T
-(`FibreContext.layout_vanishes`), the leads are the class minima at the
+anchors: membership takes one verdict for all anchors, one per anchor
+weight if V is a zero divisor (`FibreContext.layout_vanishes`), the leads are the class minima at the
 anchors, reduction compatibility compares the two layouts once, and each
-oracle row places the layout's values.  The `--corrupt-one` control builds
-only the generator it corrupts.
+oracle row places the layout's values.  The `--corrupt-one` control is data
+too: the relative layout with 1 added to its last slot at the first anchor,
+or, on a triple with no anchor, the first binomial's class sum.  So
+`certify` builds no `GeneratorPoly` on any path.
 """
 
 from __future__ import annotations
@@ -51,27 +53,11 @@ import random
 import time
 from dataclasses import dataclass, field, fields
 
-from .errors import (
-    CanidealError,
-    DegenerateSpecialization,
-    NonIntegralCoefficient,
-    ReductionMismatch,
-)
-from .exactalg import is_prime, multiply_out, residue, residue_terms
+from .errors import CanidealError, DegenerateSpecialization
+from .exactalg import SparsePoly, is_prime, multiply_out, residue, residue_terms
 from .family import FamilyParams, deformation_symbols, per_triple
 from .fibrealg import check_specialization, fibre_context, relation_consistency
-from .generators import (
-    GENERIC,
-    RELATIVE,
-    SPECIAL,
-    GeneratorPoly,
-    _trinomial_family,
-    binomial_generators,
-    check_fibre,
-    corrupt_generator,
-    reduce_relative_to_special,
-    trinomial_layout,
-)
+from .generators import GENERIC, RELATIVE, SPECIAL, GeneratorPoly, check_fibre, trinomial_layout
 from .indexsets import anchor_set, check_counts, monomial_classes, monomial_multidegrees
 from .termorder import TIE_BREAK_DEFAULT, term_key
 
@@ -369,7 +355,11 @@ def kernel_oracle(
     An F row is read once per slot (dr, dt, c): at the anchor (rho, T) the
     slot's value sits in the class (rho + dr, T + dt), one class per slot,
     which is the generator's row summed per class, and F's exact check is
-    `FibreContext.layout_vanishes`.
+    `FibreContext.layout_vanishes`.  That check holds by construction: the
+    layout and the context's relation are read off one slot table, so each
+    row is x^rho * V^k * (V^p - rhs) modulo its own relation, and a wrong
+    slot fails `relation_consistency`, not the oracle.  It is kept, as the
+    check explicit `gens` can fail.
 
     Soundness.  Row g of G * M holds the X-coordinates of
     sum_m g_m * image(m).  By the change of basis above it is zero exactly
@@ -597,9 +587,15 @@ def certify(
     failures produce a failed certificate, never an exception; a
     specialization that does not assign integers to exactly the
     deformation symbols raises BadSpecialization, whether or not the
-    oracles run; an unknown tie-break raises UnknownTieBreak;
-    corrupt_one on a triple with no relative generator and
-    no binomial raises CanidealError, as the control would corrupt nothing.
+    oracles run; an unknown tie-break raises UnknownTieBreak.
+
+    corrupt_one adds 1 to the last coefficient of the first relative
+    generator, as data: the layout with the group (1, 1) added to its last
+    slot, at the first anchor, checked as the intact layout is (membership
+    and the residue comparison) while the lead stays.  With no anchor it
+    corrupts the first binomial m - min(class), which becomes m alone, the
+    sum {class: 1}; with no binomial either it raises CanidealError, as the
+    control would corrupt nothing.
     """
     term_key(tie_break)  # raises UnknownTieBreak
     if specialization is not None:
@@ -612,43 +608,39 @@ def certify(
 
     t0 = time.perf_counter()
     # the default binomials are the class table and the relative family is
-    # its layout at the i = 0 anchors: no GeneratorPoly is built for either
+    # its layout at the i = 0 anchors: no GeneratorPoly is built on any path
     classes = monomial_classes(params, tie_break)
     mem_g1 = binomial_memberships(params, classes)
     anchors = anchor_set(params, 0)
     layout = trinomial_layout(params, RELATIVE, 0)
     leads = [classes[point][0] for point in anchors]
-    bad = corrupted = None
+    syms = deformation_symbols(params)
+    # (layout, anchors) pairs; the control bumps the last slot at the first anchor
+    layouts = [(layout, anchors)]
+    corrupted = None
     if corrupt_one:
+        unit = SparsePoly.constant(syms, 1)
         if anchors:
-            bad = corrupt_generator(_trinomial_family(params, RELATIVE, anchors[:1], tie_break)[0])
-            leads[0] = bad.lead
+            dr, dt, c = layout[-1]
+            layouts = [(layout[:-1] + [(dr, dt, c + ((1, unit),))], anchors[:1]), (layout, anchors[1:])]
         elif mem_g1:
-            bad_binomial = corrupt_generator(binomial_generators(params, tie_break=tie_break)[0])
-            mem_g1[0] = check_membership(params, RELATIVE, bad_binomial)
+            # the first binomial m - min(class), 1 added to its last coefficient, sums to m's class
+            point = min((point for point, group in classes.items() if len(group) > 1), key=lambda point: (point[1], point[0]))
+            mem_g1[0] = fibre_context(params, RELATIVE).combination_vanishes({point: unit})
         else:
             raise CanidealError(
                 f"nothing to corrupt: (p,q,ell)=({params.p},{params.q},{params.ell}) "
                 "has no relative generator and no binomial"
             )
         corrupted = 0
-    rest = anchors[1:] if bad is not None else anchors
-    mem_rel = [check_membership(params, RELATIVE, bad)] if bad is not None else []
-    if rest:
-        mem_rel += fibre_context(params, RELATIVE).layout_vanishes(layout, rest)
+    layouts = [(lay, at) for lay, at in layouts if at]
+    mem_rel = [v for lay, at in layouts for v in fibre_context(params, RELATIVE).layout_vanishes(lay, at)]
     timings["membership"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    try:
-        # one comparison of the layouts decides every intact generator
-        # (`reduce_relative_to_special`); the corrupted one is reduced as an object
-        syms = deformation_symbols(params)
-        special = [(dr, dt, multiply_out(c, syms).terms) for dr, dt, c in trinomial_layout(params, SPECIAL, 0)]
-        reduction_ok = not anchors or [(dr, dt, im) for dr, dt, c in layout if (im := residue_terms(c, params.p, 0))] == special
-        if bad is not None:
-            reduce_relative_to_special(params, [bad])
-    except (ReductionMismatch, NonIntegralCoefficient):
-        reduction_ok = False
+    # one comparison per layout decides every generator it places (`reduce_relative_to_special`)
+    special = [(dr, dt, multiply_out(c, syms).terms) for dr, dt, c in trinomial_layout(params, SPECIAL, 0)]
+    reduction_ok = all([(dr, dt, im) for dr, dt, c in lay if (im := residue_terms(c, params.p, 0))] == special for lay, _ in layouts)
     crit_special = dimension_criterion(params, leads, "special-fibre (lam-reduced generators)", classes)
     crit_relative = dimension_criterion(params, leads, "generic-fibre view of the relative generators", classes)
     timings["criterion"] = time.perf_counter() - t0

@@ -15,7 +15,6 @@ from canideal.exactalg import (
 from canideal.family import validate_params
 from canideal.generators import (
     binomial_generators,
-    corrupt_generator,
     generators_document,
     generic_generators,
     reduce_relative_to_special,
@@ -32,6 +31,8 @@ from canideal.indexsets import (
 )
 from canideal.termorder import TIE_BREAK_ALT, TIE_BREAK_DEFAULT
 from canideal.verify import certify, check_membership, dimension_criterion, kernel_oracle
+
+from controls import corrupt_generator
 
 SWEEP = [(p, q, ell) for p in (3, 5, 7) for q in (1, 2, 3) for ell in range(1, p)]
 

@@ -143,8 +143,8 @@ def test_certify_oracle_alt_tie_break_bytes_are_pinned(capsys, triple, digest):
 
 
 def test_certify_corrupt_one_alt_tie_break_bytes_are_pinned(capsys):
-    # corrupt_generator bumps a generator's last term, so these bytes depend
-    # on the term order of the relative family under alt
+    # the control adds 1 to the last slot of the relative layout, the last
+    # term of the first generator, so these bytes depend on that term order
     code, out, _ = run(
         capsys, "certify", "-p", "5", "-q", "2", "-l", "1", "--oracle", "--corrupt-one", "--tie-break", "alt"
     )
@@ -258,8 +258,8 @@ def test_readme_library_block_runs_and_its_numbers_hold():
 
 
 def test_corrupt_one_fails_through_the_class_memo(capsys):
-    # the relative trinomials of (5,3,2) share two shift classes; the
-    # corrupted copy has its own key, so its verdict is computed, not reused
+    # the relative trinomials of (5,3,2) share one (x, V)-shift class; the
+    # bumped layout has its own key, so its verdict is computed, not reused
     code, out, _ = run(capsys, "certify", "-p", "5", "-q", "3", "-l", "2")
     assert code == 0
     assert json.loads(out)["verdicts"]["membership_relative"]

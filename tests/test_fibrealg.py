@@ -910,10 +910,10 @@ def test_special_reduction_takes_ints_only():
 
 @pytest.mark.parametrize("fibre", ["generic", "special", "relative"])
 @pytest.mark.parametrize("degree", [1, 6])
-def test_packed_memo_reads_equal_polynomials_in_any_term_order(fibre, degree):
+def test_equal_polynomials_in_another_term_order_reduce_alike(fibre, degree):
     # equal coefficient polynomials whose terms come in another order, as
-    # sums taken in another order give, share one memo entry; the entry's
-    # packed pairs must not be matched with the terms of the one passed later
+    # sums taken in another order give, pack to the same slots and the same
+    # zero-test verdicts: each part is packed from its own terms
     params = validate_params(5, 2, 1)
     ctx = FibreContext(params, fibre)
     symbols = ctx.vars[1:]
@@ -922,11 +922,11 @@ def test_packed_memo_reads_equal_polynomials_in_any_term_order(fibre, degree):
     first = SparsePoly(symbols, dict(terms))
     later = SparsePoly(symbols, dict(reversed(terms)))
     assert first == later and list(first.terms) != list(later.terms)
-    memo = {}
     rel = ctx.relation
-    assert not reduce_normal_form([(degree, 0, first)], rel, zero_test=True, memo=memo)
-    assert reduce_normal_form([(degree, 0, later), (degree, 0, -first)], rel, zero_test=True, memo=memo)
-    assert not reduce_normal_form([(degree, 0, later), (degree, 1, -first)], rel, zero_test=True, memo=memo)
-    # the slots agree with those the same reduction gives with no memo
-    for poly in (first, later):
-        assert reduce_normal_form([(degree, 0, poly)], rel, memo=memo) == reduce_normal_form([(degree, 0, first)], rel)
+    assert not reduce_normal_form([(degree, 0, first)], rel, zero_test=True)
+    assert not reduce_normal_form([(degree, 0, later)], rel, zero_test=True)
+    assert reduce_normal_form([(degree, 0, later), (degree, 0, -first)], rel, zero_test=True)
+    assert reduce_normal_form([(degree, 0, first), (degree, 0, -later)], rel, zero_test=True)
+    assert not reduce_normal_form([(degree, 0, later), (degree, 1, -first)], rel, zero_test=True)
+    assert not reduce_normal_form([(degree, 0, first), (degree, 1, -later)], rel, zero_test=True)
+    assert reduce_normal_form([(degree, 0, later)], rel) == reduce_normal_form([(degree, 0, first)], rel)

@@ -15,7 +15,6 @@ from canideal.family import a_power_coefficients, deformation_symbols, validate_
 from canideal.generators import (
     GeneratorPoly,
     binomial_generators,
-    corrupt_generator,
     fibre_generators,
     generators_document,
     generic_generators,
@@ -28,6 +27,8 @@ from canideal.generators import (
 from canideal.indexsets import anchor_set, minimal_monomial, MinkowskiPoint, build_index_set, monomials_at
 from canideal.termorder import IndexPair, Monomial, leading_term, term_key
 from canideal.verify import dimension_criterion
+
+from controls import corrupt_generator
 
 
 def test_binomial_count_521():

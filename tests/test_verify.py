@@ -25,19 +25,19 @@ from canideal.errors import (
     WrongDegree,
     WrongFibre,
 )
-from canideal.exactalg import CycloElement, SparsePoly, residue
+from canideal.exactalg import CycloElement, SparsePoly, multiply_out, residue
 from canideal.family import deformation_symbols, validate_params
 from canideal.fibrealg import FibreContext, _relation_rhs, fibre_context
 from canideal.generators import (
     TRINOMIAL,
     GeneratorPoly,
     binomial_generators,
-    corrupt_generator,
     fibre_generators,
     generic_generators,
     reduce_relative_to_special,
     relative_generators,
     special_generators,
+    trinomial_layout,
     trinomial_slots,
 )
 from canideal.indexsets import anchor_set, build_index_set, check_counts, monomial_classes
@@ -54,6 +54,11 @@ from canideal.verify import (
     matrix_rank,
     oracle_field,
 )
+
+from controls import corrupt_generator
+
+# every valid triple with p <= 7 and q <= 3
+_EQUIVALENCE_TRIPLES = [(p, q, ell) for p in (3, 5, 7) for q in (1, 2, 3) for ell in range(1, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -280,26 +285,91 @@ def _multidegree_sums(ctx, gen):
     return {md: c for md, c in sums.items() if c}
 
 
-@pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (7, 1, 3)])
+def _shift_classes_match(ctx, gens):
+    """Every generator and its corrupted copy, shifted in T by every offset
+    that keeps its weights in [2, 2p - 2], gets the verdict `_sum_vanishes`
+    gives on its unshifted, unnormalised sums (evaluated once per distinct
+    sums: a class's corrupted binomials all sum to {class: 1}), and, when V
+    is no zero divisor, all its shifts add at most one verdict to the
+    context.  Returns the number of distinct nonzero sums checked."""
+    expected = {}
+    for gen in gens:
+        for g in (gen, corrupt_generator(gen)):
+            sums = _multidegree_sums(ctx, g)
+            if not sums:
+                assert ctx._sum_vanishes(()) and ctx.combination_vanishes(sums)
+                continue
+            key = frozenset(sums.items())
+            if key not in expected:
+                expected[key] = ctx._sum_vanishes(sums.items())
+            before = len(ctx._verdicts)
+            weights = [T for _, T in sums]
+            for d in range(2 - min(weights), 2 * ctx.p - 1 - max(weights)):
+                assert ctx.combination_vanishes({(rho, T + d): c for (rho, T), c in sums.items()}) == expected[key], (g, d)
+            assert len(ctx._verdicts) <= before + 1 or not ctx._v_regular
+    return len(expected)
+
+
+@pytest.mark.parametrize("triple", _EQUIVALENCE_TRIPLES)
 def test_class_memo_matches_unmemoised_verdicts(triple):
-    # the memoised verdict of every shift class equals a direct evaluation
-    # of the unshifted sum, for every generator and its corrupted copy
+    # the verdict of every (x, V)-shift class equals a direct evaluation of
+    # the unshifted sum, on every fibre, symbolic and specialized, for every
+    # generator and its corrupted copy at every weight offset
     params = validate_params(*triple)
-    checks = 0
-    for fibre, builder in [
-        ("generic", generic_generators),
-        ("special", special_generators),
-        ("relative", relative_generators),
-        ("relative", binomial_generators),
-    ]:
-        ctx = verify.fibre_context(params, fibre)
-        for gen in builder(params):
-            for g in (gen, corrupt_generator(gen)):
-                sums = _multidegree_sums(ctx, g)
-                assert check_membership(params, fibre, g) == ctx._sum_vanishes(sums.items())
-                checks += bool(sums)
-    classes = sum(len(verify.fibre_context(params, fb)._verdicts) for fb in ("generic", "special", "relative"))
-    assert 0 < classes < checks  # some verdicts were served by the memo
+    for spec in (None, default_specialization(params)):
+        for fibre in ("generic", "special", "relative"):
+            ctx = FibreContext(params, fibre, spec)
+            assert ctx._v_regular
+            checks = _shift_classes_match(ctx, fibre_generators(params, fibre))
+            assert len(ctx._verdicts) <= checks
+
+
+@pytest.mark.parametrize("triple", [(7, 2, 5), (7, 2, 1), (5, 3, 2)])
+def test_layout_anchors_share_one_verdict(triple):
+    # the anchors of an intact layout differ by x- and V-shifts only: one
+    # verdict, and one packed reduction, serves them all on every context
+    params = validate_params(*triple)
+    for spec in (None, default_specialization(params)):
+        for fibre, i in (("generic", 0), ("special", 1), ("relative", 0)):
+            ctx = FibreContext(params, fibre, spec)
+            anchors = anchor_set(params, i)
+            assert len({T for _, T in anchors}) > 1
+            assert all(ctx.layout_vanishes(trinomial_layout(params, fibre, i), anchors))
+            assert len(ctx._verdicts) == 1
+
+
+def test_certify_reduces_once_per_layout(monkeypatch):
+    # (13,4,1) has anchors at ten weights, and membership is one reduction
+    import canideal.fibrealg as fibrealg
+
+    calls = []
+    real = fibrealg.reduce_normal_form
+    monkeypatch.setattr(fibrealg, "reduce_normal_form", lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    params = validate_params(13, 4, 1)
+    assert len({T for _, T in anchor_set(params, 0)}) == 10
+    assert certify(params).overall == "PASS"
+    assert len(calls) == 1
+
+
+def test_v_shifts_are_not_shared_when_rhs_0_vanishes():
+    # the int 1 added to the relative (ell, p) slot of (5,2,1) cancels
+    # rhs_0 = x^ell, so V is a zero divisor modulo the read-off relation:
+    # the contexts keep the x-shift key alone, and every verdict, at every
+    # weight offset, is still the direct evaluation of the unshifted sums
+    params = validate_params(5, 2, 1)
+    p, ell = params.p, params.ell
+    unit = SparsePoly.constant(deformation_symbols(params), 1)
+    slots = trinomial_slots(params, "relative")
+    [s] = [s for s, (dr, dt, _) in enumerate(slots) if (dr, dt) == (ell, p)]
+    dr, dt, c = slots[s]
+    params.memo[(trinomial_slots.__wrapped__, "relative")] = slots[:s] + ((dr, dt, c + ((1, unit),)),) + slots[s + 1 :]
+    assert not multiply_out(_relation_rhs(params, "relative")[0], ("x",) + deformation_symbols(params))
+    for spec in (None, default_specialization(params)):
+        ctx = FibreContext(params, "relative", spec)
+        assert not ctx._v_regular
+        assert not ctx.combination_vanishes({(0, 4): unit}) and not ctx.combination_vanishes({(0, 5): unit})
+        assert len(ctx._verdicts) == 2
+        assert _shift_classes_match(ctx, fibre_generators(params, "relative")) > 0
 
 
 def test_planted_classes_differing_in_one_coefficient():
@@ -1066,10 +1136,10 @@ def test_oracle_raises_where_its_family_leaves_the_minkowski_sum():
 
 
 def test_certify_builds_no_generator_object(monkeypatch):
-    # certify reads every intact family as a layout at its anchors: with and
-    # without the oracle it builds no GeneratorPoly.  The control on a triple
-    # with a relative generator builds that family's generator at the first
-    # anchor only, and the special generator its reduction compares with
+    # certify reads every family as a layout at its anchors: with and
+    # without the oracle, intact or with the control, which bumps the
+    # relative layout at (5,2,1) and (7,2,1) and the first binomial's class
+    # sum at (5,1,2) and (3,4,1), it builds no GeneratorPoly
     import canideal.generators as generators
 
     built, families = [], []
@@ -1081,23 +1151,16 @@ def test_certify_builds_no_generator_object(monkeypatch):
         return real_family(params, fibre, anchors, tie_break)
 
     monkeypatch.setattr(generators, "_trinomial_family", family)
-    monkeypatch.setattr(verify, "_trinomial_family", family, raising=False)
     for triple in [(5, 2, 1), (7, 2, 1), (5, 3, 2), (7, 1, 5), (3, 4, 1)]:
         for oracle in (False, True):
             for tie_break in ("default", "alt"):
                 cert = certify(validate_params(*triple), oracle=oracle, tie_break=tie_break)
                 assert cert.verdicts["membership_relative"] and cert.verdicts["reduction_compatibility"]
+    for triple in [(5, 2, 1), (7, 2, 1), (5, 1, 2), (3, 4, 1)]:
+        for oracle in (False, True):
+            cert = certify(validate_params(*triple), oracle=oracle, corrupt_one=True)
+            assert cert.overall == "FAIL" and cert.counts["corrupted_generator_index"] == 0
     assert built == [] and families == []
-    for triple in [(5, 2, 1), (7, 2, 1)]:
-        params = validate_params(*triple)
-        first = anchor_set(params, 0)[0]
-        assert len(anchor_set(params, 0)) > 1
-        cert = certify(params, corrupt_one=True)
-        assert cert.overall == "FAIL" and not cert.verdicts["membership_relative"]
-        assert families == [("relative", [first]), ("special", [first])]
-        assert {kw["anchor"] for kw in built} == {first}
-        built.clear()
-        families.clear()
 
 
 @pytest.mark.parametrize("triple", [(7, 2, 1), (5, 3, 2)])
@@ -1243,19 +1306,29 @@ def test_certify_corrupt_fails():
     assert not cert.verdicts["reduction_compatibility"]
 
 
-def _certificate_from_generators(params, tie_break, oracle=True, seed=0):
+def _certificate_from_generators(params, tie_break, oracle=True, seed=0, corrupt_one=False):
     """The counts, verdicts, criteria, oracle reports and oracle attempts of
-    `certify(params, oracle=oracle, tie_break=tie_break, seed=seed)` rebuilt
-    from `GeneratorPoly` objects on the per-generator path: the binomials
-    and the relative family built as objects, one membership check per
-    generator, every relative generator lam-reduced and compared with the
-    special family on its anchors (that family in its place on a mismatch),
-    each criterion over the objects' leads, and each oracle on the emitted
-    family as explicit gens.  The oracle draws its specializations as
-    `kernel_oracle_with_retry` does; a family that raises when built raises
-    past the rank check only, as in the oracle without gens."""
+    `certify(params, oracle=oracle, tie_break=tie_break, seed=seed,
+    corrupt_one=corrupt_one)` rebuilt from `GeneratorPoly` objects on the
+    per-generator path: the binomials and the relative family built as
+    objects, one membership check per generator, every relative generator
+    lam-reduced and compared with the special family on its anchors (that
+    family in its place on a mismatch), each criterion over the objects'
+    leads, and each oracle on the emitted family as explicit gens.  The
+    oracle draws its specializations as `kernel_oracle_with_retry` does; a
+    family that raises when built raises past the rank check only, as in
+    the oracle without gens.  The control corrupts the first relative
+    generator, or with none the first binomial (`corrupt_generator`), and
+    the oracles still read the intact family."""
     g1 = binomial_generators(params, tie_break=tie_break)
     rel = relative_generators(params, tie_break=tie_break)
+    if corrupt_one:
+        if rel:
+            rel[0] = corrupt_generator(rel[0])
+        elif g1:
+            g1[0] = corrupt_generator(g1[0])
+        else:
+            raise CanidealError("nothing to corrupt")
     memberships = [check_membership(params, "relative", g) for g in g1 + rel]
     try:
         reduced, reduction_ok = reduce_relative_to_special(params, rel), True
@@ -1298,29 +1371,28 @@ def _certificate_from_generators(params, tie_break, oracle=True, seed=0):
         "standard_monomials_special": special.standard_monomial_count,
         "standard_monomials_relative": relative.standard_monomial_count,
     }
+    if corrupt_one:
+        counts["corrupted_generator_index"] = 0
     criteria = {"special": special.to_dict(), "relative": {**relative.to_dict(), "memberships": memberships}}
     return counts, verdicts, criteria, oracles, attempts
 
 
-def _matches_the_generator_objects(params, tie_break, oracle=True):
+def _matches_the_generator_objects(params, tie_break, oracle=True, corrupt_one=False):
     """certify against `_certificate_from_generators`: the same pieces, or
     the same exception type raised by both."""
     try:
-        cert = certify(params, oracle=oracle, tie_break=tie_break)
+        cert = certify(params, oracle=oracle, tie_break=tie_break, corrupt_one=corrupt_one)
     except Exception as exc:
         with pytest.raises(type(exc)):
-            _certificate_from_generators(params, tie_break, oracle)
+            _certificate_from_generators(params, tie_break, oracle, corrupt_one=corrupt_one)
         return type(exc)
-    counts, verdicts, criteria, oracles, attempts = _certificate_from_generators(params, tie_break, oracle)
+    counts, verdicts, criteria, oracles, attempts = _certificate_from_generators(params, tie_break, oracle, corrupt_one=corrupt_one)
     assert {key: cert.counts[key] for key in counts} == counts
     assert {key: cert.verdicts[key] for key in verdicts} == verdicts
     assert cert.criteria == criteria
     assert cert.oracles == oracles
     assert {key: cert.specializations[key] for key in attempts} == attempts
     return cert.overall
-
-
-_EQUIVALENCE_TRIPLES = [(p, q, ell) for p in (3, 5, 7) for q in (1, 2, 3) for ell in range(1, p)]
 
 
 @pytest.mark.parametrize("triple", _EQUIVALENCE_TRIPLES, ids=["%d,%d,%d" % t for t in _EQUIVALENCE_TRIPLES])
@@ -1330,10 +1402,17 @@ def test_certify_binomial_block_matches_the_generator_objects(triple):
     # anchors; every valid triple with p <= 7 and q <= 3, under both
     # tie-breaks, gives the counts, verdicts, criteria (memberships
     # included) and oracle reports of the families built as generators and
-    # checked one by one
+    # checked one by one.  So does the control, a bumped layout or the
+    # first binomial's class sum, against the corrupted generator object
+    # checked by check_membership and lam-reduced by
+    # reduce_relative_to_special, with and without the oracle; a triple
+    # with nothing to corrupt raises on both paths
     params = validate_params(*triple)
     for tie_break in ("default", "alt"):
         assert isinstance(_matches_the_generator_objects(params, tie_break), str)
+        for oracle in (False, True):
+            outcome = _matches_the_generator_objects(params, tie_break, oracle, corrupt_one=True)
+            assert outcome == "FAIL" or outcome is CanidealError
 
 
 @pytest.mark.parametrize("triple", [(3, 2, 1), (5, 2, 1)])
@@ -1361,8 +1440,9 @@ def test_certify_on_a_perturbed_table_matches_the_generator_objects(triple, fibr
 @pytest.mark.parametrize("tie_break", ["default", "alt"])
 def test_corrupt_one_without_a_relative_generator_fails_on_the_first_binomial(triple, tie_break):
     # with no relative generator the control corrupts the first binomial,
-    # built as a generator and checked by check_membership: only its
-    # membership is false, and the oracles, which read the intact family, pass
+    # m - min(class) with 1 added to its last coefficient, which leaves m's
+    # class sum {class: 1}: only its membership is false, and the oracles,
+    # which read the intact family, pass
     params = validate_params(*triple)
     assert not relative_generators(params, tie_break=tie_break)
     cert = certify(params, oracle=True, tie_break=tie_break, corrupt_one=True)
