@@ -398,6 +398,13 @@ class SparsePoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _held(cls, variables, terms: dict) -> "SparsePoly":
+        """The polynomial of `terms`, every coefficient nonzero, held as given."""
+        poly = object.__new__(cls)
+        poly.vars, poly.terms, poly._hash = tuple(variables), terms, None
+        return poly
+
+    @classmethod
     def zero(cls, variables) -> "SparsePoly":
         return cls(variables)
 

@@ -1,8 +1,8 @@
 """Curve-family parameters.
 
 Validates the triple (p, q, ell), computes the genus, and exposes the monic
-degree-q deformation polynomial a(x) together with the exact coefficient
-tables of its powers a(x)^(p-i).
+degree-q deformation polynomial a(x) through its powers a(x)^k, built once
+per triple by the multinomial theorem, with their x-degree tables.
 """
 
 from __future__ import annotations
@@ -101,25 +101,39 @@ def a_power_min_exponent(params: FamilyParams, i: int) -> int:
 
 
 @per_triple
-def _a_powers(params: FamilyParams) -> tuple[SparsePoly, ...]:
-    """a(x)^k for k = 1..p over ("x",) + symbols with int coefficients.
+def _a_powers(params: FamilyParams) -> tuple[tuple[SparsePoly, dict[int, SparsePoly]], ...]:
+    """(a(x)^k, {j: [a^k]_j}) for k = 0..p: the whole power over ("x",) +
+    symbols and its x-degree table over the symbols, int coefficients.
 
-    a(x) is monic of degree q: the coefficient of x^(q-s) is the symbol x_s
-    for s >= 1.  The constant symbol x_q is present exactly when ell == 1;
-    otherwise a(x) is divisible by x.
+    a(x) = sum_(s=0..S) x_s * x^(q-s), x_0 = 1, is monic of degree q; the
+    constant symbol x_q is present exactly when ell == 1, otherwise x
+    divides a(x).  By the multinomial theorem a^k is the sum over
+    k_0 + ... + k_S = k of k!/(k_0! ... k_S!) * x^(qk - sum s*k_s) *
+    prod_(s>=1) x_s^(k_s), and distinct (k_1, ..., k_S) are distinct symbol
+    monomials, so each term is one composition and no product is taken.
+    With d = k_1 + ... + k_S its coefficient is binom(k, d) times the
+    symbols' own multinomial d!/(k_1! ... k_S!); one pass writes it into both forms.
     """
-    syms = deformation_symbols(params)
-    # x^q (s = 0), then x^(q-s) * x_s: the x_s-exponents are a unit vector
-    exps = [(params.q - s,) + tuple(int(k == s) for k in range(1, len(syms) + 1)) for s in range(len(syms) + 1)]
-    a = SparsePoly(("x",) + syms, dict.fromkeys(exps, 1))
-    powers = [a]
-    for _ in range(params.p - 1):
-        powers.append(powers[-1] * a)
+    syms, p, q = deformation_symbols(params), params.p, params.q
+    # every symbol monomial of degree d <= p: (exponents, d, sum s*k_s, d!/prod k_s!)
+    monos = [((), 0, 0, 1)]
+    for s in range(1, len(syms) + 1):
+        monos = [(e + (k,), d + k, w + s * k, m * math.comb(d + k, k)) for e, d, w, m in monos for k in range(p - d + 1)]
+    monos.sort(key=lambda mono: mono[1])
+    powers = []
+    for k in range(p + 1):
+        binom, whole, table = [math.comb(k, d) for d in range(k + 1)], {}, {}
+        for e, d, w, m in monos:
+            if d > k:
+                break
+            whole[(q * k - w,) + e] = table.setdefault(q * k - w, {})[e] = binom[d] * m
+        tables = {j: SparsePoly._held(syms, t) for j, t in sorted(table.items())}
+        powers.append((SparsePoly._held(("x",) + syms, whole), tables))
     return tuple(powers)
 
 
 def a_power_coefficients(params: FamilyParams, i: int) -> dict[int, SparsePoly]:
-    """Full coefficient table of a(x)^(p-i), computed by repeated multiplication.
+    """Full coefficient table of a(x)^(p-i), read off `_a_powers`.
 
     Maps the x-exponent j to an integer-coefficient polynomial in the
     deformation symbols; every key satisfies
@@ -127,12 +141,7 @@ def a_power_coefficients(params: FamilyParams, i: int) -> dict[int, SparsePoly]:
     """
     if i < 0 or i > params.p - 1:
         raise IOutOfRange(f"i must lie in [0, {params.p - 1}], got {i}")
-    # the variables of a(x)^(p-i) are ("x",) + symbols: e[0] is the x-exponent
-    terms: dict[int, dict] = {}
-    for e, c in _a_powers(params)[params.p - i - 1].terms.items():
-        terms.setdefault(e[0], {})[e[1:]] = c
-    syms = deformation_symbols(params)
-    table = {j: SparsePoly(syms, t) for j, t in terms.items()}
+    table = dict(_a_powers(params)[params.p - i][1])
     # the support is the full contiguous range: every exponent between the
     # minimum and (p-i)*q is realized by some coefficient pattern
     lo, hi = a_power_min_exponent(params, i), (params.p - i) * params.q

@@ -18,22 +18,23 @@ and relative fibres, after cancelling the shared (a(x)(lam*X+1))^(2(p-1))
 denominator), so membership checking is pure polynomial arithmetic, with no
 division anywhere.
 
-Each relation is read off the fibre's trinomial slot table
-(`generators.trinomial_slots`), the table the generators are built from:
-after the lead (0, 0, 1), which is V^p, a slot (dr, dt, c) is the term
--c * x^dr * V^(p-dt) of the right-hand side (`_relation_rhs`), with c one
-ring weight times an int table, a group (gamma, d), read as it is built.
-The generic slots (ell, p, -lam^p * 1) and (j, p, -1 * [a^p]_j) give
-rhs_0 = lam^p * x^ell + a^p; the special slots (ell, p, 1 * (p-1)) and
-(j, p-1, 1 * ([-a^(p-1)]_j mod p)) give rhs = (x^ell, a^(p-1)) mod p; the
-relative slots (ell, p, -1 * 1) and (j, p-i, c_i * [a^(p-i)]_j) give
+Each relation is the fibre's trinomial slot table
+(`generators.trinomial_slots`), the table the generators are built from,
+grouped by V-degree and weight (`_relation_rhs`): after the lead (0, 0, 1),
+which is V^p, a slot (dr, dt, c) is the term -c * x^dr * V^(p-dt) of the
+right-hand side, and each group (gamma, d) of c, a ring weight times an int
+table, is a part (dr, d) of the weight -gamma in rhs_(p-dt), no table
+joined.  The generic slots (ell, p, -lam^p * 1) and (j, p, -1 * [a^p]_j)
+give rhs_0 = lam^p * x^ell + a^p; the special slots (ell, p, 1 * (p-1))
+and (j, p-1, 1 * ([-a^(p-1)]_j mod p)) give rhs = (x^ell, a^(p-1)) mod p;
+the relative slots (ell, p, -1 * 1) and (j, p-i, c_i * [a^(p-i)]_j) give
 rhs_i = -c_i * a^(p-i) next to rhs_0 = x^ell.  The cleared image of the
 generator at an anchor (rho, T) is x^rho * V^(E-T-p) * (V^p - rhs), with
 E = 3p on the generic fibre and 3p - 2 otherwise, which vanishes modulo the
 read-off relation whatever the table says: membership cannot see a wrong
-slot.  `relation_consistency` checks the read-off relations against the
-model and against each other, so a wrong slot fails the certificate; an
-intact table is checked on its weights and int tables, with no model built.
+slot.  `relation_consistency` reads the relations slot by slot against the
+model (the tables of a(x)^k, `family._a_powers`) and against each other,
+so a wrong slot fails the certificate.
 
 Each fibre's ring is named once, by the monic lead (0, 0, 1) of its slot
 table: its 1 lies in Z[lam] on the generic and relative fibres and is the
@@ -70,39 +71,26 @@ in x and the symbols, so a generator's image sum_T C_T * NF(V^(E-T)) is the
 normal form of the one V-polynomial sum_T C_T * V^(E-T), which membership
 reduces (`FibreContext._sum_vanishes`).
 
-There is one reduction, `reduce_normal_form`, and it runs on packed ints
-on every fibre: a V-slot is {packed exponent: packed coordinates}, the
-relation is packed once per context and widths, a term k * gamma of a
-part packs as the int k times gamma's packed coordinates, and each
-substitution multiplies the top coefficient by the relation's groups on
-packed ints (`_accumulate`).  This module is the one that knows the packed format:
-exponent keys, signed digits of width B, units and unpacking.  Membership
-reads its verdict as a zero test on the packed values, mod p on the
-special fibre, and unpacks nothing when the combination vanishes in one
-round, as every intact trinomial's does.  Its docstring gives the widths
-and why the reduction is exact.
-
-The oracle's rows need the weight images NF(V^(E-T)) themselves.  They form
-one chain per context, which in `certify` only the oracle's specialized
-contexts fill: NF(V^(e+1)) is the normal form of V * NF(V^e), whose only
-term of V-degree p is the top slot times V^p.  Each step reduces that term
-in one substitution round, unpacked once, and adds it to the shifted lower
-slots; by linearity and uniqueness this is NF(V^(e+1)).
+There is one reduction, `reduce_normal_form`, on packed ints on every
+fibre; this module is the one that knows the packed format (exponent keys,
+signed digits of width B, units and unpacking).  Each substitution
+multiplies the top coefficient by one row set per distinct weight of a
+relation slot (`_accumulate`), a term k of a part's d at x^dr packed at the
+key (pack(e) << width) + dr, the joined slot's own key.  Membership reads
+its verdict as a zero test on the packed values, mod p on the special
+fibre, and unpacks nothing when the combination vanishes in one round, as
+every intact trinomial's does.  The oracle's rows need the weight images
+NF(V^(E-T)) themselves, one chain per context (`power_normal_form`).
 
 W^i = a(x)^i * X^i, so the W-slot s_i of a normal form is the X-slot
 a(x)^i * s_i (`FibreContext.x_coordinates`).  As a(x) != 0 this is an
 invertible diagonal change of basis over the function field: a combination
 of images vanishes in one basis exactly when it vanishes in the other.
 
-Membership verdicts are kept per (x, V)-shift class.  A combination
-sum c_(rho,T) * image(rho, T) is x^s * V^k times the same combination over
-(rho - s, T + k), and neither x nor V is a zero divisor modulo the relation
-when rhs_0 != 0: the slots lie in a domain A (polynomials in x and the
-symbols over Z[lam], or F_p where the special fibre reads them), and V acts
-on A[V]/(V^p - rhs) by the companion matrix, of determinant +-rhs_0.  So the
-two vanish together; the verdict is keyed by the class shifted to min rho = 0
-and lowest start degree p, with its exact coefficients, and every anchor of
-a trinomial layout shares one verdict (`FibreContext.combination_vanishes`).
+Membership verdicts are kept per (x, V)-shift class: neither x nor V is a
+zero divisor modulo the relation when rhs_0 != 0 (V acts by the companion
+matrix, of determinant +-rhs_0), so every anchor of a trinomial layout
+shares one verdict (`FibreContext.combination_vanishes` gives the argument).
 """
 
 from __future__ import annotations
@@ -120,7 +108,7 @@ from .errors import (
     WrongDegree,
     WrongFibre,
 )
-from .exactalg import CycloElement, SparsePoly, _lam_rows, multiply_out, residue_terms
+from .exactalg import CycloElement, SparsePoly, _lam_rows, multiply_out, residue
 from .family import FamilyParams, _a_powers, deformation_symbols, per_triple
 from .generators import ANY_FIBRE, GENERIC, RELATIVE, SPECIAL, GeneratorPoly, relative_lambda_coefficient, trinomial_slots
 from .indexsets import monomial_multidegrees
@@ -132,11 +120,12 @@ class FibreRelation:
     """The defining relation V^p = sum_(i<p) rhs[i] * V^i of one fibre.
 
     V is y on the generic fibre and W = a(x) * X on the special and relative
-    fibres.  rhs[i], i = 0..p-1, is a tuple of groups (gamma, d) standing
-    for sum gamma * d: a weight gamma in Z[lam], or in Z read mod p on the
-    special fibre, times an int polynomial d over `vars`; a slot the
-    relation does not use has no group.  `memo` keeps the relation's packed
-    forms and widths (`reduce_normal_form`); it takes no part in equality.
+    fibres.  rhs[i], i = 0..p-1, is the slot table at dt = p - i grouped by
+    weight (`_relation_rhs`): pairs (gamma, parts) standing for gamma *
+    sum x^dr * d over the parts (dr, d), a weight gamma in Z[lam], or in Z
+    read mod p on the special fibre, and the table's own int polynomials d
+    over `vars[1:]`; a slot the relation does not use is empty.  `memo` keeps
+    the packed forms and widths (`reduce_normal_form`), outside equality.
     """
 
     fibre: str
@@ -148,43 +137,41 @@ class FibreRelation:
 
 @per_triple
 def _relation_rhs(params: FamilyParams, fibre: str) -> tuple[tuple, ...]:
-    """The fibre relation's rhs over ("x",) + symbols, read off the slot
-    table: per V-slot, one group (weight, int table) per distinct weight.
+    """The fibre relation's rhs read off the slot table: per V-slot, one pair
+    (-gamma, parts) per weight gamma of its slots, the parts (dr, d) of its
+    groups (gamma, d) in table order.
 
     The lead slot must be (0, 0, 1), the V^p term, so that the relation is
     monic in V; any other lead raises InvariantViolation.  Every other slot
-    (dr, dt, c) adds -c * x^dr to rhs[p - dt]: c's tables join those of
-    their weights, shifted by x^dr (`_joined`), and each weight is negated once.
+    (dr, dt, c) adds -c * x^dr to rhs[p - dt]: each group of c is the part
+    (dr, d) of its weight, which is negated once.
     """
     p = params.p
     syms = deformation_symbols(params)
     (dr, dt, lead), *slots = trinomial_slots(params, fibre)
     if (dr, dt) != (0, 0) or multiply_out(lead, syms) != SparsePoly.constant(syms, 1):
         raise InvariantViolation(f"the {fibre} slot table leads with ({dr}, {dt}, {lead!r}), not (0, 0, 1)")
-    rhs: list[list] = [[] for _ in range(p)]
+    rhs: list[dict] = [{} for _ in range(p)]
     for dr, dt, groups in slots:
-        rhs[p - dt].append((dr, groups))
-    return tuple(tuple((-w, d) for w, d in _joined(slot, ("x",) + syms)) for slot in rhs)
-
-
-def _joined(blocks, variables) -> tuple:
-    """sum x^rho * c over blocks (rho, c), c groups (gamma, d) over variables[1:],
-    as one group per weight over `variables`, the tables joined; a ring
-    element k in a table (a polynomial's) weighs its own term gamma * k."""
-    tables: dict = {}
-    for rho, groups in blocks:
         for gamma, d in groups:
-            if d.vars != variables[1:]:
-                raise ValueError(f"variable mismatch: {d.vars} vs {variables}")
-            ints = tables.setdefault(gamma, {})
-            for e, k in d.terms.items():
-                key = (rho,) + e
-                if type(k) is int:
-                    ints[key] = ints.get(key, 0) + k
-                else:
-                    own = tables.setdefault(k if gamma == 1 else gamma * k, {})
-                    own[key] = own.get(key, 0) + 1
-    return tuple((w, d) for w, ints in tables.items() if w and (d := SparsePoly(variables, ints)))
+            rhs[p - dt].setdefault(gamma, (-gamma, []))[1].append((dr, d))
+    return tuple(tuple((w, tuple(parts)) for w, parts in slot.values()) for slot in rhs)
+
+
+def _slot_terms(slot, r: int | None = None) -> dict:
+    """{(dr,) + e: coefficient} of a relation slot, sum gamma * x^dr * d over
+    its weights and parts, zeros dropped; with r, its image in F_r = Z[lam]/(lam)
+    (`exactalg.residue` at lam = 0), each weight mapped once."""
+    out: dict = {}
+    for gamma, parts in slot:
+        g = gamma if r is None else residue(gamma, r, 0)
+        if g:
+            for dr, d in parts:
+                for e, k in d.terms.items():
+                    key, v = (dr,) + e, g * k
+                    cur = out.get(key)
+                    out[key] = v if cur is None else cur + v
+    return {e: m for e, v in out.items() if (m := v if r is None else v % r)}
 
 
 # ---------------------------------------------------------------------------
@@ -249,35 +236,44 @@ def _max_exponent(poly: SparsePoly) -> int:
 
 
 def _relation_bounds(rel: FibreRelation) -> tuple[int, tuple[int, ...], list]:
-    """(largest exponent, w_i per slot, each group's rows gamma * lam^j,
-    j < n, per slot) of the relation, kept in `rel.memo`; the groups are
-    read as held.  w_i sums |d|_1 times the largest |coordinate| of the rows
-    over the groups of rhs_i: the digit bound's factor (`reduce_normal_form`)."""
+    """(largest exponent, w_i per slot, each weight's rows gamma * lam^j,
+    j < n, per slot) of the relation, kept in `rel.memo`.  w_i sums |d|_1
+    times the largest |coordinate| of the rows over the parts of rhs_i: the
+    digit bound's factor (`reduce_normal_form`)."""
     bounds = rel.memo.get("bounds")
     if bounds is None:
         n = 1 if rel.fibre == SPECIAL else rel.p - 1
         rows = [[_lam_rows(_coords(gamma, n), n) for gamma, _ in slot] for slot in rel.rhs]
         weights = tuple(
-            sum(sum(map(abs, d.terms.values())) * max(abs(x) for row in r for x in row) for r, (_, d) in zip(slot_rows, slot))
+            sum(
+                sum(abs(k) for _, d in parts for k in d.terms.values()) * max(abs(x) for row in r for x in row)
+                for r, (_, parts) in zip(slot_rows, slot)
+            )
             for slot_rows, slot in zip(rows, rel.rhs)
         )
-        top = max((_max_exponent(d) for slot in rel.rhs for _, d in slot), default=0)
+        top = max((max(dr, _max_exponent(d)) for slot in rel.rhs for _, parts in slot for dr, d in parts), default=0)
         bounds = rel.memo["bounds"] = (top, weights, rows)
     return bounds
 
 
 def _packed_relation(rel: FibreRelation, width: int, shift: int) -> list:
-    """Per relation slot, (packed rows gamma * lam^j, packed exponents, ints
-    of d) per group; `rel.memo` keeps the exponents of the latest width and
+    """Per relation slot, (packed rows gamma * lam^j, packed keys, ints) per
+    weight, the key of a term k of a part (dr, d) (pack(e) << width) + dr,
+    the joined slot's own; `rel.memo` keeps the keys of the latest width and
     the rows (`_relation_bounds`) packed once per coordinate width."""
     keyed = rel.memo.get("keys")
     if keyed is None or keyed[0] != width:
-        keyed = rel.memo["keys"] = (width, [[[_pack(e, width) for e in d.terms] for _, d in slot] for slot in rel.rhs], {})
+        keys = [
+            [([(_pack(e, width) << width) + dr for dr, d in parts for e in d.terms], [k for _, d in parts for k in d.terms.values()])
+             for _, parts in slot]
+            for slot in rel.rhs
+        ]
+        keyed = rel.memo["keys"] = (width, keys, {})
     packed = keyed[2].get(shift)
     if packed is None:
         packed = keyed[2][shift] = [
-            [([_pack(row, shift) for row in r], keys, d.terms.values()) for r, keys, (_, d) in zip(slot_rows, slot_keys, slot)]
-            for slot_rows, slot_keys, slot in zip(_relation_bounds(rel)[2], keyed[1], rel.rhs)
+            [([_pack(row, shift) for row in r], *ints) for r, ints in zip(slot_rows, slot_keys)]
+            for slot_rows, slot_keys in zip(_relation_bounds(rel)[2], keyed[1])
         ]
     return packed
 
@@ -373,18 +369,19 @@ def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False):
     - Per-round bound.  bound[k] bounds every |coordinate| of the packed
       slot k: at the start, the bounds of its parts, summed.  A part's
       groups may meet at one exponent, so its bound sums over its groups
-      (gamma, d) the largest |k| * max |gamma_j| over d's ints k (k * gamma
-      has the coordinates k * gamma_j), or |k * gamma|_max for a ring k
-      (`_largest`).  A top term r = sum_j r_j * lam^j with coordinate sum
-      C, times one group gamma * d of rhs_i, is sum_j r_j * (gamma * lam^j)
-      * d and adds at most C * |d|_1 * G to any coordinate, G the largest
-      coordinate of any gamma * lam^j, j < n: per group, whatever the
-      other groups' weights.  So a round adds at most C * w_i to
-      bound[t - p + i], with C the largest coordinate sum of the top
-      terms, known exactly, and w_i the sum of |d|_1 * G over the groups
-      of rhs_i (`_relation_bounds`).  Before each round B is checked
-      against the largest bound the round leaves.  A slot that empties
-      drops its bound.
+      (gamma, d) the largest |k| * max |gamma_j| over d's ints k (k *
+      gamma has the coordinates k * gamma_j), or |k * gamma|_max for a
+      ring k (`_largest`).  A top term r = sum_j r_j * lam^j with
+      coordinate sum C, times one part x^dr * gamma * d of rhs_i, is sum_j
+      r_j * (gamma * lam^j) * x^dr * d and adds at most C * |d|_1 * G to
+      any coordinate, G the largest coordinate of any gamma * lam^j, j <
+      n: per part, whatever the other parts' weights and shifts, so parts
+      of one weight that meet at one exponent are bounded too.  So a round
+      adds at most C * w_i to bound[t - p + i], with C the largest
+      coordinate sum of the top terms, known exactly, and w_i the sum of
+      |d|_1 * G over the parts of rhs_i (`_relation_bounds`).  Before each
+      round B is checked against the largest bound the round leaves.  A
+      slot that empties drops its bound.
     - Exact re-pack.  When that bound reaches 2^(B-1), every live slot is
       still below it and unpacks exactly; its exact largest |coordinate|
       becomes its bound, and it packs again at a B wide enough for the
@@ -485,15 +482,11 @@ def reduce_normal_form(e, rel: FibreRelation, zero_test: bool = False):
     if n > 1:
         unpack = _unpacker(shift, n)
         read = lambda v: CycloElement._integral(p, unpack(v))
-    zero = SparsePoly(rel.vars)
-    slots = []
-    for i in range(p):
-        poly = zero
-        if i in work:
-            poly = SparsePoly(rel.vars)
-            poly.terms = _unpacked_terms(work[i], width, len(rel.vars), read)
-        slots.append(poly)
-    return tuple(slots)
+    zero, nvars = SparsePoly(rel.vars), len(rel.vars)
+    return tuple(
+        SparsePoly._held(rel.vars, _unpacked_terms(work[i], width, nvars, read)) if i in work else zero
+        for i in range(p)
+    )
 
 
 def _coordinate_sum(terms, n: int) -> int:
@@ -559,14 +552,17 @@ class FibreContext:
         self.vars = ("x",) if specialization is not None else ("x",) + syms
         rhs = _relation_rhs(params, fibre)
         if specialization is not None:
-            # each int table is specialized in ints; its weight is kept
-            rhs = tuple(tuple((w, d) for w, table in slot if (d := table.specialize(specialization))) for slot in rhs)
+            # each part's int table is specialized in ints; its x-shift and weight are kept
+            rhs = tuple(
+                tuple((w, tuple((dr, d) for dr, table in parts if (d := table.specialize(specialization)))) for w, parts in slot)
+                for slot in rhs
+            )
         self.relation = FibreRelation(fibre=fibre, p=p, vars=self.vars, rhs=rhs)
         # the ring's 1, the lead `_relation_rhs` has checked
         self.one = multiply_out(trinomial_slots(params, fibre)[0][2], syms).constant_value()
         # a(x)^k for k = 0..p as multipliers (`x_coordinates`), with int
         # coefficients on every fibre
-        powers = (SparsePoly.constant(("x",) + syms, 1),) + _a_powers(params)
+        powers = tuple(power for power, _ in _a_powers(params))
         if specialization is not None:
             powers = tuple(power.specialize(specialization) for power in powers)
         self.a_powers = powers
@@ -574,7 +570,7 @@ class FibreContext:
         self._verdicts: dict[frozenset, bool] = {}
         # V is no zero divisor when rhs_0 != 0 in the ring the verdicts read
         # (`combination_vanishes`): mod p on the special fibre
-        self._v_regular = bool(residue_terms(rhs[0], p, 0) if fibre == SPECIAL else multiply_out(rhs[0], self.vars))
+        self._v_regular = bool(_slot_terms(rhs[0], p if fibre == SPECIAL else None))
         # the specialized values of the combinations' coefficients (on a specialized context)
         self._values: dict[tuple | SparsePoly, SparsePoly] = {}
         self._multidegrees = monomial_multidegrees(params)
@@ -821,82 +817,85 @@ def relation_consistency(params: FamilyParams) -> RelationReport:
     (`_relation_rhs`) against the model and against each other.
 
     Two checks are identities of degree p in X over R = Z[lam][x, symbols],
-    each compared one X^k coefficient at a time.  Their common right side is
-    lam^p * (W^p - sum_(k<p) rel_k * W^k), built from the relative relation
-    with W = a*X; its X^k coefficient is a^k * R_k, with R_k = -lam^p * rel_k
-    for k < p and R_p = lam^p.
+    compared one X^k coefficient at a time.  Their common right side is
+    lam^p * (W^p - sum_(k<p) rel_k * W^k), from the relative relation with
+    W = a*X; its X^k coefficient is a^k * R_k, with R_k = -lam^p * rel_k for
+    k < p and R_p = lam^p.
 
-    (a) a^p*(lam*X+1)^p - lam^p*x^ell - a^p, expanded by the binomial
-        theorem, has the X^k coefficient a^k times -lam^p * x^ell at k = 0
-        and binom(p, k) * lam^k * a^(p-k) for k >= 1;
+    (a) a^p*(lam*X+1)^p - lam^p*x^ell - a^p, by the binomial theorem, has
+        the X^k coefficient a^k times -lam^p * x^ell at k = 0 and
+        binom(p, k) * lam^k * a^(p-k) for k >= 1;
     (b) coefficientwise lam-reduction of the relative relation gives the
         special relation read mod p, slot by slot;
-    (c) the generic relation y^p = sum_(i<p) g_i * y^i, substituted as
-        y = a*(lam*X + 1): with G_p = 1 and G_i = -g_i, sum_i G_i * y^i has
-        the X^k coefficient a^k times sum_(i>=k) binom(i, k) * lam^k * G_i *
-        a^(i-k).
+    (c) the generic relation y^p = sum_(i<p) g_i * y^i at y = a*(lam*X + 1):
+        with G_p = 1 and G_i = -g_i, sum_i G_i * y^i has the X^k
+        coefficient a^k times sum_(i>=k) binom(i, k) * lam^k * G_i * a^(i-k).
 
     This is exact.  An identity in X holds exactly when it holds at every
-    X^k.  At X^k both sides are a^k times the compared quotients, so the
-    division by a^k is exact, and as R is a domain and a != 0,
-    a^k * L = a^k * R exactly when L = R.  So lam^p != 0 cancels too: given
-    lam^(p-k) * c_k = binom(p, k) for the relative slot table's c_k (times
-    lam^k, lam^p * c_k = binom(p, k) * lam^k), (a)
-    holds if rel_0 = x^ell and rel_k = -c_k * a^(p-k) for 0 < k < p, and the
-    model is then the right side.  (a) reads the relative table only; (c)
-    still reads the generic table, so a wrong generic slot fails (c), and a
-    wrong relative slot fails (a) and (c).
+    X^k, and as R is a domain and a != 0, a^k * L = a^k * R exactly when
+    L = R; so lam^p != 0 cancels too.  Given lam^(p-k) * c_k = binom(p, k)
+    for the relative table's c_k (so lam^p * c_k = binom(p, k) * lam^k),
+    (a) holds at X^k if rel_0 = x^ell, or rel_k = -c_k * a^(p-k) for
+    0 < k < p, and the model is then the right side.  (a) reads the
+    relative table only and (c) the generic one too, so a wrong generic
+    slot fails (c), and a wrong relative slot fails (a) and (c).  When (a)
+    holds and g_1..g_(p-1) are zero, as the generic layout makes them, the
+    substitution's X^k quotient for k >= 1 is the model's own, so (c) is
+    g_0 == a^p + lam^p * x^ell, the model's X^0 slot moved across.
 
-    (c) needs no substitution when (a) holds and the generic table's middle
-    slots g_1..g_(p-1) are zero, as the generic layout makes them: then
-    G_i = 0 for 0 < i < p and G_p = 1, so the X^k quotient of the
-    substitution is binom(p, k) * lam^k * a^(p-k) for k >= 1, the model's
-    own, and G_0 + a^p = a^p - g_0 at k = 0.  As (a) makes the model the
-    right side, (c) is then g_0 == a^p + lam^p * x^ell, the model's X^0
-    slot moved across.
-
-    On intact tables no polynomial and no ring element is built per term:
-    each V-slot is its groups (weight, int table), one per distinct weight
-    (`_relation_rhs`), so the int tables are compared with a^(p-k) and each
-    weight is checked once.  rel_0 must be the group (1, x^ell), rel_k the
-    group (-c_k, a^(p-k)) and g_0 the groups (lam^p, x^ell) and (1, a^p),
-    each an equality in Z[lam][x, symbols]; (b) maps each weight to F_p
-    once (`exactalg.residue_terms`).  Other groups, as a perturbed slot
-    has, may still sum to the model, so the slots are multiplied out and
-    the model and the substitution built whenever a read fails.
+    An intact table is read slot by slot, with no polynomial multiplied out,
+    against the model's weights, x-degree ranges and tables, the tables of
+    a(x)^k themselves (`family._a_powers`): (a) reads rel_0 as the weight 1
+    with the one part (ell, 1) and rel_k as the weight -c_k with the parts
+    (j, [a^(p-k)]_j) over the x-degree range of a^(p-k), ascending; (c)
+    reads g_0 as lam^p with (ell, 1), then 1 with the parts (j, [a^p]_j).
+    Parts equal in shift, weight and table sum
+    to equal slots, so each read is an equality in R, and it checks every
+    part's placement (V-slot and x-shift), the coverage of the range (each
+    j once) and the values.  Parts that differ may still sum to the model,
+    so a slot the read of (a) rejects is multiplied out and compared with
+    the model's X^k quotient, and (c) builds the substitution when its read
+    fails.  (b) maps each weight to F_p once (`_slot_terms`).
     """
-    p = params.p
+    p, ell = params.p, params.ell
     # lam^0..lam^p, lam^0 the int 1, which scales on the int fast path
     lam = [1] + CycloElement.lam_powers(p, p + 1)[1:]
-    # a^0..a^p with int coefficients, the powers the fibre contexts use
+    # (a^k, its x-degree table) for k = 0..p, the powers the fibre contexts use
+    powers = _a_powers(params)
     variables = ("x",) + deformation_symbols(params)
-    a = (SparsePoly.constant(variables, 1),) + _a_powers(params)
-    x_ell = SparsePoly.variable(variables, "x", params.ell)
+    unit = SparsePoly.constant(variables[1:], 1)
+    x_ell = SparsePoly.variable(variables, "x", ell)
 
-    # (a): rel_0 = x^ell and rel_k = -c_k * a^(p-k), with lam^(p-k) * c_k = binom(p, k)
+    def block(weight, k: int) -> tuple:
+        """weight * a^k as a relation slot's pair: the parts (j, [a^k]_j), j ascending."""
+        return weight, tuple(powers[k][1].items())
+
+    def model(k: int) -> SparsePoly:
+        """The X^k quotient of the binomial-theorem side of (a)."""
+        return x_ell.scale(-lam[p]) if k == 0 else powers[p - k][0].scale(lam[k] * math.comb(p, k))
+
+    # (a), slot by slot: rel_0 = x^ell and rel_k = -c_k * a^(p-k), with
+    # lam^(p-k) * c_k = binom(p, k), or the slot multiplied out is the model's
     relative = _relation_rhs(params, RELATIVE)
-    c = {k: relative_lambda_coefficient(params, k) for k in range(1, p)}
-    check_a = relative[0] == ((1, x_ell),) and all(
-        lam[p - k] * c[k] == math.comb(p, k) and relative[k] == ((-c[k], a[p - k]),) for k in range(1, p)
+    c = [1] + [relative_lambda_coefficient(params, k) for k in range(1, p)]
+    read = [((1, ((ell, unit),)),)] + [(block(-c[k], p - k),) for k in range(1, p)]
+    check_a = all(
+        (relative[k] == read[k] and (k == 0 or lam[p - k] * c[k] == math.comb(p, k)))
+        or model(k) == SparsePoly(variables, _slot_terms(relative[k])).scale(-lam[p])
+        for k in range(p)
     )
 
     # (b): coefficientwise reduction of the relative relation, slot by slot, both sides mod p
-    special = _relation_rhs(params, SPECIAL)
-    check_b = [residue_terms(s, p, 0) for s in relative] == [residue_terms(s, p, 0) for s in special]
+    check_b = all(_slot_terms(r, p) == _slot_terms(s, p) for r, s in zip(relative, _relation_rhs(params, SPECIAL)))
 
     generic = _relation_rhs(params, GENERIC)
-    # (c) at X^0, g_0 = a^p + lam^p * x^ell: the model's slots k >= 1 are the substitution's own
-    check_c = check_a and not any(generic[1:]) and len(generic[0]) == 2 and dict(generic[0]) == {lam[p]: x_ell, 1: a[p]}
-    if not check_a or not check_c:
-        relative, generic = ([multiply_out(s, variables) for s in rhs] for rhs in (relative, generic))
-        model_0 = x_ell.scale(-lam[p])
-        # (a): the binomial theorem, coefficient by coefficient
-        model = [model_0] + [a[p - k].scale(lam[k] * math.comb(p, k)) for k in range(1, p + 1)]
-        target = model if check_a else [s.scale(-lam[p]) for s in relative] + [a[0].scale(lam[p])]
-        check_a = check_a or model == target
-
-        # (c): the generic table under y = a*(lam*X + 1); a^0 = 1 needs no product
-        G = [-g for g in generic] + [a[0]]
+    # (c) at X^0, g_0 = lam^p * x^ell + a^p: the model's slots k >= 1 are the substitution's own
+    check_c = check_a and not any(generic[1:]) and generic[0] == ((lam[p], ((ell, unit),)), block(1, p))
+    if not check_c:
+        # (c): the generic table under y = a*(lam*X + 1) against lam^p * (W^p - rel(W)); a^0 = 1 needs no product
+        a = [power for power, _ in powers]
+        target = [SparsePoly(variables, _slot_terms(s)).scale(-lam[p]) for s in relative] + [a[0].scale(lam[p])]
+        G = [-SparsePoly(variables, _slot_terms(g)) for g in generic] + [a[0]]
         substituted = []
         for k in range(p + 1):
             acc = SparsePoly.zero(variables)

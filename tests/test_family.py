@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -6,6 +7,7 @@ import sympy
 from canideal.errors import EllOutOfRange, IOutOfRange, NonPositiveQ, NonPrimeP
 from canideal.exactalg import SparsePoly
 from canideal.family import (
+    _a_powers,
     a_power_coefficients,
     a_power_min_exponent,
     deformation_symbols,
@@ -236,3 +238,40 @@ def test_power_tables_satisfy_recurrence(triple):
 
     for i in range(1, params.p):
         assert full(i) * a == full(i - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _repeated_product_powers(p: int, q: int, syms: tuple) -> tuple:
+    """a(x)^k for k = 0..p over ("x",) + syms by p repeated products, a^0 the
+    constant 1: the construction the multinomial pass replaced, kept as its
+    reference.  a(x) is monic of degree q with the symbol x_s at x^(q-s)."""
+    variables = ("x",) + syms
+    exps = [(q - s,) + tuple(int(k == s) for k in range(1, len(syms) + 1)) for s in range(len(syms) + 1)]
+    a = SparsePoly(variables, dict.fromkeys(exps, 1))
+    powers = [SparsePoly.constant(variables, 1)]
+    for _ in range(p):
+        powers.append(powers[-1] * a)
+    return tuple(powers)
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_multinomial_powers_match_repeated_products(p, q):
+    # every valid triple with p <= 13 and q <= 6: each whole power a(x)^k,
+    # k = 0..p, equals the repeated product, and each of its x-degree tables
+    # is that product's x^j coefficient, keyed in ascending j; the tables
+    # the slot table reads (`a_power_coefficients`) are the same ones
+    for ell in range(1, p):
+        params = validate_params(p, q, ell)
+        syms = deformation_symbols(params)
+        reference = _repeated_product_powers(p, q, syms)
+        for k, (whole, table) in enumerate(_a_powers(params)):
+            assert whole == reference[k], (p, q, ell, k)
+            assert all(type(c) is int for c in whole.terms.values())
+            split: dict = {}
+            for e, c in reference[k].terms.items():
+                split.setdefault(e[0], {})[e[1:]] = c
+            assert table == {j: SparsePoly(syms, t) for j, t in split.items()}, (p, q, ell, k)
+            assert list(table) == sorted(table) and all(d.vars == syms for d in table.values())
+        for i in range(p):
+            assert a_power_coefficients(params, i) == _a_powers(params)[p - i][1]

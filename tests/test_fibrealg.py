@@ -14,11 +14,13 @@ from canideal.errors import (
     VariableOutsideIndexSet,
     WrongDegree,
 )
-from canideal.exactalg import CycloElement, SparsePoly, residue
+from canideal.exactalg import CycloElement, SparsePoly, multiply_out, residue
 from canideal.family import deformation_symbols, validate_params
 from canideal.fibrealg import (
     FibreContext,
     FibreRelation,
+    _pack,
+    _packed_relation,
     _relation_rhs,
     fibre_context,
     reduce_normal_form,
@@ -95,10 +97,18 @@ def _value(groups, variables):
     return out
 
 
+def _joined(slot, variables):
+    """A relation slot, weights gamma with their parts (dr, d), as one
+    polynomial over `variables`, ("x",) + the tables' own: each table
+    shifted by x^dr and the groups (gamma, x^dr * d) joined by `multiply_out`."""
+    groups = [(gamma, SparsePoly(variables, {(dr,) + e: k for e, k in d.terms.items()})) for gamma, parts in slot for dr, d in parts]
+    return multiply_out(tuple(groups), variables)
+
+
 def _rhs(params, fibre):
-    """The relation read off the fibre's table, each V-slot multiplied out."""
+    """The relation read off the fibre's table, each V-slot joined."""
     variables = ("x",) + deformation_symbols(params)
-    return tuple(_value(slot, variables) for slot in _relation_rhs(params, fibre))
+    return tuple(_joined(slot, variables) for slot in _relation_rhs(params, fibre))
 
 
 def _termwise_product(f, g):
@@ -136,18 +146,27 @@ def test_special_relation_rhs():
 
 @pytest.mark.parametrize("triple", [(5, 2, 1), (3, 4, 2), (7, 1, 3)])
 def test_relation_holds_one_polynomial_per_slot(triple):
-    # rhs[i] is the whole V^i-coefficient over the fibre's ring (read mod p
-    # on the special fibre), built here from a(x) and the closed forms
+    # rhs[i], its parts joined, is the whole V^i-coefficient over the
+    # fibre's ring (read mod p on the special fibre), built here from a(x)
+    # and the closed forms
     params = validate_params(*triple)
     p, ell = params.p, params.ell
     for fibre in ("generic", "special", "relative"):
         ctx = FibreContext(params, fibre)
-        # one group per distinct weight, each an int table over the context's variables
-        groups = ctx.relation.rhs
-        assert len(groups) == p and all(d.vars == ctx.vars for slot in groups for _, d in slot)
-        assert all(type(k) is int for slot in groups for _, d in slot for k in d.terms.values())
-        assert all(len({w for w, _ in slot}) == len(slot) for slot in groups)
-        rhs = [_value(slot, ctx.vars) for slot in groups]
+        # the slot table grouped by V-degree and weight: slot (dr, dt, c)
+        # puts the part (dr, d) of each group (gamma, d) of c under the
+        # weight -gamma of rhs[p - dt], in table order, each d the table's
+        # own int table over the symbols; each weight is read once per slot
+        slots = ctx.relation.rhs
+        want = [{} for _ in range(p)]
+        for dr, dt, c in trinomial_slots(params, fibre)[1:]:
+            for gamma, d in c:
+                want[p - dt].setdefault(gamma, (-gamma, []))[1].append((dr, d))
+        assert [[(w, list(parts)) for w, parts in slot] for slot in slots] == [list(slot.values()) for slot in want], fibre
+        assert all(len({w for w, _ in slot}) == len(slot) for slot in slots)
+        assert all(d.vars == ctx.vars[1:] for slot in slots for _, parts in slot for _, d in parts)
+        assert all(type(k) is int for slot in slots for _, parts in slot for _, d in parts for k in d.terms.values())
+        rhs = [_joined(slot, ctx.vars) for slot in slots]
         x_ell = SparsePoly.variable(ctx.vars, "x", ell, ctx.one)
         zero = SparsePoly.zero(ctx.vars)
         if fibre == "generic":
@@ -441,6 +460,77 @@ def test_perturbed_slot_tables_fail_as_the_x_expansion_does(triple, fibre):
             assert got == (True, False, True), table
         else:
             assert not got[0] and not got[2], table
+
+
+def _dropped_and_swapped_tables(params):
+    """The relative slot table with its middle slot dropped, and with the
+    tables of the first two x-degrees of the block i = 1 swapped."""
+    slots = trinomial_slots(params, "relative")
+    mid = len(slots) // 2
+    s, t = [k for k, (_, dt, _) in enumerate(slots) if dt == params.p - 1][:2]
+    swapped = list(slots)
+    swapped[s], swapped[t] = slots[s][:2] + slots[t][2:], slots[t][:2] + slots[s][2:]
+    return [slots[:mid] + slots[mid + 1 :], tuple(swapped)]
+
+
+@pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (3, 2, 1), (7, 2, 3), (7, 1, 1)])
+def test_dropped_and_swapped_slots_fail_as_the_x_expansion_does(triple):
+    # every value in the perturbed table is right, only its placement or
+    # coverage is not: the slot-by-slot read must reject it, and the slot
+    # multiplied out fails (a), as the expansion in X does
+    params = validate_params(*triple)
+    intact = {"relative": _rhs(params, "relative")}
+    for table in _dropped_and_swapped_tables(params):
+        params.memo[(trinomial_slots.__wrapped__, "relative")] = table
+        params.memo.pop((_relation_rhs.__wrapped__, "relative"), None)
+        got = _verdicts(relation_consistency(params))
+        assert got == _x_expansion_verdicts(params, intact), table
+        assert not got[0] and not got[2], table
+
+
+def _packed_joined(slot, variables, width, shift, n, specialization):
+    """{packed rows gamma * lam^j: {packed exponent: int}} of a symbolic
+    relation slot joined per weight by `multiply_out` and then specialized:
+    the packed form of the joined relation, its rows gamma * lam^j taken by
+    ring products."""
+    out = {}
+    for gamma, parts in slot:
+        joined = _joined(((1, parts),), variables)
+        if specialization is not None:
+            joined = joined.specialize(specialization)
+        lam = CycloElement.lam(n + 1) if n > 1 else None
+        rows = tuple(_pack((gamma,) if n == 1 else (gamma * lam**j).coeffs, shift) for j in range(n))
+        ints = out.setdefault(rows, {})
+        for e, k in joined.terms.items():
+            ints[_pack(e, width)] = ints.get(_pack(e, width), 0) + k
+    return {rows: {e: k for e, k in ints.items() if k} for rows, ints in out.items()}
+
+
+@pytest.mark.parametrize("specialized", [False, True])
+@pytest.mark.parametrize("fibre", ["generic", "special", "relative"])
+@pytest.mark.parametrize("triple", [(5, 2, 1), (7, 2, 3), (3, 4, 2)])
+def test_packed_relation_from_parts_matches_the_joined_relation(triple, fibre, specialized):
+    # each weight of a slot packs its parts (dr, d) at the keys
+    # (pack(e) << width) + dr, one row set per weight: summed per key, that
+    # is the packed form of the slot's tables joined per weight by
+    # multiply_out, on symbolic and specialized contexts alike
+    params = validate_params(*triple)
+    spec = default_specialization(params) if specialized else None
+    ctx = FibreContext(params, fibre, spec)
+    n = 1 if fibre == "special" else params.p - 1
+    width, shift = 7, 40
+    variables = ("x",) + deformation_symbols(params)
+    packed = _packed_relation(ctx.relation, width, shift)
+    assert len(packed) == params.p
+    for slot, symbolic in zip(packed, _relation_rhs(params, fibre)):
+        assert len(slot) == len(symbolic)
+        got = {}
+        for rows, keys, ints in slot:
+            acc = got.setdefault(tuple(rows), {})
+            for key, k in zip(keys, ints):
+                acc[key] = acc.get(key, 0) + k
+        got = {rows: {e: k for e, k in acc.items() if k} for rows, acc in got.items()}
+        assert got == _packed_joined(symbolic, variables, width, shift, n, spec), (fibre, spec)
 
 
 def _relative_table_with_int_one(params):
@@ -809,7 +899,7 @@ def test_packed_coordinates_reach_the_digit_bound(monkeypatch, m):
     zero = SparsePoly.zero(variables)
     for sign in (1, -1):
         d, s = sign, sign * (2**m - 2)
-        rel = FibreRelation("generic", p, variables, (((1, SparsePoly.constant(variables, d)),), (), ()))
+        rel = FibreRelation("generic", p, variables, (((1, ((0, SparsePoly.constant((), d)),)),), (), ()))
         parts = [(p, 1, lam), (0, 1, lam.scale(s))]
         widths.clear()
         nf = reduce_normal_form(parts, rel)
@@ -859,7 +949,7 @@ def test_repack_covers_a_slot_that_grows_over_rounds(monkeypatch, m):
     widths = _spy_unpacker(monkeypatch)
     p, variables, d = 3, ("x",), 2**m - 1
     lam_x = SparsePoly.variable(variables, "x", 1, CycloElement.lam(p))
-    rhs = tuple(((1, SparsePoly.constant(variables, c)),) for c in (d, d, 1))
+    rhs = tuple(((1, ((0, SparsePoly.constant((), c)),)),) for c in (d, d, 1))
     rel = FibreRelation("generic", p, variables, rhs)
     lam = SparsePoly.constant(variables, CycloElement.lam(p))
     nf = reduce_normal_form([(4, 1, lam)], rel)

@@ -25,7 +25,7 @@ from canideal.errors import (
     WrongDegree,
     WrongFibre,
 )
-from canideal.exactalg import CycloElement, SparsePoly, multiply_out, residue
+from canideal.exactalg import CycloElement, SparsePoly, residue
 from canideal.family import deformation_symbols, validate_params
 from canideal.fibrealg import FibreContext, _relation_rhs, fibre_context
 from canideal.generators import (
@@ -338,6 +338,21 @@ def test_layout_anchors_share_one_verdict(triple):
             assert len(ctx._verdicts) == 1
 
 
+def test_certify_counts_the_criterion_once(monkeypatch):
+    # the lam-reduced family leads where the relative one does (the class
+    # minima at the anchors), so certify counts once and labels twice
+    calls = []
+    real = verify.dimension_criterion
+    monkeypatch.setattr(verify, "dimension_criterion", lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    cert = certify(validate_params(7, 2, 1))
+    assert len(calls) == 1
+    special, relative = cert.criteria["special"], dict(cert.criteria["relative"])
+    assert special.pop("label") == "special-fibre (lam-reduced generators)"
+    assert relative.pop("label") == "generic-fibre view of the relative generators"
+    relative.pop("memberships")
+    assert special == relative and special["passes"]
+
+
 def test_certify_reduces_once_per_layout(monkeypatch):
     # (13,4,1) has anchors at ten weights, and membership is one reduction
     import canideal.fibrealg as fibrealg
@@ -363,7 +378,9 @@ def test_v_shifts_are_not_shared_when_rhs_0_vanishes():
     [s] = [s for s, (dr, dt, _) in enumerate(slots) if (dr, dt) == (ell, p)]
     dr, dt, c = slots[s]
     params.memo[(trinomial_slots.__wrapped__, "relative")] = slots[:s] + ((dr, dt, c + ((1, unit),)),) + slots[s + 1 :]
-    assert not multiply_out(_relation_rhs(params, "relative")[0], ("x",) + deformation_symbols(params))
+    from test_fibrealg import _joined
+
+    assert not _joined(_relation_rhs(params, "relative")[0], ("x",) + deformation_symbols(params))
     for spec in (None, default_specialization(params)):
         ctx = FibreContext(params, "relative", spec)
         assert not ctx._v_regular
@@ -450,12 +467,12 @@ def _check_planted_cancellation(fibre):
     ctx = verify.fibre_context(params, fibre)
     p = k = ctx.p  # every start degree is at least p
     syms = deformation_symbols(params)
-    from test_fibrealg import _value
+    from test_fibrealg import _joined
 
     combination = {k + p: SparsePoly.constant(ctx.vars, ctx.one)}
     for i, s in enumerate(ctx.relation.rhs):
         if s:
-            combination[k + i] = -_value(s, ctx.vars)
+            combination[k + i] = -_joined(s, ctx.vars)
     if fibre == "generic":
         # V^k * (V^p - rhs) * (1 + V^p) = V^(k+2p) + (1 - rhs) * V^(k+p) - rhs * V^k
         combination[k + 2 * p] = combination[k + p]
@@ -1195,10 +1212,12 @@ def test_membership_rejects_another_cyclotomic_ring():
 
 
 def test_relation_groups_are_read_never_split(monkeypatch):
-    # each relation slot holds groups whose weights are the slot table's
-    # own, negated, one group per distinct weight: no coefficient is split
-    # again.  certify --oracle takes the rows gamma * lam^j of each group
-    # once per relation built, from the relation's memo
+    # each relation slot holds the slot table's own groups, one weight per
+    # distinct weight of the table, negated, with the parts (dr, d) of its
+    # groups, and on a symbolic context their very int tables: no
+    # coefficient is split or joined again.  certify --oracle takes the
+    # rows gamma * lam^j of each weight of a slot once per relation built,
+    # from the relation's memo
     import canideal.fibrealg as fibrealg
 
     params = validate_params(7, 2, 1)
@@ -1208,11 +1227,16 @@ def test_relation_groups_are_read_never_split(monkeypatch):
     monkeypatch.setattr(fibrealg, "_lam_rows", lambda coeffs, count: rows.append(coeffs) or real_rows(coeffs, count))
     assert certify(params, oracle=True).overall == "PASS"
     assert {rel.fibre for rel in relations} == {"generic", "special", "relative"}
+    assert any(rel.vars == ("x",) for rel in relations) and any(rel.vars != ("x",) for rel in relations)
     assert len(rows) == sum(len(slot) for rel in relations for slot in rel.rhs)
     for rel in relations:
-        weights = [-g for _, _, c in trinomial_slots(params, rel.fibre)[1:] for g, _ in c]
+        slots = trinomial_slots(params, rel.fibre)[1:]
+        weights = [-g for _, _, c in slots for g, _ in c]
+        tables = [d for _, _, c in slots for _, d in c]
         for slot in rel.rhs:
             assert all(w in weights for w, _ in slot) and len({w for w, _ in slot}) == len(slot), rel.fibre
+            if rel.vars != ("x",):
+                assert all(any(d is t for t in tables) for _, parts in slot for _, d in parts), rel.fibre
 
 
 def test_oracle_degenerate_guard(monkeypatch):
