@@ -413,13 +413,6 @@ class SparsePoly:
         variables = tuple(variables)
         return cls(variables, {(0,) * len(variables): c})
 
-    @classmethod
-    def variable(cls, variables, name, exp: int = 1, c=1) -> "SparsePoly":
-        variables = tuple(variables)
-        e = [0] * len(variables)
-        e[variables.index(name)] = exp
-        return cls(variables, {tuple(e): c})
-
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other):

@@ -678,13 +678,11 @@ def certify(
     if params.hyperelliptic_risk:
         caveats.append("hyperelliptic-risk: genus below 3")
 
-    anchors_zero = len(anchor_set(params, 0))
-    anchors_one = len(anchor_set(params, 1))
     counts = dict(count_report.to_dict())
     counts["degree2_monomials"] = params.genus * (params.genus + 1) // 2
     counts["binomial_generators"] = counts["degree2_monomials"] - len(classes)
-    counts["relative_generators"] = len(anchors)
-    counts["anchors_one_minus_zero"] = anchors_one - anchors_zero
+    counts["relative_generators"] = count_report.anchor_sizes[0]
+    counts["anchors_one_minus_zero"] = count_report.anchor_sizes[1] - count_report.anchor_sizes[0]
     counts["standard_monomials_special"] = crit_special.standard_monomial_count
     counts["standard_monomials_relative"] = crit_relative.standard_monomial_count
     if corrupted is not None:

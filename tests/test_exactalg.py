@@ -18,6 +18,8 @@ from canideal.exactalg import (
     residue_terms,
 )
 
+from controls import variable
+
 
 def _min_poly(p):
     """Coefficients of the minimal polynomial of lam = zeta_p - 1, lowest degree
@@ -445,8 +447,8 @@ def test_reduce_mod_lambda_examples():
 def test_polynomial_hash_is_kept_and_matches_its_terms():
     # the hash is computed once per polynomial, from terms that never change
     # once returned, and equal polynomials built in different ways hash alike
-    x = SparsePoly.variable(("x", "y"), "x")
-    y = SparsePoly.variable(("x", "y"), "y")
+    x = variable(("x", "y"), "x")
+    y = variable(("x", "y"), "y")
     pairs = [
         ((x + y) * (x - y), x * x - y * y),
         (x.scale(CycloElement.one(5)), x),

@@ -16,6 +16,8 @@ from canideal.family import (
 )
 from canideal.indexsets import build_index_set
 
+from controls import variable
+
 SWEEP = [(p, q, ell) for p in (3, 5, 7) for q in (1, 2, 3) for ell in range(1, p)]
 
 
@@ -115,8 +117,8 @@ def test_a_power_table_first_power():
     syms = ("x1", "x2")
     assert table == {
         2: SparsePoly.constant(syms, 1),
-        1: SparsePoly.variable(syms, "x1"),
-        0: SparsePoly.variable(syms, "x2"),
+        1: variable(syms, "x1"),
+        0: variable(syms, "x2"),
     }
 
 
@@ -126,7 +128,7 @@ def test_a_power_table_square():
     syms = ("x1", "x2")
     assert table == {
         4: SparsePoly.constant(syms, 1),
-        3: SparsePoly.variable(syms, "x1", 1, 2),
+        3: variable(syms, "x1", 1, 2),
         2: SparsePoly(syms, {(2, 0): 1, (0, 1): 2}),
         1: SparsePoly(syms, {(1, 1): 2}),
         0: SparsePoly(syms, {(0, 2): 1}),
@@ -137,7 +139,7 @@ def test_a_power_table_ell_not_one_drops_constant():
     params = validate_params(5, 2, 3)
     table = a_power_coefficients(params, 4)
     syms = ("x1",)
-    assert table == {2: SparsePoly.constant(syms, 1), 1: SparsePoly.variable(syms, "x1")}
+    assert table == {2: SparsePoly.constant(syms, 1), 1: variable(syms, "x1")}
     assert 0 not in table
 
 
@@ -226,9 +228,9 @@ def test_power_tables_satisfy_recurrence(triple):
     params = validate_params(*triple)
     variables = ("x",) + deformation_symbols(params)
     # a(x) by its definition: monic of degree q, the symbol x_s at x^(q-s)
-    a = SparsePoly.variable(variables, "x", params.q)
+    a = variable(variables, "x", params.q)
     for s, name in enumerate(deformation_symbols(params), 1):
-        a = a + SparsePoly.variable(variables, "x", params.q - s) * SparsePoly.variable(variables, name)
+        a = a + variable(variables, "x", params.q - s) * variable(variables, name)
 
     def full(i):
         poly = SparsePoly.zero(variables)

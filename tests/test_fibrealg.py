@@ -36,7 +36,9 @@ from canideal.generators import (
 )
 from canideal.indexsets import build_index_set, minimal_monomial, minkowski_sum, monomial_classes
 from canideal.termorder import IndexPair, Monomial
-from canideal.verify import default_specialization
+from canideal.verify import certify, default_specialization
+
+from controls import variable
 
 
 def _nf(e, rel):
@@ -68,9 +70,9 @@ def _a_polynomial(params):
     """a(x) over ("x",) + symbols by its definition: monic of degree q, the
     symbol x_s the coefficient of x^(q-s)."""
     variables = ("x",) + deformation_symbols(params)
-    a = SparsePoly.variable(variables, "x", params.q)
+    a = variable(variables, "x", params.q)
     for s, name in enumerate(deformation_symbols(params), 1):
-        a = a + SparsePoly.variable(variables, "x", params.q - s) * SparsePoly.variable(variables, name)
+        a = a + variable(variables, "x", params.q - s) * variable(variables, name)
     return a
 
 
@@ -128,7 +130,7 @@ def test_generic_relation_rhs():
     one = SparsePoly.constant(ctx.vars, ctx.one)
     nf = _nf({5: one}, ctx.relation)
     lam5 = CycloElement.lam(5) ** 5
-    expected = SparsePoly.variable(ctx.vars, "x", 1, lam5) + _a_power(params, ctx, 5)
+    expected = variable(ctx.vars, "x", 1, lam5) + _a_power(params, ctx, 5)
     assert nf[0] == expected
     assert not any(nf[1:])
 
@@ -140,7 +142,7 @@ def test_special_relation_rhs():
     nf = _nf({5: one}, ctx.relation)
     # X^p = X + x^ell / a^p, so W = a X gives W^p -> a^(p-1) W + x^ell, mod p
     assert _read(ctx, nf[1]) == _a_power(params, ctx, 4)
-    assert _read(ctx, nf[0]) == SparsePoly.variable(ctx.vars, "x", 1, ctx.one)
+    assert _read(ctx, nf[0]) == variable(ctx.vars, "x", 1, ctx.one)
     assert not any(nf[2:])
 
 
@@ -167,7 +169,7 @@ def test_relation_holds_one_polynomial_per_slot(triple):
         assert all(d.vars == ctx.vars[1:] for slot in slots for _, parts in slot for _, d in parts)
         assert all(type(k) is int for slot in slots for _, parts in slot for _, d in parts for k in d.terms.values())
         rhs = [_joined(slot, ctx.vars) for slot in slots]
-        x_ell = SparsePoly.variable(ctx.vars, "x", ell, ctx.one)
+        x_ell = variable(ctx.vars, "x", ell, ctx.one)
         zero = SparsePoly.zero(ctx.vars)
         if fibre == "generic":
             want = [x_ell.scale(CycloElement.lam(p) ** p) + _a_power(params, ctx, p)] + [zero] * (p - 1)
@@ -244,7 +246,7 @@ def test_phi_image_generic_example():
     m = Monomial((IndexPair(0, 1), IndexPair(0, 1)))
     nf = ctx.phi_image(m)
     lam5 = CycloElement.lam(5) ** 5
-    f = SparsePoly.variable(ctx.vars, "x", 1, lam5) + _a_power(params, ctx, 5)
+    f = variable(ctx.vars, "x", 1, lam5) + _a_power(params, ctx, 5)
     assert nf[3] == f * f
     assert not any(nf[i] for i in (0, 1, 2, 4))
 
@@ -256,10 +258,10 @@ def test_phi_image_special_top_weight():
     ctx = fibre_context(params, "special")
     m = Monomial((IndexPair(6, 4), IndexPair(6, 4)))
     nf = ctx.phi_image(m)
-    start = {5: SparsePoly.variable(ctx.vars, "x", 12, ctx.one)}
+    start = {5: variable(ctx.vars, "x", 12, ctx.one)}
     assert nf == _nf(start, ctx.relation)
     # W^p = x^ell + a^(p-1) * W with ell = 1, mod p
-    assert _read(ctx, nf[0]) == SparsePoly.variable(ctx.vars, "x", 13, ctx.one)
+    assert _read(ctx, nf[0]) == variable(ctx.vars, "x", 13, ctx.one)
 
 
 def test_equal_multidegree_images_identical():
@@ -348,8 +350,8 @@ def _x_expansion_model(params):
     lhs = SparsePoly.zero(variables)
     for i in range(p + 1):
         lhs = lhs + a_p.mul_var_power("X", i).scale(lam**i * math.comb(p, i))
-    lhs = lhs - SparsePoly.variable(variables, "x", params.ell).scale(lam**p) - a_p
-    y = a * (SparsePoly.variable(variables, "X").scale(lam) + SparsePoly.constant(variables, 1))
+    lhs = lhs - variable(variables, "x", params.ell).scale(lam**p) - a_p
+    y = a * (variable(variables, "X").scale(lam) + SparsePoly.constant(variables, 1))
     return a.mul_var_power("X", 1), y, lhs
 
 
@@ -476,8 +478,8 @@ def _dropped_and_swapped_tables(params):
 @pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (3, 2, 1), (7, 2, 3), (7, 1, 1)])
 def test_dropped_and_swapped_slots_fail_as_the_x_expansion_does(triple):
     # every value in the perturbed table is right, only its placement or
-    # coverage is not: the slot-by-slot read must reject it, and the slot
-    # multiplied out fails (a), as the expansion in X does
+    # coverage is not: the slot-by-slot read must reject it, as the
+    # expansion in X does
     params = validate_params(*triple)
     intact = {"relative": _rhs(params, "relative")}
     for table in _dropped_and_swapped_tables(params):
@@ -486,6 +488,40 @@ def test_dropped_and_swapped_slots_fail_as_the_x_expansion_does(triple):
         got = _verdicts(relation_consistency(params))
         assert got == _x_expansion_verdicts(params, intact), table
         assert not got[0] and not got[2], table
+
+
+def _split_weight_tables(params):
+    """((dr, dt), fibre, table) with the slot (dr, dt)'s every group
+    (gamma, d) split into the groups (2 * gamma, d) and (-gamma, d): the
+    same sum, grouped as `trinomial_slots` never groups it.  The slots are
+    the first of the relative block at dt = p - 1, and the generic (ell, p)
+    slot and the middle (j, p) slot of a^p."""
+    p = params.p
+    for fibre, dt_at in [("relative", p - 1), ("generic", p)]:
+        slots = trinomial_slots(params, fibre)
+        at = [s for s, (_, dt, _) in enumerate(slots) if dt == dt_at]
+        for s in at[:1] if fibre == "relative" else [at[0], at[len(at) // 2]]:
+            dr, dt, c = slots[s]
+            split = tuple(group for gamma, d in c for group in ((2 * gamma, d), (-gamma, d)))
+            yield (dr, dt), fibre, slots[:s] + ((dr, dt, split),) + slots[s + 1 :]
+
+
+def test_a_slot_split_into_two_weights_fails_though_its_sum_is_the_model():
+    # the read is the check: a slot whose groups sum to the model's but are
+    # not the built table's fails, relative (a) and (c), generic (c), and the
+    # certificate fails, while the expansion in X, which sees only sums,
+    # accepts the table; the check is sound, not complete
+    intact = {fibre: _rhs(validate_params(5, 2, 1), fibre) for fibre in ("generic", "relative")}
+    tables = list(_split_weight_tables(validate_params(5, 2, 1)))
+    assert [(at, fibre) for at, fibre, _ in tables] == [((0, 4), "relative"), ((1, 5), "generic"), ((5, 5), "generic")]
+    for _, fibre, table in tables:
+        params = validate_params(5, 2, 1)
+        params.memo[(trinomial_slots.__wrapped__, fibre)] = table
+        got = _verdicts(relation_consistency(params))
+        assert got == ((False, True, False) if fibre == "relative" else (True, True, False)), table
+        assert _x_expansion_verdicts(params, {fibre: intact[fibre]}) == (True, True, True), table
+        cert = certify(params)
+        assert cert.verdicts["relation_consistency"] is False and cert.overall == "FAIL", table
 
 
 def _packed_joined(slot, variables, width, shift, n, specialization):
@@ -627,7 +663,7 @@ def test_normal_form_is_multiplicative(fibre):
 def _direct_image(ctx, rho, T):
     """Reduce the full start x^rho * (y^(3p-T) or (a X)^(3p-2-T) = W^(3p-2-T)) in one go."""
     p = ctx.p
-    x_rho = SparsePoly.variable(ctx.vars, "x", rho, ctx.one)
+    x_rho = variable(ctx.vars, "x", rho, ctx.one)
     e = 3 * p - T if ctx.fibre == "generic" else 3 * p - 2 - T
     return _nf({e: x_rho}, ctx.relation)
 
@@ -678,8 +714,8 @@ def _relation_polynomial(ctx, params):
     p, ell = params.p, params.ell
     variables = ("V",) + ctx.vars
     a = _embed(_a_power(params, ctx, 1), variables)
-    V = SparsePoly.variable(variables, "V", 1, ctx.one)
-    x_ell = SparsePoly.variable(variables, "x", ell, ctx.one)
+    V = variable(variables, "V", 1, ctx.one)
+    x_ell = variable(variables, "x", ell, ctx.one)
     if ctx.fibre == "generic":
         return _power(V, p) - x_ell.scale(CycloElement.lam(p) ** p) - _power(a, p)
     if ctx.fibre == "special":
@@ -706,7 +742,7 @@ def test_weight_images_are_congruent_to_their_starts(triple, specialized):
         variables = relation.vars
         for T in sorted({pt.T for pt in minkowski_sum(params)}):
             e = 3 * ctx.p - T if fibre == "generic" else 3 * ctx.p - 2 - T
-            diff = SparsePoly.variable(variables, "V", e, ctx.one)
+            diff = variable(variables, "V", e, ctx.one)
             for i, s in enumerate(ctx.weight_image(T)):
                 diff = diff - _embed(s, variables).mul_var_power("V", i)
             quo, rem = diff.divmod_monic(relation, "V")
@@ -923,7 +959,7 @@ def test_multi_round_reduction_repacks_exactly(monkeypatch, fibre):
     params = validate_params(5, 2, 1)
     ctx = FibreContext(params, fibre)
     lam = CycloElement.lam(5)
-    x = SparsePoly.variable(ctx.vars, "x")
+    x = variable(ctx.vars, "x")
     coeffs = {
         ctx.clearing: x.scale(3 * ctx.one),
         ctx.clearing - 2: SparsePoly.constant(ctx.vars, lam**3 - 7),
@@ -948,7 +984,7 @@ def test_repack_covers_a_slot_that_grows_over_rounds(monkeypatch, m):
     # round 1 chose unless its running bound is kept, and re-packs
     widths = _spy_unpacker(monkeypatch)
     p, variables, d = 3, ("x",), 2**m - 1
-    lam_x = SparsePoly.variable(variables, "x", 1, CycloElement.lam(p))
+    lam_x = variable(variables, "x", 1, CycloElement.lam(p))
     rhs = tuple(((1, ((0, SparsePoly.constant((), c)),)),) for c in (d, d, 1))
     rel = FibreRelation("generic", p, variables, rhs)
     lam = SparsePoly.constant(variables, CycloElement.lam(p))

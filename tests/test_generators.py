@@ -28,7 +28,7 @@ from canideal.indexsets import anchor_set, minimal_monomial, MinkowskiPoint, bui
 from canideal.termorder import IndexPair, Monomial, leading_term, term_key
 from canideal.verify import dimension_criterion
 
-from controls import corrupt_generator
+from controls import corrupt_generator, variable
 
 
 def test_binomial_count_521():
@@ -173,9 +173,9 @@ def _a_power_tables(params, k):
     SparsePoly products."""
     syms = deformation_symbols(params)
     variables = ("x",) + syms
-    a = SparsePoly.variable(variables, "x", params.q)
+    a = variable(variables, "x", params.q)
     for s, name in enumerate(syms, 1):
-        a = a + SparsePoly.variable(variables, "x", params.q - s) * SparsePoly.variable(variables, name)
+        a = a + variable(variables, "x", params.q - s) * variable(variables, name)
     power = SparsePoly.constant(variables, 1)
     for _ in range(k):
         power = power * a

@@ -55,7 +55,7 @@ from canideal.verify import (
     oracle_field,
 )
 
-from controls import corrupt_generator
+from controls import corrupt_generator, variable
 
 # every valid triple with p <= 7 and q <= 3
 _EQUIVALENCE_TRIPLES = [(p, q, ell) for p in (3, 5, 7) for q in (1, 2, 3) for ell in range(1, p)]
@@ -412,7 +412,7 @@ def test_int_and_ring_coefficients_share_a_verdict():
     params = validate_params(5, 2, 1)
     ctx = verify.fibre_context(params, "relative")
     syms = deformation_symbols(params)
-    int_sums = {(0, 4): SparsePoly.constant(syms, 1), (1, 8): SparsePoly.variable(syms, "x1")}
+    int_sums = {(0, 4): SparsePoly.constant(syms, 1), (1, 8): variable(syms, "x1")}
     ring_sums = {md: c.map_coefficients(lambda v: v * CycloElement.one(5)) for md, c in int_sums.items()}
     assert ring_sums == int_sums
     assert all(type(v) is CycloElement for c in ring_sums.values() for v in c.terms.values())
