@@ -2,6 +2,21 @@
 
 Exit codes: 0 success, 1 mathematical failure, 2 usage or invalid parameters,
 3 I/O failure.  All outputs are deterministic for a fixed configuration.
+
+One parser per command: `COMMANDS` states each command's help, arguments
+and runner once, and `main` builds only the invoked command's parser
+(`canideal <command>`, so its usage and errors name the command).  The
+top-level parser knows the command names and their help alone; it is built
+only for an empty argv, `--help` or an unknown command.  No parser is built
+at import.
+
+The JSON writer `_json` exists for speed and must keep every byte: it returns
+exactly `json.dumps(doc, indent=2, sort_keys=True) + "\n"`.  `indent=` makes
+`json` take its pure-Python encoder, which writes a large certificate's
+memberships list one value at a time; `_json` writes the same layout with
+strings through the C `encode_basestring_ascii`, a list of like scalars as
+one join, and any value it does not know, a float from `--timings` say,
+through `json.dumps` of that value alone.
 """
 
 from __future__ import annotations
@@ -10,6 +25,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .errors import CanidealError
 from .family import validate_p_q, validate_params
@@ -24,49 +40,38 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _add_param_args(sub):
-    sub.add_argument("-p", type=int, required=True, help="odd prime p >= 3")
-    sub.add_argument("-q", type=int, required=True, help="positive integer q")
-    sub.add_argument("-l", "--ell", type=int, required=True, help="1 <= ell <= p-1")
-    sub.add_argument("--tie-break", choices=TIE_BREAKS, default=TIE_BREAK_DEFAULT)
-    sub.add_argument("--format", choices=("structured", "table"), default="structured")
-    sub.add_argument("--out", default=None, help="output path (default: stdout)")
+def _add_param_args(parser):
+    parser.add_argument("-p", type=int, required=True, help="odd prime p >= 3")
+    parser.add_argument("-q", type=int, required=True, help="positive integer q")
+    parser.add_argument("-l", "--ell", type=int, required=True, help="1 <= ell <= p-1")
+    parser.add_argument("--tie-break", choices=TIE_BREAKS, default=TIE_BREAK_DEFAULT)
+    parser.add_argument("--format", choices=("structured", "table"), default="structured")
+    parser.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
-@functools.cache  # one parser per process: parse_args leaves it unchanged
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="canideal",
-        description="Construct and certify degree-2 canonical-ideal generators "
-        "for cyclic-cover curve families.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
+def _add_generators_args(parser):
+    _add_param_args(parser)
+    parser.add_argument("--fibre", choices=(GENERIC, SPECIAL, RELATIVE), default=RELATIVE)
+    parser.add_argument("--all-pairs", action="store_true", help="emit every binomial pair")
 
-    p_info = subs.add_parser("info", help="parameters, genus, flags and set sizes")
-    _add_param_args(p_info)
 
-    p_gen = subs.add_parser("generators", help="export a generator family")
-    _add_param_args(p_gen)
-    p_gen.add_argument("--fibre", choices=(GENERIC, SPECIAL, RELATIVE), default=RELATIVE)
-    p_gen.add_argument("--all-pairs", action="store_true", help="emit every binomial pair")
-
-    p_cert = subs.add_parser("certify", help="run the two-fibre certification")
-    _add_param_args(p_cert)
-    p_cert.add_argument("--oracle", action="store_true", help="also run the kernel oracles")
-    p_cert.add_argument("--spec", default=None, help='specialization, e.g. "x1=1,x2=2"')
-    p_cert.add_argument("--seed", type=int, default=0, help="seed for degeneracy retries")
-    p_cert.add_argument("--timings", action="store_true", help="include timings in the output")
-    p_cert.add_argument(
+def _add_certify_args(parser):
+    _add_param_args(parser)
+    parser.add_argument("--oracle", action="store_true", help="also run the kernel oracles")
+    parser.add_argument("--spec", default=None, help='specialization, e.g. "x1=1,x2=2"')
+    parser.add_argument("--seed", type=int, default=0, help="seed for degeneracy retries")
+    parser.add_argument("--timings", action="store_true", help="include timings in the output")
+    parser.add_argument(
         "--corrupt-one", action="store_true", help="negative control: corrupt one generator"
     )
 
-    p_sweep = subs.add_parser("sweep", help="counting identities over parameter ranges")
-    p_sweep.add_argument("--p-set", default="3,5,7", help="comma list of primes")
-    p_sweep.add_argument("--q-set", default="1,2,3", help="comma list of q values")
-    p_sweep.add_argument("--l-set", default="all", help='comma list of ell values or "all"')
-    p_sweep.add_argument("--format", choices=("structured", "table"), default="table")
-    p_sweep.add_argument("--out", default=None)
-    return parser
+
+def _add_sweep_args(parser):
+    parser.add_argument("--p-set", default="3,5,7", help="comma list of primes")
+    parser.add_argument("--q-set", default="1,2,3", help="comma list of q values")
+    parser.add_argument("--l-set", default="all", help='comma list of ell values or "all"')
+    parser.add_argument("--format", choices=("structured", "table"), default="table")
+    parser.add_argument("--out", default=None)
 
 
 def _parse_spec(text: str | None) -> dict | None:
@@ -101,8 +106,39 @@ def _emit(text: str, out_path: str | None) -> int:
     return EXIT_OK
 
 
+# a list whose values are all of one of these types is one join
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, bool: ("false", "true").__getitem__}
+
+
+def _encode(value, pad: str) -> str:
+    """`value` as `json.dumps(value, indent=2, sort_keys=True)` writes it,
+    nested at the indentation `pad`."""
+    kind = type(value)
+    if kind in _SCALARS:
+        return _SCALARS[kind](value)
+    if value is None:
+        return "null"
+    inner = pad + "  "
+    if kind is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring_ascii(key)}: {_encode(value[key], inner)}" for key in sorted(value)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        write = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(write, value) if write else [_encode(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    # json's own text for anything else, a float or a dict with non-str keys
+    # say; its strings escape every newline, so each one is a line break
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
 def _json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Exactly `json.dumps(doc, indent=2, sort_keys=True) + "\\n"` (module docstring)."""
+    return _encode(doc, "") + "\n"
 
 
 def cmd_info(args) -> int:
@@ -222,29 +258,52 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if all_pass else EXIT_MATH_FAIL
 
 
+# name: (help, arguments, runner)
+COMMANDS = {
+    "info": ("parameters, genus, flags and set sizes", _add_param_args, cmd_info),
+    "generators": ("export a generator family", _add_generators_args, cmd_generators),
+    "certify": ("run the two-fibre certification", _add_certify_args, cmd_certify),
+    "sweep": ("counting identities over parameter ranges", _add_sweep_args, cmd_sweep),
+}
+
+
+@functools.cache  # one parser per command and process: parse_args leaves it unchanged
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one command, or with None the top-level parser, which
+    holds the command names and their help only."""
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"canideal {command}")
+        COMMANDS[command][1](parser)
+        return parser
+    parser = argparse.ArgumentParser(
+        prog="canideal",
+        description="Construct and certify degree-2 canonical-ideal generators "
+        "for cyclic-cover curve families.",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in COMMANDS.items():
+        subs.add_parser(name, help=help_text)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        if not argv or argv[0] not in COMMANDS:
+            # no command first: the top-level parser prints its help or a usage error
+            build_parser().parse_args(argv)
+            return EXIT_USAGE
+        args = build_parser(argv[0]).parse_args(argv[1:])
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "info":
-            return cmd_info(args)
-        if args.command == "generators":
-            return cmd_generators(args)
-        if args.command == "certify":
-            return cmd_certify(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
+        return COMMANDS[argv[0]][2](args)
     except CanidealError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    parser.error("unknown command")
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

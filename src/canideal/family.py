@@ -1,8 +1,8 @@
 """Curve-family parameters.
 
 Validates the triple (p, q, ell), computes the genus, and exposes the monic
-degree-q deformation polynomial a(x) through its powers a(x)^k, built once
-per triple by the multinomial theorem, with their x-degree tables.
+degree-q deformation polynomial a(x) through the x-degree tables of its
+powers a(x)^k, built once per triple by the multinomial theorem.
 """
 
 from __future__ import annotations
@@ -101,9 +101,11 @@ def a_power_min_exponent(params: FamilyParams, i: int) -> int:
 
 
 @per_triple
-def _a_powers(params: FamilyParams) -> tuple[tuple[SparsePoly, dict[int, SparsePoly]], ...]:
-    """(a(x)^k, {j: [a^k]_j}) for k = 0..p: the whole power over ("x",) +
-    symbols and its x-degree table over the symbols, int coefficients.
+def _a_powers(params: FamilyParams) -> tuple[dict[int, SparsePoly], ...]:
+    """{j: [a^k]_j} for k = 0..p: the x-degree tables of a(x)^k over the
+    symbols, j ascending, int coefficients.  No whole power is built; a
+    fibre context reassembles a(x)^k = sum_j x^j * [a^k]_j when its oracle
+    reads one (`FibreContext.x_coordinates`).
 
     a(x) = sum_(s=0..S) x_s * x^(q-s), x_0 = 1, is monic of degree q; the
     constant symbol x_q is present exactly when ell == 1, otherwise x
@@ -112,7 +114,7 @@ def _a_powers(params: FamilyParams) -> tuple[tuple[SparsePoly, dict[int, SparseP
     prod_(s>=1) x_s^(k_s), and distinct (k_1, ..., k_S) are distinct symbol
     monomials, so each term is one composition and no product is taken.
     With d = k_1 + ... + k_S its coefficient is binom(k, d) times the
-    symbols' own multinomial d!/(k_1! ... k_S!); one pass writes it into both forms.
+    symbols' own multinomial d!/(k_1! ... k_S!).
     """
     syms, p, q = deformation_symbols(params), params.p, params.q
     # every symbol monomial of degree d <= p: (exponents, d, sum s*k_s, d!/prod k_s!)
@@ -122,13 +124,12 @@ def _a_powers(params: FamilyParams) -> tuple[tuple[SparsePoly, dict[int, SparseP
     monos.sort(key=lambda mono: mono[1])
     powers = []
     for k in range(p + 1):
-        binom, whole, table = [math.comb(k, d) for d in range(k + 1)], {}, {}
+        binom, table = [math.comb(k, d) for d in range(k + 1)], {}
         for e, d, w, m in monos:
             if d > k:
                 break
-            whole[(q * k - w,) + e] = table.setdefault(q * k - w, {})[e] = binom[d] * m
-        tables = {j: SparsePoly._held(syms, t) for j, t in sorted(table.items())}
-        powers.append((SparsePoly._held(("x",) + syms, whole), tables))
+            table.setdefault(q * k - w, {})[e] = binom[d] * m
+        powers.append({j: SparsePoly._held(syms, t) for j, t in sorted(table.items())})
     return tuple(powers)
 
 
@@ -141,7 +142,7 @@ def a_power_coefficients(params: FamilyParams, i: int) -> dict[int, SparsePoly]:
     """
     if i < 0 or i > params.p - 1:
         raise IOutOfRange(f"i must lie in [0, {params.p - 1}], got {i}")
-    table = dict(_a_powers(params)[params.p - i][1])
+    table = dict(_a_powers(params)[params.p - i])
     # the support is the full contiguous range: every exponent between the
     # minimum and (p-i)*q is realized by some coefficient pattern
     lo, hi = a_power_min_exponent(params, i), (params.p - i) * params.q

@@ -95,6 +95,7 @@ shares one verdict (`FibreContext.combination_vanishes` gives the argument).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -560,12 +561,8 @@ class FibreContext:
         self.relation = FibreRelation(fibre=fibre, p=p, vars=self.vars, rhs=rhs)
         # the ring's 1, the lead `_relation_rhs` has checked
         self.one = multiply_out(trinomial_slots(params, fibre)[0][2], syms).constant_value()
-        # a(x)^k for k = 0..p as multipliers (`x_coordinates`), with int
-        # coefficients on every fibre
-        powers = tuple(power for power, _ in _a_powers(params))
-        if specialization is not None:
-            powers = tuple(power.specialize(specialization) for power in powers)
-        self.a_powers = powers
+        # the x-degree tables of a(x)^k, k = 0..p, from which `a_powers` is built
+        self._a_tables = _a_powers(params)
         self._chain: list[tuple[SparsePoly, ...]] = []
         self._verdicts: dict[frozenset, bool] = {}
         # V is no zero divisor when rhs_0 != 0 in the ring the verdicts read
@@ -633,6 +630,23 @@ class FibreContext:
                 slots = [s + r if s and r else s or r for s, r in zip(slots, reduced)]
             chain.append(tuple(slots))
         return chain[e]
+
+    @functools.cached_property
+    def a_powers(self) -> tuple[SparsePoly, ...]:
+        """a(x)^k for k = 0..p over the context's variables, with int
+        coefficients on every fibre: sum_j x^j * [a^k]_j reassembled from the
+        x-degree tables, each table specialized in ints on a specialized
+        context.  Built on first use, by `x_coordinates`, so a context the
+        oracle never reads holds no power."""
+        powers = []
+        for table in self._a_tables:
+            if self.specialization is None:
+                terms = {(j,) + e: c for j, d in table.items() for e, c in d.terms.items()}
+            else:
+                values = ((j, d.specialize(self.specialization).constant_value()) for j, d in table.items())
+                terms = {(j,): c for j, c in values if c}
+            powers.append(SparsePoly._held(self.vars, terms))
+        return tuple(powers)
 
     def x_coordinates(self, img: tuple[SparsePoly, ...]) -> tuple[SparsePoly, ...]:
         """The slots of a normal form in the model's basis: y^i on the generic
@@ -859,13 +873,13 @@ def relation_consistency(params: FamilyParams) -> RelationReport:
     """
     p, ell = params.p, params.ell
     lam = CycloElement.lam_powers(p, p + 1)
-    # (a^k, its x-degree table) for k = 0..p, the powers the fibre contexts use
+    # the x-degree tables of a^k for k = 0..p, the ones the fibre contexts read
     powers = _a_powers(params)
     unit = SparsePoly.constant(deformation_symbols(params), 1)
 
     def block(weight, k: int) -> tuple:
         """weight * a^k as a relation slot's pair: the parts (j, [a^k]_j), j ascending."""
-        return weight, tuple(powers[k][1].items())
+        return weight, tuple(powers[k].items())
 
     # (a), slot by slot: rel_0 = x^ell and rel_k = -c_k * a^(p-k), with
     # lam^(p-k) * c_k = binom(p, k) checked once per weight

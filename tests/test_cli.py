@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import canideal
 import canideal.cli as cli
@@ -22,6 +24,7 @@ from canideal.generators import (
     special_generators,
     trinomial_slots,
 )
+from canideal.verify import certify
 
 
 def run(capsys, *argv):
@@ -461,19 +464,120 @@ def test_output_does_not_depend_on_the_hash_seed(argv):
 
 
 def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
-    # the parser is built once per process; a usage error or --help must not
-    # leave it changed for the next call
+    # each command's parser and the top-level one are built once per
+    # process; a usage error or --help must not leave one changed for the
+    # next call, and every call reads as it does in a fresh process
     monkeypatch.setenv("COLUMNS", "80")
     assert cli.build_parser() is cli.build_parser()
-    argvs = [["sweep", "--p-set", "3", "--bogus"], ["--help"], ["sweep", "--p-set", "3,5", "--q-set", "1,2"]]
-    got = [run(capsys, *argv)[:2] for argv in argvs]
-    assert [code for code, _ in got] == [2, 0, 0]
+    assert all(cli.build_parser(name) is cli.build_parser(name) for name in cli.COMMANDS)
+    bogus = ["certify", "-p", "3", "-q", "2", "-l", "1", "--bogus"]
+    argvs = [
+        ["sweep", "--p-set", "3", "--bogus"],
+        ["--help"],
+        ["sweep", "--p-set", "3,5", "--q-set", "1,2"],
+        *([name, "--help"] for name in cli.COMMANDS),
+        ["bogus"],
+        [],
+        bogus,
+        bogus[:-1],
+        bogus,
+    ]
+    got = [run(capsys, *argv) for argv in argvs]
+    assert [code for code, _, _ in got] == [2, 0, 0, 0, 0, 0, 0, 2, 2, 2, 0, 2]
+    assert all(out for code, out, _ in got if code == 0)
     env = {**os.environ, "PYTHONPATH": str(Path(canideal.__file__).resolve().parents[1])}
-    for argv, (code, out) in zip(argvs, got):
+    for argv, (code, out, err) in zip(argvs, got):
         fresh = subprocess.run(
             [sys.executable, "-m", "canideal.cli", *argv], capture_output=True, text=True, env=env, timeout=60
         )
-        assert (fresh.returncode, fresh.stdout) == (code, out)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out, err), argv
+
+
+def test_an_unknown_option_reports_the_command_usage(capsys):
+    # the invoked command's own parser reports it: stdout stays empty and
+    # the exit code is 2, as with every usage error
+    code, out, err = run(capsys, "certify", "-p", "3", "-q", "2", "-l", "1", "--bogus")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: canideal certify [-h] -p P -q Q -l ELL")
+    assert err.endswith("canideal certify: error: unrecognized arguments: --bogus\n")
+    code, out, err = run(capsys, "bogus")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: canideal [-h] {info,generators,certify,sweep} ...")
+
+
+def test_import_builds_no_parser():
+    # parsers are built by the call that needs one, never at import
+    env = {**os.environ, "PYTHONPATH": str(Path(canideal.__file__).resolve().parents[1])}
+    probe = "import canideal.cli as cli; print(cli.build_parser.cache_info().currsize)"
+    fresh = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert (fresh.returncode, fresh.stdout) == (0, "0\n")
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_writer_keeps_every_recorded_output():
+    # every JSON stdout the benchmark recorded, read and left unmodified
+    recorded = sorted((Path(__file__).resolve().parent.parent / "perfbench" / "expected").glob("*.json"))
+    outs = [op["stdout"] for path in recorded for op in json.loads(path.read_text(encoding="utf-8"))["ops"]]
+    assert recorded and outs
+    for out in outs:
+        assert cli._json(json.loads(out)) == out
+
+
+@pytest.mark.parametrize("triple", [(3, 2, 1), (5, 2, 1), (7, 1, 5), (5, 1, 2)])
+def test_json_writer_matches_json_dumps_on_every_document(triple):
+    # the documents as the commands build them, before any JSON round
+    # trip: info's counts, a generator export, certificates with the
+    # oracle, the corrupted control and --timings' floats, and a sweep
+    params = validate_params(*triple)
+    report = indexsets.check_counts(params)
+    docs = [
+        report.to_dict(),
+        {"schema": "canideal.sweep/1", "rows": [report.to_dict()], "all_pass": report.all_pass},
+        generators_document(params, binomial_generators(params) + relative_generators(params), "relative", "default"),
+    ]
+    for oracle in (False, True):
+        for corrupt_one in (False, True):
+            cert = certify(params, oracle=oracle, corrupt_one=corrupt_one)
+            docs += [cert.to_dict(), cert.to_dict(include_timings=True)]
+    assert any(type(v) is float for doc in docs for v in doc.get("timings", {}).values())
+    for doc in docs:
+        assert cli._json(doc) == _dumps(doc)
+
+
+@pytest.mark.parametrize("argv", [["info", "-p", "7", "-q", "3", "-l", "2"], ["sweep", "--p-set", "3,5", "--format", "structured"]])
+def test_json_writer_matches_json_dumps_on_the_command_output(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == _dumps(json.loads(out))
+
+
+_TEXT = st.text(alphabet=st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'), st.characters()))
+_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _TEXT)
+_VALUE = st.recursive(
+    _SCALAR,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.dictionaries(_TEXT, children),
+        st.dictionaries(st.integers(), children),
+        st.lists(st.booleans()),
+        st.lists(st.integers()),
+        st.lists(_TEXT),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_VALUE)
+def test_json_writer_matches_json_dumps_on_any_value(doc):
+    # nested dicts and lists, empty ones included, lists of one scalar type
+    # (the joined path), non-ASCII, quote and control-character strings,
+    # ints, bools, None, floats and int keys
+    assert cli._json(doc) == _dumps(doc)
 
 
 def test_usage_error(capsys):

@@ -259,15 +259,19 @@ def _repeated_product_powers(p: int, q: int, syms: tuple) -> tuple:
 @pytest.mark.parametrize("q", range(1, 7))
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_multinomial_powers_match_repeated_products(p, q):
-    # every valid triple with p <= 13 and q <= 6: each whole power a(x)^k,
-    # k = 0..p, equals the repeated product, and each of its x-degree tables
-    # is that product's x^j coefficient, keyed in ascending j; the tables
-    # the slot table reads (`a_power_coefficients`) are the same ones
+    # every valid triple with p <= 13 and q <= 6: the x-degree tables of
+    # a(x)^k, k = 0..p, reassembled as sum_j x^j * [a^k]_j, equal the
+    # repeated product, and each table is that product's x^j coefficient,
+    # keyed in ascending j; the tables the slot table reads
+    # (`a_power_coefficients`) are the same ones
     for ell in range(1, p):
         params = validate_params(p, q, ell)
         syms = deformation_symbols(params)
         reference = _repeated_product_powers(p, q, syms)
-        for k, (whole, table) in enumerate(_a_powers(params)):
+        tables = _a_powers(params)
+        assert len(tables) == p + 1
+        for k, table in enumerate(tables):
+            whole = SparsePoly(("x",) + syms, {(j,) + e: c for j, d in table.items() for e, c in d.terms.items()})
             assert whole == reference[k], (p, q, ell, k)
             assert all(type(c) is int for c in whole.terms.values())
             split: dict = {}
@@ -276,4 +280,4 @@ def test_multinomial_powers_match_repeated_products(p, q):
             assert table == {j: SparsePoly(syms, t) for j, t in split.items()}, (p, q, ell, k)
             assert list(table) == sorted(table) and all(d.vars == syms for d in table.values())
         for i in range(p):
-            assert a_power_coefficients(params, i) == _a_powers(params)[p - i][1]
+            assert a_power_coefficients(params, i) == _a_powers(params)[p - i]

@@ -15,7 +15,7 @@ from canideal.errors import (
     WrongDegree,
 )
 from canideal.exactalg import CycloElement, SparsePoly, multiply_out, residue
-from canideal.family import deformation_symbols, validate_params
+from canideal.family import _a_powers, deformation_symbols, validate_params
 from canideal.fibrealg import (
     FibreContext,
     FibreRelation,
@@ -753,7 +753,8 @@ def test_weight_images_are_congruent_to_their_starts(triple, specialized):
 @pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (7, 1, 3)])
 @pytest.mark.parametrize("specialized", [False, True])
 def test_int_a_power_product_equals_ring_product(triple, specialized):
-    # every context keeps a(x)^k with int coefficients; W-slots meet them
+    # every context builds a(x)^k with int coefficients from the x-degree
+    # tables on first use, and holds no power before; W-slots meet them
     # (the X-coordinates) in SparsePoly.__mul__, over Z[lam] on its int fast
     # path.  The product equals a term-by-term product with a(x)^k over
     # the ring (over F_p on the special fibre, both products read mod p)
@@ -761,7 +762,13 @@ def test_int_a_power_product_equals_ring_product(triple, specialized):
     spec = default_specialization(params) if specialized else None
     for fibre in ("generic", "special", "relative"):
         ctx = FibreContext(params, fibre, spec)
+        assert "a_powers" not in vars(ctx)
         assert len(ctx.a_powers) == ctx.p + 1
+        assert ctx.a_powers is ctx.a_powers
+        # each power is its tables reassembled, specialized on a specialized context
+        for k, tables in enumerate(_a_powers(params)):
+            whole = SparsePoly(("x",) + deformation_symbols(params), {(j,) + e: c for j, d in tables.items() for e, c in d.terms.items()})
+            assert ctx.a_powers[k] == (whole if spec is None else whole.specialize(spec)), (fibre, k)
         power_is_int = all(type(c) is int for c in ctx.a_powers[ctx.p].terms.values())
         assert power_is_int
         nums = [
@@ -779,6 +786,20 @@ def test_int_a_power_product_equals_ring_product(triple, specialized):
                 else:
                     assert all(type(c) is not int for c in ring.terms.values())
                 assert _read(ctx, num * ctx.a_powers[k]) == _read(ctx, _termwise_product(num, ring)), (fibre, k)
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_only_the_oracle_contexts_build_a_powers(oracle):
+    # membership reads the x-degree tables alone: a certify without the
+    # oracle leaves every context without a(x)^k, and the oracle builds them
+    # on its specialized contexts off the generic fibre only, whose X-slots
+    # they scale
+    params = validate_params(5, 2, 1)
+    assert certify(params, oracle=oracle).overall == "PASS"
+    contexts = [v for v in params.memo.values() if isinstance(v, FibreContext)]
+    assert {ctx.specialization is None for ctx in contexts} == ({False, True} if oracle else {True})
+    built = {(ctx.fibre, ctx.specialization is None) for ctx in contexts if "a_powers" in vars(ctx)}
+    assert built == ({("special", False)} if oracle else set())
 
 
 @pytest.mark.parametrize("triple", [(5, 2, 1), (5, 2, 3), (7, 1, 3)])
