@@ -3,12 +3,24 @@
 Exit codes: 0 success, 1 mathematical failure, 2 usage or invalid parameters,
 3 I/O failure.  All outputs are deterministic for a fixed configuration.
 
-One parser per command: `COMMANDS` states each command's help, arguments
-and runner once, and `main` builds only the invoked command's parser
-(`canideal <command>`, so its usage and errors name the command).  The
-top-level parser knows the command names and their help alone; it is built
-only for an empty argv, `--help` or an unknown command.  No parser is built
-at import.
+Each command's options are one table (`COMMANDS`), and both readers of an
+argv read it, so they cannot drift.  A well-formed argv takes the strict
+reader `_parse`: every token is one of the command's own option strings,
+spelled in full, and each option that takes a value is followed by a token
+that does not start with "-", passes the option's int() if it is an int and
+lies in its choices if it has any; a repeated option keeps its last value, and
+every required option is given.  Such an argv means the same to argparse, and
+its call imports no argparse and builds no parser, which costs more than most
+certificates: argparse and the gettext and locale modules it loads take
+milliseconds to import and to build.  Every other argv goes to argparse, which
+stays the one authority for help, usage and errors: -h, --opt=value, -p5, an
+abbreviation, a negative number, "--", an unknown token, a bad int or choice,
+a missing option.  Deferring is always safe, so `_parse` imitates no error.
+`build_parser` makes each command's parser from the same table, one
+add_argument call per row (`canideal <command>`, so its usage and errors name
+the command), once per process; the top-level parser knows the command names
+and their help alone and is built only for an empty argv, `--help` or an
+unknown command.
 
 The JSON writer `_json` exists for speed and must keep every byte: it returns
 exactly `json.dumps(doc, indent=2, sort_keys=True) + "\n"`.  `indent=` makes
@@ -21,11 +33,11 @@ through `json.dumps` of that value alone.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .errors import CanidealError
 from .family import validate_p_q, validate_params
@@ -40,38 +52,41 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _add_param_args(parser):
-    parser.add_argument("-p", type=int, required=True, help="odd prime p >= 3")
-    parser.add_argument("-q", type=int, required=True, help="positive integer q")
-    parser.add_argument("-l", "--ell", type=int, required=True, help="1 <= ell <= p-1")
-    parser.add_argument("--tie-break", choices=TIE_BREAKS, default=TIE_BREAK_DEFAULT)
-    parser.add_argument("--format", choices=("structured", "table"), default="structured")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
+def _option(*flags, kind=str, default=None, choices=None, required=False, help=None):
+    """One row of an option table: (flags, dest, kind, default, choices,
+    required, help).  kind is int, str or bool, a store_true flag; dest is
+    argparse's own, the long flag's name, which the table lists last."""
+    dest = flags[-1].lstrip("-").replace("-", "_")
+    return flags, dest, kind, False if kind is bool else default, choices, required, help
 
 
-def _add_generators_args(parser):
-    _add_param_args(parser)
-    parser.add_argument("--fibre", choices=(GENERIC, SPECIAL, RELATIVE), default=RELATIVE)
-    parser.add_argument("--all-pairs", action="store_true", help="emit every binomial pair")
-
-
-def _add_certify_args(parser):
-    _add_param_args(parser)
-    parser.add_argument("--oracle", action="store_true", help="also run the kernel oracles")
-    parser.add_argument("--spec", default=None, help='specialization, e.g. "x1=1,x2=2"')
-    parser.add_argument("--seed", type=int, default=0, help="seed for degeneracy retries")
-    parser.add_argument("--timings", action="store_true", help="include timings in the output")
-    parser.add_argument(
-        "--corrupt-one", action="store_true", help="negative control: corrupt one generator"
-    )
-
-
-def _add_sweep_args(parser):
-    parser.add_argument("--p-set", default="3,5,7", help="comma list of primes")
-    parser.add_argument("--q-set", default="1,2,3", help="comma list of q values")
-    parser.add_argument("--l-set", default="all", help='comma list of ell values or "all"')
-    parser.add_argument("--format", choices=("structured", "table"), default="table")
-    parser.add_argument("--out", default=None)
+_FORMATS = ("structured", "table")
+_PARAM_OPTIONS = (
+    _option("-p", kind=int, required=True, help="odd prime p >= 3"),
+    _option("-q", kind=int, required=True, help="positive integer q"),
+    _option("-l", "--ell", kind=int, required=True, help="1 <= ell <= p-1"),
+    _option("--tie-break", choices=TIE_BREAKS, default=TIE_BREAK_DEFAULT),
+    _option("--format", choices=_FORMATS, default="structured"),
+    _option("--out", help="output path (default: stdout)"),
+)
+_GENERATORS_OPTIONS = _PARAM_OPTIONS + (
+    _option("--fibre", choices=(GENERIC, SPECIAL, RELATIVE), default=RELATIVE),
+    _option("--all-pairs", kind=bool, help="emit every binomial pair"),
+)
+_CERTIFY_OPTIONS = _PARAM_OPTIONS + (
+    _option("--oracle", kind=bool, help="also run the kernel oracles"),
+    _option("--spec", help='specialization, e.g. "x1=1,x2=2"'),
+    _option("--seed", kind=int, default=0, help="seed for degeneracy retries"),
+    _option("--timings", kind=bool, help="include timings in the output"),
+    _option("--corrupt-one", kind=bool, help="negative control: corrupt one generator"),
+)
+_SWEEP_OPTIONS = (
+    _option("--p-set", default="3,5,7", help="comma list of primes"),
+    _option("--q-set", default="1,2,3", help="comma list of q values"),
+    _option("--l-set", default="all", help='comma list of ell values or "all"'),
+    _option("--format", choices=_FORMATS, default="table"),
+    _option("--out"),
+)
 
 
 def _parse_spec(text: str | None) -> dict | None:
@@ -258,22 +273,31 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if all_pass else EXIT_MATH_FAIL
 
 
-# name: (help, arguments, runner)
+# name: (help, options, runner)
 COMMANDS = {
-    "info": ("parameters, genus, flags and set sizes", _add_param_args, cmd_info),
-    "generators": ("export a generator family", _add_generators_args, cmd_generators),
-    "certify": ("run the two-fibre certification", _add_certify_args, cmd_certify),
-    "sweep": ("counting identities over parameter ranges", _add_sweep_args, cmd_sweep),
+    "info": ("parameters, genus, flags and set sizes", _PARAM_OPTIONS, cmd_info),
+    "generators": ("export a generator family", _GENERATORS_OPTIONS, cmd_generators),
+    "certify": ("run the two-fibre certification", _CERTIFY_OPTIONS, cmd_certify),
+    "sweep": ("counting identities over parameter ranges", _SWEEP_OPTIONS, cmd_sweep),
 }
 
 
 @functools.cache  # one parser per command and process: parse_args leaves it unchanged
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of one command, or with None the top-level parser, which
-    holds the command names and their help only."""
+def build_parser(command: str | None = None):
+    """The argparse parser of one command, one add_argument call per row of
+    its option table, or with None the top-level parser, which holds the
+    command names and their help only."""
+    import argparse
+
     if command is not None:
         parser = argparse.ArgumentParser(prog=f"canideal {command}")
-        COMMANDS[command][1](parser)
+        for flags, dest, kind, default, choices, required, help_text in COMMANDS[command][1]:
+            if kind is bool:
+                parser.add_argument(*flags, dest=dest, action="store_true", help=help_text)
+            else:
+                parser.add_argument(
+                    *flags, dest=dest, type=kind, default=default, choices=choices, required=required, help=help_text
+                )
         return parser
     parser = argparse.ArgumentParser(
         prog="canideal",
@@ -286,6 +310,35 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(command: str, argv: list[str]) -> SimpleNamespace | None:
+    """The options of `argv` as argparse reads them, when `argv` has the
+    strict form the module docstring states; otherwise None."""
+    options = COMMANDS[command][1]
+    by_flag = {flag: option for option in options for flag in option[0]}
+    given = {}
+    tokens = iter(argv)
+    for token in tokens:
+        if token not in by_flag:
+            return None
+        _, dest, kind, _, choices, _, _ = by_flag[token]
+        if kind is bool:
+            given[dest] = True
+            continue
+        text = next(tokens, "-")  # no value left reads as a dash: deferred
+        if text.startswith("-"):
+            return None
+        try:
+            value = kind(text)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        given[dest] = value
+    if any(required and dest not in given for _, dest, _, _, _, required, _ in options):
+        return None
+    return SimpleNamespace(**{option[1]: option[3] for option in options} | given)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -293,7 +346,10 @@ def main(argv=None) -> int:
             # no command first: the top-level parser prints its help or a usage error
             build_parser().parse_args(argv)
             return EXIT_USAGE
-        args = build_parser(argv[0]).parse_args(argv[1:])
+        args = _parse(argv[0], argv[1:])
+        if args is None:
+            # --help, a usage error or a form the table reader leaves to argparse
+            args = build_parser(argv[0]).parse_args(argv[1:])
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

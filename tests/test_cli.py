@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -481,9 +483,12 @@ def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
         bogus,
         bogus[:-1],
         bogus,
+        # forms the table reader leaves to argparse, which reads them
+        ["certify", "-p", "3", "-q", "2", "--ell=1"],
+        ["certify", "-p", "-3", "-q", "2", "-l", "1"],
     ]
     got = [run(capsys, *argv) for argv in argvs]
-    assert [code for code, _, _ in got] == [2, 0, 0, 0, 0, 0, 0, 2, 2, 2, 0, 2]
+    assert [code for code, _, _ in got] == [2, 0, 0, 0, 0, 0, 0, 2, 2, 2, 0, 2, 0, 2]
     assert all(out for code, out, _ in got if code == 0)
     env = {**os.environ, "PYTHONPATH": str(Path(canideal.__file__).resolve().parents[1])}
     for argv, (code, out, err) in zip(argvs, got):
@@ -505,12 +510,87 @@ def test_an_unknown_option_reports_the_command_usage(capsys):
     assert err.startswith("usage: canideal [-h] {info,generators,certify,sweep} ...")
 
 
+# every option string of the four commands, forms argparse reads but the
+# table reader leaves to it, and values good and bad for int, str and choices
+_FLAGS = sorted({flag for _, options, _ in cli.COMMANDS.values() for option in options for flag in option[0]})
+_OTHER_TOKENS = ["--orac", "--tie", "--ell=1", "-p5", "--", "-", "-h"]
+_VALUES = ["1", "5", "-3", "+5", " 5", "0x5", "", "alt", "nope", "x1=1", "table", "special", "3,5", "-", "--", "-h", "--out"]
+_PIECE = st.one_of(
+    st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_VALUES)),
+    st.tuples(st.sampled_from(_FLAGS + _OTHER_TOKENS)),
+    st.tuples(st.sampled_from(_VALUES)),
+)
+
+
+def _own_piece(option):
+    """One of the command's own options, with a value from its choices or
+    one that int() reads, so that many argvs are well formed."""
+    flags, _, kind, _, choices, _, _ = option
+    if kind is bool:
+        return st.tuples(st.sampled_from(flags))
+    values = choices or (["1", "+5", " 5"] if kind is int else ["x1=1", "3,5", ""])
+    return st.tuples(st.sampled_from(flags), st.sampled_from(values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(sorted(cli.COMMANDS)), data=st.data())
+def test_the_table_reader_reads_every_argv_it_accepts_as_argparse_does(command, data):
+    # whenever _parse returns a namespace, argparse reads the same one
+    # without exiting; so whenever argparse exits, _parse returned None
+    options = cli.COMMANDS[command][1]
+    own = st.sampled_from(options).flatmap(_own_piece)
+    pieces = data.draw(st.lists(own, max_size=5)) + data.draw(st.lists(_PIECE, max_size=2))
+    if data.draw(st.integers(0, 3)):
+        pieces += [(flags[0], "5") for flags, _, _, _, _, required, _ in options if required]
+    argv = [token for piece in data.draw(st.permutations(pieces)) for token in piece]
+    ours = cli._parse(command, argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            theirs = vars(cli.build_parser(command).parse_args(argv))
+    except SystemExit:
+        theirs = None
+    if ours is not None:
+        # with each value's type: True == 1, but argparse stores True
+        assert {k: (type(v), v) for k, v in vars(ours).items()} == {k: (type(v), v) for k, v in theirs.items()}, argv
+
+
 def test_import_builds_no_parser():
-    # parsers are built by the call that needs one, never at import
+    # parsers are built by the call that needs one, never at import, and a
+    # well-formed call of any command neither imports argparse nor builds
+    # one; a usage error builds its own command's parser alone
     env = {**os.environ, "PYTHONPATH": str(Path(canideal.__file__).resolve().parents[1])}
-    probe = "import canideal.cli as cli; print(cli.build_parser.cache_info().currsize)"
+    params = ["-p", "5", "-q", "2", "-l", "1"]
+    calls = [
+        ["info", *params, "--format", "table"],
+        ["generators", *params, "--fibre", "special", "--all-pairs"],
+        ["certify", *params, "--oracle", "--seed", "3", "--spec", "x1=1,x2=2", "-p", "5"],
+        ["sweep", "--p-set", "3", "--q-set", "1,2", "--format", "structured"],
+        ["certify", *params, "--bogus"],
+        ["certify", "-p", "3", "-q", "2"],
+    ]
+    probe = "\n".join(
+        [
+            "import contextlib, io, sys",
+            "import canideal.cli as cli",
+            "print(None, 'argparse' in sys.modules, cli.build_parser.cache_info().currsize)",
+            "for argv in %r:" % calls,
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
+            "        code = cli.main(argv)",
+            "    print(code, 'argparse' in sys.modules, cli.build_parser.cache_info().currsize)",
+            "cli.build_parser('certify')",
+            "print(cli.build_parser.cache_info())",
+        ]
+    )
     fresh = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
-    assert (fresh.returncode, fresh.stdout) == (0, "0\n")
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout.splitlines() == [
+        "None False 0",
+        *["0 False 0"] * 4,
+        "2 True 1",
+        "2 True 1",
+        # the last two calls and this one read one parser, the certify one
+        "CacheInfo(hits=2, misses=1, maxsize=None, currsize=1)",
+    ]
 
 
 def _dumps(doc) -> str:
