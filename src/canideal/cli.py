@@ -292,12 +292,8 @@ def build_parser(command: str | None = None):
     if command is not None:
         parser = argparse.ArgumentParser(prog=f"canideal {command}")
         for flags, dest, kind, default, choices, required, help_text in COMMANDS[command][1]:
-            if kind is bool:
-                parser.add_argument(*flags, dest=dest, action="store_true", help=help_text)
-            else:
-                parser.add_argument(
-                    *flags, dest=dest, type=kind, default=default, choices=choices, required=required, help=help_text
-                )
+            kwargs = {"action": "store_true"} if kind is bool else {"type": kind, "choices": choices}
+            parser.add_argument(*flags, dest=dest, default=default, required=required, help=help_text, **kwargs)
         return parser
     parser = argparse.ArgumentParser(
         prog="canideal",

@@ -26,9 +26,10 @@ combination of W-slot images vanishes, because W^i = a(x)^i * X^i is an
 invertible diagonal change of basis over a domain.  It finds ranks by
 Gaussian elimination over a prime field F_r: r = p on the special fibre,
 and on the generic and relative fibres the largest prime r < 2^30 with
-r = 1 (mod p), so that every residue is one CPython digit.  Elimination takes one row at a time: the row is reduced by
-the pivot row of its smallest column until that column has none, and then
-becomes the pivot row of that column.  `kernel_oracle` states why every
+r = 1 (mod p), so that every residue is one CPython digit.  Elimination
+takes one row at a time: the row is reduced by the pivot row of its
+smallest column until that column has none, and then becomes the pivot row
+of that column.  `kernel_oracle` states why every
 passing report is exact, and why its row and column orders, its binomial
 block and its span test, one matrix product and no kernel basis, leave
 every report as it was.
@@ -71,12 +72,12 @@ def oracle_field(p: int) -> tuple[int, int]:
 
     r is the largest prime below 2^30 with r = 1 (mod p), so F_r contains
     the p-th roots of unity, and every residue is one CPython digit (30
-    bits), which keeps the products of the elimination small ints.  A smaller
-    r makes a degenerate specialization likelier, which costs a retry or a
-    FAIL, never a false pass (`kernel_oracle`).  z is the first a^((r-1)/p) != 1 for
-    a = 2, 3, ..., a primitive p-th root of unity, and lam = zeta_p - 1 maps
-    to z - 1; this defines a ring homomorphism phi: Z[zeta_p] -> F_r.  Both
-    depend on p only.
+    bits), which keeps the products of the elimination small ints.  A
+    smaller r makes a degenerate specialization likelier, which costs a
+    retry or a FAIL, never a false pass (`kernel_oracle`).  z is the first
+    a^((r-1)/p) != 1 for a = 2, 3, ..., a primitive p-th root of unity, and
+    lam = zeta_p - 1 maps to z - 1; this defines a ring homomorphism
+    phi: Z[zeta_p] -> F_r.  Both depend on p only.
     """
     r = ((1 << 30) - 2) // p * p + 1
     while not is_prime(r):
