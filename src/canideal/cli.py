@@ -18,9 +18,9 @@ abbreviation, a negative number, "--", an unknown token, a bad int or choice,
 a missing option.  Deferring is always safe, so `_parse` imitates no error.
 `build_parser` makes each command's parser from the same table, one
 add_argument call per row (`canideal <command>`, so its usage and errors name
-the command), once per process; the top-level parser knows the command names
-and their help alone and is built only for an empty argv, `--help` or an
-unknown command.
+the command), once per call that needs it; the top-level parser knows the
+command names and their help alone and is built only for an empty argv,
+`--help` or an unknown command.
 
 The JSON writer `_json` exists for speed and must keep every byte: it returns
 exactly `json.dumps(doc, indent=2, sort_keys=True) + "\n"`.  `indent=` makes
@@ -33,7 +33,6 @@ through `json.dumps` of that value alone.
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -282,7 +281,6 @@ COMMANDS = {
 }
 
 
-@functools.cache  # one parser per command and process: parse_args leaves it unchanged
 def build_parser(command: str | None = None):
     """The argparse parser of one command, one add_argument call per row of
     its option table, or with None the top-level parser, which holds the

@@ -431,17 +431,13 @@ class SparsePoly:
                 out[e] = s
             elif e in out:
                 del out[e]
-        res = SparsePoly(self.vars)
-        res.terms = out
-        return res
+        return SparsePoly._held(self.vars, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        res = SparsePoly(self.vars)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return SparsePoly._held(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
@@ -460,16 +456,12 @@ class SparsePoly:
                     out[e] = s
                 elif e in out:
                     del out[e]
-        res = SparsePoly(self.vars)
-        res.terms = out
-        return res
+        return SparsePoly._held(self.vars, out)
 
     def scale(self, c) -> "SparsePoly":
         if not c:
             return SparsePoly(self.vars)
-        res = SparsePoly(self.vars)
-        res.terms = {e: v for e, v in ((e, c * v) for e, v in self.terms.items()) if v}
-        return res
+        return SparsePoly._held(self.vars, {e: v for e, v in ((e, c * v) for e, v in self.terms.items()) if v})
 
     # -- structure ---------------------------------------------------------
 
@@ -492,19 +484,13 @@ class SparsePoly:
 
     def coefficient_of(self, name: str, exp: int) -> "SparsePoly":
         i = self.vars.index(name)
-        poly = SparsePoly(self.vars)
-        poly.terms = {
-            e[:i] + (0,) + e[i + 1 :]: c for e, c in self.terms.items() if e[i] == exp
-        }
-        return poly
+        return SparsePoly._held(self.vars, {e[:i] + (0,) + e[i + 1 :]: c for e, c in self.terms.items() if e[i] == exp})
 
     def mul_var_power(self, name: str, exp: int) -> "SparsePoly":
         if exp == 0:
             return self
         i = self.vars.index(name)
-        poly = SparsePoly(self.vars)
-        poly.terms = {e[:i] + (e[i] + exp,) + e[i + 1 :]: c for e, c in self.terms.items()}
-        return poly
+        return SparsePoly._held(self.vars, {e[:i] + (e[i] + exp,) + e[i + 1 :]: c for e, c in self.terms.items()})
 
     def divmod_monic(self, divisor: "SparsePoly", name: str):
         """Long division by a divisor that is monic in `name`.
@@ -527,9 +513,7 @@ class SparsePoly:
         return quo, rem
 
     def map_coefficients(self, fn) -> "SparsePoly":
-        res = SparsePoly(self.vars)
-        res.terms = {e: v for e, v in ((e, fn(c)) for e, c in self.terms.items()) if v}
-        return res
+        return SparsePoly._held(self.vars, {e: v for e, v in ((e, fn(c)) for e, c in self.terms.items()) if v})
 
     def specialize(self, values: dict) -> "SparsePoly":
         """Substitute scalars for some variables; the result forgets them.
@@ -537,7 +521,6 @@ class SparsePoly:
         coefficient meets one int."""
         todrop = [i for i, v in enumerate(self.vars) if v in values]
         keep = [i for i in range(len(self.vars)) if i not in todrop]
-        poly = SparsePoly(tuple(self.vars[i] for i in keep))
         out: dict = {}
         for e, c in self.terms.items():
             scale = 1
@@ -547,8 +530,7 @@ class SparsePoly:
             ne = tuple(e[i] for i in keep)
             cur = out.get(ne)
             out[ne] = c * scale if cur is None else cur + c * scale
-        poly.terms = {ne: c for ne, c in out.items() if c}
-        return poly
+        return SparsePoly._held(tuple(self.vars[i] for i in keep), {ne: c for ne, c in out.items() if c})
 
     def constant_value(self):
         """Coefficient of the empty exponent; 0 for anything missing."""

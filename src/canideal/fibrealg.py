@@ -551,11 +551,13 @@ class FibreContext:
         self.clearing = 3 * p if fibre == GENERIC else 3 * p - 2
 
         self.vars = ("x",) if specialization is not None else ("x",) + syms
+        # the values of the polynomials in the symbols (on a specialized context)
+        self._values: dict[SparsePoly, object] = {}
         rhs = _relation_rhs(params, fibre)
         if specialization is not None:
-            # each part's int table is specialized in ints; its x-shift and weight are kept
+            # each part's int table is its value; its x-shift and weight are kept
             rhs = tuple(
-                tuple((w, tuple((dr, d) for dr, table in parts if (d := table.specialize(specialization)))) for w, parts in slot)
+                tuple((w, tuple((dr, SparsePoly.constant((), v)) for dr, d in parts if (v := self._value(d)))) for w, parts in slot)
                 for slot in rhs
             )
         self.relation = FibreRelation(fibre=fibre, p=p, vars=self.vars, rhs=rhs)
@@ -568,35 +570,30 @@ class FibreContext:
         # V is no zero divisor when rhs_0 != 0 in the ring the verdicts read
         # (`combination_vanishes`): mod p on the special fibre
         self._v_regular = bool(_slot_terms(rhs[0], p if fibre == SPECIAL else None))
-        # the specialized values of the combinations' coefficients (on a specialized context)
-        self._values: dict[tuple | SparsePoly, SparsePoly] = {}
         self._multidegrees = monomial_multidegrees(params)
 
     def specialized_value(self, coeff):
-        """The value of a coefficient in the deformation symbols, groups or
-        a polynomial, at the specialization of a specialized context
-        (`_specialized`)."""
-        return self._specialized(coeff).constant_value()
+        """The value of a coefficient in the deformation symbols, groups
+        (gamma, d) or a polynomial, at the specialization of a specialized
+        context: the sum of gamma * `_value(d)` over its groups."""
+        if type(coeff) is not tuple:
+            return self._value(coeff)
+        return sum(gamma * self._value(d) for gamma, d in coeff)
 
-    def _specialized(self, coeff) -> SparsePoly:
-        """The specialized value of a coefficient as a constant over no
-        variables, the part `reduce_normal_form` reads with x-exponent 0,
-        computed once per distinct coefficient: each group's table d is
-        specialized in ints and multiplies its weight gamma once.
+    def _value(self, d: SparsePoly):
+        """The value of a polynomial in the symbols at the specialization,
+        specialized once per distinct polynomial and context.
 
-        Specialization is a ring map, so equal coefficients have equal
+        Specialization is a ring map, so equal polynomials have equal
         values, and the value read from the table is the one substituting
-        the terms of sum gamma * d gives.  Equality is equality in the ring,
-        an int standing for its image, so a hit across an int and a ring
-        element reads the same ring element.
+        the terms of d gives.  Equality is equality in the ring, an int
+        standing for its image, so a hit across an int and a ring element
+        reads the same ring element.
         """
-        const = self._values.get(coeff)
-        if const is None:
-            value = 0
-            for gamma, d in coeff if type(coeff) is tuple else ((1, coeff),):
-                value = gamma * d.specialize(self.specialization).constant_value() + value
-            const = self._values[coeff] = SparsePoly.constant((), value)
-        return const
+        value = self._values.get(d)
+        if value is None:
+            value = self._values[d] = d.specialize(self.specialization).constant_value()
+        return value
 
     def weight_image(self, T: int) -> tuple[SparsePoly, ...]:
         """Cleared image of the multidegree (2, 0, T): NF(V^(E-T)), one per
@@ -643,8 +640,7 @@ class FibreContext:
             if self.specialization is None:
                 terms = {(j,) + e: c for j, d in table.items() for e, c in d.terms.items()}
             else:
-                values = ((j, d.specialize(self.specialization).constant_value()) for j, d in table.items())
-                terms = {(j,): c for j, c in values if c}
+                terms = {(j,): c for j, d in table.items() if (c := self._value(d))}
             powers.append(SparsePoly._held(self.vars, terms))
         return tuple(powers)
 
@@ -773,8 +769,9 @@ class FibreContext:
         - a binomial's per-multidegree sums are already zero, so a binomial
           never reaches this method.
         """
-        spec = self.specialization is not None
-        parts = [(self.clearing - T, rho, self._specialized(c) if spec else c) for (rho, T), c in items]
+        if self.specialization is not None:
+            items = [(md, SparsePoly.constant((), self.specialized_value(c))) for md, c in items]
+        parts = [(self.clearing - T, rho, c) for (rho, T), c in items]
         return reduce_normal_form(parts, self.relation, zero_test=True)
 
     def multidegree_of(self, m: Monomial) -> tuple[int, int]:

@@ -15,11 +15,11 @@ share one verdict.
 The oracle builds its matrix exactly, with one row per multidegree class of
 `indexsets.monomial_classes` (monomials of one class have equal rows), and
 computes each value once: one residue row per weight T, which each class
-(rho, T) shifts by x^rho, and one specialized value per distinct generator
-coefficient (`FibreContext.specialized_value`), read by the generator rows
-and by the exact check alike.  Specialization and the reduction to F_r are
-ring maps, so equal coefficients have equal values and each table entry is
-the value the per-term computation gives.  It checks the generators G
+(rho, T) shifts by x^rho, and one specialization per distinct polynomial
+in the symbols (`FibreContext.specialized_value`), read by the generator
+rows and by the exact check alike.  Specialization and the reduction to
+F_r are ring maps, so equal polynomials have equal values and each table
+entry is the value the per-term computation gives.  It checks the generators G
 against the matrix by the membership test itself, on the specialized
 context: G * M = 0 in the X-basis exactly when each generator's
 combination of W-slot images vanishes, because W^i = a(x)^i * X^i is an
@@ -56,7 +56,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .errors import CanidealError, DegenerateSpecialization
 from .exactalg import SparsePoly, is_prime, multiply_out, residue, residue_terms
-from .family import FamilyParams, deformation_symbols, per_triple
+from .family import FamilyParams, deformation_symbols
 from .fibrealg import check_specialization, fibre_context, relation_consistency
 from .generators import GENERIC, RELATIVE, SPECIAL, GeneratorPoly, check_fibre, trinomial_layout
 from .indexsets import anchor_set, check_counts, monomial_classes, monomial_multidegrees
@@ -86,11 +86,6 @@ def oracle_field(p: int) -> tuple[int, int]:
     while (z := pow(a, (r - 1) // p, r)) == 1:
         a += 1
     return r, z - 1
-
-
-@per_triple
-def _oracle_field_of(params: FamilyParams) -> tuple[int, int]:
-    return oracle_field(params.p)
 
 
 def fraction_free_echelon(rows, r: int):
@@ -280,7 +275,6 @@ def kernel_oracle(
     fibre: str,
     specialization: dict | None = None,
     gens=None,
-    tie_break: str = TIE_BREAK_DEFAULT,
 ) -> OracleReport:
     """Independently compute the degree-2 ideal at a specialization.
 
@@ -313,16 +307,20 @@ def kernel_oracle(
 
     Row and column orders.  No rank changes under a row or a column
     permutation, and monomial_count and column_count are the sizes of sets,
-    so the columns are numbered for the elimination, which pivots each row
-    at its smallest column (`fraction_free_echelon`).  The columns of C are
-    sorted by descending x-degree k, then slot i, and its rows are
-    eliminated sparsest first (a stable sort by entry count, which keeps
-    less fill-in than the class order); the span test reads them in class
-    order.  For explicit `gens` the monomials, the columns of G, keep the
-    class order with each class listed minimum last: a default binomial
-    m - min then becomes the pivot row of its own column m without a
-    reduction step, and the trinomial rows, which touch class minima only,
-    are reduced against each other alone.
+    so no order changes a report, and the oracle takes no tie-break: it
+    reads the default class table (`monomial_classes`, the walk order
+    reversed, no sort).  With gens=None it reads only the class points and
+    n; explicit `gens` of any tie-break only reorder the columns of G.  The
+    columns are numbered for the elimination, which pivots each row at its
+    smallest column (`fraction_free_echelon`).  The columns of C are sorted
+    by descending x-degree k, then slot i, and its rows are eliminated
+    sparsest first (a stable sort by entry count, which keeps less fill-in
+    than the class order); the span test reads them in class order.  For
+    explicit `gens` the monomials, the columns of G, keep the class order
+    with each class listed minimum last: a default binomial m - min then
+    becomes the pivot row of its own column m without a reduction step, an
+    alt one may take one step, and the trinomial rows, which touch class
+    minima only, are reduced against each other alone.
 
     Binomial block.  With gens=None, G is the fibre's family: the default
     binomials B, m - min(class) for each non-minimal m, read from the class
@@ -350,12 +348,13 @@ def kernel_oracle(
     whose residue is 0 included, so column_count counts exact columns; on
     the special fibre an exact value is its residue mod p.
 
-    One value per coefficient.  A row entry is residue(phi(c)) of a
-    coefficient's specialized value, read from the context's table
+    One value per polynomial.  A row entry is residue(phi(c)) of a
+    coefficient's specialized value, the sum of gamma times the value of d
+    over its groups (gamma, d), each d's value read from the context's table
     (`FibreContext.specialized_value`), which the exact check reads too.
     Specialization and phi are ring maps, and equal polynomials have equal
     images, so the value read from the table equals the per-term value it
-    replaces; equal coefficients that hash differently only miss the table.
+    replaces; equal polynomials that hash differently only miss the table.
     An F row is read once per slot (dr, dt, c): at the anchor (rho, T) the
     slot's value sits in the class (rho + dr, T + dt), one class per slot,
     which is the generator's row summed per class, and F's exact check is
@@ -404,8 +403,8 @@ def kernel_oracle(
     if specialization is None:
         specialization = default_specialization(params)
     ctx = fibre_context(params, fibre, specialization)
-    classes = monomial_classes(params, tie_break)
-    r, lam = (params.p, 0) if fibre == SPECIAL else _oracle_field_of(params)
+    classes = monomial_classes(params, TIE_BREAK_DEFAULT)
+    r, lam = (params.p, 0) if fibre == SPECIAL else oracle_field(params.p)
     # (slot i, x-degree k, residue) over the exact support of image(0, T), once per weight
     weight_rows: dict = {}
     for _, T in classes:
@@ -494,7 +493,6 @@ def kernel_oracle_with_retry(
     fibre: str,
     specialization: dict | None,
     rng: random.Random,
-    tie_break: str = TIE_BREAK_DEFAULT,
 ):
     """Try the oracle at up to ORACLE_ATTEMPTS specializations, the given one
     first, then randomized small integers after each degeneracy.
@@ -502,9 +500,9 @@ def kernel_oracle_with_retry(
     Returns (report_or_None, list of attempted specializations).
 
     The oracle on the fibre's own family is a function of (params, fibre,
-    specialization, tie_break), so a specialization already tried, which
-    was degenerate, is recorded again and not rerun; the draws are the
-    same, so the list is too.  On a triple with no deformation symbols
+    specialization), so a specialization already tried, which was
+    degenerate, is recorded again and not rerun; the draws are the same, so
+    the list is too.  On a triple with no deformation symbols
     every attempt is {}, and the oracle runs once.
     """
     syms = deformation_symbols(params)
@@ -515,7 +513,7 @@ def kernel_oracle_with_retry(
         tried.append(dict(spec))
         if fresh:
             try:
-                return kernel_oracle(params, fibre, spec, tie_break=tie_break), tried
+                return kernel_oracle(params, fibre, spec), tried
             except DegenerateSpecialization:
                 pass
         spec = {s: rng.randint(1, max(9, params.p)) for s in syms}
@@ -656,7 +654,7 @@ def certify(
         rng = random.Random(seed)
         for fb in (GENERIC, SPECIAL):
             t0 = time.perf_counter()
-            report, tried = kernel_oracle_with_retry(params, fb, specialization, rng, tie_break=tie_break)
+            report, tried = kernel_oracle_with_retry(params, fb, specialization, rng)
             timings[f"oracle_{fb}"] = time.perf_counter() - t0
             spec_info[f"attempts_{fb}"] = tried
             oracles[fb] = report.to_dict() if report is not None else {"passes": False, "degenerate": True}

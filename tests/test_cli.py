@@ -465,13 +465,11 @@ def test_output_does_not_depend_on_the_hash_seed(argv):
     assert runs[0].stdout
 
 
-def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
-    # each command's parser and the top-level one are built once per
-    # process; a usage error or --help must not leave one changed for the
-    # next call, and every call reads as it does in a fresh process
+def test_every_call_in_a_process_reads_as_in_a_fresh_one(capsys, monkeypatch):
+    # a usage error or --help must leave nothing changed for the next call,
+    # and every call reads as it does in a fresh process; each call starts
+    # with argparse unloaded, and only the calls argparse reads load it
     monkeypatch.setenv("COLUMNS", "80")
-    assert cli.build_parser() is cli.build_parser()
-    assert all(cli.build_parser(name) is cli.build_parser(name) for name in cli.COMMANDS)
     bogus = ["certify", "-p", "3", "-q", "2", "-l", "1", "--bogus"]
     argvs = [
         ["sweep", "--p-set", "3", "--bogus"],
@@ -487,8 +485,13 @@ def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
         ["certify", "-p", "3", "-q", "2", "--ell=1"],
         ["certify", "-p", "-3", "-q", "2", "-l", "1"],
     ]
-    got = [run(capsys, *argv) for argv in argvs]
+    got, loaded = [], []
+    for argv in argvs:
+        monkeypatch.delitem(sys.modules, "argparse", raising=False)
+        got.append(run(capsys, *argv))
+        loaded.append("argparse" in sys.modules)
     assert [code for code, _, _ in got] == [2, 0, 0, 0, 0, 0, 0, 2, 2, 2, 0, 2, 0, 2]
+    assert [i for i, hit in enumerate(loaded) if not hit] == [2, 10]
     assert all(out for code, out, _ in got if code == 0)
     env = {**os.environ, "PYTHONPATH": str(Path(canideal.__file__).resolve().parents[1])}
     for argv, (code, out, err) in zip(argvs, got):
@@ -512,6 +515,8 @@ def test_an_unknown_option_reports_the_command_usage(capsys):
 
 # every option string of the four commands, forms argparse reads but the
 # table reader leaves to it, and values good and bad for int, str and choices
+# each command's parser, built once for every example: parse_args leaves it unchanged
+_PARSERS = {name: cli.build_parser(name) for name in cli.COMMANDS}
 _FLAGS = sorted({flag for _, options, _ in cli.COMMANDS.values() for option in options for flag in option[0]})
 _OTHER_TOKENS = ["--orac", "--tie", "--ell=1", "-p5", "--", "-", "-h"]
 _VALUES = ["1", "5", "-3", "+5", " 5", "0x5", "", "alt", "nope", "x1=1", "table", "special", "3,5", "-", "--", "-h", "--out"]
@@ -546,7 +551,7 @@ def test_the_table_reader_reads_every_argv_it_accepts_as_argparse_does(command, 
     ours = cli._parse(command, argv)
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            theirs = vars(cli.build_parser(command).parse_args(argv))
+            theirs = vars(_PARSERS[command].parse_args(argv))
     except SystemExit:
         theirs = None
     if ours is not None:
@@ -572,24 +577,22 @@ def test_import_builds_no_parser():
         [
             "import contextlib, io, sys",
             "import canideal.cli as cli",
-            "print(None, 'argparse' in sys.modules, cli.build_parser.cache_info().currsize)",
+            "built, real = [], cli.build_parser",
+            "cli.build_parser = lambda command=None: built.append(command) or real(command)",
+            "print(None, 'argparse' in sys.modules, built)",
             "for argv in %r:" % calls,
             "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
             "        code = cli.main(argv)",
-            "    print(code, 'argparse' in sys.modules, cli.build_parser.cache_info().currsize)",
-            "cli.build_parser('certify')",
-            "print(cli.build_parser.cache_info())",
+            "    print(code, 'argparse' in sys.modules, built)",
         ]
     )
     fresh = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
     assert fresh.returncode == 0, fresh.stderr
     assert fresh.stdout.splitlines() == [
-        "None False 0",
-        *["0 False 0"] * 4,
-        "2 True 1",
-        "2 True 1",
-        # the last two calls and this one read one parser, the certify one
-        "CacheInfo(hits=2, misses=1, maxsize=None, currsize=1)",
+        "None False []",
+        *["0 False []"] * 4,
+        "2 True ['certify']",
+        "2 True ['certify', 'certify']",
     ]
 
 

@@ -858,15 +858,16 @@ class _PerTermContext(FibreContext):
         return sum(f.N for f in m), sum(f.mu for f in m)
 
 
-def _reference_oracle(params, fibre, spec, gens, tie_break, matrix_rank, kernel_basis):
+def _reference_oracle(params, fibre, spec, gens, matrix_rank, kernel_basis):
     """The kernel oracle built one class and one term at a time: every class
     row takes the residue of each entry of its own shifted image (the
     X-coordinates of each weight image computed once), every
     generator term is specialized on its own, and the exact check runs on a
-    `_PerTermContext`.  Returns (report or None when the kernel dimension is
-    off, the rows of every rank computation in order)."""
+    `_PerTermContext`.  The classes are read in the default order, whatever
+    tie-break built `gens`.  Returns (report or None when the kernel
+    dimension is off, the rows of every rank computation in order)."""
     ctx = _PerTermContext(params, fibre, spec)
-    classes = monomial_classes(params, tie_break)
+    classes = monomial_classes(params, "default")
     r, lam = (params.p, 0) if fibre == "special" else oracle_field(params.p)
     col_ids, raw_rows, weight_coords = set(), [], {}
     for rho, T in classes:
@@ -947,10 +948,11 @@ _REFERENCE_CASES = [
 def test_oracle_matches_the_per_class_per_term_reference(monkeypatch, triple, fibre):
     # one residue row per weight and one specialized value per distinct
     # coefficient give the report and both rank inputs of the per-class,
-    # per-term build: default and another specialization, both tie-breaks,
-    # the emitted family with its last generator corrupted, and off the
-    # special fibre every symbol at r, where nonzero exact entries have
-    # residue 0 but keep their columns
+    # per-term build: default and another specialization, the alt family
+    # (its columns in the default class order, the oracle's), the emitted
+    # family with its last generator corrupted, and off the special fibre
+    # every symbol at r, where nonzero exact entries have residue 0 but keep
+    # their columns
     params = validate_params(*triple)
     seen, done = [], {}
 
@@ -975,33 +977,33 @@ def test_oracle_matches_the_per_class_per_term_reference(monkeypatch, triple, fi
     default = default_specialization(params)
     other = {s: 2 * v + 3 for s, v in default.items()}
     emitted = fibre_generators(params, fibre)
-    cases = [(default, "default", emitted)]
+    cases = [(default, emitted)]
     if params.genus <= _REFERENCE_GENUS:
-        cases.append((other, "default", emitted))
-        cases.append((default, "alt", fibre_generators(params, fibre, tie_break="alt")))
+        cases.append((other, emitted))
+        cases.append((default, fibre_generators(params, fibre, tie_break="alt")))
         if fibre != "special":
-            cases.append((dict.fromkeys(default, oracle_field(params.p)[0]), "default", emitted))
+            cases.append((dict.fromkeys(default, oracle_field(params.p)[0]), emitted))
         if emitted:
-            cases.append((default, "default", emitted[:-1] + [corrupt_generator(emitted[-1])]))
+            cases.append((default, emitted[:-1] + [corrupt_generator(emitted[-1])]))
     r = params.p if fibre == "special" else oracle_field(params.p)[0]
-    for spec, tie_break, gens in cases:
-        want, want_inputs = _reference_oracle(params, fibre, spec, gens, tie_break, rank_once, basis_once)
+    for spec, gens in cases:
+        want, want_inputs = _reference_oracle(params, fibre, spec, gens, rank_once, basis_once)
         seen.clear()
         if want is None:
             with pytest.raises(DegenerateSpecialization):
-                kernel_oracle(params, fibre, spec, gens=gens, tie_break=tie_break)
+                kernel_oracle(params, fibre, spec, gens=gens)
         else:
-            assert kernel_oracle(params, fibre, spec, gens=gens, tie_break=tie_break) == want
+            assert kernel_oracle(params, fibre, spec, gens=gens) == want
         # the oracle eliminates the class rows and the generator rows, and
         # no union: a failing report's span is decided by phi(G) * phi(M),
         # which the reference's per-monomial kernel basis checks
-        assert seen == want_inputs[:2], (spec, tie_break)
-        if want is None or (gens is not emitted and tie_break == "default"):
-            continue  # degenerate, or the corrupted family
+        assert seen == want_inputs[:2], spec
+        if want is None or gens is not emitted:
+            continue  # degenerate, the alt family or the corrupted one
         # gens=None reads the binomials from the class table: the same report
         # from the class rows and the generator rows summed per class, the
         # binomials' sums being zero
-        class_of = [c for c, group in enumerate(monomial_classes(params, tie_break).values()) for _ in group]
+        class_of = [c for c, group in enumerate(monomial_classes(params, "default").values()) for _ in group]
         summed = []
         for row in want_inputs[1]:
             sums = {}
@@ -1010,8 +1012,45 @@ def test_oracle_matches_the_per_class_per_term_reference(monkeypatch, triple, fi
             if any(sums.values()):
                 summed.append({c: v for c, v in sums.items() if v})
         seen.clear()
-        assert kernel_oracle(params, fibre, spec, tie_break=tie_break) == want
-        assert seen == [want_inputs[0], summed], (spec, tie_break)
+        assert kernel_oracle(params, fibre, spec) == want
+        assert seen == [want_inputs[0], summed], spec
+
+
+_SMALL_TRIPLES = [(p, q, ell) for p in (3, 5) for q in (1, 2) for ell in range(1, p)]
+
+
+@pytest.mark.parametrize("triple", _SMALL_TRIPLES, ids=["%d,%d,%d" % t for t in _SMALL_TRIPLES])
+def test_oracle_reports_do_not_depend_on_the_tie_break(triple):
+    # the oracle takes no tie-break: on both oracle fibres the fibre's own
+    # family, the default family and the alt family as explicit gens give
+    # one report, the per-class, per-term reference's for either family, or
+    # all raise where the reference's kernel dimension is off
+    params = validate_params(*triple)
+    spec = default_specialization(params)
+    for fibre in ("generic", "special"):
+        families = [None] + [fibre_generators(params, fibre, tie_break=tb) for tb in ("default", "alt")]
+        want = _reference_oracle(params, fibre, spec, families[1], matrix_rank, kernel_basis)[0]
+        assert _reference_oracle(params, fibre, spec, families[2], matrix_rank, kernel_basis)[0] == want, fibre
+        for gens in families:
+            if want is None:
+                with pytest.raises(DegenerateSpecialization):
+                    kernel_oracle(params, fibre, spec, gens=gens)
+            else:
+                assert kernel_oracle(params, fibre, spec, gens=gens) == want, fibre
+
+
+def test_a_specialized_context_specializes_each_polynomial_once(monkeypatch):
+    # every value certify --oracle reads on a specialized context, of a
+    # relation part, an a(x)-power table or a generator coefficient, comes
+    # from the context's table: no context specializes one polynomial twice
+    calls = []
+    real = SparsePoly.specialize
+    monkeypatch.setattr(SparsePoly, "specialize", lambda self, values: calls.append((values, self)) or real(self, values))
+    assert certify(validate_params(5, 2, 1), oracle=True).overall == "PASS"
+    per_context: dict = {}
+    for values, poly in calls:
+        per_context[id(values), poly] = per_context.get((id(values), poly), 0) + 1
+    assert calls and max(per_context.values()) == 1
 
 
 @pytest.mark.parametrize("fibre", ["generic", "special", "relative"])
@@ -1254,11 +1293,11 @@ def test_oracle_retry(monkeypatch):
     calls = []
     real = verify.kernel_oracle
 
-    def flaky(p, fibre, spec, tie_break="default"):
+    def flaky(p, fibre, spec):
         calls.append(dict(spec))
         if len(calls) == 1:
             raise DegenerateSpecialization("forced")
-        return real(p, fibre, spec, tie_break=tie_break)
+        return real(p, fibre, spec)
 
     monkeypatch.setattr(verify, "kernel_oracle", flaky)
     rng = random.Random(0)
@@ -1290,7 +1329,7 @@ def test_oracle_retry_runs_each_specialization_once(monkeypatch, triple, spec, c
     params = validate_params(*triple)
     calls = []
 
-    def degenerate(p, fibre, spec, tie_break="default"):
+    def degenerate(p, fibre, spec):
         calls.append(dict(spec))
         raise DegenerateSpecialization("forced")
 
@@ -1374,9 +1413,9 @@ def _certificate_from_generators(params, tie_break, oracle=True, seed=0, corrupt
                     try:
                         gens = fibre_generators(params, fibre, tie_break=tie_break)
                     except CanidealError:
-                        kernel_oracle(params, fibre, spec, gens=[], tie_break=tie_break)
+                        kernel_oracle(params, fibre, spec, gens=[])
                         raise
-                    oracles[fibre] = kernel_oracle(params, fibre, spec, gens=gens, tie_break=tie_break).to_dict()
+                    oracles[fibre] = kernel_oracle(params, fibre, spec, gens=gens).to_dict()
                     break
                 except DegenerateSpecialization:
                     pass
