@@ -182,8 +182,9 @@ def trinomial_layout(params: FamilyParams, fibre: str, i: int | None = None) -> 
     InvariantViolation unless the lead (0, 0) is the only slot with dt <= 0.
 
     With i, PointNotInMinkowskiSum unless every slot stays in the Minkowski
-    sum at every anchor of set i: the anchor runs at T, shifted by dr, must
-    lie in the runs at T + dt (`indexsets._meet` on the run tables).
+    sum at every anchor of set i: the anchor interval at T, shifted by dr,
+    must lie in the sum's interval at T + dt (`indexsets._meet` on the run
+    tables).
     """
     merged: dict[tuple[int, int], tuple] = {}
     syms = deformation_symbols(params)

@@ -4,15 +4,24 @@ Everything is computed from the index set; the closed forms are only checked
 against it.  Sets are returned sorted: index pairs by (mu, N), Minkowski
 points by (T, rho).
 
-The counting layer works on run tables: weight -> sorted, disjoint,
-non-adjacent intervals [lo, hi].  Row mu of the index set is by definition
-one interval, floor(mu*ell/p) <= N <= mu*q - 2 (`_rows`).  The Minkowski
-sum's table adds each run pair of rows mu <= mu' as [a + c, b + d] at
-T = mu + mu' and merges the intervals at each T, as [a, b] + [c, d] =
-[a + c, b + d] over the integers.  Closed forms, anchor sets and the counts
-of `check_counts` are interval arithmetic on these tables, with no point
-built.  Points are expanded only for the point API, monomials only for the
-generators, the membership test's multidegree lookup and the kernel oracle.
+The counting layer works on run tables: weight -> one interval [lo, hi].
+Row mu of the index set is by definition one interval,
+floor(mu*ell/p) <= N <= mu*q - 2 (`_rows`), and every table holds one
+interval per weight:
+
+- Minkowski sum.  [a, b] + [c, d] = [a + c, b + d] over the integers, and
+  every row pair mu <= mu' at T = mu + mu' ends at (mu + mu')*q - 4 =
+  T*q - 4.  Intervals sharing a right end are nested, so the sum at T is
+  [min(a + c), T*q - 4] (`_row_sums`).
+- Anchor sets.  The rho at T with [rho + lo, rho + hi] inside the sum's
+  interval [c, d] at a shifted weight are the interval [c - lo, d - hi]
+  (lo <= hi), so `_meet` intersects two intervals per weight; anchored
+  rho and every anchor set are such intersections, one interval each.
+
+Closed forms, anchor sets and the counts of `check_counts` are interval
+arithmetic on these tables, with no point built.  Points are expanded only
+for the point API, monomials only for the generators, the membership
+test's multidegree lookup and the kernel oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from .family import FamilyParams, a_power_min_exponent, per_triple
 from .termorder import TIE_BREAK_DEFAULT, IndexPair, Monomial, sort_monomials
 
 Run = tuple[int, int]
-RunTable = dict[int, tuple[Run, ...]]
+RunTable = dict[int, Run]
 
 
 class MinkowskiPoint(NamedTuple):
@@ -38,9 +47,9 @@ class MinkowskiPoint(NamedTuple):
 
 @per_triple
 def _rows(params: FamilyParams) -> RunTable:
-    """mu -> ((floor(mu*ell/p), mu*q - 2),), 1 <= mu <= p-1: the index set's rows, empty ones left out."""
+    """mu -> (floor(mu*ell/p), mu*q - 2), 1 <= mu <= p-1: the index set's rows, empty ones left out."""
     p, q, ell = params.p, params.q, params.ell
-    return {mu: ((mu * ell // p, mu * q - 2),) for mu in range(1, p) if mu * ell // p <= mu * q - 2}
+    return {mu: (mu * ell // p, mu * q - 2) for mu in range(1, p) if mu * ell // p <= mu * q - 2}
 
 
 @per_triple
@@ -49,48 +58,28 @@ def build_index_set(params: FamilyParams) -> tuple[IndexPair, ...]:
     return _expand(_rows(params), IndexPair)
 
 
-def _merge(intervals) -> tuple[Run, ...]:
-    """The union of integer intervals [lo, hi] (lo <= hi) as sorted, disjoint, non-adjacent runs."""
-    out: list[Run] = []
-    for lo, hi in sorted(intervals):
-        if out and lo <= out[-1][1] + 1:
-            out[-1] = (out[-1][0], max(hi, out[-1][1]))
-        else:
-            out.append((lo, hi))
-    return tuple(out)
-
-
-def _intersect(xs: tuple[Run, ...], ys: tuple[Run, ...], lo: int = 0, hi: int = 0) -> tuple[Run, ...]:
-    """xs intersected with the runs [c, d] of ys shrunk to [c - lo, d - hi], lo <= hi:
-    again sorted, disjoint and non-adjacent, as the shrink only widens gaps."""
-    out = []
-    for a, b in xs:
-        for c, d in ys:
-            c, d = c - lo, d - hi
-            c, d = (a if a > c else c), (b if b < d else d)
-            if c <= d:
-                out.append((c, d))
-    return tuple(out)
-
-
 def _total(table: RunTable) -> int:
-    return sum(hi - lo + 1 for runs in table.values() for lo, hi in runs)
+    return sum(hi - lo + 1 for lo, hi in table.values())
 
 
 def _row_sums(rows: RunTable) -> RunTable:
-    """Run table of the pairwise sums of a row table (rows by ascending mu): each run
-    pair of rows mu <= mu' adds its sum at T = mu + mu', merged at each T."""
+    """Run table of the pairwise sums of a row table (rows by ascending mu, row mu
+    ending at mu*q - 2): the lowest a + c over the row pairs mu <= mu' at
+    T = mu + mu', up to the end b + d = T*q - 4 that every such pair shares."""
     items = list(rows.items())
-    sums: dict[int, list[Run]] = {}
-    for k, (mu, runs) in enumerate(items):
-        for mu2, runs2 in items[k:]:
-            sums.setdefault(mu + mu2, []).extend((a + c, b + d) for a, b in runs for c, d in runs2)
-    return {T: _merge(sums[T]) for T in sorted(sums)}
+    sums: RunTable = {}
+    for k, (mu, (a, b)) in enumerate(items):
+        for mu2, (c, d) in items[k:]:
+            T = mu + mu2
+            got = sums.get(T)
+            if got is None or a + c < got[0]:
+                sums[T] = (a + c, b + d)
+    return {T: sums[T] for T in sorted(sums)}
 
 
 def _expand(table: RunTable, point=MinkowskiPoint) -> tuple:
     """The points point(x, weight) of a run table with ascending weights, sorted by (weight, x)."""
-    return tuple(point(x, w) for w, runs in table.items() for lo, hi in runs for x in range(lo, hi + 1))
+    return tuple(point(x, w) for w, (lo, hi) in table.items() for x in range(lo, hi + 1))
 
 
 @per_triple
@@ -137,7 +126,7 @@ def _closed_forms(params: FamilyParams) -> tuple[dict[int, int], RunTable, RunTa
     b = {T: rho_lower_bound(params, T) for T in range(2, 2 * (p - 1) + 1)}
 
     def bands(weights, lower) -> RunTable:  # {T: lower(T) <= rho <= T*q - 4}, empty weights left out
-        return {T: ((lower(T), T * q - 4),) for T in weights if lower(T) <= T * q - 4}
+        return {T: (lower(T), T * q - 4) for T in weights if lower(T) <= T * q - 4}
 
     zero, lower = range(2, p - 1), b.__getitem__
     return b, bands(b, lower), bands(zero, lower), bands(zero, lambda T: max(b[T], b[T + p] - ell, b[T + p] - jmin))
@@ -157,20 +146,24 @@ def anchor_set(params: FamilyParams, i: int) -> tuple[MinkowskiPoint, ...]:
 
 
 def _meet(table: RunTable, others: RunTable, shift: int = 0, lo: int = 0, hi: int = 0) -> RunTable:
-    """At each weight T of table, the rho of its runs with [rho + lo, rho + hi] inside
-    the runs of others at T + shift (so in one run, as runs are non-adjacent); empty T left out."""
+    """At each weight T of table, the rho of its interval with [rho + lo, rho + hi]
+    inside the interval [c, d] of others at T + shift: the interval meets
+    [c - lo, d - hi] (lo <= hi).  Empty T left out."""
     out = {}
-    for T, runs in table.items():
-        got = _intersect(runs, others.get(T + shift, ()), lo, hi)
-        if got:
-            out[T] = got
+    for T, (a, b) in table.items():
+        got = others.get(T + shift)
+        if got is not None:
+            c, d = got[0] - lo, got[1] - hi
+            c, d = (a if a > c else c), (b if b < d else d)
+            if c <= d:
+                out[T] = (c, d)
     return out
 
 
 @per_triple
 def _anchor_runs(params: FamilyParams) -> tuple[RunTable, ...]:
-    """Run tables of the anchor sets i = 0..p: the rho at T with rho + ell in the runs
-    at T + p (for every i) and [rho + jlo, rho + jhi] in those at T + p - i (jlo <= jhi)."""
+    """Run tables of the anchor sets i = 0..p: the rho at T with rho + ell in the sum
+    at T + p (for every i) and [rho + jlo, rho + jhi] in it at T + p - i (jlo <= jhi)."""
     runs = _runs(params)
     p, q, ell = params.p, params.q, params.ell
     anchored = _meet(runs, runs, p, ell, ell)
@@ -298,7 +291,7 @@ class CountReport:
 def check_counts(params: FamilyParams) -> CountReport:
     """Run every counting identity for one parameter triple on its run tables;
     failed identities become report entries, never exceptions."""
-    rows = [hi - lo + 1 for ((lo, hi),) in _rows(params).values()]
+    rows = [hi - lo + 1 for lo, hi in _rows(params).values()]
     runs = _runs(params)
     b, closed, zero_closed, zero_repaired = _closed_forms(params)
     anchors = _anchor_runs(params)
@@ -315,7 +308,7 @@ def check_counts(params: FamilyParams) -> CountReport:
     # b(T + alpha) <= b(T) + alpha for all alpha >= 0 exactly when it holds at alpha = 1: steps telescope
     subadd = all(b[T + 1] <= b[T] + 1 for T in range(2, tmax))
 
-    # runs are canonical, so zero lies inside a exactly when it meets a in itself
+    # one interval per weight, so zero lies inside a exactly when meeting a leaves it whole
     contained = all(_meet(zero, a) == zero for a in anchors[1:])
 
     # unordered pairs: |row|(|row|+1)/2 within a row, |row|*|row'| across two rows

@@ -605,8 +605,10 @@ def certify(
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     count_report = check_counts(params)
-    relations = relation_consistency(params)
     timings["counting"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    relations = relation_consistency(params)
+    timings["relations"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     # the default binomials are the class table and the relative family is

@@ -53,7 +53,7 @@ def test_row_table_is_the_index_set_grouped_by_rows():
         for N, mu in points:
             rows.setdefault(mu, []).append(N)
         assert all(Ns == list(range(Ns[0], Ns[-1] + 1)) for Ns in rows.values())
-        assert indexsets._rows(params) == {mu: ((Ns[0], Ns[-1]),) for mu, Ns in rows.items()}, (p, q, ell)
+        assert indexsets._rows(params) == {mu: (Ns[0], Ns[-1]) for mu, Ns in rows.items()}, (p, q, ell)
         assert build_index_set(params) == tuple(IndexPair(N, mu) for N, mu in points)
         assert len(build_index_set(params)) == params.genus
 
@@ -291,74 +291,57 @@ def _naive_pair_counts(index_set):
     return counts
 
 
-index_sets = st.lists(
-    st.builds(IndexPair, N=st.integers(-3, 12), mu=st.integers(1, 6)), unique=True, max_size=25
-)
+def _covered(run):
+    lo, hi = run
+    return set(range(lo, hi + 1))
 
 
-def _canonical(runs):
-    """Sorted, disjoint, non-adjacent, each run nonempty."""
-    return all(lo <= hi for lo, hi in runs) and all(hi + 1 < lo2 for (_, hi), (lo2, _) in zip(runs, runs[1:]))
-
-
-def _covered(runs):
-    return {x for lo, hi in runs for x in range(lo, hi + 1)}
-
-
-@given(index_set=index_sets)
-@example(index_set=[])
-@example(index_set=[IndexPair(2, 3)])
-@example(index_set=[IndexPair(0, 1), IndexPair(4, 1), IndexPair(9, 1)])  # gaps in N, a single mu
-@example(index_set=[IndexPair(5, 4), IndexPair(0, 1), IndexPair(2, 4), IndexPair(1, 1), IndexPair(3, 2)])
-def test_pair_counts_match_a_double_loop(index_set):
+@given(q=st.integers(1, 4), lows=st.dictionaries(st.integers(1, 6), st.integers(-3, 12)))
+@example(q=1, lows={})
+@example(q=2, lows={3: 2})
+@example(q=2, lows={1: 0, 2: 0, 3: 9, 4: 9, 5: 0})  # rows 3 and 4 empty: weights 2, 3, 6 met before 4
+@example(q=3, lows={4: 5, 1: 0, 2: 4, 3: -2})  # lower ends not monotone in mu
+def test_pair_counts_match_a_double_loop(q, lows):
+    # rows of the family's shape: any lower end, row mu ending at mu*q - 2,
+    # empty rows left out as `_rows` leaves them out
+    rows = {mu: (lo, mu * q - 2) for mu, lo in sorted(lows.items()) if lo <= mu * q - 2}
+    index_set = [IndexPair(N, mu) for mu, (lo, hi) in rows.items() for N in range(lo, hi + 1)]
     naive = _naive_pair_counts(index_set)
-    # the row table of index_set: rows by ascending mu, each row's N cut into
-    # maximal runs of consecutive values
-    rows = {}
-    for f in sorted(index_set, key=lambda f: (f.mu, f.N)):
-        runs = rows.setdefault(f.mu, [])
-        if runs and runs[-1][1] + 1 == f.N:
-            runs[-1] = (runs[-1][0], f.N)
-        else:
-            runs.append((f.N, f.N))
-    table = indexsets._row_sums({mu: tuple(runs) for mu, runs in rows.items()})
+    table = indexsets._row_sums(rows)
     assert list(table) == sorted({T for T, _ in naive})
-    for T, runs in table.items():
-        assert _canonical(runs)
-        assert _covered(runs) == {rho for T2, rho in naive if T2 == T}
+    for T, run in table.items():
+        assert run[0] <= run[1]
+        assert _covered(run) == {rho for T2, rho in naive if T2 == T}
     want = tuple(sorted((pt(rho, T) for T, rho in naive), key=lambda m: (m.T, m.rho)))
     assert indexsets._expand(table) == want
 
 
-intervals = st.lists(
-    st.tuples(st.integers(-20, 20), st.integers(0, 6)).map(lambda t: (t[0], t[0] + t[1])), max_size=8
-)
-
-
-@given(xs=intervals, ys=intervals)
-@example(xs=[(0, 2), (4, 5), (3, 3), (9, 9)], ys=[(1, 4), (8, 12)])  # adjacent runs merge, gaps stay
-def test_run_merge_and_intersection_are_set_operations(xs, ys):
-    # real triples give one run per weight; this is the multi-run path
-    mx, my = indexsets._merge(xs), indexsets._merge(ys)
-    assert _canonical(mx) and _covered(mx) == _covered(xs)
-    assert _canonical(my) and _covered(my) == _covered(ys)
-    both = indexsets._intersect(mx, my)
-    assert _canonical(both) and _covered(both) == _covered(mx) & _covered(my)
-
-
 run_tables = st.dictionaries(
-    st.integers(2, 8),
-    st.lists(st.tuples(st.integers(-5, 25), st.integers(0, 12)).map(lambda t: (t[0], t[0] + t[1])), min_size=1, max_size=4)
-    .map(indexsets._merge),
+    st.integers(-4, 12), st.tuples(st.integers(-5, 25), st.integers(0, 12)).map(lambda t: (t[0], t[0] + t[1])), max_size=8
 )
+
+
+@given(table=run_tables, others=run_tables, shift=st.integers(-4, 4), lo=st.integers(-3, 3), width=st.integers(0, 6))
+@example(table={2: (0, 9)}, others={3: (4, 12)}, shift=1, lo=2, width=3)  # [rho + 2, rho + 5] inside [4, 12]: rho in [2, 7]
+@example(table={2: (0, 9)}, others={3: (4, 6)}, shift=1, lo=0, width=3)  # the window is wider than others: empty
+def test_meet_is_its_point_definition(table, others, shift, lo, width):
+    # the rho of table at T with every rho + j, lo <= j <= hi, in others at T + shift
+    hi = lo + width
+    want = {
+        T: {rho for rho in _covered(run) if all(rho + j in _covered(others.get(T + shift, (0, -1))) for j in range(lo, hi + 1))}
+        for T, run in table.items()
+    }
+    got = indexsets._meet(table, others, shift, lo, hi)
+    assert all(a <= b for a, b in got.values())
+    assert {T: _covered(run) for T, run in got.items()} == {T: rhos for T, rhos in want.items() if rhos}
 
 
 @given(table=run_tables, triple=st.sampled_from([(5, 1, 1), (5, 1, 3), (5, 2, 1), (5, 2, 3)]))
-@example(table={2: ((0, 9),), 6: ((0, 3),), 7: ((0, 9),)}, triple=(5, 1, 1))  # zero anchor not inside anchor 1
-def test_anchor_runs_follow_the_definition_on_multi_run_tables(table, triple):
-    # the anchor path and the containment check on sums with several runs per weight
+@example(table={2: (0, 9), 6: (0, 3), 7: (0, 9)}, triple=(5, 1, 1))  # zero anchor not inside anchor 1
+def test_anchor_runs_follow_the_definition_on_generated_tables(table, triple):
+    # the anchor path and the containment check on sums of any interval per weight
     p, q, ell = triple
-    points = {(rho, T) for T, runs in table.items() for rho in _covered(runs)}
+    points = {(rho, T) for T, run in table.items() for rho in _covered(run)}
     want = [
         {
             (rho, T)
@@ -374,8 +357,8 @@ def test_anchor_runs_follow_the_definition_on_multi_run_tables(table, triple):
         report = check_counts(params)
         got = indexsets._anchor_runs(params)
     for runs, expected in zip(got, want):
-        assert all(_canonical(r) for r in runs.values())
-        assert {(rho, T) for T, r in runs.items() for rho in _covered(r)} == expected
+        assert all(a <= b for a, b in runs.values())
+        assert {(rho, T) for T, run in runs.items() for rho in _covered(run)} == expected
     assert report.minkowski_size == len(points)
     assert report.anchor_sizes == tuple(map(len, want))
     assert report.anchor_zero_contained == all(want[0] <= a for a in want)
