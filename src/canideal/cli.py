@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 mathematical failure, 2 usage or invalid parameters,
 3 I/O failure.  All outputs are deterministic for a fixed configuration.
 
+A runner (`COMMANDS`) returns its document, whether it passed and the notes
+to warn of; `main` alone formats the document (`_json`, or the `_TABLES` lines
+read from it), writes it (`_emit`), then warns once per note and maps the
+outcome to 0 or 1; a failed write exits 3 at once, with no warning.
+
 Each command's options are one table (`COMMANDS`), and both readers of an
 argv read it, so they cannot drift.  A well-formed argv takes the strict
 reader `_parse`: every token is one of the command's own option strings,
@@ -41,7 +46,7 @@ from types import SimpleNamespace
 from .errors import CanidealError
 from .family import validate_p_q, validate_params
 from .generators import GENERIC, RELATIVE, SPECIAL, fibre_generators, generators_document
-from .indexsets import check_counts
+from .indexsets import MinkowskiPoint, check_counts
 from .termorder import TIE_BREAK_DEFAULT, TIE_BREAKS
 from .verify import certify
 
@@ -155,9 +160,8 @@ def _json(doc: dict) -> str:
     return _encode(doc, "") + "\n"
 
 
-def cmd_info(args) -> int:
+def cmd_info(args):
     params = validate_params(args.p, args.q, args.ell)
-    report = check_counts(params)
     doc = {
         "schema": "canideal.info/1",
         "params": {"p": params.p, "q": params.q, "ell": params.ell, "m": params.m},
@@ -167,32 +171,38 @@ def cmd_info(args) -> int:
             "trigonal_risk": params.trigonal_risk,
             "plane_quintic_risk": params.plane_quintic_risk,
         },
-        "counts": report.to_dict(),
+        "counts": check_counts(params).to_dict(),
     }
-    if args.format == "table":
-        lines = [
-            f"p={params.p} q={params.q} ell={params.ell} m={params.m} genus={params.genus}",
-            f"index set        : {report.index_set_size}",
-            f"minkowski sum    : {report.minkowski_size}",
-            f"anchor sizes     : {list(report.anchor_sizes)}",
-            f"outside zero-set : {report.outside_zero} (bound {report.bound})",
-            f"all checks pass  : {report.all_pass}",
-        ]
-        return _emit("\n".join(lines) + "\n", args.out)
-    return _emit(_json(doc), args.out)
+    return doc, True, ()
 
 
-def cmd_generators(args) -> int:
+def _info_table(doc: dict) -> list[str]:
+    params, counts = doc["params"], doc["counts"]
+    return [
+        f"p={params['p']} q={params['q']} ell={params['ell']} m={params['m']} genus={doc['genus']}",
+        f"index set        : {counts['index_set_size']}",
+        f"minkowski sum    : {counts['minkowski_size']}",
+        f"anchor sizes     : {counts['anchor_sizes']}",
+        f"outside zero-set : {counts['outside_zero']} (bound {counts['bound']})",
+        f"all checks pass  : {counts['all_pass']}",
+    ]
+
+
+def cmd_generators(args):
     params = validate_params(args.p, args.q, args.ell)
     gens = fibre_generators(params, args.fibre, all_pairs=args.all_pairs, tie_break=args.tie_break)
-    doc = generators_document(params, gens, args.fibre, args.tie_break)
-    if args.format == "table":
-        lines = [f"{g.provenance} anchor={g.anchor} terms={len(g.terms)}" for g in gens]
-        return _emit("\n".join(lines) + "\n", args.out)
-    return _emit(_json(doc), args.out)
+    return generators_document(params, gens, args.fibre, args.tie_break), True, ()
 
 
-def cmd_certify(args) -> int:
+def _generators_table(doc: dict) -> list[str]:
+    # an anchor reads back as the MinkowskiPoint it was written from; null stays None
+    return [
+        f"{g['provenance']} anchor={g['anchor'] and MinkowskiPoint(*g['anchor'])} terms={len(g['terms'])}"
+        for g in doc["generators"]
+    ]
+
+
+def cmd_certify(args):
     params = validate_params(args.p, args.q, args.ell)
     cert = certify(
         params,
@@ -202,22 +212,12 @@ def cmd_certify(args) -> int:
         seed=args.seed,
         corrupt_one=args.corrupt_one,
     )
-    doc = cert.to_dict(include_timings=args.timings)
-    if args.format == "table":
-        lines = [f"overall: {cert.overall}"]
-        lines += [f"{k:28s}: {v}" for k, v in sorted(cert.verdicts.items())]
-        text = "\n".join(lines) + "\n"
-    else:
-        text = _json(doc)
-    code = _emit(text, args.out)
-    if code != EXIT_OK:
-        return code
-    if cert.overall == "FAIL":
-        return EXIT_MATH_FAIL
-    if cert.overall == "PASS-WITH-CAVEAT":
-        for note in cert.caveats:
-            print(f"warning: {note}", file=sys.stderr)
-    return EXIT_OK
+    notes = cert.caveats if cert.overall == "PASS-WITH-CAVEAT" else ()
+    return cert.to_dict(include_timings=args.timings), cert.overall != "FAIL", notes
+
+
+def _certify_table(doc: dict) -> list[str]:
+    return [f"overall: {doc['overall']}"] + [f"{k:28s}: {v}" for k, v in sorted(doc["verdicts"].items())]
 
 
 def _parse_int_set(text: str, option: str) -> list[int]:
@@ -231,54 +231,49 @@ def _parse_int_set(text: str, option: str) -> list[int]:
     return out
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     try:
         p_set = _parse_int_set(args.p_set, "--p-set")
         q_set = _parse_int_set(args.q_set, "--q-set")
         l_set = None if args.l_set == "all" else _parse_int_set(args.l_set, "--l-set")
     except ValueError as exc:
-        print(f"error: bad range: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CanidealError(f"bad range: {exc}") from None
     # every (p, q) is checked before ell is enumerated: with p < 2 the range
     # of ell is empty, and no row would reach validate_params
     for p in p_set:
         for q in q_set:
             validate_p_q(p, q)
-    rows = []
-    all_pass = True
-    for p in p_set:
-        for q in q_set:
-            for ell in range(1, p) if l_set is None else l_set:
-                params = validate_params(p, q, ell)
-                report = check_counts(params)
-                all_pass = all_pass and report.all_pass
-                rows.append(report)
-    if args.format == "structured":
-        doc = {"schema": "canideal.sweep/1", "rows": [r.to_dict() for r in rows], "all_pass": all_pass}
-        text = _json(doc)
-    else:
-        header = f"{'p':>3} {'q':>3} {'ell':>4} {'g':>5} {'|A+A|':>6} {'|C0|':>5} {'diff':>5} {'bound':>6} {'eq':>3} {'ok':>3}"
-        lines = [header]
-        for r in rows:
-            lines.append(
-                f"{r.p:>3} {r.q:>3} {r.ell:>4} {r.genus:>5} {r.minkowski_size:>6} "
-                f"{r.anchor_sizes[0]:>5} {r.outside_zero:>5} {r.bound:>6} "
-                f"{'y' if r.counting_bound_equality else 'n':>3} {'y' if r.all_pass else 'N':>3}"
-            )
-        text = "\n".join(lines) + "\n"
-    code = _emit(text, args.out)
-    if code != EXIT_OK:
-        return code
-    return EXIT_OK if all_pass else EXIT_MATH_FAIL
+    # every row is counted before any is serialised: to_dict in this loop ran 2% slower
+    reports = [
+        check_counts(validate_params(p, q, ell))
+        for p in p_set
+        for q in q_set
+        for ell in (range(1, p) if l_set is None else l_set)
+    ]
+    rows = [report.to_dict() for report in reports]
+    all_pass = all(row["all_pass"] for row in rows)
+    return {"schema": "canideal.sweep/1", "rows": rows, "all_pass": all_pass}, all_pass, ()
 
 
-# name: (help, options, runner)
+def _sweep_table(doc: dict) -> list[str]:
+    header = f"{'p':>3} {'q':>3} {'ell':>4} {'g':>5} {'|A+A|':>6} {'|C0|':>5} {'diff':>5} {'bound':>6} {'eq':>3} {'ok':>3}"
+    return [header] + [
+        f"{r['p']:>3} {r['q']:>3} {r['ell']:>4} {r['genus']:>5} {r['minkowski_size']:>6} "
+        f"{r['anchor_sizes'][0]:>5} {r['outside_zero']:>5} {r['bound']:>6} "
+        f"{'y' if r['checks']['counting_bound_equality'] else 'n':>3} {'y' if r['all_pass'] else 'N':>3}"
+        for r in doc["rows"]
+    ]
+
+
+# name: (help, options, runner); a runner returns (document, passed, notes)
 COMMANDS = {
     "info": ("parameters, genus, flags and set sizes", _PARAM_OPTIONS, cmd_info),
     "generators": ("export a generator family", _GENERATORS_OPTIONS, cmd_generators),
     "certify": ("run the two-fibre certification", _CERTIFY_OPTIONS, cmd_certify),
     "sweep": ("counting identities over parameter ranges", _SWEEP_OPTIONS, cmd_sweep),
 }
+# name: the lines of --format table, read from the runner's document
+_TABLES = {"info": _info_table, "generators": _generators_table, "certify": _certify_table, "sweep": _sweep_table}
 
 
 def build_parser(command: str | None = None):
@@ -347,13 +342,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return COMMANDS[argv[0]][2](args)
-    except CanidealError as exc:
+        doc, passed, notes = COMMANDS[argv[0]][2](args)
+        text = "\n".join(_TABLES[argv[0]](doc)) + "\n" if args.format == "table" else _json(doc)
+        code = _emit(text, args.out)
+    except (CanidealError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_USAGE if isinstance(exc, CanidealError) else EXIT_IO
+    if code != EXIT_OK:
+        return code
+    for note in notes:
+        print(f"warning: {note}", file=sys.stderr)
+    return EXIT_OK if passed else EXIT_MATH_FAIL
 
 
 if __name__ == "__main__":

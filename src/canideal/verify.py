@@ -303,7 +303,7 @@ def kernel_oracle(
     have equal rows: M = P * C, where C holds one row per class and P maps
     each monomial to its class.  M and C, and phi(M) and phi(C), have the
     same row space, so rank M = rank C and kernel_dim = n - rank_r phi(C)
-    for n monomials.
+    for n monomials, the sum of the class sizes.
 
     Row and column orders.  No rank changes under a row or a column
     permutation, and monomial_count and column_count are the sizes of sets,
@@ -417,8 +417,7 @@ def kernel_oracle(
     col_index = {key: idx for idx, key in enumerate(sorted(col_ids, key=lambda key: (-key[1], key[0])))}
     class_rows = [{col_index[i, k + rho]: v for i, k, v in weight_rows[T] if v} for rho, T in classes]
 
-    table = monomial_multidegrees(params)
-    n = len(table)
+    n = sum(map(len, classes.values()))
     rank = matrix_rank(sorted(class_rows, key=len), r)
     kernel_dim = n - rank
     g = params.genus

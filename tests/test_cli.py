@@ -200,6 +200,33 @@ def test_generators_io_failure(tmp_path):
     assert code == 3
 
 
+_UNWRITABLE = ["--out", "/nonexistent/dir/x"]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["info", "-p", "5", "-q", "2", "-l", "1", "--format", "table", *_UNWRITABLE], 3),
+        (["sweep", "--p-set", "3,5", "--q-set", "1,2", *_UNWRITABLE], 3),
+        # the caveat triple: no warning follows a failed write
+        (["certify", "-p", "3", "-q", "2", "-l", "1", *_UNWRITABLE], 3),
+        (["certify", "-p", "5", "-q", "1", "-l", "2", "--corrupt-one", "--format", "table"], 1),
+    ],
+)
+def test_exit_code_reads_the_write_first_then_the_outcome(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == expected
+    assert "warning:" not in err
+    if expected == 3:
+        assert out == ""
+        assert err.startswith("error: cannot write /nonexistent/dir/x: ")
+    else:
+        lines = out.splitlines()
+        assert lines[0] == "overall: FAIL"
+        assert len(lines) > 1 and all(": " in line for line in lines)
+        assert err == ""
+
+
 def test_certify_pass(capsys):
     code, out, _ = run(capsys, "certify", "-p", "5", "-q", "2", "-l", "1")
     assert code == 0
